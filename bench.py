@@ -117,9 +117,9 @@ def run_bench() -> dict:
         seen_shards=8,
     )
     t0 = time.time()
-    # dispatcher-hosted engine: the entire epoch loop (pick sort,
-    # fetch_seq assignment, chunk planning, wave submission) runs in a
-    # dedicated actor — the driver blocks once on run()
+    # the entire epoch loop (pick sort, fetch_seq assignment, chunk
+    # planning, wave submission) runs in the engine actor — the driver
+    # blocks once on run()
     eng = RemoteCrawl(
         store, images, truth, cfg,
         out_dir="/tmp/raycrawl_bench",

@@ -11,16 +11,23 @@ Per epoch (SURVEY.md §7.0):
       → host actors: frontier append                            (control)
       → parquet: content / crawl order / metrics / checkpoint   (sink)
 
-The admission ladder is a fully actor-chained DAG: fetch candidate
-chunks flow fetch→host(phase1)→seen(phase2)→sequencer(phase3)→
-host(append) as plasma objects, the driver only SUBMITS tasks (it
-blocks per epoch on exactly two things: the dequeue picks and the
-content metadata).  Actor-mailbox FIFO gives the ordering the oracle
-semantics need: phase1(wave w+1) queues behind append(wave w) on each
-host actor, the next epoch's dequeue queues behind the last append,
-and seen-shard rollbacks are pulled by the next wave's phase-2 (or an
-idempotent epoch-end flush).  Epoch metrics are object refs resolved
-lazily at result().
+One engine actor (``_EngineHost``, built by ``RemoteCrawl``) owns every
+other actor and submits each epoch; the driver blocks once, on ``run``.
+Per epoch the engine actor blocks on exactly one thing, the dequeue
+picks (usually prefetched behind the previous epoch's appends).  It
+merges and sorts them, assigns ``fetch_seq``, queues every fetch chunk
+upfront and groups the chunks into admission-ladder waves.  The ladder
+is a fully actor-chained DAG: candidate chunks flow fetch→host(phase1)
+→seen(phase2)→sequencer(phase3)→host(append) as plasma objects.
+Actor-mailbox FIFO gives the ordering the oracle semantics need:
+phase1(wave w+1) queues behind append(wave w) on each host actor, the
+next epoch's dequeue queues behind the last append, and seen-shard
+rollbacks are pulled by the next wave's phase-2 (or an idempotent
+epoch-end flush).  Content metadata and epoch metrics are object refs
+resolved lazily, at ``result()`` or at the epoch's checkpoint write.
+The one branch is the fetch budget: when ``max_fetches`` can cut an
+epoch short, the hosts select first and resolve outcomes only for the
+picks the budget keeps.
 
 Determinism: all control-plane state (politeness clocks, fail
 counters, quotas, seen membership) is partitioned so that every state
@@ -54,7 +61,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +86,7 @@ METRICS_SCHEMA = pa.schema(
         ("rejected_static", pa.int64()),
         ("rejected_robots_quota", pa.int64()),
         ("rejected_dup", pa.int64()),
+        ("rejected_cap_budget", pa.int64()),
         ("frontier_size", pa.int64()),
         ("seen_size", pa.int64()),
     ]
@@ -108,6 +115,16 @@ def _order_keys(fseq: np.ndarray, pos: np.ndarray) -> np.ndarray:
     int64 key (fetch_seq may be -1 for seeds; pos < 2^31)."""
     return (fseq.astype(np.int64) + 1) * (1 << 32) + pos.astype(np.int64)
 
+
+# per-wave admission counters returned by ``_Sequencer.process``:
+# candidates == admitted + the three rejection counts
+_STAT_KEYS = (
+    "candidates",
+    "admitted",
+    "rejected_robots_quota",
+    "rejected_dup",
+    "rejected_cap_budget",
+)
 
 _EMPTY_RB = pa.table({"url_hash": pa.array([], pa.uint64())})
 
@@ -149,12 +166,7 @@ class _Sequencer:
         chunks = refs[:n_chunks]
         p1s = refs[n_chunks : n_chunks + n_hosts]
         p2s = refs[n_chunks + n_hosts :]
-        stats = {
-            "candidates": 0,
-            "admitted": 0,
-            "rejected_robots_quota": 0,
-            "rejected_dup": 0,
-        }
+        stats = dict.fromkeys(_STAT_KEYS, 0)
         cand_parts = [c for c in chunks if len(c)]
         if not cand_parts:
             return _empty_admitted(), _EMPTY_RB, stats
@@ -215,6 +227,7 @@ class _Sequencer:
                 for i in kept_idx[::-1][:over]:
                     keep[i] = False
         rollback = np.nonzero(~keep)[0]
+        stats["rejected_cap_budget"] = len(rollback)
         rb_tbl = (
             pa.table({"url_hash": sub2.take(pa.array(rollback))["url_hash"]})
             if len(rollback)
@@ -236,6 +249,12 @@ class _Sequencer:
             self.shard_add[s] = self.shard_add.get(s, 0) + c
         return final, rb_tbl, stats
 
+
+# fetch rounds per epoch (``_plan_chunks``)
+_WAVES = 4
+
+# global fetch order of an epoch's picks
+_PICK_ORDER = [("t_sched", "ascending"), ("enqueue_seq", "ascending")]
 
 
 def _plan_chunks(n_ok: int, nf: int, waves: int) -> list[tuple[int, int]]:
@@ -269,126 +288,58 @@ def _plan_chunks(n_ok: int, nf: int, waves: int) -> list[tuple[int, int]]:
     return spans
 
 
-class _Dispatcher:
-    """Merge+dispatch actor: turns the per-host-actor dequeue tables
-    into the epoch's globally ordered picks AND submits the fetch chunk
-    tasks itself, chained directly behind the dequeue refs — the fetch
-    pool starts the epoch before the engine-loop process even wakes.
-    The engine pulls only ((n, n_ok), [(content_ref, key_ref), ...])
-    per epoch; the order part and the pick table stay in plasma.
+class _EngineHost:
+    """The crawl engine, run as one Ray actor (``RemoteCrawl`` builds
+    it).  It owns the host, seen, sequencer and fetch actors and runs
+    the whole epoch loop in its own process — dequeue gather, global
+    pick sort, fetch_seq assignment, chunk planning, fetch and
+    admission-wave submission, checkpoint writes — so the caller never
+    takes part in an epoch boundary: the boundary chain is ladder →
+    this actor → fetch pool (NOTES_ROUND2.md).  The fetch chunk return
+    refs it owns live as long as the engine does."""
 
-    An actor (not a task) so the chunk-task return refs it owns live
-    for the engine's lifetime (a reused task worker could be reaped
-    while content refs are still pending resolution at result())."""
-
-    def __init__(self, fetch_actors):
-        self.fetch_actors = fetch_actors
-
-    def merge_dispatch(
-        self,
-        fetch_seq_start: int,
-        epoch: int,
-        waves: int,
-        dispatch: bool,
-        *tables,
-    ):
-        import ray
-
-        picks = pa.concat_tables(tables).sort_by(
-            [("t_sched", "ascending"), ("enqueue_seq", "ascending")]
-        )
-        n = len(picks)
-        fseq = np.arange(fetch_seq_start, fetch_seq_start + n, dtype=np.int64)
-        picks = picks.append_column("fetch_seq", pa.array(fseq)).append_column(
-            "epoch", pa.array(np.full(n, epoch, np.int32))
-        )
-        order = picks.select(
-            ["fetch_seq", "url", "url_hash", "t_sched", "epoch"]
-        )
-        ok = picks.filter(pc.greater_equal(picks["content_row"], 0))
-        n_ok = len(ok)
-        rets = []
-        if n_ok:
-            ok_ref = ray.put(ok)  # one plasma object, sliced in-actor
-            if not dispatch:
-                # dynamic-dispatch mode: the engine loop submits spans
-                # itself — hand it the pick table's ref instead
-                rets = ok_ref
-            else:
-                nf = len(self.fetch_actors)
-                spans = _plan_chunks(n_ok, nf, waves)
-                rets = [
-                    self.fetch_actors[k % nf]
-                    .__call__.options(num_returns=2)
-                    .remote(ok_ref, i, c)
-                    for k, (i, c) in enumerate(spans)
-                ]
-        return order, ((n, n_ok), rets)
-
-
-class RayCrawl:
     def __init__(
         self,
-        store: synth.WebStore,
-        images: pa.Table,
-        truth: pa.Table | None,
-        cfg: CrawlConfig | None = None,
-        out_dir: str = "/tmp/raycrawl",
-        n_host_actors: int = 4,
-        n_fetch_actors: int = 4,
-        checkpoint: bool = False,
-        write_payload: bool = True,
+        refs: dict,
+        cfg: CrawlConfig,
+        out_dir: str,
+        n_host_actors: int,
+        n_fetch_actors: int,
+        checkpoint: bool,
+        write_payload: bool,
     ):
         import ray
 
         self.ray = ray
-        self.cfg = cfg or CrawlConfig()
-        self.out_dir = out_dir
+        self.cfg = cfg
         self.ckpt_dir = os.path.join(out_dir, "ckpt")
         self.checkpoint = checkpoint
         os.makedirs(out_dir, exist_ok=True)
-        # append-only versioned logs (Lance when the wheel exists,
-        # parquet+manifest otherwise — sources/storage.py): one version
-        # per checkpointed epoch, committed by the epoch dir's atomic
-        # rename; resume truncates uncommitted (crashed) appends
-        self.content_log = (
-            VersionedTable(os.path.join(out_dir, "content_log"))
-            if checkpoint
-            else None
-        )
-        self.order_log = (
-            VersionedTable(os.path.join(out_dir, "order_log"))
-            if checkpoint
-            else None
-        )
-        self.n_host_actors = min(n_host_actors, self.cfg.shard_count)
-        self.n_seen = self.cfg.seen_shards
-        self.store_ref = _as_ref(ray, store)
-        self.images_ref = _as_ref(ray, images)
-        self.truth_ref = _as_ref(ray, truth)
+        # append-only versioned logs (parquet fragments + JSON manifests,
+        # sources/storage.py): one version per checkpointed epoch,
+        # committed by the epoch dir's atomic rename; resume truncates
+        # uncommitted (crashed) appends
+        if checkpoint:
+            self.content_log = VersionedTable(os.path.join(out_dir, "content_log"))
+            self.order_log = VersionedTable(os.path.join(out_dir, "order_log"))
+        self.n_host_actors = min(n_host_actors, cfg.shard_count)
+        self.n_seen = cfg.seen_shards
+        store_ref, images_ref, truth_ref = refs["store"], refs["images"], refs["truth"]
 
         HostActor = ray.remote(num_cpus=0)(HostShards)
         SeenActor = ray.remote(num_cpus=0)(_SeenActor)
         SeqActor = ray.remote(num_cpus=0)(_Sequencer)
         FetchActor = ray.remote(num_cpus=1)(FetchDecode)
         shard_of_actor = {
-            a: [
-                s
-                for s in range(self.cfg.shard_count)
-                if s % self.n_host_actors == a
-            ]
+            a: [s for s in range(cfg.shard_count) if s % self.n_host_actors == a]
             for a in range(self.n_host_actors)
         }
         self.host_actors = [
-            HostActor.remote(self.cfg, shard_of_actor[a], self.store_ref)
+            HostActor.remote(cfg, shard_of_actor[a], store_ref)
             for a in range(self.n_host_actors)
         ]
-        self.owner_of_shard = {
-            s: a for a, ss in shard_of_actor.items() for s in ss
-        }
         self._owner_lut = np.array(
-            [self.owner_of_shard[s] for s in range(self.cfg.shard_count)],
-            np.int64,
+            [s % self.n_host_actors for s in range(cfg.shard_count)], np.int64
         )
         self.seen_actors = [
             # start each shard's cuckoo filter SMALL and let the 0.90-load
@@ -398,37 +349,30 @@ class RayCrawl:
             # rebuild re-inserts are vectorized and amortize O(1)/URL
             SeenActor.remote(1 << 14, k, self.n_seen) for k in range(self.n_seen)
         ]
-        self.seq_actor = SeqActor.remote(self.cfg)
-        self.payload_dir = (
-            os.path.join(out_dir, "payload") if write_payload else None
-        )
-        if self.payload_dir:
-            os.makedirs(self.payload_dir, exist_ok=True)
+        self.seq_actor = SeqActor.remote(cfg)
+        payload_dir = os.path.join(out_dir, "payload") if write_payload else None
+        if payload_dir:
+            os.makedirs(payload_dir, exist_ok=True)
         self.fetch_actors = [
             FetchActor.remote(
-                self.store_ref,
-                self.images_ref,
-                self.truth_ref,
-                self.cfg.shard_count,
-                self.payload_dir,
+                store_ref, images_ref, truth_ref, cfg.shard_count, payload_dir
             )
             for _ in range(n_fetch_actors)
         ]
-        self.disp_actor = ray.remote(num_cpus=0)(_Dispatcher).remote(
-            self.fetch_actors
-        )
         self.fetch_seq = 0
         self.epoch = 0
         self._order_parts: list[pa.Table] = []
-        self._content_parts: list[pa.Table] = []
+        self._content_parts: list = []  # (metrics row, content refs) or tables
         self._metric_refs: list[dict] = []
         self._pending_rb: tuple = (None, None)  # (tag, rollback table ref)
         self._wave_tag = 0
         self._append_refs: list = []
         self._unappended: list = []  # admitted-table refs awaiting append
-        self._prefetched_dequeue: tuple | None = None
+        self._prefetched: list | None = None  # next epoch's dequeue refs
         self._seed_stats_ref = None
-        self._prof: list[dict] = []  # CRAWL_PROFILE=1 per-epoch timings
+
+    def actor_handles(self) -> tuple:
+        return self.fetch_actors, self.host_actors, self.seen_actors
 
     # ------------------------------------------------------------ seeding
     def admit_seeds(self, seeds: list[str]) -> None:
@@ -450,11 +394,8 @@ class RayCrawl:
         """Submit one wave's admission ladder — fetch candidate chunks
         (object refs or tables, in ascending fetch_seq order) chained
         through phase1 (host actors) → phase2 (seen actors, pulling the
-        previous wave's rollback) → sequencer.  Frontier appends are
-        DEFERRED: the admitted-table refs accumulate and ride into the
-        next epoch's ``append_and_dequeue`` (one hop less at the epoch
-        boundary; the sequencer tracks per-shard admits so cap math
-        stays exact).  Pure submission; returns the wave's stats ref."""
+        previous wave's rollback) → sequencer.  Pure submission; returns
+        the wave's stats ref."""
         self._wave_tag += 1
         tag = self._wave_tag
         p1 = [
@@ -468,14 +409,14 @@ class RayCrawl:
         adm_ref, rb_new, stats_ref = self.seq_actor.process.options(
             num_returns=3
         ).remote(first_of_epoch, len(cand_refs), len(p1), *cand_refs, *p1, *p2)
-        # incremental appends (round 4): each wave's admitted table is
-        # appended as soon as the sequencer emits it — waves 1..W-1
-        # apply DURING the epoch, so the boundary append is only the
-        # last wave's share.  Cap math stays exact because phase1 now
-        # piggybacks the post-dequeue size SNAPSHOT, not live sizes.
-        # The LAST wave of an epoch defers instead: its admitted table
-        # rides INTO the prefetched append_and_dequeue (one actor-task
-        # hop less on the boundary critical path).
+        # incremental appends: each wave's admitted table is appended as
+        # soon as the sequencer emits it — waves 1..W-1 apply DURING the
+        # epoch, so the boundary append is only the last wave's share.
+        # Cap math stays exact because phase1 piggybacks the
+        # post-dequeue size SNAPSHOT, not live sizes.  The LAST wave of
+        # an epoch defers instead: its admitted table rides INTO the
+        # prefetched append_and_dequeue (one actor-task hop less on the
+        # boundary critical path).
         if defer_append:
             self._unappended.append(adm_ref)
         else:
@@ -488,8 +429,7 @@ class RayCrawl:
     def _flush_appends(self) -> None:
         """Submit any still-deferred appends (normally only the epoch's
         LAST wave — earlier waves append incrementally); used by the
-        non-prefetched dequeue paths, checkpoint snapshots, and
-        result()."""
+        non-prefetched dequeues, checkpoint snapshots, and result()."""
         if self._unappended:
             self._append_refs.extend(
                 a.append_many.remote(*self._unappended)
@@ -507,32 +447,20 @@ class RayCrawl:
             self._pending_rb = (None, None)
 
     # -------------------------------------------------------------- epoch
-    def run_epoch(self, prefetch_next: bool = False) -> bool:
-        """One epoch; returns False when the crawl is finished.
+    def _remaining(self) -> int | None:
+        """Fetches left under ``max_fetches`` (None: no budget)."""
+        mf = self.cfg.max_fetches
+        return None if mf is None else mf - self.fetch_seq
 
-        Driver blocks on exactly one thing per epoch: the dequeue picks
-        (prefetched behind the previous epoch's appends when
-        ``prefetch_next`` allows, so the get is usually instant); the
-        admission ladder is an actor-chained DAG (module docstring) and
-        content metadata refs are resolved lazily at result()/
-        checkpoint."""
+    def _budget_cut(self, remaining: int | None) -> bool:
+        """Whether ``max_fetches`` can cut the next dequeue short."""
+        bound = self.cfg.per_shard_batch * self.cfg.shard_count
+        return remaining is not None and remaining < bound
+
+    def _dequeue(self, epoch: int, remaining: int | None) -> list[pa.Table]:
+        """The epoch's resolved picks, one table per host actor."""
         ray = self.ray
-        cfg = self.cfg
-        if cfg.max_fetches is not None and self.fetch_seq >= cfg.max_fetches:
-            return False
-        prof = os.environ.get("CRAWL_PROFILE") == "1"
-        t_ep = time.perf_counter() if prof else 0.0
-        epoch = self.epoch
-        remaining = (
-            None if cfg.max_fetches is None else cfg.max_fetches - self.fetch_seq
-        )
-        pick_bound = cfg.per_shard_batch * cfg.shard_count
-        if self._prefetched_dequeue is not None:
-            pf_epoch, pf_futs = self._prefetched_dequeue
-            self._prefetched_dequeue = None
-        else:
-            pf_epoch, pf_futs = None, None
-        if remaining is not None and remaining < pick_bound:
+        if self._budget_cut(remaining):
             # budget may bind mid-epoch: select first, slice to budget,
             # THEN resolve outcomes — so host fail-counters never record
             # picks the budget cut off (oracle's early break; keeps a
@@ -540,265 +468,119 @@ class RayCrawl:
             self._flush_appends()
             sel = pa.concat_tables(
                 ray.get([a.dequeue_select.remote(epoch) for a in self.host_actors])
-            ).sort_by([("t_sched", "ascending"), ("enqueue_seq", "ascending")])
-            sel = sel.slice(0, remaining)
-            sel = sel.append_column(
-                "order", pa.array(np.arange(len(sel), dtype=np.int64))
-            )
+            ).sort_by(_PICK_ORDER).slice(0, remaining)
             owner = self._owner_lut[sel["shard"].to_numpy(zero_copy_only=False)]
-            futs, orders = [], []
-            for a, actor in enumerate(self.host_actors):
-                idx = np.nonzero(owner == a)[0]
-                if len(idx) == 0:
-                    continue
-                part = sel.take(pa.array(idx))
-                futs.append(actor.resolve_outcomes.remote(part.drop_columns(["order"])))
-                orders.append(part["order"].to_numpy(zero_copy_only=False))
-            resolved = ray.get(futs)
-            if resolved:
-                glued = pa.concat_tables(resolved).append_column(
-                    "order", pa.array(np.concatenate(orders))
-                )
-                picks = glued.sort_by("order").drop_columns(["order"])
-            else:
-                from ..state.host import PICKS_SCHEMA
+            futs = [
+                a.resolve_outcomes.remote(sel.filter(pa.array(owner == k)))
+                for k, a in enumerate(self.host_actors)
+            ]
+        elif self._prefetched is not None:
+            futs, self._prefetched = self._prefetched, None
+        else:
+            self._flush_appends()
+            futs = [a.dequeue_epoch.remote(epoch) for a in self.host_actors]
+        return ray.get(futs)
 
-                picks = pa.table(
-                    {k.name: [] for k in PICKS_SCHEMA}, schema=PICKS_SCHEMA
-                )
-            picks_local = picks
-        else:
-            if pf_futs is not None and pf_epoch == epoch:
-                futs = pf_futs
-            else:
-                self._flush_appends()
-                futs = [a.dequeue_epoch.remote(epoch) for a in self.host_actors]
-            if not self.checkpoint:
-                # plain path: merge/sort/fetch_seq assignment AND the
-                # fetch chunk submission happen in the dispatcher actor,
-                # chained behind the dequeue refs — the fetch pool is
-                # already working before this process wakes; only the
-                # (n, n_ok) tuple plus the chunk refs land here
-                mode = os.environ.get("CRAWL_DISPATCH", "static")
-                waves = int(os.environ.get("CRAWL_WAVES", "4"))
-                order_ref, payload_ref = self.disp_actor.merge_dispatch.options(
-                    num_returns=2
-                ).remote(
-                    self.fetch_seq, epoch, waves, mode != "dynamic", *futs
-                )
-                picks_local = None
-                (n, n_ok), rets_or_ref = ray.get(payload_ref)
-            else:
-                # checkpoint runs materialize picks locally — the epoch's
-                # order part feeds the versioned log write below
-                picks_local = pa.concat_tables(ray.get(futs)).sort_by(
-                    [("t_sched", "ascending"), ("enqueue_seq", "ascending")]
-                )
-        t_picks = time.perf_counter() if prof else 0.0
-        if picks_local is not None:
-            n = len(picks_local)
-            if n == 0:
-                return False  # empty frontier (dequeue is the emptiness probe)
-            fseq = np.arange(self.fetch_seq, self.fetch_seq + n, dtype=np.int64)
-            picks_local = picks_local.append_column(
-                "fetch_seq", pa.array(fseq)
-            ).append_column("epoch", pa.array(np.full(n, epoch, np.int32)))
-            self._order_parts.append(
-                picks_local.select(
-                    ["fetch_seq", "url", "url_hash", "t_sched", "epoch"]
-                )
-            )
-            ok_picks = picks_local.filter(
-                pc.greater_equal(picks_local["content_row"], 0)
-            )
-            n_ok = len(ok_picks)
-            picks_ref = ray.put(ok_picks) if n_ok else None
-        else:
-            if n == 0:
-                return False  # empty frontier (dequeue is the emptiness probe)
-            self._order_parts.append(order_ref)
-            # dynamic mode receives the pick table's plasma ref; static
-            # mode receives the already-submitted chunk task refs
-            picks_ref = rets_or_ref if not isinstance(rets_or_ref, list) else None
+    def run_epoch(self, prefetch_next: bool = False) -> bool:
+        """One epoch; returns False when the crawl is finished.
+
+        Blocks on exactly one thing: the dequeue picks (prefetched
+        behind the previous epoch's appends when ``prefetch_next``
+        allowed it, so the get is usually instant).  The admission
+        ladder is an actor-chained DAG (module docstring); content
+        metadata refs resolve lazily at result() or the checkpoint."""
+        ray = self.ray
+        remaining = self._remaining()
+        if remaining is not None and remaining <= 0:
+            return False
+        epoch = self.epoch
+        picks = pa.concat_tables(self._dequeue(epoch, remaining)).sort_by(
+            _PICK_ORDER
+        )
+        n = len(picks)
+        if n == 0:
+            return False  # empty frontier (dequeue is the emptiness probe)
+        fseq = np.arange(self.fetch_seq, self.fetch_seq + n, dtype=np.int64)
+        picks = picks.append_column("fetch_seq", pa.array(fseq)).append_column(
+            "epoch", pa.array(np.full(n, epoch, np.int32))
+        )
+        self._order_parts.append(
+            picks.select(["fetch_seq", "url", "url_hash", "t_sched", "epoch"])
+        )
         self.fetch_seq += n
-        t_prep = time.perf_counter() if prof else 0.0
+        ok = picks.filter(pc.greater_equal(picks["content_row"], 0))
         stat_refs: list = []
         content_refs: list = []
-        if n_ok:
-            # Round-robin chunk waves over the persistent fetch pool;
-            # each actor returns (content metadata, candidate chunk) as
-            # TWO object refs — content comes back to the driver, the
-            # candidate chunk chains straight into the admission DAG.
-            # Everything below is submission-only; the fetch pool,
-            # the admission actors, and the driver all run concurrently.
+        if len(ok):
+            # Every span is queued upfront, round-robin over the
+            # persistent fetch pool (no reaction loop — actors chain
+            # chunk to chunk with zero latency); ``_plan_chunks`` gives
+            # _WAVES-1 full rounds and a half-size last round.  4 rounds
+            # beat 2 consistently at 32 CPUs (smaller last-wave tail
+            # before the next dequeue can fire) and are neutral at 8 —
+            # sweep in BASELINE.md.  A geometrically-decaying (LPT-style)
+            # schedule was A/B tested and LOST at 32 CPUs (~+1.2 s/run,
+            # interleaved fresh processes) — the larger first-wave chunks
+            # straggle worse than the smaller tail saves.  Work-stealing
+            # dispatch lost too (8,194 vs 13,048 URLs/s, BASELINE.md).
+            # Each call returns (content metadata, candidate chunk) as
+            # TWO refs: content is resolved lazily, the candidate chunk
+            # chains straight into the admission DAG.
+            ok_ref = ray.put(ok)  # one plasma object, sliced in-actor
             nf = len(self.fetch_actors)
-            mode = os.environ.get("CRAWL_DISPATCH", "static")
-            if mode == "dynamic":
-                # work-stealing dispatch: guided (decaying) spans; each
-                # completion hands the next span to the actor that
-                # finished — a slow actor never strands queued chunks.
-                # Costs one driver reaction per span, so it pays off
-                # only when per-actor speed skew is large.
-                min_chunk = int(os.environ.get("CRAWL_MIN_CHUNK", "128"))
-                spans = []
-                i, rem = 0, n_ok
-                while rem > 0:
-                    c = min(rem, max(min_chunk, rem // (2 * nf)))
-                    spans.append((i, c))
-                    i += c
-                    rem -= c
-                rets: list = []
-                owner_of: dict = {}
-                outstanding: list = []
-                next_span = 0
-                flushed = 0
-
-                def submit(actor_idx: int) -> None:
-                    nonlocal next_span
-                    s, c = spans[next_span]
-                    cref, kref = (
-                        self.fetch_actors[actor_idx]
-                        .__call__.options(num_returns=2)
-                        .remote(picks_ref, s, c)
+            rets = [
+                self.fetch_actors[k % nf]
+                .__call__.options(num_returns=2)
+                .remote(ok_ref, i, c)
+                for k, (i, c) in enumerate(_plan_chunks(len(ok), nf, _WAVES))
+            ]
+            # Ladder grouping: one group per fetch round (nf chunks).
+            # Tapering the final round into halving subgroups (nf/2 ...
+            # 1, so the last ladder walk is one chunk) was A/B tested and
+            # LOST by 0.3-0.5 s/run at 32 CPUs — the extra sequencer hops
+            # serialize and cost more than the smaller data tail saves.
+            for w0 in range(0, len(rets), nf):
+                wave = rets[w0 : w0 + nf]
+                content_refs.extend(c for c, _k in wave)
+                stat_refs.append(
+                    self._submit_wave(
+                        [k for _c, k in wave],
+                        first_of_epoch=(w0 == 0),
+                        defer_append=(w0 + nf >= len(rets)),
                     )
-                    rets.append((cref, kref))
-                    owner_of[cref] = actor_idx
-                    outstanding.append(cref)
-                    next_span += 1
-
-                def flush_waves() -> None:
-                    nonlocal flushed
-                    while next_span - flushed >= nf or (
-                        next_span == len(spans) and flushed < len(spans)
-                    ):
-                        wave = rets[flushed : flushed + nf]
-                        content_refs.extend(c for c, _k in wave)
-                        stat_refs.append(
-                            self._submit_wave(
-                                [k for _c, k in wave],
-                                first_of_epoch=(flushed == 0),
-                                defer_append=(
-                                    next_span == len(spans)
-                                    and flushed + len(wave) >= len(spans)
-                                ),
-                            )
-                        )
-                        flushed += len(wave)
-
-                depth = 3  # outstanding spans per actor
-                for a in range(nf):
-                    for _ in range(depth):
-                        if next_span < len(spans):
-                            submit(a)
-                flush_waves()
-                while next_span < len(spans):
-                    done, outstanding = ray.wait(
-                        outstanding, num_returns=1, fetch_local=False
-                    )
-                    submit(owner_of.pop(done[0]))
-                    flush_waves()
-            else:
-                # static pre-submission: every span queued upfront (no
-                # driver in the loop — actors chain chunk to chunk with
-                # zero reaction latency); uniform spans over `waves`
-                # rounds per actor.  4 rounds beat 2 consistently at 32
-                # CPUs (smaller last-wave tail before the next dequeue
-                # can fire) and are neutral at 8 — sweep in BASELINE.md.
-                # A geometrically-decaying (LPT-style) schedule was A/B
-                # tested and LOST to uniform at 32 CPUs (~+1.2 s/run,
-                # interleaved fresh processes) — the larger first-wave
-                # chunks straggle worse than the uniform tail saves.
-                # On the plain path the dispatcher actor has ALREADY
-                # submitted these chunk tasks (same spans, same actor
-                # round-robin); only the ladder waves are grouped here.
-                if picks_local is None:
-                    rets = rets_or_ref
-                else:
-                    waves = int(os.environ.get("CRAWL_WAVES", "4"))
-                    spans = _plan_chunks(n_ok, nf, waves)
-                    rets = [
-                        self.fetch_actors[k % nf]
-                        .__call__.options(num_returns=2)
-                        .remote(picks_ref, i, c)
-                        for k, (i, c) in enumerate(spans)
-                    ]
-                # Ladder grouping: one group per fetch round (nf
-                # chunks).  Tapering the final round into halving
-                # subgroups (nf/2 ... 1, so the last ladder walk is
-                # one chunk) was A/B tested and LOST by 0.3-0.5 s/run
-                # at 32 CPUs — the extra sequencer hops serialize and
-                # cost more than the smaller data tail saves.
-                for w0 in range(0, len(rets), nf):
-                    wave = rets[w0 : w0 + nf]
-                    content_refs.extend(c for c, _k in wave)
-                    stat_refs.append(
-                        self._submit_wave(
-                            [k for _c, k in wave],
-                            first_of_epoch=(w0 == 0),
-                            defer_append=(w0 + nf >= len(rets)),
-                        )
-                    )
-        t_submit = time.perf_counter() if prof else 0.0
+                )
         self._flush_rollback()
-        # prefetch the NEXT epoch's dequeue, carrying this epoch's
-        # deferred appends in the same task (one boundary hop): the task
-        # queues behind this epoch's phase-1s (actor FIFO) and computes
-        # while the driver is between epochs.  Only on the plain path
-        # (no binding budget, no checkpoint snapshots which must observe
-        # appended-but-not-dequeued state).
-        if prefetch_next and cfg.max_fetches is None and not self.checkpoint:
-            # waves 1..W-1 appended incrementally (actor FIFO runs them
-            # first); the LAST wave's admitted table rides in the
-            # prefetched append_and_dequeue — one hop on the boundary
-            adm = self._unappended
-            self._unappended = []
-            self._prefetched_dequeue = (
-                epoch + 1,
-                [
-                    a.append_and_dequeue.remote(epoch + 1, *adm)
-                    for a in self.host_actors
-                ],
-            )
         # metrics are refs resolved lazily at result(); seen/frontier
         # sizes are derived arithmetically there (seen == Σ admitted,
         # frontier == Σ admitted − Σ picked) — no per-epoch RPCs
-        self._metric_refs.append(
-            {
-                "epoch": epoch,
-                "picked": n,
-                "fetched_ok": None,  # resolved with the content refs
-                "stats": stat_refs,
-            }
-        )
-        # content metadata stays as refs — resolved off the epoch
-        # critical path (result(), or write_checkpoint below)
-        self._content_parts.append((epoch, content_refs))
-        if prof:
-            t_end = time.perf_counter()
-            self._prof.append(
-                {
-                    "epoch": epoch,
-                    "picked": n,
-                    "picks_wait_ms": round((t_picks - t_ep) * 1e3, 2),
-                    "prep_ms": round((t_prep - t_picks) * 1e3, 2),
-                    "submit_ms": round((t_submit - t_prep) * 1e3, 2),
-                    "tail_ms": round((t_end - t_submit) * 1e3, 2),
-                }
-            )
+        m = {"epoch": epoch, "picked": n, "stats": stat_refs}
+        self._metric_refs.append(m)
+        self._content_parts.append((m, content_refs))
         self.epoch += 1
         if self.checkpoint:
             self.write_checkpoint()
-        if cfg.max_fetches is not None and self.fetch_seq >= cfg.max_fetches:
-            return False
+        if prefetch_next and not self._budget_cut(self._remaining()):
+            # prefetch the NEXT epoch's dequeue, carrying this epoch's
+            # deferred last-wave appends in the same task (one boundary
+            # hop): it queues behind this epoch's phase-1s (actor FIFO)
+            # and computes while this actor is between epochs.  After a
+            # checkpoint snapshot, so the snapshot sees appended but not
+            # yet dequeued state.
+            adm, self._unappended = self._unappended, []
+            self._prefetched = [
+                a.append_and_dequeue.remote(epoch + 1, *adm)
+                for a in self.host_actors
+            ]
         return True
 
     def _resolve_content(self) -> None:
-        """Materialize any pending per-epoch content refs (in place)."""
+        """Materialize any pending per-epoch content refs (in place),
+        recording each epoch's fetched pages and extracted links."""
         ray = self.ray
         for i, part in enumerate(self._content_parts):
             if not isinstance(part, tuple):
                 continue
-            ep, refs = part
+            m, refs = part
             cparts = [c for c in ray.get(refs) if len(c)] if refs else []
             content = (
                 pa.concat_tables(cparts).sort_by("fetch_seq")
@@ -808,24 +590,15 @@ class RayCrawl:
                 )
             )
             self._content_parts[i] = content
-            for m in self._metric_refs:
-                if m["epoch"] == ep:
-                    m["fetched_ok"] = len(content)
+            m["fetched_ok"] = len(content)
+            m["links"] = pc.sum(pc.list_value_length(content["links"])).as_py() or 0
 
     def warmup(self) -> None:
         """Block until every fetch actor finished deserializing its
-        broadcast state — otherwise each early epoch's gather barrier
-        stalls on whichever actor is still cold.  Also spins up the
-        worker process for the picks-merge task (a cold first call costs
-        ~1 s of full-pool idle on epoch 0)."""
-        from ..state.host import PICKS_SCHEMA
-
-        empty = pa.table({k.name: [] for k in PICKS_SCHEMA}, schema=PICKS_SCHEMA)
-        disp_warm = self.disp_actor.merge_dispatch.options(num_returns=2).remote(
-            0, -1, 1, True, empty
-        )
+        broadcast state and ran the fetch+decode path once — otherwise
+        each early epoch's gather barrier stalls on whichever actor is
+        still cold."""
         self.ray.get([a.warm.remote() for a in self.fetch_actors])
-        self.ray.get(disp_warm[1])
 
     def run(self, max_epochs: int | None = None) -> EngineResult:
         self.warmup()
@@ -841,7 +614,9 @@ class RayCrawl:
         counters (seen == Σ admitted incl. seeds; frontier == seen −
         Σ picked) — every admit inserted into the seen set survives
         (rollbacks never count as admitted) and every pick permanently
-        leaves the frontier."""
+        leaves the frontier.  ``make_candidates`` drops static-filter
+        rejects before the ladder counts anything, so they are the
+        fetched pages' links minus the candidates."""
         ray = self.ray
         rows = []
         seen_cum = 0
@@ -849,12 +624,7 @@ class RayCrawl:
             seen_cum += ray.get(self._seed_stats_ref)["admitted"]
         picked_cum = 0
         for m in self._metric_refs:
-            stats = {
-                "candidates": 0,
-                "admitted": 0,
-                "rejected_robots_quota": 0,
-                "rejected_dup": 0,
-            }
+            stats = dict.fromkeys(_STAT_KEYS, 0)
             for s in ray.get(list(m["stats"])):
                 for k in stats:
                     stats[k] += s[k]
@@ -866,39 +636,21 @@ class RayCrawl:
                     "picked": m["picked"],
                     "fetched_ok": m["fetched_ok"],
                     "fetch_failed": m["picked"] - m["fetched_ok"],
-                    "candidates": stats["candidates"],
-                    "admitted": stats["admitted"],
-                    "rejected_static": 0,
-                    "rejected_robots_quota": stats["rejected_robots_quota"],
-                    "rejected_dup": stats["rejected_dup"],
+                    **stats,
+                    "rejected_static": m["links"] - stats["candidates"],
                     "frontier_size": seen_cum - picked_cum,
                     "seen_size": seen_cum,
                 }
             )
         return rows
 
-    def _drain_prefetch(self) -> None:
-        """A prefetched append_and_dequeue has already consumed frontier
-        picks and advanced politeness clocks; if no further epoch runs
-        those picks would silently vanish.  result()/checkpoint drain it
-        through the normal epoch path so state stays exact."""
-        if self._prefetched_dequeue is not None:
-            self.run_epoch(prefetch_next=False)
-
     def result(self) -> EngineResult:
         ray = self.ray
-        self._drain_prefetch()
         self._flush_appends()  # frontier state complete for any later use
         if self._append_refs:  # surface any admission-chain errors
             ray.get(self._append_refs)
             self._append_refs = []
         self._resolve_content()
-        # plain-path epochs store the order part as the merge task's
-        # object ref (never pulled during the run) — resolve them now
-        self._order_parts = [
-            ray.get(p) if isinstance(p, ray.ObjectRef) else p
-            for p in self._order_parts
-        ]
         res = EngineResult()
         res.epochs = self.epoch
         res.crawl_order = (
@@ -931,20 +683,9 @@ class RayCrawl:
             pq.write_table(fr, os.path.join(tmp, f"frontier-{a}.parquet"))
             pq.write_table(hs, os.path.join(tmp, f"hoststate-{a}.parquet"))
         for k, st in enumerate(ray.get([a.to_state.remote() for a in self.seen_actors])):
-            pq.write_table(
-                pa.table(
-                    {
-                        "nbuckets": [st["nbuckets"]],
-                        "count": [st["count"]],
-                        "evict_state": [st["evict_state"]],
-                        "table": [st["table"]],
-                        "exact": [st["exact"]],
-                        "seed": [st["seed"]],
-                        "parent_epoch": [epoch - 1],
-                    }
-                ),
-                os.path.join(tmp, f"seen-{k}.parquet"),
-            )
+            cols = ("nbuckets", "count", "evict_state", "table", "exact", "seed")
+            row = {c: [st[c]] for c in cols} | {"parent_epoch": [epoch - 1]}
+            pq.write_table(pa.table(row), os.path.join(tmp, f"seen-{k}.parquet"))
         # per-epoch result partitions go to the versioned append-only
         # logs (S2/S3 KeyValDB analog — KeyValueDB.hpp:154-306); the
         # epoch dir's atomic rename below is the commit point, so a
@@ -975,63 +716,34 @@ class RayCrawl:
         shutil.rmtree(d, ignore_errors=True)
         os.replace(tmp, d)  # atomic publish = the epoch's commit point
 
-    @classmethod
-    def resume(
-        cls,
-        store,
-        images,
-        truth,
-        cfg,
-        out_dir,
-        n_host_actors=4,
-        n_fetch_actors=4,
-    ) -> "RayCrawl":
-        ckpt_dir = os.path.join(out_dir, "ckpt")
-        epochs = sorted(
-            int(e.split("=")[1])
-            for e in os.listdir(ckpt_dir)
-            if e.startswith("epoch=") and not e.endswith(".tmp")
-        )
-        if not epochs:
-            raise FileNotFoundError(f"no checkpoint under {ckpt_dir}")
-        last = epochs[-1]
-        d = os.path.join(ckpt_dir, f"epoch={last}")
-        eng = cls(
-            store,
-            images,
-            truth,
-            cfg,
-            out_dir,
-            n_host_actors=n_host_actors,
-            n_fetch_actors=n_fetch_actors,
-            checkpoint=True,
-        )
-        ray = eng.ray
+    def restore(self, d: str) -> None:
+        """Load the committed checkpoint dir ``d`` into this (fresh,
+        checkpointing) engine."""
+        ray = self.ray
         with open(os.path.join(d, "driver.json")) as f:
             drv = json.load(f)
-        eng.epoch = drv["epoch"]
-        eng.fetch_seq = drv["fetch_seq"]
-        futs = [eng.seq_actor.set_seq.remote(drv["enqueue_seq"])]
-        for a, actor in enumerate(eng.host_actors):
+        self.epoch = drv["epoch"]
+        self.fetch_seq = drv["fetch_seq"]
+        futs = [self.seq_actor.set_seq.remote(drv["enqueue_seq"])]
+        for a, actor in enumerate(self.host_actors):
             fr = pq.read_table(os.path.join(d, f"frontier-{a}.parquet"))
             hs = pq.read_table(os.path.join(d, f"hoststate-{a}.parquet"))
             futs.append(actor.restore.remote(fr, hs))
-        for k, actor in enumerate(eng.seen_actors):
+        for k, actor in enumerate(self.seen_actors):
             st = pq.read_table(os.path.join(d, f"seen-{k}.parquet")).to_pylist()[0]
             futs.append(actor.restore.remote(st))
         ray.get(futs)
         # truncate any log versions past the last committed epoch
         # (appends whose epoch dir never published — crashed run), then
         # reload prior outputs from the logs so result() is complete
-        eng.order_log.truncate_to(drv.get("order_version"))
-        eng.content_log.truncate_to(drv.get("content_version"))
-        order_all = eng.order_log.read(drv.get("order_version"))
-        content_all = eng.content_log.read(drv.get("content_version"))
+        self.order_log.truncate_to(drv.get("order_version"))
+        self.content_log.truncate_to(drv.get("content_version"))
+        order_all = self.order_log.read(drv.get("order_version"))
+        content_all = self.content_log.read(drv.get("content_version"))
         if len(order_all):
-            eng._order_parts.append(order_all)
+            self._order_parts.append(order_all)
         if len(content_all):
-            eng._content_parts.append(content_all)
-        return eng
+            self._content_parts.append(content_all)
 
 
 class _SeenActor:
@@ -1042,9 +754,6 @@ class _SeenActor:
         self.k = shard_id
         self.n_seen = n_seen
         self._applied_rb: set[int] = set()
-
-    def test_and_add(self, hashes: np.ndarray) -> np.ndarray:
-        return self.shard.test_and_add(hashes)
 
     def test_and_add_wave(
         self, k: int, n_seen: int, rb_tag, rb_tbl, *phase1_outputs
@@ -1092,12 +801,6 @@ class _SeenActor:
         if len(mine):
             self.shard.remove(mine)
 
-    def remove(self, hashes: np.ndarray) -> None:
-        self.shard.remove(hashes)
-
-    def count(self) -> int:
-        return len(self.shard)
-
     def mem_bytes(self) -> tuple[int, int]:
         """(resident bytes, member count) — cuckoo table + exact store.
         Bench probe for the bytes/URL budget (reference: ~40 B/URL,
@@ -1117,64 +820,24 @@ class _SeenActor:
         self.shard = SeenShard.from_state(state)
 
 
-_DISPATCH_ENV = (
-    "CRAWL_DISPATCH",
-    "CRAWL_WAVES",
-    "CRAWL_MIN_CHUNK",
-    "CRAWL_COORD",
-    "CRAWL_PROFILE",
-)
-
-
-class _EngineHost:
-    """Dispatcher-actor body: hosts a complete ``RayCrawl`` so ALL
-    per-epoch control logic — dequeue gather, global pick sort,
-    fetch_seq assignment, chunk planning, fetch/admission wave
-    submission — executes in one dedicated actor process.  The driver
-    never participates in an epoch boundary (it blocks once, on
-    ``run``); the boundary chain is ladder → this actor → fetch pool
-    (the round-2 scaling postmortem's remaining structural cut,
-    NOTES_ROUND2.md)."""
-
-    def __init__(self, refs: dict, kw: dict, dispatch_env: dict):
-        import os as _os
-
-        # dispatch-mode env vars are read by run_epoch at call time in
-        # THIS process; worker processes don't inherit driver env
-        for k, v in dispatch_env.items():
-            _os.environ[k] = v
-        self.eng = RayCrawl(
-            refs["store"], refs["images"], refs.get("truth"), **kw
-        )
-
-    def admit_seeds(self, seeds: list[str]) -> None:
-        self.eng.admit_seeds(seeds)
-
-    def warmup(self) -> None:
-        self.eng.warmup()
-
-    def run(self, max_epochs: int | None = None) -> EngineResult:
-        return self.eng.run(max_epochs=max_epochs)
-
-    def result(self) -> EngineResult:
-        return self.eng.result()
-
-    def profile(self) -> list[dict]:
-        return self.eng._prof
-
-    def actor_handles(self) -> tuple:
-        return (
-            self.eng.fetch_actors,
-            self.eng.host_actors,
-            self.eng.seen_actors,
-        )
+def _last_checkpoint(out_dir: str) -> str:
+    """The newest committed ``ckpt/epoch=N`` dir under ``out_dir``."""
+    ckpt_dir = os.path.join(out_dir, "ckpt")
+    epochs = sorted(
+        int(e.split("=")[1])
+        for e in os.listdir(ckpt_dir)
+        if e.startswith("epoch=") and not e.endswith(".tmp")
+    )
+    if not epochs:
+        raise FileNotFoundError(f"no checkpoint under {ckpt_dir}")
+    return os.path.join(ckpt_dir, f"epoch={epochs[-1]}")
 
 
 class RemoteCrawl:
-    """Driver facade over the dispatcher-hosted engine (plain path:
-    no checkpointing).  Same surface as ``RayCrawl`` for the methods
-    callers use (admit_seeds / warmup / run / actor handles); epoch
-    boundaries cost zero driver round-trips."""
+    """The crawl engine's public handle: builds one ``_EngineHost``
+    actor and forwards calls to it.  Epoch boundaries cost the caller
+    zero round-trips; it blocks once per call (``run`` covers a whole
+    crawl)."""
 
     def __init__(
         self,
@@ -1185,33 +848,47 @@ class RemoteCrawl:
         out_dir: str = "/tmp/raycrawl",
         n_host_actors: int = 4,
         n_fetch_actors: int = 4,
+        checkpoint: bool = False,
         write_payload: bool = True,
     ):
         import ray
 
         self.ray = ray
-        dispatch_env = {
-            k: os.environ[k] for k in _DISPATCH_ENV if k in os.environ
-        }
         # broadcast the fixture once; refs ride inside a dict so Ray
-        # does NOT auto-resolve them into the actor (RayCrawl accepts
-        # refs directly — one plasma copy total)
+        # does NOT auto-resolve them into the engine actor, which hands
+        # them on to its own actors — one plasma copy total
         refs = {
             "store": _as_ref(ray, store),
             "images": _as_ref(ray, images),
             "truth": _as_ref(ray, truth),
         }
-        kw = dict(
-            out_dir=out_dir,
-            cfg=cfg,
-            n_host_actors=n_host_actors,
-            n_fetch_actors=n_fetch_actors,
-            checkpoint=False,
-            write_payload=write_payload,
+        Engine = ray.remote(num_cpus=0)(_EngineHost)
+        # the engine actor writes every output file from its own
+        # process, whose working directory is not the caller's
+        self._host = Engine.remote(
+            refs,
+            cfg or CrawlConfig(),
+            os.path.abspath(out_dir),
+            n_host_actors,
+            n_fetch_actors,
+            checkpoint,
+            write_payload,
         )
-        Host = ray.remote(num_cpus=0)(_EngineHost)
-        self._host = Host.remote(refs, kw, dispatch_env)
         self._handles = None
+
+    @classmethod
+    def resume(
+        cls, store, images, truth, cfg, out_dir, n_host_actors=4, n_fetch_actors=4
+    ) -> "RemoteCrawl":
+        """A checkpointing engine restored from the last committed
+        epoch under ``out_dir``; ``run()`` continues the crawl."""
+        d = _last_checkpoint(os.path.abspath(out_dir))
+        eng = cls(
+            store, images, truth, cfg, out_dir, n_host_actors=n_host_actors,
+            n_fetch_actors=n_fetch_actors, checkpoint=True,
+        )
+        eng.ray.get(eng._host.restore.remote(d))
+        return eng
 
     def admit_seeds(self, seeds: list[str]) -> None:
         self.ray.get(self._host.admit_seeds.remote(seeds))
@@ -1224,9 +901,6 @@ class RemoteCrawl:
 
     def result(self) -> EngineResult:
         return self.ray.get(self._host.result.remote())
-
-    def profile(self) -> list[dict]:
-        return self.ray.get(self._host.profile.remote())
 
     def actor_handles(self) -> tuple:
         if self._handles is None:
@@ -1246,7 +920,7 @@ class RemoteCrawl:
         return self.actor_handles()[2]
 
     def shutdown(self) -> None:
-        """Kill the host actor (its child actors die with their owner)."""
+        """Kill the engine actor (its child actors die with their owner)."""
         self.ray.kill(self._host)
 
 
@@ -1263,38 +937,16 @@ def run_crawl(
     max_epochs: int | None = None,
     write_payload: bool = True,
 ) -> EngineResult:
-    # plain path → dispatcher-hosted loop (CRAWL_COORD=driver forces
-    # the in-driver loop); checkpointing stays driver-side (filesystem
-    # writes + VersionedTable commits belong to the caller's process)
-    if not checkpoint and os.environ.get("CRAWL_COORD", "actor") == "actor":
-        eng = RemoteCrawl(
-            store,
-            images,
-            truth,
-            cfg,
-            out_dir,
-            n_host_actors=n_host_actors,
-            n_fetch_actors=n_fetch_actors,
-            write_payload=write_payload,
-        )
-        try:
-            eng.admit_seeds(seeds)
-            return eng.run(max_epochs=max_epochs)
-        finally:
-            eng.shutdown()
-    eng = RayCrawl(
-        store,
-        images,
-        truth,
-        cfg,
-        out_dir,
-        n_host_actors=n_host_actors,
-        n_fetch_actors=n_fetch_actors,
-        checkpoint=checkpoint,
+    eng = RemoteCrawl(
+        store, images, truth, cfg, out_dir, n_host_actors=n_host_actors,
+        n_fetch_actors=n_fetch_actors, checkpoint=checkpoint,
         write_payload=write_payload,
     )
-    eng.admit_seeds(seeds)
-    return eng.run(max_epochs=max_epochs)
+    try:
+        eng.admit_seeds(seeds)
+        return eng.run(max_epochs=max_epochs)
+    finally:
+        eng.shutdown()
 
 
 def get_page(out_dir: str, url: str):
@@ -1308,7 +960,6 @@ def get_page(out_dir: str, url: str):
     payload part file are read (payload parts are named by their first
     fetch_seq, so the owning file is found by name alone)."""
     import glob
-    import json as _json
 
     from ..functions import urlkernel as uk
 
@@ -1327,7 +978,7 @@ def get_page(out_dir: str, url: str):
         seq = int(hits["fetch_seq"][0].as_py())
         epoch_dir = os.path.dirname(idx_file)
         with open(os.path.join(epoch_dir, "driver.json")) as f:
-            drv = _json.load(f)
+            drv = json.load(f)
         # one content fragment read (this epoch's appended version)
         frag = VersionedTable(
             os.path.join(out_dir, "content_log")

@@ -1,22 +1,18 @@
-"""Versioned table storage — Lance when available, else a
-parquet+manifest layout with the same semantics.
+"""Versioned table storage: parquet fragments plus JSON manifests.
 
-The north rule stores content/frontier/seen state in **Lance** tables
-(append + random access + versioning), replacing the reference's
-hand-rolled append-only KV logs (``KeyValueDB.hpp:68-504`` — key log +
-value log + in-RAM index rebuilt by replay).  This container has no
-``lance`` wheel, so the backend is gated behind a try-import:
+The north rule stores content/frontier/seen state in versioned,
+append-only tables (append + random access + versioning), replacing
+the reference's hand-rolled append-only KV logs
+(``KeyValueDB.hpp:68-504`` — key log + value log + in-RAM index rebuilt
+by replay).  Each version is one parquet fragment plus a JSON manifest
+(``_versions/v{n}.json`` listing its fragment lineage), committed by
+atomic rename — append-only, time-travelable and resumable.
 
-* ``lance`` importable → ``lance.write_dataset(mode="append")`` /
-  ``dataset.checkout_version`` drive the exact same API;
-* fallback → each version is a parquet fragment plus a JSON manifest
-  (``_versions/v{n}.json`` listing its fragment lineage), committed by
-  atomic rename — append-only, time-travelable, resumable, identical
-  call signatures.
-
-Both backends expose: ``append(table) -> version``, ``read(version) ->
-pa.Table``, ``to_ray(version) -> ray.data.Dataset`` (streaming read of
-the fragment files — the 100 TB path), ``versions()``, ``latest()``.
+``VersionedTable`` exposes ``append(table) -> version``,
+``read(version) -> pa.Table``, ``to_ray(version) -> ray.data.Dataset``
+(streaming read of the fragment files — the 100 TB path),
+``version_delta``, ``truncate_to``, ``count``, ``versions()`` and
+``latest()``.
 """
 
 from __future__ import annotations
@@ -28,32 +24,19 @@ import uuid
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-try:  # pragma: no cover - lance absent in this container
-    import lance  # type: ignore
-
-    HAVE_LANCE = True
-except ImportError:
-    lance = None
-    HAVE_LANCE = False
-
 
 class VersionedTable:
     def __init__(self, path: str):
         self.path = path
-        os.makedirs(path, exist_ok=True)
-        if not HAVE_LANCE:
-            os.makedirs(self._vdir, exist_ok=True)
-            os.makedirs(os.path.join(path, "fragments"), exist_ok=True)
+        os.makedirs(self._vdir, exist_ok=True)
+        os.makedirs(os.path.join(path, "fragments"), exist_ok=True)
 
-    # ------------------------------------------------------------ common
+    # ---------------------------------------------------------- versions
     @property
     def _vdir(self) -> str:
         return os.path.join(self.path, "_versions")
 
     def versions(self) -> list[int]:
-        if HAVE_LANCE:
-            ds = lance.dataset(self.path)
-            return list(range(1, ds.version + 1))
         out = []
         for f in os.listdir(self._vdir):
             if f.startswith("v") and f.endswith(".json"):
@@ -66,9 +49,6 @@ class VersionedTable:
 
     # ------------------------------------------------------------ append
     def append(self, table: pa.Table) -> int:
-        if HAVE_LANCE:
-            lance.write_dataset(table, self.path, mode="append")
-            return lance.dataset(self.path).version
         prev = self.latest()
         version = (prev or 0) + 1
         frag = f"fragments/{version:08d}-{uuid.uuid4().hex[:8]}.parquet"
@@ -104,9 +84,6 @@ class VersionedTable:
         ]
 
     def read(self, version: int | None = None) -> pa.Table:
-        if HAVE_LANCE:
-            ds = lance.dataset(self.path, version=version)
-            return ds.to_table()
         paths = self._fragment_paths(version)
         if not paths:
             return pa.table({})
@@ -116,17 +93,6 @@ class VersionedTable:
         """Streaming Ray Data read over the version's fragments."""
         import ray.data
 
-        if HAVE_LANCE:
-            if version is not None and version != self.latest():
-                # honor the time-travel contract (mirrors read()):
-                # ray.data.read_lance has no version pin, so a
-                # historical snapshot goes through the versioned
-                # checkout (materialized — snapshots are read for
-                # resume/audit, not the 100 TB streaming path)
-                ds = lance.dataset(self.path, version=version)
-                tbl = ds.to_table(columns=columns)
-                return ray.data.from_arrow(tbl)
-            return ray.data.read_lance(self.path, columns=columns)
         paths = self._fragment_paths(version)
         if not paths:
             return ray.data.from_arrow(pa.table({}))
@@ -135,27 +101,14 @@ class VersionedTable:
     def version_delta(self, version: int) -> pa.Table:
         """Rows appended BY this version (its own fragment) — the unit
         a per-epoch point-lookup index refers to."""
-        if HAVE_LANCE:
-            ds = lance.dataset(self.path, version=version)
-            start = 0
-            if version > 1:
-                start = lance.dataset(
-                    self.path, version=version - 1
-                ).count_rows()
-            return ds.take(list(range(start, ds.count_rows())))
         m = self._manifest(version)
         return pq.read_table(os.path.join(self.path, m["fragment"]))
 
     def truncate_to(self, version: int | None) -> None:
         """Drop versions AFTER ``version`` (crash-recovery: appends that
-        were never committed by the caller's atomic publish step).  With
-        Lance this is ``checkout + restore``; the fallback deletes the
-        dangling manifests (their fragments become unreferenced)."""
-        if HAVE_LANCE:
-            cur = lance.dataset(self.path)
-            if version is not None and cur.version > version:
-                cur.checkout_version(version).restore()
-            return
+        were never committed by the caller's atomic publish step): the
+        dangling manifests are deleted, so their fragments become
+        unreferenced."""
         for v in self.versions():
             if version is None or v > version:
                 os.remove(os.path.join(self._vdir, f"v{v}.json"))
@@ -164,8 +117,6 @@ class VersionedTable:
         version = version or self.latest()
         if version is None:
             return 0
-        if HAVE_LANCE:
-            return lance.dataset(self.path, version=version).count_rows()
         total = 0
         for p in self._fragment_paths(version):
             total += pq.read_metadata(p).num_rows

@@ -12,7 +12,7 @@ positive (~2^-13 per probe).  ``SeenShard`` therefore pairs the filter
 with an exact store and resolves filter-positives against it, so the
 engine's seen-set is *exact* (golden-oracle-equal) while the filter
 serves the fast vectorized negative path.  At 10^10 scale the exact
-store is the Lance frontier/content log itself; here it is an in-RAM
+store is the versioned frontier/content log itself; here it is an in-RAM
 uint64 set, checkpointed alongside the filter.
 
 Deterministic: no wall-clock, eviction choice driven by an internal

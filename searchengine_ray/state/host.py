@@ -116,7 +116,7 @@ class HostShards:
         resolution, in (t_sched, enqueue_seq) order per shard (host
         health updates are host-local, so per-shard order suffices).
 
-        When a global fetch budget may bind mid-epoch the driver calls
+        When a global fetch budget may bind mid-epoch the engine calls
         the two-phase split instead — ``dequeue_select`` then
         ``resolve_outcomes`` on the budget-sliced survivors — so
         fail-counter updates stop exactly at the budget, matching the
@@ -423,9 +423,6 @@ class HostShards:
         )
         return chain
 
-    def shard_sizes(self) -> dict[int, int]:
-        return dict(self.shard_n)
-
     def append_frontier(self, admitted: pa.Table) -> None:
         """Append admitted rows (seq-assigned + cap-filtered by the
         sequencer) to the owned shards, in enqueue_seq order.  Receives
@@ -473,9 +470,6 @@ class HostShards:
                 by_host[hh] = q = deque()
             q.extend(rows[i] for i in idxs)
             shard_n[s] += len(idxs)
-
-    def frontier_size(self) -> int:
-        return sum(self.shard_n.values())
 
     # --------------------------------------------------------- checkpoint
     def snapshot(self) -> tuple[pa.Table, pa.Table]:

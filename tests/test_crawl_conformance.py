@@ -1,6 +1,8 @@
 """Engine-vs-oracle conformance: crawl order + URL-seen set must match
 exactly, independent of actor-pool sizes (north rule / SURVEY.md §7.5#1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,10 +50,24 @@ def _run_engine(fixture, tmpdir, n_host_actors, n_fetch_actors, **kw):
     )
 
 
-@pytest.mark.parametrize("n_host,n_fetch", [(1, 1), (4, 3)])
-def test_engine_matches_oracle(ray_session, fixture_small, tmp_path, n_host, n_fetch):
+@pytest.mark.parametrize(
+    "n_host,n_fetch,checkpoint",
+    [
+        pytest.param(1, 1, False, id="1-1"),
+        pytest.param(4, 3, False, id="4-3"),
+        # checkpointed crawls write from inside the engine actor
+        pytest.param(1, 1, True, id="1-1-checkpoint"),
+        pytest.param(4, 3, True, id="4-3-checkpoint"),
+    ],
+)
+def test_engine_matches_oracle(
+    ray_session, fixture_small, tmp_path, n_host, n_fetch, checkpoint
+):
     images, truth, store, seeds, cfg, golden = fixture_small
-    res = _run_engine(fixture_small, tmp_path / f"e{n_host}", n_host, n_fetch)
+    res = _run_engine(
+        fixture_small, tmp_path / f"e{n_host}", n_host, n_fetch,
+        checkpoint=checkpoint,
+    )
     got = _order_tuples(res.crawl_order)
     want = golden.crawl_order
     assert len(got) == len(want), (len(got), len(want))
@@ -70,12 +86,22 @@ def test_engine_matches_oracle(ray_session, fixture_small, tmp_path, n_host, n_f
     assert got_content == want_content
     # payload invariants held for every fetched row
     assert all(res.content["invariant_ok"].to_pylist())
+    # the engine counts the truncate/static-filter rejects of fetched
+    # pages' links; the oracle's seed-phase rejects have no epoch row
+    not_static = {"budget", "robots", "quota", "shard_full", "dup"}
+
+    def n_static(r):
+        return sum(reason not in not_static for _, reason in r.rejects)
+
+    seed_phase = simulate(seeds, store, dataclasses.replace(cfg, max_epochs=0))
+    assert n_static(golden) > n_static(seed_phase)  # the filter bites
+    assert sum(res.metrics["rejected_static"].to_pylist()) == (
+        n_static(golden) - n_static(seed_phase)
+    )
 
 
 def test_budget_cutoff_matches(ray_session, fixture_small, tmp_path):
     images, truth, store, seeds, cfg, golden = fixture_small
-    import dataclasses
-
     cfg2 = dataclasses.replace(cfg, max_fetches=137)
     golden2 = simulate(seeds, store, cfg2)
     from searchengine_ray.pipelines.crawl import run_crawl
@@ -92,17 +118,18 @@ def test_budget_cutoff_matches(ray_session, fixture_small, tmp_path):
 def test_checkpoint_resume_equivalence(ray_session, fixture_small, tmp_path):
     """Kill after epoch k, resume from checkpoint → identical final
     crawl order + seen set (north rule resumability)."""
-    from searchengine_ray.pipelines.crawl import RayCrawl
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
 
     images, truth, store, seeds, cfg, golden = fixture_small
     out = str(tmp_path / "ck")
-    eng = RayCrawl(store, images, truth, cfg, out, n_host_actors=2,
-                   n_fetch_actors=2, checkpoint=True)
+    eng = RemoteCrawl(store, images, truth, cfg, out, n_host_actors=2,
+                      n_fetch_actors=2, checkpoint=True)
     eng.admit_seeds(seeds)
     eng.run(max_epochs=3)  # "crash" after 3 epochs
+    eng.shutdown()
 
-    eng2 = RayCrawl.resume(store, images, truth, cfg, out,
-                           n_host_actors=2, n_fetch_actors=2)
+    eng2 = RemoteCrawl.resume(store, images, truth, cfg, out,
+                              n_host_actors=2, n_fetch_actors=2)
     res = eng2.run()
     assert _order_tuples(res.crawl_order) == golden.crawl_order
     assert res.seen == golden.seen
@@ -168,13 +195,13 @@ def test_get_page_indexed_lookup(ray_session, fixture_small, tmp_path, monkeypat
     import pyarrow.parquet as pq
 
     from searchengine_ray.pipelines import crawl as crawl_mod
-    from searchengine_ray.pipelines.crawl import RayCrawl, get_page
+    from searchengine_ray.pipelines.crawl import RemoteCrawl, get_page
     from searchengine_ray.sources import storage as storage_mod
 
     images, truth, store, seeds, cfg, golden = fixture_small
     out = str(tmp_path / "gp")
-    eng = RayCrawl(store, images, truth, cfg, out, n_host_actors=2,
-                   n_fetch_actors=2, checkpoint=True)
+    eng = RemoteCrawl(store, images, truth, cfg, out, n_host_actors=2,
+                      n_fetch_actors=2, checkpoint=True)
     eng.admit_seeds(seeds)
     res = eng.run(max_epochs=4)
     # pick a page fetched in a late epoch so early-epoch indexes miss

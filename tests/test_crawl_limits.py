@@ -44,6 +44,14 @@ def _assert_match(golden, res):
     )
     assert got == golden.crawl_order
     assert res.seen == golden.seen
+    # every candidate of an epoch is admitted or rejected exactly once
+    for row in res.metrics.to_pylist():
+        assert row["candidates"] == (
+            row["admitted"]
+            + row["rejected_robots_quota"]
+            + row["rejected_dup"]
+            + row["rejected_cap_budget"]
+        ), row
 
 
 def test_host_quota_binding(ray_session, small_world, tmp_path):
@@ -63,6 +71,7 @@ def test_shard_cap_binding(ray_session, small_world, tmp_path):
     golden, res = _run_both(small_world, tmp_path, cfg, "cap")
     assert any(r == "shard_full" for _, r in golden.rejects)
     _assert_match(golden, res)
+    assert sum(res.metrics["rejected_cap_budget"].to_pylist()) > 0
 
 
 def test_global_budget_binding(ray_session, small_world, tmp_path):
@@ -73,6 +82,7 @@ def test_global_budget_binding(ray_session, small_world, tmp_path):
     assert any(r == "budget" for _, r in golden.rejects)
     assert len(golden.seen) <= 150
     _assert_match(golden, res)
+    assert sum(res.metrics["rejected_cap_budget"].to_pylist()) > 0
 
 
 def test_all_binding_together(ray_session, small_world, tmp_path):
@@ -85,23 +95,6 @@ def test_all_binding_together(ray_session, small_world, tmp_path):
     _assert_match(golden, res)
 
 
-def test_binding_limits_dynamic_dispatch(
-    ray_session, small_world, tmp_path, monkeypatch
-):
-    """The work-stealing fetch dispatch (CRAWL_DISPATCH=dynamic) must
-    obey the same admission semantics as the static path — its waves
-    reset the sequencer's per-epoch shard-cap accounting too
-    (first_of_epoch on the epoch's first flushed wave)."""
-    monkeypatch.setenv("CRAWL_DISPATCH", "dynamic")
-    cfg = CrawlConfig(
-        shard_count=6, per_shard_batch=30, seen_shards=3,
-        max_urls_per_host=6, max_frontier_per_shard=20, max_crawl_urls=200,
-        per_host_epoch_cap=3,
-    )
-    golden, res = _run_both(small_world, tmp_path, cfg, "dyn")
-    _assert_match(golden, res)
-
-
 def test_max_fetches_midepoch_state_conformance(ray_session, small_world, tmp_path):
     """When max_fetches binds mid-epoch, host fail-counters must stop
     exactly at the budget (oracle's early break) — the sliced-off picks
@@ -109,7 +102,7 @@ def test_max_fetches_midepoch_state_conformance(ray_session, small_world, tmp_pa
     with a raised limit starts from oracle-equal state."""
     import ray
 
-    from searchengine_ray.pipelines.crawl import RayCrawl
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
     from searchengine_ray.pipelines.oracle import simulate
 
     images, truth, store, seeds = small_world
@@ -117,7 +110,7 @@ def test_max_fetches_midepoch_state_conformance(ray_session, small_world, tmp_pa
         shard_count=6, per_shard_batch=40, seen_shards=3, max_fetches=130
     )
     golden, st = simulate(seeds, store, cfg, return_state=True)
-    eng = RayCrawl(
+    eng = RemoteCrawl(
         store, images, truth, cfg=cfg, out_dir=str(tmp_path / "mf"),
         n_host_actors=3, n_fetch_actors=2,
     )
@@ -139,12 +132,12 @@ def test_dns_cache_populated_and_checkpointed(ray_session, small_world, tmp_path
     restore."""
     import ray
 
-    from searchengine_ray.pipelines.crawl import RayCrawl
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
     from searchengine_ray.state.host import HostShards
 
     images, truth, store, seeds = small_world
     cfg = CrawlConfig(shard_count=6, per_shard_batch=40, seen_shards=3)
-    eng = RayCrawl(
+    eng = RemoteCrawl(
         store, images, truth, cfg=cfg, out_dir=str(tmp_path / "dns"),
         n_host_actors=2, n_fetch_actors=2,
     )

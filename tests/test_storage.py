@@ -57,7 +57,7 @@ def test_resume_truncates_dangling_log_versions(ray_session, tmp_path):
     """A crash between the log append and the epoch dir's atomic
     publish leaves dangling versions; resume must truncate them so the
     continued run's logs match an uninterrupted run."""
-    from searchengine_ray.pipelines.crawl import RayCrawl
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
     from searchengine_ray.pipelines.oracle import CrawlConfig, simulate
     from searchengine_ray.sources import synth
 
@@ -68,17 +68,18 @@ def test_resume_truncates_dangling_log_versions(ray_session, tmp_path):
     cfg = CrawlConfig(shard_count=6, per_shard_batch=40, seen_shards=3)
     golden = simulate(seeds, store, cfg)
 
-    out = str(tmp_path / "crash")
-    eng = RayCrawl(store, images, truth, cfg, out, n_host_actors=2,
-                   n_fetch_actors=2, checkpoint=True)
+    out = tmp_path / "crash"
+    eng = RemoteCrawl(store, images, truth, cfg, str(out), n_host_actors=2,
+                      n_fetch_actors=2, checkpoint=True)
     eng.admit_seeds(seeds)
     eng.run(max_epochs=3)
+    eng.shutdown()
     # simulate the crash: dangling appends with no committed epoch dir
-    eng.order_log.append(pa.table({"junk": [1]}))
-    eng.content_log.append(pa.table({"junk": [1]}))
+    VersionedTable(str(out / "order_log")).append(pa.table({"junk": [1]}))
+    VersionedTable(str(out / "content_log")).append(pa.table({"junk": [1]}))
 
-    eng2 = RayCrawl.resume(store, images, truth, cfg, out,
-                           n_host_actors=2, n_fetch_actors=2)
+    eng2 = RemoteCrawl.resume(store, images, truth, cfg, str(out),
+                              n_host_actors=2, n_fetch_actors=2)
     res = eng2.run()
     got = list(
         zip(
