@@ -92,6 +92,14 @@ METRICS_SCHEMA = pa.schema(
     ]
 )
 
+# one row per seen shard in each checkpoint; the cuckoo eviction LCG
+# state and the shard seed are full 64-bit unsigned values
+SEEN_CKPT_SCHEMA = pa.schema(
+    [("nbuckets", pa.int64()), ("count", pa.int64()), ("evict_state", pa.uint64()),
+     ("table", pa.binary()), ("exact", pa.binary()), ("seed", pa.uint64()),
+     ("parent_epoch", pa.int64())]
+)
+
 
 @dataclass
 class EngineResult:
@@ -683,9 +691,12 @@ class _EngineHost:
             pq.write_table(fr, os.path.join(tmp, f"frontier-{a}.parquet"))
             pq.write_table(hs, os.path.join(tmp, f"hoststate-{a}.parquet"))
         for k, st in enumerate(ray.get([a.to_state.remote() for a in self.seen_actors])):
-            cols = ("nbuckets", "count", "evict_state", "table", "exact", "seed")
-            row = {c: [st[c]] for c in cols} | {"parent_epoch": [epoch - 1]}
-            pq.write_table(pa.table(row), os.path.join(tmp, f"seen-{k}.parquet"))
+            row = {c: [st[c]] for c in SEEN_CKPT_SCHEMA.names[:-1]}
+            row["parent_epoch"] = [epoch - 1]
+            pq.write_table(
+                pa.table(row, schema=SEEN_CKPT_SCHEMA),
+                os.path.join(tmp, f"seen-{k}.parquet"),
+            )
         # per-epoch result partitions go to the versioned append-only
         # logs (S2/S3 KeyValDB analog — KeyValueDB.hpp:154-306); the
         # epoch dir's atomic rename below is the commit point, so a

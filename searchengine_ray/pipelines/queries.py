@@ -13,6 +13,10 @@ Conventions for hash-stable results vs the SQL oracle:
 Ray side rules: column-pruned ``read_parquet``, vectorized
 ``map_batches`` (pyarrow/pandas kernels), pre-aggregation before
 shuffles, broadcast small sides (dimension tables) via ``ray.put``.
+Every keyed shuffle — grouped finish (``part_groupby``), per-partition
+finisher (``keyed_map``) and join (``hash_join``) — is the one
+task-based range partition of ``stages/keyed.py``; no query uses
+``Dataset.join`` or ``groupby().map_groups`` on a hash partition.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ import pyarrow.parquet as pq
 
 from ..stages import dedup as dd
 from ..stages import text as tx
+from ..stages.keyed import (
+    hash_join,
+    hash_part,
+    keyed_map,
+    ncpus,
+    part_groupby,
+    with_hash_part,
+)
 from ..stages.text import LANG_PROFILES, STOPWORDS
 
 _STOP_SQL = ",".join(f"'{w}'" for w in sorted(STOPWORDS))
@@ -66,84 +78,18 @@ def _broadcast_fn(ref, fn):
 
 
 
-def _ncpus() -> int:
-    import ray
-
-    try:
-        return max(2, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        return 8
-
-
-def _coalesce(partials_ds):
-    """Coalesce combiner partials into ~ncpus blocks before a Ray
-    groupby.  The Aggregate operator's fixed cost grows with the
-    INPUT block count (one shuffle-map task per block); combiner
-    outputs are one tiny table per input batch, so feeding hundreds
-    (at 100 TB: millions) of micro-blocks into the shuffle pays task
-    overhead per block for no data-parallel benefit.  A plain
-    repartition merges them into cluster-width blocks first — the
-    classic 2-level tree-reduce shape; measured 3.7 s -> 1.1 s on
-    q12's vocabulary aggregate at sf0.1/32 CPUs."""
-    return partials_ds.repartition(_ncpus())
-
-
-def _part_groupby(partials_ds, keys: list, aggs: dict, npart: int | None = None):
-    """Distributed grouped aggregate that routes around Ray's
-    string-keyed ``Aggregate`` operator (measured ~6.9 s for 62 k
-    partial rows at 32 CPUs vs ~1 s for this shape — same 40x gap the
-    dedup pipelines hit in round 2): hash every group key to one
-    int64, partition on ``part = hash % npart``, and combine each
-    partition with a single vectorized pandas groupby.  Exact for
-    sum/max/min because the partition is key-complete; ``npart``
-    scales with the cluster so no partition exceeds worker memory.
-    ``aggs`` maps column -> "sum" | "max" | "min"."""
-    from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed, hash_combine
-
-    npart = npart or _ncpus()
-
-    def _keyhash(b: pd.DataFrame, col: str) -> np.ndarray:
-        v = b[col].to_numpy()
-        if v.dtype.kind in "iu":
-            mat = np.ascontiguousarray(v.astype("<u8")).view(np.uint8)
-            return fnv1a64_fixed(mat.reshape(len(v), 8))
-        return fnv1a64_batch(v.astype("U"))
-
-    def addpart(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        if not len(b):
-            b["part"] = np.array([], np.int64)
-            return b
-        h = _keyhash(b, keys[0])
-        for k in keys[1:]:
-            h = hash_combine(h, _keyhash(b, k))
-        b["part"] = (h % np.uint64(npart)).astype(np.int64)
-        return b
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(list(keys), as_index=False).agg(
-            **{c: (c, how) for c, how in aggs.items()}
-        )
-
-    return (
-        partials_ds.map_batches(addpart, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
-    )
-
-
 def _join_parts(sf_dir: str, *tables: str) -> int:
-    """Hash-join partition count sized by DATA volume (≈32 MB of input
-    per partition), clamped to the cluster — partition count must grow
-    with the data at 100 TB, but spinning 32 aggregator actors for a
-    20 MB join is pure overhead at test scale."""
+    """``hash_join`` partition count sized by DATA volume (≈32 MB of
+    input per partition), clamped to 4× the cluster: the partition
+    count grows with the data at 100 TB, while a 20 MB join at test
+    scale runs as a few pandas merges."""
     total = 0
     for t in tables:
         try:
             total += os.path.getsize(os.path.join(sf_dir, f"{t}.parquet"))
         except OSError:
             pass
-    return int(min(max(2, total // (32 << 20) + 1), 4 * _ncpus()))
+    return int(min(max(2, total // (32 << 20) + 1), 4 * ncpus()))
 
 
 def _final_combine(partials_ds, keys: list, sums: list) -> pd.DataFrame:
@@ -250,8 +196,9 @@ FROM orders ORDER BY total_cents DESC, o_orderkey LIMIT 10
 
 def q03_revenue_by_segment(sf_dir: str):
     """Hash shuffle join (J2 pattern): customer is SF-proportional, so
-    it is joined via Ray's hash-partitioned join rather than broadcast
-    (broadcast is reserved for the genuinely tiny nation/region dims).
+    it is joined by ``hash_join`` (co-partitioned pandas merges) rather
+    than broadcast (broadcast is reserved for the genuinely tiny
+    nation/region dims).
     The joined stream pre-aggregates per batch; only ~5 segment rows
     per batch reach the driver final."""
 
@@ -271,12 +218,9 @@ def q03_revenue_by_segment(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = orders.join(
-        cust,
-        join_type="inner",
-        num_partitions=_join_parts(sf_dir, "orders", "customer"),
-        on=("o_custkey",),
-        right_on=("c_custkey",),
+    joined = hash_join(
+        orders, cust, "o_custkey", "c_custkey",
+        npart=_join_parts(sf_dir, "orders", "customer"),
     )
     return _final_combine(
         joined.map_batches(prep, batch_format="pyarrow"),
@@ -297,26 +241,16 @@ GROUP BY c.c_mktsegment
 def q04_customers_without_orders(sf_dir: str):
     """Distributed anti-join (J1 frontier-dedup pattern): orders is
     SF-proportional, so the anti side is hash-partitioned, not a
-    broadcast key set.  Order keys are pre-deduped per batch before the
-    shuffle (combiner-first)."""
-
-    def distinct_keys(t: pa.Table) -> pa.Table:
-        return pa.table({"o_custkey": pc.unique(t["o_custkey"].combine_chunks())})
-
-    okeys = _read(sf_dir, "orders", ["o_custkey"]).map_batches(
-        distinct_keys, batch_format="pyarrow"
-    )
-    out = (
-        _read(sf_dir, "customer", ["c_custkey", "c_name"])
-        .join(
-            okeys,
-            join_type="left_anti",
-            num_partitions=_join_parts(sf_dir, "customer", "orders"),
-            on=("c_custkey",),
-            right_on=("o_custkey",),
-        )
-        .to_pandas()
-    )
+    broadcast key set.  ``hash_join``'s anti mode shuffles only the
+    order keys and dedups them per partition."""
+    out = hash_join(
+        _read(sf_dir, "customer", ["c_custkey", "c_name"]),
+        _read(sf_dir, "orders", ["o_custkey"]),
+        "c_custkey",
+        "o_custkey",
+        how="left_anti",
+        npart=_join_parts(sf_dir, "customer", "orders"),
+    ).to_pandas()
     if out.empty:  # empty Ray results lose their schema; keep it stable
         out = pd.DataFrame(
             {"c_custkey": pd.Series([], dtype="int64"),
@@ -332,7 +266,7 @@ WHERE NOT EXISTS (SELECT 1 FROM orders o WHERE o.o_custkey = c.c_custkey)
 
 
 def q05_nation_orders(sf_dir: str):
-    """orders ⋈ customer is a hash shuffle join (customer scales with
+    """orders ⋈ customer is a ``hash_join`` (customer scales with
     SF); the nation name lookup stays a broadcast — nation is a fixed
     25-row dim, the legitimate broadcast case."""
     import ray
@@ -360,12 +294,9 @@ def q05_nation_orders(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    joined = orders.join(
-        cust,
-        join_type="inner",
-        num_partitions=_join_parts(sf_dir, "orders", "customer"),
-        on=("o_custkey",),
-        right_on=("c_custkey",),
+    joined = hash_join(
+        orders, cust, "o_custkey", "c_custkey",
+        npart=_join_parts(sf_dir, "orders", "customer"),
     )
     return _final_combine(
         joined.map_batches(_broadcast_fn(ref, add_nation), batch_format="pyarrow"),
@@ -435,7 +366,7 @@ def q07_distinct_flags(sf_dir: str):
         out = b.drop_duplicates()
         return out.assign(n=np.int64(1))
 
-    out = _part_groupby(
+    out = part_groupby(
         ds.map_batches(uniq, batch_format="pandas"),
         ["l_returnflag", "l_linestatus"],
         {"n": "sum"},
@@ -511,7 +442,7 @@ def q09_top_users(sf_dir: str):
     # <=20*nblocks candidate rows — after the groupby each user is
     # unique, so block-local top-20s are a superset of the global
     # top-20 and the all-to-all ds.sort is unnecessary
-    agg = _part_groupby(
+    agg = part_groupby(
         ds.map_batches(prep, batch_format="pyarrow"),
         ["user_id"],
         {"value_cents": "sum", "n_events": "sum"},
@@ -578,7 +509,7 @@ def q12_word_counts(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["text"])
     out = (
-        _part_groupby(
+        part_groupby(
             ds.map_batches(tx.word_count_partial, batch_format="pandas"),
             ["word"],
             {"cnt": "sum"},
@@ -779,7 +710,7 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
     needs pairs among the post-clean/post-exact-dedup survivor set."""
     from ..stages.dedup import _distinct_shingles
 
-    npart = _ncpus()
+    npart = ncpus()
 
     def shingles(b: pa.Table) -> pa.Table:
         # pyarrow hop: the wide (doc_id, text) read never converts to
@@ -822,12 +753,11 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
         )
         return cnt
 
-    partials = (
-        ds.map_batches(shingles, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(partition_pairs, batch_format="pandas")
+    partials = keyed_map(
+        ds.map_batches(shingles, batch_format="pyarrow"), "part", npart,
+        partition_pairs,
     )
-    agg = _part_groupby(
+    agg = part_groupby(
         partials,
         ["ia", "ib"],
         {"inter": "sum", "na": "max", "nb": "max"},
@@ -926,7 +856,7 @@ FROM x GROUP BY word, doc_id
 
 
 def q26_brand_volume(sf_dir: str):
-    """lineitem ⋈ part hash shuffle join + grouped aggregate (part is
+    """lineitem ⋈ part ``hash_join`` + grouped aggregate (part is
     SF-proportional — 200k×SF rows — so no broadcast)."""
 
     def prep(t: pa.Table) -> pd.DataFrame:
@@ -942,12 +872,9 @@ def q26_brand_volume(sf_dir: str):
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-    joined = li.join(
-        part,
-        join_type="inner",
-        num_partitions=_join_parts(sf_dir, "lineitem", "part"),
-        on=("l_partkey",),
-        right_on=("p_partkey",),
+    joined = hash_join(
+        li, part, "l_partkey", "p_partkey",
+        npart=_join_parts(sf_dir, "lineitem", "part"),
     )
     return _final_combine(
         joined.map_batches(prep, batch_format="pyarrow"),
@@ -965,7 +892,8 @@ GROUP BY p.p_brand
 
 
 def q27_best_order_per_customer(sf_dir: str):
-    """Windowed argmax per group (J5-style top-n in map_groups)."""
+    """Windowed argmax per group (J5-style top-n per key-complete
+    partition)."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
     def partial_best(b: pd.DataFrame) -> pd.DataFrame:
@@ -982,24 +910,20 @@ def q27_best_order_per_customer(sf_dir: str):
     # per-partition vectorized final argmax (no per-group Python, no
     # customers-proportional driver reduction — only the result rows
     # come back)
-    npart = _ncpus()
-
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["part"] = (b["o_custkey"].to_numpy(np.int64) % npart).astype(np.int64)
-        return b
+    npart = ncpus()
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["total_cents", "o_orderkey"], ascending=[False, True])
         return g.drop_duplicates("o_custkey").drop(columns=["part"])
 
-    final = (
-        ds.map_batches(partial_best, batch_format="pandas")
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(finalize, batch_format="pandas")
-        .to_pandas()
-    )
+    final = keyed_map(
+        with_hash_part(
+            ds.map_batches(partial_best, batch_format="pandas"), ["o_custkey"], npart
+        ),
+        "part",
+        npart,
+        finalize,
+    ).to_pandas()
     return final.sort_values("o_custkey").reset_index(drop=True)
 
 
@@ -1172,7 +1096,7 @@ def _small_crawl(tag: str = "shared"):
 
 
 def q34_region_revenue(sf_dir: str):
-    """orders ⋈ customer hash shuffle join (SF-scaling side), then the
+    """orders ⋈ customer ``hash_join`` (SF-scaling side), then the
     nation→region hops stay broadcasts — both dims are fixed-size (25
     and 5 rows)."""
     import ray
@@ -1205,12 +1129,9 @@ def q34_region_revenue(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    joined = orders.join(
-        cust,
-        join_type="inner",
-        num_partitions=_join_parts(sf_dir, "orders", "customer"),
-        on=("o_custkey",),
-        right_on=("c_custkey",),
+    joined = hash_join(
+        orders, cust, "o_custkey", "c_custkey",
+        npart=_join_parts(sf_dir, "orders", "customer"),
     )
     return _final_combine(
         joined.map_batches(_broadcast_fn(ref, add_region), batch_format="pyarrow"),
@@ -1985,14 +1906,7 @@ def q56_top3_orders_per_customer(sf_dir: str):
             ["o_custkey", "o_orderkey", "total_cents"]
         ]
 
-    npart = _ncpus()
-
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["part"] = (b["o_custkey"].to_numpy(np.int64) % npart).astype(
-            np.int64
-        )
-        return b
+    npart = ncpus()
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(BY, ascending=ASC)
@@ -2004,13 +1918,14 @@ def q56_top3_orders_per_customer(sf_dir: str):
         )
         return g.drop(columns=["part"])
 
-    final = (
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(finalize, batch_format="pandas")
-        .to_pandas()
-    )
+    final = keyed_map(
+        with_hash_part(
+            ds.map_batches(partial, batch_format="pandas"), ["o_custkey"], npart
+        ),
+        "part",
+        npart,
+        finalize,
+    ).to_pandas()
     return final.sort_values(["o_custkey", "rn"]).reset_index(drop=True)
 
 
@@ -2037,7 +1952,7 @@ def q57_distinct_users(sf_dir: str):
     def pairs(b: pd.DataFrame) -> pd.DataFrame:
         return b.drop_duplicates().assign(one=np.int8(1))
 
-    dedup = _part_groupby(
+    dedup = part_groupby(
         ds.map_batches(pairs, batch_format="pandas"),
         ["event_type", "user_id"],
         {"one": "max"},
@@ -2071,7 +1986,7 @@ def q58_running_totals(sf_dir: str):
     one user-complete partition is ever resident, and cents-integer
     math keeps the running sum exact at any prefix length."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    npart = _ncpus()
+    npart = ncpus()
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -2095,12 +2010,9 @@ def q58_running_totals(sf_dir: str):
         )
         return g[["event_id", "user_id", "run_cents"]]
 
-    out = (
-        ds.map_batches(prep, batch_format="pandas")
-        .groupby("part")
-        .map_groups(run, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_map(
+        ds.map_batches(prep, batch_format="pandas"), "part", npart, run
+    ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -2138,11 +2050,15 @@ def q59_source_quota(sf_dir: str):
         g = g.groupby(["lang", "source"], sort=False).head(K)
         return g[["doc_id", "lang", "source"]]
 
-    kept = _part_topk_groups(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["lang", "source"],
+    npart = ncpus()
+    kept = keyed_map(
+        with_hash_part(
+            ds.map_batches(partial, batch_format="pandas"), ["lang", "source"], npart
+        ),
+        "part",
+        npart,
         finalize,
-    )
+    ).to_pandas()
     return kept.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2154,44 +2070,6 @@ SELECT doc_id, lang, source FROM (
            AS rn
   FROM documents) WHERE rn <= 5
 """
-
-
-def _part_topk_groups(partials_ds, keys: list, finalize):
-    """Hash-partition rows by group key(s) and apply ``finalize`` once
-    per key-complete partition (the grouped-top-K / quota finisher).
-    Same int64-hash routing as ``_part_groupby`` — avoids Ray's slow
-    string-keyed Aggregate and guarantees every group lands whole."""
-    from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed, hash_combine
-
-    npart = _ncpus()
-
-    def _keyhash(b: pd.DataFrame, col: str) -> np.ndarray:
-        v = b[col].to_numpy()
-        if v.dtype.kind in "iu":
-            mat = np.ascontiguousarray(v.astype("<u8")).view(np.uint8)
-            return fnv1a64_fixed(mat.reshape(len(v), 8))
-        return fnv1a64_batch(v.astype("U"))
-
-    def addpart(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        if not len(b):
-            b["part"] = np.array([], np.int64)
-            return b
-        h = _keyhash(b, keys[0])
-        for k in keys[1:]:
-            h = hash_combine(h, _keyhash(b, k))
-        b["part"] = (h % np.uint64(npart)).astype(np.int64)
-        return b
-
-    return (
-        partials_ds.map_batches(addpart, batch_format="pandas")
-        .groupby("part")
-        .map_groups(
-            lambda g: finalize(g.drop(columns=["part"])),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
 
 
 def q60_zscore(sf_dir: str):
@@ -2268,7 +2146,7 @@ def q61_bigram_counts(sf_dir: str):
     phrase-table workload, vs q18/q55's set semantics).  Per-batch
     flat vectorized bigram construction (one tokenize pass, doc
     boundaries masked) → per-batch value_counts partial →
-    ``_part_groupby`` sum → per-partition top-40 partial → tiny driver
+    ``part_groupby`` sum → per-partition top-40 partial → tiny driver
     merge.  Bigrams travel as strings because the final answer needs
     them; counts combine associatively so no partition sees more than
     its share of the vocabulary."""
@@ -2298,7 +2176,7 @@ def q61_bigram_counts(sf_dir: str):
             {"bigram": vc.index.to_numpy(), "n": vc.to_numpy(np.int64)}
         )
 
-    agg = _part_groupby(
+    agg = part_groupby(
         ds.map_batches(partial, batch_format="pandas"),
         ["bigram"],
         {"n": "sum"},
@@ -2337,7 +2215,7 @@ def q62_sequence_packing(sf_dir: str):
     B = 512
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     ndocs = ds.count()  # parquet metadata, no scan
-    npart = _ncpus()
+    npart = ncpus()
 
     def counted(b: pd.DataFrame) -> pd.DataFrame:
         did = b["doc_id"].to_numpy(np.int64)
@@ -2366,7 +2244,7 @@ def q62_sequence_packing(sf_dir: str):
     def assign(g: pd.DataFrame, base_: np.ndarray) -> pd.DataFrame:
         g = g.sort_values("doc_id")
         nt = g["nt"].to_numpy(np.int64)
-        prev = base_[int(g["part"].iloc[0])] + np.cumsum(nt) - nt
+        prev = base_[g["part"].to_numpy(np.int64)] + np.cumsum(nt) - nt
         return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(np.int64),
@@ -2376,11 +2254,9 @@ def q62_sequence_packing(sf_dir: str):
             }
         )
 
-    out = (
-        counts.groupby("part")
-        .map_groups(_broadcast_fn(ref, assign), batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_map(
+        counts, "part", npart, _broadcast_fn(ref, assign)
+    ).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2602,7 +2478,7 @@ def q66_rolling_window(sf_dir: str):
     Cents-int math keeps every window exact."""
     W = 5
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    npart = _ncpus()
+    npart = ncpus()
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -2624,7 +2500,7 @@ def q66_rolling_window(sf_dir: str):
         cum = np.cumsum(c)
         # start index of each row's user run
         run_start = np.zeros(len(g), np.int64)
-        new = np.r_[True, uid[1:] != uid[:-1]]
+        new = np.r_[np.ones(min(len(uid), 1), bool), uid[1:] != uid[:-1]]
         run_start[new] = np.arange(len(g))[new]
         run_start = np.maximum.accumulate(run_start)
         lo = np.maximum(np.arange(len(g)) - (W - 1), run_start)
@@ -2639,12 +2515,9 @@ def q66_rolling_window(sf_dir: str):
             }
         )
 
-    out = (
-        ds.map_batches(prep, batch_format="pandas")
-        .groupby("part")
-        .map_groups(roll, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_map(
+        ds.map_batches(prep, batch_format="pandas"), "part", npart, roll
+    ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -2666,7 +2539,7 @@ def q67_salted_groupby(sf_dir: str):
     partition receives ~1/(5·NSALT) of the data; stage 2 folds the
     5·NSALT partial rows by key (tiny).  Exact for associative
     aggregates; for the catalog's non-associative finishers the same
-    salting applies to the PARTIAL stage only (see `_part_groupby`'s
+    salting applies to the PARTIAL stage only (see `part_groupby`'s
     combiner-first note).  Oracle = the plain GROUP BY."""
     NSALT = 8
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
@@ -2688,7 +2561,7 @@ def q67_salted_groupby(sf_dir: str):
         )
         return g
 
-    salted = _part_groupby(
+    salted = part_groupby(
         ds.map_batches(partial, batch_format="pandas"),
         ["event_type", "salt"],
         {"n": "sum", "sum_cents": "sum", "max_cents": "max"},
@@ -2725,24 +2598,17 @@ def q68_windowed_event_dedup(sf_dir: str):
     Output: per-type kept/dropped counts (int-exact)."""
     GAP_US = 3_600_000_000  # 1 h in microseconds
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    npart = _ncpus()
+    npart = ncpus()
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
-        from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed, hash_combine
-
         uid = b["user_id"].to_numpy(np.int64)
-        mat = np.ascontiguousarray(uid.astype("<u8")).view(np.uint8)
-        h = hash_combine(
-            fnv1a64_fixed(mat.reshape(len(b), 8)),
-            fnv1a64_batch(b["event_type"].to_numpy().astype("U")),
-        )
         return pd.DataFrame(
             {
                 "event_id": b["event_id"].to_numpy(np.int64),
                 "ts": b["ts"],
                 "user_id": uid,
                 "event_type": b["event_type"],
-                "part": (h % np.uint64(npart)).astype(np.int64),
+                "part": hash_part([uid, b["event_type"].to_numpy()], npart),
             }
         )
 
@@ -2753,8 +2619,9 @@ def q68_windowed_event_dedup(sf_dir: str):
         us = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         uid = g["user_id"].to_numpy(np.int64)
         et = g["event_type"].to_numpy()
-        same = np.r_[False, (uid[1:] == uid[:-1]) & (et[1:] == et[:-1])]
-        gap = np.r_[np.int64(0), us[1:] - us[:-1]]
+        first = np.zeros(min(len(uid), 1), bool)  # empty partition: none
+        same = np.r_[first, (uid[1:] == uid[:-1]) & (et[1:] == et[:-1])]
+        gap = np.r_[first.astype(np.int64), us[1:] - us[:-1]]
         keep = ~same | (gap > GAP_US)
         out = pd.DataFrame({"event_type": et, "kept": keep.astype(np.int64)})
         return out.assign(dropped=(1 - out["kept"]).astype(np.int64)).groupby(
@@ -2762,9 +2629,7 @@ def q68_windowed_event_dedup(sf_dir: str):
         ).agg(n_kept=("kept", "sum"), n_dropped=("dropped", "sum"))
 
     out = _final_combine(
-        ds.map_batches(prep, batch_format="pandas")
-        .groupby("part")
-        .map_groups(dedup, batch_format="pandas"),
+        keyed_map(ds.map_batches(prep, batch_format="pandas"), "part", npart, dedup),
         ["event_type"],
         ["n_kept", "n_dropped"],
     )
@@ -2819,7 +2684,7 @@ def q46_split_sample(sf_dir: str):
             .agg(n=("n", "sum"), n_sampled=("n_sampled", "sum"))
         )
 
-    out = _part_groupby(
+    out = part_groupby(
         ds.map_batches(assign, batch_format="pandas"),
         ["source", "split"],
         {"n": "sum", "n_sampled": "sum"},
@@ -2897,7 +2762,7 @@ def q45_tfidf_terms(sf_dir: str):
             ignore_index=True,
         )
 
-    agg = _part_groupby(
+    agg = part_groupby(
         ds.map_batches(partial, batch_format="pandas"),
         ["source", "word"],
         {"tf": "sum", "df": "sum"},
@@ -3094,7 +2959,7 @@ def q70_repetition_stats(sf_dir: str):
             sum_dup_bigram=("dup_bigram_n", "sum"),
         )
 
-    out = _part_groupby(
+    out = part_groupby(
         ds.map_batches(stats, batch_format="pyarrow").map_batches(
             rollup, batch_format="pandas"
         ),
@@ -3270,7 +3135,7 @@ def q72_image_neardup_survivors(sf_dir: str):
         out = b.loc[m, ["fmt"]].copy()
         return out.groupby("fmt", as_index=False).agg(n_images=("fmt", "size"))
 
-    out = _part_groupby(
+    out = part_groupby(
         meta.map_batches(keep, batch_format="pandas"),
         ["fmt"],
         {"n_images": "sum"},
@@ -3500,7 +3365,8 @@ def q84_group_regression(sf_dir: str):
     member of the moments family (q80 = correlation, q60 = z-score),
     same zero-shuffle shape: per-(group, batch) moment partials, the
     driver folds a handful of rows and applies the closed form
-    slope = (nΣxy−ΣxΣy)/(nΣxx−Σx²), intercept = (Σy−slope·Σx)/n."""
+    slope = (nΣxy−ΣxΣy)/(nΣxx−Σx²), intercept = (Σy−slope·Σx)/n; a
+    group with constant x gets NaN for both (SQL NULL)."""
     ds = _read(
         sf_dir,
         "lineitem",
@@ -3531,7 +3397,10 @@ def q84_group_regression(sf_dir: str):
     n = pdf["n"].to_numpy()
     sx, sy = pdf["sx"].to_numpy(), pdf["sy"].to_numpy()
     sxx, sxy = pdf["sxx"].to_numpy(), pdf["sxy"].to_numpy()
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    # constant x (one distinct l_quantity in a group): no regression
+    # line — NaN, as REGR_SLOPE / REGR_INTERCEPT return NULL
+    den = n * sxx - sx * sx
+    slope = np.where(den == 0, np.nan, n * sxy - sx * sy) / np.where(den == 0, 1, den)
     intercept = (sy - slope * sx) / n
     out = pd.DataFrame(
         {
@@ -3564,7 +3433,7 @@ def q83_interarrival(sf_dir: str):
     vectorized sort + diff per partition with (user, type) run
     boundaries masked → per-type integer partials → driver folds
     #types rows."""
-    npart = _ncpus()
+    npart = ncpus()
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def project(b: pa.Table) -> pa.Table:
@@ -3604,12 +3473,9 @@ def q83_interarrival(sf_dir: str):
             max_gap_us=("gap", "max"),
         )
 
-    pdf = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(gaps_part, batch_format="pandas")
-        .to_pandas()
-    )
+    pdf = keyed_map(
+        ds.map_batches(project, batch_format="pyarrow"), "part", npart, gaps_part
+    ).to_pandas()
     if pdf.empty or "event_type" not in pdf.columns:
         return pd.DataFrame(
             {
@@ -3665,7 +3531,7 @@ def q82_source_overlap(sf_dir: str):
     anywhere whole."""
     from ..functions.hashing import fnv1a64_batch
 
-    npart = _ncpus()
+    npart = ncpus()
     ds = _read(sf_dir, "documents", ["source", "text"])
 
     def distinct_partial(b: pa.Table) -> pa.Table:
@@ -3719,12 +3585,9 @@ def q82_source_overlap(sf_dir: str):
             ignore_index=True,
         )
 
-    pdf = (
-        ds.map_batches(distinct_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_partial, batch_format="pandas")
-        .to_pandas()
-    )
+    pdf = keyed_map(
+        ds.map_batches(distinct_partial, batch_format="pyarrow"), "part", npart, pair_partial
+    ).to_pandas()
     if pdf.empty or "source_a" not in pdf.columns:
         return pd.DataFrame(
             {
@@ -3774,13 +3637,13 @@ def q81_freq_spectrum(sf_dir: str):
     is the DOC-length histogram, this is the WORD-frequency one):
     how many distinct words occur exactly c times, for each c.
 
-    Shape: q12's combiner partials → `_part_groupby` word totals
+    Shape: q12's combiner partials → `part_groupby` word totals
     (vocabulary stays distributed, each partition key-complete) →
     per-partition count-of-counts partials → driver folds a
     spectrum-sized (≈ hundreds of rows) final.  The vocabulary never
     lands on the driver."""
     ds = _read(sf_dir, "documents", ["text"])
-    word_counts = _part_groupby(
+    word_counts = part_groupby(
         ds.map_batches(tx.word_count_partial, batch_format="pandas"),
         ["word"],
         {"cnt": "sum"},
@@ -3886,7 +3749,7 @@ def q79_event_funnel(sf_dir: str):
     partitions are user-complete), the driver folds npart rows."""
     import ray  # noqa: F401  (ray.data via _read)
 
-    npart = _ncpus()
+    npart = ncpus()
     W_US = 30 * 60 * 1_000_000
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
@@ -3936,12 +3799,9 @@ def q79_event_funnel(sf_dir: str):
             }
         )
 
-    pdf = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(funnel_part, batch_format="pandas")
-        .to_pandas()
-    )
+    pdf = keyed_map(
+        ds.map_batches(project, batch_format="pyarrow"), "part", npart, funnel_part
+    ).to_pandas()
     if pdf.empty or "n_views" not in pdf.columns:
         # no view/click rows at all — the SQL oracle's COUNT over an
         # empty set still yields one (0, 0, 0) row
@@ -3985,7 +3845,7 @@ def q78_top_decile(sf_dir: str):
     lineitems sit in the top price decile (percent_rank ≥ 0.9).
 
     Two passes, no global sort: pass 1 folds per-(group, value)
-    counts (combiner partials → `_part_groupby`); the per-group
+    counts (combiner partials → `part_groupby`); the per-group
     cumulative gives rank_lt (count strictly smaller — PERCENT_RANK's
     numerator, ties sharing) for every DISTINCT value, which
     broadcasts (value-domain-sized: prices live on a bounded cents
@@ -4005,7 +3865,7 @@ def q78_top_decile(sf_dir: str):
             .rename(columns={"size": "cnt"})
         )
 
-    vc = _part_groupby(
+    vc = part_groupby(
         ds.map_batches(partial, batch_format="pandas"),
         ["l_returnflag", "l_extendedprice"],
         {"cnt": "sum"},
@@ -4072,7 +3932,7 @@ def q77_unigram_logprob(sf_dir: str):
     (the CCNet-family 'score each doc by LM likelihood' op, with the
     LM trained ON the corpus in the same pipeline): pass 1 builds the
     global unigram distribution (per-batch combiner partials →
-    `_part_groupby`, the vocabulary never lands on the driver
+    `part_groupby`, the vocabulary never lands on the driver
     unaggregated); the folded vocab broadcasts via ``ray.put`` (Zipf:
     vocab ≪ corpus); pass 2 streams the corpus once more and computes
     each doc's mean token negative-log-likelihood by dictionary-encode
@@ -4082,7 +3942,7 @@ def q77_unigram_logprob(sf_dir: str):
     import ray
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    vocab = _part_groupby(
+    vocab = part_groupby(
         ds.map_batches(tx.word_count_partial, batch_format="pandas"),
         ["word"],
         {"cnt": "sum"},

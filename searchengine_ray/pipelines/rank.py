@@ -10,16 +10,19 @@ refines ``r = 0.85·r + 0.15`` clamped to ≤ 100
       → groupby(dst).sum()                            # the shuffle
 
 Above the small-graph threshold each iteration is fully distributed:
-the ranks Dataset hash-joins edges on ``src`` (no broadcast of a
-node-proportional dict), contributions pre-aggregate per batch, and a
-``groupby(dst).sum`` + left join back onto the node set closes the
-iteration — partition keys ``src``/``dst`` per SURVEY.md §7.4.
+the ranks Dataset hash-joins edges on ``src`` (``keyed.hash_join``; no
+broadcast of a node-proportional dict), contributions pre-aggregate
+per batch, and a ``part_groupby`` sum by ``dst`` + left join back onto
+the node set closes the iteration — partition keys ``src``/``dst`` per
+SURVEY.md §7.4.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from ..stages.keyed import hash_join, ncpus, part_groupby
 
 EDGE_COLS = ("src", "dst", "out_degree")
 
@@ -92,7 +95,6 @@ def pagerank(
     fixed overhead, which dwarfs tiny graphs.  Above the threshold the
     distributed path runs (map-side combiner → groupby(dst).sum)."""
     import ray
-    from ray.data.aggregate import Sum
 
     nodes = np.asarray(nodes, np.uint64)
     n_edges = edges_ds.count()
@@ -115,10 +117,7 @@ def pagerank(
     # distributed path: ranks live in a Dataset and meet the edges via
     # a hash-partitioned join on src each iteration — nothing
     # node-proportional is ever broadcast or held on the driver
-    try:
-        npart = max(2, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        npart = 8
+    npart = ncpus()
     # join keys ride as int64 bit-views of the uint64 node hashes
     node_ids = np.sort(nodes)
     node_i64 = node_ids.view(np.int64)
@@ -152,32 +151,21 @@ def pagerank(
 
     def fill_zero(b: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
-            {"node": b["node"], "rank": b["rank"].fillna(0.0).astype(np.float64)}
+            {"node": b["node"], "rank": b["c"].fillna(0.0).astype(np.float64)}
         )
         return out
 
     for _ in range(n_iters):
-        joined = edges_mat.join(
-            ranks_ds,
-            join_type="inner",
-            num_partitions=npart,
-            on=("src",),
-            right_on=("node",),
-        )
-        sums = (
-            joined.map_batches(contrib, batch_format="pandas")
-            .groupby("dst")
-            .aggregate(Sum("c", alias_name="rank"))
-        )
+        joined = hash_join(edges_mat, ranks_ds, "src", "node", npart=npart)
+        sums = part_groupby(
+            joined.map_batches(contrib, batch_format="pandas"),
+            ["dst"],
+            {"c": "sum"},
+            npart=npart,
+        ).materialize()  # hash_join reads each side's schema up front
         # nodes with no in-links this round keep rank 0 (left join back)
         ranks_ds = (
-            nodes_ds.join(
-                sums,
-                join_type="left_outer",
-                num_partitions=npart,
-                on=("node",),
-                right_on=("dst",),
-            )
+            hash_join(nodes_ds, sums, "node", "dst", "left_outer", npart=npart)
             .map_batches(fill_zero, batch_format="pandas")
             .materialize()
         )

@@ -38,6 +38,7 @@ import pyarrow as pa
 
 from ..functions.hashing import fnv1a64_batch
 from . import text as tx
+from .keyed import keyed_map, ncpus
 
 # odd multiplier -> position weights B^j are units mod 2^64, so equal
 # hash sequences are the ONLY non-colliding way to equal window hashes
@@ -68,6 +69,25 @@ def kgram_window_hashes(texts, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     doc_of = np.searchsorted(off, starts, side="right") - 1
     ok = starts + K <= off[doc_of + 1]
     return doc_of[ok], (starts - off[doc_of])[ok], acc[ok]
+
+
+def _gram_windows(ds, K: int, npart: int):
+    """(doc_id, pos, gram) row per K-gram window of ``ds``'s texts,
+    ``part`` = gram hash mod ``npart``: 24-byte rows, gram-keyed."""
+
+    def windows(b: pa.Table) -> pa.Table:
+        didx, pos, gh = kgram_window_hashes(b["text"].to_pylist(), K)
+        doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "doc_id": pa.array(doc_ids[didx], pa.int64()),
+                "pos": pa.array(pos, pa.int64()),
+                "gram": pa.array(gh.view(np.int64)),
+                "part": pa.array((gh % np.uint64(npart)).astype(np.int64)),
+            }
+        )
+
+    return ds.map_batches(windows, batch_format="pyarrow")
 
 
 def merge_positions_to_spans(
@@ -206,9 +226,7 @@ def remove_duplicate_spans(
     Returns a Dataset of (doc_id, *meta_cols, n_tokens, cut_tokens,
     kept_tokens, text_clean) — corpus-sized; aggregate or write it,
     don't ``to_pandas`` it at scale."""
-    from ..pipelines.queries import _ncpus
-
-    npart = npart or _ncpus()
+    npart = npart or ncpus()
     meta_cols = tuple(meta_cols)
 
     _UN = pa.schema(
@@ -216,19 +234,6 @@ def remove_duplicate_spans(
         + [(c, pa.string()) for c in meta_cols]
         + [("text", pa.string()), ("pos", pa.int64())]
     )
-
-    def windows(b: pa.Table) -> pa.Table:
-        texts = b["text"].to_pylist()
-        didx, pos, gh = kgram_window_hashes(texts, K)
-        doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids[didx], pa.int64()),
-                "pos": pa.array(pos, pa.int64()),
-                "gram": pa.array(gh.view(np.int64)),
-                "part": pa.array((gh % np.uint64(npart)).astype(np.int64)),
-            }
-        )
 
     def cut_rows(g: pd.DataFrame) -> pa.Table:
         # partition is gram-complete; after a (gram, doc, pos) sort an
@@ -332,17 +337,9 @@ def remove_duplicate_spans(
         out["text_clean"] = clean
         return pd.DataFrame(out)
 
-    cut_ds = (
-        ds.map_batches(windows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(cut_rows, batch_format="pandas")
-    )
+    cut_ds = keyed_map(_gram_windows(ds, K, npart), "part", npart, cut_rows)
     docs_ds = ds.map_batches(doc_rows, batch_format="pyarrow")
-    return (
-        docs_ds.union(cut_ds)
-        .groupby("dpart")
-        .map_groups(reserialize, batch_format="pandas")
-    )
+    return keyed_map(docs_ds.union(cut_ds), "dpart", npart, reserialize)
 
 
 def duplicate_spans(ds, K: int = 8, npart: int | None = None) -> pd.DataFrame:
@@ -351,22 +348,7 @@ def duplicate_spans(ds, K: int = 8, npart: int | None = None) -> pd.DataFrame:
     spans whose every K-gram occurs >1 time in the corpus (any doc,
     including the same one).  Docs with no duplicated span are absent
     from the output (result-sized)."""
-    from ..pipelines.queries import _ncpus
-
-    npart = npart or _ncpus()
-
-    def windows(b: pa.Table) -> pa.Table:
-        texts = b["text"].to_pylist()
-        didx, pos, gh = kgram_window_hashes(texts, K)
-        doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids[didx], pa.int64()),
-                "pos": pa.array(pos, pa.int64()),
-                "gram": pa.array(gh.view(np.int64)),
-                "part": pa.array((gh % np.uint64(npart)).astype(np.int64)),
-            }
-        )
+    npart = npart or ncpus()
 
     def dup_positions(g: pd.DataFrame) -> pd.DataFrame:
         # partition is gram-complete -> transform('size') is the
@@ -392,13 +374,8 @@ def duplicate_spans(ds, K: int = 8, npart: int | None = None) -> pd.DataFrame:
             g["doc_id"].to_numpy(np.int64), g["pos"].to_numpy(np.int64), K
         )
 
-    per_doc = (
-        ds.map_batches(windows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dup_positions, batch_format="pandas")
-        .groupby("dpart")
-        .map_groups(doc_spans, batch_format="pandas")
-    )
+    dups = keyed_map(_gram_windows(ds, K, npart), "part", npart, dup_positions)
+    per_doc = keyed_map(dups, "dpart", npart, doc_spans)
     # every doc lands in exactly one dpart, so per-doc rows are final
     # after the doc-keyed pass; the driver holds only the result-sized
     # report

@@ -2,9 +2,9 @@
 preceding-window aggregate, exact per-group percentiles.
 
 Each is built as hash-partition-by-key → ONE vectorized pandas/numpy
-call per partition (``groupby("part").map_groups`` with npart ≈
-cluster CPUs — the cheap distributed "apply": per-partition, not
-per-group).  Partitioning assumption: all rows of one entity
+call per partition (``keyed.keyed_map`` with npart ≈ cluster CPUs
+— the cheap distributed "apply": per-partition, not per-group).
+Partitioning assumption: all rows of one entity
 (user_id / group key) land in one partition, so ordered scans never
 cross partition boundaries.  At 100 TB the partial projections keep
 only (key, ts, value)-width columns in the shuffle.
@@ -23,14 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _ncpus() -> int:
-    import ray
-
-    try:
-        return max(2, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        return 8
+from .keyed import keyed_map, ncpus
 
 
 def asof_join(
@@ -52,7 +45,7 @@ def asof_join(
     Returns a Dataset with columns
     (left_id, user_id, left_ts_us, right_id, right_ts_us, gap_us).
     """
-    npart = npart or _ncpus()
+    npart = npart or ncpus()
 
     def project(b: pa.Table) -> pa.Table:
         # zero-copy Arrow projection of the wide input read: filter,
@@ -110,13 +103,11 @@ def asof_join(
         out["gap_us"] = out["left_ts_us"] - out["right_ts_us"]
         return out
 
-    return (
-        events_ds.map_batches(project, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: join_part(g.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    return keyed_map(
+        events_ds.map_batches(project, batch_format="pyarrow"),
+        "part",
+        npart,
+        lambda g: join_part(g.drop(columns=["part"])),
     )
 
 
@@ -138,7 +129,7 @@ def preceding_window_count(
     answers every event's window bound — no per-event or per-entity
     Python.  Falls back to a per-run loop if the composite key would
     overflow int64 (stride × runs ≥ 2^62)."""
-    npart = npart or _ncpus()
+    npart = npart or ncpus()
 
     def project(b: pa.Table) -> pa.Table:
         ent = b[by].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -152,6 +143,10 @@ def preceding_window_count(
         )
 
     def count_part(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:  # no entity hashed to this partition
+            return pd.DataFrame(
+                {"event_id": g["event_id"], by: g[by], "n_window": g["ts_us"]}
+            )
         g = g.sort_values([by, "ts_us"], kind="mergesort")
         ts = g["ts_us"].to_numpy(np.int64)
         ent = g[by].to_numpy(np.int64)
@@ -183,13 +178,11 @@ def preceding_window_count(
             }
         )
 
-    return (
-        events_ds.map_batches(project, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: count_part(g.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    return keyed_map(
+        events_ds.map_batches(project, batch_format="pyarrow"),
+        "part",
+        npart,
+        lambda g: count_part(g.drop(columns=["part"])),
     )
 
 
@@ -211,7 +204,7 @@ def group_percentiles(
     2-column int projection; for heavier tails swap in a t-digest
     partial without changing the surface.
     """
-    npart = _ncpus()
+    npart = ncpus()
 
     def project(b: pa.Table) -> pa.Table:
         from ..functions.hashing import fnv1a64_batch
@@ -233,6 +226,10 @@ def group_percentiles(
         )
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:  # no group hashed to this partition
+            return pd.DataFrame(
+                {key: g[key], **{f"p{int(p * 100):02d}": g["v"] for p in ps}}
+            )
         g = g.sort_values([key, "v"], kind="mergesort")
         v = g["v"].to_numpy(np.int64)
         keys = g[key].to_numpy()
@@ -246,13 +243,11 @@ def group_percentiles(
             rows[f"p{int(p * 100):02d}"] = v[idx]
         return pd.DataFrame(rows)
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: finalize(g.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    return keyed_map(
+        ds.map_batches(project, batch_format="pyarrow"),
+        "part",
+        npart,
+        lambda g: finalize(g.drop(columns=["part"])),
     )
 
 
@@ -283,7 +278,7 @@ def range_join(
     Returns (left_id, right_id, user_id, left_ts_us, right_ts_us,
     gap_us), one row per qualifying pair.
     """
-    npart = npart or _ncpus()
+    npart = npart or ncpus()
 
     def project(b: pa.Table) -> pa.Table:
         m = pc.is_in(b["event_type"], pa.array([left_type, right_type]))
@@ -359,11 +354,9 @@ def range_join(
             }
         )
 
-    return (
-        events_ds.map_batches(project, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: join_part(g.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    return keyed_map(
+        events_ds.map_batches(project, batch_format="pyarrow"),
+        "part",
+        npart,
+        lambda g: join_part(g.drop(columns=["part"])),
     )

@@ -135,6 +135,38 @@ def test_checkpoint_resume_equivalence(ray_session, fixture_small, tmp_path):
     assert res.seen == golden.seen
 
 
+def test_checkpoint_resume_uint64_evict_state(ray_session, fixture_small, tmp_path):
+    """A seen shard whose cuckoo eviction state is >= 2^63 checkpoints
+    (no int64 overflow) and resumes with that exact state, and the
+    resumed crawl still equals the oracle."""
+    import ray
+
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    images, truth, store, seeds, cfg, golden = fixture_small
+    out = str(tmp_path / "ck")
+    eng = RemoteCrawl(store, images, truth, cfg, out, n_host_actors=2,
+                      n_fetch_actors=2, checkpoint=True)
+    eng.admit_seeds(seeds)
+    eng.run(max_epochs=1)
+    shard = eng.seen_actors[0]
+    st = ray.get(shard.to_state.remote())
+    st["evict_state"] = (1 << 64) - 12345
+    ray.get(shard.restore.remote(st))
+    eng.run(max_epochs=2)  # checkpoints epoch 2 with that state
+    written = ray.get(shard.to_state.remote())["evict_state"]
+    eng.shutdown()
+    assert written >= 1 << 63
+
+    eng2 = RemoteCrawl.resume(store, images, truth, cfg, out,
+                              n_host_actors=2, n_fetch_actors=2)
+    resumed = ray.get(eng2.seen_actors[0].to_state.remote())["evict_state"]
+    assert resumed == written
+    res = eng2.run()
+    assert _order_tuples(res.crawl_order) == golden.crawl_order
+    assert res.seen == golden.seen
+
+
 def test_payload_parquet_integrity(ray_session, fixture_small, tmp_path):
     """Payload partitions written by fetch actors decode back to the
     exact bytes/phash recorded in the content metadata."""

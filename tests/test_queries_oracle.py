@@ -90,3 +90,35 @@ def test_rows_only_queries_run(ray_session, name):
     got = _to_pandas(Q.queries()[name](SF_DIR))
     # empty results legitimately lose their schema through Ray Data
     assert got is not None and (len(got) == 0 or len(got.columns) > 0)
+
+
+def test_q84_constant_x_is_null(ray_session, tmp_path):
+    """A group whose l_quantity never varies (or has one row) has no
+    regression line: slope and intercept are NaN where DuckDB's
+    REGR_SLOPE / REGR_INTERCEPT return NULL."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.pipelines import queries as Q
+
+    pq.write_table(
+        pa.table(
+            {
+                "l_returnflag": ["A"] * 3 + ["N"] * 4 + ["R"],
+                # A's Σxy−ΣxΣy/n rounds to −1.8e-15, not 0: dividing by
+                # the exact-zero variance would give ±inf, not NULL
+                "l_quantity": [3.0] * 3 + [1.0, 2.0, 3.0, 7.0] + [4.0],
+                "l_extendedprice": [0.1, 0.7, 0.2,
+                                    3.0, 5.0, 8.0, 15.0, 9.0],
+            }
+        ),
+        tmp_path / "lineitem.parquet",
+    )
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW lineitem AS SELECT * FROM '{tmp_path / 'lineitem.parquet'}'"
+    )
+    got = _canon(Q.q84_group_regression(str(tmp_path)))
+    want = _canon(con.execute(Q.SQL_Q84).df())
+    assert got[["slope", "intercept"]].isna().sum().tolist() == [2, 2]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
