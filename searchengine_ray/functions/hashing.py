@@ -42,52 +42,39 @@ def _as_string_array(strs) -> pa.Array:
     return strs.cast(pa.string()) if not pa.types.is_string(strs.type) else strs
 
 
-def _padded_bytes(strs) -> tuple[np.ndarray, np.ndarray]:
-    """(n, maxlen) uint8 matrix + per-row byte lengths, zero-copy from Arrow.
+def fnv1a64_batch(strs) -> np.ndarray:
+    """Vectorized FNV-1a/64 over a batch of strings.
 
-    Row-major flattening of the valid-position mask aligns exactly with
-    the concatenated UTF-8 data buffer, so one fancy assignment fills
-    the matrix.
+    Iterates over byte *positions* (≤ max string length in the batch)
+    — O(maxlen) numpy ops for the whole batch instead of a Python loop
+    per string.  Rows are visited longest-first, so byte position ``j``
+    updates the contiguous prefix of rows longer than ``j``; each step
+    gathers its bytes straight from the zero-copy Arrow data buffer.
     """
     arr = _as_string_array(strs)
     n = len(arr)
+    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
     if n == 0:
-        return np.zeros((0, 0), np.uint8), np.zeros(0, np.int64)
+        return h
     off_buf, data_buf = arr.buffers()[1], arr.buffers()[2]
     off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
     offsets = np.frombuffer(off_buf, dtype=off_dtype, count=n + 1 + arr.offset)[
         arr.offset :
     ].astype(np.int64)
     lens = offsets[1:] - offsets[:-1]
-    maxlen = int(lens.max()) if n else 0
-    mat = np.zeros((n, max(maxlen, 1)), np.uint8)
-    if maxlen:
-        data = np.frombuffer(data_buf, dtype=np.uint8)
-        mask = np.arange(maxlen) < lens[:, None]
-        # gather each row's bytes: build flat source indices
-        src = (offsets[:-1, None] + np.arange(maxlen)[None, :])[mask]
-        mat[:, :maxlen][mask] = data[src]
-    return mat, lens
-
-
-def fnv1a64_batch(strs) -> np.ndarray:
-    """Vectorized FNV-1a/64 over a batch of strings.
-
-    Iterates over byte *positions* (≤ max string length in the batch)
-    with numpy masks — O(maxlen) numpy ops for the whole batch instead
-    of a Python loop per string.
-    """
-    mat, lens = _padded_bytes(strs)
-    n = len(lens)
-    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
-    if n == 0:
+    order = np.argsort(-lens, kind="stable")
+    slens = lens[order]
+    if slens[0] == 0:
         return h
+    starts = offsets[:-1][order]
+    data = np.frombuffer(data_buf, dtype=np.uint8)
+    # rows longer than j = a prefix of the length-descending order
+    ks = np.searchsorted(-slens, -np.arange(slens[0]), side="left")
+    hs = h.copy()
     with np.errstate(over="ignore"):
-        for j in range(mat.shape[1]):
-            m = lens > j
-            if not m.any():
-                break
-            h[m] = (h[m] ^ mat[m, j].astype(np.uint64)) * FNV_PRIME
+        for j, k in enumerate(ks.tolist()):
+            hs[:k] = (hs[:k] ^ data[starts[:k] + j]) * FNV_PRIME
+    h[order] = hs
     return h
 
 

@@ -378,6 +378,7 @@ class _EngineHost:
         self._unappended: list = []  # admitted-table refs awaiting append
         self._prefetched: list | None = None  # next epoch's dequeue refs
         self._seed_stats_ref = None
+        self._base_totals = (0, 0)  # (seen, picked) before a resume
 
     def actor_handles(self) -> tuple:
         return self.fetch_actors, self.host_actors, self.seen_actors
@@ -627,10 +628,9 @@ class _EngineHost:
         fetched pages' links minus the candidates."""
         ray = self.ray
         rows = []
-        seen_cum = 0
+        seen_cum, picked_cum = self._base_totals
         if self._seed_stats_ref is not None:
             seen_cum += ray.get(self._seed_stats_ref)["admitted"]
-        picked_cum = 0
         for m in self._metric_refs:
             stats = dict.fromkeys(_STAT_KEYS, 0)
             for s in ray.get(list(m["stats"])):
@@ -712,6 +712,7 @@ class _EngineHost:
             cpart.select(["url_hash", "fetch_seq"]),
             os.path.join(tmp, "index.parquet"),
         )
+        last = self._metrics_rows()[-1]
         with open(os.path.join(tmp, "driver.json"), "w") as f:
             json.dump(
                 {
@@ -721,6 +722,10 @@ class _EngineHost:
                     "parent_epoch": epoch - 1,
                     "order_version": order_v,
                     "content_version": content_v,
+                    # running totals, so a resumed run's metric rows
+                    # continue them instead of restarting from 0
+                    "seen_total": last["seen_size"],
+                    "picked_total": last["seen_size"] - last["frontier_size"],
                 },
                 f,
             )
@@ -735,6 +740,7 @@ class _EngineHost:
             drv = json.load(f)
         self.epoch = drv["epoch"]
         self.fetch_seq = drv["fetch_seq"]
+        self._base_totals = (drv.get("seen_total", 0), drv.get("picked_total", 0))
         futs = [self.seq_actor.set_seq.remote(drv["enqueue_seq"])]
         for a, actor in enumerate(self.host_actors):
             fr = pq.read_table(os.path.join(d, f"frontier-{a}.parquet"))

@@ -29,12 +29,16 @@ so a worker never holds more than one file's columns.
 
 from __future__ import annotations
 
+import json
+import logging
 import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+logger = logging.getLogger(__name__)
 
 _TEXT_ALIASES = ("text", "content", "body")
 
@@ -114,26 +118,29 @@ def read_warc(path: str) -> pa.Table:
     ``headers CRLF CRLF block`` with the block length in
     ``Content-Length``; ``.warc.gz`` files are multi-member gzip
     streams, which ``gzip.open`` reads transparently.  One file is one
-    ingest commit unit, same as every other format here."""
+    ingest commit unit, same as every other format here.
+
+    A record that cannot be read — a bad record boundary, no valid
+    ``Content-Length``, or a block cut short by the end of the file — is
+    never dropped silently: its byte offset (in the decompressed
+    stream) is logged as a warning and listed in the result's schema
+    metadata (read it with ``warc_skipped``), and the walk resumes at
+    the next line that opens a WARC record."""
     import gzip
+    import zlib
 
     from ..functions.urlkernel import split_host
 
-    def _read_head(f):
-        """Header lines of the next record (CRLF lines up to the blank
-        line), skipping inter-record blank lines; None at EOF."""
-        first = f.readline()
-        while first in (b"\r\n", b"\n"):
-            first = f.readline()
-        if not first:
-            return None
-        lines = [first]
+    blank = (b"\r\n", b"\n")
+
+    def _next_line(f, resync: bool = False) -> tuple[int, bytes]:
+        """(offset, line) of the next record's first line: the next
+        non-blank line, or (``resync``, after an unreadable record) the
+        next line that opens a WARC record; b"" at EOF."""
         while True:
-            ln = f.readline()
-            if not ln or ln in (b"\r\n", b"\n"):
-                break
-            lines.append(ln)
-        return b"".join(lines)
+            at, ln = f.tell(), f.readline()
+            if not ln or (ln.startswith(b"WARC/") if resync else ln not in blank):
+                return at, ln
 
     # STREAMING record walk — one Content-Length-bounded block resident
     # at a time, never the whole (multi-GB decompressed) archive;
@@ -141,48 +148,69 @@ def read_warc(path: str) -> pa.Table:
     # transparently
     opener = gzip.open if path.lower().endswith(".gz") else open
     urls, sources, texts = [], [], []
-    with opener(path, "rb") as f:
-        while True:
-            head_b = _read_head(f)
-            if head_b is None:
-                break
-            head = head_b.decode("utf-8", errors="replace")
-            if not head.startswith("WARC/"):
-                break  # malformed record boundary — stop, keep prior rows
-            fields = {}
-            for line in head.split("\r\n")[1:]:
-                k, _, v = line.partition(":")
-                fields[k.strip().lower()] = v.strip()
-            try:
-                clen = int(fields.get("content-length", "0"))
-            except ValueError:
-                clen = 0
-            block = f.read(clen)
-            if fields.get("warc-type") != "response":
-                continue
-            url = fields.get("warc-target-uri", "")
-            http_end = block.find(b"\r\n\r\n")
-            if http_end < 0:
-                continue
-            http_head = block[:http_end].decode("utf-8", errors="replace")
-            ctype = ""
-            for line in http_head.split("\r\n")[1:]:
-                k, _, v = line.partition(":")
-                if k.strip().lower() == "content-type":
-                    ctype = v.split(";")[0].strip().lower()
-            if ctype not in ("text/html", "application/xhtml+xml"):
-                continue
-            body = block[http_end + 4 :].decode("utf-8", errors="replace")
-            urls.append(url)
-            sources.append(split_host(url))
-            texts.append(_html_to_text(body))
+    skipped: list[int] = []  # offsets of the records that could not be read
+    at = 0
+    try:
+        with opener(path, "rb") as f:
+            at, first = _next_line(f)
+            while first:
+                lines = [first]  # header lines, up to the blank line
+                while (ln := f.readline()) and ln not in blank:
+                    lines.append(ln)
+                head = b"".join(lines).decode("utf-8", errors="replace")
+                fields = {}
+                for line in head.split("\r\n")[1:]:
+                    k, _, v = line.partition(":")
+                    fields[k.strip().lower()] = v.strip()
+                try:
+                    clen = int(fields["content-length"])
+                except (KeyError, ValueError):
+                    clen = -1
+                ok = head.startswith("WARC/") and clen >= 0
+                block = f.read(clen) if ok else b""
+                if not ok or len(block) < clen:
+                    skipped.append(at)
+                    at, first = _next_line(f, resync=True)
+                    continue
+                at, first = _next_line(f)
+                if fields.get("warc-type") != "response":
+                    continue
+                url = fields.get("warc-target-uri", "")
+                http_end = block.find(b"\r\n\r\n")
+                if http_end < 0:
+                    continue
+                http_head = block[:http_end].decode("utf-8", errors="replace")
+                ctype = ""
+                for line in http_head.split("\r\n")[1:]:
+                    k, _, v = line.partition(":")
+                    if k.strip().lower() == "content-type":
+                        ctype = v.split(";")[0].strip().lower()
+                if ctype not in ("text/html", "application/xhtml+xml"):
+                    continue
+                body = block[http_end + 4 :].decode("utf-8", errors="replace")
+                urls.append(url)
+                sources.append(split_host(url))
+                texts.append(_html_to_text(body))
+    except (EOFError, gzip.BadGzipFile, zlib.error):
+        skipped.append(at)  # a .warc.gz cut off mid-member
+    if skipped:
+        logger.warning(
+            "%s: skipped %d unreadable WARC record(s) at byte offset(s) %s",
+            path, len(skipped), skipped,
+        )
     return pa.table(
         {
             "url": pa.array(urls, pa.string()),
             "source": pa.array(sources, pa.string()),
             "text": pa.array(texts, pa.string()),
         }
-    )
+    ).replace_schema_metadata({"warc_skipped": json.dumps(skipped)})
+
+
+def warc_skipped(tbl: pa.Table) -> list[int]:
+    """Byte offsets of the records ``read_warc`` could not read."""
+    meta = tbl.schema.metadata or {}
+    return json.loads(meta.get(b"warc_skipped", b"[]"))
 
 
 def normalize_documents(tbl: pa.Table, file_name: str) -> pa.Table:
@@ -217,19 +245,29 @@ def normalize_documents(tbl: pa.Table, file_name: str) -> pa.Table:
     )
 
 
-def _ingest_file(path: str, out_dir: str, k: int) -> int:
-    tbl = normalize_documents(_read_any(path), path)
+def _ingest_file(path: str, out_dir: str, k: int) -> tuple[int, list[int]]:
+    """→ (rows written, offsets of unreadable WARC records).  A file
+    with unreadable records is NOT committed, so a re-ingest retries it
+    (e.g. once a WARC still being written is complete)."""
+    raw = _read_any(path)
+    skipped = warc_skipped(raw)
+    if skipped:
+        return 0, skipped
+    tbl = normalize_documents(raw, path)
     part = os.path.join(out_dir, f"part-{k:05d}.parquet")
     tmp = part + ".tmp"
     pq.write_table(tbl, tmp)
     os.replace(tmp, part)  # commit point
-    return len(tbl)
+    return len(tbl), []
 
 
 def ingest_documents(inputs: list[str] | str, out_dir: str) -> dict:
     """Run (or resume) an ingest of ``inputs`` (a directory or an
     explicit file list) into ``out_dir`` as canonical documents
-    parts.  Returns {files, skipped, rows_written, rows_total}."""
+    parts.  Returns {files, skipped, rows_written, rows_total,
+    incomplete}: ``skipped`` counts files committed by an earlier run,
+    ``incomplete`` maps each file left uncommitted because of unreadable
+    WARC records to those records' byte offsets."""
     import ray
 
     if isinstance(inputs, str):
@@ -251,8 +289,10 @@ def ingest_documents(inputs: list[str] | str, out_dir: str) -> dict:
         if os.path.exists(os.path.join(out_dir, f"part-{k:05d}.parquet")):
             skipped += 1
             continue
-        futs.append(task.remote(f, out_dir, k))
-    written = sum(ray.get(futs)) if futs else 0
+        futs.append((f, task.remote(f, out_dir, k)))
+    done = ray.get([fut for _f, fut in futs])
+    written = sum(n for n, _s in done)
+    incomplete = {f: s for (f, _fut), (_n, s) in zip(futs, done) if s}
     total = sum(
         pq.ParquetFile(os.path.join(out_dir, p)).metadata.num_rows
         for p in sorted(os.listdir(out_dir))
@@ -263,4 +303,5 @@ def ingest_documents(inputs: list[str] | str, out_dir: str) -> dict:
         "skipped": skipped,
         "rows_written": written,
         "rows_total": total,
+        "incomplete": incomplete,
     }

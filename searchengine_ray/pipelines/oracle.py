@@ -202,7 +202,7 @@ def _fetch(
     host = uk.split_host(url)
     html = synth.render_html(
         url, host, https, store.captions[row], store.image_ids[row],
-        store.links_of(row),
+        store.links_of(row), store.link_sel_of(row),
     )
     links = extract_links(shorten_html(html), host, https)
     return store.image_ids[row], store.captions[row], host, https, links

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +72,17 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 _GRAY_W = np.array([0.299, 0.587, 0.114], np.float64)
 
 
+@lru_cache(maxsize=1024)
+def _tiles(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Box-downsample geometry for an (h, w) image: the 8 row and 8
+    column tile starts (almost equal tiles) and the clamped 8×8 tile
+    areas.  Images come in few sizes, so each is computed once."""
+    ys = (np.arange(8) * h) // 8
+    xs = (np.arange(8) * w) // 8
+    areas = np.outer(np.diff(np.r_[ys, h]), np.diff(np.r_[xs, w]))
+    return ys, xs, np.maximum(areas, 1)
+
+
 def phash64(pixels: np.ndarray) -> int:
     """8×8 average-hash of the grayscale downsample → signed int64.
 
@@ -90,13 +102,10 @@ def phash64(pixels: np.ndarray) -> int:
             pixels, ((0, max(0, 8 - h)), (0, max(0, 8 - w)), (0, 0))
         )
         h, w = pixels.shape[:2]
-    # box-downsample to 8×8 by splitting into (almost) equal tiles
-    ys = (np.arange(8) * h) // 8
-    xs = (np.arange(8) * w) // 8
+    ys, xs, areas = _tiles(h, w)
     rows = np.add.reduceat(pixels, ys, axis=0, dtype=np.int64)
     sums = np.add.reduceat(rows, xs, axis=1)  # (8, 8, 3) exact sums
-    areas = np.outer(np.diff(np.r_[ys, h]), np.diff(np.r_[xs, w]))
-    cells = (sums @ _GRAY_W) / np.maximum(areas, 1)
+    cells = (sums @ _GRAY_W) / areas
     bits = (cells > cells.mean()).ravel()
     val = int.from_bytes(np.packbits(bits).tobytes(), "big")
     return val - (1 << 64) if val >= (1 << 63) else val  # as signed int64

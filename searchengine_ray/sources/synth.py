@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pyarrow as pa
 
-from ..functions.hashing import fnv1a64
+from ..functions.hashing import fnv1a64, fnv1a64_batch
 from ..functions.urlkernel import split_host, url_hash
 from .codec import decode_image, encode_image, phash64, psnr
 
@@ -180,6 +180,7 @@ class WebStore:
     hash_order: np.ndarray = field(default=None)   # argsort of url_hash
     hash_sorted: np.ndarray = field(default=None)
     robots_blocked: np.ndarray = field(default=None)  # bool per url row
+    link_sel: np.ndarray = field(default=None)  # uint8 href form per link
 
     def __post_init__(self):
         if self.hash_order is None:
@@ -189,6 +190,10 @@ class WebStore:
             self.robots_blocked = np.array(
                 [self._robots_scan(i) for i in range(len(self.urls))], bool
             )
+        if self.link_sel is None:
+            self.link_sel = (
+                fnv1a64_batch(self.links_flat_url) % np.uint64(4)
+            ).astype(np.uint8)
 
     # compact pickling: the hot string lists serialize as one joined
     # blob each instead of 100k+ small objects, and DESERIALIZE into a
@@ -235,6 +240,10 @@ class WebStore:
     def links_of(self, row: int) -> list[str]:
         a, b = self.links_off[row], self.links_off[row + 1]
         return self.links_flat_url[a:b]
+
+    def link_sel_of(self, row: int) -> list[int]:
+        """The page's ``render_html`` href-form selectors."""
+        return self.link_sel[self.links_off[row] : self.links_off[row + 1]].tolist()
 
     def robots_disallowed(self, row: int) -> bool:
         return bool(self.robots_blocked[row])
@@ -382,12 +391,26 @@ def gen_planted_neardups(
 # ------------------------------------------------------------- HTML rendering
 
 def render_html(
-    url: str, host: str, https: bool, caption: str, image_id: str, links: list[str]
+    url: str,
+    host: str,
+    https: bool,
+    caption: str,
+    image_id: str,
+    links: list[str],
+    link_sel=None,
 ) -> str:
     """Deterministic page HTML exercising the reference's four href
     patterns (``SearchEngine.cpp:43-46``) plus comment/script decoys
     (removed by ``shorten_html`` before extraction, mirroring
-    ``shortenData`` — ``SearchEngine.cpp:136-256``)."""
+    ``shortenData`` — ``SearchEngine.cpp:136-256``).
+
+    Each link's href form is picked by its selector
+    ``fnv1a64(link) % 4``.  ``link_sel`` passes those selectors
+    precomputed (``WebStore.link_sel_of(row)``, hashed once at
+    generation time); without it they are hashed here per link, the
+    spec form."""
+    if link_sel is None:
+        link_sel = [fnv1a64(ls) % 4 for ls in links]
     parts = [
         f"<html><head><title>Page {url}</title>",
         f'<meta name="description" content="{caption}"></head><body>',
@@ -396,8 +419,7 @@ def render_html(
         f'<img src="/{image_id}.raw" alt="{caption}">',
         f"<h1>{caption}</h1>",
     ]
-    for ls in links:
-        sel = fnv1a64(ls) % 4
+    for ls, sel in zip(links, link_sel):
         if ls.startswith("https://"):
             rest = ls[8:]
             if sel == 0:

@@ -10,9 +10,11 @@
   ``href="https://``, ``href="/`` count (case-sensitive, double-quote
   only); same-host detection by prefix-compare at the first
   ``/``/``:``/``?``; https re-prefixing rules preserved; per-page
-  dedup by the md5-identity of the *raw* candidate
+  dedup on the md5-identity string of the *raw* candidate
   (``SearchEngine.cpp:101-104`` — i.e. ``www.``/leading-``/`` stripped
-  but NOT truncated).
+  but NOT truncated).  The dedup compares that identity key string
+  itself, not a hash of it: no per-link hashing on the fetch hot path,
+  and no way for two distinct links to collide.
 * ``get_title`` mirrors ``getTitlefromContent``
   (``SearchEngine.cpp:959-991``): first ``<title>…</title>``, control
   chars cleaned, capped at 255 chars.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from ..functions.hashing import fnv1a64
+from ..functions.urlkernel import key_string
 
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _SCRIPT_RE = re.compile(r"<script\b.*?</script\s*>", re.S | re.I)
@@ -46,28 +48,20 @@ def get_title(html: str, cap: int = 255) -> str:
     return title.strip()[:cap]
 
 
-def _dedup_key(u: str) -> int:
-    """getMD5-identity of the raw candidate (SearchEngine.h:213-223)."""
-    s = u
-    if len(s) > 4 and s[:4] == "www.":
-        s = s[4:]
-    return fnv1a64(s.lstrip("/"))
-
-
 def _samehost(u: str, host: str) -> bool:
     # the reference tests the prefix at EVERY '/',':','?' until a match
     # (SearchEngine.cpp:61-64) — e.g. "a.com:80/x" vs host "a.com:80"
-    # matches at the '/' even though the ':' prefix didn't
-    for i, ch in enumerate(u):
-        if ch in "/:?" and u[:i] == host:
-            return True
-    return u == host
+    # matches at the '/' even though the ':' prefix didn't.  A match at
+    # position i needs u[:i] == host, i.e. i == len(host), so only that
+    # one position can match.
+    n = len(host)
+    return u.startswith(host) and (len(u) == n or u[n] in "/:?")
 
 
 def extract_links(shortened_html: str, host: str, https: bool) -> list[str]:
     """Raw link candidates in document order (first occurrence wins)."""
     out: list[str] = []
-    seen: set[int] = set()
+    seen: set[str] = set()
     for m in _HREF_RE.finditer(shortened_html):
         val = m.group(1)
         if val.startswith("//"):
@@ -92,7 +86,7 @@ def extract_links(shortened_html: str, host: str, https: bool) -> list[str]:
             continue
         if (same and https) or (not same and link_https):
             u = "https://" + u
-        k = _dedup_key(u)
+        k = key_string(u)  # getMD5-identity (SearchEngine.h:213-223)
         if k in seen:
             continue
         seen.add(k)

@@ -6,7 +6,8 @@ is a persistent actor pool: the synthetic web store and the images
 payload table are broadcast ONCE via ``ray.put`` and read in
 ``__init__`` (once per actor) — never re-shipped per batch.
 
-Per page the actor: renders the page HTML deterministically, shortens
+Per page the actor: renders the page HTML deterministically (href forms
+from the store's precomputed link selectors), shortens
 it (M8/M9), extracts link candidates (M10), materializes the image
 payload, decodes it and checks the per-row invariants (decoded-pixel
 sha vs truth — exact because truth is derived from post-codec pixels,
@@ -15,7 +16,9 @@ plus caption equality and phash consistency).
 
 Scale design: the actor ALSO
 * canonicalizes/filters the extracted links into admission candidates
-  (so the per-epoch candidate prep is parallel, not driver-serial), and
+  (so the per-epoch candidate prep is parallel, not driver-serial) —
+  the URL kernels run once per distinct canonical URL of the chunk and
+  the host kernels once per distinct host (``make_candidates``), and
 * writes the binary payload parquet partition itself
   (``payload_dir/epoch=E/part-<first_seq>.parquet``) so image bytes
   never flow through the driver — only small metadata tables do
@@ -86,30 +89,36 @@ def make_candidates(
     raw_links: list[str], fseqs: list[int], poss: list[int], shard_count: int
 ) -> pa.Table:
     """Canonicalize + static-filter raw link candidates (vectorized);
-    output stays in (fetch_seq, pos) order."""
+    output stays in (fetch_seq, pos) order.
+
+    Most kept links repeat a URL or (far more often) a host already in
+    the chunk, so the URL kernels run once per DISTINCT canonical URL
+    and the host kernels once per distinct host; each result is
+    gathered back to its rows through the dictionary indices."""
     if not raw_links:
-        return pa.table({k.name: [] for k in CAND_SCHEMA}, schema=CAND_SCHEMA)
+        return CAND_SCHEMA.empty_table()
     raw = pa.array(raw_links, type=pa.string())
     canon, valid = uk.truncate_batch(raw)
     fmask, _ = uk.filter_mask_batch(canon)
-    keep = valid & fmask
-    idx = np.nonzero(keep)[0]
-    canon_k = canon.take(pa.array(idx))
-    hosts = uk.split_host_batch(canon_k)
+    keep = np.nonzero(valid & fmask)[0]
+    idx = pa.array(keep)
+    canon_k = canon.take(idx)
+    urls = canon_k.dictionary_encode()
+    url_rows = urls.indices.to_numpy()
+    hosts = uk.split_host_batch(urls.dictionary).dictionary_encode()
+    host_rows = hosts.indices.to_numpy()[url_rows]
+    uniq_hosts = hosts.dictionary
+    shard = uk.collision_hash_batch(uniq_hosts) % np.uint64(shard_count)
     return pa.table(
         {
-            "fetch_seq": pa.array(np.asarray(fseqs, np.int64)[idx]),
-            "pos": pa.array(np.asarray(poss, np.int32)[idx]),
-            "raw": raw.take(pa.array(idx)),
+            "fetch_seq": pa.array(np.asarray(fseqs, np.int64)[keep]),
+            "pos": pa.array(np.asarray(poss, np.int32)[keep]),
+            "raw": raw.take(idx),
             "url": canon_k,
-            "url_hash": pa.array(uk.url_hash_batch(canon_k), type=pa.uint64()),
-            "host_hash": pa.array(uk.host_hash_batch(hosts), type=pa.uint64()),
-            "host": hosts,
-            "shard": pa.array(
-                (uk.collision_hash_batch(hosts) % np.uint64(shard_count)).astype(
-                    np.int32
-                )
-            ),
+            "url_hash": pa.array(uk.url_hash_batch(urls.dictionary)[url_rows]),
+            "host_hash": pa.array(uk.host_hash_batch(uniq_hosts)[host_rows]),
+            "host": uniq_hosts.take(pa.array(host_rows)),
+            "shard": pa.array(shard.astype(np.int32)[host_rows]),
         },
         schema=CAND_SCHEMA,
     )
@@ -226,7 +235,13 @@ class FetchDecode:
             img = int(store.image_idx[row])
             caption = store.captions[row]
             html = synth.render_html(
-                url, host, https, caption, store.image_ids[row], store.links_of(row)
+                url,
+                host,
+                https,
+                caption,
+                store.image_ids[row],
+                store.links_of(row),
+                store.link_sel_of(row),
             )
             short = shorten_html(html)
             links = extract_links(short, host, https)

@@ -41,12 +41,14 @@ class ImageDecodeResize:
         self.out_h, self.out_w = out_h, out_w
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, thumbs, means, phs, ok = [], [], [], [], []
+        ids = batch["image_id"].to_pylist()
+        # zero-copy payload windows (as in FetchDecode): no per-row
+        # boxing into Python bytes
+        blobs = batch["bytes"].combine_chunks()
+        thumbs, means, phs, ok = [], [], [], []
         for i in range(len(batch)):
-            ids.append(batch["image_id"][i].as_py())
-            data = batch["bytes"][i].as_py()
             try:
-                px, _ = decode_image(data)
+                px, _ = decode_image(blobs[i].as_buffer())
                 t = resize_nn(px, self.out_h, self.out_w)
                 thumbs.append(t.tobytes())
                 means.append(round(float(px.mean()), 4))

@@ -135,6 +135,35 @@ def test_checkpoint_resume_equivalence(ray_session, fixture_small, tmp_path):
     assert res.seen == golden.seen
 
 
+def test_resume_continues_running_totals(ray_session, fixture_small, tmp_path):
+    """A crawl stopped after epoch 2 and resumed reports the same
+    per-epoch seen_size / frontier_size as one uninterrupted run (the
+    checkpoint carries the running totals)."""
+    from searchengine_ray.pipelines.crawl import RemoteCrawl, run_crawl
+
+    images, truth, store, seeds, cfg, golden = fixture_small
+    full = run_crawl(
+        seeds, store, images, truth, cfg=cfg, out_dir=str(tmp_path / "full"),
+        n_host_actors=2, n_fetch_actors=2,
+    ).metrics
+    out = str(tmp_path / "ck")
+    eng = RemoteCrawl(store, images, truth, cfg, out, n_host_actors=2,
+                      n_fetch_actors=2, checkpoint=True)
+    eng.admit_seeds(seeds)
+    first = eng.run(max_epochs=2).metrics
+    eng.shutdown()
+    eng2 = RemoteCrawl.resume(store, images, truth, cfg, out,
+                              n_host_actors=2, n_fetch_actors=2)
+    rest = eng2.run().metrics
+    eng2.shutdown()
+    assert rest["epoch"].to_pylist()[0] == 2
+    assert len(full) > 4
+    for col in ("epoch", "seen_size", "frontier_size"):
+        assert first[col].to_pylist() + rest[col].to_pylist() == (
+            full[col].to_pylist()
+        ), col
+
+
 def test_checkpoint_resume_uint64_evict_state(ray_session, fixture_small, tmp_path):
     """A seen shard whose cuckoo eviction state is >= 2^63 checkpoints
     (no int64 overflow) and resumes with that exact state, and the

@@ -310,3 +310,60 @@ def test_warc_and_gzip_ingest(ray_session, tmp_path):
     # resume skips everything
     r2 = ingest_documents(str(d), out)
     assert r2["skipped"] == 3 and r2["rows_written"] == 0
+
+
+def test_truncated_warc_is_reported_and_not_committed(ray_session, tmp_path):
+    """A .warc cut off mid-record reports the unreadable record's byte
+    offset instead of dropping it silently; the file is not committed,
+    so a re-ingest of the completed file picks it up."""
+    from searchengine_ray.pipelines.ingest import (
+        ingest_documents,
+        read_warc,
+        warc_skipped,
+    )
+
+    recs = [
+        _mk_warc_record(f"http://h{i}.example.org/p", f"<p>page {i}</p>")
+        for i in range(3)
+    ]
+    whole = b"".join(recs)
+    cut_at = len(recs[0]) + len(recs[1])  # the third record starts here
+    d = tmp_path / "in"
+    d.mkdir()
+    warc = d / "crawl.warc"
+    warc.write_bytes(whole[: cut_at + 60])
+
+    t = read_warc(str(warc))
+    assert t["text"].to_pylist() == ["page 0", "page 1"]
+    assert warc_skipped(t) == [cut_at]
+
+    out = str(tmp_path / "docs")
+    r = ingest_documents(str(d), out)
+    assert r["incomplete"] == {str(warc): [cut_at]}
+    assert r["rows_written"] == 0 and r["rows_total"] == 0
+    assert not [p for p in os.listdir(out) if p.endswith(".parquet")]
+
+    # the writer finishes the file: the re-ingest commits all 3 records
+    warc.write_bytes(whole)
+    assert warc_skipped(read_warc(str(warc))) == []
+    r2 = ingest_documents(str(d), out)
+    assert r2["skipped"] == 0 and r2["incomplete"] == {}
+    assert r2["rows_written"] == r2["rows_total"] == 3
+
+
+def test_warc_bad_boundary_and_missing_length_are_counted(tmp_path):
+    """Each unreadable record is counted at its own offset, and the
+    walk resumes at the next record."""
+    from searchengine_ray.pipelines.ingest import read_warc, warc_skipped
+
+    good = [
+        _mk_warc_record(f"http://h{i}.example.org/p", f"<p>page {i}</p>")
+        for i in range(3)
+    ]
+    garbage = b"not a warc header\r\nstill not\r\n\r\n"
+    no_len = good[1].replace(b"Content-Length", b"X-Length")
+    body = good[0] + garbage + no_len + good[2]
+    (tmp_path / "bad.warc").write_bytes(body)
+    t = read_warc(str(tmp_path / "bad.warc"))
+    assert t["text"].to_pylist() == ["page 0", "page 2"]
+    assert warc_skipped(t) == [len(good[0]), len(good[0]) + len(garbage)]
