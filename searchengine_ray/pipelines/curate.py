@@ -136,7 +136,7 @@ def image_curation_funnel(
     from ..sources.codec import decode_image, phash64
     from ..stages.cluster import connected_components
     from ..stages.dedup import phash_dedup, phash_near_pairs
-    from .queries import _final_combine
+    from ..stages.keyed import combine
 
     ds = (
         ray.data.from_arrow(images)
@@ -227,16 +227,7 @@ def image_curation_funnel(
     if out_dir is not None:
         final_ds = final_ds.materialize()
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby(["split", "fmt"], as_index=False).agg(
-            n_images=("iid", "size")
-        )
-
-    counts = _final_combine(
-        final_ds.map_batches(count_partial, batch_format="pandas"),
-        ["split", "fmt"],
-        ["n_images"],
-    )
+    counts = combine(final_ds, ["split", "fmt"], {"n_images": ("iid", "count")})
     counts = counts.sort_values(["split", "fmt"]).reset_index(drop=True)
 
     if out_dir is not None:
@@ -272,7 +263,8 @@ def curation_funnel(sf_dir: str, out_dir: str | None = None):
 
     from ..stages.cluster import connected_components
     from ..stages.dedup import _distinct_shingles, exact_dedup
-    from .queries import _final_combine, _read, jaccard_pairs_from
+    from ..stages.keyed import combine
+    from .queries import _read, jaccard_pairs_from
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
@@ -359,15 +351,10 @@ def curation_funnel(sf_dir: str, out_dir: str | None = None):
     if out_dir is not None:
         final_ds = final_ds.materialize()
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby(["split", "source"], as_index=False).agg(
-            n_docs=("doc_id", "size"), n_tokens=("n_tokens", "sum")
-        )
-
-    counts = _final_combine(
-        final_ds.map_batches(count_partial, batch_format="pandas"),
+    counts = combine(
+        final_ds,
         ["split", "source"],
-        ["n_docs", "n_tokens"],
+        {"n_docs": ("doc_id", "count"), "n_tokens": ("n_tokens", "sum")},
     )
     counts = counts.sort_values(["split", "source"]).reset_index(drop=True)
 

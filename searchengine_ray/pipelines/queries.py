@@ -13,10 +13,13 @@ Conventions for hash-stable results vs the SQL oracle:
 Ray side rules: column-pruned ``read_parquet``, vectorized
 ``map_batches`` (pyarrow/pandas kernels), pre-aggregation before
 shuffles, broadcast small sides (dimension tables) via ``ray.put``.
-Every keyed shuffle — grouped finish (``part_groupby``), per-partition
-finisher (``keyed_map``) and join (``hash_join``) — is the one
-task-based range partition of ``stages/keyed.py``; no query uses
-``Dataset.join`` or ``groupby().map_groups`` on a hash partition.
+Every grouped aggregate is ``keyed.combine``: a per-batch projection
+plus pyarrow ``group_by`` partial, folded on the driver or in a
+partitioned ``keyed_map`` — typed even on an empty input.  Every
+shuffle — the partitioned fold, per-partition finisher
+(``keyed_map``) and join (``hash_join``) — is the one task-based
+range partition of ``stages/keyed.py``; no query uses
+``Dataset.join``, ``groupby().map_groups`` or ``Dataset.aggregate``.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ import pyarrow.parquet as pq
 from ..stages import dedup as dd
 from ..stages import text as tx
 from ..stages.keyed import (
+    arrow_schema,
+    combine,
     hash_join,
     hash_part,
     keyed_map,
     ncpus,
-    part_groupby,
     with_hash_part,
 )
 from ..stages.text import LANG_PROFILES, STOPWORDS
@@ -92,18 +96,21 @@ def _join_parts(sf_dir: str, *tables: str) -> int:
     return int(min(max(2, total // (32 << 20) + 1), 4 * ncpus()))
 
 
-def _final_combine(partials_ds, keys: list, sums: list) -> pd.DataFrame:
-    """Finish a map-side-combined aggregate on the driver: the partial
-    rows are tiny (one row per group per batch), so Ray's shuffle-based
-    Aggregate operator (~3 s fixed cost) is replaced by one pandas
-    groupby over a few hundred rows."""
-    pdf = partials_ds.to_pandas()
-    if pdf.empty:
-        return pdf
-    out = pdf.groupby(keys, as_index=False)[sums].sum()
-    for c in sums:
-        out[c] = out[c].astype("int64")
-    return out
+def _collect(ds, fn=None) -> pd.DataFrame:
+    """``ds`` — mapped by ``fn`` over pandas batches, when given —
+    collected on the driver, with its columns and types kept when it
+    has no rows: Ray's ``to_pandas`` drops an empty result's columns and
+    skips ``fn`` on an empty input, so ``fn`` then runs here once on a
+    zero-row frame of ``ds.schema()``."""
+    out = (ds.map_batches(fn, batch_format="pandas") if fn else ds).to_pandas()
+    if len(out):
+        return out
+    empty = arrow_schema(ds).empty_table().to_pandas()
+    return fn(empty) if fn else empty
+
+
+# the revenue rollups of q03/q05/q34 over their ``cents`` projection
+_REVENUE = {"revenue_cents": ("cents", "sum"), "n_orders": ("cents", "count")}
 
 
 # ------------------------------------------------------------------ queries
@@ -111,9 +118,8 @@ def _final_combine(partials_ds, keys: list, sums: list) -> pd.DataFrame:
 
 def q01_pricing_summary(sf_dir: str):
     """TPC-H Q1 analog: filtered grouped aggregate with per-batch
-    integer-cents computation (A1/A7 partial-agg pattern)."""
-    from ray.data.aggregate import Count, Sum
-
+    integer-cents computation (A1/A7 partial-agg pattern: only ~6
+    partial rows per batch leave the task)."""
     ds = _read(
         sf_dir,
         "lineitem",
@@ -121,35 +127,31 @@ def q01_pricing_summary(sf_dir: str):
          "l_discount", "l_shipdate"],
     )
 
-    def prep(t: pa.Table) -> pd.DataFrame:
+    def prep(t: pa.Table) -> pa.Table:
         ship = t["l_shipdate"].to_numpy(zero_copy_only=False)
         t = t.filter(pa.array(ship < np.datetime64("1998-09-01")))
-        qty = _cents(t["l_quantity"].to_numpy(zero_copy_only=False))
         base = _cents(t["l_extendedprice"].to_numpy(zero_copy_only=False))
         disc = _cents(t["l_discount"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "l_returnflag": t["l_returnflag"].to_pandas(),
-                "l_linestatus": t["l_linestatus"].to_pandas(),
-                "sum_qty_cents": qty,
-                "sum_base_cents": base,
-                "sum_disc_c4": base * (100 - disc),
+                "l_returnflag": t["l_returnflag"],
+                "l_linestatus": t["l_linestatus"],
+                "qty": _cents(t["l_quantity"].to_numpy(zero_copy_only=False)),
+                "base": base,
+                "disc_c4": base * (100 - disc),
             }
         )
-        # per-batch combiner: one row per group per batch before the
-        # shuffle (the pre-aggregation pattern — only ~6 rows leave)
-        part = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            sum_qty_cents=("sum_qty_cents", "sum"),
-            sum_base_cents=("sum_base_cents", "sum"),
-            sum_disc_c4=("sum_disc_c4", "sum"),
-            count_order=("sum_qty_cents", "size"),
-        )
-        return part
 
-    return _final_combine(
-        ds.map_batches(prep, batch_format="pyarrow"),
+    return combine(
+        ds,
         ["l_returnflag", "l_linestatus"],
-        ["sum_qty_cents", "sum_base_cents", "sum_disc_c4", "count_order"],
+        {
+            "sum_qty_cents": ("qty", "sum"),
+            "sum_base_cents": ("base", "sum"),
+            "sum_disc_c4": ("disc_c4", "sum"),
+            "count_order": ("qty", "count"),
+        },
+        prep,
     )
 
 
@@ -202,19 +204,9 @@ def q03_revenue_by_segment(sf_dir: str):
     The joined stream pre-aggregates per batch; only ~5 segment rows
     per batch reach the driver final."""
 
-    def prep(t: pa.Table) -> pd.DataFrame:
-        df = pd.DataFrame(
-            {
-                "c_mktsegment": t["c_mktsegment"].to_pandas(),
-                "revenue_cents": _cents(
-                    t["o_totalprice"].to_numpy(zero_copy_only=False)
-                ),
-            }
-        )
-        return df.groupby("c_mktsegment", as_index=False).agg(
-            revenue_cents=("revenue_cents", "sum"),
-            n_orders=("revenue_cents", "size"),
-        )
+    def prep(t: pa.Table) -> pa.Table:
+        cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))
+        return pa.table({"c_mktsegment": t["c_mktsegment"], "cents": cents})
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -222,11 +214,7 @@ def q03_revenue_by_segment(sf_dir: str):
         orders, cust, "o_custkey", "c_custkey",
         npart=_join_parts(sf_dir, "orders", "customer"),
     )
-    return _final_combine(
-        joined.map_batches(prep, batch_format="pyarrow"),
-        ["c_mktsegment"],
-        ["revenue_cents", "n_orders"],
-    )
+    return combine(joined, ["c_mktsegment"], _REVENUE, prep)
 
 
 SQL_Q03 = """
@@ -279,17 +267,11 @@ def q05_nation_orders(sf_dir: str):
 
     def add_nation(t: pa.Table, nname_) -> pd.DataFrame:
         nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "n_name": pd.Series(nk).map(nname_).fillna(""),
-                "revenue_cents": _cents(
-                    t["o_totalprice"].to_numpy(zero_copy_only=False)
-                ),
+                "cents": _cents(t["o_totalprice"].to_numpy(zero_copy_only=False)),
             }
-        )
-        return df.groupby("n_name", as_index=False).agg(
-            revenue_cents=("revenue_cents", "sum"),
-            n_orders=("revenue_cents", "size"),
         )
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -298,11 +280,7 @@ def q05_nation_orders(sf_dir: str):
         orders, cust, "o_custkey", "c_custkey",
         npart=_join_parts(sf_dir, "orders", "customer"),
     )
-    return _final_combine(
-        joined.map_batches(_broadcast_fn(ref, add_nation), batch_format="pyarrow"),
-        ["n_name"],
-        ["revenue_cents", "n_orders"],
-    )
+    return combine(joined, ["n_name"], _REVENUE, _broadcast_fn(ref, add_nation))
 
 
 SQL_Q05 = """
@@ -318,8 +296,6 @@ GROUP BY n.n_name
 
 def q06_revenue_filter(sf_dir: str):
     """TPC-H Q6 analog: pure filter + single aggregate (M5/A7)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "lineitem", ["l_quantity", "l_extendedprice", "l_discount",
                                     "l_shipdate"])
 
@@ -337,11 +313,12 @@ def q06_revenue_filter(sf_dir: str):
         base = _cents(t["l_extendedprice"].to_numpy(zero_copy_only=False))[mask]
         return pa.table({"revenue_c4": pa.array(base * disc[mask])})
 
-    agg = ds.map_batches(prep, batch_format="pyarrow").aggregate(
-        Sum("revenue_c4", alias_name="revenue_c4"),
-        Count(alias_name="n_rows"),
-    )  # Dataset.aggregate (no groupby) returns a plain dict
-    return pd.DataFrame([agg])
+    return combine(
+        ds,
+        [],
+        {"revenue_c4": ("revenue_c4", "sum"), "n_rows": ("revenue_c4", "count")},
+        prep,
+    )
 
 
 SQL_Q06 = """
@@ -356,27 +333,14 @@ WHERE l_shipdate >= TIMESTAMP '1995-01-01' AND l_shipdate < TIMESTAMP '1997-01-0
 
 
 def q07_distinct_flags(sf_dir: str):
-    """DISTINCT via per-batch distinct combiner + keyed combine
-    (SURVEY §2.7 set ops).  The raw rows never ride the shuffle —
-    each batch reduces to its unique key pairs first, so shuffle
-    volume is bounded by distinct-cardinality x nbatches."""
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
-
-    def uniq(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.drop_duplicates()
-        return out.assign(n=np.int64(1))
-
-    out = part_groupby(
-        ds.map_batches(uniq, batch_format="pandas"),
-        ["l_returnflag", "l_linestatus"],
-        {"n": "sum"},
-    )
-    # result is distinct-cardinality sized; finish on the driver
-    return (
-        out.to_pandas()[["l_returnflag", "l_linestatus"]]
-        .sort_values(["l_returnflag", "l_linestatus"])
-        .reset_index(drop=True)
-    )
+    """DISTINCT as a ``combine`` with no aggregates (SURVEY §2.7 set
+    ops).  The raw rows never leave their task — each batch reduces to
+    its unique key pairs first, so the fold sees distinct-cardinality
+    x nbatches rows; the result is distinct-cardinality sized, so it
+    folds on the driver."""
+    keys = ["l_returnflag", "l_linestatus"]
+    out = combine(_read(sf_dir, "lineitem", keys), keys, {})
+    return out.sort_values(keys).reset_index(drop=True)
 
 
 SQL_Q07 = "SELECT DISTINCT l_returnflag, l_linestatus FROM lineitem"
@@ -385,28 +349,23 @@ SQL_Q07 = "SELECT DISTINCT l_returnflag, l_linestatus FROM lineitem"
 def q08_events_hourly(sf_dir: str):
     """Tumbling-window aggregate over the event stream (§2.8 analog):
     hour bucket as BIGINT epoch seconds."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def prep(t: pa.Table) -> pd.DataFrame:
+    def prep(t: pa.Table) -> pa.Table:
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "event_type": t["event_type"].to_pandas(),
+                "event_type": t["event_type"],
                 "hour_epoch": us // 3_600_000_000 * 3600,
-                "value_cents": _cents(t["value"].to_numpy(zero_copy_only=False)),
+                "cents": _cents(t["value"].to_numpy(zero_copy_only=False)),
             }
         )
-        return df.groupby(["event_type", "hour_epoch"], as_index=False).agg(
-            value_cents=("value_cents", "sum"),
-            n_events=("value_cents", "size"),
-        )
 
-    return _final_combine(
-        ds.map_batches(prep, batch_format="pyarrow"),
+    return combine(
+        ds,
         ["event_type", "hour_epoch"],
-        ["value_cents", "n_events"],
+        {"value_cents": ("cents", "sum"), "n_events": ("cents", "count")},
+        prep,
     )
 
 
@@ -420,32 +379,23 @@ FROM events GROUP BY 1, 2
 
 def q09_top_users(sf_dir: str):
     """Aggregate + top-k (O5/O6 heavy-hitter pattern)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["user_id", "value"])
 
-    def prep(t: pa.Table) -> pd.DataFrame:
-        df = pd.DataFrame(
-            {
-                "user_id": t["user_id"].to_pandas(),
-                "value_cents": _cents(t["value"].to_numpy(zero_copy_only=False)),
-            }
-        )
-        return df.groupby("user_id", as_index=False).agg(
-            value_cents=("value_cents", "sum"),
-            n_events=("value_cents", "size"),
-        )
+    def prep(t: pa.Table) -> pa.Table:
+        cents = _cents(t["value"].to_numpy(zero_copy_only=False))
+        return pa.table({"user_id": t["user_id"], "cents": cents})
 
-    # user_id cardinality scales with SF, so the final combine is a
-    # Ray hash-shuffle aggregate over the per-batch partials; the
-    # top-20 is then per-block partial top-k + a driver merge of
-    # <=20*nblocks candidate rows — after the groupby each user is
+    # user_id cardinality scales with SF, so the fold is partitioned;
+    # the top-20 is then per-block partial top-k + a driver merge of
+    # <=20*nblocks candidate rows — after the fold each user is
     # unique, so block-local top-20s are a superset of the global
     # top-20 and the all-to-all ds.sort is unnecessary
-    agg = part_groupby(
-        ds.map_batches(prep, batch_format="pyarrow"),
+    agg = combine(
+        ds,
         ["user_id"],
-        {"value_cents": "sum", "n_events": "sum"},
+        {"value_cents": ("cents", "sum"), "n_events": ("cents", "count")},
+        prep,
+        partitioned=True,
     )
 
     def topk(b: pd.DataFrame) -> pd.DataFrame:
@@ -453,16 +403,8 @@ def q09_top_users(sf_dir: str):
             ["value_cents", "user_id"], ascending=[False, True]
         ).head(20)
 
-    out = (
-        agg.map_batches(topk, batch_format="pandas")
-        .to_pandas()
-        .sort_values(["value_cents", "user_id"], ascending=[False, True])
-        .head(20)
-        .reset_index(drop=True)
-    )
-    for c in ("value_cents", "n_events"):
-        out[c] = out[c].astype("int64")
-    return out
+    out = _collect(agg, topk)
+    return topk(out).reset_index(drop=True)
 
 
 SQL_Q09 = """
@@ -503,20 +445,17 @@ FROM documents
 
 def q12_word_counts(sf_dir: str):
     """Word count with per-batch combiner before the shuffle; the
-    final combine is a Ray groupby over the partials — the vocabulary
-    itself scales with the corpus, so it never lands on the driver."""
-    from ray.data.aggregate import Sum
+    fold is partitioned — the vocabulary itself scales with the
+    corpus, so it never lands on the driver unaggregated."""
+    return _collect(_word_counts(sf_dir))
 
+
+def _word_counts(sf_dir: str):
+    """(word, cnt) over the documents, as a partitioned Dataset."""
     ds = _read(sf_dir, "documents", ["text"])
-    out = (
-        part_groupby(
-            ds.map_batches(tx.word_count_partial, batch_format="pandas"),
-            ["word"],
-            {"cnt": "sum"},
-        ).to_pandas()
+    return combine(
+        ds, ["word"], {"cnt": ("cnt", "sum")}, tx.word_count_partial, partitioned=True
     )
-    out["cnt"] = out["cnt"].astype("int64")
-    return out
 
 
 SQL_Q12 = f"""
@@ -692,9 +631,10 @@ def q18_jaccard_pairs(sf_dir: str):
     """Exact n-gram Jaccard near-dup pairs, fully distributed:
     shingle explode (each row carrying its doc's distinct-shingle
     count) → hash-partition by shingle → per-partition vectorized
-    self-merge emitting partial pair counts → Ray groupby(pair) sum →
-    ratio filter.  No full-dataset driver materialization; the driver
-    only holds the final thresholded pair list.
+    self-merge emitting one row per shared shingle of a doc pair →
+    partitioned ``combine`` by pair (count, max) → ratio filter.  No
+    full-dataset driver materialization; the driver only holds the
+    final thresholded pair list.
 
     Shingles travel as 64-bit hashes (``dedup._distinct_shingles`` —
     one flat vectorized pass per batch, no per-doc Python loop), which
@@ -733,34 +673,24 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
     def partition_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # all rows of any given shingle are in this partition, so the
         # self-merge is complete for these shingles; one vectorized
-        # pandas merge per partition, never per group
+        # pandas merge per partition, never per group — one row per
+        # shared shingle of a doc pair
         pr = g.merge(g, on="shingle", suffixes=("_a", "_b"))
         pr = pr[pr["doc_id_a"] < pr["doc_id_b"]]
-        if len(pr) == 0:
-            return pd.DataFrame(
-                {
-                    "ia": pd.Series([], dtype="int64"),
-                    "ib": pd.Series([], dtype="int64"),
-                    "inter": pd.Series([], dtype="int64"),
-                    "na": pd.Series([], dtype="int64"),
-                    "nb": pd.Series([], dtype="int64"),
-                }
-            )
-        cnt = (
-            pr.groupby(["doc_id_a", "doc_id_b"], as_index=False)
-            .agg(inter=("shingle", "size"), na=("n_a", "max"), nb=("n_b", "max"))
-            .rename(columns={"doc_id_a": "ia", "doc_id_b": "ib"})
+        return pd.DataFrame(
+            {"ia": pr["doc_id_a"], "ib": pr["doc_id_b"],
+             "na": pr["n_a"], "nb": pr["n_b"]}
         )
-        return cnt
 
     partials = keyed_map(
         ds.map_batches(shingles, batch_format="pyarrow"), "part", npart,
         partition_pairs,
     )
-    agg = part_groupby(
+    agg = combine(
         partials,
         ["ia", "ib"],
-        {"inter": "sum", "na": "max", "nb": "max"},
+        {"inter": ("ia", "count"), "na": ("na", "max"), "nb": ("nb", "max")},
+        partitioned=True,
     )
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
@@ -773,15 +703,7 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
         )
         return out[out["jaccard"] >= threshold]
 
-    out = agg.map_batches(finish, batch_format="pandas").to_pandas()
-    if out.empty:
-        return pd.DataFrame(
-            {
-                "ia": pd.Series([], dtype="int64"),
-                "ib": pd.Series([], dtype="int64"),
-                "jaccard": pd.Series([], dtype="float64"),
-            }
-        )
+    out = _collect(agg, finish)
     return out.sort_values(["ia", "ib"]).reset_index(drop=True)
 
 
@@ -799,25 +721,30 @@ FROM p WHERE inter*1.0/(na+nb-inter) >= 0.5
 
 
 def q19_sessionize(sf_dir: str):
-    """Session windows (30-min gap) per user: groupby + ordered scan
-    in map_groups (streaming-shaped workload pattern)."""
+    """Session windows (30-min gap) per user: user-hash partition,
+    then one ordered scan per user-complete partition (streaming-shaped
+    workload pattern)."""
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
+    npart = ncpus()
 
-    def sess(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
+    def sessions(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["user_id", "ts", "event_id"])
+        uid = g["user_id"].to_numpy()
         # normalize to microseconds BEFORE int64 (an ns-typed block
         # would make every gap 1000x the 30-min constant)
         us = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        brk = (np.diff(us) > 1_800_000_000).sum() if len(us) > 1 else 0
+        first = np.r_[np.ones(min(len(g), 1), bool), uid[1:] != uid[:-1]]
+        brk = np.r_[first[:1], np.diff(us) > 1_800_000_000] & ~first
+        run = np.cumsum(first) - 1  # user run of each row
         return pd.DataFrame(
             {
-                "user_id": [g["user_id"].iloc[0]],
-                "n_events": [len(g)],
-                "n_sessions": [int(brk) + 1],
+                "user_id": uid[first],
+                "n_events": np.bincount(run, minlength=first.sum()),
+                "n_sessions": np.bincount(run[brk], minlength=first.sum()) + 1,
             }
         )
 
-    return ds.groupby("user_id").map_groups(sess, batch_format="pandas")
+    return keyed_map(with_hash_part(ds, ["user_id"], npart), "part", npart, sessions)
 
 
 SQL_Q19 = """
@@ -859,16 +786,9 @@ def q26_brand_volume(sf_dir: str):
     """lineitem ⋈ part ``hash_join`` + grouped aggregate (part is
     SF-proportional — 200k×SF rows — so no broadcast)."""
 
-    def prep(t: pa.Table) -> pd.DataFrame:
-        df = pd.DataFrame(
-            {
-                "p_brand": t["p_brand"].to_pandas(),
-                "qty_cents": _cents(t["l_quantity"].to_numpy(zero_copy_only=False)),
-            }
-        )
-        return df.groupby("p_brand", as_index=False).agg(
-            qty_cents=("qty_cents", "sum"), n_items=("qty_cents", "size")
-        )
+    def prep(t: pa.Table) -> pa.Table:
+        cents = _cents(t["l_quantity"].to_numpy(zero_copy_only=False))
+        return pa.table({"p_brand": t["p_brand"], "cents": cents})
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
@@ -876,10 +796,11 @@ def q26_brand_volume(sf_dir: str):
         li, part, "l_partkey", "p_partkey",
         npart=_join_parts(sf_dir, "lineitem", "part"),
     )
-    return _final_combine(
-        joined.map_batches(prep, batch_format="pyarrow"),
+    return combine(
+        joined,
         ["p_brand"],
-        ["qty_cents", "n_items"],
+        {"qty_cents": ("cents", "sum"), "n_items": ("cents", "count")},
+        prep,
     )
 
 
@@ -1114,17 +1035,11 @@ def q34_region_revenue(sf_dir: str):
 
     def add_region(t: pa.Table, lookup) -> pd.DataFrame:
         nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "r_name": pd.Series(nk).map(lookup).fillna(""),
-                "revenue_cents": _cents(
-                    t["o_totalprice"].to_numpy(zero_copy_only=False)
-                ),
+                "cents": _cents(t["o_totalprice"].to_numpy(zero_copy_only=False)),
             }
-        )
-        return df.groupby("r_name", as_index=False).agg(
-            revenue_cents=("revenue_cents", "sum"),
-            n_orders=("revenue_cents", "size"),
         )
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -1133,11 +1048,7 @@ def q34_region_revenue(sf_dir: str):
         orders, cust, "o_custkey", "c_custkey",
         npart=_join_parts(sf_dir, "orders", "customer"),
     )
-    return _final_combine(
-        joined.map_batches(_broadcast_fn(ref, add_region), batch_format="pyarrow"),
-        ["r_name"],
-        ["revenue_cents", "n_orders"],
-    )
+    return combine(joined, ["r_name"], _REVENUE, _broadcast_fn(ref, add_region))
 
 
 SQL_Q34 = """
@@ -1158,25 +1069,19 @@ def q35_props_extract(sf_dir: str):
     only schemaless payload analog)."""
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
+    def prep(t: pa.Table) -> pd.DataFrame:
         k = (
-            b["props"]
+            t["props"]
+            .to_pandas()
             .str.extract(r'"k":\s*(\d+)', expand=False)
             .fillna(-1)
             .astype("int64")
         )
-        df = pd.DataFrame(
-            {"event_type": b["event_type"], "k_bucket": k % 10}
-        )
-        return df.groupby(["event_type", "k_bucket"], as_index=False).agg(
-            n=("k_bucket", "size")
+        return pd.DataFrame(
+            {"event_type": t["event_type"].to_pandas(), "k_bucket": k % 10}
         )
 
-    return _final_combine(
-        ds.map_batches(prep, batch_format="pandas"),
-        ["event_type", "k_bucket"],
-        ["n"],
-    )
+    return combine(ds, ["event_type", "k_bucket"], {"n": ("k_bucket", "count")}, prep)
 
 
 SQL_Q35 = """
@@ -1197,26 +1102,21 @@ def q36_supplier_balance(sf_dir: str):
     nname = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
     ref = ray.put(nname)
 
-    def add_nat(t: pa.Table, nn: dict) -> pd.DataFrame:
-        df = pd.DataFrame(
+    def add_nat(t: pa.Table, nn: dict) -> pa.Table:
+        return pa.table(
             {
-                "n_name": [nn.get(k, "") for k in t["s_nationkey"].to_pylist()],
-                "acctbal_cents": _cents(
-                    t["s_acctbal"].to_numpy(zero_copy_only=False)
+                "n_name": pa.array(
+                    [nn.get(k, "") for k in t["s_nationkey"].to_pylist()], pa.string()
                 ),
+                "cents": _cents(t["s_acctbal"].to_numpy(zero_copy_only=False)),
             }
         )
-        return df.groupby("n_name", as_index=False).agg(
-            acctbal_cents=("acctbal_cents", "sum"),
-            n_suppliers=("acctbal_cents", "size"),
-        )
 
-    return _final_combine(
-        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]).map_batches(
-            _broadcast_fn(ref, add_nat), batch_format="pyarrow"
-        ),
+    return combine(
+        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]),
         ["n_name"],
-        ["acctbal_cents", "n_suppliers"],
+        {"acctbal_cents": ("cents", "sum"), "n_suppliers": ("cents", "count")},
+        _broadcast_fn(ref, add_nat),
     )
 
 
@@ -1245,7 +1145,6 @@ def q31_top_hosts(sf_dir: str):
     """Heavy-hitter host tracker (T5: m_topHosts top-100 with ≥20
     downloads — SearchEngine.h:763-778) over a crawl's fetch log."""
     import ray
-    from ray.data.aggregate import Count
 
     from ..functions import urlkernel as uk
 
@@ -1256,14 +1155,8 @@ def q31_top_hosts(sf_dir: str):
         return pa.table({"host": hosts})
 
     ds = ray.data.from_arrow(res.crawl_order.select(["url"]))
-    out = (
-        ds.map_batches(add_host, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(Count(alias_name="downloads"))
-        .sort(["downloads", "host"], descending=[True, False])
-        .limit(100)
-    )
-    pdf = out.to_pandas()
+    pdf = combine(ds, ["host"], {"downloads": ("host", "count")}, add_host)
+    pdf = pdf.sort_values(["downloads", "host"], ascending=[False, True]).head(100)
     return pdf[pdf["downloads"] >= 3].reset_index(drop=True)
 
 
@@ -1407,15 +1300,11 @@ def q39_token_histogram(sf_dir: str):
     per-batch combiner → tiny driver final."""
     ds = _read(sf_dir, "documents", ["text"])
 
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        toks = tx.tokenize_series(b["text"])
-        bucket = (toks.str.len().astype("int64") // 10) * 10
-        out = pd.DataFrame({"bucket": bucket})
-        return out.groupby("bucket", as_index=False).agg(n_docs=("bucket", "size"))
+    def prep(t: pa.Table) -> pa.Table:
+        counts, _idx, _dic = tx._token_dict(t["text"].to_pylist())
+        return pa.table({"bucket": counts // 10 * 10})
 
-    return _final_combine(
-        ds.map_batches(prep, batch_format="pandas"), ["bucket"], ["n_docs"]
-    )
+    return combine(ds, ["bucket"], {"n_docs": ("bucket", "count")}, prep)
 
 
 SQL_Q39 = f"""
@@ -1560,17 +1449,11 @@ def q48_neardup_survivors(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
     drop_ref = ray.put(np.fromiter(drop, np.int64, len(drop)))
 
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        d = ray.get(drop_ref)
-        m = ~b["doc_id"].astype("int64").isin(d)
-        out = b.loc[m, ["source"]].copy()
-        return out.groupby("source", as_index=False).agg(
-            n_docs=("source", "size")
-        )
+    def keep(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return t.select(["source"]).filter(pa.array(~np.isin(ids, ray.get(drop_ref))))
 
-    return _final_combine(
-        ds.map_batches(keep, batch_format="pandas"), ["source"], ["n_docs"]
-    )
+    return combine(ds, ["source"], {"n_docs": ("source", "count")}, keep)
 
 
 SQL_Q48 = (
@@ -1672,38 +1555,25 @@ def q51_bloom_semijoin(sf_dir: str):
     bloom_ref = ray.put(bloom)
     keys_ref = ray.put(keys)
 
-    def probe(b: pd.DataFrame) -> pd.DataFrame:
-        bl = ray.get(bloom_ref)
-        ck = b["o_custkey"].to_numpy(np.int64)
-        cand = sk.bloom_might_contain(bl, ck, 7)
-        sub = b.loc[cand]
-        if not len(sub):
-            return pd.DataFrame(
-                {"o_orderstatus": pd.Series([], dtype=str),
-                 "n_orders": pd.Series([], dtype=np.int64),
-                 "revenue_cents": pd.Series([], dtype=np.int64)}
-            )
-        kk = ray.get(keys_ref)
-        sck = sub["o_custkey"].to_numpy(np.int64)
-        pos = np.searchsorted(kk, sck)
-        exact = (pos < len(kk)) & (kk[np.minimum(pos, len(kk) - 1)] == sck)
-        sub = sub.loc[exact]
-        g = pd.DataFrame(
-            {"o_orderstatus": sub["o_orderstatus"].to_numpy(),
-             "revenue_cents": _cents(sub["o_totalprice"])}
-        ).groupby("o_orderstatus", as_index=False).agg(
-            n_orders=("o_orderstatus", "size"),
-            revenue_cents=("revenue_cents", "sum"),
-        )
-        return g[["o_orderstatus", "n_orders", "revenue_cents"]]
+    def probe(t: pa.Table) -> pa.Table:
+        ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        hit = sk.bloom_might_contain(ray.get(bloom_ref), ck, 7)
+        if hit.any():
+            kk = ray.get(keys_ref)
+            pos = np.searchsorted(kk, ck[hit])
+            hit[hit] = (pos < len(kk)) & (kk[np.minimum(pos, len(kk) - 1)] == ck[hit])
+        t = t.filter(pa.array(hit))
+        cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))
+        return pa.table({"o_orderstatus": t["o_orderstatus"], "cents": cents})
 
     orders = _read(
         sf_dir, "orders", ["o_custkey", "o_orderstatus", "o_totalprice"]
     )
-    return _final_combine(
-        orders.map_batches(probe, batch_format="pandas"),
+    return combine(
+        orders,
         ["o_orderstatus"],
-        ["n_orders", "revenue_cents"],
+        {"n_orders": ("cents", "count"), "revenue_cents": ("cents", "sum")},
+        probe,
     )
 
 
@@ -1739,16 +1609,12 @@ def q52_length_band_filter(sf_dir: str):
     qv = sk.global_quantiles(ds, "n_tokens", [0.10, 0.90])
     lo, hi = int(qv["value"].iloc[0]), int(qv["value"].iloc[1])
 
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        m = (b["n_tokens"] >= lo) & (b["n_tokens"] <= hi)
-        out = b.loc[m, ["source"]].copy()
-        return out.groupby("source", as_index=False).agg(
-            n_docs=("source", "size")
-        )
+    def keep(t: pa.Table) -> pa.Table:
+        n = t["n_tokens"]
+        m = pc.and_(pc.greater_equal(n, lo), pc.less_equal(n, hi))
+        return t.select(["source"]).filter(m)
 
-    return _final_combine(
-        ds.map_batches(keep, batch_format="pandas"), ["source"], ["n_docs"]
-    )
+    return combine(ds, ["source"], {"n_docs": ("source", "count")}, keep)
 
 
 SQL_Q52 = f"""
@@ -1773,17 +1639,7 @@ def q53_kmeans_clusters(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     cent, _ = sim.kmeans(ds, k=8, iters=10)
     labeled = sim.kmeans_assign(ds, cent)
-
-    def count(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("cluster_id", as_index=False).agg(
-            n_vecs=("cluster_id", "size")
-        )
-
-    return _final_combine(
-        labeled.map_batches(count, batch_format="pandas"),
-        ["cluster_id"],
-        ["n_vecs"],
-    )
+    return combine(labeled, ["cluster_id"], {"n_vecs": ("cluster_id", "count")})
 
 
 def q54_weighted_sample(sf_dir: str):
@@ -1941,33 +1797,14 @@ SELECT o_custkey, o_orderkey, total_cents, rn FROM (
 
 
 def q57_distinct_users(sf_dir: str):
-    """Exact COUNT(DISTINCT) per group, distributed: per-batch
-    (event_type, user_id) pair-dedup partials → hash-partition by the
-    PAIR (each distinct pair lands exactly once cluster-wide) →
-    per-partition per-type counts → tiny driver sum over #types rows.
-    The distinct-pair set never converges on one node; only
-    per-type partial counts do."""
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
-
-    def pairs(b: pd.DataFrame) -> pd.DataFrame:
-        return b.drop_duplicates().assign(one=np.int8(1))
-
-    dedup = part_groupby(
-        ds.map_batches(pairs, batch_format="pandas"),
-        ["event_type", "user_id"],
-        {"one": "max"},
-    )
-
-    def counts(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("event_type", as_index=False).agg(
-            n_users=("user_id", "size")
-        )
-
-    out = _final_combine(
-        dedup.map_batches(counts, batch_format="pandas"),
-        ["event_type"],
-        ["n_users"],
-    )
+    """Exact COUNT(DISTINCT) per group, distributed: a partitioned
+    DISTINCT ``combine`` over (event_type, user_id) lands each distinct
+    pair exactly once cluster-wide, then a driver ``combine`` counts
+    them per type (#types rows per block).  The distinct-pair set
+    never converges on one node; only per-type partial counts do."""
+    keys = ["event_type", "user_id"]
+    dedup = combine(_read(sf_dir, "events", keys), keys, {}, partitioned=True)
+    out = combine(dedup, ["event_type"], {"n_users": ("user_id", "count")})
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -2085,20 +1922,16 @@ def q60_zscore(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
-    def moments(b: pd.DataFrame) -> pd.DataFrame:
-        c = _cents(b["value"])
-        df = pd.DataFrame({"event_type": b["event_type"], "s": c, "ss": c * c})
-        g = df.groupby("event_type", as_index=False).agg(
-            s=("s", "sum"), ss=("ss", "sum"), n=("s", "size")
-        )
-        return g
+    def moments(t: pa.Table) -> pa.Table:
+        c = _cents(t["value"].to_numpy(zero_copy_only=False))
+        return pa.table({"event_type": t["event_type"], "c": c, "cc": c * c})
 
-    mom = _final_combine(
-        ds.map_batches(moments, batch_format="pandas"),
+    mom = combine(
+        ds,
         ["event_type"],
-        ["s", "ss", "n"],
-    )
-    mom = mom.set_index("event_type")
+        {"s": ("c", "sum"), "ss": ("cc", "sum"), "n": ("c", "count")},
+        moments,
+    ).set_index("event_type")
     lut = {
         t: (
             float(r["s"]) / r["n"],
@@ -2123,9 +1956,7 @@ def q60_zscore(sf_dir: str):
             }
         )
 
-    out = ds.map_batches(
-        _broadcast_fn(ref, normalize), batch_format="pandas"
-    ).to_pandas()
+    out = _collect(ds, _broadcast_fn(ref, normalize))
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -2145,47 +1976,32 @@ def q61_bigram_counts(sf_dir: str):
     total occurrence (ALL occurrences, not per-doc distinct — the LM
     phrase-table workload, vs q18/q55's set semantics).  Per-batch
     flat vectorized bigram construction (one tokenize pass, doc
-    boundaries masked) → per-batch value_counts partial →
-    ``part_groupby`` sum → per-partition top-40 partial → tiny driver
-    merge.  Bigrams travel as strings because the final answer needs
-    them; counts combine associatively so no partition sees more than
-    its share of the vocabulary."""
+    boundaries masked) → partitioned ``combine`` count →
+    per-partition top-40 partial → tiny driver merge.  Bigrams travel
+    as strings because the final answer needs them; counts combine
+    associatively so no partition sees more than its share of the
+    vocabulary."""
     N = 40
     ds = _read(sf_dir, "documents", ["text"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        toks = tx.tokenize_series(b["text"])
-        lens = toks.str.len().to_numpy(np.int64)
-        flat = np.array(
-            [w for ts in toks for w in ts], dtype=object
-        )
-        if len(flat) < 2:
-            return pd.DataFrame(
-                {
-                    "bigram": pd.Series([], dtype="object"),
-                    "n": pd.Series([], dtype="int64"),
-                }
-            )
+    def bigrams(t: pa.Table) -> pa.Table:
+        lens, idx, dic = tx._token_dict(t["text"].to_pylist())
+        if len(idx) < 2:
+            return pa.table({"bigram": pa.array([], pa.string())})
         off = np.concatenate([[0], np.cumsum(lens)])
-        nw = len(flat) - 1
+        nw = len(idx) - 1
         doc_of = np.searchsorted(off, np.arange(nw), side="right") - 1
         ok = np.arange(nw) + 2 <= off[doc_of + 1]
-        big = pd.Series(flat[:-1][ok]).str.cat(pd.Series(flat[1:][ok]), sep=" ")
-        vc = big.value_counts()
-        return pd.DataFrame(
-            {"bigram": vc.index.to_numpy(), "n": vc.to_numpy(np.int64)}
-        )
+        first = dic.take(pa.array(idx[:-1][ok]))
+        second = dic.take(pa.array(idx[1:][ok]))
+        return pa.table({"bigram": pc.binary_join_element_wise(first, second, " ")})
 
-    agg = part_groupby(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["bigram"],
-        {"n": "sum"},
-    )
+    agg = combine(ds, ["bigram"], {"n": ("bigram", "count")}, bigrams, partitioned=True)
 
     def topn(b: pd.DataFrame) -> pd.DataFrame:
         return b.sort_values(["n", "bigram"], ascending=[False, True]).head(N)
 
-    out = agg.map_batches(topn, batch_format="pandas").to_pandas()
+    out = _collect(agg, topn)
     out = out.sort_values(["n", "bigram"], ascending=[False, True]).head(N)
     return out.reset_index(drop=True)
 
@@ -2229,12 +2045,7 @@ def q62_sequence_packing(sf_dir: str):
 
     counts = ds.map_batches(counted, batch_format="pandas").materialize()
 
-    def subtotal(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("part", as_index=False).agg(tot=("nt", "sum"))
-
-    sub = _final_combine(
-        counts.map_batches(subtotal, batch_format="pandas"), ["part"], ["tot"]
-    )
+    sub = combine(counts, ["part"], {"tot": ("nt", "sum")})
     base = np.zeros(npart, np.int64)
     tot = sub.set_index("part")["tot"]
     vals = np.array([tot.get(i, 0) for i in range(npart)], np.int64)
@@ -2414,40 +2225,19 @@ def q65_incremental_dedup(sf_dir: str):
     )
     bloom_ref, exact_ref = ray.put(bloom), ray.put(exact)
 
-    def probe(b: pd.DataFrame) -> pd.DataFrame:
-        bl = ray.get(bloom_ref)
-        b = b[b["doc_id"].to_numpy(np.int64) >= cut]
-        if not len(b):
-            return pd.DataFrame(
-                {
-                    "source": pd.Series([], dtype="object"),
-                    "n_new": pd.Series([], dtype="int64"),
-                    "n_dup": pd.Series([], dtype="int64"),
-                }
-            )
-        h = fnv1a64_batch(pa.array(b["text"], type=pa.string())).view(
-            np.int64
-        )
-        cand = sk.bloom_might_contain(bl, h, 7)
-        dup = np.zeros(len(b), bool)
-        if cand.any():
+    def probe(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.greater_equal(t["doc_id"], cut))
+        h = fnv1a64_batch(t["text"]).view(np.int64)
+        dup = sk.bloom_might_contain(ray.get(bloom_ref), h, 7)
+        if dup.any():
             ex = ray.get(exact_ref)
-            hv = h[cand].view(np.uint64)
+            hv = h[dup].view(np.uint64)
             pos = np.searchsorted(ex, hv)
-            dup[np.nonzero(cand)[0]] = (pos < len(ex)) & (
-                ex[np.minimum(pos, len(ex) - 1)] == hv
-            )
-        return pd.DataFrame(
-            {"source": b["source"], "n_new": (~dup).astype(np.int64),
-             "n_dup": dup.astype(np.int64)}
-        ).groupby("source", as_index=False).agg(
-            n_new=("n_new", "sum"), n_dup=("n_dup", "sum")
-        )
+            dup[dup] = (pos < len(ex)) & (ex[np.minimum(pos, len(ex) - 1)] == hv)
+        return pa.table({"source": t["source"], "new": ~dup, "dup": dup})
 
-    out = _final_combine(
-        ds.map_batches(probe, batch_format="pandas"),
-        ["source"],
-        ["n_new", "n_dup"],
+    out = combine(
+        ds, ["source"], {"n_new": ("new", "sum"), "n_dup": ("dup", "sum")}, probe
     )
     return out.sort_values("source").reset_index(drop=True)
 
@@ -2538,45 +2328,37 @@ def q67_salted_groupby(sf_dir: str):
     Stage 1 groups by (key, salt) with salt = event_id % NSALT — every
     partition receives ~1/(5·NSALT) of the data; stage 2 folds the
     5·NSALT partial rows by key (tiny).  Exact for associative
-    aggregates; for the catalog's non-associative finishers the same
-    salting applies to the PARTIAL stage only (see `part_groupby`'s
-    combiner-first note).  Oracle = the plain GROUP BY."""
+    aggregates (two ``combine`` calls: partitioned by (key, salt), then
+    a driver fold by key); for the catalog's non-associative finishers
+    the same salting applies to the PARTIAL stage only.  Oracle = the
+    plain GROUP BY."""
     NSALT = 8
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        df = pd.DataFrame(
+    def salt(t: pa.Table) -> pa.Table:
+        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table(
             {
-                "event_type": b["event_type"],
-                "salt": (b["event_id"].to_numpy(np.int64) % NSALT).astype(
-                    np.int64
-                ),
-                "cents": _cents(b["value"]),
+                "event_type": t["event_type"],
+                "salt": eid % NSALT,
+                "cents": _cents(t["value"].to_numpy(zero_copy_only=False)),
             }
         )
-        g = df.groupby(["event_type", "salt"], as_index=False).agg(
-            n=("cents", "size"),
-            sum_cents=("cents", "sum"),
-            max_cents=("cents", "max"),
-        )
-        return g
 
-    salted = part_groupby(
-        ds.map_batches(partial, batch_format="pandas"),
+    salted = combine(
+        ds,
         ["event_type", "salt"],
-        {"n": "sum", "sum_cents": "sum", "max_cents": "max"},
+        {"n": ("cents", "count"), "sum_cents": ("cents", "sum"),
+         "max_cents": ("cents", "max")},
+        salt,
+        partitioned=True,
     )
-
-    # driver fold over the 5·NSALT partial rows (NOT _final_combine,
-    # which sums every column — max must fold by max)
-    pdf = salted.to_pandas()
-    out = pdf.groupby("event_type", as_index=False).agg(
-        n=("n", "sum"),
-        sum_cents=("sum_cents", "sum"),
-        max_cents=("max_cents", "max"),
+    out = combine(
+        salted,
+        ["event_type"],
+        {"n": ("n", "sum"), "sum_cents": ("sum_cents", "sum"),
+         "max_cents": ("max_cents", "max")},
     )
-    for c in ["n", "sum_cents", "max_cents"]:
-        out[c] = out[c].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -2623,15 +2405,12 @@ def q68_windowed_event_dedup(sf_dir: str):
         same = np.r_[first, (uid[1:] == uid[:-1]) & (et[1:] == et[:-1])]
         gap = np.r_[first.astype(np.int64), us[1:] - us[:-1]]
         keep = ~same | (gap > GAP_US)
-        out = pd.DataFrame({"event_type": et, "kept": keep.astype(np.int64)})
-        return out.assign(dropped=(1 - out["kept"]).astype(np.int64)).groupby(
-            "event_type", as_index=False
-        ).agg(n_kept=("kept", "sum"), n_dropped=("dropped", "sum"))
+        return pd.DataFrame({"event_type": et, "kept": keep, "dropped": ~keep})
 
-    out = _final_combine(
+    out = combine(
         keyed_map(ds.map_batches(prep, batch_format="pandas"), "part", npart, dedup),
         ["event_type"],
-        ["n_kept", "n_dropped"],
+        {"n_kept": ("kept", "sum"), "n_dropped": ("dropped", "sum")},
     )
     return out.sort_values("event_type").reset_index(drop=True)
 
@@ -2660,12 +2439,10 @@ def q46_split_sample(sf_dir: str):
     per-batch arithmetic (embarrassingly parallel) + a tiny groupby —
     the 100 TB shape is exactly this: no shuffle until the count
     rollup.  SQL-parity via the same integer arithmetic."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        ids = b["doc_id"].to_numpy(np.int64).astype(np.uint64)
+    def assign(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         h = (ids * np.uint64(2654435761)) % np.uint64(1 << 32)
         split = np.where(
             h < np.uint64(int(0.8 * (1 << 32))),
@@ -2677,20 +2454,14 @@ def q46_split_sample(sf_dir: str):
         # and oracle parity needs identical integer behavior
         h2 = (ids * np.uint64(0x85EBCA6B) + np.uint64(1)) % np.uint64(1 << 32)
         sampled = (split == "train") & (h2 < np.uint64(int(0.1 * (1 << 32))))
-        out = pd.DataFrame({"source": b["source"], "split": split})
-        return (
-            out.assign(n=np.int64(1), n_sampled=sampled.astype(np.int64))
-            .groupby(["source", "split"], as_index=False)
-            .agg(n=("n", "sum"), n_sampled=("n_sampled", "sum"))
-        )
+        return pa.table({"source": t["source"], "split": split, "sampled": sampled})
 
-    out = part_groupby(
-        ds.map_batches(assign, batch_format="pandas"),
+    out = combine(
+        ds,
         ["source", "split"],
-        {"n": "sum", "n_sampled": "sum"},
-    ).to_pandas()
-    out["n"] = out["n"].astype("int64")
-    out["n_sampled"] = out["n_sampled"].astype("int64")
+        {"n": ("sampled", "count"), "n_sampled": ("sampled", "sum")},
+        assign,
+    )
     return out.sort_values(["source", "split"]).reset_index(drop=True)
 
 
@@ -2720,89 +2491,63 @@ def q45_tfidf_terms(sf_dir: str):
     (score = tf * 1e9 // df, a monotone idf transform that is
     hash-stable vs SQL — no float log), top-5 words per source.
 
-    Shape: per-batch partial (source, word, tf) + (word, df) counts
-    (each doc lives in exactly one batch, so batch-local distinct-doc
-    counts sum to exact global df) → two Ray groupby Sums → native
-    hash join tf×df on word → per-source vectorized top-k.  The
-    vocabulary-sized tables never land on the driver; only the
-    5-per-source result does."""
-    from ray.data.aggregate import Sum
-
+    Shape: one ``combine`` over per-batch token rows — (source, word,
+    tf=1) per occurrence plus (source="", word, df=1) per distinct
+    (doc, word) — folds exact tf and df (a doc lives in one batch, so
+    batch-local distinct docs sum to the global df); a word-keyed
+    ``keyed_map`` attaches each word's df to its (source, word) rows
+    and keeps a per-source top-5 per partition (each (source, word)
+    row is unique after the fold, so these are a superset of the
+    global top-5), and the driver merges ≤5·npart rows per source.
+    The vocabulary-sized tables never land on the driver."""
     ds = _read(sf_dir, "documents", ["source", "text"])
+    npart = ncpus()
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        toks = tx.tokenize_series(b["text"])
-        rows = pd.DataFrame(
+    def rows(t: pa.Table) -> pa.Table:
+        counts, idx, dic = tx._token_dict(t["text"].to_pylist())
+        if dic is None:
+            dic = pa.array([], pa.string())
+        doc = np.repeat(np.arange(len(t)), counts)
+        # one (doc, word) row per distinct word of each doc
+        udoc, uword = np.unique(np.stack([doc, idx]), axis=1)
+        n = len(idx)
+        src = t["source"].take(pa.array(np.concatenate([doc, udoc]), pa.int64()))
+        return pa.table(
             {
-                "source": b["source"].repeat(toks.str.len()).to_numpy(),
-                "word": np.concatenate(
-                    [np.asarray(t, dtype=object) for t in toks]
-                )
-                if len(toks)
-                else np.array([], object),
+                "source": pc.if_else(
+                    pa.array(np.arange(n + len(udoc)) < n), src, ""
+                ),
+                "word": dic.take(pa.array(np.concatenate([idx, uword]), pa.int64())),
+                "tf": np.repeat([1, 0], [n, len(udoc)]),
+                "df": np.repeat([0, 1], [n, len(udoc)]),
             }
         )
-        tf = (
-            rows.groupby(["source", "word"], as_index=False)
-            .size()
-            .rename(columns={"size": "tf"})
-        )
-        # df partial: distinct docs containing the word, within batch
-        dfp = (
-            pd.DataFrame({"word": toks.map(set).explode().dropna()})
-            .groupby("word", as_index=False)
-            .size()
-            .rename(columns={"size": "df"})
-        )
-        tf["df"] = np.int64(0)
-        dfp["tf"] = np.int64(0)
-        dfp["source"] = ""
-        return pd.concat(
-            [tf[["source", "word", "tf", "df"]], dfp[["source", "word", "tf", "df"]]],
-            ignore_index=True,
-        )
 
-    agg = part_groupby(
-        ds.map_batches(partial, batch_format="pandas"),
+    agg = combine(
+        ds,
         ["source", "word"],
-        {"tf": "sum", "df": "sum"},
+        {"tf": ("tf", "sum"), "df": ("df", "sum")},
+        rows,
+        partitioned=True,
     )
-
-    _EMPTY = pd.DataFrame(
-        {
-            "source": pd.Series([], dtype=object),
-            "word": pd.Series([], dtype=object),
-            "tf": pd.Series([], dtype="int64"),
-            "df": pd.Series([], dtype="int64"),
-            "score": pd.Series([], dtype="int64"),
-        }
-    )
+    by_score = (["source", "score", "word"], [True, False, True])
 
     def attach_df(g: pd.DataFrame) -> pd.DataFrame:
-        # within one word's group: the source == "" row carries the df
-        # total; attach it to every real (source, word, tf) row
-        dftot = int(g.loc[g["source"] == "", "df"].astype("int64").sum())
-        g = g[g["source"] != ""].copy()
-        if not len(g) or dftot == 0:
-            return _EMPTY
-        g["tf"] = g["tf"].astype("int64")
-        g["df"] = np.int64(dftot)
-        g["score"] = g["tf"] * 1_000_000_000 // dftot
-        return g[["source", "word", "tf", "df", "score"]]
+        # the source == "" row of a word carries its df total; attach
+        # it to every real (source, word, tf) row of that word
+        is_df = (g["source"] == "").to_numpy()
+        dftot = g[is_df].set_index("word")["df"]
+        g = g[~is_df]
+        df = dftot.reindex(g["word"]).to_numpy(np.int64)
+        g = g.assign(df=df, score=g["tf"].to_numpy(np.int64) * 1_000_000_000 // df)
+        g = g.sort_values(by_score[0], ascending=by_score[1])
+        return g.groupby("source", sort=False).head(5)[
+            ["source", "word", "tf", "df", "score"]
+        ]
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return _EMPTY
-        g = g.sort_values(["score", "word"], ascending=[False, True]).head(5)
-        return g[["source", "word", "tf", "df", "score"]]
-
-    out = (
-        agg.groupby("word")
-        .map_groups(attach_df, batch_format="pandas")
-        .groupby("source")
-        .map_groups(topk, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_map(with_hash_part(agg, ["word"], npart), "part", npart, attach_df)
+    out = out.to_pandas().sort_values(by_score[0], ascending=by_score[1])
+    out = out.groupby("source", sort=False).head(5)
     return out.sort_values(["source", "word"]).reset_index(drop=True)
 
 
@@ -2950,31 +2695,18 @@ def q70_repetition_stats(sf_dir: str):
             }
         )
 
-    def rollup(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("keep", as_index=False).agg(
-            n_docs=("doc_id", "size"),
-            sum_tokens=("n_tokens", "sum"),
-            sum_top_unigram=("top_unigram_n", "sum"),
-            sum_top_bigram=("top_bigram_n", "sum"),
-            sum_dup_bigram=("dup_bigram_n", "sum"),
-        )
-
-    out = part_groupby(
-        ds.map_batches(stats, batch_format="pyarrow").map_batches(
-            rollup, batch_format="pandas"
-        ),
+    out = combine(
+        ds,
         ["keep"],
         {
-            "n_docs": "sum",
-            "sum_tokens": "sum",
-            "sum_top_unigram": "sum",
-            "sum_top_bigram": "sum",
-            "sum_dup_bigram": "sum",
+            "n_docs": ("doc_id", "count"),
+            "sum_tokens": ("n_tokens", "sum"),
+            "sum_top_unigram": ("top_unigram_n", "sum"),
+            "sum_top_bigram": ("top_bigram_n", "sum"),
+            "sum_dup_bigram": ("dup_bigram_n", "sum"),
         },
-    ).to_pandas()
-    for c in out.columns:
-        if c != "keep":
-            out[c] = out[c].astype("int64")
+        stats,
+    )
     return out.sort_values("keep").reset_index(drop=True)
 
 
@@ -3022,8 +2754,10 @@ def q71_stratified_sample(sf_dir: str):
     rate-based split and q54's weight-based sampler).  Per-batch
     partial top-k per source (bounded: k rows per source per batch) →
     source-keyed shuffle of the k-bounded partials → final top-k per
-    source.  Nothing corpus-sized crosses the shuffle."""
+    source, one vectorized pass per source-complete partition.  Nothing
+    corpus-sized crosses the shuffle."""
     KPER = 5
+    npart = ncpus()
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -3036,25 +2770,25 @@ def q71_stratified_sample(sf_dir: str):
         )
         return (
             t.sort_values(["source", "h", "doc_id"])
-            .groupby("source", as_index=False)
+            .groupby("source")
             .head(KPER)
         )
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
         return (
             g.sort_values(["source", "h", "doc_id"])
-            .groupby("source", as_index=False)
-            .head(KPER)
+            .groupby("source")
+            .head(KPER)[["source", "doc_id", "h"]]
         )
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("source")
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-    )
-    out = out[["source", "doc_id", "h"]]
-    out["h"] = out["h"].astype("int64")
+    out = keyed_map(
+        with_hash_part(
+            ds.map_batches(partial, batch_format="pandas"), ["source"], npart
+        ),
+        "part",
+        npart,
+        final,
+    ).to_pandas()
     return out.sort_values(["source", "h", "doc_id"]).reset_index(drop=True)
 
 
@@ -3127,20 +2861,13 @@ def q72_image_neardup_survivors(sf_dir: str):
     else:
         drop = np.asarray([], dtype=object)
     meta = ray.data.from_arrow(images.select(["image_id", "fmt"]))
-    drop_ref = ray.put(set(drop.tolist()))
 
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        d = ray.get(drop_ref)
-        m = ~b["image_id"].isin(d)
-        out = b.loc[m, ["fmt"]].copy()
-        return out.groupby("fmt", as_index=False).agg(n_images=("fmt", "size"))
+    def keep(t: pa.Table) -> pa.Table:
+        m = pc.invert(pc.is_in(t["image_id"], drop_set))
+        return t.select(["fmt"]).filter(m)
 
-    out = part_groupby(
-        meta.map_batches(keep, batch_format="pandas"),
-        ["fmt"],
-        {"n_images": "sum"},
-    ).to_pandas()
-    out["n_images"] = out["n_images"].astype("int64")
+    drop_set = pa.array(drop.tolist(), pa.string())
+    out = combine(meta, ["fmt"], {"n_images": ("fmt", "count")}, keep)
     return out.sort_values("fmt").reset_index(drop=True)
 
 
@@ -3158,19 +2885,15 @@ def q73_span_removal(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "source", "text"])
     clean = remove_duplicate_spans(ds, K=8, meta_cols=("source",))
-
-    def roll(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("source", as_index=False).agg(
-            n_docs=("doc_id", "size"),
-            sum_tokens=("n_tokens", "sum"),
-            cut_tokens=("cut_tokens", "sum"),
-            kept_tokens=("kept_tokens", "sum"),
-        )
-
-    out = _final_combine(
-        clean.map_batches(roll, batch_format="pandas"),
+    out = combine(
+        clean,
         ["source"],
-        ["n_docs", "sum_tokens", "cut_tokens", "kept_tokens"],
+        {
+            "n_docs": ("doc_id", "count"),
+            "sum_tokens": ("n_tokens", "sum"),
+            "cut_tokens": ("cut_tokens", "sum"),
+            "kept_tokens": ("kept_tokens", "sum"),
+        },
     )
     return out.sort_values("source").reset_index(drop=True)
 
@@ -3305,34 +3028,14 @@ def q76_embedding_neardup_survivors(sf_dir: str):
     else:
         drop = np.zeros(0, np.int64)
     ds = _read(sf_dir, "embeddings", ["vec_id", "label"])
-    drop_ref = ray.put(np.sort(drop))
+    drop_ref = ray.put(drop)
 
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        d = ray.get(drop_ref)
-        got = b["vec_id"].to_numpy(np.int64)
-        if len(d):
-            pos = np.searchsorted(d, got)
-            dropped = (pos < len(d)) & (
-                d[np.minimum(pos, len(d) - 1)] == got
-            )
-        else:
-            dropped = np.zeros(len(b), bool)
-        out = b.loc[~dropped, ["label"]].copy()
-        out["label"] = out["label"].astype("int64")
-        return out.groupby("label", as_index=False).agg(
-            n_vecs=("label", "size")
-        )
+    def keep(t: pa.Table) -> pa.Table:
+        got = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        kept = ~np.isin(got, ray.get(drop_ref))
+        return pa.table({"label": t["label"].cast(pa.int64())}).filter(pa.array(kept))
 
-    out = _final_combine(
-        ds.map_batches(keep, batch_format="pandas"), ["label"], ["n_vecs"]
-    )
-    if out.empty:
-        return pd.DataFrame(
-            {
-                "label": pd.Series([], dtype="int64"),
-                "n_vecs": pd.Series([], dtype="int64"),
-            }
-        )
+    out = combine(ds, ["label"], {"n_vecs": ("label", "count")}, keep)
     return out.sort_values("label").reset_index(drop=True)
 
 
@@ -3359,6 +3062,28 @@ GROUP BY label ORDER BY label
 """
 
 
+def _moments(sf_dir: str) -> pd.DataFrame:
+    """Per-return-flag float moments of x = l_quantity and
+    y = l_extendedprice (n, Σx, Σy, Σxx, Σyy, Σxy): one projection, one
+    driver ``combine`` — the handful of partial rows per batch are all
+    that leave the tasks."""
+    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice"])
+
+    def project(t: pa.Table) -> pa.Table:
+        x = t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.float64)
+        y = t["l_extendedprice"].to_numpy(zero_copy_only=False).astype(np.float64)
+        return pa.table({"l_returnflag": t["l_returnflag"], "x": x, "y": y,
+                         "xx": x * x, "yy": y * y, "xy": x * y})
+
+    return combine(
+        ds,
+        ["l_returnflag"],
+        {"n": ("x", "count"), "sx": ("x", "sum"), "sy": ("y", "sum"),
+         "sxx": ("xx", "sum"), "syy": ("yy", "sum"), "sxy": ("xy", "sum")},
+        project,
+    )
+
+
 def q84_group_regression(sf_dir: str):
     """Grouped least-squares regression (slope + intercept of
     l_extendedprice on l_quantity per return flag) — the regression
@@ -3367,34 +3092,8 @@ def q84_group_regression(sf_dir: str):
     driver folds a handful of rows and applies the closed form
     slope = (nΣxy−ΣxΣy)/(nΣxx−Σx²), intercept = (Σy−slope·Σx)/n; a
     group with constant x gets NaN for both (SQL NULL)."""
-    ds = _read(
-        sf_dir,
-        "lineitem",
-        ["l_returnflag", "l_quantity", "l_extendedprice"],
-    )
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        x = b["l_quantity"].to_numpy(np.float64)
-        y = b["l_extendedprice"].to_numpy(np.float64)
-        df = pd.DataFrame(
-            {
-                "l_returnflag": b["l_returnflag"],
-                "n": 1.0,
-                "sx": x,
-                "sy": y,
-                "sxx": x * x,
-                "sxy": x * y,
-            }
-        )
-        return df.groupby("l_returnflag", as_index=False).sum()
-
-    pdf = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas()
-        .groupby("l_returnflag", as_index=False)
-        .sum()
-    )
-    n = pdf["n"].to_numpy()
+    pdf = _moments(sf_dir)
+    n = pdf["n"].to_numpy(np.float64)
     sx, sy = pdf["sx"].to_numpy(), pdf["sy"].to_numpy()
     sxx, sxy = pdf["sxx"].to_numpy(), pdf["sxy"].to_numpy()
     # constant x (one distinct l_quantity in a group): no regression
@@ -3405,7 +3104,7 @@ def q84_group_regression(sf_dir: str):
     out = pd.DataFrame(
         {
             "l_returnflag": pdf["l_returnflag"],
-            "n_rows": n.astype(np.int64),
+            "n_rows": pdf["n"],
             "slope": np.round(slope, 6),
             "intercept": np.round(intercept, 6),
         }
@@ -3431,8 +3130,8 @@ def q83_interarrival(sf_dir: str):
 
     Shape: user-hash partition (a user's events co-locate) → one
     vectorized sort + diff per partition with (user, type) run
-    boundaries masked → per-type integer partials → driver folds
-    #types rows."""
+    boundaries masked → one gap row per consecutive pair → a fused
+    driver ``combine`` per type."""
     npart = ncpus()
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -3457,47 +3156,21 @@ def q83_interarrival(sf_dir: str):
         if len(o) > 1:
             same[1:] = (u[1:] == u[:-1]) & (et[1:] == et[:-1])
         gap = np.diff(ts, prepend=ts[0] if len(ts) else 0)
-        df = pd.DataFrame({"event_type": et[same], "gap": gap[same]})
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "event_type": pd.Series([], dtype=object),
-                    "n_gaps": pd.Series([], dtype="int64"),
-                    "sum_gap_us": pd.Series([], dtype="int64"),
-                    "max_gap_us": pd.Series([], dtype="int64"),
-                }
-            )
-        return df.groupby("event_type", as_index=False).agg(
-            n_gaps=("gap", "size"),
-            sum_gap_us=("gap", "sum"),
-            max_gap_us=("gap", "max"),
-        )
+        return pd.DataFrame({"event_type": et[same], "gap": gap[same]})
 
-    pdf = keyed_map(
-        ds.map_batches(project, batch_format="pyarrow"), "part", npart, gaps_part
-    ).to_pandas()
-    if pdf.empty or "event_type" not in pdf.columns:
-        return pd.DataFrame(
-            {
-                "event_type": pd.Series([], dtype=object),
-                "n_gaps": pd.Series([], dtype="int64"),
-                "sum_gap_us": pd.Series([], dtype="int64"),
-                "max_gap_us": pd.Series([], dtype="int64"),
-                "mean_gap_us": pd.Series([], dtype="float64"),
-            }
-        )
-    out = pdf.groupby("event_type", as_index=False).agg(
-        n_gaps=("n_gaps", "sum"),
-        sum_gap_us=("sum_gap_us", "sum"),
-        max_gap_us=("max_gap_us", "max"),
+    out = combine(
+        keyed_map(
+            ds.map_batches(project, batch_format="pyarrow"), "part", npart, gaps_part
+        ),
+        ["event_type"],
+        {"n_gaps": ("gap", "count"), "sum_gap_us": ("gap", "sum"),
+         "max_gap_us": ("gap", "max")},
     )
     out["mean_gap_us"] = np.round(
         out["sum_gap_us"].to_numpy(np.float64)
         / out["n_gaps"].to_numpy(np.float64),
         6,
     )
-    for c in ("n_gaps", "sum_gap_us", "max_gap_us"):
-        out[c] = out[c].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -3524,9 +3197,9 @@ def q82_source_overlap(sf_dir: str):
     Shape: per-batch distinct (source, word-hash) partials →
     word-hash-keyed shuffle (each partition word-complete) → one
     vectorized self-merge per partition emits source-pair
-    co-occurrence counts (≤ |sources| rows per word) plus per-source
-    distinct-count partials; the driver folds |sources|² pair rows
-    and finishes Jaccard.  Words travel as 8-byte hashes (the q18
+    co-occurrence rows plus per-source distinct-word rows, which one
+    fused driver ``combine`` counts to |sources|² pair rows before
+    the Jaccard finish.  Words travel as 8-byte hashes (the q18
     collision trade, ~2⁻⁶⁴/pair); the vocabulary itself never lands
     anywhere whole."""
     from ..functions.hashing import fnv1a64_batch
@@ -3569,46 +3242,35 @@ def q82_source_overlap(sf_dir: str):
             }
         )
 
-    def pair_partial(g: pd.DataFrame) -> pd.DataFrame:
+    def pair_rows(g: pd.DataFrame) -> pd.DataFrame:
+        # one (source_a, source_b) row per word two sources share, plus
+        # one (source, "") row per distinct (source, word): the size row
         d = g[["source", "wh"]].drop_duplicates()
-        sizes = d.groupby("source", as_index=False).agg(n=("wh", "size"))
         pr = d.merge(d, on="wh", suffixes=("_a", "_b"))
         pr = pr[pr["source_a"] < pr["source_b"]]
-        inter = pr.groupby(
-            ["source_a", "source_b"], as_index=False
-        ).agg(inter=("wh", "size"))
-        # union the two partial kinds into one frame (kind column)
-        sizes = sizes.rename(columns={"source": "source_a", "n": "inter"})
-        sizes["source_b"] = ""
-        return pd.concat(
-            [inter, sizes[["source_a", "source_b", "inter"]]],
-            ignore_index=True,
-        )
-
-    pdf = keyed_map(
-        ds.map_batches(distinct_partial, batch_format="pyarrow"), "part", npart, pair_partial
-    ).to_pandas()
-    if pdf.empty or "source_a" not in pdf.columns:
         return pd.DataFrame(
             {
-                "source_a": pd.Series([], dtype=object),
-                "source_b": pd.Series([], dtype=object),
-                "inter": pd.Series([], dtype="int64"),
-                "jaccard": pd.Series([], dtype="float64"),
+                "source_a": np.concatenate([pr["source_a"], d["source"]]),
+                "source_b": np.concatenate(
+                    [pr["source_b"], np.full(len(d), "", object)]
+                ),
             }
         )
-    pdf = pdf.groupby(["source_a", "source_b"], as_index=False)["inter"].sum()
-    sizes = (
-        pdf[pdf["source_b"] == ""]
-        .set_index("source_a")["inter"]
-        .astype(np.int64)
+
+    pdf = combine(
+        keyed_map(
+            ds.map_batches(distinct_partial, batch_format="pyarrow"), "part", npart,
+            pair_rows,
+        ),
+        ["source_a", "source_b"],
+        {"inter": ("source_a", "count")},
     )
+    sizes = pdf[pdf["source_b"] == ""].set_index("source_a")["inter"]
     pairs = pdf[pdf["source_b"] != ""].copy()
     na = sizes[pairs["source_a"]].to_numpy(np.float64)
     nb = sizes[pairs["source_b"]].to_numpy(np.float64)
     inter = pairs["inter"].to_numpy(np.float64)
     pairs["jaccard"] = np.round(inter / (na + nb - inter), 6)
-    pairs["inter"] = pairs["inter"].astype("int64")
     return (
         pairs[["source_a", "source_b", "inter", "jaccard"]]
         .sort_values(["source_a", "source_b"])
@@ -3637,28 +3299,15 @@ def q81_freq_spectrum(sf_dir: str):
     is the DOC-length histogram, this is the WORD-frequency one):
     how many distinct words occur exactly c times, for each c.
 
-    Shape: q12's combiner partials → `part_groupby` word totals
-    (vocabulary stays distributed, each partition key-complete) →
-    per-partition count-of-counts partials → driver folds a
-    spectrum-sized (≈ hundreds of rows) final.  The vocabulary never
-    lands on the driver."""
-    ds = _read(sf_dir, "documents", ["text"])
-    word_counts = part_groupby(
-        ds.map_batches(tx.word_count_partial, batch_format="pandas"),
-        ["word"],
-        {"cnt": "sum"},
-    )
+    Shape: q12's partitioned word counts (vocabulary stays
+    distributed, each partition key-complete) → a driver ``combine``
+    of count-of-counts over them, spectrum-sized (≈ hundreds of
+    rows).  The vocabulary never lands on the driver."""
 
-    def spectrum_partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.groupby("cnt", as_index=False).agg(n_words=("cnt", "size"))
-        return out.rename(columns={"cnt": "freq"})
+    def freq(t: pa.Table) -> pa.Table:
+        return pa.table({"freq": t["cnt"]})
 
-    out = _final_combine(
-        word_counts.map_batches(spectrum_partial, batch_format="pandas"),
-        ["freq"],
-        ["n_words"],
-    )
-    out["freq"] = out["freq"].astype("int64")
+    out = combine(_word_counts(sf_dir), ["freq"], {"n_words": ("freq", "count")}, freq)
     return out.sort_values("freq").reset_index(drop=True)
 
 
@@ -3681,35 +3330,8 @@ def q80_group_corr(sf_dir: str):
     shuffles — only 6 doubles per (group, batch) cross the wire.
     Rounded to 6 decimals so the reduction-order float difference vs
     DuckDB's streaming corr() vanishes."""
-    ds = _read(
-        sf_dir,
-        "lineitem",
-        ["l_returnflag", "l_quantity", "l_extendedprice"],
-    )
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        x = b["l_quantity"].to_numpy(np.float64)
-        y = b["l_extendedprice"].to_numpy(np.float64)
-        df = pd.DataFrame(
-            {
-                "l_returnflag": b["l_returnflag"],
-                "n": 1.0,
-                "sx": x,
-                "sy": y,
-                "sxx": x * x,
-                "syy": y * y,
-                "sxy": x * y,
-            }
-        )
-        return df.groupby("l_returnflag", as_index=False).sum()
-
-    pdf = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas()
-        .groupby("l_returnflag", as_index=False)
-        .sum()
-    )
-    n = pdf["n"].to_numpy()
+    pdf = _moments(sf_dir)
+    n = pdf["n"].to_numpy(np.float64)
     sx, sy = pdf["sx"].to_numpy(), pdf["sy"].to_numpy()
     sxx, syy, sxy = (
         pdf["sxx"].to_numpy(),
@@ -3722,7 +3344,7 @@ def q80_group_corr(sf_dir: str):
     out = pd.DataFrame(
         {
             "l_returnflag": pdf["l_returnflag"],
-            "n_rows": n.astype(np.int64),
+            "n_rows": pdf["n"],
             "corr_qty_price": np.round(corr, 6),
         }
     )
@@ -3845,7 +3467,7 @@ def q78_top_decile(sf_dir: str):
     lineitems sit in the top price decile (percent_rank ≥ 0.9).
 
     Two passes, no global sort: pass 1 folds per-(group, value)
-    counts (combiner partials → `part_groupby`); the per-group
+    counts (a partitioned ``combine``); the per-group
     cumulative gives rank_lt (count strictly smaller — PERCENT_RANK's
     numerator, ties sharing) for every DISTINCT value, which
     broadcasts (value-domain-sized: prices live on a bounded cents
@@ -3856,19 +3478,10 @@ def q78_top_decile(sf_dir: str):
     exactly); only per-group counters cross to the driver."""
     import ray
 
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (
-            b.groupby(["l_returnflag", "l_extendedprice"], as_index=False)
-            .size()
-            .rename(columns={"size": "cnt"})
-        )
-
-    vc = part_groupby(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["l_returnflag", "l_extendedprice"],
-        {"cnt": "sum"},
+    keys = ["l_returnflag", "l_extendedprice"]
+    ds = _read(sf_dir, "lineitem", keys)
+    vc = combine(
+        ds, keys, {"cnt": ("l_extendedprice", "count")}, partitioned=True
     ).to_pandas()
     vc = vc.sort_values(["l_returnflag", "l_extendedprice"])
     vc["lt"] = (
@@ -3884,33 +3497,22 @@ def q78_top_decile(sf_dir: str):
     }
     ref = ray.put(tables)
 
-    def roll(b: pd.DataFrame, t) -> pd.DataFrame:
-        rows = []
-        for rf, g in b.groupby("l_returnflag"):
-            vals, lt, n = t[rf]
-            pos = np.searchsorted(
-                vals, g["l_extendedprice"].to_numpy(np.float64)
-            )
-            top = (
-                int((10 * lt[pos] >= 9 * (n - 1)).sum()) if n > 1 else 0
-            )
-            rows.append(
-                {"l_returnflag": rf, "n_top_decile": top, "n_rows": len(g)}
-            )
-        if not rows:
-            return pd.DataFrame(
-                {
-                    "l_returnflag": pd.Series([], dtype=object),
-                    "n_top_decile": pd.Series([], dtype="int64"),
-                    "n_rows": pd.Series([], dtype="int64"),
-                }
-            )
-        return pd.DataFrame(rows)
+    def flag(t: pa.Table, tabs) -> pa.Table:
+        rf = t["l_returnflag"].to_numpy(zero_copy_only=False)
+        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        top = np.zeros(len(t), bool)
+        for r in np.unique(rf):  # a handful of flags per batch
+            vals, lt, n = tabs[r]
+            at = rf == r
+            rank_lt = lt[np.searchsorted(vals, price[at])]
+            top[at] = (10 * rank_lt >= 9 * (n - 1)) & (n > 1)
+        return pa.table({"l_returnflag": t["l_returnflag"], "top": top})
 
-    out = _final_combine(
-        ds.map_batches(_broadcast_fn(ref, roll), batch_format="pandas"),
+    out = combine(
+        ds,
         ["l_returnflag"],
-        ["n_top_decile", "n_rows"],
+        {"n_top_decile": ("top", "sum"), "n_rows": ("top", "count")},
+        _broadcast_fn(ref, flag),
     )
     return out.sort_values("l_returnflag").reset_index(drop=True)
 
@@ -3931,9 +3533,9 @@ def q77_unigram_logprob(sf_dir: str):
     """Perplexity-style quality scoring with a corpus unigram LM
     (the CCNet-family 'score each doc by LM likelihood' op, with the
     LM trained ON the corpus in the same pipeline): pass 1 builds the
-    global unigram distribution (per-batch combiner partials →
-    `part_groupby`, the vocabulary never lands on the driver
-    unaggregated); the folded vocab broadcasts via ``ray.put`` (Zipf:
+    global unigram distribution (q12's partitioned word counts, the
+    vocabulary never lands on the driver unaggregated); the folded
+    vocab broadcasts via ``ray.put`` (Zipf:
     vocab ≪ corpus); pass 2 streams the corpus once more and computes
     each doc's mean token negative-log-likelihood by dictionary-encode
     + sorted-vocab searchsorted — no per-token Python.  Returns
@@ -3942,11 +3544,7 @@ def q77_unigram_logprob(sf_dir: str):
     import ray
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    vocab = part_groupby(
-        ds.map_batches(tx.word_count_partial, batch_format="pandas"),
-        ["word"],
-        {"cnt": "sum"},
-    ).to_pandas()
+    vocab = _word_counts(sf_dir).to_pandas()
     order = np.argsort(vocab["word"].to_numpy())
     words = vocab["word"].to_numpy()[order]
     counts = vocab["cnt"].to_numpy(np.float64)[order]

@@ -12,7 +12,7 @@ refines ``r = 0.85·r + 0.15`` clamped to ≤ 100
 Above the small-graph threshold each iteration is fully distributed:
 the ranks Dataset hash-joins edges on ``src`` (``keyed.hash_join``; no
 broadcast of a node-proportional dict), contributions pre-aggregate
-per batch, and a ``part_groupby`` sum by ``dst`` + left join back onto
+per batch, and a partitioned ``combine`` sum by ``dst`` + left join back onto
 the node set closes the iteration — partition keys ``src``/``dst`` per
 SURVEY.md §7.4.
 """
@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-from ..stages.keyed import hash_join, ncpus, part_groupby
+from ..stages.keyed import combine, hash_join, ncpus
 
 EDGE_COLS = ("src", "dst", "out_degree")
 
@@ -139,15 +140,10 @@ def pagerank(
 
     edges_mat = edges_ds.map_batches(cast_edges, batch_format="pandas").materialize()
 
-    def contrib(b: pd.DataFrame) -> pd.DataFrame:
-        c = (damping * b["rank"].to_numpy(np.float64) + (1 - damping)) / b[
-            "out_degree"
-        ].to_numpy(np.float64)
-        return (
-            pd.DataFrame({"dst": b["dst"], "c": c})
-            .groupby("dst", as_index=False)["c"]
-            .sum()
-        )  # per-batch combiner before the shuffle
+    def contrib(t: pa.Table) -> pa.Table:
+        rank = t["rank"].to_numpy(zero_copy_only=False).astype(np.float64)
+        deg = t["out_degree"].to_numpy(zero_copy_only=False).astype(np.float64)
+        return pa.table({"dst": t["dst"], "c": (damping * rank + (1 - damping)) / deg})
 
     def fill_zero(b: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -157,12 +153,8 @@ def pagerank(
 
     for _ in range(n_iters):
         joined = hash_join(edges_mat, ranks_ds, "src", "node", npart=npart)
-        sums = part_groupby(
-            joined.map_batches(contrib, batch_format="pandas"),
-            ["dst"],
-            {"c": "sum"},
-            npart=npart,
-        ).materialize()  # hash_join reads each side's schema up front
+        # materialized, as hash_join reads each side's schema up front
+        sums = combine(joined, ["dst"], {"c": ("c", "sum")}, contrib, partitioned=True)
         # nodes with no in-links this round keep rank 0 (left join back)
         ranks_ds = (
             hash_join(nodes_ds, sums, "node", "dst", "left_outer", npart=npart)

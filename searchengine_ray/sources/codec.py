@@ -111,10 +111,6 @@ def phash64(pixels: np.ndarray) -> int:
     return val - (1 << 64) if val >= (1 << 63) else val  # as signed int64
 
 
-def phash_batch(pixel_list) -> np.ndarray:
-    return np.array([phash64(p) for p in pixel_list], np.int64)
-
-
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bitwise Hamming distance between int64 phash arrays."""
     x = (a.astype(np.int64) ^ b.astype(np.int64)).astype(np.uint64)

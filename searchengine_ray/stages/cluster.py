@@ -7,20 +7,18 @@ Algorithm: distributed min-label propagation with pointer-jumping.
 Every node starts labeled with itself; each round computes
 label(n) ← min(label(n), min label of n's neighbors,
 label(label(n))) in ONE fused gather, so convergence is
-O(log diameter) rounds at two sort-shuffles per round.  Labels only decrease and
-are bounded below by the component minimum, so the fixpoint is exact;
-a cheap Sum(label) aggregate detects convergence (labels monotone ⇒
-unchanged sum ⇔ no change).
+O(log diameter) rounds at two ``keyed_map`` shuffles per round (routed
+by ``col % npart``).  Labels only decrease and are bounded below by the
+component minimum, so the fixpoint is exact; a global ``combine`` sum
+of the labels detects convergence (labels monotone ⇒ unchanged sum ⇔
+no change).
 
 Implementation note: both steps are *lookups* (label-of-dst,
-label-of-label), but they are expressed as ONE kind-tagged
-union+groupby gather each, NOT as `Dataset.join` — Ray's hash-shuffle
-join intermittently fails on the empty partitions these small keyed
-tables produce (`ArrowInvalid: No match ... FieldRef`), while the
-sort-based groupby handles them.  Within a key's group: the kind-0 row
-carries the key's own label; kind-1 rows carry the nodes asking for
-it — one vectorized emit per group.  Nothing lands on the driver but
-the one-row convergence aggregate per round.
+label-of-label), expressed as ONE kind-tagged union + ``keyed_map``
+gather: within a key-complete partition the kind-0 rows carry each
+key's own label and kind-1 rows carry the nodes asking for it — one
+vectorized emit per partition.  Nothing lands on the driver but the
+one-row convergence aggregate per round.
 """
 
 from __future__ import annotations
@@ -28,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from .keyed import combine, keyed_map, ncpus
 
 _OUT_DTYPES = {"node": "int64", "label": "int64"}
 
@@ -43,8 +43,6 @@ def _gather_part(g: pd.DataFrame) -> pd.DataFrame:
     vectorized pandas pass answers every key in the partition: emits
     (node, label-of-key) for every requester plus (key, label) for
     the key itself so its label survives the downstream min."""
-    if not len(g):
-        return _empty(_OUT_DTYPES)
     own = g.loc[g["kind"] == 0]
     if not len(own):
         return _empty(_OUT_DTYPES)
@@ -67,8 +65,6 @@ def _gather_part(g: pd.DataFrame) -> pd.DataFrame:
 
 def _min_part(g: pd.DataFrame) -> pd.DataFrame:
     """Per-partition vectorized min-by-node (the label reduce)."""
-    if not len(g) or "node" not in g.columns:
-        return _empty(_OUT_DTYPES)
     out = g.groupby("node", as_index=False)["label"].min()
     return out.astype({"node": "int64", "label": "int64"})
 
@@ -132,7 +128,6 @@ def connected_components(
     label-propagation rounds below.  Accepts a ``pd.DataFrame`` or a
     ``ray.data.Dataset``; always returns a Dataset."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     if isinstance(pairs_ds, pd.DataFrame):
         if len(pairs_ds) <= local_max_pairs:
@@ -177,57 +172,37 @@ def connected_components(
         )
 
     def as_kind0(b: pa.Table) -> pa.Table:
-        if "node" not in b.schema.names or not len(b):
-            return _req_table([], [], [], 0)
         node = _i64(b, "node")
         return _req_table(node, node, _i64(b, "label"), 0)
 
     def as_jump_req(b: pa.Table) -> pa.Table:
         # ask key=label(n) for ITS label, on behalf of n
-        if "node" not in b.schema.names or not len(b):
-            return _req_table([], [], [], 1)
         return _req_table(
             _i64(b, "label"), _i64(b, "node"),
             np.full(len(b), -1, np.int64), 1,
         )
 
-    def stab(b: pa.Table) -> pa.Table:
-        if "node" not in b.schema.names or not len(b):
-            return pa.table({"node": [], "label": []}, schema=_LAB)
-        return pa.table(
-            {"node": pa.array(_i64(b, "node")), "label": pa.array(_i64(b, "label"))},
-            schema=_LAB,
+    npart = ncpus()
+
+    def by(col: str, fn):
+        """``keyed_map`` of ``fn`` over partitions routed by
+        ``col % npart`` (node ids are already well-spread ints)."""
+
+        def route(b: pa.Table) -> pa.Table:
+            p = _i64(b, col) % npart
+            return b.append_column("part", pa.array(p, pa.int64()))
+
+        return lambda ds: keyed_map(
+            ds.map_batches(route, batch_format="pyarrow"), "part", npart, fn
         )
-
-    import ray
-
-    npart = max(2, int(ray.cluster_resources().get("CPU", 8)))
-
-    def part_by(col: str, name: str):
-        def add(b: pa.Table) -> pa.Table:
-            v = (
-                b[col].to_numpy(zero_copy_only=False).astype(np.int64) % npart
-                if len(b)
-                else np.array([], np.int64)
-            )
-            return b.append_column(name, pa.array(v, pa.int64()))
-
-        return add
 
     edges = pairs_ds.map_batches(to_edges, batch_format="pyarrow")
-    labels = (
+    labels = by("node", _min_part)(
         edges.map_batches(
-            lambda b: pa.table(
-                {"node": b["key"], "label": b["key"]}, schema=_LAB
-            ),
+            lambda b: pa.table({"node": b["key"], "label": b["key"]}, schema=_LAB),
             batch_format="pyarrow",
         )
-        .map_batches(part_by("node", "p"), batch_format="pyarrow")
-        .groupby("p")
-        .map_groups(_min_part, batch_format="pandas")
-        .map_batches(stab, batch_format="pyarrow")
-        .materialize()
-    )
+    ).materialize()
 
     prev_sum = None
     for _ in range(max_rounds):
@@ -236,24 +211,17 @@ def connected_components(
         # jump requests (key=label(n), for n) — new_label(n) =
         # min(label(n), min-neighbor label, label(label(n))), a
         # monotone contraction whose fixpoint is the component
-        # minimum; fusing halves the sort-shuffles per round.  Both
-        # shuffles are hash-PARTITION-keyed (key % npart / node %
-        # npart) so the per-group callables run once per partition
-        # with vectorized kernels, not once per graph node.
-        labels = (
+        # minimum; fusing halves the shuffles per round.  Both
+        # shuffles are PARTITION-keyed (key % npart / node % npart) so
+        # the callables run once per partition with vectorized
+        # kernels, not once per graph node.
+        requests = (
             labels.map_batches(as_kind0, batch_format="pyarrow")
             .union(edges)
             .union(labels.map_batches(as_jump_req, batch_format="pyarrow"))
-            .map_batches(part_by("key", "p"), batch_format="pyarrow")
-            .groupby("p")
-            .map_groups(_gather_part, batch_format="pandas")
-            .map_batches(part_by("node", "p2"), batch_format="pyarrow")
-            .groupby("p2")
-            .map_groups(_min_part, batch_format="pandas")
-            .map_batches(stab, batch_format="pyarrow")
-            .materialize()
         )
-        s = labels.aggregate(Sum("label", alias_name="s"))["s"]
+        labels = by("node", _min_part)(by("key", _gather_part)(requests)).materialize()
+        s = int(combine(labels, [], {"s": ("label", "sum")})["s"].iloc[0])
         if prev_sum is not None and s == prev_sum:
             break
         prev_sum = s
@@ -273,10 +241,6 @@ def connected_components(
         # one partition of whole clusters (partitioned by label, so a
         # cluster never straddles partitions); vectorized size via
         # groupby-transform
-        if not len(g) or "node" not in g.columns:
-            return _empty(
-                {"doc_id": "int64", "cluster_id": "int64", "cluster_size": "int64"}
-            )
         return pd.DataFrame(
             {
                 "doc_id": g["node"].astype("int64"),
@@ -287,8 +251,4 @@ def connected_components(
             }
         )
 
-    return (
-        labels.map_batches(part_by("label", "p3"), batch_format="pyarrow")
-        .groupby("p3")
-        .map_groups(finalize_part, batch_format="pandas")
-    )
+    return by("label", finalize_part)(labels)

@@ -641,6 +641,7 @@ def embedding_neardup_pairs(
     in-bucket exact verify.  Pairs may be missed across buckets (LSH
     recall < 1); the exact variant is a full O(n²) matmul — see
     stages/similarity.py for the brute-force path."""
+    npart = ncpus()
 
     def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
         emb = np.stack(batch[emb_col].to_numpy())
@@ -651,7 +652,8 @@ def embedding_neardup_pairs(
         for k in range(n_planes):
             bucket = bucket * 2 + signs[:, k]
         return pd.DataFrame(
-            {id_col: batch[id_col], "bucket": bucket, emb_col: batch[emb_col]}
+            {id_col: batch[id_col], "bucket": bucket, emb_col: batch[emb_col],
+             "part": bucket % npart}
         )
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
@@ -675,8 +677,13 @@ def embedding_neardup_pairs(
             }
         )
 
-    return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
+    def verify_part(g: pd.DataFrame) -> pd.DataFrame:
+        # one bucket-complete partition: one k×k matmul per bucket
+        ids = g[id_col].iloc[:0]
+        empty = pd.DataFrame({"id_a": ids, "id_b": ids, "cos_sim": np.zeros(0)})
+        parts = [verify(b) for _, b in g.groupby("bucket", sort=False)]
+        return pd.concat(parts or [empty], ignore_index=True)
+
+    return keyed_map(
+        ds.map_batches(bucketize, batch_format="pandas"), "part", npart, verify_part
     )

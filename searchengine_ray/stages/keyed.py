@@ -1,5 +1,19 @@
-"""The package's one keyed shuffle: every grouped finish and every join
-runs as ``keyed_map`` on plain Ray tasks.
+"""The package's one grouping path: every grouped aggregate is
+``combine``, and every shuffle by key — the partitioned fold, a
+per-partition finisher, a join — runs as ``keyed_map`` on plain Ray
+tasks.  No other module groups or shuffles by key.
+
+``combine(ds, keys, aggs, fn=None, partitioned=False)``: ``aggs`` maps
+each output column to ``(input column, "sum" | "count" | "min" |
+"max")``; no ``aggs`` is DISTINCT, no ``keys`` one global row.  Each
+batch runs ``fn`` (a projection) and a pyarrow ``group_by`` in one
+fused UDF; the partial rows fold sum→sum, count→sum, min→min, max→max,
+on the driver (a pandas frame) or, with ``partitioned=True``, in a
+``keyed_map`` by key hash (a Dataset).  Null keys form their own group
+and integer results are int64.  Typed-empty rule: when no partial row
+comes back (Ray runs no UDF on an input with no rows), the result is
+the per-batch function and the fold run once on the driver over a
+zero-row table of ``ds.schema()`` — never a schema-less frame.
 
 Shape: a map stage stamps each row with an int64 partition id
 ``part`` in ``[0, npart)`` (a key hash, or any key-complete routing a
@@ -18,7 +32,9 @@ one pad row per partition (flagged in a ``_keyed_pad`` column), so no
 sort partition is empty and ``fn`` runs on every partition — on an
 empty, correctly typed frame where no real row landed.  An empty
 partition therefore yields ``fn``'s typed empty result instead of the
-schema-less block Ray's sort emits for it.
+schema-less block Ray's sort emits for it.  A caller whose input may
+be empty altogether unions in one typed seed row its ``fn`` ignores
+(``hash_join`` does).
 """
 
 from __future__ import annotations
@@ -105,22 +121,104 @@ def keyed_map(ds, part_col: str, npart: int, fn, batch_format: str = "pandas"):
     )
 
 
-def part_groupby(ds, keys: list, aggs: dict, npart: int | None = None):
-    """Distributed grouped aggregate: hash the group keys into
-    ``part``, then one vectorized pandas groupby per key-complete
-    partition.  Exact for sum/max/min; ``aggs`` maps column ->
-    "sum" | "max" | "min".  Routes around Ray's string-keyed
-    ``Aggregate`` operator (measured ~6.9 s for 62 k partial rows at
-    32 CPUs vs ~1 s for the partitioned shape)."""
-    npart = npart or ncpus()
+_FOLD = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def _group(t: pa.Table, keys: list, aggs: dict) -> pa.Table:
+    """``t`` grouped by ``keys`` (nulls form their own group) with
+    ``aggs`` = {output column: (input column, op)}; integer results
+    as int64, columns in ``keys + list(aggs)`` order.
+
+    pyarrow 16 splits the groups of a multi-column key that holds
+    nulls, so such a key column groups by its null-free dictionary
+    codes, mapped back to values afterwards."""
+    by, dicts = list(keys), {}
+    for i, k in enumerate(keys if len(keys) > 1 else ()):
+        if t[k].null_count:
+            enc = pc.dictionary_encode(t[k].combine_chunks(), null_encoding="encode")
+            by[i], dicts[i] = f"_code{i}", enc.dictionary
+            t = t.append_column(by[i], enc.indices)
+    out = t.group_by(by, use_threads=False).aggregate(list(aggs.values()))
+    out = out.rename_columns(keys + list(aggs))
+    for i, d in dicts.items():
+        out = out.set_column(i, keys[i], d.take(out[i]))
+    for i, f in enumerate(out.schema):
+        if pa.types.is_integer(f.type) or pa.types.is_boolean(f.type):
+            if f.name not in keys:
+                out = out.set_column(i, f.name, out[i].cast(pa.int64()))
+    return out
+
+
+def combine(ds, keys: list, aggs: dict, fn=None, partitioned: bool = False):
+    """The package's one grouped aggregate.
+
+    ``aggs`` maps each output column to ``(input column, op)`` with op
+    ``"sum" | "count" | "min" | "max"`` (``count`` counts non-null
+    values, as SQL ``COUNT(col)``); an empty ``aggs`` is DISTINCT over
+    ``keys``, and no ``keys`` is one global row (a driver fold).  Each
+    batch runs ``fn`` (a projection: pyarrow Table in, Table or pandas
+    frame out) and one ``pyarrow`` ``group_by(use_threads=False)`` in
+    the same fused UDF, so only one partial row per group per batch
+    leaves the task.  The fold merges partials sum→sum, count→sum, min→min,
+    max→max.  A null key forms its own group; integer results are
+    int64; float partial sums fold in a fixed order (the partial rows
+    are sorted first), so a float sum is bit-equal run to run.
+
+    The finish is the one choice: a driver fold returning a pandas
+    frame (a result of a few groups), or ``partitioned=True`` — a
+    ``keyed_map`` fold by key hash returning a materialized Dataset
+    (a result too big for the driver).
+
+    Typed empty: Ray skips every UDF when the input has no rows, so no
+    partial row comes back; the result is then ``fn`` + group + fold
+    run once on the driver over a zero-row table of ``ds.schema()`` —
+    the same columns and types a non-empty input gives, zero rows
+    (one row of nulls and zero counts with no ``keys``, as SQL)."""
+    import ray
+
     keys = list(keys)
+    if partitioned and not keys:
+        raise ValueError("a global aggregate is one row: fold it on the driver")
+    npart = ncpus()
+    folds = {c: (c, _FOLD[op]) for c, (_src, op) in aggs.items()}
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(keys, as_index=False).agg(
-            **{c: (c, how) for c, how in aggs.items()}
-        )
+    def partial(t: pa.Table) -> pa.Table:
+        if fn is not None:
+            t = fn(t)
+            if isinstance(t, pd.DataFrame):
+                t = pa.Table.from_pandas(t, preserve_index=False)
+        out = _group(t.replace_schema_metadata(), keys, aggs)
+        if partitioned:
+            cols = [
+                pc.fill_null(out[k], _filler(1, out[k].type)[0]).to_numpy(
+                    zero_copy_only=False
+                )
+                for k in keys
+            ]
+            out = out.append_column("part", pa.array(hash_part(cols, npart)))
+        return out
 
-    return keyed_map(with_hash_part(ds, keys, npart), "part", npart, combine)
+    def fold(t: pa.Table) -> pa.Table:
+        if partitioned:
+            t = t.drop_columns(["part"])
+        if any(op == "sum" and pa.types.is_floating(t[c].type)
+               for c, (_src, op) in aggs.items()):
+            t = t.sort_by([(c, "ascending") for c in t.column_names])
+        return _group(t, keys, folds)
+
+    def typed_empty() -> pa.Table:
+        return fold(partial(arrow_schema(ds).empty_table()))
+
+    parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    if partitioned:
+        out = keyed_map(parts, "part", npart, fold, batch_format="pyarrow")
+        out = out.materialize()
+        return out if out.count() else ray.data.from_arrow(typed_empty())
+    blocks = parts.iter_batches(batch_size=None, batch_format="pyarrow")
+    tables = [t for t in blocks if t.num_rows]
+    if not tables:
+        return typed_empty().to_pandas()
+    return fold(pa.concat_tables(tables, promote_options="permissive")).to_pandas()
 
 
 def with_hash_part(ds, keys: list, npart: int):
@@ -133,7 +231,9 @@ def with_hash_part(ds, keys: list, npart: int):
     return ds.map_batches(addpart, batch_format="pandas")
 
 
-def _arrow_schema(ds) -> pa.Schema:
+def arrow_schema(ds) -> pa.Schema:
+    """``ds``'s schema as a ``pyarrow.Schema`` (runs ``ds`` to its first
+    block when Ray cannot type it from the plan)."""
     s = ds.schema()
     return pa.schema(list(zip(s.names, s.types)))
 
@@ -161,14 +261,19 @@ def hash_join(
     or ``left_anti`` (left rows with no match; only the right key
     column is shuffled).  Null keys never match, as in SQL.  The output
     has the left columns, then the right ones; a key named alike on
-    both sides appears once, any other shared name is an error.  Both
+    both sides appears once, any other shared name is an error.  One
+    typed seed row (a third side no partition joins) rides along, so
+    every partition runs the merge and the output is typed even when
+    both sides are empty.  Both
     schemas are read up front, so a side Ray cannot type from its plan
     alone (a ``map_batches`` output) runs to its first block:
     materialize such a side first."""
+    import ray
+
     if how not in JOIN_TYPES:
         raise ValueError(f"how must be one of {JOIN_TYPES}, got {how!r}")
     npart = npart or ncpus()
-    lsch, rsch = _arrow_schema(left), _arrow_schema(right)
+    lsch, rsch = arrow_schema(left), arrow_schema(right)
     shared = {on} & {right_on}
     clash = (set(lsch.names) & set(rsch.names)) - shared
     if clash:
@@ -184,10 +289,13 @@ def hash_join(
         + [(f"{s}.{f.name}", f.type) for s, sch in enumerate(sides) for f in sch]
     )
 
-    def tag(side: int, key: str):
+    def tag(side: int, key: str | None):
         def f(t: pa.Table) -> pa.Table:
             n = len(t)
-            part = hash_part([t[key].to_numpy(zero_copy_only=False)], npart)
+            part = (
+                hash_part([t[key].to_numpy(zero_copy_only=False)], npart)
+                if key else np.zeros(n, np.int64)
+            )
             cols = [pa.array(part), pa.array(np.full(n, side, np.int8))]
             for s, sch in enumerate(sides):
                 cols += [
@@ -222,7 +330,8 @@ def hash_join(
         # (nullable) whether or not this partition had unmatched rows
         return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
 
+    seed = ray.data.from_arrow(tag(2, None)(pa.table({"n": [0]})))
     tagged = left.map_batches(tag(0, on), batch_format="pyarrow").union(
-        right.map_batches(tag(1, right_on), batch_format="pyarrow")
+        right.map_batches(tag(1, right_on), batch_format="pyarrow"), seed
     )
     return keyed_map(tagged, "part", npart, join_part, batch_format="pyarrow")

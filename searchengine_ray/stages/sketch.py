@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed
+from .keyed import combine
 
 
 def _hash_values(values: np.ndarray) -> np.ndarray:
@@ -184,22 +186,14 @@ def heavy_hitters(
         threshold = max(1, int(total * threshold_frac))
     ref = ray.put(cms)
 
-    def p2(b: pd.DataFrame) -> pd.DataFrame:
+    def p2(t: pa.Table) -> pa.Table:
         sk = ray.get(ref)
-        uniq, cnt = np.unique(values_fn(b), return_counts=True)
+        uniq, cnt = np.unique(values_fn(t.to_pandas()), return_counts=True)
         keep = cms_query(sk, uniq) >= threshold
-        return pd.DataFrame(
-            {value_col: uniq[keep], "cnt": cnt[keep].astype(np.int64)}
-        )
+        return pa.table({value_col: uniq[keep], "cnt": cnt[keep]})
 
-    cand = ds.map_batches(p2, batch_format="pandas").to_pandas()
-    if cand.empty:
-        return pd.DataFrame({value_col: pd.Series([], dtype=str),
-                             "cnt": pd.Series([], dtype=np.int64)})
-    out = cand.groupby(value_col, as_index=False)["cnt"].sum()
-    out = out[out["cnt"] >= threshold].reset_index(drop=True)
-    out["cnt"] = out["cnt"].astype("int64")
-    return out
+    out = combine(ds, [value_col], {"cnt": ("cnt", "sum")}, p2)
+    return out[out["cnt"] >= threshold].reset_index(drop=True)
 
 
 # ---------------------------------------------------------------- bloom

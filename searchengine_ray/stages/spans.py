@@ -226,6 +226,8 @@ def remove_duplicate_spans(
     Returns a Dataset of (doc_id, *meta_cols, n_tokens, cut_tokens,
     kept_tokens, text_clean) — corpus-sized; aggregate or write it,
     don't ``to_pandas`` it at scale."""
+    import ray
+
     npart = npart or ncpus()
     meta_cols = tuple(meta_cols)
 
@@ -274,7 +276,7 @@ def remove_duplicate_spans(
         cols["pos"] = pa.array(np.full(len(doc), -1), pa.int64())
         return pa.table(cols, schema=_UN)
 
-    def reserialize(g: pd.DataFrame) -> pd.DataFrame:
+    def reserialize(g: pd.DataFrame) -> pa.Table:
         import pyarrow.compute as pc
 
         docs = g[g["role"] == 0]
@@ -330,16 +332,25 @@ def remove_duplicate_spans(
             clean = [""] * nd
         out = {"doc_id": docs["doc_id"].to_numpy(np.int64)}
         for c in meta_cols:
-            out[c] = docs[c].to_numpy()
+            out[c] = pa.array(docs[c].to_numpy(), pa.string())
         out["n_tokens"] = counts
         out["cut_tokens"] = cutc
         out["kept_tokens"] = counts - cutc
-        out["text_clean"] = clean
-        return pd.DataFrame(out)
+        out["text_clean"] = pa.array(clean, pa.string())
+        return pa.table(out)
 
     cut_ds = keyed_map(_gram_windows(ds, K, npart), "part", npart, cut_rows)
     docs_ds = ds.map_batches(doc_rows, batch_format="pyarrow")
-    return keyed_map(docs_ds.union(cut_ds), "dpart", npart, reserialize)
+    # one role-2 row no partition reads: every partition then runs
+    # ``reserialize``, so the output is typed even for an empty corpus
+    seed = ray.data.from_arrow(
+        pa.Table.from_pylist(
+            [{"dpart": 0, "role": 2, "doc_id": 0, "pos": -1, "text": "",
+              **{c: "" for c in meta_cols}}],
+            schema=_UN,
+        )
+    )
+    return keyed_map(docs_ds.union(cut_ds, seed), "dpart", npart, reserialize)
 
 
 def duplicate_spans(ds, K: int = 8, npart: int | None = None) -> pd.DataFrame:

@@ -253,15 +253,19 @@ def hash_word(w: str) -> int:
     return h & _FP_MASK
 
 
-def word_count_partial(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
-    """Per-batch partial word counts (combiner before the groupby —
-    the pre-aggregation pattern that keeps the shuffle small)."""
-    toks = tokenize_series(batch[text_col])
-    exploded = toks.explode().dropna()
-    counts = exploded.value_counts()
-    return pd.DataFrame(
-        {"word": counts.index.astype(str), "cnt": counts.to_numpy(np.int64)}
-    )
+def word_count_partial(batch, text_col: str = "text") -> pa.Table:
+    """Per-batch partial word counts of a pandas frame or pyarrow Table
+    (the combiner before the groupby — the pre-aggregation pattern that
+    keeps the shuffle small): one row per distinct word of the batch."""
+    texts = batch[text_col]
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.to_pylist()
+    _counts, idx, dic = _token_dict(texts)
+    if dic is None:
+        return pa.table(
+            {"word": pa.array([], pa.string()), "cnt": pa.array([], pa.int64())}
+        )
+    return pa.table({"word": dic, "cnt": np.bincount(idx, minlength=len(dic))})
 
 
 def shingle_set(tokens: list[str], k: int) -> set[int]:

@@ -1,5 +1,6 @@
 """The keyed-shuffle primitive (``stages/keyed.py``): one ``fn`` call
-per key-complete partition, typed results for empty partitions, and
+per key-complete partition, typed results for empty partitions,
+``combine`` equal to DuckDB ``GROUP BY`` for both finishes, and
 ``hash_join`` equal to DuckDB for every join type the package uses."""
 
 import os
@@ -61,9 +62,12 @@ def test_keyed_map_typed_when_empty(ray_session):
     got = pd.concat(blocks).sort_values("w").reset_index(drop=True)
     assert got.to_dict("list") == {"w": ["a", "b"], "c": [4, 2]}
 
-    # 2 keys over 5 partitions: at least 3 partitions are typed empties
-    got = keyed.part_groupby(
-        ray.data.from_pandas(df.drop(columns="part")), ["w"], {"c": "sum"}, npart=5
+    # 2 keys over ncpus() >= 4 partitions: at least 2 are typed empties
+    got = keyed.combine(
+        ray.data.from_pandas(df.drop(columns="part")),
+        ["w"],
+        {"c": ("c", "sum")},
+        partitioned=True,
     ).to_pandas()
     assert list(got.columns) == ["w", "c"] and str(got["c"].dtype) == "int64"
     assert sorted(got["w"]) == ["a", "b"]
@@ -91,6 +95,121 @@ def test_keyed_map_keeps_types_past_empty_pandas_blocks(ray_session):
     left = ray.data.from_pandas(df).materialize()
     got = keyed.hash_join(left, other, "k", "j", npart=8).to_pandas()
     assert (got["k"] == got["j"]).all() and len(got) == 6
+
+
+def _groups() -> pd.DataFrame:
+    """600 rows in 4 blocks: a string key with nulls, an int key, an
+    int value with nulls and a float value."""
+    rng = np.random.default_rng(3)
+    n = 600
+    return pd.DataFrame(
+        {
+            "k1": pd.array(rng.choice(["a", "b", "c", None], n), dtype=object),
+            "k2": rng.integers(0, 3, n),
+            "v": pd.array(
+                np.where(rng.random(n) < 0.1, None, rng.integers(-50, 50, n)),
+                dtype="Int64",
+            ),
+            "f": rng.standard_normal(n) * 1e3,
+        }
+    )
+
+
+_AGGS = {
+    "s": ("v", "sum"),
+    "c": ("v", "count"),
+    "lo": ("v", "min"),
+    "hi": ("f", "max"),
+    "fs": ("f", "sum"),
+}
+_AGG_SQL = "SUM(v) AS s, COUNT(v) AS c, MIN(v) AS lo, MAX(f) AS hi, SUM(f) AS fs"
+
+
+def _blocks(df: pd.DataFrame, reverse: bool = False):
+    import ray
+
+    parts = [df.iloc[i::4] for i in range(4)]
+    return ray.data.from_pandas(parts[::-1] if reverse else parts)
+
+
+def _rounded(df: pd.DataFrame) -> list:
+    # float sums differ from DuckDB's in the last bits (another order)
+    return _canon(df.assign(fs=df["fs"].astype(float).round(6)))
+
+
+@pytest.mark.parametrize(
+    "keys, partitioned",
+    [
+        (["k1", "k2"], False),
+        (["k1", "k2"], True),
+        (["k1"], False),
+        (["k1"], True),
+        ([], False),
+    ],
+    ids=["composite-driver", "composite-partitioned", "nullable-driver",
+         "nullable-partitioned", "global-driver"],
+)
+def test_combine_matches_duckdb(ray_session, keys, partitioned):
+    """sum/count/min/max together; a null key is its own group; no
+    keys is one global row (driver only); both finishes give the same
+    rows."""
+    df = _groups()
+    got = keyed.combine(_blocks(df), keys, _AGGS, partitioned=partitioned)
+    got = got.to_pandas() if partitioned else got
+    cols = ", ".join(keys)
+    sql = f"SELECT {cols + ', ' if cols else ''}{_AGG_SQL} FROM df"
+    want = duckdb.connect().execute(sql + (f" GROUP BY {cols}" if cols else "")).df()
+    assert list(got.columns) == keys + list(_AGGS)
+    assert all(str(got[c].dtype) == "int64" for c in ("s", "c", "lo"))
+    assert _rounded(got) == _rounded(want)
+
+
+def test_combine_distinct_and_fn(ray_session):
+    """No aggregates is DISTINCT over the keys; ``fn`` projects each
+    batch (pandas out) before the group."""
+    df = _groups()
+    got = keyed.combine(
+        _blocks(df), ["k2", "half"], {},
+        fn=lambda t: t.to_pandas().assign(half=lambda b: b["f"] > 0),
+    )
+    want = duckdb.connect().execute(
+        "SELECT DISTINCT k2, f > 0 AS half FROM df"
+    ).df()
+    assert list(got.columns) == ["k2", "half"]
+    assert _canon(got) == _canon(want)
+
+
+def test_combine_typed_when_input_is_empty(ray_session):
+    """Ray runs no UDF on a zero-row input; both finishes still return
+    the non-empty result's columns and types, with zero rows — and a
+    global aggregate returns SQL's one row of NULL sums, zero counts."""
+    import pyarrow as pa
+    import ray
+
+    full = keyed.combine(_blocks(_groups()), ["k1", "k2"], _AGGS)
+    empty = ray.data.from_arrow(pa.Table.from_pandas(_groups()).slice(0, 0))
+    got = keyed.combine(empty, ["k1", "k2"], _AGGS)
+    assert len(got) == 0 and list(got.dtypes) == list(full.dtypes)
+    part = keyed.combine(empty, ["k1", "k2"], _AGGS, partitioned=True)
+    assert part.count() == 0
+    assert part.schema().names == list(full.columns)
+    assert str(part.schema().types[2]) == "int64"
+
+    one = keyed.combine(empty, [], _AGGS)
+    df = _groups().iloc[:0]  # noqa: F841 - read by DuckDB
+    want = duckdb.connect().execute(f"SELECT {_AGG_SQL} FROM df").df()
+    assert _canon(one) == _canon(want) == [(0.0, None, None, None, None)]
+
+
+def test_combine_float_sums_are_run_to_run_exact(ray_session):
+    """The fold sorts partial rows before summing floats, so the same
+    partials give the same bits whatever order the blocks finish in."""
+    df = _groups()
+    a = keyed.combine(_blocks(df), ["k1"], {"fs": ("f", "sum")})
+    b = keyed.combine(_blocks(df, reverse=True), ["k1"], {"fs": ("f", "sum")})
+    key = a["k1"].fillna("")
+    a, b = a.set_index(key).sort_index(), b.set_index(b["k1"].fillna("")).sort_index()
+    assert a["fs"].tolist() == b["fs"].tolist()
 
 
 def _join_sides():

@@ -1,8 +1,10 @@
-"""Every keyed shuffle in the package goes through ``stages/keyed.py``:
-no module calls ``Dataset.join`` (hash-shuffle aggregator actors) or
-chains ``groupby("part"|"dpart").map_groups`` (a sampling sort plus a
-per-group split), and the benchmark's catalog queries leave Ray Data
-no empty, schema-less block to warn about."""
+"""Every keyed shuffle and grouped aggregate in the package goes
+through ``stages/keyed.py``: no module calls ``Dataset.join``
+(hash-shuffle aggregator actors), any ``map_groups`` (a sampling sort
+plus a per-group split, whatever it groups on) or a Ray ``aggregate``
+(``Dataset.aggregate`` / ``GroupedData.aggregate``, or anything from
+``ray.data.aggregate``), and the benchmark's catalog queries leave Ray
+Data no empty, schema-less block to warn about."""
 
 import ast
 import logging
@@ -11,12 +13,17 @@ import pathlib
 import pytest
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "searchengine_ray"
-_PART_COLS = {"part", "dpart"}
+_RAY_AGG = "ray.data.aggregate"
 
 
 def _bypasses(tree: ast.AST) -> list[int]:
     lines = []
     for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module == _RAY_AGG) or (
+            isinstance(node, ast.Import)
+            and any(a.name == _RAY_AGG for a in node.names)
+        ):
+            lines.append(node.lineno)
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         f = node.func
@@ -25,17 +32,16 @@ def _bypasses(tree: ast.AST) -> list[int]:
         if f.attr == "join" and len(node.args) + len(node.keywords) >= 2:
             if ast.unparse(f.value) not in ("os.path", "posixpath"):
                 lines.append(node.lineno)
-        elif (
-            f.attr == "map_groups"
-            and isinstance(f.value, ast.Call)
+        elif f.attr == "map_groups":
+            lines.append(node.lineno)
+        elif f.attr == "aggregate" and not (
+            # pyarrow's Table.group_by(...).aggregate is combine's kernel
+            isinstance(f.value, ast.Call)
             and isinstance(f.value.func, ast.Attribute)
-            and f.value.func.attr == "groupby"
-            and f.value.args
-            and isinstance(f.value.args[0], ast.Constant)
-            and f.value.args[0].value in _PART_COLS
+            and f.value.func.attr == "group_by"
         ):
             lines.append(node.lineno)
-    return lines
+    return sorted(lines)
 
 
 def test_guard_catches_bypasses():
@@ -47,8 +53,13 @@ def test_guard_catches_bypasses():
         "g = ds.groupby('part').map_groups(fn, batch_format='pandas')\n"
         "h = ds.groupby('user_id').map_groups(fn)\n"
         "d = (ds.map_batches(f)\n      .groupby('dpart')\n      .map_groups(fn))\n"
+        "from ray.data.aggregate import Sum\n"
+        "s = ds.aggregate(Sum('x'))\n"
+        "c = ds.groupby('host').aggregate(Count())\n"
+        "t = tbl.group_by(['k'], use_threads=False).aggregate([('v', 'sum')])\n"
+        "import ray.data.aggregate\n"
     )
-    assert _bypasses(ast.parse(src)) == [4, 5, 7]
+    assert _bypasses(ast.parse(src)) == [4, 5, 6, 7, 10, 11, 12, 14]
 
 
 def test_package_uses_keyed_shuffle_only():

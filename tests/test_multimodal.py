@@ -1,19 +1,10 @@
-"""Multimodal actor-stage tests: real image path, stubbed audio/video
-plumbing (schemas/batching real; codecs behind FAUD/FVID fakes)."""
+"""Multimodal actor-stage tests: the real image decode/resize path."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 from searchengine_ray.sources.synth import gen_images
-from searchengine_ray.stages.multimodal import (
-    AudioFeatures,
-    ImageDecodeResize,
-    VideoFrameSample,
-    make_fake_audio,
-    make_fake_video,
-    resize_nn,
-)
+from searchengine_ray.stages.multimodal import ImageDecodeResize, resize_nn
 
 
 def test_resize_nn():
@@ -43,39 +34,3 @@ def test_image_stage_bad_bytes():
     )
     out = stage(batch)
     assert out["decode_ok"].to_pylist() == [False]
-
-
-def test_audio_stage_fake_container():
-    stage = AudioFeatures()
-    batch = pa.table(
-        {
-            "audio_id": ["a0", "a1"],
-            "audio": [make_fake_audio(1000, 1), make_fake_audio(10, 2)],
-        }
-    )
-    out = stage(batch)
-    assert out["n_samples"].to_pylist() == [1000, 10]
-    assert all(r > 0 for r in out["rms"].to_pylist())
-
-
-def test_audio_stage_real_codec_stubbed():
-    stage = AudioFeatures()
-    batch = pa.table({"audio_id": ["x"], "audio": [b"RIFF....WAVE"]})
-    with pytest.raises(NotImplementedError):
-        stage(batch)
-
-
-def test_video_frame_sample():
-    stage = VideoFrameSample(every=3)
-    batch = pa.table(
-        {"video_id": ["v0"], "video": [make_fake_video(10, 4, 4, 3)]}
-    )
-    out = stage(batch)
-    assert out["frame_idx"].to_pylist() == [0, 3, 6, 9]
-    assert all(len(f) == 4 * 4 * 3 for f in out["frame"].to_pylist())
-
-
-def test_video_real_codec_stubbed():
-    stage = VideoFrameSample()
-    with pytest.raises(NotImplementedError):
-        stage(pa.table({"video_id": ["x"], "video": [b"\x00\x00\x01\xba mpeg"]}))

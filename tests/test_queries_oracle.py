@@ -92,6 +92,54 @@ def test_rows_only_queries_run(ray_session, name):
     assert got is not None and (len(got) == 0 or len(got.columns) > 0)
 
 
+# grouped aggregates whose zero-row result diverged from DuckDB's typed
+# empty one (a KeyError or a frame with no columns), plus q06's global
+# aggregate (one row: NULL sum, zero count)
+EMPTY_INPUT = [
+    "q01_pricing_summary",
+    "q06_revenue_filter",
+    "q08_events_hourly",
+    "q12_word_counts",
+    "q26_brand_volume",
+    "q35_props_extract",
+    "q39_token_histogram",
+    "q60_zscore",
+    "q67_salted_groupby",
+    "q73_span_removal",
+    "q80_group_corr",
+    "q81_freq_spectrum",
+    "q84_group_regression",
+]
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    """A zero-row copy of every sf0.001 table (same schema)."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("sf_empty")
+    for t in TABLES:
+        tbl = pq.read_table(os.path.join(SF_DIR, f"{t}.parquet"))
+        pq.write_table(tbl.slice(0, 0), d / f"{t}.parquet")
+    return str(d)
+
+
+@pytest.mark.parametrize("name", EMPTY_INPUT)
+def test_empty_input_matches_oracle(ray_session, empty_dir, name):
+    from searchengine_ray.pipelines import queries as Q
+
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM '{os.path.join(empty_dir, t)}.parquet'"
+        )
+    got = _canon(_to_pandas(Q.queries()[name](empty_dir)))
+    want = _canon(con.execute(Q.oracle_sql()[name]).df())
+    assert list(got.columns) == list(want.columns), (got.columns, want.columns)
+    assert len(got) == len(want), (len(got), len(want))
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_q84_constant_x_is_null(ray_session, tmp_path):
     """A group whose l_quantity never varies (or has one row) has no
     regression line: slope and intercept are NaN where DuckDB's
