@@ -21,10 +21,11 @@ is a fully actor-chained DAG: candidate chunks flow fetch→host(phase1)
 →seen(phase2)→sequencer(phase3)→host(append) as plasma objects.
 Actor-mailbox FIFO gives the ordering the oracle semantics need:
 phase1(wave w+1) queues behind append(wave w) on each host actor, the
-next epoch's dequeue queues behind the last append, and seen-shard
-rollbacks are pulled by the next wave's phase-2 (or an idempotent
-epoch-end flush).  Content metadata and epoch metrics are object refs
-resolved lazily, at ``result()`` or at the epoch's checkpoint write.
+next epoch's dequeue queues behind the last append, and each wave's
+seen-shard rollback is applied exactly once: pulled by the next wave's
+phase-2, or else by the epoch-end (or ``result()``) flush.  Content
+metadata and epoch metrics are object refs resolved lazily, at
+``result()`` or at the epoch's checkpoint write.
 The one branch is the fetch budget: when ``max_fetches`` can cut an
 epoch short, the hosts select first and resolve outcomes only for the
 picks the budget keeps.
@@ -89,6 +90,17 @@ METRICS_SCHEMA = pa.schema(
         ("rejected_cap_budget", pa.int64()),
         ("frontier_size", pa.int64()),
         ("seen_size", pa.int64()),
+    ]
+)
+
+# the crawl order: one row per fetch, in fetch_seq order
+ORDER_SCHEMA = pa.schema(
+    [
+        ("fetch_seq", pa.int64()),
+        ("url", pa.string()),
+        ("url_hash", pa.uint64()),
+        ("t_sched", pa.int64()),
+        ("epoch", pa.int32()),
     ]
 )
 
@@ -372,8 +384,7 @@ class _EngineHost:
         self._order_parts: list[pa.Table] = []
         self._content_parts: list = []  # (metrics row, content refs) or tables
         self._metric_refs: list[dict] = []
-        self._pending_rb: tuple = (None, None)  # (tag, rollback table ref)
-        self._wave_tag = 0
+        self._pending_rb = None  # last wave's rollback table ref, unapplied
         self._append_refs: list = []
         self._unappended: list = []  # admitted-table refs awaiting append
         self._prefetched: list | None = None  # next epoch's dequeue refs
@@ -405,15 +416,12 @@ class _EngineHost:
         through phase1 (host actors) → phase2 (seen actors, pulling the
         previous wave's rollback) → sequencer.  Pure submission; returns
         the wave's stats ref."""
-        self._wave_tag += 1
-        tag = self._wave_tag
         p1 = [
             a.admit_phase1_chunks.remote(*cand_refs) for a in self.host_actors
         ]
-        rb_tag, rb_ref = self._pending_rb
         p2 = [
-            a.test_and_add_wave.remote(k, self.n_seen, rb_tag, rb_ref, *p1)
-            for k, a in enumerate(self.seen_actors)
+            a.test_and_add_wave.remote(self._pending_rb, *p1)
+            for a in self.seen_actors
         ]
         adm_ref, rb_new, stats_ref = self.seq_actor.process.options(
             num_returns=3
@@ -432,7 +440,7 @@ class _EngineHost:
             self._append_refs.extend(
                 a.append_many.remote(adm_ref) for a in self.host_actors
             )
-        self._pending_rb = (tag, rb_new)
+        self._pending_rb = rb_new
         return stats_ref
 
     def _flush_appends(self) -> None:
@@ -447,13 +455,12 @@ class _EngineHost:
             self._unappended = []
 
     def _flush_rollback(self) -> None:
-        """Idempotently apply the last wave's pending seen-set rollback
-        (pulled by the next wave's phase-2 otherwise)."""
-        tag, rb = self._pending_rb
-        if rb is not None:
+        """Apply the last wave's pending seen-set rollback now (the next
+        wave's phase-2 pulls it otherwise) and clear it."""
+        if self._pending_rb is not None:
             for a in self.seen_actors:
-                a.apply_rollback.remote(tag, rb)
-            self._pending_rb = (None, None)
+                a.apply_rollback.remote(self._pending_rb)
+            self._pending_rb = None
 
     # -------------------------------------------------------------- epoch
     def _remaining(self) -> int | None:
@@ -513,9 +520,7 @@ class _EngineHost:
         picks = picks.append_column("fetch_seq", pa.array(fseq)).append_column(
             "epoch", pa.array(np.full(n, epoch, np.int32))
         )
-        self._order_parts.append(
-            picks.select(["fetch_seq", "url", "url_hash", "t_sched", "epoch"])
-        )
+        self._order_parts.append(picks.select(ORDER_SCHEMA.names))
         self.fetch_seq += n
         ok = picks.filter(pc.greater_equal(picks["content_row"], 0))
         stat_refs: list = []
@@ -655,22 +660,22 @@ class _EngineHost:
     def result(self) -> EngineResult:
         ray = self.ray
         self._flush_appends()  # frontier state complete for any later use
+        # a crawl that ends without a dequeue (e.g. every seed rolled
+        # back) still owes its last wave's rollback
+        self._flush_rollback()
         if self._append_refs:  # surface any admission-chain errors
             ray.get(self._append_refs)
             self._append_refs = []
         self._resolve_content()
         res = EngineResult()
         res.epochs = self.epoch
-        res.crawl_order = (
-            pa.concat_tables(self._order_parts)
-            if self._order_parts
-            else pa.table({"fetch_seq": []})
+        res.crawl_order = pa.concat_tables(
+            [ORDER_SCHEMA.empty_table(), *self._order_parts]
         )
         parts = [t for t in self._content_parts if len(t)]
         res.content = pa.concat_tables(parts) if parts else None
-        rows = self._metrics_rows()
-        res.metrics = (
-            pa.Table.from_pylist(rows, schema=METRICS_SCHEMA) if rows else None
+        res.metrics = pa.Table.from_pylist(
+            self._metrics_rows(), schema=METRICS_SCHEMA
         )
         for hs in ray.get([a.dump_hashes.remote() for a in self.seen_actors]):
             res.seen.update(int(x) for x in hs)
@@ -770,26 +775,25 @@ class _SeenActor:
         self.shard = SeenShard(capacity=capacity, seed=shard_id)
         self.k = shard_id
         self.n_seen = n_seen
-        self._applied_rb: set[int] = set()
 
     def test_and_add_wave(
-        self, k: int, n_seen: int, rb_tag, rb_tbl, *phase1_outputs
+        self, rb_tbl, *phase1_outputs
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Chained phase 2: first pull-apply the previous wave's pending
-        rollback (sequencer cap/budget rejections — idempotent by tag),
-        then consume the host actors' phase-1 chain OBJECTS directly (no
-        driver hop), restoring global candidate order from the
-        (fetch_seq, pos) keys.  → (order keys, new-mask, post-insert
-        count — piggybacked for the sequencer's budget check)."""
+        """Chained phase 2: first apply the previous wave's pending
+        rollback (sequencer cap/budget rejections), then consume the
+        host actors' phase-1 chain OBJECTS directly (no driver hop),
+        restoring global candidate order from the (fetch_seq, pos) keys.
+        → (order keys, new-mask, post-insert count — piggybacked for the
+        sequencer's budget check)."""
         if rb_tbl is not None:
-            self.apply_rollback(rb_tag, rb_tbl)
+            self.apply_rollback(rb_tbl)
         parts = []
         for chain, _sizes in phase1_outputs:
             if len(chain) == 0:
                 continue
             ok = chain["ok"].to_numpy(zero_copy_only=False)
             uh = chain["url_hash"].to_numpy(zero_copy_only=False)
-            mine = ok & ((uh % np.uint64(n_seen)).astype(np.int64) == k)
+            mine = ok & ((uh % np.uint64(self.n_seen)).astype(np.int64) == self.k)
             idx = np.nonzero(mine)[0]
             if len(idx):
                 keys = _order_keys(
@@ -806,13 +810,9 @@ class _SeenActor:
         mask = self.shard.test_and_add(uh)
         return keys, mask, len(self.shard)
 
-    def apply_rollback(self, tag, rb_tbl: pa.Table) -> None:
+    def apply_rollback(self, rb_tbl: pa.Table) -> None:
         """Un-see this shard's slice of a sequencer rollback (cap/budget
-        rejections).  Idempotent by wave tag — safe to arrive both via
-        the next wave's phase-2 pull AND the epoch-end flush."""
-        if tag in self._applied_rb:
-            return
-        self._applied_rb.add(tag)
+        rejections).  The engine sends each rollback exactly once."""
         uh = rb_tbl["url_hash"].to_numpy(zero_copy_only=False)
         mine = uh[(uh % np.uint64(self.n_seen)).astype(np.int64) == self.k]
         if len(mine):

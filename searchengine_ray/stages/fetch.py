@@ -285,11 +285,11 @@ class FetchDecode:
             link_pos.extend(range(len(links)))
         content = pa.table(out, schema=CONTENT_SCHEMA)
         if self.payload_dir and pay["fetch_seq"]:
-            # Route payload rows by their OWN epoch (same invariant as
-            # stages/httpfetch.py): the crawl dispatcher stamps one
-            # epoch per chunk so the loop is a single iteration there,
-            # but a direct caller mixing epochs must not mis-file rows
-            # under a partition a resume would treat as finished.
+            # Route payload rows by their OWN epoch: the crawl engine
+            # stamps one epoch per chunk so the loop is a single
+            # iteration there, but a direct caller mixing epochs must
+            # not mis-file rows under a partition a resume would treat
+            # as finished.
             tbl = pa.table(pay, schema=PAYLOAD_SCHEMA)
             ep = np.asarray(pay_epochs, dtype=np.int64)
             for e in np.unique(ep):

@@ -16,6 +16,24 @@ shard to exactly one instance, so per-host ordering is preserved with
 no cross-actor coordination.  Wrapped in ``ray.remote`` by
 ``pipelines/crawl.py``; kept Ray-free here for unit testing.
 
+Frontier: the owned shards' pending URLs are ONE ``FRONTIER_SCHEMA``
+Arrow table in ``enqueue_seq`` order — flat records, no Python object
+per URL (the reference's pending DBs hold flat records too).  Appends
+queue owned-row slices of the sequencer's admitted tables; the next
+dequeue or snapshot concatenates them behind the table.  The sequencer
+numbers admissions in submission order and actor-mailbox FIFO delivers
+them in that order, so the concatenation stays seq-sorted.
+
+Dequeue is closed form.  For host h with queued seqs q_0 < q_1 < …, let
+e_h = max(t0, host_next[h]); its candidate keys are
+(e_h + k·politeness_ms, q_k) for k < per_host_epoch_cap.  Each shard
+takes its per_shard_batch smallest keys, the epoch order is the picks
+sorted by key, and host_next[h] becomes h's last pick's t + politeness.
+Proof: the oracle's greedy scan (``pipelines/oracle.py``) advances its
+clock only when no host is eligible, so every pick lands exactly at its
+host's eligibility time, and among eligible hosts it takes the lowest
+seq — it emits picks in (eligibility time, seq) order.
+
 Determinism contract: ``dequeue_epoch`` and the admission phases are
 pure functions of (owned state, sorted input batch) — results are
 independent of actor-pool size or scheduling (SURVEY.md §7.5#1).
@@ -35,7 +53,8 @@ OUT_TIMEOUT = 3
 OUT_NOTFOUND = 4
 OUT_REDIRECT_FAIL = 5
 
-PICKS_SCHEMA = pa.schema(
+# one epoch's picks, before outcome resolution
+SELECT_SCHEMA = pa.schema(
     [
         ("t_sched", pa.int64()),
         ("enqueue_seq", pa.int64()),
@@ -43,9 +62,11 @@ PICKS_SCHEMA = pa.schema(
         ("url_hash", pa.uint64()),
         ("host_hash", pa.uint64()),
         ("shard", pa.int32()),
-        ("content_row", pa.int64()),
-        ("outcome", pa.int8()),
     ]
+)
+
+PICKS_SCHEMA = SELECT_SCHEMA.append(pa.field("content_row", pa.int64())).append(
+    pa.field("outcome", pa.int8())
 )
 
 FRONTIER_SCHEMA = pa.schema(
@@ -70,16 +91,21 @@ HOSTSTATE_SCHEMA = pa.schema(
 )
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run id, rank within its run) of each element of sorted ``keys``."""
+    head = np.ones(len(keys), bool)
+    head[1:] = keys[1:] != keys[:-1]
+    run = np.cumsum(head) - 1
+    return run, np.arange(len(keys)) - np.flatnonzero(head)[run]
+
+
 class HostShards:
     def __init__(self, cfg, shard_ids, store: synth.WebStore):
         self.cfg = cfg
         self.shard_ids = list(shard_ids)
-        # frontier is PERSISTENTLY host-bucketed: shard → {host_hash →
-        # deque of (seq, url, url_hash, host_hash, host)} — dequeue
-        # consumes in place (O(picks + active hosts) per epoch, never a
-        # per-epoch O(frontier) rebuild/sort)
-        self.frontier: dict[int, dict] = {s: {} for s in self.shard_ids}
-        self.shard_n: dict[int, int] = {s: 0 for s in self.shard_ids}
+        self._owned = np.asarray(self.shard_ids, np.int32)
+        self.frontier = FRONTIER_SCHEMA.empty_table()
+        self._pending: list[pa.Table] = []  # appended, not yet merged
         self.host_next: dict[int, int] = {}
         self.host_fail: dict[int, int] = {}
         self.host_cand: dict[int, int] = {}
@@ -94,27 +120,47 @@ class HostShards:
         # phase1 piggybacks THIS to the sequencer so cap math stays
         # exact while frontier appends apply incrementally mid-epoch
         # (the sequencer's own shard_add covers the current epoch)
-        self._size_snapshot: dict[int, int] = dict(self.shard_n)
+        self._size_snapshot = self._shard_sizes()
+
+    def _shard_sizes(self) -> dict[int, int]:
+        counts = np.bincount(
+            self.frontier["shard"].to_numpy(), minlength=self.cfg.shard_count
+        )
+        return {s: int(counts[s]) for s in self.shard_ids}
+
+    def _merged(self) -> pa.Table:
+        """The frontier with every queued append merged in."""
+        if self._pending:
+            self.frontier = pa.concat_tables(
+                [self.frontier, *self._pending]
+            ).combine_chunks()
+            self._pending = []
+        return self.frontier
 
     # ------------------------------------------------------------ dequeue
     def append_and_dequeue(self, epoch: int, *admitted) -> pa.Table:
         """Apply any deferred frontier appends (the previous epoch's
         admitted tables, chained object refs), then dequeue — one actor
         hop instead of append-tasks + dequeue at the epoch boundary."""
-        for adm in admitted:
-            if adm is not None and len(adm):
-                self.append_frontier(adm)
+        self.append_many(*admitted)
         return self.dequeue_epoch(epoch)
 
     def append_many(self, *admitted) -> None:
+        """Queue this actor's rows of admitted tables (seq-assigned and
+        cap-filtered by the sequencer, full tables as chained objects)
+        for the next merge.  ``filter`` copies, so a queued slice never
+        pins the sequencer's object."""
         for adm in admitted:
             if adm is not None and len(adm):
-                self.append_frontier(adm)
+                owned = np.isin(adm["shard"].to_numpy(), self._owned)
+                self._pending.append(
+                    adm.select(FRONTIER_SCHEMA.names).filter(pa.array(owned))
+                )
 
     def dequeue_epoch(self, epoch: int) -> pa.Table:
         """Politeness-greedy per-shard selection + fetch-outcome
-        resolution, in (t_sched, enqueue_seq) order per shard (host
-        health updates are host-local, so per-shard order suffices).
+        resolution, in (t_sched, enqueue_seq) order (host health
+        updates are host-local, so this order suffices).
 
         When a global fetch budget may bind mid-epoch the engine calls
         the two-phase split instead — ``dequeue_select`` then
@@ -122,116 +168,65 @@ class HostShards:
         fail-counter updates stop exactly at the budget, matching the
         oracle's early break (checkpoint state stays resumable past a
         raised limit)."""
-        return self._resolve(self._select(epoch))
+        return self.resolve_outcomes(self.dequeue_select(epoch))
 
     def dequeue_select(self, epoch: int) -> pa.Table:
-        """Phase 1 of the budget-aware split: selection only (frontier
-        removal + politeness clock advance), no outcome resolution."""
-        picks = self._select(epoch)
-        n = len(picks)
+        """Selection only — the closed form of the module docstring
+        (frontier removal + politeness clock advance, no outcome
+        resolution).  ``pipelines/oracle.py``'s O(B·n) scan is the
+        independent spec; the conformance tests and
+        ``tests/test_host_frontier.py`` cross-check the two."""
+        cfg = self.cfg
+        fr = self._merged()
+        if len(fr) == 0:
+            return SELECT_SCHEMA.empty_table()
+        t0 = epoch * cfg.epoch_ms
+        hh = fr["host_hash"].to_numpy()
+        # stable sort by host keeps each host's queue in seq order
+        by_host = np.argsort(hh, kind="stable")
+        host_run, k = _runs(hh[by_host])
+        nxt = self.host_next
+        heads = hh[by_host[k == 0]].tolist()
+        e = np.fromiter((max(t0, nxt.get(h, t0)) for h in heads), np.int64)
+        live = k < cfg.per_host_epoch_cap
+        rows = by_host[live]
+        t = e[host_run[live]] + k[live] * cfg.politeness_ms
+        seq = fr["enqueue_seq"].to_numpy()[rows]
+        shard = fr["shard"].to_numpy()[rows]
+        # each shard's per_shard_batch smallest (t, seq) keys
+        o = np.lexsort((seq, t, shard))
+        o = o[_runs(shard[o])[1] < cfg.per_shard_batch]
+        o = o[np.lexsort((seq[o], t[o]))]  # epoch order
+        rows, t = rows[o], t[o]
+        # ascending t per host: each host's last pick wins
+        self.host_next.update(
+            zip(hh[rows].tolist(), (t + cfg.politeness_ms).tolist())
+        )
+        keep = np.ones(len(fr), bool)
+        keep[rows] = False
+        self.frontier = fr.filter(pa.array(keep))
+        self._size_snapshot = self._shard_sizes()
+        picked = fr.take(pa.array(rows))
         return pa.table(
-            {
-                "t_sched": pa.array([p[0] for p in picks], pa.int64()),
-                "enqueue_seq": pa.array([p[1] for p in picks], pa.int64()),
-                "url": pa.array([p[2] for p in picks], pa.string()),
-                "url_hash": pa.array([p[3] for p in picks], pa.uint64()),
-                "host_hash": pa.array([p[4] for p in picks], pa.uint64()),
-                "shard": pa.array([p[5] for p in picks], pa.int32()),
-            }
+            [pa.array(t)] + [picked[c] for c in SELECT_SCHEMA.names[1:]],
+            schema=SELECT_SCHEMA,
         )
 
     def resolve_outcomes(self, sel: pa.Table) -> pa.Table:
-        """Phase 2: outcome resolution for the budget-surviving subset
-        of this actor's picks (rows arrive in global order restricted
-        to my hosts — per-host order, the only one that matters for the
-        fail-counter walk, is preserved)."""
-        picks = list(
-            zip(
-                sel["t_sched"].to_pylist(),
-                sel["enqueue_seq"].to_pylist(),
-                sel["url"].to_pylist(),
-                (int(x) for x in sel["url_hash"].to_pylist()),
-                (int(x) for x in sel["host_hash"].to_pylist()),
-                sel["shard"].to_pylist(),
-            )
-        )
-        return self._resolve(picks)
-
-    def _select(self, epoch: int) -> list:
-        """Heap-based O(B log H) restatement of the oracle's O(B·n) scan
-        (``pipelines/oracle.py dequeue_epoch`` — the naive spec; the
-        two are cross-validated by the conformance tests): among
-        politeness-eligible hosts pick the entry with the lowest
-        enqueue_seq; otherwise advance the clock to the nearest
-        host_next (ties by earliest entry seq, matching the
-        reference's first-minimum in-order scan,
-        ``SearchEngine.cpp:731-749``)."""
-        import heapq
-        from collections import deque
-
-        cfg = self.cfg
-        t0 = epoch * cfg.epoch_ms
-        picks = []  # (t, seq, url, url_hash, host_hash, shard)
-        for shard in self.shard_ids:
-            by_host = self.frontier[shard]  # persistent host buckets
-            if not by_host:
-                continue
-            t = t0
-            ready = []    # (min_seq, host) — hosts eligible now
-            waiting = []  # (next_t, min_seq, host)
-            for hh, q in by_host.items():
-                nxt = self.host_next.get(hh)
-                if nxt is None or nxt <= t:
-                    heapq.heappush(ready, (q[0][0], hh))
-                else:
-                    heapq.heappush(waiting, (nxt, q[0][0], hh))
-            host_picks: dict[int, int] = {}
-            n_picked = 0
-            while n_picked < cfg.per_shard_batch and (ready or waiting):
-                if not ready:
-                    nxt, _, hh = heapq.heappop(waiting)
-                    t = max(t, nxt)
-                    heapq.heappush(ready, (by_host[hh][0][0], hh))
-                    # pull in every other host that became eligible
-                    while waiting and waiting[0][0] <= t:
-                        _, _, h2 = heapq.heappop(waiting)
-                        heapq.heappush(ready, (by_host[h2][0][0], h2))
-                    continue
-                seq_min, hh = heapq.heappop(ready)
-                q = by_host[hh]
-                seq, url, h, hhx, host = q.popleft()
-                self.host_next[hh] = t + cfg.politeness_ms
-                host_picks[hh] = host_picks.get(hh, 0) + 1
-                picks.append((t, seq, url, h, hh, shard))
-                n_picked += 1
-                self.shard_n[shard] -= 1
-                if q:
-                    if host_picks[hh] < cfg.per_host_epoch_cap:
-                        heapq.heappush(
-                            waiting, (self.host_next[hh], q[0][0], hh)
-                        )
-                else:
-                    del by_host[hh]  # drained host bucket
-        picks.sort(key=lambda p: (p[0], p[1]))
-        self._size_snapshot = dict(self.shard_n)
-        return picks
-
-    def _resolve(self, picks: list) -> pa.Table:
         """Resolve fetch outcomes (bad-host gate → store lookup →
-        redirect).  Store lookups and outcome classification are fully
+        redirect) of ``dequeue_select`` rows — a whole epoch's, or the
+        budget-surviving subset in global order restricted to my hosts
+        (per-host order, the only one the fail-counter walk needs, is
+        preserved).  Store lookups and outcome classification are fully
         vectorized; the order-sensitive fail-counter walk runs ONLY
         over picks of hosts that have a failure event in this batch or
         prior fails on record — per-host state means the walk for
         those hosts is independent of the (vectorized) rest."""
-        n = len(picks)
+        n = len(sel)
         if n == 0:
-            return pa.table({k.name: [] for k in PICKS_SCHEMA}, schema=PICKS_SCHEMA)
-        t_arr = np.fromiter((p[0] for p in picks), np.int64, n)
-        seq_arr = np.fromiter((p[1] for p in picks), np.int64, n)
-        urls = [p[2] for p in picks]
-        uh = np.fromiter((p[3] for p in picks), np.uint64, n)
-        hh = np.fromiter((p[4] for p in picks), np.uint64, n)
-        shard_arr = np.fromiter((p[5] for p in picks), np.int32, n)
+            return PICKS_SCHEMA.empty_table()
+        uh = sel["url_hash"].to_numpy()
+        hh = sel["host_hash"].to_numpy()
         srows = self.store.lookup(uh)
         known = srows >= 0
         status = np.full(n, -999, np.int32)
@@ -327,18 +322,8 @@ class HostShards:
                     oc, cr = OUT_OK, int(srows[i])
             outcome[i] = oc
             content_row[i] = cr
-        return pa.table(
-            {
-                "t_sched": pa.array(t_arr),
-                "enqueue_seq": pa.array(seq_arr),
-                "url": pa.array(urls, pa.string()),
-                "url_hash": pa.array(uh),
-                "host_hash": pa.array(hh),
-                "shard": pa.array(shard_arr),
-                "content_row": pa.array(content_row),
-                "outcome": pa.array(outcome),
-            },
-            schema=PICKS_SCHEMA,
+        return sel.append_column("content_row", pa.array(content_row)).append_column(
+            "outcome", pa.array(outcome)
         )
 
     # ---------------------------------------------------------- admission
@@ -423,66 +408,9 @@ class HostShards:
         )
         return chain
 
-    def append_frontier(self, admitted: pa.Table) -> None:
-        """Append admitted rows (seq-assigned + cap-filtered by the
-        sequencer) to the owned shards, in enqueue_seq order.  Receives
-        the full admitted table (chained object) and selects its own
-        shards itself."""
-        shard_np = admitted["shard"].to_numpy(zero_copy_only=False)
-        owned = np.isin(shard_np, np.asarray(self.shard_ids, np.int32))
-        if not owned.all():
-            admitted = admitted.filter(pa.array(owned))
-        if len(admitted) == 0:
-            return
-        from collections import deque
-
-        admitted = admitted.sort_by("enqueue_seq")
-        frontier = self.frontier
-        shard_n = self.shard_n
-        shard_np = admitted["shard"].to_numpy(zero_copy_only=False)
-        hh_np = admitted["host_hash"].to_numpy(zero_copy_only=False)
-        rows = list(
-            zip(
-                admitted["enqueue_seq"].to_pylist(),
-                admitted["url"].to_pylist(),
-                admitted["url_hash"].to_pylist(),
-                admitted["host_hash"].to_pylist(),
-                admitted["host"].to_pylist(),
-            )
-        )
-        # group by (shard, host) with a stable sort (seq-order preserved
-        # within each group), then one deque.extend per host bucket —
-        # no per-row dict lookups on the epoch-boundary critical path
-        order = np.lexsort((np.arange(len(rows)), hh_np, shard_np))
-        so, ho = shard_np[order], hh_np[order]
-        bounds = np.r_[
-            0,
-            np.nonzero((so[1:] != so[:-1]) | (ho[1:] != ho[:-1]))[0] + 1,
-            len(rows),
-        ]
-        for g0, g1 in zip(bounds[:-1], bounds[1:]):
-            idxs = order[g0:g1]
-            s = int(so[g0])
-            hh = int(ho[g0])
-            by_host = frontier[s]
-            q = by_host.get(hh)
-            if q is None:
-                by_host[hh] = q = deque()
-            q.extend(rows[i] for i in idxs)
-            shard_n[s] += len(idxs)
-
     # --------------------------------------------------------- checkpoint
     def snapshot(self) -> tuple[pa.Table, pa.Table]:
-        f = {k.name: [] for k in FRONTIER_SCHEMA}
-        for s in self.shard_ids:
-            for hh_key in sorted(self.frontier[s]):
-                for seq, url, h, hh, host in self.frontier[s][hh_key]:
-                    f["shard"].append(s)
-                    f["enqueue_seq"].append(seq)
-                    f["url"].append(url)
-                    f["url_hash"].append(h)
-                    f["host_hash"].append(hh)
-                    f["host"].append(host)
+        """→ (frontier in enqueue_seq order, per-host state)."""
         hosts_all = sorted(
             set(self.host_next)
             | set(self.host_fail)
@@ -496,56 +424,24 @@ class HostShards:
             "cand_count": [self.host_cand.get(k, 0) for k in hosts_all],
             "dns_addr": [self.host_dns.get(k, -1) for k in hosts_all],
         }
-        return (
-            pa.table(f, schema=FRONTIER_SCHEMA),
-            pa.table(hstate, schema=HOSTSTATE_SCHEMA),
-        )
+        return self._merged(), pa.table(hstate, schema=HOSTSTATE_SCHEMA)
 
     def restore(self, frontier: pa.Table, hoststate: pa.Table) -> None:
-        from collections import deque
-
-        self.frontier = {s: {} for s in self.shard_ids}
-        self.shard_n = {s: 0 for s in self.shard_ids}
-        fr = frontier.sort_by("enqueue_seq")
-        for s, seq, url, h, hh, host in zip(
-            fr["shard"].to_pylist(),
-            fr["enqueue_seq"].to_pylist(),
-            fr["url"].to_pylist(),
-            fr["url_hash"].to_pylist(),
-            fr["host_hash"].to_pylist(),
-            fr["host"].to_pylist(),
-        ):
-            by_host = self.frontier[s]
-            q = by_host.get(hh)
-            if q is None:
-                by_host[hh] = q = deque()
-            q.append((seq, url, h, hh, host))
-            self.shard_n[s] += 1
-        self.host_next = dict(
-            zip(hoststate["host_hash"].to_pylist(), hoststate["next_time"].to_pylist())
+        self.frontier = (
+            frontier.select(FRONTIER_SCHEMA.names)
+            .sort_by("enqueue_seq")
+            .combine_chunks()
         )
-        self.host_fail = {
-            k: v
-            for k, v in zip(
-                hoststate["host_hash"].to_pylist(),
-                hoststate["fail_count"].to_pylist(),
-            )
-            if v
-        }
-        self.host_cand = {
-            k: v
-            for k, v in zip(
-                hoststate["host_hash"].to_pylist(),
-                hoststate["cand_count"].to_pylist(),
-            )
-            if v
-        }
+        self._pending = []
+        self._size_snapshot = self._shard_sizes()
+        hosts = hoststate["host_hash"].to_pylist()
+
+        def per_host(col: str, keep) -> dict[int, int]:
+            return {h: v for h, v in zip(hosts, hoststate[col].to_pylist()) if keep(v)}
+
+        # a zero clock, fail count or quota equals an absent one
+        self.host_next = per_host("next_time", bool)
+        self.host_fail = per_host("fail_count", bool)
+        self.host_cand = per_host("cand_count", bool)
         if "dns_addr" in hoststate.column_names:
-            self.host_dns = {
-                k: v
-                for k, v in zip(
-                    hoststate["host_hash"].to_pylist(),
-                    hoststate["dns_addr"].to_pylist(),
-                )
-                if v >= 0
-            }
+            self.host_dns = per_host("dns_addr", lambda v: v >= 0)

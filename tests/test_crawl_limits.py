@@ -95,6 +95,23 @@ def test_all_binding_together(ray_session, small_world, tmp_path):
     _assert_match(golden, res)
 
 
+def test_all_seeds_rolled_back(ray_session, small_world, tmp_path):
+    """A seed wave rolled back entirely leaves an empty frontier, so the
+    first dequeue ends the crawl: the rollback must still reach the seen
+    set, and the empty results stay typed."""
+    for limit in ("max_crawl_urls", "max_frontier_per_shard"):
+        cfg = CrawlConfig(
+            shard_count=6, per_shard_batch=40, seen_shards=3, **{limit: 0}
+        )
+        golden, res = _run_both(small_world, tmp_path, cfg, limit)
+        assert golden.seen == set() and golden.crawl_order == []
+        _assert_match(golden, res)
+        assert res.crawl_order.schema.names == [
+            "fetch_seq", "url", "url_hash", "t_sched", "epoch"
+        ]
+        assert len(res.metrics) == 0 and res.metrics.num_columns > 0
+
+
 def test_max_fetches_midepoch_state_conformance(ray_session, small_world, tmp_path):
     """When max_fetches binds mid-epoch, host fail-counters must stop
     exactly at the budget (oracle's early break) — the sliced-off picks
