@@ -70,8 +70,9 @@ def cmd_search(args) -> int:
     import pyarrow as pa
 
     from .pipelines.index import SearchIndex, build_index
+    from .sources.storage import read_parquet
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{args.sf}/documents.parquet", columns=["doc_id", "text", "source"]
     )
     dict_ds = build_index(docs)

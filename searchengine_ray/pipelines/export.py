@@ -29,6 +29,8 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
+from ..sources.storage import read_parquet
+
 
 def clean_batch(b: pd.DataFrame) -> pd.DataFrame:
     """q37 cleaning gate over a batch; keeps text (the corpus payload).
@@ -132,8 +134,6 @@ def span_dedup_etl(in_dir: str, out_dir: str, K: int = 8) -> dict:
     by ``_SUCCESS`` and skipped entirely."""
     import shutil
 
-    import ray
-
     from ..stages.spans import remove_duplicate_spans
 
     if os.path.exists(os.path.join(out_dir, "_SUCCESS")):
@@ -148,7 +148,7 @@ def span_dedup_etl(in_dir: str, out_dir: str, K: int = 8) -> dict:
         for p in sorted(os.listdir(in_dir))
         if p.startswith("part-") and p.endswith(".parquet")
     ]
-    ds = ray.data.read_parquet(parts, columns=["doc_id", "text"])
+    ds = read_parquet(parts, columns=["doc_id", "text"])
     clean = remove_duplicate_spans(ds, K=K)
 
     def finalize(b: pd.DataFrame) -> pd.DataFrame:
@@ -157,6 +157,7 @@ def span_dedup_etl(in_dir: str, out_dir: str, K: int = 8) -> dict:
         return out.rename(columns={"text_clean": "text"})
 
     clean.map_batches(finalize, batch_format="pandas").write_parquet(tmp)
+    os.makedirs(tmp, exist_ok=True)  # an empty Dataset writes no directory
     with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
         f.write("")
     os.replace(tmp, out_dir)  # commit point
@@ -164,23 +165,27 @@ def span_dedup_etl(in_dir: str, out_dir: str, K: int = 8) -> dict:
 
 
 def _span_stats(out_dir: str) -> dict:
-    """Token accounting of a published span-dedup directory — a
-    streaming Ray aggregate over just the two int columns (never a
-    driver-side materialization of corpus-length arrays)."""
-    import ray
+    """Token accounting of a published span-dedup directory — one
+    global ``keyed.combine`` fold over just the two int columns (never
+    a driver-side materialization of corpus-length arrays); an empty
+    corpus (no parts, or parts with no rows) counts zeros."""
+    from ..stages.keyed import combine
 
     parts = [
         os.path.join(out_dir, p)
         for p in os.listdir(out_dir)
         if p.endswith(".parquet")
     ]
-    ds = ray.data.read_parquet(parts, columns=["cut_tokens", "kept_tokens"])
-    agg = ds.sum(["cut_tokens", "kept_tokens"])
-    return {
-        "rows_total": ds.count(),
-        "cut_tokens": int(agg["sum(cut_tokens)"]),
-        "kept_tokens": int(agg["sum(kept_tokens)"]),
-    }
+    stats = {"rows_total": 0, "cut_tokens": 0, "kept_tokens": 0}
+    if not parts:
+        return stats
+    ds = read_parquet(parts, columns=["cut_tokens", "kept_tokens"])
+    row = combine(ds, [], {
+        "rows_total": ("cut_tokens", "count"),
+        "cut_tokens": ("cut_tokens", "sum"),
+        "kept_tokens": ("kept_tokens", "sum"),
+    }).iloc[0]
+    return {k: 0 if pd.isna(row[k]) else int(row[k]) for k in stats}
 
 
 def corpus_etl(sf_dir: str, out_dir: str) -> dict:

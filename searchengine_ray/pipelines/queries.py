@@ -10,7 +10,10 @@ Conventions for hash-stable results vs the SQL oracle:
 * timestamps are compared as BIGINT epoch seconds;
 * every computed column carries the same name in Ray and SQL.
 
-Ray side rules: column-pruned ``read_parquet``, vectorized
+Ray side rules: column-pruned ``read_parquet`` through
+``sources.storage.read_parquet``, which sizes each read by bytes on
+disk (one block per 32 MiB, no floor at the CPU count: a test-scale
+table is one block, not Ray's 2× CPUs of near-empty ones), vectorized
 ``map_batches`` (pyarrow/pandas kernels), pre-aggregation before
 shuffles, broadcast small sides (dimension tables) via ``ray.put``.
 Every grouped aggregate is ``keyed.combine``: a per-batch projection
@@ -32,6 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..sources.storage import blocks_for, read_parquet
 from ..stages import dedup as dd
 from ..stages import text as tx
 from ..stages.keyed import (
@@ -51,11 +55,7 @@ _TOKS_NS = f"list_filter({_TOKS}, x -> x NOT IN ({_STOP_SQL}))"
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    import ray
-
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, f"{table}.parquet"), columns=columns
-    )
+    return read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns)
 
 
 def _cents(x) -> np.ndarray:
@@ -83,17 +83,17 @@ def _broadcast_fn(ref, fn):
 
 
 def _join_parts(sf_dir: str, *tables: str) -> int:
-    """``hash_join`` partition count sized by DATA volume (≈32 MB of
-    input per partition), clamped to 4× the cluster: the partition
-    count grows with the data at 100 TB, while a 20 MB join at test
-    scale runs as a few pandas merges."""
+    """``hash_join`` partition count sized by DATA volume (``blocks_for``:
+    one partition per 32 MiB of input), clamped to [2, 4× the
+    cluster]: the partition count grows with the data at 100 TB, while
+    a 20 MB join at test scale runs as a few pandas merges."""
     total = 0
     for t in tables:
         try:
             total += os.path.getsize(os.path.join(sf_dir, f"{t}.parquet"))
         except OSError:
             pass
-    return int(min(max(2, total // (32 << 20) + 1), 4 * ncpus()))
+    return min(max(2, blocks_for(total)), 4 * ncpus())
 
 
 def _collect(ds, fn=None) -> pd.DataFrame:

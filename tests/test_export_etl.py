@@ -243,6 +243,34 @@ def test_span_dedup_etl_phase2(ray_session, multi_frag_input, tmp_path):
     assert os.path.exists(os.path.join(out, "_SUCCESS"))
 
 
+def test_span_dedup_etl_empty_corpus(ray_session, tmp_path):
+    """A zero-row cleaned corpus publishes ``_SUCCESS`` with zero
+    token stats, and a rerun is skipped with the same stats."""
+    import pyarrow as pa
+
+    from searchengine_ray.pipelines.export import _span_stats, span_dedup_etl
+
+    clean_dir = tmp_path / "corpus"
+    clean_dir.mkdir()
+    src = pq.read_table("/root/testdata/sf0.001/documents.parquet")
+    pq.write_table(
+        src.select(["doc_id", "text"]).slice(0, 0),
+        str(clean_dir / "part-00000.parquet"),
+    )
+    out = str(tmp_path / "corpus_sd")
+    zeros = {"rows_total": 0, "cut_tokens": 0, "kept_tokens": 0}
+    assert span_dedup_etl(str(clean_dir), out) == {"skipped": False, **zeros}
+    assert os.path.exists(os.path.join(out, "_SUCCESS"))
+    assert span_dedup_etl(str(clean_dir), out) == {"skipped": True, **zeros}
+    # a published part with no rows: the fold's NULL sums count as 0
+    pq.write_table(
+        pa.table({"cut_tokens": pa.array([], pa.int64()),
+                  "kept_tokens": pa.array([], pa.int64())}),
+        os.path.join(out, "part-0.parquet"),
+    )
+    assert _span_stats(out) == zeros
+
+
 def _mk_warc_record(url: str, html: str, wtype: str = "response") -> bytes:
     http = (
         b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n"

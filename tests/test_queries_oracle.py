@@ -56,8 +56,7 @@ def _sql_checked():
     return sorted(oracle.keys())
 
 
-@pytest.mark.parametrize("name", _sql_checked())
-def test_query_matches_oracle(ray_session, con, name):
+def _assert_matches(con, name):
     from searchengine_ray.pipelines import queries as Q
 
     got = _canon(_to_pandas(Q.queries()[name](SF_DIR)))
@@ -68,6 +67,23 @@ def test_query_matches_oracle(ray_session, con, name):
     )
     assert len(got) == len(want), (len(got), len(want))
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.parametrize("name", _sql_checked())
+def test_query_matches_oracle(ray_session, con, name):
+    _assert_matches(con, name)
+
+
+@pytest.mark.parametrize("name", _sql_checked())
+def test_query_matches_oracle_multiblock(ray_session, con, monkeypatch, name):
+    """Every read split into 8 blocks (2× the session's 4 CPUs, Ray's
+    own split) instead of the one block a test-scale table gets: the
+    cross-block paths — ``combine``'s fold of several partials,
+    ``keyed_map``'s multi-block partitions — still equal DuckDB."""
+    from searchengine_ray.sources import storage
+
+    monkeypatch.setattr(storage, "read_blocks", lambda paths: 8)
+    _assert_matches(con, name)
 
 
 ROWS_ONLY = [

@@ -92,3 +92,58 @@ def test_resume_truncates_dangling_log_versions(ray_session, tmp_path):
     )
     assert got == golden.crawl_order
     assert res.seen == golden.seen
+
+
+SF = "/root/testdata"
+
+
+def test_test_scale_tables_read_as_one_block(ray_session):
+    import os
+
+    from searchengine_ray.sources.storage import read_parquet
+
+    d = os.path.join(SF, "sf0.01")
+    tables = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+    assert len(tables) == 10
+    for f in tables:
+        ds = read_parquet(os.path.join(d, f))
+        assert ds.materialize().num_blocks() == 1, f
+
+
+def test_read_blocks_follow_bytes_on_disk(ray_session, monkeypatch):
+    import os
+
+    from searchengine_ray.sources import storage
+
+    path = os.path.join(SF, "sf0.01", "lineitem.parquet")
+    rows = storage.read_parquet(path).count()
+    monkeypatch.setattr(os.path, "getsize", lambda p: 100 << 20)
+    assert storage.read_blocks(path) == 4
+    ds = storage.read_parquet(path).materialize()
+    assert ds.num_blocks() == 4 and ds.count() == rows
+    assert storage.read_blocks([path, path]) == 7
+
+
+@pytest.mark.parametrize("sf", ["sf0.001", "sf0.01", "sf0.1"])
+def test_join_parts_unchanged(ray_session, monkeypatch, sf):
+    """``_join_parts`` on ``blocks_for`` gives the partition counts of
+    its former inline rule at every call site's tables."""
+    import os
+
+    from searchengine_ray.pipelines.queries import _join_parts
+    from searchengine_ray.stages.keyed import ncpus
+
+    def before(*tables):
+        total = sum(
+            os.path.getsize(os.path.join(SF, sf, f"{t}.parquet")) for t in tables
+        )
+        return int(min(max(2, total // (32 << 20) + 1), 4 * ncpus()))
+
+    call_sites = [("orders", "customer"), ("customer", "orders"),
+                  ("lineitem", "part")]
+    for tables in call_sites:
+        assert _join_parts(os.path.join(SF, sf), *tables) == before(*tables)
+    # and past the floor, below the cap: 200 MiB → 7 partitions
+    monkeypatch.setattr(os.path, "getsize", lambda p: 100 << 20)
+    for tables in call_sites:
+        assert _join_parts(os.path.join(SF, sf), *tables) == before(*tables) == 7
