@@ -6,11 +6,14 @@ composition a 100-TB pretraining pipeline runs daily):
     benchmark decontamination (shared 8-grams) → deterministic
     train/val/test split → partitioned corpus write + manifest.
 
-Every stage is an already-oracle-checked operator (q37 clean, q10/q38
-exact dedup, q18/q47/q48 near-dup clusters, q55 decontamination, q46
-split), composed here into ONE streaming pipeline; the funnel itself
-is oracle-checked end-to-end as ``q63_curation_funnel`` (one DuckDB
-CTE chain restates all six stages).
+Every stage calls the one implementation its oracle-checked query
+calls too: ``text.clean_gate`` (q37), ``dedup.exact_dedup`` (q10/q38),
+``jaccard_pairs_from`` + ``cluster.neardup_drop`` (q18/q48),
+``dedup.bench_ngram_hashes`` + ``shared_ngrams`` (q55) and
+``sampling.split_of`` (q46) — composed here into ONE streaming
+pipeline; the funnel itself is oracle-checked end-to-end as
+``q63_curation_funnel`` (one DuckDB CTE chain restates all six
+stages).
 
 Scale shape:
 * The cleaned working set is materialized ONCE (at 100 TB this is the
@@ -22,11 +25,12 @@ Scale shape:
 * Near-dup pairs use q18's distributed shingle-shuffle engine over the
   survivor set; the resulting DROP set (cluster members minus
   canonicals) is a tiny fraction of the corpus, so it broadcasts into
-  a vectorized ``isin`` filter (the q48 pattern) — swap for the bloom
-  semi-join (q51 machinery) if a corpus ever has a near-dup majority.
+  a sorted-set membership filter (``text.in_sorted``, the q48
+  pattern) — swap for the bloom semi-join (q51 machinery) if a corpus
+  ever has a near-dup majority.
 * Decontamination broadcasts the benchmark's sorted 8-gram hash array
   (eval suites are the SMALL side at any scale) and streams the corpus
-  through one ``searchsorted`` membership pass (q55).
+  through one membership pass (q55).
 * The final corpus is written as partitioned parquet via
   ``Dataset.write_parquet`` with a JSON manifest of per-stage counts
   (the funnel audit trail).
@@ -44,63 +48,25 @@ import os
 import numpy as np
 import pandas as pd
 
-BENCH_MOD = 7  # doc_id % 7 == 0 → held-out benchmark set (q55 stand-in)
-DECON_K = 8  # shared-n-gram order for decontamination
-NEARDUP_K = 5  # shingle order for near-dup pairs
-NEARDUP_THRESHOLD = 0.5
-SPLIT_TRAIN = int(0.8 * (1 << 32))
-SPLIT_VAL = int(0.9 * (1 << 32))
+from ..stages.cluster import neardup_drop
+from ..stages.dedup import (
+    bench_ngram_hashes,
+    exact_dedup,
+    is_bench,
+    phash_dedup,
+    phash_near_pairs,
+    shared_ngrams,
+)
+from ..stages.keyed import combine
+from ..stages.sampling import split_of
+from ..stages.text import clean_gate, in_sorted
 
 
 def _clean_gate(b: pd.DataFrame) -> pd.DataFrame:
-    """q37's oracle-checked clean gate (integer-ppm thresholds), minus
-    the benchmark holdout; keeps the corpus payload columns."""
-    from ..stages import text as tx
-
-    b = b[b["doc_id"].to_numpy(np.int64) % BENCH_MOD != 0]
-    if not len(b):
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "text": pd.Series([], dtype="object"),
-                "source": pd.Series([], dtype="object"),
-                "n_tokens": pd.Series([], dtype="int64"),
-            }
-        )
-    p = tx.text_profile(b["text"], with_distinct=False)
-    n = pd.Series(p["n_tokens"], index=b.index)
-    nc = np.maximum(p["n_tokens"], 1)
-    stop_ppm = p["stop_cnt"] * 1_000_000 // nc
-    mean_len_ppm = p["tok_chars"] * 1_000_000 // nc
-    keep = (
-        (p["lang_pred"] == "en")
-        & (p["n_tokens"] >= 5)
-        & (stop_ppm <= 500_000)
-        & (mean_len_ppm >= 2_000_000)
-    )
-    out = pd.DataFrame(
-        {
-            "doc_id": b["doc_id"].astype("int64"),
-            "text": b["text"],
-            "source": b["source"],
-            "n_tokens": n,
-        }
-    )
-    return out[keep]
-
-
-def _bench_ngram_hashes(ds) -> np.ndarray:
-    """Distinct DECON_K-gram hashes of the RAW benchmark holdout docs,
-    as one sorted uint64 array (the broadcast side)."""
-    from ..stages.dedup import _distinct_shingles
-
-    def bench(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["doc_id"].to_numpy(np.int64) % BENCH_MOD == 0]
-        _d, sh, _l = _distinct_shingles(b["text"], DECON_K, short_fallback=False)
-        return pd.DataFrame({"h": np.unique(sh).view(np.int64)})
-
-    pdf = ds.map_batches(bench, batch_format="pandas").to_pandas()
-    return np.unique(pdf["h"].to_numpy(np.int64).view(np.uint64))
+    """The benchmark holdout out, then the shared clean gate; keeps the
+    corpus payload columns."""
+    b = b[~is_bench(b["doc_id"])]
+    return clean_gate(b)[["doc_id", "text", "source", "n_tokens"]]
 
 
 def image_curation_funnel(
@@ -134,9 +100,6 @@ def image_curation_funnel(
     import ray.data
 
     from ..sources.codec import decode_image, phash64
-    from ..stages.cluster import connected_components
-    from ..stages.dedup import phash_dedup, phash_near_pairs
-    from ..stages.keyed import combine
 
     ds = (
         ray.data.from_arrow(images)
@@ -183,45 +146,12 @@ def image_curation_funnel(
     pairs = phash_near_pairs(
         survivors, id_col="iid", max_hamming=max_hamming
     )
-    if isinstance(pairs, ray.data.Dataset):
-        pairs = pairs.to_pandas()
-    if len(pairs):
-        cl = connected_components(
-            ray.data.from_pandas(
-                pairs[["id_a", "id_b"]].rename(
-                    columns={"id_a": "ia", "id_b": "ib"}
-                )
-            )
-        ).to_pandas()
-        nd_drop = np.sort(
-            cl.loc[cl["doc_id"] != cl["cluster_id"], "doc_id"].to_numpy(
-                np.int64
-            )
-        )
-    else:
-        nd_drop = np.zeros(0, np.int64)
+    nd_drop = neardup_drop(pairs, "id_a", "id_b")
     drop_ref = ray.put(nd_drop)
 
     def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        drop = ray.get(drop_ref)
-        ids = b["iid"].to_numpy(np.int64)
-        if len(drop):
-            pos = np.searchsorted(drop, ids)
-            keep = ~(
-                (pos < len(drop))
-                & (drop[np.minimum(pos, len(drop) - 1)] == ids)
-            )
-            b = b[keep]
-            ids = ids[keep]
-        h = (ids.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(
-            1 << 32
-        )
-        split = np.where(
-            h < np.uint64(SPLIT_TRAIN),
-            "train",
-            np.where(h < np.uint64(SPLIT_VAL), "val", "test"),
-        )
-        return b.assign(split=split)
+        b = b[~in_sorted(b["iid"].to_numpy(np.int64), ray.get(drop_ref))]
+        return b.assign(split=split_of(b["iid"]))
 
     final_ds = survivors.map_batches(finalize, batch_format="pandas")
     if out_dir is not None:
@@ -261,9 +191,6 @@ def curation_funnel(sf_dir: str, out_dir: str | None = None):
     per-stage funnel counts."""
     import ray
 
-    from ..stages.cluster import connected_components
-    from ..stages.dedup import _distinct_shingles, exact_dedup
-    from ..stages.keyed import combine
     from .queries import _read, jaccard_pairs_from
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
@@ -281,71 +208,18 @@ def curation_funnel(sf_dir: str, out_dir: str | None = None):
 
     # stage 3: near-dup clusters among the exact survivors; drop every
     # cluster member except the canonical (min doc_id)
-    pairs = jaccard_pairs_from(
-        survivors, K=NEARDUP_K, threshold=NEARDUP_THRESHOLD
-    )
-    if len(pairs):
-        import ray.data
-
-        cl = connected_components(
-            ray.data.from_pandas(pairs[["ia", "ib"]])
-        ).to_pandas()
-        nd_drop = cl.loc[cl["doc_id"] != cl["cluster_id"], "doc_id"].to_numpy(
-            np.int64
-        )
-    else:
-        nd_drop = np.zeros(0, np.int64)
+    nd_drop = neardup_drop(jaccard_pairs_from(survivors))
 
     # stage 4 small side: benchmark 8-gram hash set (raw holdout docs)
-    bench_arr = _bench_ngram_hashes(ds)
+    bench_arr = bench_ngram_hashes(ds)
 
-    drop_ref = ray.put(np.sort(nd_drop))
+    drop_ref = ray.put(nd_drop)
     bench_ref = ray.put(bench_arr)
 
     def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        drop = ray.get(drop_ref)
-        bench = ray.get(bench_ref)
-        ids = b["doc_id"].to_numpy(np.int64)
-        keep = np.ones(len(b), bool)
-        if len(drop):
-            pos = np.searchsorted(drop, ids)
-            keep &= ~(
-                (pos < len(drop)) & (drop[np.minimum(pos, len(drop) - 1)] == ids)
-            )
-        b = b[keep]
-        if len(bench) and len(b):
-            didx, sh, _l = _distinct_shingles(
-                b["text"], DECON_K, short_fallback=False
-            )
-            if len(sh):
-                pos = np.searchsorted(bench, sh)
-                hit = (pos < len(bench)) & (
-                    bench[np.minimum(pos, len(bench) - 1)] == sh
-                )
-                bad = np.unique(didx[hit])
-                mask = np.ones(len(b), bool)
-                mask[bad] = False
-                b = b[mask]
-        if not len(b):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "text": pd.Series([], dtype="object"),
-                    "source": pd.Series([], dtype="object"),
-                    "n_tokens": pd.Series([], dtype="int64"),
-                    "split": pd.Series([], dtype="object"),
-                }
-            )
-        h = (
-            b["doc_id"].to_numpy(np.int64).astype(np.uint64)
-            * np.uint64(2654435761)
-        ) % np.uint64(1 << 32)
-        split = np.where(
-            h < np.uint64(SPLIT_TRAIN),
-            "train",
-            np.where(h < np.uint64(SPLIT_VAL), "val", "test"),
-        )
-        return b.assign(split=split)
+        b = b[~in_sorted(b["doc_id"].to_numpy(np.int64), ray.get(drop_ref))]
+        b = b[shared_ngrams(b["text"], ray.get(bench_ref)) == 0]
+        return b.assign(split=split_of(b["doc_id"]))
 
     final_ds = survivors.map_batches(finalize, batch_format="pandas")
     if out_dir is not None:

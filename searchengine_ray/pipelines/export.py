@@ -11,50 +11,25 @@ Unit of work and of commit: one input parquet *fragment* (file ×
 row-group) — the shape that holds at 100 TB, where the input is many
 thousands of files and a resume must skip finished fragments without
 re-reading them.  Each fragment task: read ONLY its row group (column-
-pruned) → clean (q37 semantics: langid + integer-ppm quality gates) →
-write ``part-K.parquet`` via tmp + atomic rename (the commit point).
-Fragments run as parallel Ray tasks (the Dataset API has no per-
-fragment commit; this is the documented raw-task exception).
+pruned) → clean (``text.clean_gate``) → write ``part-K.parquet`` via
+tmp + atomic rename (the commit point).  Fragments run as parallel Ray
+tasks (the Dataset API has no per-fragment commit; this is the
+documented raw-task exception).
 
-Cleaning semantics are exactly ``q37_clean_corpus`` (oracle-checked);
-the ETL output additionally keeps the text column — it IS the cleaned
-corpus, not just its ids.
+``text.clean_gate`` is the gate the oracle-checked ``q37_clean_corpus``
+calls; the ETL output additionally keeps the text column — it IS the
+cleaned corpus, not just its ids.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
 from ..sources.storage import read_parquet
-
-
-def clean_batch(b: pd.DataFrame) -> pd.DataFrame:
-    """q37 cleaning gate over a batch; keeps text (the corpus payload).
-
-    Shared with the oracle-checked q37 thresholds: English by
-    stopword-profile langid, >= 5 tokens, stopword ratio <= 0.5,
-    mean token length >= 2.0 (integer ppm)."""
-    from ..stages import text as tx
-
-    p = tx.text_profile(b["text"], with_distinct=False)
-    nc = np.maximum(p["n_tokens"], 1)
-    stop_ppm = p["stop_cnt"] * 1_000_000 // nc
-    mean_len_ppm = p["tok_chars"] * 1_000_000 // nc
-    keep = (
-        (p["lang_pred"] == "en")
-        & (p["n_tokens"] >= 5)
-        & (stop_ppm <= 500_000)
-        & (mean_len_ppm >= 2_000_000)
-    )
-    out = b[["doc_id", "text"]].copy()
-    out["n_tokens"] = p["n_tokens"]
-    out["stopword_ppm"] = stop_ppm
-    out["mean_token_len_ppm"] = mean_len_ppm
-    return out[keep]
+from ..stages.text import clean_gate
 
 
 def _fragments(sf_dir: str) -> list[tuple[str, int]]:
@@ -74,7 +49,7 @@ def _etl_fragment(file: str, rg: int, out_dir: str, k: int) -> int:
     """One fragment: row-group read (column-pruned) → clean → atomic
     part write.  Runs as a Ray task; returns kept-row count."""
     tbl = pq.ParquetFile(file).read_row_group(rg, columns=["doc_id", "text"])
-    kept = clean_batch(tbl.to_pandas())
+    kept = clean_gate(tbl.to_pandas())
     part = os.path.join(out_dir, f"part-{k:05d}.parquet")
     tmp = part + ".tmp"
     import pyarrow as pa

@@ -19,10 +19,19 @@ shuffles, broadcast small sides (dimension tables) via ``ray.put``.
 Every grouped aggregate is ``keyed.combine``: a per-batch projection
 plus pyarrow ``group_by`` partial, folded on the driver or in a
 partitioned ``keyed_map`` — typed even on an empty input.  Every
-shuffle — the partitioned fold, per-partition finisher
-(``keyed_map``) and join (``hash_join``) — is the one task-based
-range partition of ``stages/keyed.py``; no query uses
-``Dataset.join``, ``groupby().map_groups`` or ``Dataset.aggregate``.
+grouped top-k (``row_number() <= k`` per group) is ``keyed.top_k``:
+per-batch top-k partials, one key-hash ``keyed_map`` for the final
+top-k, also typed on an empty input.  Every shuffle — the partitioned
+fold, per-partition finisher (``keyed_map``) and join
+(``hash_join``) — is the one task-based range partition of
+``stages/keyed.py``; no query uses ``Dataset.join``,
+``groupby().map_groups`` or a Ray aggregate (``Dataset.aggregate``,
+``sum``, ``min``, ``max``, ``mean``, ``std``, ``unique``).  The
+curation decisions live once in ``stages/``: the clean gate
+(``text.clean_gate``), sorted-set membership (``text.in_sorted``),
+the near-dup drop set (``cluster.neardup_drop``), the benchmark
+8-gram test (``dedup.bench_ngram_hashes`` / ``shared_ngrams``) and
+the Knuth hash and split (``sampling.knuth_hash`` / ``split_of``).
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import pyarrow.parquet as pq
 from ..sources.storage import blocks_for, read_parquet
 from ..stages import dedup as dd
 from ..stages import text as tx
+from ..stages.cluster import neardup_drop
 from ..stages.keyed import (
     arrow_schema,
     combine,
@@ -45,9 +55,11 @@ from ..stages.keyed import (
     hash_part,
     keyed_map,
     ncpus,
+    top_k,
     with_hash_part,
 )
-from ..stages.text import LANG_PROFILES, STOPWORDS
+from ..stages.sampling import knuth_hash, split_of
+from ..stages.text import LANG_PROFILES, STOPWORDS, in_sorted
 
 _STOP_SQL = ",".join(f"'{w}'" for w in sorted(STOPWORDS))
 _TOKS = "regexp_extract_all(lower(text), '[a-z0-9]+')"
@@ -589,11 +601,7 @@ def q16_minhash_pairs(sf_dir: str):
     )
 
     def filt(b: pd.DataFrame) -> pd.DataFrame:
-        ids = ray.get(ids_ref)
-        got = b["doc_id"].to_numpy(np.int64)
-        pos = np.searchsorted(ids, got)
-        keep = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == got)
-        return b[keep]
+        return b[in_sorted(b["doc_id"].to_numpy(np.int64), ray.get(ids_ref))]
 
     sub = ds.map_batches(filt, batch_format="pandas")
     pairs = jaccard_pairs_from(sub, K=3, threshold=0.5)
@@ -812,40 +820,22 @@ GROUP BY p.p_brand
 """
 
 
+# the per-customer order ranking of q27/q56: price desc, then order key
+_BY_PRICE = [("total_cents", "descending"), ("o_orderkey", "ascending")]
+
+
+def _order_cents(t: pa.Table) -> pa.Table:
+    cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))
+    return pa.table(
+        {"o_custkey": t["o_custkey"], "o_orderkey": t["o_orderkey"],
+         "total_cents": cents}
+    )
+
+
 def q27_best_order_per_customer(sf_dir: str):
-    """Windowed argmax per group (J5-style top-n per key-complete
-    partition)."""
+    """Windowed argmax per group: ``keyed.top_k`` with k=1."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-
-    def partial_best(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(
-            total_cents=np.round(b["o_totalprice"].to_numpy() * 100).astype(
-                np.int64
-            )
-        ).sort_values(["total_cents", "o_orderkey"], ascending=[False, True])
-        return b.drop_duplicates("o_custkey")[
-            ["o_custkey", "o_orderkey", "total_cents"]
-        ]
-
-    # per-batch argmax partials → hash-partition by custkey →
-    # per-partition vectorized final argmax (no per-group Python, no
-    # customers-proportional driver reduction — only the result rows
-    # come back)
-    npart = ncpus()
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["total_cents", "o_orderkey"], ascending=[False, True])
-        return g.drop_duplicates("o_custkey").drop(columns=["part"])
-
-    final = keyed_map(
-        with_hash_part(
-            ds.map_batches(partial_best, batch_format="pandas"), ["o_custkey"], npart
-        ),
-        "part",
-        npart,
-        finalize,
-    ).to_pandas()
-    return final.sort_values("o_custkey").reset_index(drop=True)
+    return top_k(ds, ["o_custkey"], _BY_PRICE, 1, _order_cents)
 
 
 SQL_Q27 = """
@@ -1218,26 +1208,7 @@ def q37_clean_corpus(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def clean(b: pd.DataFrame) -> pd.DataFrame:
-        p = tx.text_profile(b["text"], with_distinct=False)
-        n = p["n_tokens"]
-        nc = np.maximum(n, 1)
-        stop_ppm = p["stop_cnt"] * 1_000_000 // nc
-        mean_len_ppm = p["tok_chars"] * 1_000_000 // nc
-        keep = (
-            (p["lang_pred"] == "en")
-            & (n >= 5)
-            & (stop_ppm <= 500_000)
-            & (mean_len_ppm >= 2_000_000)
-        )
-        out = pd.DataFrame(
-            {
-                "doc_id": b["doc_id"],
-                "n_tokens": n,
-                "stopword_ppm": stop_ppm,
-                "mean_token_len_ppm": mean_len_ppm,
-            }
-        )
-        return out[keep]
+        return tx.clean_gate(b).drop(columns=["text"])
 
     return ds.map_batches(clean, batch_format="pandas")
 
@@ -1392,16 +1363,9 @@ def q47_dup_clusters(sf_dir: str):
     pairs alone don't dedup; {A~B, B~C} is ONE cluster).  cluster_id
     = min doc_id of the component; SQL oracle = recursive-CTE closure
     over the identical pair set."""
-    import ray.data
-
     from ..stages.cluster import connected_components
 
-    pairs = q18_jaccard_pairs(sf_dir)
-    if isinstance(pairs, pd.DataFrame):
-        pairs_ds = ray.data.from_pandas(pairs[["ia", "ib"]])
-    else:
-        pairs_ds = pairs
-    out = connected_components(pairs_ds).to_pandas()
+    out = connected_components(q18_jaccard_pairs(sf_dir)).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1437,21 +1401,18 @@ def q48_neardup_survivors(sf_dir: str):
     is the result (the whole-corpus version of 'write the cleaned
     corpus', near-dup edition — q38 is the exact-dup analog).
 
-    Shape: the drop set (cluster members ≠ canonical) is tiny relative
-    to the corpus, so it broadcasts into a vectorized isin filter per
-    batch — no corpus-wide shuffle."""
+    Shape: the drop set (``cluster.neardup_drop`` of q18's pairs) is
+    tiny relative to the corpus, so it broadcasts into a sorted-set
+    membership filter per batch — no corpus-wide shuffle."""
     import ray
 
-    cl = q47_dup_clusters(sf_dir)
-    drop = set(
-        cl.loc[cl["doc_id"] != cl["cluster_id"], "doc_id"].astype("int64")
-    )
+    drop_ref = ray.put(neardup_drop(q18_jaccard_pairs(sf_dir)))
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
-    drop_ref = ray.put(np.fromiter(drop, np.int64, len(drop)))
 
     def keep(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.select(["source"]).filter(pa.array(~np.isin(ids, ray.get(drop_ref))))
+        kept = ~in_sorted(ids, ray.get(drop_ref))
+        return t.select(["source"]).filter(pa.array(kept))
 
     return combine(ds, ["source"], {"n_docs": ("source", "count")}, keep)
 
@@ -1559,9 +1520,7 @@ def q51_bloom_semijoin(sf_dir: str):
         ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         hit = sk.bloom_might_contain(ray.get(bloom_ref), ck, 7)
         if hit.any():
-            kk = ray.get(keys_ref)
-            pos = np.searchsorted(kk, ck[hit])
-            hit[hit] = (pos < len(kk)) & (kk[np.minimum(pos, len(kk) - 1)] == ck[hit])
+            hit[hit] = in_sorted(ck[hit], ray.get(keys_ref))
         t = t.filter(pa.array(hit))
         cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))
         return pa.table({"o_orderstatus": t["o_orderstatus"], "cents": cents})
@@ -1670,59 +1629,28 @@ def q55_decontaminate(sf_dir: str):
     """Benchmark decontamination (training-data op): flag corpus
     documents sharing any 8-token n-gram with a held-out benchmark
     set (docs with ``doc_id % 7 == 0`` — a deterministic stand-in for
-    an eval suite).  Two passes: (1) benchmark docs → distinct
-    shingle hashes, unioned into one sorted uint64 array and
-    broadcast with ``ray.put`` (the benchmark side is the small side
-    at 100 TB: eval suites are ~1e6–1e8 n-grams, a few hundred MB);
-    (2) the corpus streams through a ``searchsorted`` membership per
-    batch, emitting ``(doc_id, n_shared)`` for hit docs only — the
-    driver sees just the contaminated list.  Shingles travel as
-    64-bit hashes; hash equality stands in for string equality
-    (collision odds ~2^-64 per pair, as q18)."""
+    an eval suite).  Two passes (``stages/dedup``): (1)
+    ``bench_ngram_hashes`` — benchmark docs → one sorted uint64 array
+    of distinct shingle hashes, broadcast with ``ray.put`` (the
+    benchmark side is the small side at 100 TB: eval suites are
+    ~1e6–1e8 n-grams, a few hundred MB); (2) the corpus streams
+    through ``shared_ngrams`` per batch, emitting ``(doc_id,
+    n_shared)`` for hit docs only — the driver sees just the
+    contaminated list."""
     import ray
 
-    from ..stages.dedup import _distinct_shingles
-
-    K, MOD = 8, 7
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def bench_hashes(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["doc_id"].to_numpy(np.int64) % MOD == 0]
-        _d, sh, _l = _distinct_shingles(b["text"], K, short_fallback=False)
-        return pd.DataFrame({"h": np.unique(sh).view(np.int64)})
-
-    bench_pdf = ds.map_batches(bench_hashes, batch_format="pandas").to_pandas()
-    bench_arr = np.unique(bench_pdf["h"].to_numpy(np.int64).view(np.uint64))
-    ref = ray.put(bench_arr)
+    ref = ray.put(dd.bench_ngram_hashes(ds))
 
     def corpus(b: pd.DataFrame) -> pd.DataFrame:
-        bench = ray.get(ref)  # zero-copy plasma read, shared per node
-        b = b[b["doc_id"].to_numpy(np.int64) % MOD != 0]
-        didx, sh, _l = _distinct_shingles(b["text"], K, short_fallback=False)
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "n_shared": pd.Series([], dtype="int64"),
-            }
-        )
-        if not len(sh) or not len(bench):
-            return empty
-        pos = np.searchsorted(bench, sh)
-        hit = (pos < len(bench)) & (
-            bench[np.minimum(pos, len(bench) - 1)] == sh
-        )
-        cnt = np.bincount(didx[hit], minlength=len(b))
-        keep = cnt > 0
-        if not keep.any():
-            return empty
+        b = b[~dd.is_bench(b["doc_id"])]
+        cnt = dd.shared_ngrams(b["text"], ray.get(ref))
+        hit = cnt > 0
         return pd.DataFrame(
-            {
-                "doc_id": b["doc_id"].to_numpy(np.int64)[keep],
-                "n_shared": cnt[keep].astype(np.int64),
-            }
+            {"doc_id": b["doc_id"].to_numpy(np.int64)[hit], "n_shared": cnt[hit]}
         )
 
-    out = ds.map_batches(corpus, batch_format="pandas").to_pandas()
+    out = _collect(ds, corpus)
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1742,47 +1670,13 @@ GROUP BY e.doc_id
 
 def q56_top3_orders_per_customer(sf_dir: str):
     """Grouped top-N (window ``row_number() <= 3`` semantics) without
-    a global sort: per-batch per-group top-3 partials (each batch can
-    contribute at most the true top-3 of any group), hash-partition
-    by customer so each group lands whole, one vectorized
-    sort+head(3) per partition, rank assigned by cumcount.  Only the
-    ≤3·ngroups result rows ever move."""
-    N = 3
+    a global sort: ``keyed.top_k`` — per-batch per-group top-3
+    partials, hash-partitioned by customer, final top-3 per partition —
+    then the rank by cumcount over the ≤3·ngroups result rows."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-    BY = ["o_custkey", "total_cents", "o_orderkey"]
-    ASC = [True, False, True]
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(
-            total_cents=np.round(
-                b["o_totalprice"].to_numpy() * 100
-            ).astype(np.int64)
-        ).sort_values(BY, ascending=ASC)
-        return b.groupby("o_custkey", sort=False).head(N)[
-            ["o_custkey", "o_orderkey", "total_cents"]
-        ]
-
-    npart = ncpus()
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(BY, ascending=ASC)
-        g = g.groupby("o_custkey", sort=False).head(N)
-        g = g.assign(
-            rn=(g.groupby("o_custkey", sort=False).cumcount() + 1).astype(
-                np.int64
-            )
-        )
-        return g.drop(columns=["part"])
-
-    final = keyed_map(
-        with_hash_part(
-            ds.map_batches(partial, batch_format="pandas"), ["o_custkey"], npart
-        ),
-        "part",
-        npart,
-        finalize,
-    ).to_pandas()
-    return final.sort_values(["o_custkey", "rn"]).reset_index(drop=True)
+    out = top_k(ds, ["o_custkey"], _BY_PRICE, 3, _order_cents)
+    rn = out.groupby("o_custkey", sort=False).cumcount() + 1
+    return out.assign(rn=rn.astype(np.int64))
 
 
 SQL_Q56 = """
@@ -1865,37 +1759,18 @@ FROM events
 def q59_source_quota(sf_dir: str):
     """Per-(lang, source) quota cap — the training-mixture primitive
     that bounds any one source's contribution: keep the first K docs
-    per group in a deterministic pseudo-random order (Knuth
-    multiplicative hash of doc_id — stable across runs and cluster
-    sizes, no RNG state to coordinate).  Per-batch partial top-K
-    (a batch can contribute at most the true top-K of any group) →
-    hash-partition by group → one vectorized sort+head(K) per
-    partition.  Only ≤K·ngroups candidate rows ride the shuffle."""
-    K = 5
+    per group in a deterministic pseudo-random order (``knuth_hash`` of
+    doc_id — stable across runs and cluster sizes, no RNG state to
+    coordinate), as one ``keyed.top_k``: only ≤K·ngroups candidate
+    rows per batch ride the shuffle."""
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source"])
 
-    def order_key(doc_id: np.ndarray) -> np.ndarray:
-        return (doc_id.astype(np.int64) * 2654435761) % (1 << 32)
+    def okey(t: pa.Table) -> pa.Table:
+        return t.append_column("okey", pa.array(knuth_hash(t["doc_id"])))
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(okey=order_key(b["doc_id"].to_numpy(np.int64)))
-        b = b.sort_values(["okey", "doc_id"])
-        return b.groupby(["lang", "source"], sort=False).head(K)
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["okey", "doc_id"])
-        g = g.groupby(["lang", "source"], sort=False).head(K)
-        return g[["doc_id", "lang", "source"]]
-
-    npart = ncpus()
-    kept = keyed_map(
-        with_hash_part(
-            ds.map_batches(partial, batch_format="pandas"), ["lang", "source"], npart
-        ),
-        "part",
-        npart,
-        finalize,
-    ).to_pandas()
+    order = [("okey", "ascending"), ("doc_id", "ascending")]
+    kept = top_k(ds, ["lang", "source"], order, 5, okey)
+    kept = kept[["doc_id", "lang", "source"]]
     return kept.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2230,10 +2105,7 @@ def q65_incremental_dedup(sf_dir: str):
         h = fnv1a64_batch(t["text"]).view(np.int64)
         dup = sk.bloom_might_contain(ray.get(bloom_ref), h, 7)
         if dup.any():
-            ex = ray.get(exact_ref)
-            hv = h[dup].view(np.uint64)
-            pos = np.searchsorted(ex, hv)
-            dup[dup] = (pos < len(ex)) & (ex[np.minimum(pos, len(ex) - 1)] == hv)
+            dup[dup] = in_sorted(h[dup].view(np.uint64), ray.get(exact_ref))
         return pa.table({"source": t["source"], "new": ~dup, "dup": dup})
 
     out = combine(
@@ -2443,12 +2315,7 @@ def q46_split_sample(sf_dir: str):
 
     def assign(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (ids * np.uint64(2654435761)) % np.uint64(1 << 32)
-        split = np.where(
-            h < np.uint64(int(0.8 * (1 << 32))),
-            "train",
-            np.where(h < np.uint64(int(0.9 * (1 << 32))), "val", "test"),
-        )
+        split = split_of(ids)
         # constants kept < 2^32 so doc_id * K stays under 2^63 —
         # DuckDB UBIGINT arithmetic raises on overflow (numpy wraps),
         # and oracle parity needs identical integer behavior
@@ -2748,48 +2615,19 @@ FROM v GROUP BY keep ORDER BY keep
 
 def q71_stratified_sample(sf_dir: str):
     """Per-group stratified exact-k sampling: the k docs per source
-    with the smallest Knuth-multiplicative hash of doc_id — the
-    deterministic "take k per domain" curation primitive (stable
-    across runs and cluster sizes, no RNG state; complements q46's
-    rate-based split and q54's weight-based sampler).  Per-batch
-    partial top-k per source (bounded: k rows per source per batch) →
-    source-keyed shuffle of the k-bounded partials → final top-k per
-    source, one vectorized pass per source-complete partition.  Nothing
-    corpus-sized crosses the shuffle."""
-    KPER = 5
-    npart = ncpus()
+    with the smallest ``knuth_hash`` of doc_id — the deterministic
+    "take k per domain" curation primitive (stable across runs and
+    cluster sizes, no RNG state; complements q46's rate-based split
+    and q54's weight-based sampler).  One ``keyed.top_k``: only
+    k-bounded per-batch partials cross the shuffle."""
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        ids = b["doc_id"].to_numpy(np.int64).astype(np.uint64)
-        h = ((ids * np.uint64(2654435761)) % np.uint64(1 << 32)).astype(
-            np.int64
-        )
-        t = pd.DataFrame(
-            {"source": b["source"], "doc_id": b["doc_id"], "h": h}
-        )
-        return (
-            t.sort_values(["source", "h", "doc_id"])
-            .groupby("source")
-            .head(KPER)
-        )
+    def hashed(t: pa.Table) -> pa.Table:
+        h = knuth_hash(t["doc_id"]).astype(np.int64)
+        return pa.table({"source": t["source"], "doc_id": t["doc_id"], "h": h})
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.sort_values(["source", "h", "doc_id"])
-            .groupby("source")
-            .head(KPER)[["source", "doc_id", "h"]]
-        )
-
-    out = keyed_map(
-        with_hash_part(
-            ds.map_batches(partial, batch_format="pandas"), ["source"], npart
-        ),
-        "part",
-        npart,
-        final,
-    ).to_pandas()
-    return out.sort_values(["source", "h", "doc_id"]).reset_index(drop=True)
+    order = [("h", "ascending"), ("doc_id", "ascending")]
+    return top_k(ds, ["source"], order, 5, hashed)
 
 
 SQL_Q71 = """
@@ -2810,9 +2648,10 @@ def q72_image_neardup_survivors(sf_dir: str):
     """Image near-dup dedup end-to-end (the image-axis analog of
     q48): phash band-LSH pairs (q33's engine) → connected components
     (q47's engine) → one canonical image per cluster (min image_id) →
-    per-format survivor counts.  Drop set is result-sized and
-    broadcasts into a vectorized isin filter — image bytes never ride
-    a shuffle.  Rows-only: runs on the synthesized image fixture
+    per-format survivor counts.  ``cluster.neardup_drop`` takes the
+    string image_ids as they are; the drop set is result-sized and
+    broadcasts into a sorted-set membership filter — image bytes never
+    ride a shuffle.  Rows-only: runs on the synthesized image fixture
     (no driver table; pinned by the planted-duplicate test).
 
     Uses the ``speckle`` fixture style: distinct images are
@@ -2822,51 +2661,19 @@ def q72_image_neardup_survivors(sf_dir: str):
     import ray
 
     from ..sources.synth import gen_images
-    from ..stages.cluster import connected_components
 
     images, _ = gen_images(
         400, seed=42, dup_rate=0.05, base_style="speckle"
     )
     ds = ray.data.from_arrow(images.select(["image_id", "phash"]))
     pairs = dd.phash_near_pairs(ds, max_hamming=6)
-    if isinstance(pairs, pd.DataFrame):
-        pairs_pd = pairs
-    else:
-        pairs_pd = pairs.to_pandas()
-    if len(pairs_pd):
-        # connected_components needs int64 node ids; image_ids are
-        # strings.  Factorize over the SORTED unique ids appearing in
-        # pairs so codes are order-isomorphic to the string ids —
-        # the component's min code maps back to its min image_id,
-        # preserving the "canonical survivor = min image_id" contract.
-        uniq = np.unique(
-            np.concatenate(
-                [pairs_pd["id_a"].to_numpy(), pairs_pd["id_b"].to_numpy()]
-            )
-        )
-        code = pd.Series(np.arange(len(uniq), dtype=np.int64), index=uniq)
-        coded = pd.DataFrame(
-            {
-                "id_a": code[pairs_pd["id_a"].to_numpy()].to_numpy(),
-                "id_b": code[pairs_pd["id_b"].to_numpy()].to_numpy(),
-            }
-        )
-        cl = connected_components(
-            coded, col_a="id_a", col_b="id_b"
-        ).to_pandas()
-        drop_codes = cl.loc[
-            cl["doc_id"] != cl["cluster_id"], "doc_id"
-        ].to_numpy(np.int64)
-        drop = uniq[drop_codes]
-    else:
-        drop = np.asarray([], dtype=object)
+    drop = neardup_drop(pairs, "id_a", "id_b")
     meta = ray.data.from_arrow(images.select(["image_id", "fmt"]))
 
     def keep(t: pa.Table) -> pa.Table:
-        m = pc.invert(pc.is_in(t["image_id"], drop_set))
-        return t.select(["fmt"]).filter(m)
+        ids = t["image_id"].to_numpy(zero_copy_only=False)
+        return t.select(["fmt"]).filter(pa.array(~in_sorted(ids, drop)))
 
-    drop_set = pa.array(drop.tolist(), pa.string())
     out = combine(meta, ["fmt"], {"n_images": ("fmt", "count")}, keep)
     return out.sort_values("fmt").reset_index(drop=True)
 
@@ -3009,30 +2816,19 @@ def q76_embedding_neardup_survivors(sf_dir: str):
     components; one canonical vector (min vec_id) survives per
     component, every other member is dropped; result = per-label
     survivor counts.  The embedding analog of q48's text-near-dup
-    survivors — same shape: result-sized pair list → CC → broadcast
-    drop set → vectorized isin filter, the corpus never re-shuffles.
+    survivors — same shape: result-sized pair list →
+    ``cluster.neardup_drop`` → broadcast drop set → sorted-set
+    membership filter, the corpus never re-shuffles.
     Oracle: DuckDB recursive-CTE closure over the identical
     list_cosine_similarity pair set."""
     import ray
 
-    from ..stages.cluster import connected_components
-
-    pairs = q74_cosine_simjoin(sf_dir)
-    if len(pairs):
-        cl = connected_components(
-            pairs[["id_a", "id_b"]], col_a="id_a", col_b="id_b"
-        ).to_pandas()
-        drop = cl.loc[cl["doc_id"] != cl["cluster_id"], "doc_id"].to_numpy(
-            np.int64
-        )
-    else:
-        drop = np.zeros(0, np.int64)
+    drop_ref = ray.put(neardup_drop(q74_cosine_simjoin(sf_dir), "id_a", "id_b"))
     ds = _read(sf_dir, "embeddings", ["vec_id", "label"])
-    drop_ref = ray.put(drop)
 
     def keep(t: pa.Table) -> pa.Table:
         got = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        kept = ~np.isin(got, ray.get(drop_ref))
+        kept = ~in_sorted(got, ray.get(drop_ref))
         return pa.table({"label": t["label"].cast(pa.int64())}).filter(pa.array(kept))
 
     out = combine(ds, ["label"], {"n_vecs": ("label", "count")}, keep)

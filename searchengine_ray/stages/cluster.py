@@ -1,7 +1,9 @@
 """Connected components over a pair list — the closure step a real
 dedup pipeline needs after near-dup PAIR detection (pairs alone don't
 dedup: {A~B, B~C} must collapse to ONE surviving doc, so components,
-not edges, are the dedup unit).
+not edges, are the dedup unit).  ``neardup_drop`` turns a pair list
+into that dedup decision — every component member but its minimum id —
+for the near-dup queries and both curation funnels.
 
 Algorithm: distributed min-label propagation with pointer-jumping.
 Every node starts labeled with itself; each round computes
@@ -252,3 +254,22 @@ def connected_components(
         )
 
     return by("label", finalize_part)(labels)
+
+
+def neardup_drop(
+    pairs: pd.DataFrame, col_a: str = "ia", col_b: str = "ib"
+) -> np.ndarray:
+    """The near-dup drop set: every id of the pairs' connected
+    components except each component's minimum (its canonical
+    survivor), sorted.  Ids may be any sortable type: they are
+    factorized over their sorted unique values (as ``_cc_local``
+    does), so codes order like ids and the minimum code is the minimum
+    id."""
+    a, b = pairs[col_a].to_numpy(), pairs[col_b].to_numpy()
+    ids, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    if not len(ids):
+        return ids
+    codes = pd.DataFrame({"ia": inv[: len(a)], "ib": inv[len(a) :]})
+    cl = connected_components(codes).to_pandas()
+    node = cl["doc_id"].to_numpy(np.int64)
+    return ids[np.sort(node[node != cl["cluster_id"].to_numpy(np.int64)])]

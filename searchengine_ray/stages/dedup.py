@@ -1,5 +1,6 @@
 """Deduplication operators (exact, MinHash+LSH, SimHash, n-gram
-Jaccard, phash, embedding-cosine) — Ray-Data-first.
+Jaccard, phash, embedding-cosine, benchmark 8-gram decontamination) —
+Ray-Data-first.
 
 The reference's only dedup is exact URL identity (J1,
 ``SearchEngine.h:814-835``); these are the payload/content-level
@@ -19,7 +20,7 @@ import pyarrow as pa
 
 from ..functions.hashing import fnv1a64_batch
 from .keyed import hash_join, keyed_map, ncpus, with_hash_part
-from .text import TOKEN_RE
+from .text import TOKEN_RE, in_sorted
 
 logger = logging.getLogger(__name__)
 
@@ -163,6 +164,46 @@ def _distinct_shingles(
     didx, sh = didx[order], sh[order]
     keep = np.r_[True, (didx[1:] != didx[:-1]) | (sh[1:] != sh[:-1])]
     return didx[keep], sh[keep], lens
+
+
+# ---------------------------------------------- benchmark decontamination
+
+DECON_K = 8  # shared-n-gram order of the decontamination test
+BENCH_MOD = 7  # doc_id % 7 == 0 → the held-out benchmark set
+
+
+def is_bench(ids) -> np.ndarray:
+    """Which ``doc_id``s are in the benchmark holdout."""
+    return np.asarray(ids, np.int64) % BENCH_MOD == 0
+
+
+def bench_ngram_hashes(ds) -> np.ndarray:
+    """Distinct ``DECON_K``-gram hashes of the benchmark holdout docs
+    of a ``(doc_id, text)`` Dataset, as one sorted uint64 array — the
+    broadcast side (eval suites are the small side at any scale).
+    Shingles travel as 64-bit hashes; hash equality stands in for
+    string equality (collision odds ~2^-64 per pair, as q18)."""
+
+    def bench(t: pa.Table) -> pa.Table:
+        held = is_bench(t["doc_id"].to_numpy(zero_copy_only=False))
+        texts = t["text"].filter(pa.array(held)).to_pylist()
+        _d, sh, _l = _distinct_shingles(texts, DECON_K, short_fallback=False)
+        return pa.table({"h": pa.array(np.unique(sh), pa.uint64())})
+
+    parts = [
+        b["h"]
+        for b in ds.map_batches(bench, batch_format="pyarrow").iter_batches(
+            batch_size=None, batch_format="numpy"
+        )
+    ]
+    return np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.uint64)
+
+
+def shared_ngrams(texts, bench: np.ndarray) -> np.ndarray:
+    """Per doc of ``texts``: how many of its distinct ``DECON_K``-gram
+    hashes are in the sorted ``bench`` array (0 = clean)."""
+    didx, sh, _l = _distinct_shingles(texts, DECON_K, short_fallback=False)
+    return np.bincount(didx[in_sorted(sh, bench)], minlength=len(texts))
 
 
 def minhash_signatures(

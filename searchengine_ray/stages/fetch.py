@@ -167,12 +167,6 @@ class FetchDecode:
             "busy_s": round(self._busy_s, 3),
         }
 
-    def ready(self) -> bool:
-        """Warmup barrier: constructing 20+ actors lazily means every
-        early epoch's gather waits on a cold actor; the engine warms
-        the pool once up front instead."""
-        return True
-
     def warm(self) -> bool:
         """Deep warmup: exercise the full fetch+decode path once and
         touch every page of the plasma-backed images buffer.  Without

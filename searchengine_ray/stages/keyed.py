@@ -1,7 +1,8 @@
 """The package's one grouping path: every grouped aggregate is
-``combine``, and every shuffle by key — the partitioned fold, a
-per-partition finisher, a join — runs as ``keyed_map`` on plain Ray
-tasks.  No other module groups or shuffles by key.
+``combine``, every grouped top-k is ``top_k``, and every shuffle by
+key — the partitioned fold, a per-partition finisher, a join — runs
+as ``keyed_map`` on plain Ray tasks.  No other module groups or
+shuffles by key.
 
 ``combine(ds, keys, aggs, fn=None, partitioned=False)``: ``aggs`` maps
 each output column to ``(input column, "sum" | "count" | "min" |
@@ -87,7 +88,10 @@ def keyed_map(ds, part_col: str, npart: int, fn, batch_format: str = "pandas"):
     the first/last partition.  ``fn`` gets every row of its partition
     (``part_col`` included) as a pandas frame — or a ``pyarrow.Table``
     with ``batch_format="pyarrow"`` — and returns a frame or table.
-    Empty partitions call ``fn`` on an empty, typed frame."""
+    An empty partition of an input with rows calls ``fn`` on an empty,
+    typed frame; on an input with no rows Ray runs no task, so ``fn``
+    never runs and the result has no schema (``combine`` and ``top_k``
+    build their typed empty on the driver instead)."""
     npart = max(int(npart), 2)
 
     def pad(t: pa.Table) -> pa.Table:
@@ -219,6 +223,48 @@ def combine(ds, keys: list, aggs: dict, fn=None, partitioned: bool = False):
     if not tables:
         return typed_empty().to_pandas()
     return fold(pa.concat_tables(tables, promote_options="permissive")).to_pandas()
+
+
+def top_k(ds, keys: list, order: list, k: int, fn=None) -> pd.DataFrame:
+    """The package's one grouped top-k: SQL ``row_number() OVER
+    (PARTITION BY keys ORDER BY order) <= k``, as a pandas frame sorted
+    by ``keys`` then ``order``.
+
+    ``order`` is ``(column, "ascending" | "descending")`` pairs and
+    should be total (end on a unique column): ties are not broken.
+    Each batch runs ``fn`` (a projection, as in ``combine``) and keeps
+    its own top ``k`` per group — a batch holds at most a group's true
+    top ``k``, so only ≤ k rows per group per batch ride the shuffle;
+    the partials hash-partition by ``keys``, and one ``keyed_map``
+    takes the final top ``k`` of each key-complete partition.  A null
+    key is its own group.  Typed empty: when no row comes back (Ray
+    runs no UDF on an input with no rows), both steps run once on the
+    driver over a zero-row table of ``ds.schema()``."""
+    keys = list(keys)
+    by = [c for c, _ in order]
+    asc = [d == "ascending" for _, d in order]
+    npart = ncpus()
+
+    def head(b: pd.DataFrame) -> pd.DataFrame:
+        b = b.sort_values(by, ascending=asc)
+        return b.groupby(keys, sort=False, dropna=False).head(k)
+
+    def partial(t: pa.Table) -> pd.DataFrame:
+        if fn is not None:
+            t = fn(t)
+        b = head(t if isinstance(t, pd.DataFrame) else t.to_pandas())
+        b = b.reset_index(drop=True)
+        return b.assign(part=hash_part([b[c].to_numpy() for c in keys], npart))
+
+    def final(g: pd.DataFrame) -> pd.DataFrame:
+        return head(g).drop(columns=["part"])
+
+    parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    out = keyed_map(parts, "part", npart, final).to_pandas()
+    if not len(out):
+        out = final(partial(arrow_schema(ds).empty_table()))
+    out = out.sort_values(keys + by, ascending=[True] * len(keys) + asc)
+    return out.reset_index(drop=True)
 
 
 def with_hash_part(ds, keys: list, npart: int):

@@ -1,4 +1,11 @@
-"""Distributed weighted sampling without replacement.
+"""Deterministic sampling: the Knuth hash and 80/10/10 split, and
+distributed weighted sampling without replacement.
+
+Knuth multiplicative hash ``doc_id × 2654435761 mod 2^32``: a stable
+pseudo-random order of ids (q59's quota order, q71's per-source
+sample) and, cut at 80 % and 90 % of 2^32, the train/val/test split of
+q46 and both curation funnels — no RNG state, the same answer on any
+partitioning.  The SQL oracles restate it in integer arithmetic.
 
 Efraimidis & Spirakis ("Weighted random sampling with a reservoir",
 IPL 2006): assign every row the key ``-ln(u_i) / w_i`` with u_i ~
@@ -21,6 +28,28 @@ import numpy as np
 import pandas as pd
 
 from ..functions.hashing import fnv1a64_fixed
+
+SPLIT_TRAIN = int(0.8 * (1 << 32))
+SPLIT_VAL = int(0.9 * (1 << 32))
+
+
+def knuth_hash(ids) -> np.ndarray:
+    """uint64 ``id × 2654435761 mod 2^32`` of integer ids (negative
+    ids wrap as two's complement, as the modulus of the exact
+    product)."""
+    ids = np.asarray(ids).astype(np.uint64)
+    return (ids * np.uint64(2654435761)) % np.uint64(1 << 32)
+
+
+def split_of(ids) -> np.ndarray:
+    """Deterministic 80/10/10 ``train`` / ``val`` / ``test`` split by
+    ``knuth_hash``."""
+    h = knuth_hash(ids)
+    return np.where(
+        h < np.uint64(SPLIT_TRAIN),
+        "train",
+        np.where(h < np.uint64(SPLIT_VAL), "val", "test"),
+    )
 
 
 def _hash_uniform(ids: np.ndarray, seed: int) -> np.ndarray:

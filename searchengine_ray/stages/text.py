@@ -57,8 +57,9 @@ _STOP_H = _hashset(STOPWORDS)
 _LANG_H = {lang: _hashset(p) for lang, p in LANG_PROFILES.items()}
 
 
-def _in_sorted(h: np.ndarray, sset: np.ndarray) -> np.ndarray:
-    """Vectorized membership of uint64 hashes in a sorted uint64 set."""
+def in_sorted(h: np.ndarray, sset: np.ndarray) -> np.ndarray:
+    """Vectorized membership of ``h`` in the sorted array ``sset`` (the
+    package's one sorted-set membership test: hashes, ids, strings)."""
     if len(sset) == 0 or len(h) == 0:
         return np.zeros(len(h), bool)
     pos = np.searchsorted(sset, h)
@@ -119,8 +120,8 @@ def text_profile(
     analysis kernels need: ``n_tokens``, ``n_distinct``, ``stop_cnt``,
     ``tok_chars``, ``lang_pred``, ``lang_score``.
 
-    Shared by token_stats / quality_score / langid and the q37 /
-    curation-funnel / corpus-ETL clean gates so the flagship pipeline
+    Shared by token_stats / quality_score / langid and ``clean_gate``
+    (q37, the curation funnel, the corpus ETL) so the flagship pipeline
     tokenizes each document exactly once per pass.  All membership
     tests run on the token DICTIONARY (distinct tokens) and gather by
     index; per-doc sums are ``np.bincount`` over the doc-index array."""
@@ -137,10 +138,10 @@ def text_profile(
     else:
         dh = fnv1a64_batch(dic)
         dlens = _dict_lens(dic)
-        stopf = _in_sorted(dh, _STOP_H).astype(np.float64)
+        stopf = in_sorted(dh, _STOP_H).astype(np.float64)
         if with_lang:
             flags = np.stack(
-                [_in_sorted(dh, _LANG_H[lang]).astype(np.float64) for lang in LANGS],
+                [in_sorted(dh, _LANG_H[lang]).astype(np.float64) for lang in LANGS],
                 axis=1,
             )
     stop_cnt = np.bincount(didx, weights=stopf[idx], minlength=n)
@@ -212,6 +213,30 @@ def langid(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
             "lang_score": p["lang_score"],
         }
     )
+
+
+def clean_gate(b: pd.DataFrame) -> pd.DataFrame:
+    """The corpus clean gate (q37, the curation funnel, the corpus ETL):
+    the rows of ``b`` whose ``text`` is English by stopword-profile
+    langid, has ≥ 5 tokens, a stopword share ≤ 0.5 and a mean token
+    length ≥ 2.0 — both integer ppm, floor-divided, so the DuckDB
+    oracle compares exactly — plus ``n_tokens``, ``stopword_ppm`` and
+    ``mean_token_len_ppm``."""
+    p = text_profile(b["text"], with_distinct=False)
+    n = p["n_tokens"]
+    nc = np.maximum(n, 1)
+    stop_ppm = p["stop_cnt"] * 1_000_000 // nc
+    mean_len_ppm = p["tok_chars"] * 1_000_000 // nc
+    keep = (
+        (p["lang_pred"] == "en")
+        & (n >= 5)
+        & (stop_ppm <= 500_000)
+        & (mean_len_ppm >= 2_000_000)
+    )
+    out = b.assign(
+        n_tokens=n, stopword_ppm=stop_ppm, mean_token_len_ppm=mean_len_ppm
+    )
+    return out[keep]
 
 
 _FP_BASE = 1000003

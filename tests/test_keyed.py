@@ -1,7 +1,8 @@
 """The keyed-shuffle primitive (``stages/keyed.py``): one ``fn`` call
 per key-complete partition, typed results for empty partitions,
-``combine`` equal to DuckDB ``GROUP BY`` for both finishes, and
-``hash_join`` equal to DuckDB for every join type the package uses."""
+``combine`` equal to DuckDB ``GROUP BY`` for both finishes, ``top_k``
+equal to ``row_number() <= k``, and ``hash_join`` equal to DuckDB for
+every join type the package uses."""
 
 import os
 import subprocess
@@ -199,6 +200,35 @@ def test_combine_typed_when_input_is_empty(ray_session):
     df = _groups().iloc[:0]  # noqa: F841 - read by DuckDB
     want = duckdb.connect().execute(f"SELECT {_AGG_SQL} FROM df").df()
     assert _canon(one) == _canon(want) == [(0.0, None, None, None, None)]
+
+
+def test_top_k_matches_duckdb(ray_session):
+    """``top_k`` equals SQL ``row_number() <= k`` per group across 4
+    blocks (a null key is its own group), sorted by keys then order;
+    a zero-row input gives the same columns and types, zero rows."""
+    import pyarrow as pa
+    import ray
+
+    df = _groups().assign(id=np.arange(600))
+    order = [("f", "descending"), ("id", "ascending")]
+
+    def fn(t):
+        return t.select(["k1", "k2", "f", "id"])
+
+    got = keyed.top_k(_blocks(df), ["k1", "k2"], order, 3, fn)
+    want = duckdb.connect().execute(
+        "SELECT k1, k2, f, id FROM (SELECT *, row_number() OVER ("
+        "PARTITION BY k1, k2 ORDER BY f DESC, id) AS rn FROM df) "
+        "WHERE rn <= 3 ORDER BY k1 NULLS LAST, k2, f DESC, id"
+    ).df()
+    assert list(got.columns) == ["k1", "k2", "f", "id"]
+    assert got["k1"].isna().sum() == 9  # 3 per k2 value of the null group
+    assert _canon(got) == _canon(want)
+    assert got["id"].tolist() == want["id"].tolist()
+
+    empty = ray.data.from_arrow(pa.Table.from_pandas(df).slice(0, 0))
+    none = keyed.top_k(empty, ["k1", "k2"], order, 3, fn)
+    assert len(none) == 0 and list(none.dtypes) == list(got.dtypes)
 
 
 def test_combine_float_sums_are_run_to_run_exact(ray_session):

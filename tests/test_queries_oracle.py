@@ -39,6 +39,39 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+# Ray aggregates under every name: a query that calls one raises, so
+# each run below also proves that no query bypasses ``keyed.combine``
+# (the AST guard in test_keyed_guards.py sees only ``aggregate``, and
+# cannot tell ``Dataset.sum`` from a numpy or pandas ``sum``)
+_DATASET_AGGREGATES = ("aggregate", "sum", "min", "max", "mean", "std", "unique")
+
+
+@pytest.fixture(autouse=True)
+def no_ray_aggregates(monkeypatch):
+    from ray.data import Dataset
+    from ray.data.grouped_data import GroupedData
+
+    def forbid(name):
+        def raiser(self, *args, **kwargs):
+            raise AssertionError(f"Ray aggregate {name} called: use keyed.combine")
+
+        return raiser
+
+    for name in _DATASET_AGGREGATES:
+        monkeypatch.setattr(Dataset, name, forbid(f"Dataset.{name}"))
+    monkeypatch.setattr(GroupedData, "aggregate", forbid("GroupedData.aggregate"))
+
+
+def test_ray_aggregates_raise(ray_session):
+    import ray.data
+
+    ds = ray.data.from_items([{"x": 1}, {"x": 2}])
+    with pytest.raises(AssertionError, match="Dataset.sum"):
+        ds.sum("x")
+    with pytest.raises(AssertionError, match="GroupedData.aggregate"):
+        ds.groupby("x").aggregate()
+
+
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
@@ -108,19 +141,25 @@ def test_rows_only_queries_run(ray_session, name):
     assert got is not None and (len(got) == 0 or len(got.columns) > 0)
 
 
-# grouped aggregates whose zero-row result diverged from DuckDB's typed
-# empty one (a KeyError or a frame with no columns), plus q06's global
-# aggregate (one row: NULL sum, zero count)
+# grouped aggregates and top-k queries whose zero-row result diverged
+# from DuckDB's typed empty one (a KeyError or a frame with no columns),
+# plus q06's global aggregate (one row: NULL sum, zero count) and q55's
+# decontamination
 EMPTY_INPUT = [
     "q01_pricing_summary",
     "q06_revenue_filter",
     "q08_events_hourly",
     "q12_word_counts",
     "q26_brand_volume",
+    "q27_best_order_per_customer",
     "q35_props_extract",
     "q39_token_histogram",
+    "q55_decontaminate",
+    "q56_top3_orders_per_customer",
+    "q59_source_quota",
     "q60_zscore",
     "q67_salted_groupby",
+    "q71_stratified_sample",
     "q73_span_removal",
     "q80_group_corr",
     "q81_freq_spectrum",
