@@ -32,6 +32,11 @@ curation decisions live once in ``stages/``: the clean gate
 the near-dup drop set (``cluster.neardup_drop``), the benchmark
 8-gram test (``dedup.bench_ngram_hashes`` / ``shared_ngrams``) and
 the Knuth hash and split (``sampling.knuth_hash`` / ``split_of``).
+Every text query tokenizes through ``text.tokenize`` (per-doc counts,
+dictionary indices, the dictionary and the flat doc index, so no
+query rebuilds a doc index from token counts; a null text has no
+tokens, as in the SQL) and hashes k-grams with
+``text.kgram_window_hashes``.
 """
 
 from __future__ import annotations
@@ -548,11 +553,17 @@ def q15_embedding_topk(sf_dir: str):
     from ..stages.similarity import cosine_topk
 
     emb = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"))
-    q = np.asarray(
-        emb.filter(pc.equal(emb["vec_id"], 0))["embedding"].to_pylist()[0]
-    )
+    qrow = emb.filter(pc.equal(emb["vec_id"], 0))["embedding"].to_pylist()
+    if not qrow:
+        # no query vector: the oracle's cross join with it is empty
+        return pd.DataFrame(
+            {
+                "vec_id": pd.Series([], dtype="int64"),
+                "cos_sim": pd.Series([], dtype="float64"),
+            }
+        )
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = cosine_topk(ds, q[None, :], k=10)
+    out = cosine_topk(ds, np.asarray(qrow[0])[None, :], k=10)
     out = out.drop(columns=["query_id"])
     out["cos_sim"] = np.round(out["cos_sim"].astype(np.float64), 3)
     return out
@@ -663,8 +674,7 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
     def shingles(b: pa.Table) -> pa.Table:
         # pyarrow hop: the wide (doc_id, text) read never converts to
         # pandas; only 8-byte shingle rows ride the shuffle
-        texts = b["text"].to_pylist()
-        didx, sh, _lens = _distinct_shingles(texts, K, short_fallback=False)
+        didx, sh, _lens = _distinct_shingles(b["text"], K, short_fallback=False)
         counts = (
             np.bincount(didx, minlength=len(b)) if len(b) else np.zeros(0)
         )
@@ -1272,8 +1282,7 @@ def q39_token_histogram(sf_dir: str):
     ds = _read(sf_dir, "documents", ["text"])
 
     def prep(t: pa.Table) -> pa.Table:
-        counts, _idx, _dic = tx._token_dict(t["text"].to_pylist())
-        return pa.table({"bucket": counts // 10 * 10})
+        return pa.table({"bucket": tx.tokenize(t["text"]).counts // 10 * 10})
 
     return combine(ds, ["bucket"], {"n_docs": ("bucket", "count")}, prep)
 
@@ -1446,8 +1455,9 @@ def q49_heavy_tokens(sf_dir: str):
     ds = _read(sf_dir, "documents", ["text"])
 
     def vals(b: pd.DataFrame) -> np.ndarray:
-        e = tx.tokenize_series(b["text"]).explode().dropna()
-        return e.to_numpy().astype("U")
+        # convert the small dictionary, then gather the stream
+        tok = tx.tokenize(b["text"])
+        return tok.dic.to_numpy(zero_copy_only=False).astype("U")[tok.idx]
 
     out = sk.heavy_hitters(ds, vals, threshold_frac=0.005, value_col="token")
     return out.sort_values("token").reset_index(drop=True)
@@ -1558,9 +1568,7 @@ def q52_length_band_filter(sf_dir: str):
         lambda b: pd.DataFrame(
             {
                 "source": b["source"],
-                "n_tokens": tx.tokenize_series(b["text"])
-                .str.len()
-                .astype("int64"),
+                "n_tokens": tx.tokenize(b["text"]).counts,
             }
         ),
         batch_format="pandas",
@@ -1615,9 +1623,7 @@ def q54_weighted_sample(sf_dir: str):
         lambda b: pd.DataFrame(
             {
                 "doc_id": b["doc_id"].astype("int64"),
-                "n_tokens": tx.tokenize_series(b["text"])
-                .str.len()
-                .astype("int64"),
+                "n_tokens": tx.tokenize(b["text"]).counts,
             }
         ),
         batch_format="pandas",
@@ -1860,13 +1866,8 @@ def q61_bigram_counts(sf_dir: str):
     ds = _read(sf_dir, "documents", ["text"])
 
     def bigrams(t: pa.Table) -> pa.Table:
-        lens, idx, dic = tx._token_dict(t["text"].to_pylist())
-        if len(idx) < 2:
-            return pa.table({"bigram": pa.array([], pa.string())})
-        off = np.concatenate([[0], np.cumsum(lens)])
-        nw = len(idx) - 1
-        doc_of = np.searchsorted(off, np.arange(nw), side="right") - 1
-        ok = np.arange(nw) + 2 <= off[doc_of + 1]
+        _counts, idx, dic, doc_of = tx.tokenize(t["text"])
+        ok = doc_of[:-1] == doc_of[1:]
         first = dic.take(pa.array(idx[:-1][ok]))
         second = dic.take(pa.array(idx[1:][ok]))
         return pa.table({"bigram": pc.binary_join_element_wise(first, second, " ")})
@@ -1913,7 +1914,7 @@ def q62_sequence_packing(sf_dir: str):
         return pd.DataFrame(
             {
                 "doc_id": did,
-                "nt": tx.tokenize_series(b["text"]).str.len().astype("int64"),
+                "nt": tx.tokenize(b["text"]).counts,
                 "part": np.minimum(did * npart // max(ndocs, 1), npart - 1),
             }
         )
@@ -2371,10 +2372,7 @@ def q45_tfidf_terms(sf_dir: str):
     npart = ncpus()
 
     def rows(t: pa.Table) -> pa.Table:
-        counts, idx, dic = tx._token_dict(t["text"].to_pylist())
-        if dic is None:
-            dic = pa.array([], pa.string())
-        doc = np.repeat(np.arange(len(t)), counts)
+        _counts, idx, dic, doc = tx.tokenize(t["text"])
         # one (doc, word) row per distinct word of each doc
         udoc, uword = np.unique(np.stack([doc, idx]), axis=1)
         n = len(idx)
@@ -2539,7 +2537,7 @@ def q70_repetition_stats(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def stats(b: pa.Table) -> pa.Table:
-        rs = repetition_stats(b["text"].to_pylist())
+        rs = repetition_stats(b["text"])
         # Gopher-ish keep rule on integer arithmetic: top unigram
         # <= 20% of tokens AND duplicated bigrams <= 30% of bigrams
         keep = (rs["top_unigram_n"] * 5 <= rs["n_tokens"]) & (
@@ -3004,20 +3002,9 @@ def q82_source_overlap(sf_dir: str):
     ds = _read(sf_dir, "documents", ["source", "text"])
 
     def distinct_partial(b: pa.Table) -> pa.Table:
-        texts = b["text"].to_pylist()
-        counts, idx, dic = tx._token_dict(texts)
-        if dic is None:
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "wh": pa.array([], pa.int64()),
-                    "part": pa.array([], pa.int64()),
-                }
-            )
+        _counts, idx, dic, doc_of = tx.tokenize(b["text"])
         srcs = pd.Series(b["source"].to_pylist())
         codes, uniq_src = pd.factorize(srcs)
-        off = np.concatenate([[0], np.cumsum(counts)])
-        doc_of = np.searchsorted(off, np.arange(len(idx)), side="right") - 1
         wh = fnv1a64_batch(dic)
         pair = codes[doc_of].astype(np.uint64) * np.uint64(
             len(dic)
@@ -3349,19 +3336,15 @@ def q77_unigram_logprob(sf_dir: str):
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
         wv, lp = ray.get(vocab_ref)
-        cnts, idx, dic = tx._token_dict(b["text"].tolist())
+        cnts, idx, dic, doc_of = tx.tokenize(b["text"])
         n = len(b)
         nll = np.zeros(n, np.float64)
-        if dic is not None and len(idx):
+        if len(idx):
             # per-dictionary-token logp gathered once, then summed per
             # doc over the flat index stream
             dtoks = np.asarray(dic.to_pylist(), dtype=object)
             pos = np.searchsorted(wv, dtoks)
             dlp = lp[np.minimum(pos, len(wv) - 1)]
-            off = np.concatenate([[0], np.cumsum(cnts)]).astype(np.int64)
-            doc_of = (
-                np.searchsorted(off, np.arange(len(idx)), side="right") - 1
-            )
             sums = np.bincount(doc_of, weights=dlp[idx], minlength=n)
             nz = cnts > 0
             nll[nz] = -sums[nz] / cnts[nz]

@@ -8,6 +8,11 @@ operators a 100 TB training-data pipeline needs (build charter), each
 expressed as map_batches (vectorized sketching) + a keyed shuffle
 (groupby on hash/band/bucket) + per-group resolution — the partial/
 combiner-first pattern, never a driver-side loop over rows.
+
+The text operators (shingles for MinHash, q18's Jaccard and
+decontamination; SimHash) tokenize through ``text.tokenize`` and hash
+k-gram shingles with ``text.kgram_window_hashes``, the package's one
+tokenizer and one k-gram hash.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import pyarrow as pa
 
 from ..functions.hashing import fnv1a64_batch
 from .keyed import hash_join, keyed_map, ncpus, with_hash_part
-from .text import TOKEN_RE, in_sorted
+from . import text as tx
+from .text import in_sorted
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +108,6 @@ def _hash_dedup(ds, hash_col: str, id_col: str, keep_cols: list[str] | None):
 # --------------------------------------------------------------- minhash LSH
 
 _MERSENNE = (1 << 61) - 1
-_SHINGLE_BASE = np.uint64(1000003)
 
 
 def _minhash_params(num_perm: int, seed: int = 7):
@@ -116,54 +121,24 @@ def _distinct_shingles(
     texts, shingle_k: int, short_fallback: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """→ (doc_idx, shingle_hash, n_tokens_per_doc) — each doc's DISTINCT
-    k-token shingle hashes, fully vectorized past tokenization.
-
-    Token hashes come from one ``fnv1a64_batch`` over the batch's flat
-    token stream; a shingle hash is the polynomial combine of its k
-    token hashes, computed with k−1 shifted-slice ops over the flat
-    array (windows crossing a doc boundary are masked out).  With
-    ``short_fallback`` docs shorter than k contribute one all-tokens
-    shingle (matching ``text.shingle_set``); without it they emit
-    nothing (SQL ``range(len-k+1)`` semantics, q18's oracle)."""
-    tok_lists = [TOKEN_RE.findall(str(t).lower()) for t in texts]
-    lens = np.array([len(t) for t in tok_lists], np.int64)
-    flat = [w for ts in tok_lists for w in ts]
-    if not flat:
-        return np.zeros(0, np.int64), np.zeros(0, np.uint64), lens
-    H = fnv1a64_batch(pa.array(flat, type=pa.string()))
-    off = np.concatenate([[0], np.cumsum(lens)])
-    nw = len(H) - shingle_k + 1
-    parts_d, parts_s = [], []
-    if nw > 0:
-        with np.errstate(over="ignore"):
-            acc = H[:nw].copy()
-            for j in range(1, shingle_k):
-                acc = acc * _SHINGLE_BASE + H[j : j + nw]
-        # a window starting at i is valid iff it fits inside i's doc
-        doc_of = np.searchsorted(off, np.arange(nw), side="right") - 1
-        ok = np.arange(nw) + shingle_k <= off[doc_of + 1]
-        parts_d.append(doc_of[ok])
-        parts_s.append(acc[ok])
-    short = (
-        np.nonzero((lens > 0) & (lens < shingle_k))[0]
-        if short_fallback
-        else np.zeros(0, np.int64)
-    )
-    for d in short:  # rare: docs shorter than one shingle
-        hs = H[off[d] : off[d + 1]]
-        with np.errstate(over="ignore"):
-            acc = hs[0]
-            for v in hs[1:]:
-                acc = acc * _SHINGLE_BASE + v
-        parts_d.append(np.array([d], np.int64))
-        parts_s.append(np.array([acc], np.uint64))
-    didx = np.concatenate(parts_d) if parts_d else np.zeros(0, np.int64)
-    sh = np.concatenate(parts_s) if parts_s else np.zeros(0, np.uint64)
+    k-token shingle hashes: ``text.kgram_window_hashes`` over one
+    ``text.tokenize`` stream, then a per-doc distinct.  With
+    ``short_fallback`` a doc shorter than k contributes one all-tokens
+    shingle (the same Horner fold over its whole stream,
+    ``text.doc_hashes``); without it such docs emit nothing (SQL
+    ``range(len-k+1)`` semantics, q18's oracle)."""
+    tok = tx.tokenize(texts)
+    didx, _pos, sh = tx.kgram_window_hashes(tok, shingle_k)
+    if short_fallback:
+        short = np.flatnonzero((tok.counts > 0) & (tok.counts < shingle_k))
+        fold = tx.doc_hashes(tok.hashes(), tok.starts[short], tok.counts[short])
+        didx, sh = np.concatenate([didx, short]), np.concatenate([sh, fold])
     # per-doc distinct: lexsort by (doc, shingle), keep group firsts
     order = np.lexsort((sh, didx))
     didx, sh = didx[order], sh[order]
-    keep = np.r_[True, (didx[1:] != didx[:-1]) | (sh[1:] != sh[:-1])]
-    return didx[keep], sh[keep], lens
+    keep = np.ones(len(sh), bool)
+    keep[1:] = (didx[1:] != didx[:-1]) | (sh[1:] != sh[:-1])
+    return didx[keep], sh[keep], tok.counts
 
 
 # ---------------------------------------------- benchmark decontamination
@@ -186,7 +161,7 @@ def bench_ngram_hashes(ds) -> np.ndarray:
 
     def bench(t: pa.Table) -> pa.Table:
         held = is_bench(t["doc_id"].to_numpy(zero_copy_only=False))
-        texts = t["text"].filter(pa.array(held)).to_pylist()
+        texts = t["text"].filter(pa.array(held))
         _d, sh, _l = _distinct_shingles(texts, DECON_K, short_fallback=False)
         return pa.table({"h": pa.array(np.unique(sh), pa.uint64())})
 
@@ -225,11 +200,9 @@ def minhash_signatures(
     the wide text read never converts to pandas); returns pandas."""
     if isinstance(batch, pa.Table):
         ids = batch[id_col].to_numpy(zero_copy_only=False)
-        texts = batch[text_col].to_pylist()
     else:
         ids = batch[id_col].to_numpy()
-        texts = batch[text_col]
-    didx, sh, _lens = _distinct_shingles(texts, shingle_k)
+    didx, sh, _lens = _distinct_shingles(batch[text_col], shingle_k)
     n = len(batch)
     a, b = _minhash_params(num_perm, seed)
     sig = np.full((n, num_perm), np.uint64(_MERSENNE))
@@ -519,26 +492,22 @@ def simhash_batch(
 ) -> pd.DataFrame:
     """64-bit SimHash over token hashes (weight = term frequency).
 
-    Fully vectorized: every token in the batch is hashed in one
-    ``fnv1a64_batch`` call (same 61-bit-masked values as ``hash_word``)
-    and the per-doc bit-vote sums come from ``np.add.reduceat`` over
-    the flat token-bit matrix — no per-token Python hashing."""
-    from .text import _FP_MASK
-
-    tok_lists = [TOKEN_RE.findall(str(t).lower()) for t in batch[text_col]]
-    counts = np.array([len(t) for t in tok_lists], np.int64)
-    n = len(batch)
-    out_hash = np.zeros(n, np.uint64)
-    flat = [w for ts in tok_lists for w in ts]
-    if flat:
-        hs = fnv1a64_batch(pa.array(flat, type=pa.string())) & np.uint64(_FP_MASK)
+    Fully vectorized over one ``text.tokenize`` stream: token hashes
+    are the 61-bit-masked FNV values of ``hash_word``, and the per-doc
+    bit-vote sums come from ``np.add.reduceat`` over the flat
+    token-bit matrix — no per-token Python hashing.  A doc without
+    tokens (empty or null text) hashes to 0."""
+    tok = tx.tokenize(batch[text_col])
+    counts = tok.counts
+    out_hash = np.zeros(len(counts), np.uint64)
+    if len(tok.idx):
+        hs = tok.hashes() & np.uint64(tx._FP_MASK)
         # bit matrix via unpackbits (little-endian bytes → bit j of h)
         bits = np.unpackbits(
             hs.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
         )
         nz = counts > 0
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])[nz]
-        ones = np.add.reduceat(bits.astype(np.int32), starts, axis=0)
+        ones = np.add.reduceat(bits.astype(np.int32), tok.starts[nz], axis=0)
         # majority vote: Σ(2b−1) > 0  ⟺  2·ones > n_tokens
         pos = (2 * ones) > counts[nz, None]
         out_hash[nz] = np.packbits(pos, axis=1, bitorder="little").view(

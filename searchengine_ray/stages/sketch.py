@@ -177,11 +177,13 @@ def heavy_hitters(
             {"cms": [cms_partial(v, width, depth).tobytes()], "n": [len(v)]}
         )
 
+    # fold from the zero sketch: an empty input yields no partials
     parts = ds.map_batches(p1, batch_format="pandas").to_pandas()
     cms = np.zeros((depth, width), np.int64)
-    for buf in parts["cms"]:
+    total = 0
+    for buf, n in parts.reindex(columns=["cms", "n"]).itertuples(index=False):
         cms += np.frombuffer(buf, np.int64).reshape(depth, width)
-    total = int(parts["n"].sum())
+        total += int(n)
     if threshold is None:
         threshold = max(1, int(total * threshold_frac))
     ref = ray.put(cms)

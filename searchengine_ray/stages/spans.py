@@ -10,11 +10,11 @@ al. 2021, which the reference engine's whole-page MD5 dedup
 
 Shape, 100-TB-first:
 
-1. one ``map_batches`` pass tokenizes each doc ONCE (the
-   ``text._token_dict`` dictionary-encode kernel) and emits every
-   K-gram window as an 8-byte polynomial hash with its (doc_id, pos) —
-   positions whose window would cross a doc boundary are masked out
-   exactly as q61's bigram kernel does;
+1. one ``map_batches`` pass tokenizes each doc ONCE and emits every
+   K-gram window with its (doc_id, pos) through the package's one
+   k-gram kernel, ``text.kgram_window_hashes``: an 8-byte Horner fold
+   of the window's FNV-1a/64 token hashes (the shingle hash of q16 and
+   q18), with windows that would cross a doc boundary masked out;
 2. the K-gram rows hash-partition by gram hash, so each partition
    holds EVERY occurrence of its grams: one vectorized per-partition
    ``transform('size') > 1`` marks duplicated occurrences (global
@@ -36,39 +36,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import fnv1a64_batch
 from . import text as tx
 from .keyed import keyed_map, ncpus
-
-# odd multiplier -> position weights B^j are units mod 2^64, so equal
-# hash sequences are the ONLY non-colliding way to equal window hashes
-_B = np.uint64(0x100000001B3)
-
-
-def kgram_window_hashes(texts, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tokenize a batch once and return (doc_idx, pos_in_doc,
-    gram_hash) for every K-token window that fits inside one doc.
-
-    gram_hash = sum_j h(tok[pos+j]) * B^j  (mod 2^64), computed
-    position-parallel over the batch's FLAT token-hash stream — K
-    vector multiply-adds total, no per-doc loop."""
-    counts, idx, dic = tx._token_dict(texts)
-    off = np.concatenate([[0], np.cumsum(counts)])
-    if dic is None or off[-1] < K:
-        z = np.zeros(0, np.int64)
-        return z, z, np.zeros(0, np.uint64)
-    h = fnv1a64_batch(dic)[idx]
-    m = len(h) - K + 1
-    acc = np.zeros(m, np.uint64)
-    mult = np.uint64(1)
-    with np.errstate(over="ignore"):
-        for j in range(K):
-            acc += h[j : j + m] * mult
-            mult = mult * _B
-    starts = np.arange(m)
-    doc_of = np.searchsorted(off, starts, side="right") - 1
-    ok = starts + K <= off[doc_of + 1]
-    return doc_of[ok], (starts - off[doc_of])[ok], acc[ok]
 
 
 def _gram_windows(ds, K: int, npart: int):
@@ -76,7 +45,7 @@ def _gram_windows(ds, K: int, npart: int):
     ``part`` = gram hash mod ``npart``: 24-byte rows, gram-keyed."""
 
     def windows(b: pa.Table) -> pa.Table:
-        didx, pos, gh = kgram_window_hashes(b["text"].to_pylist(), K)
+        didx, pos, gh = tx.kgram_window_hashes(b["text"], K)
         doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -137,15 +106,13 @@ def repetition_stats(texts) -> pd.DataFrame:
     (doc, token-dictionary-index) stream — exact (no hashing), no
     per-doc Python loop.  Fractions are left to the caller so the
     output stays integer-exact for oracle comparison."""
-    counts, idx, _dic = tx._token_dict(texts)
+    counts, idx, _dic, doc_of = tx.tokenize(texts)
     n = len(counts)
     top_uni = np.zeros(n, np.int64)
     n_bi = np.zeros(n, np.int64)
     top_bi = np.zeros(n, np.int64)
     dup_bi = np.zeros(n, np.int64)
     if len(idx):
-        off = np.concatenate([[0], np.cumsum(counts)])
-        doc_of = np.searchsorted(off, np.arange(len(idx)), side="right") - 1
 
         def _runs(same: np.ndarray, total: int):
             """run starts + lengths for a sorted stream."""
@@ -206,7 +173,7 @@ def remove_duplicate_spans(
     island rule of ``merge_positions_to_spans``); covered tokens are
     removed and the survivors re-serialized space-joined.  The output
     is a NORMALIZED training-corpus text, not a byte-identical
-    document: tokens come from the lowercasing ``text._token_dict``
+    document: tokens come from the lowercasing ``text.tokenize``
     kernel (the same normalization the SQL oracle's ``_TOKS`` uses),
     so casing, inter-token whitespace and punctuation outside
     ``[a-z0-9]+`` runs are all dropped — even for docs with zero
@@ -282,25 +249,22 @@ def remove_duplicate_spans(
         docs = g[g["role"] == 0]
         cuts = g[g["role"] == 1]
         nd = len(docs)
-        counts, idx, dic = tx._token_dict(docs["text"].tolist())
-        off = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        total = int(off[-1])
+        tok = tx.tokenize(docs["text"])
+        counts, idx, dic, doc_of = tok
+        total = len(idx)
         covered = np.zeros(total, bool)
         if len(cuts) and total:
             pos_of = pd.Series(
                 np.arange(nd), index=docs["doc_id"].to_numpy()
             )
             di = pos_of[cuts["doc_id"].to_numpy()].to_numpy()
-            s = off[di] + cuts["pos"].to_numpy(np.int64)
-            e = np.minimum(s + K, off[di + 1])
+            s = tok.starts[di] + cuts["pos"].to_numpy(np.int64)
+            e = np.minimum(s + K, tok.starts[di] + counts[di])
             delta = np.zeros(total + 1, np.int64)
             np.add.at(delta, s, 1)
             np.add.at(delta, e, -1)
             covered = np.cumsum(delta[:-1]) > 0
         if total:
-            doc_of = (
-                np.searchsorted(off, np.arange(total), side="right") - 1
-            )
             cutc = np.bincount(
                 doc_of[covered], minlength=nd
             ).astype(np.int64)

@@ -7,21 +7,31 @@ plus the large-scale training-data operators the engine adds:
 language-ID heuristic, quality scoring, token counting, and
 rolling-hash document fingerprinting.
 
+This module is the package's one tokenizer and one k-gram hash.
+``tokenize`` turns a batch of texts into a ``Tokens`` stream (per-doc
+counts, flat dictionary indices, the dictionary, the flat doc index);
+every text kernel of the package — here, in ``dedup`` (shingles,
+SimHash), ``spans`` and the query catalog — starts from it, and none
+rebuilds the doc index.  ``kgram_window_hashes`` is the one k-gram
+kernel: the Horner fold ``acc·_FP_BASE + h`` of FNV-1a/64 token hashes
+(mod 2^64), which feeds MinHash, q18's Jaccard, decontamination and
+span dedup; ``doc_hashes`` is the same fold over a whole doc.
+
 Everything past tokenization is vectorized over the batch's FLAT token
-stream (the ``dedup._distinct_shingles`` pattern): one
-``fnv1a64_batch`` hash of every token in the batch, membership tests
-as ``searchsorted`` against pre-hashed stopword/profile sets, per-doc
-sums as ``np.bincount`` over the doc-index array — no per-token Python
-work in any hot kernel.
+stream: one ``fnv1a64_batch`` hash per distinct token, membership
+tests as ``searchsorted`` against pre-hashed stopword/profile sets,
+per-doc sums as ``np.bincount`` over the doc-index array — no
+per-token Python work in any hot kernel.
 
 Tokenization contract (shared with the DuckDB oracle SQL):
 ``regexp_extract_all(lower(text), '[a-z0-9]+')`` — keep the two sides
-byte-identical.
+byte-identical; a null text has no tokens on both sides.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -30,6 +40,11 @@ import pyarrow as pa
 from ..functions.hashing import fnv1a64_batch
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# odd Horner base of every token-hash fold (k-grams, document hashes);
+# the document fingerprint keeps the low 61 bits
+_FP_BASE = 1000003
+_FP_MASK = (1 << 61) - 1
 
 # reference stopword set (SearchEngine.h:560-570) — www/com + articles
 STOPWORDS = frozenset({"www", "com", "a", "of", "the", "for"})
@@ -66,23 +81,42 @@ def in_sorted(h: np.ndarray, sset: np.ndarray) -> np.ndarray:
     return (pos < len(sset)) & (sset[np.minimum(pos, len(sset) - 1)] == h)
 
 
-def tokenize_series(text: pd.Series) -> pd.Series:
-    return text.str.lower().str.findall(TOKEN_RE)
+class Tokens(NamedTuple):
+    """A batch's token stream, tokenized once and dictionary-encoded:
+    ``counts`` (tokens per doc), ``idx`` (flat dictionary index per
+    token, docs in order), ``dic`` (the distinct tokens) and ``doc_of``
+    (flat doc index per token)."""
+
+    counts: np.ndarray
+    idx: np.ndarray
+    dic: pa.Array
+    doc_of: np.ndarray
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Flat position of each doc's first token."""
+        return np.cumsum(self.counts) - self.counts
+
+    def hashes(self) -> np.ndarray:
+        """FNV-1a/64 of every token, hashed once per distinct token."""
+        return fnv1a64_batch(self.dic)[self.idx]
 
 
-def _token_dict(texts) -> tuple[np.ndarray, np.ndarray, pa.Array | None]:
-    """Tokenize each doc ONCE and dictionary-encode the batch's flat
-    token stream (C++): → (per-doc token counts, flat dictionary
-    indices, dictionary of DISTINCT tokens).
+def tokenize(texts) -> Tokens:
+    """The package's one tokenizer: each doc's ``TOKEN_RE`` tokens of
+    its lowercased text (a null text has none), with the batch's flat
+    token stream dictionary-encoded in C++.
 
     Token streams are Zipfian, so every downstream per-token kernel
     (hashing, length, set membership) runs over the small dictionary
     and gathers by index — never over the raw stream."""
-    tok_lists = [TOKEN_RE.findall(str(t).lower()) for t in texts]
+    if isinstance(texts, (pa.Array, pa.ChunkedArray)):
+        texts = texts.to_pylist()
+    tok_lists = [
+        TOKEN_RE.findall(t.lower()) if isinstance(t, str) else [] for t in texts
+    ]
     counts = np.array([len(t) for t in tok_lists], np.int64)
     flat = [w for ts in tok_lists for w in ts]
-    if not flat:
-        return counts, np.zeros(0, np.int64), None
     try:
         denc = pa.array(flat, type=pa.string()).dictionary_encode()
     except pa.lib.ArrowCapacityError:
@@ -92,7 +126,12 @@ def _token_dict(texts) -> tuple[np.ndarray, np.ndarray, pa.Array | None]:
         # sizing (npart scales with the cluster) is the primary
         # guard; this keeps the kernel correct past it.
         denc = pa.array(flat, type=pa.large_string()).dictionary_encode()
-    return counts, denc.indices.to_numpy().astype(np.int64), denc.dictionary
+    return Tokens(
+        counts,
+        denc.indices.to_numpy().astype(np.int64),
+        denc.dictionary,
+        np.repeat(np.arange(len(counts)), counts),
+    )
 
 
 def _dict_lens(dic: pa.Array) -> np.ndarray:
@@ -102,13 +141,43 @@ def _dict_lens(dic: pa.Array) -> np.ndarray:
     return pc.binary_length(dic).to_numpy().astype(np.int64)
 
 
-def flat_token_hashes(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tokenize each doc ONCE → (per-doc token counts, flat per-token
-    byte lengths, flat per-token FNV-1a/64 hashes)."""
-    counts, idx, dic = _token_dict(texts)
-    if dic is None:
-        return counts, np.zeros(0, np.int64), np.zeros(0, np.uint64)
-    return counts, _dict_lens(dic)[idx], fnv1a64_batch(dic)[idx]
+def kgram_window_hashes(tokens, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(doc_idx, pos, gram_hash) for every k-token window that fits
+    inside one doc; ``tokens`` is a ``tokenize`` result or the texts.
+
+    gram_hash is the Horner fold ``acc·_FP_BASE + h`` (mod 2^64) of the
+    window's FNV-1a/64 token hashes, computed position-parallel over
+    the flat stream: k−1 vector multiply-adds, windows that cross a doc
+    boundary masked out.  The base is odd, so equal hash sequences are
+    the only non-colliding way to equal gram hashes."""
+    tok = tokens if isinstance(tokens, Tokens) else tokenize(tokens)
+    nw = len(tok.idx) - k + 1
+    if nw <= 0:
+        z = np.zeros(0, np.int64)
+        return z, z, np.zeros(0, np.uint64)
+    h = tok.hashes()
+    with np.errstate(over="ignore"):
+        acc = h[:nw].copy()
+        for j in range(1, k):
+            acc = acc * np.uint64(_FP_BASE) + h[j : j + nw]
+    doc = tok.doc_of[:nw]
+    pos = np.arange(nw) - tok.starts[doc]
+    ok = pos + k <= tok.counts[doc]
+    return doc[ok], pos[ok], acc[ok]
+
+
+def doc_hashes(h: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The same Horner fold over each whole run ``h[starts[i] :
+    starts[i] + counts[i]]`` (0 for an empty run), vectorized across
+    runs by iterating token POSITIONS: position j updates every run
+    longer than j in one numpy op."""
+    acc = np.zeros(len(counts), np.uint64)
+    base = np.uint64(_FP_BASE)
+    with np.errstate(over="ignore"):
+        for j in range(int(counts.max(initial=0))):
+            m = counts > j
+            acc[m] = acc[m] * base + h[starts[m] + j]
+    return acc
 
 
 def text_profile(
@@ -125,25 +194,11 @@ def text_profile(
     tokenizes each document exactly once per pass.  All membership
     tests run on the token DICTIONARY (distinct tokens) and gather by
     index; per-doc sums are ``np.bincount`` over the doc-index array."""
-    counts, idx, dic = _token_dict(texts)
+    counts, idx, dic, didx = tokenize(texts)
     n = len(counts)
-    # dic is None ⇒ zero tokens everywhere ⇒ didx/idx empty ⇒ every
-    # bincount below degenerates to zeros(n); empty per-dict arrays
-    # keep the gathers well-typed
-    didx = np.repeat(np.arange(n), counts)
-    if dic is None:
-        dlens = np.zeros(0, np.int64)
-        stopf = np.zeros(0)
-        flags = np.zeros((0, len(LANGS)))
-    else:
-        dh = fnv1a64_batch(dic)
-        dlens = _dict_lens(dic)
-        stopf = in_sorted(dh, _STOP_H).astype(np.float64)
-        if with_lang:
-            flags = np.stack(
-                [in_sorted(dh, _LANG_H[lang]).astype(np.float64) for lang in LANGS],
-                axis=1,
-            )
+    dh = fnv1a64_batch(dic)
+    dlens = _dict_lens(dic)
+    stopf = in_sorted(dh, _STOP_H).astype(np.float64)
     stop_cnt = np.bincount(didx, weights=stopf[idx], minlength=n)
     tok_chars = np.bincount(didx, weights=dlens[idx].astype(np.float64), minlength=n)
     out = {
@@ -153,7 +208,7 @@ def text_profile(
     }
     if with_distinct:
         # distinct tokens per doc: sort (doc, dict index), count firsts
-        ndic = len(dic) if dic is not None else 1
+        ndic = max(len(dic), 1)
         key = np.sort(didx * ndic + idx)
         first = np.r_[np.ones(min(len(key), 1), bool), key[1:] != key[:-1]]
         out["n_distinct"] = np.bincount(
@@ -162,8 +217,12 @@ def text_profile(
     if with_lang:
         mat = np.stack(
             [
-                np.bincount(didx, weights=flags[idx, j], minlength=n)
-                for j in range(len(LANGS))
+                np.bincount(
+                    didx,
+                    weights=in_sorted(dh, _LANG_H[lang]).astype(np.float64)[idx],
+                    minlength=n,
+                )
+                for lang in LANGS
             ],
             axis=1,
         ).astype(np.int64)
@@ -239,31 +298,16 @@ def clean_gate(b: pd.DataFrame) -> pd.DataFrame:
     return out[keep]
 
 
-_FP_BASE = 1000003
-_FP_MASK = (1 << 61) - 1
-
-
 def fingerprint(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
     """Rolling polynomial hash over the token stream (order-sensitive
-    document fingerprint; exact-dup docs collide, any reorder doesn't).
-
-    Vectorized across docs by iterating token POSITIONS (the
-    ``fnv1a64_batch`` pattern): position j updates every doc with more
-    than j tokens in one numpy op.  uint64 wraparound is exact here
-    because 2^61 divides 2^64, so ``(x mod 2^64) & _FP_MASK`` equals
-    ``x & _FP_MASK`` — identical values to the scalar reference."""
-    counts, _tlens, H = flat_token_hashes(batch[text_col])
-    n = len(counts)
-    fp = np.zeros(n, np.uint64)
-    if len(H):
-        hw = H & np.uint64(_FP_MASK)
-        starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
-        base = np.uint64(_FP_BASE)
-        mask = np.uint64(_FP_MASK)
-        with np.errstate(over="ignore"):
-            for j in range(int(counts.max())):
-                m = counts > j
-                fp[m] = (fp[m] * base + hw[starts[m] + j]) & mask
+    document fingerprint; exact-dup docs collide, any reorder doesn't):
+    ``doc_hashes`` over the 61-bit-masked token hashes.  uint64
+    wraparound is exact here because 2^61 divides 2^64, so ``(x mod
+    2^64) & _FP_MASK`` equals ``x & _FP_MASK`` — identical values to
+    the scalar reference."""
+    tok = tokenize(batch[text_col])
+    mask = np.uint64(_FP_MASK)
+    fp = doc_hashes(tok.hashes() & mask, tok.starts, tok.counts) & mask
     return pd.DataFrame(
         {"doc_id": batch["doc_id"], "fingerprint": fp.view(np.int64)}
     )
@@ -282,25 +326,7 @@ def word_count_partial(batch, text_col: str = "text") -> pa.Table:
     """Per-batch partial word counts of a pandas frame or pyarrow Table
     (the combiner before the groupby — the pre-aggregation pattern that
     keeps the shuffle small): one row per distinct word of the batch."""
-    texts = batch[text_col]
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.to_pylist()
-    _counts, idx, dic = _token_dict(texts)
-    if dic is None:
-        return pa.table(
-            {"word": pa.array([], pa.string()), "cnt": pa.array([], pa.int64())}
-        )
-    return pa.table({"word": dic, "cnt": np.bincount(idx, minlength=len(dic))})
+    tok = tokenize(batch[text_col])
+    cnt = np.bincount(tok.idx, minlength=len(tok.dic))
+    return pa.table({"word": tok.dic, "cnt": cnt})
 
-
-def shingle_set(tokens: list[str], k: int) -> set[int]:
-    """Hashed k-token shingles (for Jaccard / MinHash) — one batch hash
-    over the joined shingle strings instead of per-byte Python FNV."""
-    if not tokens:
-        return set()
-    if len(tokens) < k:
-        joined = [" ".join(tokens)]
-    else:
-        joined = [" ".join(tokens[i : i + k]) for i in range(len(tokens) - k + 1)]
-    h = fnv1a64_batch(pa.array(joined, type=pa.string())) & np.uint64(_FP_MASK)
-    return set(int(x) for x in h)

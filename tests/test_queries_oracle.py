@@ -143,17 +143,20 @@ def test_rows_only_queries_run(ray_session, name):
 
 # grouped aggregates and top-k queries whose zero-row result diverged
 # from DuckDB's typed empty one (a KeyError or a frame with no columns),
-# plus q06's global aggregate (one row: NULL sum, zero count) and q55's
-# decontamination
+# plus q06's global aggregate (one row: NULL sum, zero count), q55's
+# decontamination, q15's top-k without its query vector (IndexError)
+# and q49's Count-Min fold (KeyError)
 EMPTY_INPUT = [
     "q01_pricing_summary",
     "q06_revenue_filter",
     "q08_events_hourly",
     "q12_word_counts",
+    "q15_embedding_topk",
     "q26_brand_volume",
     "q27_best_order_per_customer",
     "q35_props_extract",
     "q39_token_histogram",
+    "q49_heavy_tokens",
     "q55_decontaminate",
     "q56_top3_orders_per_customer",
     "q59_source_quota",

@@ -8,12 +8,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from searchengine_ray.functions.hashing import fnv1a64
+from searchengine_ray.stages.dedup import _distinct_shingles
 from searchengine_ray.stages.spans import (
     duplicate_spans,
-    kgram_window_hashes,
     merge_positions_to_spans,
     repetition_stats,
 )
+from searchengine_ray.stages.text import kgram_window_hashes
 
 TEXTS = [
     "the cat sat on the mat the cat sat",
@@ -27,6 +29,14 @@ TEXTS = [
 
 def _toks(t):
     return re.findall(r"[a-z0-9]+", t.lower())
+
+
+def _horner(toks):
+    """Scalar gram hash: fnv1a64 per token, acc·1000003 + h mod 2^64."""
+    acc = 0
+    for w in toks:
+        acc = (acc * 1000003 + fnv1a64(w)) % (1 << 64)
+    return acc
 
 
 def test_kgram_window_hashes_positions_and_equality():
@@ -45,6 +55,18 @@ def test_kgram_window_hashes_positions_and_equality():
     assert all(len(s) == 1 for s in by_gram.values())
     hashes = [next(iter(s)) for s in by_gram.values()]
     assert len(set(hashes)) == len(by_gram)
+    # every gram hash is the scalar Horner fold of its tokens
+    assert [int(h) for h in gh] == [_horner(g) for _, _, g in ref]
+    # a doc shorter than K contributes one all-tokens shingle only with
+    # the short-doc fallback (q16's MinHash input)
+    didx, sh, lens = _distinct_shingles(["one two", "x y z w"], K)
+    assert list(lens) == [2, 4]
+    assert list(zip(didx.tolist(), sh.tolist())) == sorted(
+        [(0, _horner(["one", "two"])), (1, _horner(["x", "y", "z"])),
+         (1, _horner(["y", "z", "w"]))]
+    )
+    didx, _sh, _lens = _distinct_shingles(["one two"], K, short_fallback=False)
+    assert len(didx) == 0
 
 
 def test_kgram_windows_never_cross_doc_boundary():

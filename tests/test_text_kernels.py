@@ -70,21 +70,22 @@ def test_fingerprint_matches_scalar(docs):
         assert int(out["fingerprint"][i]) == h
 
 
-def test_shingle_set_matches_scalar(docs):
-    def scalar(tokens, k):
-        if not tokens:
-            return set()
-        if len(tokens) < k:
-            return {tx.hash_word(" ".join(tokens))}
-        return {
-            tx.hash_word(" ".join(tokens[i : i + k]))
-            for i in range(len(tokens) - k + 1)
-        }
+def test_null_text_has_no_tokens():
+    """A null text tokenizes to nothing, as DuckDB's
+    ``regexp_extract_all(lower(NULL), ...)``: never to the word
+    ``none``."""
+    from searchengine_ray.stages.dedup import simhash_batch
 
-    for t in docs["text"][:60]:
-        toks = tx.TOKEN_RE.findall(str(t).lower())
-        for k in (2, 3, 8):
-            assert tx.shingle_set(toks, k) == scalar(toks, k)
+    texts = [None, "a b"]
+    assert list(tx.tokenize(texts).counts) == [0, 2]
+    wc = tx.word_count_partial(pd.DataFrame({"text": texts})).to_pydict()
+    assert wc == {"word": ["a", "b"], "cnt": [1, 1]}
+    didx, _pos, _gh = tx.kgram_window_hashes(texts, 1)
+    assert list(np.bincount(didx, minlength=2)) == [0, 2]
+    sim = simhash_batch(
+        pd.DataFrame({"doc_id": [0, 1, 2], "text": [None, "a b", "none"]})
+    )["simhash"].tolist()
+    assert sim[0] == 0 and sim[2] != 0
 
 
 def test_empty_batch():
