@@ -71,13 +71,14 @@ def cmd_search(args) -> int:
 
     from .pipelines.index import SearchIndex, build_index
     from .sources.storage import read_parquet
+    from .stages.keyed import collect
 
     docs = read_parquet(
         f"{args.sf}/documents.parquet", columns=["doc_id", "text", "source"]
     )
     dict_ds = build_index(docs)
-    tbl = pa.Table.from_pandas(dict_ds.to_pandas(), preserve_index=False)
-    pdf = docs.select_columns(["doc_id", "source"]).to_pandas()
+    tbl = pa.Table.from_pandas(collect(dict_ds), preserve_index=False)
+    pdf = collect(docs.select_columns(["doc_id", "source"]))
     idx = SearchIndex(tbl, doc_host=dict(zip(pdf["doc_id"], pdf["source"])))
     out = idx.search(args.query, max_show=args.max_show)
     print(out.to_string())

@@ -57,7 +57,7 @@ from ..stages.dedup import (
     phash_near_pairs,
     shared_ngrams,
 )
-from ..stages.keyed import combine
+from ..stages.keyed import combine, materialize
 from ..stages.sampling import split_of
 from ..stages.text import clean_gate, in_sorted
 
@@ -135,12 +135,10 @@ def image_curation_funnel(
         )
         return out.append_column("iid", iid)
 
-    valid = ds.map_batches(validate, batch_format="pyarrow").materialize()
+    valid = materialize(ds.map_batches(validate, batch_format="pyarrow"))
     n_valid = valid.count()
 
-    survivors = phash_dedup(
-        valid, keep_cols=["iid", "w", "h", "fmt", "caption"]
-    ).materialize()
+    survivors = materialize(phash_dedup(valid, keep_cols=["iid", "w", "h", "fmt", "caption"]))
     n_exact = survivors.count()
 
     pairs = phash_near_pairs(
@@ -155,7 +153,7 @@ def image_curation_funnel(
 
     final_ds = survivors.map_batches(finalize, batch_format="pandas")
     if out_dir is not None:
-        final_ds = final_ds.materialize()
+        final_ds = materialize(final_ds)
 
     counts = combine(final_ds, ["split", "fmt"], {"n_images": ("iid", "count")})
     counts = counts.sort_values(["split", "fmt"]).reset_index(drop=True)
@@ -197,13 +195,11 @@ def curation_funnel(sf_dir: str, out_dir: str | None = None):
 
     # stages 0-1: benchmark holdout + clean gate (one pass), kept as
     # the funnel's working set
-    cleaned = ds.map_batches(_clean_gate, batch_format="pandas").materialize()
+    cleaned = materialize(ds.map_batches(_clean_gate, batch_format="pandas"))
     n_cleaned = cleaned.count()
 
     # stage 2: exact dedup (min-doc_id survivor per content hash)
-    survivors = exact_dedup(
-        cleaned, keep_cols=["text", "source", "n_tokens"]
-    ).materialize()
+    survivors = materialize(exact_dedup(cleaned, keep_cols=["text", "source", "n_tokens"]))
     n_exact = survivors.count()
 
     # stage 3: near-dup clusters among the exact survivors; drop every
@@ -223,7 +219,7 @@ def curation_funnel(sf_dir: str, out_dir: str | None = None):
 
     final_ds = survivors.map_batches(finalize, batch_format="pandas")
     if out_dir is not None:
-        final_ds = final_ds.materialize()
+        final_ds = materialize(final_ds)
 
     counts = combine(
         final_ds,

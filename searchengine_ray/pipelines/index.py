@@ -78,9 +78,10 @@ def word_rows(
         pos = 0
         streams = []
         if title_col:
-            streams.append((WEIGHT_TITLE, str(batch[title_col].iloc[i])))
-        streams.append((WEIGHT_BODY, str(batch[body_col].iloc[i])))
+            streams.append((WEIGHT_TITLE, batch[title_col].iloc[i]))
+        streams.append((WEIGHT_BODY, batch[body_col].iloc[i]))
         for weight, text in streams:
+            text = "" if pd.isna(text) else str(text)  # a null has no tokens
             chain: list[tuple[str, int]] = []  # phrases don't span streams
             for tok in TOKEN_RE.findall(text.lower()):
                 if tok in STOPWORDS:

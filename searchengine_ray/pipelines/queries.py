@@ -15,15 +15,20 @@ Ray side rules: column-pruned ``read_parquet`` through
 disk (one block per 32 MiB, no floor at the CPU count: a test-scale
 table is one block, not Ray's 2× CPUs of near-empty ones), vectorized
 ``map_batches`` (pyarrow/pandas kernels), pre-aggregation before
-shuffles, broadcast small sides (dimension tables) via ``ray.put``.
-Every grouped aggregate is ``keyed.combine``: a per-batch projection
-plus pyarrow ``group_by`` partial, folded on the driver or in a
-partitioned ``keyed_map`` — typed even on an empty input.  Every
-grouped top-k (``row_number() <= k`` per group) is ``keyed.top_k``:
-per-batch top-k partials, one key-hash ``keyed_map`` for the final
-top-k, also typed on an empty input.  Every shuffle — the partitioned
-fold, per-partition finisher (``keyed_map``) and join
-(``hash_join``) — is the one task-based range partition of
+shuffles, broadcast small sides (dimension tables) via ``ray.put``,
+looked up with SQL ``JOIN`` semantics (``_dim_names``: a key missing
+from the dimension drops its row).  Every query result reaches the
+driver through ``keyed.collect`` (or ``combine`` / ``top_k``, which
+use it), typed from the plan by ``keyed.empty_like`` when it has no
+rows, so every UDF accepts a zero-row batch and no query ever calls
+``Dataset.schema``; a Dataset read more than once is
+``keyed.materialize``d.  Every grouped aggregate is ``keyed.combine``:
+a per-batch projection plus pyarrow ``group_by`` partial, folded on
+the driver or in a partitioned ``keyed_map``.  Every grouped top-k
+(``row_number() <= k`` per group) is ``keyed.top_k``: per-batch top-k
+partials, one key-hash ``keyed_map`` for the final top-k.  Every
+shuffle — the partitioned fold, per-partition finisher
+(``keyed_map``) and join (``hash_join``) — is the one task-based range partition of
 ``stages/keyed.py``; no query uses ``Dataset.join``,
 ``groupby().map_groups`` or a Ray aggregate (``Dataset.aggregate``,
 ``sum``, ``min``, ``max``, ``mean``, ``std``, ``unique``).  The
@@ -54,16 +59,18 @@ from ..stages import dedup as dd
 from ..stages import text as tx
 from ..stages.cluster import neardup_drop
 from ..stages.keyed import (
-    arrow_schema,
+    collect,
     combine,
     hash_join,
     hash_part,
     keyed_map,
+    materialize,
     ncpus,
     top_k,
     with_hash_part,
 )
 from ..stages.sampling import knuth_hash, split_of
+from ..stages.similarity import matrix
 from ..stages.text import LANG_PROFILES, STOPWORDS, in_sorted
 
 _STOP_SQL = ",".join(f"'{w}'" for w in sorted(STOPWORDS))
@@ -99,6 +106,15 @@ def _broadcast_fn(ref, fn):
 
 
 
+def _dim_names(keys: np.ndarray, names: dict) -> tuple[np.ndarray, pa.Array]:
+    """A broadcast dimension lookup with SQL ``JOIN`` semantics: the
+    mask of rows whose key ``names`` holds, and those rows' names.  A
+    key missing from the dimension drops its row, as the join does."""
+    got = pd.Series(keys).map(names)
+    hit = got.notna().to_numpy()
+    return hit, pa.array(got[hit].tolist(), pa.string())
+
+
 def _join_parts(sf_dir: str, *tables: str) -> int:
     """``hash_join`` partition count sized by DATA volume (``blocks_for``:
     one partition per 32 MiB of input), clamped to [2, 4× the
@@ -111,19 +127,6 @@ def _join_parts(sf_dir: str, *tables: str) -> int:
         except OSError:
             pass
     return min(max(2, blocks_for(total)), 4 * ncpus())
-
-
-def _collect(ds, fn=None) -> pd.DataFrame:
-    """``ds`` — mapped by ``fn`` over pandas batches, when given —
-    collected on the driver, with its columns and types kept when it
-    has no rows: Ray's ``to_pandas`` drops an empty result's columns and
-    skips ``fn`` on an empty input, so ``fn`` then runs here once on a
-    zero-row frame of ``ds.schema()``."""
-    out = (ds.map_batches(fn, batch_format="pandas") if fn else ds).to_pandas()
-    if len(out):
-        return out
-    empty = arrow_schema(ds).empty_table().to_pandas()
-    return fn(empty) if fn else empty
 
 
 # the revenue rollups of q03/q05/q34 over their ``cents`` projection
@@ -200,7 +203,7 @@ def q02_top_orders(sf_dir: str):
             }
         )
 
-    return (
+    return collect(
         ds.map_batches(prep, batch_format="pyarrow")
         .sort(["total_cents", "o_orderkey"], descending=[True, False])
         .limit(10)
@@ -248,20 +251,14 @@ def q04_customers_without_orders(sf_dir: str):
     SF-proportional, so the anti side is hash-partitioned, not a
     broadcast key set.  ``hash_join``'s anti mode shuffles only the
     order keys and dedups them per partition."""
-    out = hash_join(
+    return collect(hash_join(
         _read(sf_dir, "customer", ["c_custkey", "c_name"]),
         _read(sf_dir, "orders", ["o_custkey"]),
         "c_custkey",
         "o_custkey",
         how="left_anti",
         npart=_join_parts(sf_dir, "customer", "orders"),
-    ).to_pandas()
-    if out.empty:  # empty Ray results lose their schema; keep it stable
-        out = pd.DataFrame(
-            {"c_custkey": pd.Series([], dtype="int64"),
-             "c_name": pd.Series([], dtype="object")}
-        )
-    return out
+    ))
 
 
 SQL_Q04 = """
@@ -282,14 +279,10 @@ def q05_nation_orders(sf_dir: str):
     nname = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
     ref = ray.put(nname)
 
-    def add_nation(t: pa.Table, nname_) -> pd.DataFrame:
-        nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        return pd.DataFrame(
-            {
-                "n_name": pd.Series(nk).map(nname_).fillna(""),
-                "cents": _cents(t["o_totalprice"].to_numpy(zero_copy_only=False)),
-            }
-        )
+    def add_nation(t: pa.Table, nname_) -> pa.Table:
+        hit, name = _dim_names(t["c_nationkey"].to_numpy(zero_copy_only=False), nname_)
+        cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))[hit]
+        return pa.table({"n_name": name, "cents": cents})
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
@@ -420,7 +413,7 @@ def q09_top_users(sf_dir: str):
             ["value_cents", "user_id"], ascending=[False, True]
         ).head(20)
 
-    out = _collect(agg, topk)
+    out = collect(agg, topk)
     return topk(out).reset_index(drop=True)
 
 
@@ -435,7 +428,7 @@ def q10_doc_dedup_exact(sf_dir: str):
     """Exact dedup: hash-partition by content hash, keep min id."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     out = dd.exact_dedup(ds, "text", "doc_id", keep_cols=[])
-    return out.select_columns(["doc_id", "dup_count"])
+    return collect(out.select_columns(["doc_id", "dup_count"]))
 
 
 SQL_Q10 = """
@@ -446,10 +439,7 @@ FROM documents GROUP BY text
 
 def q11_token_stats(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(
-        lambda b: tx.token_stats(b)[["doc_id", "n_tokens", "n_distinct"]],
-        batch_format="pandas",
-    )
+    return collect(ds, lambda b: tx.token_stats(b)[["doc_id", "n_tokens", "n_distinct"]])
 
 
 SQL_Q11 = f"""
@@ -464,7 +454,7 @@ def q12_word_counts(sf_dir: str):
     """Word count with per-batch combiner before the shuffle; the
     fold is partitioned — the vocabulary itself scales with the
     corpus, so it never lands on the driver unaggregated."""
-    return _collect(_word_counts(sf_dir))
+    return collect(_word_counts(sf_dir))
 
 
 def _word_counts(sf_dir: str):
@@ -501,7 +491,7 @@ def q13_quality(sf_dir: str):
         )
         return out[n > 0]
 
-    return ds.map_batches(prep, batch_format="pandas")
+    return collect(ds, prep)
 
 
 SQL_Q13 = f"""
@@ -520,7 +510,7 @@ FROM t WHERE len(toks) > 0
 def q14_langid(sf_dir: str):
     """Stopword-profile language ID (argmax, lexicographic ties)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(tx.langid, batch_format="pandas")
+    return collect(ds, tx.langid)
 
 
 def _langid_sql() -> str:
@@ -593,16 +583,7 @@ def q16_minhash_pairs(sf_dir: str):
     import ray
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    empty = pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "jaccard": pd.Series([], dtype="float64"),
-        }
-    )
     cand = dd.minhash_lsh_candidates(ds, bands=32, shingle_k=3)
-    if cand.empty:
-        return empty
     ids_ref = ray.put(
         np.unique(
             np.concatenate(
@@ -616,8 +597,6 @@ def q16_minhash_pairs(sf_dir: str):
 
     sub = ds.map_batches(filt, batch_format="pandas")
     pairs = jaccard_pairs_from(sub, K=3, threshold=0.5)
-    if pairs.empty:
-        return empty
     # Keep EVERY exact-verified pair among candidate docs — not just
     # LSH-candidate pairs.  jaccard_pairs_from already paid for the
     # exact computation, and a ≥0.5 pair whose specific (a,b) missed
@@ -643,7 +622,7 @@ FROM p WHERE inter*1.0/(na+nb-inter) >= 0.5
 
 def q17_simhash(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(dd.simhash_batch, batch_format="pandas")
+    return collect(ds, dd.simhash_batch)
 
 
 def q18_jaccard_pairs(sf_dir: str):
@@ -721,7 +700,7 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
         )
         return out[out["jaccard"] >= threshold]
 
-    out = _collect(agg, finish)
+    out = collect(agg, finish)
     return out.sort_values(["ia", "ib"]).reset_index(drop=True)
 
 
@@ -762,7 +741,7 @@ def q19_sessionize(sf_dir: str):
             }
         )
 
-    return keyed_map(with_hash_part(ds, ["user_id"], npart), "part", npart, sessions)
+    return collect(keyed_map(with_hash_part(ds, ["user_id"], npart), "part", npart, sessions))
 
 
 SQL_Q19 = """
@@ -784,11 +763,7 @@ def q22_inverted_index(sf_dir: str):
     from .index import word_rows
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(
-        lambda b: word_rows(b)[["word", "page_index", "position"]],
-        batch_format="pandas",
-    )
-    return out
+    return collect(ds, lambda b: word_rows(b)[["word", "page_index", "position"]])
 
 
 SQL_Q22 = f"""
@@ -871,7 +846,7 @@ def q20_phash_dedup(sf_dir: str):
 
     images, _ = gen_images(400, seed=42)
     ds = ray.data.from_arrow(images.select(["image_id", "phash", "w", "h"]))
-    return dd.phash_dedup(ds).select_columns(["image_id", "phash", "dup_count"])
+    return collect(dd.phash_dedup(ds).select_columns(["image_id", "phash", "dup_count"]))
 
 
 def q21_crawl_order(sf_dir: str):
@@ -919,9 +894,9 @@ def q24_multimodal(sf_dir: str):
 
     images, _ = gen_images(200, seed=42)
     ds = ray.data.from_arrow(images.select(["image_id", "bytes"]))
-    return ds.map_batches(
+    return collect(ds.map_batches(
         ImageDecodeResize, batch_format="pyarrow", concurrency=2, batch_size=64
-    ).select_columns(["image_id", "mean_pixel", "phash", "decode_ok"])
+    ).select_columns(["image_id", "mean_pixel", "phash", "decode_ok"]))
 
 
 def q25_pagerank(sf_dir: str):
@@ -946,12 +921,13 @@ def q28_ivf_topk(sf_dir: str):
     from ..stages.similarity import ivf_build_centroids, ivf_topk
 
     emb = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"))
-    q = np.asarray(
-        emb.filter(pc.equal(emb["vec_id"], 0))["embedding"].to_pylist()[0]
-    )
+    qrow = emb.filter(pc.equal(emb["vec_id"], 0))["embedding"].to_pylist()
+    if not qrow:  # no query vector: no neighbors, as in q15
+        return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
+                             "cos_sim": pd.Series([], dtype="float64")})
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     cent = ivf_build_centroids(ds, n_centroids=8)
-    out = ivf_topk(ds, q[None, :], cent, k=10, n_probe=3)
+    out = ivf_topk(ds, np.asarray(qrow[0])[None, :], cent, k=10, n_probe=3)
     out = out.drop(columns=["query_id"])
     out["cos_sim"] = np.round(out["cos_sim"].astype(np.float64), 3)
     return out
@@ -981,13 +957,13 @@ def q29_embedding_neardup(sf_dir: str):
     )
     planted = pd.DataFrame({"vec_id": ids, "embedding": list(noisy)})
     full = ds.union(ray.data.from_pandas(planted))
-    return dd.embedding_neardup_pairs(full, threshold=0.99)
+    return collect(dd.embedding_neardup_pairs(full, threshold=0.99))
 
 
 def q30_fingerprint(sf_dir: str):
     """Rolling-hash document fingerprints (order-sensitive identity)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(tx.fingerprint, batch_format="pandas")
+    return collect(ds, tx.fingerprint)
 
 
 _SMALL_CRAWL_CACHE: dict = {}
@@ -1030,17 +1006,13 @@ def q34_region_revenue(sf_dir: str):
     )
     rk = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_regionkey"].to_pylist()))
     rname = dict(zip(reg["r_regionkey"].to_pylist(), reg["r_name"].to_pylist()))
-    rname_of_nation = {n: rname.get(r, "") for n, r in rk.items()}
+    rname_of_nation = {n: rname[r] for n, r in rk.items() if r in rname}
     ref = ray.put(rname_of_nation)
 
-    def add_region(t: pa.Table, lookup) -> pd.DataFrame:
-        nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        return pd.DataFrame(
-            {
-                "r_name": pd.Series(nk).map(lookup).fillna(""),
-                "cents": _cents(t["o_totalprice"].to_numpy(zero_copy_only=False)),
-            }
-        )
+    def add_region(t: pa.Table, lookup) -> pa.Table:
+        hit, name = _dim_names(t["c_nationkey"].to_numpy(zero_copy_only=False), lookup)
+        cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))[hit]
+        return pa.table({"r_name": name, "cents": cents})
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
@@ -1103,14 +1075,9 @@ def q36_supplier_balance(sf_dir: str):
     ref = ray.put(nname)
 
     def add_nat(t: pa.Table, nn: dict) -> pa.Table:
-        return pa.table(
-            {
-                "n_name": pa.array(
-                    [nn.get(k, "") for k in t["s_nationkey"].to_pylist()], pa.string()
-                ),
-                "cents": _cents(t["s_acctbal"].to_numpy(zero_copy_only=False)),
-            }
-        )
+        hit, name = _dim_names(t["s_nationkey"].to_numpy(zero_copy_only=False), nn)
+        cents = _cents(t["s_acctbal"].to_numpy(zero_copy_only=False))[hit]
+        return pa.table({"n_name": name, "cents": cents})
 
     return combine(
         _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]),
@@ -1196,7 +1163,7 @@ def q32_crawl_rank_index_search(sf_dir: str):
         title_col="title",
         rank_col="page_rank",
     )
-    tbl = pa.Table.from_pandas(dict_ds.to_pandas(), preserve_index=False)
+    tbl = pa.Table.from_pandas(collect(dict_ds), preserve_index=False)
     from ..functions.urlkernel import split_host
 
     hosts = {
@@ -1220,7 +1187,7 @@ def q37_clean_corpus(sf_dir: str):
     def clean(b: pd.DataFrame) -> pd.DataFrame:
         return tx.clean_gate(b).drop(columns=["text"])
 
-    return ds.map_batches(clean, batch_format="pandas")
+    return collect(ds, clean)
 
 
 def _q37_sql() -> str:
@@ -1263,7 +1230,7 @@ def q38_dedup_survivors(sf_dir: str):
     of a dedup pipeline) — reuses the distributed exact_dedup stage."""
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     out = dd.exact_dedup(ds, "text", "doc_id", keep_cols=["source"])
-    return out.select_columns(["doc_id", "source", "dup_count"])
+    return collect(out.select_columns(["doc_id", "source", "dup_count"]))
 
 
 SQL_Q38 = """
@@ -1301,7 +1268,7 @@ def q40_asof_join(sf_dir: str):
     from ..stages.temporal import asof_join
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    out = asof_join(ds, "purchase", "view").to_pandas()
+    out = collect(asof_join(ds, "purchase", "view"))
     return out.sort_values("left_id").reset_index(drop=True)
 
 
@@ -1330,9 +1297,9 @@ def q41_value_percentiles(sf_dir: str):
     from ..stages.temporal import group_percentiles
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
-    out = group_percentiles(
+    out = collect(group_percentiles(
         ds, "event_type", "value", ps=(0.5, 0.9, 0.99), scale=100
-    ).to_pandas()
+    ))
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -1352,7 +1319,7 @@ def q42_sliding_window(sf_dir: str):
     from ..stages.temporal import preceding_window_count
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    out = preceding_window_count(ds, window_us=3_600_000_000).to_pandas()
+    out = collect(preceding_window_count(ds, window_us=3_600_000_000))
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -1374,7 +1341,7 @@ def q47_dup_clusters(sf_dir: str):
     over the identical pair set."""
     from ..stages.cluster import connected_components
 
-    out = connected_components(q18_jaccard_pairs(sf_dir)).to_pandas()
+    out = collect(connected_components(q18_jaccard_pairs(sf_dir)))
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1522,7 +1489,7 @@ def q51_bloom_semijoin(sf_dir: str):
     bloom = sk.bloom_build(cust, "c_custkey", m_bits=1 << 20, k=7)
     # exact verify side: sorted key array (at 10^9 keys this becomes a
     # shuffle join of the bloom survivors instead — documented scale path)
-    keys = np.sort(cust.to_pandas()["c_custkey"].to_numpy(np.int64))
+    keys = np.sort(collect(cust)["c_custkey"].to_numpy(np.int64))
     bloom_ref = ray.put(bloom)
     keys_ref = ray.put(keys)
 
@@ -1574,7 +1541,8 @@ def q52_length_band_filter(sf_dir: str):
         batch_format="pandas",
     )
     qv = sk.global_quantiles(ds, "n_tokens", [0.10, 0.90])
-    lo, hi = int(qv["value"].iloc[0]), int(qv["value"].iloc[1])
+    # NULL bounds over no rows (NaN) keep nothing, as SQL's BETWEEN
+    lo, hi = qv["value"].tolist()
 
     def keep(t: pa.Table) -> pa.Table:
         n = t["n_tokens"]
@@ -1656,7 +1624,7 @@ def q55_decontaminate(sf_dir: str):
             {"doc_id": b["doc_id"].to_numpy(np.int64)[hit], "n_shared": cnt[hit]}
         )
 
-    out = _collect(ds, corpus)
+    out = collect(ds, corpus)
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1747,9 +1715,7 @@ def q58_running_totals(sf_dir: str):
         )
         return g[["event_id", "user_id", "run_cents"]]
 
-    out = keyed_map(
-        ds.map_batches(prep, batch_format="pandas"), "part", npart, run
-    ).to_pandas()
+    out = collect(keyed_map(ds.map_batches(prep, batch_format="pandas"), "part", npart, run))
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -1837,7 +1803,7 @@ def q60_zscore(sf_dir: str):
             }
         )
 
-    out = _collect(ds, _broadcast_fn(ref, normalize))
+    out = collect(ds, _broadcast_fn(ref, normalize))
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -1877,7 +1843,7 @@ def q61_bigram_counts(sf_dir: str):
     def topn(b: pd.DataFrame) -> pd.DataFrame:
         return b.sort_values(["n", "bigram"], ascending=[False, True]).head(N)
 
-    out = _collect(agg, topn)
+    out = collect(agg, topn)
     out = out.sort_values(["n", "bigram"], ascending=[False, True]).head(N)
     return out.reset_index(drop=True)
 
@@ -1919,7 +1885,7 @@ def q62_sequence_packing(sf_dir: str):
             }
         )
 
-    counts = ds.map_batches(counted, batch_format="pandas").materialize()
+    counts = materialize(ds.map_batches(counted, batch_format="pandas"))
 
     sub = combine(counts, ["part"], {"tot": ("nt", "sum")})
     base = np.zeros(npart, np.int64)
@@ -1941,9 +1907,7 @@ def q62_sequence_packing(sf_dir: str):
             }
         )
 
-    out = keyed_map(
-        counts, "part", npart, _broadcast_fn(ref, assign)
-    ).to_pandas()
+    out = collect(keyed_map(counts, "part", npart, _broadcast_fn(ref, assign)))
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2096,9 +2060,7 @@ def q65_incremental_dedup(sf_dir: str):
 
     snap = ds.map_batches(snap_hashes, batch_format="pandas")
     bloom = sk.bloom_build(snap, "h", m_bits=1 << 20, k=7)
-    exact = np.unique(
-        snap.to_pandas()["h"].to_numpy(np.int64).view(np.uint64)
-    )
+    exact = np.unique(collect(snap)["h"].to_numpy(np.int64).view(np.uint64))
     bloom_ref, exact_ref = ray.put(bloom), ray.put(exact)
 
     def probe(t: pa.Table) -> pa.Table:
@@ -2178,9 +2140,7 @@ def q66_rolling_window(sf_dir: str):
             }
         )
 
-    out = keyed_map(
-        ds.map_batches(prep, batch_format="pandas"), "part", npart, roll
-    ).to_pandas()
+    out = collect(keyed_map(ds.map_batches(prep, batch_format="pandas"), "part", npart, roll))
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -2411,7 +2371,7 @@ def q45_tfidf_terms(sf_dir: str):
         ]
 
     out = keyed_map(with_hash_part(agg, ["word"], npart), "part", npart, attach_df)
-    out = out.to_pandas().sort_values(by_score[0], ascending=by_score[1])
+    out = collect(out).sort_values(by_score[0], ascending=by_score[1])
     out = out.groupby("source", sort=False).head(5)
     return out.sort_values(["source", "word"]).reset_index(drop=True)
 
@@ -2446,9 +2406,7 @@ def q44_range_join(sf_dir: str):
     from ..stages.temporal import range_join
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    out = range_join(
-        ds, "purchase", "view", window_us=3_600_000_000
-    ).to_pandas()
+    out = collect(range_join(ds, "purchase", "view", window_us=3_600_000_000))
     return out.sort_values(["left_id", "right_id"]).reset_index(drop=True)
 
 
@@ -2754,19 +2712,8 @@ def q74_cosine_simjoin(sf_dir: str):
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["vec_id", "embedding"],
     )
-    empty = pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "cos_sim": pd.Series([], dtype="float64"),
-        }
-    )
-    if tbl.num_rows == 0:
-        return empty
     ids = tbl["vec_id"].to_numpy()
-    emb = np.stack(tbl["embedding"].to_pandas().to_numpy()).astype(
-        np.float64
-    )
+    emb = matrix(tbl["embedding"].to_pandas()).astype(np.float64)
     nrm = np.linalg.norm(emb, axis=1, keepdims=True)
     nrm[nrm == 0] = 1
     mat_ref = ray.put(emb / nrm)
@@ -2776,7 +2723,7 @@ def q74_cosine_simjoin(sf_dir: str):
     def pairs(b: pd.DataFrame) -> pd.DataFrame:
         mat = ray.get(mat_ref)
         all_ids = ray.get(ids_ref)
-        e = np.stack(b["embedding"].to_numpy()).astype(np.float64)
+        e = matrix(b["embedding"], mat.shape[1]).astype(np.float64)
         n = np.linalg.norm(e, axis=1, keepdims=True)
         n[n == 0] = 1
         sims = (e / n) @ mat.T
@@ -2792,10 +2739,7 @@ def q74_cosine_simjoin(sf_dir: str):
             }
         )
 
-    out = ds.map_batches(pairs, batch_format="pandas").to_pandas()
-    if out.empty:
-        return empty
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return collect(ds, pairs).sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
 SQL_Q74 = """
@@ -3176,14 +3120,6 @@ def q79_event_funnel(sf_dir: str):
     def funnel_part(g: pd.DataFrame) -> pd.DataFrame:
         v = g[g["event_type"] == "view"].sort_values("ts_us")
         c = g[g["event_type"] == "click"].sort_values("ts_us")
-        if len(v) == 0:
-            return pd.DataFrame(
-                {
-                    "n_views": pd.Series([], dtype="int64"),
-                    "n_converted_views": pd.Series([], dtype="int64"),
-                    "n_users_converted": pd.Series([], dtype="int64"),
-                }
-            )
         m = pd.merge_asof(
             v[["event_id", "user_id", "ts_us"]],
             c[["user_id", "ts_us"]].assign(click_ts=c["ts_us"]),
@@ -3204,26 +3140,11 @@ def q79_event_funnel(sf_dir: str):
             }
         )
 
-    pdf = keyed_map(
+    pdf = collect(keyed_map(
         ds.map_batches(project, batch_format="pyarrow"), "part", npart, funnel_part
-    ).to_pandas()
-    if pdf.empty or "n_views" not in pdf.columns:
-        # no view/click rows at all — the SQL oracle's COUNT over an
-        # empty set still yields one (0, 0, 0) row
-        return pd.DataFrame(
-            {
-                "n_views": [0],
-                "n_converted_views": [0],
-                "n_users_converted": [0],
-            }
-        )
-    return pd.DataFrame(
-        {
-            "n_views": [int(pdf["n_views"].sum())],
-            "n_converted_views": [int(pdf["n_converted_views"].sum())],
-            "n_users_converted": [int(pdf["n_users_converted"].sum())],
-        }
-    )
+    ))
+    # no partition rows at all: SQL's COUNT over an empty set is 0
+    return pd.DataFrame({c: [int(pdf[c].sum())] for c in pdf.columns})
 
 
 SQL_Q79 = """
@@ -3263,9 +3184,7 @@ def q78_top_decile(sf_dir: str):
 
     keys = ["l_returnflag", "l_extendedprice"]
     ds = _read(sf_dir, "lineitem", keys)
-    vc = combine(
-        ds, keys, {"cnt": ("l_extendedprice", "count")}, partitioned=True
-    ).to_pandas()
+    vc = collect(combine(ds, keys, {"cnt": ("l_extendedprice", "count")}, partitioned=True))
     vc = vc.sort_values(["l_returnflag", "l_extendedprice"])
     vc["lt"] = (
         vc.groupby("l_returnflag")["cnt"].cumsum() - vc["cnt"]
@@ -3327,7 +3246,7 @@ def q77_unigram_logprob(sf_dir: str):
     import ray
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    vocab = _word_counts(sf_dir).to_pandas()
+    vocab = collect(_word_counts(sf_dir))
     order = np.argsort(vocab["word"].to_numpy())
     words = vocab["word"].to_numpy()[order]
     counts = vocab["cnt"].to_numpy(np.float64)[order]
@@ -3356,8 +3275,7 @@ def q77_unigram_logprob(sf_dir: str):
             }
         )
 
-    out = ds.map_batches(score, batch_format="pandas").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return collect(ds, score).sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_Q77 = """
@@ -3410,7 +3328,7 @@ def q75_pretokenize(sf_dir: str):
             }
         )
 
-    return ds.map_batches(counts, batch_format="pyarrow")
+    return collect(ds.map_batches(counts, batch_format="pyarrow"))
 
 
 SQL_Q75 = f"""

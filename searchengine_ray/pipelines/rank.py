@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.keyed import combine, hash_join, ncpus
+from ..stages.keyed import collect, combine, hash_join, materialize, ncpus
 
 EDGE_COLS = ("src", "dst", "out_degree")
 
@@ -100,7 +100,7 @@ def pagerank(
     nodes = np.asarray(nodes, np.uint64)
     n_edges = edges_ds.count()
     if n_edges <= small_graph_threshold:
-        pdf = edges_ds.to_pandas()
+        pdf = collect(edges_ds)
         node_ids = np.sort(nodes)
         idx_of = {int(n): i for i, n in enumerate(node_ids)}
         src = np.array([idx_of[int(s)] for s in pdf["src"]], np.int64)
@@ -153,15 +153,13 @@ def pagerank(
 
     for _ in range(n_iters):
         joined = hash_join(edges_mat, ranks_ds, "src", "node", npart=npart)
-        # materialized, as hash_join reads each side's schema up front
         sums = combine(joined, ["dst"], {"c": ("c", "sum")}, contrib, partitioned=True)
         # nodes with no in-links this round keep rank 0 (left join back)
-        ranks_ds = (
+        ranks_ds = materialize(
             hash_join(nodes_ds, sums, "node", "dst", "left_outer", npart=npart)
             .map_batches(fill_zero, batch_format="pandas")
-            .materialize()
         )
-    out = ranks_ds.to_pandas()
+    out = collect(ranks_ds)
     out["rank"] = np.minimum(damping * out["rank"] + (1 - damping), 100.0)
     out["node"] = out["node"].to_numpy(np.int64).view(np.uint64)
     return out.sort_values("node").reset_index(drop=True)

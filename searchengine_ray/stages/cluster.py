@@ -29,7 +29,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .keyed import combine, keyed_map, ncpus
+from .keyed import collect, combine, keyed_map, ncpus
 
 _OUT_DTYPES = {"node": "int64", "label": "int64"}
 
@@ -138,7 +138,7 @@ def connected_components(
     else:
         if pairs_ds.count() <= local_max_pairs:
             return ray.data.from_pandas(
-                _cc_local(pairs_ds.to_pandas(), col_a, col_b)
+                _cc_local(collect(pairs_ds), col_a, col_b)
             )
 
     _REQ = pa.schema(
@@ -270,6 +270,6 @@ def neardup_drop(
     if not len(ids):
         return ids
     codes = pd.DataFrame({"ia": inv[: len(a)], "ib": inv[len(a) :]})
-    cl = connected_components(codes).to_pandas()
+    cl = collect(connected_components(codes))
     node = cl["doc_id"].to_numpy(np.int64)
     return ids[np.sort(node[node != cl["cluster_id"].to_numpy(np.int64)])]

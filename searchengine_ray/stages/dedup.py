@@ -24,7 +24,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import fnv1a64_batch
-from .keyed import hash_join, keyed_map, ncpus, with_hash_part
+from .keyed import collect, hash_join, keyed_map, materialize, ncpus, with_hash_part
+from .similarity import matrix
 from . import text as tx
 from .text import in_sorted
 
@@ -279,13 +280,11 @@ def _lsh_candidate_stages(
     Buckets over ``cap`` members emit star pairs (``None``: no cap)."""
     npart = ncpus()
 
-    sig_pack = ds.map_batches(
-        lambda b: pa.Table.from_pandas(
-            minhash_signatures(b, text_col, id_col, num_perm, shingle_k, seed),
-            preserve_index=False,
-        ),
-        batch_format="pyarrow",
-    ).materialize()
+    def sign(b: pa.Table) -> pa.Table:
+        sig = minhash_signatures(b, text_col, id_col, num_perm, shingle_k, seed)
+        return pa.table({id_col: b[id_col], "sigb": pa.array(sig["sigb"], pa.binary())})
+
+    sig_pack = ds.map_batches(sign, batch_format="pyarrow")
 
     def bands_part(b: pd.DataFrame) -> pd.DataFrame:
         out = lsh_bands(b, id_col, bands)
@@ -390,16 +389,9 @@ def minhash_lsh_candidates(
     cand, _sig = _lsh_candidate_stages(
         ds, text_col, id_col, num_perm, bands, shingle_k, seed, cap
     )
-    out = cand.to_pandas()
-    if out.empty:
-        return pd.DataFrame(
-            {
-                "id_a": pd.Series([], dtype="int64"),
-                "id_b": pd.Series([], dtype="int64"),
-            }
-        )
     return (
-        out.drop_duplicates(["id_a", "id_b"])
+        collect(cand)
+        .drop_duplicates(["id_a", "id_b"])
         .sort_values(["id_a", "id_b"])
         .reset_index(drop=True)
     )
@@ -430,57 +422,34 @@ def minhash_lsh_pairs(
     ``minhash_lsh_candidates`` (doc set is cap-invariant) + exact
     verify among candidate docs + connected components."""
     npart = ncpus()
-    empty = pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "jaccard_est": pd.Series([], dtype="float64"),
-        }
-    )
     cand, sig_pack = _lsh_candidate_stages(
         ds, text_col, id_col, num_perm, bands, shingle_k, seed, cap
     )
+    sig_pack = materialize(sig_pack)  # both joins below read it
 
     # distributed verify: one row per candidate pair (a pair repeats
     # across the bands it matched in), then two hash joins attach the
-    # signature of id_a, then of id_b; every side is result-sized or
-    # already materialized, so hash_join reads each schema for free
+    # signature of id_a, then of id_b
     pairs = keyed_map(
         with_hash_part(cand, ["id_a", "id_b"], npart),
         "part",
         npart,
         lambda g: g[["id_a", "id_b"]].drop_duplicates(),
-    ).materialize()
-    with_a = (
-        hash_join(pairs, sig_pack, "id_a", id_col, npart=npart)
-        .map_batches(
-            lambda t: t.drop_columns([id_col]).rename_columns(["id_a", "id_b", "sig_a"]),
-            batch_format="pyarrow",
-        )
-        .materialize()
+    )
+    with_a = hash_join(pairs, sig_pack, "id_a", id_col, npart=npart).map_batches(
+        lambda t: t.drop_columns([id_col]).rename_columns(["id_a", "id_b", "sig_a"]),
+        batch_format="pyarrow",
     )
     with_both = hash_join(with_a, sig_pack, "id_b", id_col, npart=npart)
 
     def verify(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series([], dtype="int64"),
-                    "id_b": pd.Series([], dtype="int64"),
-                    "jaccard_est": pd.Series([], dtype="float64"),
-                }
-            )
-        a = _sig_matrix(b["sig_a"])
-        bb = _sig_matrix(b["sigb"])
-        est = (a == bb).mean(axis=1)
+        est = (_sig_matrix(b["sig_a"]) == _sig_matrix(b["sigb"])).mean(axis=1)
         out = pd.DataFrame(
             {"id_a": b["id_a"], "id_b": b["id_b"], "jaccard_est": est}
         )
         return out[out["jaccard_est"] >= threshold]
 
-    out = with_both.map_batches(verify, batch_format="pandas").to_pandas()
-    if out.empty:
-        return empty
+    out = collect(with_both, verify)
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
@@ -577,13 +546,6 @@ def phash_near_pairs(
         return pd.concat(out, ignore_index=True)
 
     npart = ncpus()
-    empty = pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "hamming": pd.Series([], dtype="int64"),
-        }
-    )
 
     def bands_part(b: pd.DataFrame) -> pd.DataFrame:
         out = bands(b)
@@ -598,8 +560,6 @@ def phash_near_pairs(
         # vectorized self-merge + exact Hamming verify, per partition
         pr = g.merge(g, on=["band", "key"], suffixes=("_a", "_b"))
         pr = pr[pr[f"{id_col}_a"] < pr[f"{id_col}_b"]]
-        if len(pr) == 0:
-            return empty
         pr = pr.drop_duplicates([f"{id_col}_a", f"{id_col}_b"])
         d = hamming64(
             pr[f"{phash_col}_a"].to_numpy(np.int64),
@@ -627,11 +587,9 @@ def phash_near_pairs(
         npart,
         partition_pairs,
     )
-    out = keyed_map(
+    out = collect(keyed_map(
         with_hash_part(pairs, ["id_a", "id_b"], npart), "part", npart, pair_dedup
-    ).to_pandas()
-    if out.empty:
-        return empty
+    ))
     out["hamming"] = out["hamming"].astype("int64")
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
@@ -654,7 +612,7 @@ def embedding_neardup_pairs(
     npart = ncpus()
 
     def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        emb = np.stack(batch[emb_col].to_numpy())
+        emb = matrix(batch[emb_col])
         rng = np.random.default_rng(seed)
         planes = rng.standard_normal((emb.shape[1], n_planes))
         signs = (emb @ planes) > 0
@@ -669,7 +627,7 @@ def embedding_neardup_pairs(
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized in-bucket verify: upper-triangle similarity mask,
         # no per-pair Python loop (buckets hold k rows → one k×k matmul)
-        emb = np.stack(g[emb_col].to_numpy()).astype(np.float64)
+        emb = matrix(g[emb_col]).astype(np.float64)
         norm = np.linalg.norm(emb, axis=1, keepdims=True)
         norm[norm == 0] = 1
         sims = (emb / norm) @ (emb / norm).T

@@ -11,10 +11,7 @@ batch runs ``fn`` (a projection) and a pyarrow ``group_by`` in one
 fused UDF; the partial rows fold sum→sum, count→sum, min→min, max→max,
 on the driver (a pandas frame) or, with ``partitioned=True``, in a
 ``keyed_map`` by key hash (a Dataset).  Null keys form their own group
-and integer results are int64.  Typed-empty rule: when no partial row
-comes back (Ray runs no UDF on an input with no rows), the result is
-the per-batch function and the fold run once on the driver over a
-zero-row table of ``ds.schema()`` — never a schema-less frame.
+and integer results are int64.
 
 Shape: a map stage stamps each row with an int64 partition id
 ``part`` in ``[0, npart)`` (a key hash, or any key-complete routing a
@@ -28,14 +25,21 @@ and unlike ``Dataset.join`` or key-based ``repartition`` (both the
 hash-shuffle aggregator-actor operator in Ray 2.49) it starts no
 actors.
 
-Typed results: before the sort every non-empty input block appends
-one pad row per partition (flagged in a ``_keyed_pad`` column), so no
+Typed results: Ray runs no UDF on an input with no rows, so a plan
+with no rows comes back untyped (no columns).  ``empty_like(ds)``
+derives the zero-row table ``ds`` would give from its Ray plan on the
+driver, without running it: a source's own schema, each
+``map_batches`` UDF called once on a zero-row batch, a sort / limit /
+shuffle / union passing its input's table on.  It is the one place in
+the package that reads Ray's plan objects.  Every driver sink types
+a result with no rows from it: ``collect`` (a pandas frame),
+``materialize`` (a Dataset read more than once), ``combine``'s fold,
+``hash_join``'s column layout.  So every UDF must accept a zero-row
+batch.  Inside ``keyed_map`` every non-empty input block appends one
+pad row per partition (flagged in a ``_keyed_pad`` column), so no
 sort partition is empty and ``fn`` runs on every partition — on an
-empty, correctly typed frame where no real row landed.  An empty
-partition therefore yields ``fn``'s typed empty result instead of the
-schema-less block Ray's sort emits for it.  A caller whose input may
-be empty altogether unions in one typed seed row its ``fn`` ignores
-(``hash_join`` does).
+empty, correctly typed frame where no real row landed — instead of
+Ray's sort emitting a schema-less block for it.
 """
 
 from __future__ import annotations
@@ -89,9 +93,9 @@ def keyed_map(ds, part_col: str, npart: int, fn, batch_format: str = "pandas"):
     (``part_col`` included) as a pandas frame — or a ``pyarrow.Table``
     with ``batch_format="pyarrow"`` — and returns a frame or table.
     An empty partition of an input with rows calls ``fn`` on an empty,
-    typed frame; on an input with no rows Ray runs no task, so ``fn``
-    never runs and the result has no schema (``combine`` and ``top_k``
-    build their typed empty on the driver instead)."""
+    typed frame, and ``empty_like`` calls it on one too, so ``fn``
+    must accept zero rows; an input with no rows runs no task and
+    its sink types the result from the plan."""
     npart = max(int(npart), 2)
 
     def pad(t: pa.Table) -> pa.Table:
@@ -101,15 +105,15 @@ def keyed_map(ds, part_col: str, npart: int, fn, batch_format: str = "pandas"):
         # column into float; pandas metadata would only make the sort's
         # schema unification fail to hash (and log) every block
         t = t.replace_schema_metadata()
-        fill = t.take(np.zeros(npart, np.int64))
+        fill = t.take(np.zeros(npart if len(t) else 0, np.int64))
         i = t.schema.get_field_index(part_col)
         fill = fill.set_column(
-            i, t.schema.field(i), pa.array(np.arange(npart), t.schema.field(i).type)
+            i, t.schema.field(i), pa.array(np.arange(len(fill)), t.schema.field(i).type)
         )
         return pa.concat_tables(
             [
                 t.append_column(_PAD, pa.array(np.zeros(len(t), bool))),
-                fill.append_column(_PAD, pa.array(np.ones(npart, bool))),
+                fill.append_column(_PAD, pa.array(np.ones(len(fill), bool))),
             ]
         )
 
@@ -170,16 +174,13 @@ def combine(ds, keys: list, aggs: dict, fn=None, partitioned: bool = False):
 
     The finish is the one choice: a driver fold returning a pandas
     frame (a result of a few groups), or ``partitioned=True`` — a
-    ``keyed_map`` fold by key hash returning a materialized Dataset
-    (a result too big for the driver).
+    lazy ``keyed_map`` fold by key hash returning a Dataset (a result
+    too big for the driver), typed by its sink.
 
-    Typed empty: Ray skips every UDF when the input has no rows, so no
-    partial row comes back; the result is then ``fn`` + group + fold
-    run once on the driver over a zero-row table of ``ds.schema()`` —
-    the same columns and types a non-empty input gives, zero rows
-    (one row of nulls and zero counts with no ``keys``, as SQL)."""
-    import ray
-
+    On an input with no rows the driver fold runs over ``empty_like``
+    of the partials: the same columns and types a non-empty input
+    gives, zero rows (one row of nulls and zero counts with no
+    ``keys``, as SQL)."""
     keys = list(keys)
     if partitioned and not keys:
         raise ValueError("a global aggregate is one row: fold it on the driver")
@@ -208,20 +209,18 @@ def combine(ds, keys: list, aggs: dict, fn=None, partitioned: bool = False):
         if any(op == "sum" and pa.types.is_floating(t[c].type)
                for c, (_src, op) in aggs.items()):
             t = t.sort_by([(c, "ascending") for c in t.column_names])
-        return _group(t, keys, folds)
-
-    def typed_empty() -> pa.Table:
-        return fold(partial(arrow_schema(ds).empty_table()))
+        out = _group(t, keys, folds)
+        for c, (_src, op) in aggs.items():  # COUNT over no rows is 0
+            if op == "count":
+                out = out.set_column(out.schema.get_field_index(c), c,
+                                     pc.fill_null(out[c], 0))
+        return out
 
     parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     if partitioned:
-        out = keyed_map(parts, "part", npart, fold, batch_format="pyarrow")
-        out = out.materialize()
-        return out if out.count() else ray.data.from_arrow(typed_empty())
+        return keyed_map(parts, "part", npart, fold, batch_format="pyarrow")
     blocks = parts.iter_batches(batch_size=None, batch_format="pyarrow")
-    tables = [t for t in blocks if t.num_rows]
-    if not tables:
-        return typed_empty().to_pandas()
+    tables = [t for t in blocks if t.num_rows] or [empty_like(parts)]
     return fold(pa.concat_tables(tables, promote_options="permissive")).to_pandas()
 
 
@@ -237,9 +236,8 @@ def top_k(ds, keys: list, order: list, k: int, fn=None) -> pd.DataFrame:
     top ``k``, so only ≤ k rows per group per batch ride the shuffle;
     the partials hash-partition by ``keys``, and one ``keyed_map``
     takes the final top ``k`` of each key-complete partition.  A null
-    key is its own group.  Typed empty: when no row comes back (Ray
-    runs no UDF on an input with no rows), both steps run once on the
-    driver over a zero-row table of ``ds.schema()``."""
+    key is its own group.  The result is collected by ``collect``, so
+    it is typed on an input with no rows."""
     keys = list(keys)
     by = [c for c, _ in order]
     asc = [d == "ascending" for _, d in order]
@@ -260,9 +258,7 @@ def top_k(ds, keys: list, order: list, k: int, fn=None) -> pd.DataFrame:
         return head(g).drop(columns=["part"])
 
     parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    out = keyed_map(parts, "part", npart, final).to_pandas()
-    if not len(out):
-        out = final(partial(arrow_schema(ds).empty_table()))
+    out = collect(keyed_map(parts, "part", npart, final))
     out = out.sort_values(keys + by, ascending=[True] * len(keys) + asc)
     return out.reset_index(drop=True)
 
@@ -277,11 +273,94 @@ def with_hash_part(ds, keys: list, npart: int):
     return ds.map_batches(addpart, batch_format="pandas")
 
 
-def arrow_schema(ds) -> pa.Schema:
-    """``ds``'s schema as a ``pyarrow.Schema`` (runs ``ds`` to its first
-    block when Ray cannot type it from the plan)."""
-    s = ds.schema()
-    return pa.schema(list(zip(s.names, s.types)))
+def empty_like(ds) -> pa.Table:
+    """The zero-row table ``ds`` gives, derived from its Ray plan on the
+    driver without running it.
+
+    Each logical operator runs on a zero-row table: a source (``Read``,
+    ``From*``, ``InputData``) gives its own schema; ``MapBatches`` calls
+    its UDF on a zero-row batch of its batch format and keeps zero rows
+    of the result (Ray runs no UDF on an input with no rows, so a UDF's
+    one-row answer to no input never reaches a sink); ``Sort``,
+    ``Limit``, ``RandomShuffle`` and ``Repartition`` pass their input's
+    table on, ``Union`` its first input's, ``Project`` its columns.
+    Any other operator is a ``TypeError`` — never a fallback to
+    ``ds.schema()``, which runs the plan.  The one reader of Ray's
+    private plan objects in the package (Ray 2.49)."""
+    return _empty(ds._logical_plan.dag)
+
+
+def _empty(op) -> pa.Table:
+    import ray
+    from ray.data._internal.logical.operators import (
+        all_to_all_operator as a2a,
+        map_operator as mo,
+        n_ary_operator as nary,
+        one_to_one_operator as o2o,
+    )
+    from ray.data.block import BlockAccessor
+
+    if not op.input_dependencies:  # a source: Read, From*, InputData
+        schema = op.infer_schema()
+        if isinstance(schema, pa.Schema):
+            return schema.empty_table().replace_schema_metadata()
+        bundles = getattr(op, "input_data", None) or []
+        refs = [ref for b in bundles for ref in b.block_refs]
+        if not refs:
+            raise TypeError(f"{op.name} has no schema and no block: "
+                            "materialize it with keyed.materialize")
+        block = ray.get(refs[0])  # already in the object store: no run
+        if isinstance(block, pd.DataFrame):
+            block = pa.Table.from_pandas(block, preserve_index=False)
+        return block.slice(0, 0).replace_schema_metadata()
+    t = _empty(op.input_dependencies[0])
+    passing = (a2a.Sort, a2a.RandomShuffle, a2a.Repartition, o2o.Limit, nary.Union)
+    if isinstance(op, passing):
+        return t
+    if isinstance(op, mo.Project) and not op.exprs:
+        t = t.select(op.cols) if op.cols is not None else t
+        rename = op.cols_rename or {}
+        return t.rename_columns([rename.get(c, c) for c in t.column_names])
+    if isinstance(op, mo.MapBatches):
+        fn = op._fn
+        if isinstance(fn, type):  # a callable class runs as an actor
+            fn = fn(*(op._fn_constructor_args or ()), **(op._fn_constructor_kwargs or {}))
+        batch = BlockAccessor.for_block(t).to_batch_format(op._batch_format)
+        out = fn(batch, *(op._fn_args or ()), **(op._fn_kwargs or {}))
+        if isinstance(out, pd.DataFrame):
+            # Ray types a pandas block by its values, and a zero-row one
+            # has none: keep pandas' dtypes, and give an object column
+            # (no type at all) its input's type when the UDF kept it
+            out = pa.Table.from_pandas(out, preserve_index=False)
+            out = out.cast(pa.schema([
+                t.schema.field(f.name)
+                if pa.types.is_null(f.type) and f.name in t.column_names else f
+                for f in out.schema
+            ]))
+        out = BlockAccessor.for_block(BlockAccessor.batch_to_block(out)).to_arrow()
+        return out.slice(0, 0).replace_schema_metadata()
+    raise TypeError(f"empty_like has no rule for Ray operator {op.name}")
+
+
+def collect(ds, fn=None) -> pd.DataFrame:
+    """The package's one driver sink: ``ds`` — mapped by ``fn`` over
+    pandas batches, when given — as a pandas frame, typed by
+    ``empty_like`` when it has no rows (Ray's ``to_pandas`` of an empty
+    result has no columns)."""
+    if fn is not None:
+        ds = ds.map_batches(fn, batch_format="pandas")
+    out = ds.to_pandas()
+    return out if len(out) else empty_like(ds).to_pandas()
+
+
+def materialize(ds):
+    """``ds.materialize()`` for a result read more than once: when it
+    has no rows, a one-block Dataset of ``empty_like(ds)``, so its
+    readers still see the plan's columns and types."""
+    import ray
+
+    out = ds.materialize()
+    return out if out.count() else ray.data.from_arrow(empty_like(ds))
 
 
 def _filler(n: int, typ: pa.DataType) -> pa.Array:
@@ -307,19 +386,14 @@ def hash_join(
     or ``left_anti`` (left rows with no match; only the right key
     column is shuffled).  Null keys never match, as in SQL.  The output
     has the left columns, then the right ones; a key named alike on
-    both sides appears once, any other shared name is an error.  One
-    typed seed row (a third side no partition joins) rides along, so
-    every partition runs the merge and the output is typed even when
-    both sides are empty.  Both
-    schemas are read up front, so a side Ray cannot type from its plan
-    alone (a ``map_batches`` output) runs to its first block:
-    materialize such a side first."""
-    import ray
-
+    both sides appears once, any other shared name is an error.  Both
+    sides' columns come from their plans (``empty_like``), so neither
+    side runs before the join does, and a sink types an empty
+    result."""
     if how not in JOIN_TYPES:
         raise ValueError(f"how must be one of {JOIN_TYPES}, got {how!r}")
     npart = npart or ncpus()
-    lsch, rsch = arrow_schema(left), arrow_schema(right)
+    lsch, rsch = empty_like(left).schema, empty_like(right).schema
     shared = {on} & {right_on}
     clash = (set(lsch.names) & set(rsch.names)) - shared
     if clash:
@@ -335,13 +409,10 @@ def hash_join(
         + [(f"{s}.{f.name}", f.type) for s, sch in enumerate(sides) for f in sch]
     )
 
-    def tag(side: int, key: str | None):
+    def tag(side: int, key: str):
         def f(t: pa.Table) -> pa.Table:
             n = len(t)
-            part = (
-                hash_part([t[key].to_numpy(zero_copy_only=False)], npart)
-                if key else np.zeros(n, np.int64)
-            )
+            part = hash_part([t[key].to_numpy(zero_copy_only=False)], npart)
             cols = [pa.array(part), pa.array(np.full(n, side, np.int8))]
             for s, sch in enumerate(sides):
                 cols += [
@@ -376,8 +447,7 @@ def hash_join(
         # (nullable) whether or not this partition had unmatched rows
         return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
 
-    seed = ray.data.from_arrow(tag(2, None)(pa.table({"n": [0]})))
     tagged = left.map_batches(tag(0, on), batch_format="pyarrow").union(
-        right.map_batches(tag(1, right_on), batch_format="pyarrow"), seed
+        right.map_batches(tag(1, right_on), batch_format="pyarrow")
     )
     return keyed_map(tagged, "part", npart, join_part, batch_format="pyarrow")

@@ -28,6 +28,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.hashing import fnv1a64_fixed
+from .keyed import collect
 
 SPLIT_TRAIN = int(0.8 * (1 << 32))
 SPLIT_VAL = int(0.9 * (1 << 32))
@@ -102,7 +103,7 @@ def weighted_sample(
         b = b[np.isfinite(b["_es_key"])]
         return b.nsmallest(min(k, len(b)), "_es_key")
 
-    cand = ds.map_batches(partial, batch_format="pandas").to_pandas()
+    cand = collect(ds, partial)
     out = cand.nsmallest(min(k, len(cand)), "_es_key").drop(
         columns=["_es_key"]
     )

@@ -14,6 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .keyed import collect, materialize
+
+
+def matrix(col, dim: int = 0) -> np.ndarray:
+    """The (n, d) matrix of an embedding column; (0, ``dim``) when it
+    has no rows, where ``np.stack`` needs at least one array."""
+    return np.stack(col) if len(col) else np.zeros((0, dim))
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     m = m.astype(np.float64)
@@ -38,13 +46,13 @@ class CosineTopK:
         self.emb_col = emb_col
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        emb = _normalize(np.stack(batch[self.emb_col].to_numpy()))
+        emb = _normalize(matrix(batch[self.emb_col], self.q.shape[1]))
         sims = emb @ self.q.T  # (n, nq)
         out = []
         for qi in range(self.q.shape[0]):
             s = sims[:, qi]
             k = min(self.k, len(s))
-            idx = np.argpartition(-s, k - 1)[:k]
+            idx = np.argpartition(-s, k - 1)[:k] if k else np.zeros(0, np.int64)
             out.append(
                 pd.DataFrame(
                     {
@@ -69,7 +77,7 @@ def cosine_topk(ds, query_vecs, k: int = 10, id_col="vec_id", emb_col="embedding
     partial = ds.map_batches(
         CosineTopK(qref, k, id_col, emb_col), batch_format="pandas"
     )
-    pdf = partial.to_pandas()
+    pdf = collect(partial)
     out = (
         pdf.sort_values(["query_id", "cos_sim", id_col], ascending=[True, False, True])
         .groupby("query_id", as_index=False)
@@ -90,7 +98,7 @@ def ivf_build_centroids(ds, n_centroids: int, emb_col="embedding",
     whole modes the sample under-represented (lower recall)."""
 
     def norm_batch(b: pd.DataFrame) -> pd.DataFrame:
-        m = _normalize(np.stack(b[emb_col].to_numpy()))
+        m = _normalize(matrix(b[emb_col]))
         return pd.DataFrame({emb_col: list(m)})
 
     normed = ds.map_batches(norm_batch, batch_format="pandas")
@@ -113,7 +121,7 @@ def ivf_topk(ds, query_vecs, centroids, k: int = 10, n_probe: int = 4,
     )
 
     def filter_probe(batch: pd.DataFrame) -> pd.DataFrame:
-        emb = _normalize(np.stack(batch[emb_col].to_numpy()))
+        emb = _normalize(matrix(batch[emb_col], cent.shape[1]))
         assign = np.argmax(emb @ cent.T, axis=1)
         mask = np.isin(assign, list(probe))
         return batch[mask]
@@ -150,9 +158,9 @@ def kmeans(
     # round is a full pass, so re-reading parquet per round pays the
     # scan k*iters times; materialized blocks live in plasma and
     # spill to disk if oversized — strictly cheaper than re-decoding
-    ds = ds.select_columns([emb_col]).materialize()
-    init = ds.limit(sample).to_pandas()
-    x0 = np.stack(init[emb_col].to_numpy()).astype(np.float64)
+    ds = materialize(ds.select_columns([emb_col]))
+    init = collect(ds.limit(sample))
+    x0 = matrix(init[emb_col]).astype(np.float64)
     rng = np.random.default_rng(seed)
     # farthest-first init over the sample (deterministic k-means++
     # flavor): random seeds can land two centroids in one cluster and
@@ -172,7 +180,7 @@ def kmeans(
 
         def partial(b: pd.DataFrame) -> pd.DataFrame:
             c = ray.get(ref)
-            x = np.stack(b[emb_col].to_numpy()).astype(np.float64)
+            x = matrix(b[emb_col], d).astype(np.float64)
             # argmin ||x-c||^2 == argmax (x.c - |c|^2/2)
             assign = np.argmax(x @ c.T - 0.5 * (c * c).sum(axis=1), axis=1)
             sums = np.zeros((len(c), x.shape[1]), np.float64)
@@ -182,7 +190,7 @@ def kmeans(
                 {"sums": [sums.tobytes()], "cnt": [cnt.tobytes()]}
             )
 
-        parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
+        parts = collect(ds, partial)
         sums = np.zeros((k, d), np.float64)
         cnt = np.zeros(k, np.int64)
         for srow, crow in zip(parts["sums"], parts["cnt"]):
@@ -207,7 +215,7 @@ def kmeans_assign(ds, centroids, emb_col: str = "embedding"):
 
     def assign(b: pd.DataFrame) -> pd.DataFrame:
         c = ray.get(ref)
-        x = np.stack(b[emb_col].to_numpy()).astype(np.float64)
+        x = matrix(b[emb_col], c.shape[1]).astype(np.float64)
         b = b.copy()
         b["cluster_id"] = np.argmax(
             x @ c.T - 0.5 * (c * c).sum(axis=1), axis=1

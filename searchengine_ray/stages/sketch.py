@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed
-from .keyed import combine
+from .keyed import collect, combine
 
 
 def _hash_values(values: np.ndarray) -> np.ndarray:
@@ -81,11 +81,7 @@ def approx_distinct(ds, column: str, p: int = 12) -> dict:
             v = v.astype("U")
         return pd.DataFrame({"regs": [hll_partial(v, p).tobytes()]})
 
-    parts = [
-        np.frombuffer(x, np.uint8)
-        for x in ds.map_batches(partial, batch_format="pandas")
-        .to_pandas()["regs"]
-    ]
+    parts = [np.frombuffer(x, np.uint8) for x in collect(ds, partial)["regs"]]
     regs = hll_merge(parts)
     return {"approx": int(round(hll_estimate(regs))), "registers": len(regs)}
 
@@ -178,10 +174,10 @@ def heavy_hitters(
         )
 
     # fold from the zero sketch: an empty input yields no partials
-    parts = ds.map_batches(p1, batch_format="pandas").to_pandas()
+    parts = collect(ds, p1)
     cms = np.zeros((depth, width), np.int64)
     total = 0
-    for buf, n in parts.reindex(columns=["cms", "n"]).itertuples(index=False):
+    for buf, n in parts[["cms", "n"]].itertuples(index=False):
         cms += np.frombuffer(buf, np.int64).reshape(depth, width)
         total += int(n)
     if threshold is None:
@@ -250,7 +246,7 @@ def bloom_build(ds, key_col: str, m_bits: int = 1 << 20, k: int = 7) -> np.ndarr
         return pd.DataFrame({"bloom": [bloom_partial(v, m_bits, k).tobytes()]})
 
     words = np.zeros(m_bits // 64, np.uint64)
-    for buf in ds.map_batches(p, batch_format="pandas").to_pandas()["bloom"]:
+    for buf in collect(ds, p)["bloom"]:
         words |= np.frombuffer(buf, np.uint64)
     return words
 
@@ -266,7 +262,9 @@ def _minmax_count(ds, column: str):
             {"lo": [int(v.min())], "hi": [int(v.max())], "n": [len(v)]}
         )
 
-    agg = ds.map_batches(p, batch_format="pandas").to_pandas()
+    agg = collect(ds, p)
+    if not len(agg):
+        return 0, 0, 0
     return int(agg["lo"].min()), int(agg["hi"].max()), int(agg["n"].sum())
 
 
@@ -284,14 +282,15 @@ def global_quantiles(
     worst-case skew degrades to extra passes, never to driver OOM.
 
     Rank rule matches DuckDB ``quantile_disc``: element at 1-indexed
-    position ceil(q*n).  Replaces an O(n log n) all-to-all ``ds.sort``
+    position ceil(q*n); over no rows every value is NULL (NaN), as
+    ``quantile_disc``'s.  Replaces an O(n log n) all-to-all ``ds.sort``
     with O(passes) streaming scans + an O(bins) driver merge."""
     import math
 
     lo, hi, n = _minmax_count(ds, column)
     if n == 0:
-        return pd.DataFrame({"q_ppm": pd.Series([], dtype=np.int64),
-                             "value": pd.Series([], dtype=np.int64)})
+        return pd.DataFrame({"q_ppm": [int(round(q * 1_000_000)) for q in qs],
+                             "value": np.full(len(qs), np.nan)})
     targets = [(int(round(q * 1_000_000)), max(1, math.ceil(q * n))) for q in qs]
 
     def hist_pass(rlo: int, rhi: int, nb: int, shift: int) -> np.ndarray:
@@ -311,7 +310,7 @@ def global_quantiles(
                                        .astype(np.int64).tobytes()]})
 
         h = np.zeros(nb, np.int64)
-        for buf in ds.map_batches(p, batch_format="pandas").to_pandas()["h"]:
+        for buf in collect(ds, p)["h"]:
             h += np.frombuffer(buf, np.int64)
         return h
 
@@ -357,10 +356,7 @@ def global_quantiles(
                     keep |= (v >= blo) & (v <= bhi)
                 return pd.DataFrame({"v": v[keep]})
 
-            vals = np.sort(
-                ds.map_batches(pc_, batch_format="pandas").to_pandas()["v"]
-                .to_numpy(np.int64)
-            )
+            vals = np.sort(collect(ds, pc_)["v"].to_numpy(np.int64))
             for rank, below, blo, bhi in collect_bins:
                 sub = vals[(vals >= blo) & (vals <= bhi)]
                 resolved[(rank, rlo, rhi)] = int(sub[rank - below - 1])

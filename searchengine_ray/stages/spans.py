@@ -37,7 +37,7 @@ import pandas as pd
 import pyarrow as pa
 
 from . import text as tx
-from .keyed import keyed_map, ncpus
+from .keyed import collect, keyed_map, ncpus
 
 
 def _gram_windows(ds, K: int, npart: int):
@@ -193,8 +193,6 @@ def remove_duplicate_spans(
     Returns a Dataset of (doc_id, *meta_cols, n_tokens, cut_tokens,
     kept_tokens, text_clean) — corpus-sized; aggregate or write it,
     don't ``to_pandas`` it at scale."""
-    import ray
-
     npart = npart or ncpus()
     meta_cols = tuple(meta_cols)
 
@@ -305,16 +303,7 @@ def remove_duplicate_spans(
 
     cut_ds = keyed_map(_gram_windows(ds, K, npart), "part", npart, cut_rows)
     docs_ds = ds.map_batches(doc_rows, batch_format="pyarrow")
-    # one role-2 row no partition reads: every partition then runs
-    # ``reserialize``, so the output is typed even for an empty corpus
-    seed = ray.data.from_arrow(
-        pa.Table.from_pylist(
-            [{"dpart": 0, "role": 2, "doc_id": 0, "pos": -1, "text": "",
-              **{c: "" for c in meta_cols}}],
-            schema=_UN,
-        )
-    )
-    return keyed_map(docs_ds.union(cut_ds, seed), "dpart", npart, reserialize)
+    return keyed_map(docs_ds.union(cut_ds), "dpart", npart, reserialize)
 
 
 def duplicate_spans(ds, K: int = 8, npart: int | None = None) -> pd.DataFrame:
@@ -354,14 +343,5 @@ def duplicate_spans(ds, K: int = 8, npart: int | None = None) -> pd.DataFrame:
     # every doc lands in exactly one dpart, so per-doc rows are final
     # after the doc-keyed pass; the driver holds only the result-sized
     # report
-    out = per_doc.to_pandas()
-    if out.empty:
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "n_spans": pd.Series([], dtype="int64"),
-                "dup_tokens": pd.Series([], dtype="int64"),
-            }
-        )
-    out = out[["doc_id", "n_spans", "dup_tokens"]].astype("int64")
+    out = collect(per_doc)[["doc_id", "n_spans", "dup_tokens"]].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)

@@ -29,11 +29,7 @@ def test_etl_matches_q37_and_resumes(ray_session, multi_frag_input, tmp_path):
 
     # content parity with the oracle-checked q37 gate (plus text col)
     got = pq.read_table(out).to_pandas().sort_values("doc_id")
-    want = (
-        q37_clean_corpus(multi_frag_input)
-        .to_pandas()
-        .sort_values("doc_id")
-    )
+    want = q37_clean_corpus(multi_frag_input).sort_values("doc_id")
     assert list(got["doc_id"]) == list(want["doc_id"])
     assert list(got["n_tokens"]) == list(want["n_tokens"])
     assert "text" in got.columns

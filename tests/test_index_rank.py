@@ -47,6 +47,19 @@ def test_word_rows_semantics():
     assert abs(rows["rank"].sum() - 1.0) < 0.01
 
 
+def test_word_rows_null_text_has_no_tokens():
+    """A null body or title indexes nothing, as ``text.tokenize``
+    gives it no tokens: never the word ``none``."""
+    rows = word_rows(pd.DataFrame({"doc_id": [0, 1], "text": [None, "a cat"]}))
+    assert "none" not in set(rows["word"])
+    assert set(rows["page_index"]) == {1}
+    titled = word_rows(
+        pd.DataFrame({"doc_id": [0], "title": [None], "text": ["cat"]}),
+        title_col="title",
+    )
+    assert titled["word"].tolist() == ["cat"]
+
+
 def test_small_word_rollup():
     words = pd.DataFrame(
         {

@@ -1,8 +1,9 @@
 """The keyed-shuffle primitive (``stages/keyed.py``): one ``fn`` call
 per key-complete partition, typed results for empty partitions,
 ``combine`` equal to DuckDB ``GROUP BY`` for both finishes, ``top_k``
-equal to ``row_number() <= k``, and ``hash_join`` equal to DuckDB for
-every join type the package uses."""
+equal to ``row_number() <= k``, ``hash_join`` equal to DuckDB for
+every join type the package uses, and ``empty_like`` typing a plan's
+zero-row result operator by operator without running it."""
 
 import os
 import subprocess
@@ -191,10 +192,8 @@ def test_combine_typed_when_input_is_empty(ray_session):
     empty = ray.data.from_arrow(pa.Table.from_pandas(_groups()).slice(0, 0))
     got = keyed.combine(empty, ["k1", "k2"], _AGGS)
     assert len(got) == 0 and list(got.dtypes) == list(full.dtypes)
-    part = keyed.combine(empty, ["k1", "k2"], _AGGS, partitioned=True)
-    assert part.count() == 0
-    assert part.schema().names == list(full.columns)
-    assert str(part.schema().types[2]) == "int64"
+    part = keyed.collect(keyed.combine(empty, ["k1", "k2"], _AGGS, partitioned=True))
+    assert len(part) == 0 and list(part.dtypes) == list(full.dtypes)
 
     one = keyed.combine(empty, [], _AGGS)
     df = _groups().iloc[:0]  # noqa: F841 - read by DuckDB
@@ -329,3 +328,106 @@ def test_catalog_joins_finish_at_one_cpu():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.count("q") == 3, proc.stdout
+
+
+def _src():
+    import pyarrow as pa
+    import ray
+
+    return ray.data.from_arrow(pa.table({"a": [3, 1, 2], "s": ["x", "y", "z"]}))
+
+
+def _types(t) -> list:
+    return [(f.name, str(f.type)) for f in t.schema]
+
+
+def test_empty_like_read_is_the_file_schema(ray_session):
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.sources.storage import read_parquet
+
+    path = os.path.join(SF_DIR, "orders.parquet")
+    got = keyed.empty_like(read_parquet(path, ["o_orderkey", "o_totalprice"]))
+    want = pq.read_schema(path)
+    assert got.num_rows == 0
+    assert _types(got) == [(c, str(want.field(c).type))
+                           for c in ("o_orderkey", "o_totalprice")]
+
+
+def test_empty_like_runs_each_udf_once_on_no_rows(ray_session):
+    """pandas and pyarrow UDFs run once, on the driver, on a zero-row
+    batch of their format; a UDF's rows for no input (a global partial)
+    are cut to zero, as Ray never calls it on an input with no rows."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    seen = []
+
+    def pandas_fn(b):
+        seen.append((type(b).__name__, len(b)))
+        return b.assign(half=b["a"] / 2)
+
+    def arrow_fn(t):
+        seen.append((type(t).__name__, len(t)))
+        return t.append_column("twice", pc.multiply(t["a"], 2))
+
+    ds = _src().map_batches(arrow_fn, batch_format="pyarrow")
+    got = keyed.empty_like(ds.map_batches(pandas_fn, batch_format="pandas"))
+    assert seen == [("Table", 0), ("DataFrame", 0)]
+    assert got.num_rows == 0
+    assert [n for n, _ in _types(got)] == ["a", "s", "twice", "half"]
+    assert dict(_types(got))["twice"] == "int64"
+    assert dict(_types(got))["half"] == "double"
+
+    total = _src().map_batches(
+        lambda t: pa.table({"n": [len(t)]}), batch_format="pyarrow"
+    )
+    assert _types(keyed.empty_like(total)) == [("n", "int64")]
+    assert keyed.empty_like(total).num_rows == 0
+
+
+def test_empty_like_sort_limit_union_project(ray_session):
+    src = _src()
+    base = _types(keyed.empty_like(src))
+    assert base == [("a", "int64"), ("s", "string")]
+    assert _types(keyed.empty_like(src.sort("a").limit(1))) == base
+    assert _types(keyed.empty_like(src.union(_src()))) == base
+    assert _types(keyed.empty_like(src.random_shuffle())) == base
+    assert _types(keyed.empty_like(src.select_columns(["s"]))) == [("s", "string")]
+
+
+def test_empty_like_keyed_map_and_seedless_hash_join(ray_session):
+    """``keyed_map``'s pad, sort and ``fn`` on no rows; a join of two
+    empty sides is typed with no seed row riding along."""
+    import pyarrow as pa
+    import ray
+
+    ds = keyed.with_hash_part(_src(), ["a"], 3)
+    out = keyed.keyed_map(ds, "part", 3, lambda g: g.groupby("s", as_index=False)["a"].sum())
+    assert _types(keyed.empty_like(out)) == [("s", "string"), ("a", "int64")]
+
+    left = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64()),
+                                         "v": pa.array([], pa.string())}))
+    right = ray.data.from_arrow(pa.table({"j": pa.array([], pa.int64()),
+                                          "w": pa.array([], pa.float64())}))
+    join = keyed.hash_join(left, right, "k", "j", npart=3)
+    got = keyed.collect(join)
+    assert len(got) == 0 and list(got.columns) == ["k", "v", "j", "w"]
+    assert list(got.dtypes.astype(str)) == ["int64", "object", "int64", "float64"]
+    assert join.count() == 0  # no seed row: nothing runs through the merge
+
+
+def test_empty_like_rejects_operators_without_a_rule(ray_session):
+    with pytest.raises(TypeError, match="Map"):
+        keyed.empty_like(_src().map(lambda row: row))
+
+
+def test_materialize_keeps_types_of_an_empty_result(ray_session):
+    import pyarrow as pa
+
+    none = _src().map_batches(lambda t: t.filter(pa.array(np.zeros(len(t), bool))),
+                              batch_format="pyarrow")
+    none = none.map_batches(lambda b: b.assign(n=b["a"] * 2), batch_format="pandas")
+    mat = keyed.materialize(none)
+    assert mat.count() == 0
+    assert _types(keyed.empty_like(mat)) == [("a", "int64"), ("s", "string"), ("n", "int64")]

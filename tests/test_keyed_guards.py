@@ -3,8 +3,9 @@ through ``stages/keyed.py``: no module calls ``Dataset.join``
 (hash-shuffle aggregator actors), any ``map_groups`` (a sampling sort
 plus a per-group split, whatever it groups on) or a Ray ``aggregate``
 (``Dataset.aggregate`` / ``GroupedData.aggregate``, or anything from
-``ray.data.aggregate``), and the benchmark's catalog queries leave Ray
-Data no empty, schema-less block to warn about."""
+``ray.data.aggregate``), only ``keyed.empty_like`` reads Ray's private
+plan objects (``_logical_plan``), and the benchmark's catalog queries
+leave Ray Data no empty, schema-less block to warn about."""
 
 import ast
 import logging
@@ -71,6 +72,44 @@ def test_package_uses_keyed_shuffle_only():
         for line in _bypasses(ast.parse(path.read_text(), str(path)))
     ]
     assert offenders == [], offenders
+
+
+_PLAN = "_logical_plan"
+
+
+def _plan_reads(tree: ast.AST) -> list[int]:
+    """Lines reading ``_logical_plan``, as an attribute or a string
+    (``getattr(ds, "_logical_plan")``)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == _PLAN)
+        or (isinstance(node, ast.Constant) and node.value == _PLAN)
+    )
+
+
+def test_plan_guard_catches_reads():
+    src = (
+        "dag = ds._logical_plan.dag\n"
+        "s = ds.schema()\n"
+        "p = getattr(ds, '_logical_plan')\n"
+        "q = ds._plan\n"
+        "ops = [o for o in x._logical_plan.dag.input_dependencies]\n"
+    )
+    assert _plan_reads(ast.parse(src)) == [1, 3, 5]
+
+
+def test_only_keyed_reads_ray_plans():
+    """Ray's plan objects are private and change between releases:
+    ``keyed.empty_like`` is the one place that walks them."""
+    offenders = [
+        f"{path.relative_to(PKG.parent)}:{line}"
+        for path in sorted(PKG.rglob("*.py"))
+        if path != PKG / "stages" / "keyed.py"
+        for line in _plan_reads(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == [], offenders
+    assert _plan_reads(ast.parse((PKG / "stages" / "keyed.py").read_text()))
 
 
 # the queries perfbench's catalog workload times

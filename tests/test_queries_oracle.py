@@ -1,6 +1,8 @@
 """Local replica of the driver's correctness gate: run every
 ``queries()`` entry at sf0.001 and compare row count + schema + an
-order-insensitive value hash against its ``oracle_sql()`` via DuckDB."""
+order-insensitive value hash against its ``oracle_sql()`` via DuckDB;
+every SQL-checked query also on 8-block reads and on zero-row and
+one-row copies of the tables."""
 
 import os
 
@@ -62,24 +64,48 @@ def no_ray_aggregates(monkeypatch):
     monkeypatch.setattr(GroupedData, "aggregate", forbid("GroupedData.aggregate"))
 
 
+@pytest.fixture(autouse=True)
+def no_schema_reads(monkeypatch):
+    """``Dataset.schema`` runs a plan to its first block to type it (a
+    hidden execution) and is ``None`` on an empty one; Ray's own
+    ``to_pandas``, ``iter_batches``, ``count``, ``sort``, ``union`` and
+    ``materialize`` never call it.  So every run below also proves that
+    no sink types a result by running its plan: ``keyed.empty_like``
+    types it from the plan instead."""
+    from ray.data import Dataset
+
+    def raiser(self, *args, **kwargs):
+        raise AssertionError("Dataset.schema called: use keyed.empty_like")
+
+    monkeypatch.setattr(Dataset, "schema", raiser)
+
+
 def test_ray_aggregates_raise(ray_session):
     import ray.data
+    from ray.data.grouped_data import GroupedData
 
     ds = ray.data.from_items([{"x": 1}, {"x": 2}])
     with pytest.raises(AssertionError, match="Dataset.sum"):
         ds.sum("x")
+    # built directly: ``ds.groupby`` reads the schema to check its key
     with pytest.raises(AssertionError, match="GroupedData.aggregate"):
-        ds.groupby("x").aggregate()
+        GroupedData(ds, "x", num_partitions=None).aggregate()
+    with pytest.raises(AssertionError, match="Dataset.schema"):
+        ds.schema()
+
+
+def _connect(sf_dir: str):
+    c = duckdb.connect()
+    for t in TABLES:
+        c.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM '{os.path.join(sf_dir, t)}.parquet'"
+        )
+    return c
 
 
 @pytest.fixture(scope="module")
 def con():
-    c = duckdb.connect()
-    for t in TABLES:
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM '{os.path.join(SF_DIR, t)}.parquet'"
-        )
-    return c
+    return _connect(SF_DIR)
 
 
 def _sql_checked():
@@ -89,10 +115,10 @@ def _sql_checked():
     return sorted(oracle.keys())
 
 
-def _assert_matches(con, name):
+def _assert_matches(con, name, sf_dir=SF_DIR):
     from searchengine_ray.pipelines import queries as Q
 
-    got = _canon(_to_pandas(Q.queries()[name](SF_DIR)))
+    got = _canon(_to_pandas(Q.queries()[name](sf_dir)))
     want = _canon(con.execute(Q.oracle_sql()[name]).df())
     assert list(got.columns) == list(want.columns), (
         got.columns,
@@ -137,65 +163,44 @@ def test_rows_only_queries_run(ray_session, name):
     from searchengine_ray.pipelines import queries as Q
 
     got = _to_pandas(Q.queries()[name](SF_DIR))
-    # empty results legitimately lose their schema through Ray Data
-    assert got is not None and (len(got) == 0 or len(got.columns) > 0)
+    assert got is not None and len(got.columns) > 0
 
 
-# grouped aggregates and top-k queries whose zero-row result diverged
-# from DuckDB's typed empty one (a KeyError or a frame with no columns),
-# plus q06's global aggregate (one row: NULL sum, zero count), q55's
-# decontamination, q15's top-k without its query vector (IndexError)
-# and q49's Count-Min fold (KeyError)
-EMPTY_INPUT = [
-    "q01_pricing_summary",
-    "q06_revenue_filter",
-    "q08_events_hourly",
-    "q12_word_counts",
-    "q15_embedding_topk",
-    "q26_brand_volume",
-    "q27_best_order_per_customer",
-    "q35_props_extract",
-    "q39_token_histogram",
-    "q49_heavy_tokens",
-    "q55_decontaminate",
-    "q56_top3_orders_per_customer",
-    "q59_source_quota",
-    "q60_zscore",
-    "q67_salted_groupby",
-    "q71_stratified_sample",
-    "q73_span_removal",
-    "q80_group_corr",
-    "q81_freq_spectrum",
-    "q84_group_regression",
-]
+def _head_copy(tmp_path_factory, rows: int) -> str:
+    """A copy of every sf0.001 table cut to its first ``rows`` rows
+    (same schema)."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp(f"sf_head{rows}")
+    for t in TABLES:
+        tbl = pq.read_table(os.path.join(SF_DIR, f"{t}.parquet"))
+        pq.write_table(tbl.slice(0, rows), d / f"{t}.parquet")
+    return str(d)
 
 
 @pytest.fixture(scope="module")
 def empty_dir(tmp_path_factory):
-    """A zero-row copy of every sf0.001 table (same schema)."""
-    import pyarrow.parquet as pq
-
-    d = tmp_path_factory.mktemp("sf_empty")
-    for t in TABLES:
-        tbl = pq.read_table(os.path.join(SF_DIR, f"{t}.parquet"))
-        pq.write_table(tbl.slice(0, 0), d / f"{t}.parquet")
-    return str(d)
+    return _head_copy(tmp_path_factory, 0)
 
 
-@pytest.mark.parametrize("name", EMPTY_INPUT)
+@pytest.fixture(scope="module")
+def one_row_dir(tmp_path_factory):
+    return _head_copy(tmp_path_factory, 1)
+
+
+@pytest.mark.parametrize("name", _sql_checked())
 def test_empty_input_matches_oracle(ray_session, empty_dir, name):
-    from searchengine_ray.pipelines import queries as Q
+    """Zero rows everywhere: Ray runs no UDF, so every result is typed
+    from its plan; grouped results are empty, global aggregates one row
+    of NULLs and zero counts, as in SQL."""
+    _assert_matches(_connect(empty_dir), name, empty_dir)
 
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM '{os.path.join(empty_dir, t)}.parquet'"
-        )
-    got = _canon(_to_pandas(Q.queries()[name](empty_dir)))
-    want = _canon(con.execute(Q.oracle_sql()[name]).df())
-    assert list(got.columns) == list(want.columns), (got.columns, want.columns)
-    assert len(got) == len(want), (len(got), len(want))
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+@pytest.mark.parametrize("name", _sql_checked())
+def test_one_row_matches_oracle(ray_session, one_row_dir, name):
+    """One row per table: most keyed partitions are empty, and most
+    joins and lookups find nothing (an orphan key drops its row)."""
+    _assert_matches(_connect(one_row_dir), name, one_row_dir)
 
 
 def test_q84_constant_x_is_null(ray_session, tmp_path):
@@ -228,3 +233,63 @@ def test_q84_constant_x_is_null(ray_session, tmp_path):
     want = _canon(con.execute(Q.SQL_Q84).df())
     assert got[["slope", "intercept"]].isna().sum().tolist() == [2, 2]
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_dimension_lookups_are_inner_joins(ray_session, tmp_path):
+    """q05, q34 and q36 look nation and region names up in a broadcast
+    dimension; SQL's JOIN drops a row whose key the dimension lacks
+    (customer 4 and supplier 2 name nation 99, nation 2 names region 9),
+    where an empty-name group would be an extra row."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.pipelines import queries as Q
+
+    i32 = pa.int32()
+    tables = {
+        "nation": pa.table({"n_nationkey": pa.array([0, 1, 2], i32),
+                            "n_name": ["ALGERIA", "BRAZIL", "CHINA"],
+                            "n_regionkey": pa.array([0, 1, 9], i32)}),
+        "region": pa.table({"r_regionkey": pa.array([0, 1], i32),
+                            "r_name": ["AFRICA", "AMERICA"]}),
+        "customer": pa.table({"c_custkey": [1, 2, 3, 4],
+                              "c_nationkey": pa.array([0, 1, 2, 99], i32)}),
+        "orders": pa.table({"o_orderkey": [10, 11, 12, 13, 14],
+                            "o_custkey": [1, 2, 3, 4, 4],
+                            "o_totalprice": [1.5, 2.25, 3.0, 4.75, 5.5]}),
+        "supplier": pa.table({"s_suppkey": [1, 2, 3],
+                              "s_nationkey": pa.array([0, 99, 1], i32),
+                              "s_acctbal": [10.0, -2.5, 7.25]}),
+    }
+    con = duckdb.connect()
+    for t, tbl in tables.items():
+        pq.write_table(tbl, tmp_path / f"{t}.parquet")
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{tmp_path / t}.parquet'")
+    for name in ("q05_nation_orders", "q34_region_revenue", "q36_supplier_balance"):
+        got = _canon(Q.queries()[name](str(tmp_path)))
+        want = _canon(con.execute(Q.oracle_sql()[name]).df())
+        assert "" not in set(got.iloc[:, 0]), name
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_q28_without_query_vector_is_empty(ray_session, tmp_path):
+    """q28's query vector is vec_id 0: a table without it has no
+    neighbors, a typed zero-row result, as q15 gives."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.pipelines import queries as Q
+
+    rng = np.random.default_rng(3)
+    pq.write_table(
+        pa.table({
+            "vec_id": np.arange(1, 41, dtype=np.int64),
+            "embedding": pa.array(list(rng.standard_normal((40, 8))),
+                                  pa.list_(pa.float32())),
+            "label": pa.array(np.zeros(40, np.int32)),
+        }),
+        tmp_path / "embeddings.parquet",
+    )
+    got = Q.q28_ivf_topk(str(tmp_path))
+    assert len(got) == 0 and list(got.columns) == ["vec_id", "cos_sim"]
+    assert list(got.dtypes.astype(str)) == ["int64", "float64"]
