@@ -118,8 +118,8 @@ def run_bench() -> dict:
     )
     t0 = time.time()
     # the entire epoch loop (pick sort, fetch_seq assignment, chunk
-    # planning, wave submission) runs in the engine actor — the driver
-    # blocks once on run()
+    # planning, wave submission) runs in this process; it blocks once
+    # per epoch, on the dequeue picks
     eng = RemoteCrawl(
         store, images, truth, cfg,
         out_dir="/tmp/raycrawl_bench",

@@ -11,9 +11,11 @@ Per epoch (SURVEY.md §7.0):
       → host actors: frontier append                            (control)
       → parquet: content / crawl order / metrics / checkpoint   (sink)
 
-One engine actor (``_EngineHost``, built by ``RemoteCrawl``) owns every
-other actor and submits each epoch; the driver blocks once, on ``run``.
-Per epoch the engine actor blocks on exactly one thing, the dequeue
+``RemoteCrawl`` runs the epoch loop in the caller's process, as the
+reference's ``runCrawling`` does; it creates the host, seen, sequencer
+and fetch actors at once, submits each epoch to them and kills them at
+``shutdown``.  The epoch-boundary chain is ladder → caller → fetch pool.
+Per epoch the caller blocks on exactly one thing, the dequeue
 picks (usually prefetched behind the previous epoch's appends).  It
 merges and sorts them, assigns ``fetch_seq``, queues every fetch chunk
 upfront and groups the chunks into admission-ladder waves.  The ladder
@@ -308,30 +310,34 @@ def _plan_chunks(n_ok: int, nf: int, waves: int) -> list[tuple[int, int]]:
     return spans
 
 
-class _EngineHost:
-    """The crawl engine, run as one Ray actor (``RemoteCrawl`` builds
-    it).  It owns the host, seen, sequencer and fetch actors and runs
-    the whole epoch loop in its own process — dequeue gather, global
-    pick sort, fetch_seq assignment, chunk planning, fetch and
-    admission-wave submission, checkpoint writes — so the caller never
-    takes part in an epoch boundary: the boundary chain is ladder →
-    this actor → fetch pool (NOTES_ROUND2.md).  The fetch chunk return
-    refs it owns live as long as the engine does."""
+class RemoteCrawl:
+    """The crawl engine.  It runs the whole epoch loop in the process
+    that calls it, as the reference's ``runCrawling`` loop does —
+    dequeue gather, global pick sort, fetch_seq assignment, chunk
+    planning, fetch and admission-wave submission, checkpoint writes —
+    so the epoch-boundary chain is ladder → this process → fetch pool.
+    It creates the host, seen, sequencer and fetch actors at once, owns
+    them and every object ref it submits, and ``shutdown`` kills them."""
 
     def __init__(
         self,
-        refs: dict,
-        cfg: CrawlConfig,
-        out_dir: str,
-        n_host_actors: int,
-        n_fetch_actors: int,
-        checkpoint: bool,
-        write_payload: bool,
+        store,
+        images,
+        truth=None,
+        cfg: CrawlConfig | None = None,
+        out_dir: str = "/tmp/raycrawl",
+        n_host_actors: int = 4,
+        n_fetch_actors: int = 4,
+        checkpoint: bool = False,
+        write_payload: bool = True,
     ):
         import ray
 
         self.ray = ray
-        self.cfg = cfg
+        self.cfg = cfg = cfg or CrawlConfig()
+        # the fetch actors write payload files from their own processes,
+        # whose working directory is not the caller's
+        out_dir = os.path.abspath(out_dir)
         self.ckpt_dir = os.path.join(out_dir, "ckpt")
         self.checkpoint = checkpoint
         os.makedirs(out_dir, exist_ok=True)
@@ -344,7 +350,10 @@ class _EngineHost:
             self.order_log = VersionedTable(os.path.join(out_dir, "order_log"))
         self.n_host_actors = min(n_host_actors, cfg.shard_count)
         self.n_seen = cfg.seen_shards
-        store_ref, images_ref, truth_ref = refs["store"], refs["images"], refs["truth"]
+        # broadcast the fixture once; every actor reads the same copy
+        store_ref, images_ref, truth_ref = (
+            _as_ref(ray, x) for x in (store, images, truth)
+        )
 
         HostActor = ray.remote(num_cpus=0)(HostShards)
         SeenActor = ray.remote(num_cpus=0)(_SeenActor)
@@ -391,8 +400,29 @@ class _EngineHost:
         self._seed_stats_ref = None
         self._base_totals = (0, 0)  # (seen, picked) before a resume
 
-    def actor_handles(self) -> tuple:
-        return self.fetch_actors, self.host_actors, self.seen_actors
+    @classmethod
+    def resume(
+        cls, store, images, truth, cfg, out_dir, n_host_actors=4, n_fetch_actors=4
+    ) -> "RemoteCrawl":
+        """A checkpointing engine restored from the last committed
+        epoch under ``out_dir``; ``run()`` continues the crawl."""
+        d = _last_checkpoint(os.path.abspath(out_dir))
+        eng = cls(
+            store, images, truth, cfg, out_dir, n_host_actors=n_host_actors,
+            n_fetch_actors=n_fetch_actors, checkpoint=True,
+        )
+        eng.restore(d)
+        return eng
+
+    def shutdown(self) -> None:
+        """Kill every actor this engine created and drop the object refs
+        it holds, so the next crawl starts on a clean object store."""
+        for a in (*self.host_actors, *self.seen_actors, self.seq_actor,
+                  *self.fetch_actors):
+            self.ray.kill(a)
+        self._content_parts, self._metric_refs = [], []
+        self._append_refs, self._unappended = [], []
+        self._pending_rb = self._prefetched = self._seed_stats_ref = None
 
     # ------------------------------------------------------------ seeding
     def admit_seeds(self, seeds: list[str]) -> None:
@@ -577,7 +607,7 @@ class _EngineHost:
             # prefetch the NEXT epoch's dequeue, carrying this epoch's
             # deferred last-wave appends in the same task (one boundary
             # hop): it queues behind this epoch's phase-1s (actor FIFO)
-            # and computes while this actor is between epochs.  After a
+            # and computes while the engine is between epochs.  After a
             # checkpoint snapshot, so the snapshot sees appended but not
             # yet dequeued state.
             adm, self._unappended = self._unappended, []
@@ -848,97 +878,6 @@ def _last_checkpoint(out_dir: str) -> str:
     if not epochs:
         raise FileNotFoundError(f"no checkpoint under {ckpt_dir}")
     return os.path.join(ckpt_dir, f"epoch={epochs[-1]}")
-
-
-class RemoteCrawl:
-    """The crawl engine's public handle: builds one ``_EngineHost``
-    actor and forwards calls to it.  Epoch boundaries cost the caller
-    zero round-trips; it blocks once per call (``run`` covers a whole
-    crawl)."""
-
-    def __init__(
-        self,
-        store,
-        images,
-        truth=None,
-        cfg: CrawlConfig | None = None,
-        out_dir: str = "/tmp/raycrawl",
-        n_host_actors: int = 4,
-        n_fetch_actors: int = 4,
-        checkpoint: bool = False,
-        write_payload: bool = True,
-    ):
-        import ray
-
-        self.ray = ray
-        # broadcast the fixture once; refs ride inside a dict so Ray
-        # does NOT auto-resolve them into the engine actor, which hands
-        # them on to its own actors — one plasma copy total
-        refs = {
-            "store": _as_ref(ray, store),
-            "images": _as_ref(ray, images),
-            "truth": _as_ref(ray, truth),
-        }
-        Engine = ray.remote(num_cpus=0)(_EngineHost)
-        # the engine actor writes every output file from its own
-        # process, whose working directory is not the caller's
-        self._host = Engine.remote(
-            refs,
-            cfg or CrawlConfig(),
-            os.path.abspath(out_dir),
-            n_host_actors,
-            n_fetch_actors,
-            checkpoint,
-            write_payload,
-        )
-        self._handles = None
-
-    @classmethod
-    def resume(
-        cls, store, images, truth, cfg, out_dir, n_host_actors=4, n_fetch_actors=4
-    ) -> "RemoteCrawl":
-        """A checkpointing engine restored from the last committed
-        epoch under ``out_dir``; ``run()`` continues the crawl."""
-        d = _last_checkpoint(os.path.abspath(out_dir))
-        eng = cls(
-            store, images, truth, cfg, out_dir, n_host_actors=n_host_actors,
-            n_fetch_actors=n_fetch_actors, checkpoint=True,
-        )
-        eng.ray.get(eng._host.restore.remote(d))
-        return eng
-
-    def admit_seeds(self, seeds: list[str]) -> None:
-        self.ray.get(self._host.admit_seeds.remote(seeds))
-
-    def warmup(self) -> None:
-        self.ray.get(self._host.warmup.remote())
-
-    def run(self, max_epochs: int | None = None) -> EngineResult:
-        return self.ray.get(self._host.run.remote(max_epochs))
-
-    def result(self) -> EngineResult:
-        return self.ray.get(self._host.result.remote())
-
-    def actor_handles(self) -> tuple:
-        if self._handles is None:
-            self._handles = self.ray.get(self._host.actor_handles.remote())
-        return self._handles
-
-    @property
-    def fetch_actors(self):
-        return self.actor_handles()[0]
-
-    @property
-    def host_actors(self):
-        return self.actor_handles()[1]
-
-    @property
-    def seen_actors(self):
-        return self.actor_handles()[2]
-
-    def shutdown(self) -> None:
-        """Kill the engine actor (its child actors die with their owner)."""
-        self.ray.kill(self._host)
 
 
 def run_crawl(

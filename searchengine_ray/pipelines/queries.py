@@ -953,7 +953,7 @@ def q29_embedding_neardup(sf_dir: str):
     ).to_pandas()
     base = base.sort_values("vec_id").head(20)
     ids, noisy = gen_planted_neardups(
-        np.stack(base["embedding"].to_numpy()), base["vec_id"].to_numpy()
+        matrix(base["embedding"]), base["vec_id"].to_numpy()
     )
     planted = pd.DataFrame({"vec_id": ids, "embedding": list(noisy)})
     full = ds.union(ray.data.from_pandas(planted))

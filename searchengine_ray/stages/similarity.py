@@ -130,6 +130,15 @@ def ivf_topk(ds, query_vecs, centroids, k: int = 10, n_probe: int = 4,
     return cosine_topk(pruned, query_vecs, k=k, id_col=id_col, emb_col=emb_col)
 
 
+def _nearest(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each row's nearest centroid: argmin ||x-c||^2 == argmax
+    (x.c - |c|^2/2).  No rows need no centroids (k-means over no rows
+    has none)."""
+    if not len(x):
+        return np.zeros(0, np.int64)
+    return np.argmax(x @ c.T - 0.5 * (c * c).sum(axis=1), axis=1)
+
+
 def kmeans(
     ds,
     k: int,
@@ -150,7 +159,8 @@ def kmeans(
     Empty clusters keep their previous centroid.  Early-stops when the
     max centroid shift drops below ``tol``.
 
-    Returns (centroids ndarray (k, d), n_iters_run).
+    Returns (centroids ndarray (k, d), n_iters_run); an input with no
+    rows has no centroids and runs no iteration.
     """
     import ray
 
@@ -161,6 +171,8 @@ def kmeans(
     ds = materialize(ds.select_columns([emb_col]))
     init = collect(ds.limit(sample))
     x0 = matrix(init[emb_col]).astype(np.float64)
+    if not len(x0):  # no rows: no centroids
+        return x0, 0
     rng = np.random.default_rng(seed)
     # farthest-first init over the sample (deterministic k-means++
     # flavor): random seeds can land two centroids in one cluster and
@@ -181,8 +193,7 @@ def kmeans(
         def partial(b: pd.DataFrame) -> pd.DataFrame:
             c = ray.get(ref)
             x = matrix(b[emb_col], d).astype(np.float64)
-            # argmin ||x-c||^2 == argmax (x.c - |c|^2/2)
-            assign = np.argmax(x @ c.T - 0.5 * (c * c).sum(axis=1), axis=1)
+            assign = _nearest(x, c)
             sums = np.zeros((len(c), x.shape[1]), np.float64)
             np.add.at(sums, assign, x)
             cnt = np.bincount(assign, minlength=len(c)).astype(np.int64)
@@ -217,9 +228,7 @@ def kmeans_assign(ds, centroids, emb_col: str = "embedding"):
         c = ray.get(ref)
         x = matrix(b[emb_col], c.shape[1]).astype(np.float64)
         b = b.copy()
-        b["cluster_id"] = np.argmax(
-            x @ c.T - 0.5 * (c * c).sum(axis=1), axis=1
-        ).astype(np.int64)
+        b["cluster_id"] = _nearest(x, c).astype(np.int64)
         return b
 
     return ds.map_batches(assign, batch_format="pandas")

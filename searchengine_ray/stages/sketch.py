@@ -50,9 +50,11 @@ def hll_partial(values: np.ndarray, p: int = 12) -> np.ndarray:
     return regs
 
 
-def hll_merge(partials: list[np.ndarray]) -> np.ndarray:
-    out = partials[0].copy()
-    for r in partials[1:]:
+def hll_merge(partials: list[np.ndarray], p: int = 12) -> np.ndarray:
+    """Elementwise max of the partials, folded from 2^p zero registers
+    (no partials: every register 0, which estimates 0)."""
+    out = np.zeros(1 << p, np.uint8)
+    for r in partials:
         np.maximum(out, r, out=out)
     return out
 
@@ -82,7 +84,7 @@ def approx_distinct(ds, column: str, p: int = 12) -> dict:
         return pd.DataFrame({"regs": [hll_partial(v, p).tobytes()]})
 
     parts = [np.frombuffer(x, np.uint8) for x in collect(ds, partial)["regs"]]
-    regs = hll_merge(parts)
+    regs = hll_merge(parts, p)
     return {"approx": int(round(hll_estimate(regs))), "registers": len(regs)}
 
 

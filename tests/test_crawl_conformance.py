@@ -55,7 +55,7 @@ def _run_engine(fixture, tmpdir, n_host_actors, n_fetch_actors, **kw):
     [
         pytest.param(1, 1, False, id="1-1"),
         pytest.param(4, 3, False, id="4-3"),
-        # checkpointed crawls write from inside the engine actor
+        # checkpointed crawls snapshot every actor each epoch
         pytest.param(1, 1, True, id="1-1-checkpoint"),
         pytest.param(4, 3, True, id="4-3-checkpoint"),
     ],

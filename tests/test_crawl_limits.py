@@ -179,3 +179,44 @@ def test_dns_cache_populated_and_checkpointed(ray_session, small_world, tmp_path
         if a >= 0
     }
     assert h2.host_dns == want
+
+
+def test_crawl_starts_only_its_actors_and_kills_them(
+    ray_session, small_world, tmp_path
+):
+    """The epoch loop runs in the caller, so a crawl starts exactly its
+    host, seen, sequencer and fetch actors (2 + 2 + 1 + 2 here) and no
+    engine actor; ``shutdown`` leaves none of them alive.  Read from the
+    GCS actor table (``ray.util.state`` needs the dashboard)."""
+    import collections
+    import time
+
+    from ray._private import state
+
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    images, truth, store, seeds = small_world
+    cfg = CrawlConfig(shard_count=6, per_shard_batch=40, seen_shards=2)
+    before = set(state.actors())
+
+    def new_alive() -> list[str]:
+        return [
+            info["ActorClassName"]
+            for a, info in state.actors().items()
+            if a not in before and info["State"] == "ALIVE"
+        ]
+
+    eng = RemoteCrawl(
+        store, images, truth, cfg=cfg, out_dir=str(tmp_path / "actors"),
+        n_host_actors=2, n_fetch_actors=2,
+    )
+    eng.admit_seeds(seeds)
+    eng.run(max_epochs=1)  # every actor has served a call: all are up
+    assert collections.Counter(new_alive()) == {
+        "HostShards": 2, "_SeenActor": 2, "_Sequencer": 1, "FetchDecode": 2
+    }
+    eng.shutdown()
+    end = time.monotonic() + 30  # ray.kill is asynchronous
+    while new_alive() and time.monotonic() < end:
+        time.sleep(0.1)
+    assert new_alive() == []

@@ -196,6 +196,18 @@ def test_empty_input_matches_oracle(ray_session, empty_dir, name):
     _assert_matches(_connect(empty_dir), name, empty_dir)
 
 
+@pytest.mark.parametrize("name", ROWS_ONLY + ["q43_hll_distinct"])
+def test_rows_only_queries_on_empty_input(ray_session, empty_dir, name):
+    """The queries no SQL checks still run on zero rows and type their
+    result (q43's estimate over no rows is 0, as COUNT(DISTINCT))."""
+    from searchengine_ray.pipelines import queries as Q
+
+    got = _to_pandas(Q.queries()[name](empty_dir))
+    assert got is not None and len(got.columns) > 0
+    if name == "q43_hll_distinct":
+        assert got["approx"].tolist() == [0, 0]
+
+
 @pytest.mark.parametrize("name", _sql_checked())
 def test_one_row_matches_oracle(ray_session, one_row_dir, name):
     """One row per table: most keyed partitions are empty, and most
