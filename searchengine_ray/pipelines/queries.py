@@ -15,10 +15,11 @@ Ray side rules: column-pruned ``read_parquet`` through
 disk (one block per 32 MiB, no floor at the CPU count: a test-scale
 table is one block, not Ray's 2× CPUs of near-empty ones), vectorized
 ``map_batches`` (pyarrow/pandas kernels), pre-aggregation before
-shuffles, broadcast small sides (dimension tables) via ``ray.put``,
-looked up with SQL ``JOIN`` semantics (``_dim_names``: a key missing
-from the dimension drops its row).  Every query result reaches the
-driver through ``keyed.collect`` (or ``combine`` / ``top_k``, which
+shuffles, broadcast small sides (dimension tables) captured by the
+UDF that looks them up (Ray Data puts a map operator's UDF in the
+object store once), with SQL ``JOIN`` semantics (``_dim_names``: a key
+missing from the dimension drops its row).  Every query result reaches
+the driver through ``keyed.collect`` (or ``combine`` / ``top_k``, which
 use it), typed from the plan by ``keyed.empty_like`` when it has no
 rows, so every UDF accepts a zero-row batch and no query ever calls
 ``Dataset.schema``; a Dataset read more than once is
@@ -28,8 +29,10 @@ the driver or in a partitioned ``keyed_map``.  Every grouped top-k
 (``row_number() <= k`` per group) is ``keyed.top_k``: per-batch top-k
 partials, one key-hash ``keyed_map`` for the final top-k.  Every
 shuffle — the partitioned fold, per-partition finisher
-(``keyed_map``) and join (``hash_join``) — is the one task-based range partition of
-``stages/keyed.py``; no query uses ``Dataset.join``,
+(``keyed_map``) and join (``hash_join``) — is the one task-based range
+partition of ``stages/keyed.py``, which a query calls with the key
+columns it shuffles by (only ``_join_parts`` sizes a join's partition
+count); no query uses ``Dataset.join``,
 ``groupby().map_groups`` or a Ray aggregate (``Dataset.aggregate``,
 ``sum``, ``min``, ``max``, ``mean``, ``std``, ``unique``).  The
 curation decisions live once in ``stages/``: the clean gate
@@ -62,12 +65,9 @@ from ..stages.keyed import (
     collect,
     combine,
     hash_join,
-    hash_part,
     keyed_map,
     materialize,
-    ncpus,
     top_k,
-    with_hash_part,
 )
 from ..stages.sampling import knuth_hash, split_of
 from ..stages.similarity import matrix
@@ -86,26 +86,6 @@ def _cents(x) -> np.ndarray:
     return np.round(np.asarray(x, np.float64) * 100).astype(np.int64)
 
 
-_BCAST_CACHE: dict = {}
-
-
-def _broadcast_fn(ref, fn):
-    """Stateless-task broadcast lookup: resolve the ray.put ref once
-    per worker process (module cache) — avoids paying actor-pool
-    spin-up per query while keeping the no-reship property."""
-
-    def wrapped(batch):
-        import ray
-
-        key = ref.hex() if hasattr(ref, "hex") else id(ref)
-        if key not in _BCAST_CACHE:
-            _BCAST_CACHE[key] = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        return fn(batch, _BCAST_CACHE[key])
-
-    return wrapped
-
-
-
 def _dim_names(keys: np.ndarray, names: dict) -> tuple[np.ndarray, pa.Array]:
     """A broadcast dimension lookup with SQL ``JOIN`` semantics: the
     mask of rows whose key ``names`` holds, and those rows' names.  A
@@ -120,6 +100,8 @@ def _join_parts(sf_dir: str, *tables: str) -> int:
     one partition per 32 MiB of input), clamped to [2, 4× the
     cluster]: the partition count grows with the data at 100 TB, while
     a 20 MB join at test scale runs as a few pandas merges."""
+    from ..stages.keyed import ncpus
+
     total = 0
     for t in tables:
         try:
@@ -271,16 +253,13 @@ def q05_nation_orders(sf_dir: str):
     """orders ⋈ customer is a ``hash_join`` (customer scales with
     SF); the nation name lookup stays a broadcast — nation is a fixed
     25-row dim, the legitimate broadcast case."""
-    import ray
-
     nat = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
     )
     nname = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
-    ref = ray.put(nname)
 
-    def add_nation(t: pa.Table, nname_) -> pa.Table:
-        hit, name = _dim_names(t["c_nationkey"].to_numpy(zero_copy_only=False), nname_)
+    def add_nation(t: pa.Table) -> pa.Table:
+        hit, name = _dim_names(t["c_nationkey"].to_numpy(zero_copy_only=False), nname)
         cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))[hit]
         return pa.table({"n_name": name, "cents": cents})
 
@@ -290,7 +269,7 @@ def q05_nation_orders(sf_dir: str):
         orders, cust, "o_custkey", "c_custkey",
         npart=_join_parts(sf_dir, "orders", "customer"),
     )
-    return combine(joined, ["n_name"], _REVENUE, _broadcast_fn(ref, add_nation))
+    return combine(joined, ["n_name"], _REVENUE, add_nation)
 
 
 SQL_Q05 = """
@@ -648,8 +627,6 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
     needs pairs among the post-clean/post-exact-dedup survivor set."""
     from ..stages.dedup import _distinct_shingles
 
-    npart = ncpus()
-
     def shingles(b: pa.Table) -> pa.Table:
         # pyarrow hop: the wide (doc_id, text) read never converts to
         # pandas; only 8-byte shingle rows ride the shuffle
@@ -663,7 +640,6 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
                 "doc_id": pa.array(doc_ids[didx], pa.int64()),
                 "shingle": pa.array(sh.view(np.int64)),
                 "n": pa.array(counts[didx].astype(np.int64)),
-                "part": pa.array((sh % np.uint64(npart)).astype(np.int64)),
             }
         )
 
@@ -680,8 +656,7 @@ def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
         )
 
     partials = keyed_map(
-        ds.map_batches(shingles, batch_format="pyarrow"), "part", npart,
-        partition_pairs,
+        ds.map_batches(shingles, batch_format="pyarrow"), ["shingle"], partition_pairs
     )
     agg = combine(
         partials,
@@ -722,7 +697,6 @@ def q19_sessionize(sf_dir: str):
     then one ordered scan per user-complete partition (streaming-shaped
     workload pattern)."""
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
-    npart = ncpus()
 
     def sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -741,7 +715,7 @@ def q19_sessionize(sf_dir: str):
             }
         )
 
-    return collect(keyed_map(with_hash_part(ds, ["user_id"], npart), "part", npart, sessions))
+    return collect(keyed_map(ds, ["user_id"], sessions))
 
 
 SQL_Q19 = """
@@ -996,8 +970,6 @@ def q34_region_revenue(sf_dir: str):
     """orders ⋈ customer ``hash_join`` (SF-scaling side), then the
     nation→region hops stay broadcasts — both dims are fixed-size (25
     and 5 rows)."""
-    import ray
-
     nat = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_regionkey"]
     )
@@ -1007,10 +979,11 @@ def q34_region_revenue(sf_dir: str):
     rk = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_regionkey"].to_pylist()))
     rname = dict(zip(reg["r_regionkey"].to_pylist(), reg["r_name"].to_pylist()))
     rname_of_nation = {n: rname[r] for n, r in rk.items() if r in rname}
-    ref = ray.put(rname_of_nation)
 
-    def add_region(t: pa.Table, lookup) -> pa.Table:
-        hit, name = _dim_names(t["c_nationkey"].to_numpy(zero_copy_only=False), lookup)
+    def add_region(t: pa.Table) -> pa.Table:
+        hit, name = _dim_names(
+            t["c_nationkey"].to_numpy(zero_copy_only=False), rname_of_nation
+        )
         cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))[hit]
         return pa.table({"r_name": name, "cents": cents})
 
@@ -1020,7 +993,7 @@ def q34_region_revenue(sf_dir: str):
         orders, cust, "o_custkey", "c_custkey",
         npart=_join_parts(sf_dir, "orders", "customer"),
     )
-    return combine(joined, ["r_name"], _REVENUE, _broadcast_fn(ref, add_region))
+    return combine(joined, ["r_name"], _REVENUE, add_region)
 
 
 SQL_Q34 = """
@@ -1066,16 +1039,13 @@ FROM events GROUP BY 1, 2
 
 def q36_supplier_balance(sf_dir: str):
     """supplier ⋈ nation grouped stats (acctbal as integer cents)."""
-    import ray
-
     nat = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
     )
     nname = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
-    ref = ray.put(nname)
 
-    def add_nat(t: pa.Table, nn: dict) -> pa.Table:
-        hit, name = _dim_names(t["s_nationkey"].to_numpy(zero_copy_only=False), nn)
+    def add_nat(t: pa.Table) -> pa.Table:
+        hit, name = _dim_names(t["s_nationkey"].to_numpy(zero_copy_only=False), nname)
         cents = _cents(t["s_acctbal"].to_numpy(zero_copy_only=False))[hit]
         return pa.table({"n_name": name, "cents": cents})
 
@@ -1083,7 +1053,7 @@ def q36_supplier_balance(sf_dir: str):
         _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]),
         ["n_name"],
         {"acctbal_cents": ("cents", "sum"), "n_suppliers": ("cents", "count")},
-        _broadcast_fn(ref, add_nat),
+        add_nat,
     )
 
 
@@ -1691,7 +1661,6 @@ def q58_running_totals(sf_dir: str):
     one user-complete partition is ever resident, and cents-integer
     math keeps the running sum exact at any prefix length."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    npart = ncpus()
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1700,9 +1669,6 @@ def q58_running_totals(sf_dir: str):
                 "ts": b["ts"],
                 "user_id": b["user_id"].to_numpy(np.int64),
                 "cents": _cents(b["value"]),
-                "part": (
-                    b["user_id"].to_numpy(np.int64) % npart
-                ).astype(np.int64),
             }
         )
 
@@ -1715,7 +1681,7 @@ def q58_running_totals(sf_dir: str):
         )
         return g[["event_id", "user_id", "run_cents"]]
 
-    out = collect(keyed_map(ds.map_batches(prep, batch_format="pandas"), "part", npart, run))
+    out = collect(keyed_map(ds.map_batches(prep, batch_format="pandas"), ["user_id"], run))
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -1765,8 +1731,6 @@ def q60_zscore(sf_dir: str):
     normalizing each batch vectorized.  The big side never shuffles.
     The float formula is written identically here and in the oracle
     SQL so both sides round the same IEEE value."""
-    import ray
-
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def moments(t: pa.Table) -> pa.Table:
@@ -1786,13 +1750,12 @@ def q60_zscore(sf_dir: str):
         )
         for t, r in mom.iterrows()
     }
-    ref = ray.put(lut)
 
-    def normalize(b: pd.DataFrame, lut_: dict) -> pd.DataFrame:
+    def normalize(b: pd.DataFrame) -> pd.DataFrame:
         # dict-valued .map dispatches through a pandas hashtable (one
         # vectorized lookup pass), not a Python call per row
-        mean = b["event_type"].map({t: v[0] for t, v in lut_.items()})
-        std = b["event_type"].map({t: v[1] for t, v in lut_.items()})
+        mean = b["event_type"].map({t: v[0] for t, v in lut.items()})
+        std = b["event_type"].map({t: v[1] for t, v in lut.items()})
         z = (_cents(b["value"]) - mean.to_numpy(np.float64)) / std.to_numpy(
             np.float64
         )
@@ -1803,7 +1766,7 @@ def q60_zscore(sf_dir: str):
             }
         )
 
-    out = collect(ds, _broadcast_fn(ref, normalize))
+    out = collect(ds, normalize)
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -1857,47 +1820,42 @@ ORDER BY n DESC, bigram LIMIT 40
 """
 
 
+_PACK_RANGE = 1 << 16  # doc ids per q62 prefix-sum range
+
+
 def q62_sequence_packing(sf_dir: str):
     """Sequence packing (context-window assembly): lay the corpus out
     as one token stream in doc_id order and assign each doc its
     context-window chunk + offset (``chunk = prefix_tokens // B``).
-    The core primitive is a DISTRIBUTED PREFIX SUM: docs are
-    range-partitioned by doc_id (dense ids → contiguous partitions),
-    pass 1 reduces each partition to one token-count subtotal, the
-    driver exclusive-scans the npart subtotals (tiny), and pass 2
-    streams each partition once more adding its broadcast base offset
-    to a local cumsum.  Two linear passes, O(npart) driver state —
-    the scan never materializes the corpus anywhere."""
-    import ray
-
+    The core primitive is a DISTRIBUTED PREFIX SUM over doc_id ranges
+    (``rng`` = doc_id // ``_PACK_RANGE``): pass 1 reduces each range to
+    one token-count subtotal, the driver exclusive-scans the range
+    subtotals (tiny), and pass 2 shuffles by ``rng`` and, per range,
+    adds its base offset to a local cumsum (a partition may hold
+    several ranges).  Two linear passes, O(ranges) driver state (dense
+    ids: one range per 65,536 docs) — the scan never materializes the
+    corpus anywhere."""
     B = 512
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    ndocs = ds.count()  # parquet metadata, no scan
-    npart = ncpus()
 
     def counted(b: pd.DataFrame) -> pd.DataFrame:
         did = b["doc_id"].to_numpy(np.int64)
         return pd.DataFrame(
-            {
-                "doc_id": did,
-                "nt": tx.tokenize(b["text"]).counts,
-                "part": np.minimum(did * npart // max(ndocs, 1), npart - 1),
-            }
+            {"doc_id": did, "nt": tx.tokenize(b["text"]).counts,
+             "rng": did // _PACK_RANGE}
         )
 
     counts = materialize(ds.map_batches(counted, batch_format="pandas"))
 
-    sub = combine(counts, ["part"], {"tot": ("nt", "sum")})
-    base = np.zeros(npart, np.int64)
-    tot = sub.set_index("part")["tot"]
-    vals = np.array([tot.get(i, 0) for i in range(npart)], np.int64)
-    base[1:] = np.cumsum(vals)[:-1]
-    ref = ray.put(base)
+    sub = combine(counts, ["rng"], {"tot": ("nt", "sum")}).sort_values("rng")
+    tot = sub["tot"].to_numpy(np.int64)
+    base = dict(zip(sub["rng"].tolist(), (np.cumsum(tot) - tot).tolist()))
 
-    def assign(g: pd.DataFrame, base_: np.ndarray) -> pd.DataFrame:
+    def assign(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id")
         nt = g["nt"].to_numpy(np.int64)
-        prev = base_[g["part"].to_numpy(np.int64)] + np.cumsum(nt) - nt
+        run = g.groupby("rng", sort=False)["nt"].cumsum().to_numpy(np.int64)
+        prev = g["rng"].map(base).to_numpy(np.int64) + run - nt
         return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(np.int64),
@@ -1907,7 +1865,7 @@ def q62_sequence_packing(sf_dir: str):
             }
         )
 
-    out = collect(keyed_map(counts, "part", npart, _broadcast_fn(ref, assign)))
+    out = collect(keyed_map(counts, ["rng"], assign))
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2103,7 +2061,6 @@ def q66_rolling_window(sf_dir: str):
     Cents-int math keeps every window exact."""
     W = 5
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    npart = ncpus()
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -2112,9 +2069,6 @@ def q66_rolling_window(sf_dir: str):
                 "ts": b["ts"],
                 "user_id": b["user_id"].to_numpy(np.int64),
                 "cents": _cents(b["value"]),
-                "part": (
-                    b["user_id"].to_numpy(np.int64) % npart
-                ).astype(np.int64),
             }
         )
 
@@ -2140,7 +2094,8 @@ def q66_rolling_window(sf_dir: str):
             }
         )
 
-    out = collect(keyed_map(ds.map_batches(prep, batch_format="pandas"), "part", npart, roll))
+    rows = ds.map_batches(prep, batch_format="pandas")
+    out = collect(keyed_map(rows, ["user_id"], roll))
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -2213,19 +2168,6 @@ def q68_windowed_event_dedup(sf_dir: str):
     Output: per-type kept/dropped counts (int-exact)."""
     GAP_US = 3_600_000_000  # 1 h in microseconds
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    npart = ncpus()
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        uid = b["user_id"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "event_id": b["event_id"].to_numpy(np.int64),
-                "ts": b["ts"],
-                "user_id": uid,
-                "event_type": b["event_type"],
-                "part": hash_part([uid, b["event_type"].to_numpy()], npart),
-            }
-        )
 
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "event_type", "ts", "event_id"])
@@ -2241,7 +2183,7 @@ def q68_windowed_event_dedup(sf_dir: str):
         return pd.DataFrame({"event_type": et, "kept": keep, "dropped": ~keep})
 
     out = combine(
-        keyed_map(ds.map_batches(prep, batch_format="pandas"), "part", npart, dedup),
+        keyed_map(ds, ["user_id", "event_type"], dedup),
         ["event_type"],
         {"n_kept": ("kept", "sum"), "n_dropped": ("dropped", "sum")},
     )
@@ -2326,10 +2268,10 @@ def q45_tfidf_terms(sf_dir: str):
     ``keyed_map`` attaches each word's df to its (source, word) rows
     and keeps a per-source top-5 per partition (each (source, word)
     row is unique after the fold, so these are a superset of the
-    global top-5), and the driver merges ≤5·npart rows per source.
-    The vocabulary-sized tables never land on the driver."""
+    global top-5), and the driver merges ≤5 rows per source per
+    partition.  The vocabulary-sized tables never land on the
+    driver."""
     ds = _read(sf_dir, "documents", ["source", "text"])
-    npart = ncpus()
 
     def rows(t: pa.Table) -> pa.Table:
         _counts, idx, dic, doc = tx.tokenize(t["text"])
@@ -2370,7 +2312,7 @@ def q45_tfidf_terms(sf_dir: str):
             ["source", "word", "tf", "df", "score"]
         ]
 
-    out = keyed_map(with_hash_part(agg, ["word"], npart), "part", npart, attach_df)
+    out = keyed_map(agg, ["word"], attach_df)
     out = collect(out).sort_values(by_score[0], ascending=by_score[1])
     out = out.groupby("source", sort=False).head(5)
     return out.sort_values(["source", "word"]).reset_index(drop=True)
@@ -2702,7 +2644,7 @@ def q74_cosine_simjoin(sf_dir: str):
     Shape: the normalized matrix broadcasts once via ``ray.put``
     (zero-copy plasma reads in every task); each batch computes ONE
     k×n matmul and keeps its upper-triangle hits, so compute is
-    O(n²/ncpus) per task with no shuffle at all.  At corpus scale the
+    O(n²/CPUs) per task with no shuffle at all.  At corpus scale the
     broadcast side outgrows plasma — that regime belongs to the
     blocked/LSH paths (q28/q29); this operator is the exact-verify
     primitive they calibrate against."""
@@ -2802,9 +2744,10 @@ GROUP BY label ORDER BY label
 
 def _moments(sf_dir: str) -> pd.DataFrame:
     """Per-return-flag float moments of x = l_quantity and
-    y = l_extendedprice (n, Σx, Σy, Σxx, Σyy, Σxy): one projection, one
-    driver ``combine`` — the handful of partial rows per batch are all
-    that leave the tasks."""
+    y = l_extendedprice (n, Σx, Σy, Σxx, Σyy, Σxy) plus each column's
+    min and max (a column is constant exactly when they are equal):
+    one projection, one driver ``combine`` — the handful of partial
+    rows per batch are all that leave the tasks."""
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice"])
 
     def project(t: pa.Table) -> pa.Table:
@@ -2817,9 +2760,17 @@ def _moments(sf_dir: str) -> pd.DataFrame:
         ds,
         ["l_returnflag"],
         {"n": ("x", "count"), "sx": ("x", "sum"), "sy": ("y", "sum"),
-         "sxx": ("xx", "sum"), "syy": ("yy", "sum"), "sxy": ("xy", "sum")},
+         "sxx": ("xx", "sum"), "syy": ("yy", "sum"), "sxy": ("xy", "sum"),
+         "x_min": ("x", "min"), "x_max": ("x", "max"),
+         "y_min": ("y", "min"), "y_max": ("y", "max")},
         project,
     )
+
+
+def _constant(pdf: pd.DataFrame, col: str) -> np.ndarray:
+    """Which groups of a ``_moments`` frame hold one distinct ``col``
+    value: an exact test, where a float variance may round off zero."""
+    return (pdf[f"{col}_min"] == pdf[f"{col}_max"]).to_numpy()
 
 
 def q84_group_regression(sf_dir: str):
@@ -2836,8 +2787,9 @@ def q84_group_regression(sf_dir: str):
     sxx, sxy = pdf["sxx"].to_numpy(), pdf["sxy"].to_numpy()
     # constant x (one distinct l_quantity in a group): no regression
     # line — NaN, as REGR_SLOPE / REGR_INTERCEPT return NULL
+    flat = _constant(pdf, "x")
     den = n * sxx - sx * sx
-    slope = np.where(den == 0, np.nan, n * sxy - sx * sy) / np.where(den == 0, 1, den)
+    slope = np.where(flat, np.nan, n * sxy - sx * sy) / np.where(flat, 1, den)
     intercept = (sy - slope * sx) / n
     out = pd.DataFrame(
         {
@@ -2870,19 +2822,12 @@ def q83_interarrival(sf_dir: str):
     vectorized sort + diff per partition with (user, type) run
     boundaries masked → one gap row per consecutive pair → a fused
     driver ``combine`` per type."""
-    npart = ncpus()
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def project(b: pa.Table) -> pa.Table:
         ts_us = b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-        ent = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
-            {
-                "user_id": b["user_id"],
-                "event_type": b["event_type"],
-                "ts_us": ts_us,
-                "part": pa.array(ent % npart, pa.int64()),
-            }
+            {"user_id": b["user_id"], "event_type": b["event_type"], "ts_us": ts_us}
         )
 
     def gaps_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -2897,9 +2842,7 @@ def q83_interarrival(sf_dir: str):
         return pd.DataFrame({"event_type": et[same], "gap": gap[same]})
 
     out = combine(
-        keyed_map(
-            ds.map_batches(project, batch_format="pyarrow"), "part", npart, gaps_part
-        ),
+        keyed_map(ds.map_batches(project, batch_format="pyarrow"), ["user_id"], gaps_part),
         ["event_type"],
         {"n_gaps": ("gap", "count"), "sum_gap_us": ("gap", "sum"),
          "max_gap_us": ("gap", "max")},
@@ -2942,7 +2885,6 @@ def q82_source_overlap(sf_dir: str):
     anywhere whole."""
     from ..functions.hashing import fnv1a64_batch
 
-    npart = ncpus()
     ds = _read(sf_dir, "documents", ["source", "text"])
 
     def distinct_partial(b: pa.Table) -> pa.Table:
@@ -2961,11 +2903,6 @@ def q82_source_overlap(sf_dir: str):
             {
                 "source": pa.array(s_out, pa.string()),
                 "wh": pa.array(w_out, pa.int64()),
-                "part": pa.array(
-                    (w_out.view(np.uint64) % np.uint64(npart)).astype(
-                        np.int64
-                    )
-                ),
             }
         )
 
@@ -2986,8 +2923,7 @@ def q82_source_overlap(sf_dir: str):
 
     pdf = combine(
         keyed_map(
-            ds.map_batches(distinct_partial, batch_format="pyarrow"), "part", npart,
-            pair_rows,
+            ds.map_batches(distinct_partial, batch_format="pyarrow"), ["wh"], pair_rows
         ),
         ["source_a", "source_b"],
         {"inter": ("source_a", "count")},
@@ -3056,7 +2992,8 @@ def q80_group_corr(sf_dir: str):
     corr = (nΣxy−ΣxΣy)/√((nΣxx−Σx²)(nΣyy−Σy²)).  The corpus never
     shuffles — only 6 doubles per (group, batch) cross the wire.
     Rounded to 6 decimals so the reduction-order float difference vs
-    DuckDB's streaming corr() vanishes."""
+    DuckDB's streaming corr() vanishes.  A group whose x or y never
+    varies gets NaN (SQL NULL), as CORR."""
     pdf = _moments(sf_dir)
     n = pdf["n"].to_numpy(np.float64)
     sx, sy = pdf["sx"].to_numpy(), pdf["sy"].to_numpy()
@@ -3065,9 +3002,9 @@ def q80_group_corr(sf_dir: str):
         pdf["syy"].to_numpy(),
         pdf["sxy"].to_numpy(),
     )
-    corr = (n * sxy - sx * sy) / np.sqrt(
-        (n * sxx - sx * sx) * (n * syy - sy * sy)
-    )
+    flat = _constant(pdf, "x") | _constant(pdf, "y")
+    den = np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
+    corr = np.where(flat, np.nan, n * sxy - sx * sy) / np.where(flat, 1, den)
     out = pd.DataFrame(
         {
             "l_returnflag": pdf["l_returnflag"],
@@ -3095,10 +3032,8 @@ def q79_event_funnel(sf_dir: str):
     allow_exact_matches=False, tolerance=30min)`` — one vectorized
     call, no per-event Python; each partition emits ONE partial row
     (views, conversions, distinct converting users — exact because
-    partitions are user-complete), the driver folds npart rows."""
-    import ray  # noqa: F401  (ray.data via _read)
-
-    npart = ncpus()
+    partitions are user-complete), the driver folds one row per
+    partition."""
     W_US = 30 * 60 * 1_000_000
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
@@ -3106,14 +3041,12 @@ def q79_event_funnel(sf_dir: str):
         m = pc.is_in(b["event_type"], pa.array(["view", "click"]))
         b = b.filter(m)
         ts_us = b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-        ent = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 "event_id": b["event_id"],
                 "user_id": b["user_id"],
                 "event_type": b["event_type"],
                 "ts_us": ts_us,
-                "part": pa.array(ent % npart, pa.int64()),
             }
         )
 
@@ -3141,7 +3074,7 @@ def q79_event_funnel(sf_dir: str):
         )
 
     pdf = collect(keyed_map(
-        ds.map_batches(project, batch_format="pyarrow"), "part", npart, funnel_part
+        ds.map_batches(project, batch_format="pyarrow"), ["user_id"], funnel_part
     ))
     # no partition rows at all: SQL's COUNT over an empty set is 0
     return pd.DataFrame({c: [int(pdf[c].sum())] for c in pdf.columns})
@@ -3180,8 +3113,6 @@ def q78_top_decile(sf_dir: str):
     (10·rank_lt ≥ 9·(n−1) ⇔ rank_lt/(n−1) ≥ 0.9 — IEEE division is
     correctly rounded, so the float comparison in SQL agrees
     exactly); only per-group counters cross to the driver."""
-    import ray
-
     keys = ["l_returnflag", "l_extendedprice"]
     ds = _read(sf_dir, "lineitem", keys)
     vc = collect(combine(ds, keys, {"cnt": ("l_extendedprice", "count")}, partitioned=True))
@@ -3197,14 +3128,13 @@ def q78_top_decile(sf_dir: str):
         )
         for rf, g in vc.groupby("l_returnflag")
     }
-    ref = ray.put(tables)
 
-    def flag(t: pa.Table, tabs) -> pa.Table:
+    def flag(t: pa.Table) -> pa.Table:
         rf = t["l_returnflag"].to_numpy(zero_copy_only=False)
         price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         top = np.zeros(len(t), bool)
         for r in np.unique(rf):  # a handful of flags per batch
-            vals, lt, n = tabs[r]
+            vals, lt, n = tables[r]
             at = rf == r
             rank_lt = lt[np.searchsorted(vals, price[at])]
             top[at] = (10 * rank_lt >= 9 * (n - 1)) & (n > 1)
@@ -3214,7 +3144,7 @@ def q78_top_decile(sf_dir: str):
         ds,
         ["l_returnflag"],
         {"n_top_decile": ("top", "sum"), "n_rows": ("top", "count")},
-        _broadcast_fn(ref, flag),
+        flag,
     )
     return out.sort_values("l_returnflag").reset_index(drop=True)
 

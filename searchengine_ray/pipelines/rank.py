@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.keyed import collect, combine, hash_join, materialize, ncpus
+from ..stages.keyed import collect, combine, hash_join, materialize
 
 EDGE_COLS = ("src", "dst", "out_degree")
 
@@ -118,7 +118,6 @@ def pagerank(
     # distributed path: ranks live in a Dataset and meet the edges via
     # a hash-partitioned join on src each iteration — nothing
     # node-proportional is ever broadcast or held on the driver
-    npart = ncpus()
     # join keys ride as int64 bit-views of the uint64 node hashes
     node_ids = np.sort(nodes)
     node_i64 = node_ids.view(np.int64)
@@ -152,11 +151,11 @@ def pagerank(
         return out
 
     for _ in range(n_iters):
-        joined = hash_join(edges_mat, ranks_ds, "src", "node", npart=npart)
+        joined = hash_join(edges_mat, ranks_ds, "src", "node")
         sums = combine(joined, ["dst"], {"c": ("c", "sum")}, contrib, partitioned=True)
         # nodes with no in-links this round keep rank 0 (left join back)
         ranks_ds = materialize(
-            hash_join(nodes_ds, sums, "node", "dst", "left_outer", npart=npart)
+            hash_join(nodes_ds, sums, "node", "dst", "left_outer")
             .map_batches(fill_zero, batch_format="pandas")
         )
     out = collect(ranks_ds)

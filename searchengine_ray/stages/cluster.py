@@ -9,11 +9,11 @@ Algorithm: distributed min-label propagation with pointer-jumping.
 Every node starts labeled with itself; each round computes
 label(n) ← min(label(n), min label of n's neighbors,
 label(label(n))) in ONE fused gather, so convergence is
-O(log diameter) rounds at two ``keyed_map`` shuffles per round (routed
-by ``col % npart``).  Labels only decrease and are bounded below by the
-component minimum, so the fixpoint is exact; a global ``combine`` sum
-of the labels detects convergence (labels monotone ⇒ unchanged sum ⇔
-no change).
+O(log diameter) rounds at two ``keyed_map`` shuffles per round (keyed
+on the lookup key, then on the node).  Labels only decrease and are
+bounded below by the component minimum, so the fixpoint is exact; a
+global ``combine`` sum of the labels detects convergence (labels
+monotone ⇒ unchanged sum ⇔ no change).
 
 Implementation note: both steps are *lookups* (label-of-dst,
 label-of-label), expressed as ONE kind-tagged union + ``keyed_map``
@@ -29,7 +29,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .keyed import collect, combine, keyed_map, ncpus
+from .keyed import collect, combine, keyed_map
 
 _OUT_DTYPES = {"node": "int64", "label": "int64"}
 
@@ -184,26 +184,14 @@ def connected_components(
             np.full(len(b), -1, np.int64), 1,
         )
 
-    npart = ncpus()
-
-    def by(col: str, fn):
-        """``keyed_map`` of ``fn`` over partitions routed by
-        ``col % npart`` (node ids are already well-spread ints)."""
-
-        def route(b: pa.Table) -> pa.Table:
-            p = _i64(b, col) % npart
-            return b.append_column("part", pa.array(p, pa.int64()))
-
-        return lambda ds: keyed_map(
-            ds.map_batches(route, batch_format="pyarrow"), "part", npart, fn
-        )
-
     edges = pairs_ds.map_batches(to_edges, batch_format="pyarrow")
-    labels = by("node", _min_part)(
+    labels = keyed_map(
         edges.map_batches(
             lambda b: pa.table({"node": b["key"], "label": b["key"]}, schema=_LAB),
             batch_format="pyarrow",
-        )
+        ),
+        ["node"],
+        _min_part,
     ).materialize()
 
     prev_sum = None
@@ -214,15 +202,16 @@ def connected_components(
         # min(label(n), min-neighbor label, label(label(n))), a
         # monotone contraction whose fixpoint is the component
         # minimum; fusing halves the shuffles per round.  Both
-        # shuffles are PARTITION-keyed (key % npart / node % npart) so
-        # the callables run once per partition with vectorized
-        # kernels, not once per graph node.
+        # shuffles (keyed on ``key``, then on ``node``) run their
+        # callables once per partition with vectorized kernels, not
+        # once per graph node.
         requests = (
             labels.map_batches(as_kind0, batch_format="pyarrow")
             .union(edges)
             .union(labels.map_batches(as_jump_req, batch_format="pyarrow"))
         )
-        labels = by("node", _min_part)(by("key", _gather_part)(requests)).materialize()
+        gathered = keyed_map(requests, ["key"], _gather_part)
+        labels = keyed_map(gathered, ["node"], _min_part).materialize()
         s = int(combine(labels, [], {"s": ("label", "sum")})["s"].iloc[0])
         if prev_sum is not None and s == prev_sum:
             break
@@ -253,7 +242,7 @@ def connected_components(
             }
         )
 
-    return by("label", finalize_part)(labels)
+    return keyed_map(labels, ["label"], finalize_part)
 
 
 def neardup_drop(

@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import fnv1a64_batch
-from .keyed import collect, hash_join, keyed_map, materialize, ncpus, with_hash_part
+from .keyed import collect, hash_join, keyed_map, materialize
 from .similarity import matrix
 from . import text as tx
 from .text import in_sorted
@@ -76,7 +76,6 @@ def _hash_dedup(ds, hash_col: str, id_col: str, keep_cols: list[str] | None):
     """Keep the min-``id_col`` row per ``hash_col`` value, with its
     ``dup_count``: per-batch partial (one row + count per hash) →
     ``keyed_map`` on the hash → one pandas pass per partition."""
-    npart = ncpus()
     proj = (
         None
         if keep_cols is None
@@ -90,8 +89,6 @@ def _hash_dedup(ds, hash_col: str, id_col: str, keep_cols: list[str] | None):
         keep = b.drop_duplicates(hash_col).copy()
         cnt = b.groupby(hash_col).size()
         keep["partial_count"] = keep[hash_col].map(cnt).astype("int64")
-        h = keep[hash_col].to_numpy().astype(np.uint64)
-        keep["part"] = (h % np.uint64(npart)).astype(np.int64)
         return keep
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
@@ -99,11 +96,10 @@ def _hash_dedup(ds, hash_col: str, id_col: str, keep_cols: list[str] | None):
         cnt = g.groupby(hash_col)["partial_count"].sum()
         keep = g.drop_duplicates(hash_col).copy()
         keep["dup_count"] = keep[hash_col].map(cnt).astype("int64")
-        return keep.drop(columns=["partial_count", "part"])
+        return keep.drop(columns=["partial_count"])
 
-    return keyed_map(
-        ds.map_batches(partial, batch_format="pandas"), "part", npart, finalize
-    )
+    partials = ds.map_batches(partial, batch_format="pandas")
+    return keyed_map(partials, [hash_col], finalize)
 
 
 # --------------------------------------------------------------- minhash LSH
@@ -278,22 +274,12 @@ def _lsh_candidate_stages(
     ``cand`` is the candidate pair list (id_a < id_b; may repeat
     across band partitions), ``sig_pack`` the packed signatures.
     Buckets over ``cap`` members emit star pairs (``None``: no cap)."""
-    npart = ncpus()
 
     def sign(b: pa.Table) -> pa.Table:
         sig = minhash_signatures(b, text_col, id_col, num_perm, shingle_k, seed)
         return pa.table({id_col: b[id_col], "sigb": pa.array(sig["sigb"], pa.binary())})
 
     sig_pack = ds.map_batches(sign, batch_format="pyarrow")
-
-    def bands_part(b: pd.DataFrame) -> pd.DataFrame:
-        out = lsh_bands(b, id_col, bands)
-        part = (
-            out["band_hash"].to_numpy(np.uint64)
-            + (out["band_id"].to_numpy(np.uint64) << np.uint64(56))
-        ) % np.uint64(npart)
-        out["part"] = part.astype(np.int64)
-        return out
 
     def partition_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # all rows of any (band_id, band_hash) bucket land in this
@@ -356,15 +342,9 @@ def _lsh_candidate_stages(
         return out
 
     # candidate pairs may repeat across band partitions (a pair can
-    # match in several bands); no pre-dedup shuffle is needed — after
-    # tag_pairs_a every copy of (a, b) lands in partition a % npart, so
-    # attach("a")'s per-partition drop_duplicates dedups exactly
-    cand = keyed_map(
-        sig_pack.map_batches(bands_part, batch_format="pandas"),
-        "part",
-        npart,
-        partition_pairs,
-    )
+    # match in several bands); each consumer dedups them
+    rows = sig_pack.map_batches(lambda b: lsh_bands(b, id_col, bands), batch_format="pandas")
+    cand = keyed_map(rows, ["band_id", "band_hash"], partition_pairs)
     return cand, sig_pack
 
 
@@ -421,7 +401,6 @@ def minhash_lsh_pairs(
     or for cluster-faithful dedup over such content use the q16 shape:
     ``minhash_lsh_candidates`` (doc set is cap-invariant) + exact
     verify among candidate docs + connected components."""
-    npart = ncpus()
     cand, sig_pack = _lsh_candidate_stages(
         ds, text_col, id_col, num_perm, bands, shingle_k, seed, cap
     )
@@ -430,17 +409,12 @@ def minhash_lsh_pairs(
     # distributed verify: one row per candidate pair (a pair repeats
     # across the bands it matched in), then two hash joins attach the
     # signature of id_a, then of id_b
-    pairs = keyed_map(
-        with_hash_part(cand, ["id_a", "id_b"], npart),
-        "part",
-        npart,
-        lambda g: g[["id_a", "id_b"]].drop_duplicates(),
-    )
-    with_a = hash_join(pairs, sig_pack, "id_a", id_col, npart=npart).map_batches(
+    pairs = keyed_map(cand, ["id_a", "id_b"], lambda g: g.drop_duplicates())
+    with_a = hash_join(pairs, sig_pack, "id_a", id_col).map_batches(
         lambda t: t.drop_columns([id_col]).rename_columns(["id_a", "id_b", "sig_a"]),
         batch_format="pyarrow",
     )
-    with_both = hash_join(with_a, sig_pack, "id_b", id_col, npart=npart)
+    with_both = hash_join(with_a, sig_pack, "id_b", id_col)
 
     def verify(b: pd.DataFrame) -> pd.DataFrame:
         est = (_sig_matrix(b["sig_a"]) == _sig_matrix(b["sigb"])).mean(axis=1)
@@ -545,16 +519,6 @@ def phash_near_pairs(
             )
         return pd.concat(out, ignore_index=True)
 
-    npart = ncpus()
-
-    def bands_part(b: pd.DataFrame) -> pd.DataFrame:
-        out = bands(b)
-        part = (
-            out["key"].to_numpy(np.int64) + (out["band"].to_numpy(np.int64) << 16)
-        ) % npart
-        out["part"] = part
-        return out
-
     def partition_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # every (band, key) bucket is whole within this partition:
         # vectorized self-merge + exact Hamming verify, per partition
@@ -579,17 +543,12 @@ def phash_near_pairs(
     # dedups with one vectorized drop_duplicates per partition (Ray's
     # string-keyed Aggregate operator is ~10x slower here)
     def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["id_a", "id_b"]).drop(columns=["part"])
+        return g.drop_duplicates(["id_a", "id_b"])
 
     pairs = keyed_map(
-        ds.map_batches(bands_part, batch_format="pandas"),
-        "part",
-        npart,
-        partition_pairs,
+        ds.map_batches(bands, batch_format="pandas"), ["band", "key"], partition_pairs
     )
-    out = collect(keyed_map(
-        with_hash_part(pairs, ["id_a", "id_b"], npart), "part", npart, pair_dedup
-    ))
+    out = collect(keyed_map(pairs, ["id_a", "id_b"], pair_dedup))
     out["hamming"] = out["hamming"].astype("int64")
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
@@ -609,7 +568,6 @@ def embedding_neardup_pairs(
     in-bucket exact verify.  Pairs may be missed across buckets (LSH
     recall < 1); the exact variant is a full O(n²) matmul — see
     stages/similarity.py for the brute-force path."""
-    npart = ncpus()
 
     def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
         emb = matrix(batch[emb_col])
@@ -620,8 +578,7 @@ def embedding_neardup_pairs(
         for k in range(n_planes):
             bucket = bucket * 2 + signs[:, k]
         return pd.DataFrame(
-            {id_col: batch[id_col], "bucket": bucket, emb_col: batch[emb_col],
-             "part": bucket % npart}
+            {id_col: batch[id_col], "bucket": bucket, emb_col: batch[emb_col]}
         )
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
@@ -653,5 +610,5 @@ def embedding_neardup_pairs(
         return pd.concat(parts or [empty], ignore_index=True)
 
     return keyed_map(
-        ds.map_batches(bucketize, batch_format="pandas"), "part", npart, verify_part
+        ds.map_batches(bucketize, batch_format="pandas"), ["bucket"], verify_part
     )

@@ -13,17 +13,21 @@ on the driver (a pandas frame) or, with ``partitioned=True``, in a
 ``keyed_map`` by key hash (a Dataset).  Null keys form their own group
 and integer results are int64.
 
-Shape: a map stage stamps each row with an int64 partition id
-``part`` in ``[0, npart)`` (a key hash, or any key-complete routing a
-caller already has); ``Dataset.sort`` with the KNOWN boundaries
-``1 .. npart-1`` range-partitions on it, so each output block holds
-exactly one partition; ``map_batches(batch_size=None)`` then calls
-``fn`` once per key-complete partition.  This is the contract Ray's
-own ``GroupedData.map_groups`` relies on (sort, then whole-block
+Shape: ``keyed_map(ds, keys, fn)`` names the key columns and nothing
+else.  Its pad stage stamps each row with the partition id
+``hash_part`` gives its key (FNV-1a/64 over the Arrow key columns,
+modulo the partition count, by default the cluster's CPUs);
+``Dataset.sort`` with the KNOWN boundaries of those ids
+range-partitions on it, so each output block holds exactly one
+partition; ``map_batches(batch_size=None)`` then drops the id and
+calls ``fn`` once per key-complete partition.  This is the contract
+Ray's own ``GroupedData.map_groups`` relies on (sort, then whole-block
 batches), minus its boundary-sampling pass and its per-group split —
 and unlike ``Dataset.join`` or key-based ``repartition`` (both the
 hash-shuffle aggregator-actor operator in Ray 2.49) it starts no
-actors.
+actors.  ``combine``, ``top_k`` and ``hash_join`` route through the
+same stage, so the partition id, its hash and the partition count
+live only in this module.
 
 Typed results: Ray runs no UDF on an input with no rows, so a plan
 with no rows comes back untyped (no columns).  ``empty_like(ds)``
@@ -36,10 +40,10 @@ a result with no rows from it: ``collect`` (a pandas frame),
 ``materialize`` (a Dataset read more than once), ``combine``'s fold,
 ``hash_join``'s column layout.  So every UDF must accept a zero-row
 batch.  Inside ``keyed_map`` every non-empty input block appends one
-pad row per partition (flagged in a ``_keyed_pad`` column), so no
-sort partition is empty and ``fn`` runs on every partition — on an
-empty, correctly typed frame where no real row landed — instead of
-Ray's sort emitting a schema-less block for it.
+pad row per partition (told apart from real rows by the parity of
+its sort key), so no sort partition is empty and ``fn`` runs on every
+partition — on an empty, correctly typed frame where no real row
+landed — instead of Ray's sort emitting a schema-less block for it.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed, hash_combine
 
-_PAD = "_keyed_pad"
+_PART = "_keyed_part"
 JOIN_TYPES = ("inner", "left_outer", "left_anti")
 
 
@@ -66,65 +70,90 @@ def ncpus() -> int:
         return 8
 
 
-def _key_hash(values: np.ndarray) -> np.ndarray:
-    """FNV-1a/64 of one key column: integers hash their 8 bytes,
-    anything else its string form, so equal keys hash equally in
-    every block and on both sides of a join."""
-    if values.dtype.kind in "iu":
-        mat = np.ascontiguousarray(values.astype("<u8")).view(np.uint8)
-        return fnv1a64_fixed(mat.reshape(len(values), 8))
-    return fnv1a64_batch(values.astype("U"))
+def _int_hash(v: np.ndarray) -> np.ndarray:
+    """FNV-1a/64 of integer values as 8 little-endian bytes."""
+    v = v.astype("<u8", copy=False)
+    return fnv1a64_fixed(v.view(np.uint8).reshape(len(v), 8))
 
 
-def hash_part(cols: list[np.ndarray], npart: int) -> np.ndarray:
+def _key_hash(col) -> np.ndarray:
+    """FNV-1a/64 of one Arrow key column, nulls filled first so a key
+    hashes the same in a block with nulls and in one without: integers
+    hash their value as 8 bytes whatever their width, any other type
+    its UTF-8 string form read straight from the Arrow buffer.  An
+    integral float hashes as its integer: pandas turns an int column
+    with nulls into float, and its keys must still meet the int ones.
+    Equal keys hash equally in every block and on both sides of a
+    join."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if col.null_count:
+        col = pc.fill_null(col, _filler(1, col.type)[0])
+    if pa.types.is_integer(col.type):
+        wide = pa.uint64() if pa.types.is_unsigned_integer(col.type) else pa.int64()
+        return _int_hash(col.cast(wide).to_numpy())
+    h = fnv1a64_batch(col)
+    if pa.types.is_floating(col.type):
+        x = col.to_numpy().astype(np.float64)
+        whole = (x == np.trunc(x)) & (np.abs(x) < 2.0**63)
+        h[whole] = _int_hash(x[whole].astype(np.int64))
+    return h
+
+
+def hash_part(cols: list, npart: int) -> np.ndarray:
     """int64 partition id in ``[0, npart)`` of the composite key whose
-    columns are ``cols``."""
+    Arrow columns are ``cols``."""
     h = _key_hash(cols[0])
     for c in cols[1:]:
         h = hash_combine(h, _key_hash(c))
     return (h % np.uint64(npart)).astype(np.int64)
 
 
-def keyed_map(ds, part_col: str, npart: int, fn, batch_format: str = "pandas"):
-    """Run ``fn`` once per partition of ``ds`` by ``part_col``.
+def keyed_map(
+    ds, keys: list, fn, batch_format: str = "pandas", npart: int | None = None
+):
+    """Run ``fn`` once per partition of ``ds`` by the key columns
+    ``keys``: every row of one key reaches the same call.
 
-    ``part_col`` holds ints in ``[0, npart)``; values outside fold into
-    the first/last partition.  ``fn`` gets every row of its partition
-    (``part_col`` included) as a pandas frame — or a ``pyarrow.Table``
-    with ``batch_format="pyarrow"`` — and returns a frame or table.
-    An empty partition of an input with rows calls ``fn`` on an empty,
-    typed frame, and ``empty_like`` calls it on one too, so ``fn``
-    must accept zero rows; an input with no rows runs no task and
-    its sink types the result from the plan."""
-    npart = max(int(npart), 2)
+    Rows route by ``hash_part`` of their key into ``npart`` partitions
+    (default: the cluster's CPUs).  ``fn`` gets every row of its
+    partition, with ``ds``'s columns, as a pandas frame — or a
+    ``pyarrow.Table`` with ``batch_format="pyarrow"`` — and returns a
+    frame or table.  An empty partition of an input with rows calls
+    ``fn`` on an empty, typed frame, and ``empty_like`` calls it on one
+    too, so ``fn`` must accept zero rows; an input with no rows runs no
+    task and its sink types the result from the plan."""
+    keys = list(keys)
+    return _shuffle(ds, lambda t, n: hash_part([t[k] for k in keys], n),
+                    fn, batch_format, npart)
+
+
+def _shuffle(ds, route, fn, batch_format: str, npart: int | None):
+    """The one keyed shuffle: ``route(t, npart)`` gives each row of a
+    block its partition id, and ``fn`` runs once per partition."""
+    npart = max(int(npart or ncpus()), 2)
 
     def pad(t: pa.Table) -> pa.Table:
         # pad rows repeat the block's first row: typed and non-null, so
         # a sort reduce that goes through pandas (Ray merges through
         # whichever block type most of its inputs have) turns no int
         # column into float; pandas metadata would only make the sort's
-        # schema unification fail to hash (and log) every block
+        # schema unification fail to hash (and log) every block.  A
+        # real row of partition p sorts as 2p + 1, p's pad row as 2p.
         t = t.replace_schema_metadata()
         fill = t.take(np.zeros(npart if len(t) else 0, np.int64))
-        i = t.schema.get_field_index(part_col)
-        fill = fill.set_column(
-            i, t.schema.field(i), pa.array(np.arange(len(fill)), t.schema.field(i).type)
-        )
-        return pa.concat_tables(
-            [
-                t.append_column(_PAD, pa.array(np.zeros(len(t), bool))),
-                fill.append_column(_PAD, pa.array(np.ones(len(fill), bool))),
-            ]
-        )
+        part = np.concatenate([2 * route(t, npart) + 1, 2 * np.arange(len(fill))])
+        return pa.concat_tables([t, fill]).append_column(_PART, pa.array(part, pa.int64()))
 
     def run(t: pa.Table):
-        t = t.filter(pc.invert(t[_PAD])).drop_columns([_PAD])
+        real = pc.equal(pc.bit_wise_and(t[_PART], 1), 1)
+        t = t.filter(real).drop_columns([_PART])
         return fn(t.to_pandas() if batch_format == "pandas" else t)
 
     run.__name__ = getattr(fn, "__name__", "keyed_map")
     return (
         ds.map_batches(pad, batch_format="pyarrow")
-        .sort(part_col, boundaries=list(range(1, npart)))
+        .sort(_PART, boundaries=list(range(2, 2 * npart, 2)))
         .map_batches(run, batch_format="pyarrow", batch_size=None)
     )
 
@@ -184,7 +213,6 @@ def combine(ds, keys: list, aggs: dict, fn=None, partitioned: bool = False):
     keys = list(keys)
     if partitioned and not keys:
         raise ValueError("a global aggregate is one row: fold it on the driver")
-    npart = ncpus()
     folds = {c: (c, _FOLD[op]) for c, (_src, op) in aggs.items()}
 
     def partial(t: pa.Table) -> pa.Table:
@@ -192,20 +220,9 @@ def combine(ds, keys: list, aggs: dict, fn=None, partitioned: bool = False):
             t = fn(t)
             if isinstance(t, pd.DataFrame):
                 t = pa.Table.from_pandas(t, preserve_index=False)
-        out = _group(t.replace_schema_metadata(), keys, aggs)
-        if partitioned:
-            cols = [
-                pc.fill_null(out[k], _filler(1, out[k].type)[0]).to_numpy(
-                    zero_copy_only=False
-                )
-                for k in keys
-            ]
-            out = out.append_column("part", pa.array(hash_part(cols, npart)))
-        return out
+        return _group(t.replace_schema_metadata(), keys, aggs)
 
     def fold(t: pa.Table) -> pa.Table:
-        if partitioned:
-            t = t.drop_columns(["part"])
         if any(op == "sum" and pa.types.is_floating(t[c].type)
                for c, (_src, op) in aggs.items()):
             t = t.sort_by([(c, "ascending") for c in t.column_names])
@@ -218,7 +235,7 @@ def combine(ds, keys: list, aggs: dict, fn=None, partitioned: bool = False):
 
     parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     if partitioned:
-        return keyed_map(parts, "part", npart, fold, batch_format="pyarrow")
+        return keyed_map(parts, keys, fold, batch_format="pyarrow")
     blocks = parts.iter_batches(batch_size=None, batch_format="pyarrow")
     tables = [t for t in blocks if t.num_rows] or [empty_like(parts)]
     return fold(pa.concat_tables(tables, promote_options="permissive")).to_pandas()
@@ -241,7 +258,6 @@ def top_k(ds, keys: list, order: list, k: int, fn=None) -> pd.DataFrame:
     keys = list(keys)
     by = [c for c, _ in order]
     asc = [d == "ascending" for _, d in order]
-    npart = ncpus()
 
     def head(b: pd.DataFrame) -> pd.DataFrame:
         b = b.sort_values(by, ascending=asc)
@@ -251,26 +267,12 @@ def top_k(ds, keys: list, order: list, k: int, fn=None) -> pd.DataFrame:
         if fn is not None:
             t = fn(t)
         b = head(t if isinstance(t, pd.DataFrame) else t.to_pandas())
-        b = b.reset_index(drop=True)
-        return b.assign(part=hash_part([b[c].to_numpy() for c in keys], npart))
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return head(g).drop(columns=["part"])
+        return b.reset_index(drop=True)
 
     parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    out = collect(keyed_map(parts, "part", npart, final))
+    out = collect(keyed_map(parts, keys, head))
     out = out.sort_values(keys + by, ascending=[True] * len(keys) + asc)
     return out.reset_index(drop=True)
-
-
-def with_hash_part(ds, keys: list, npart: int):
-    """``ds`` plus an int64 ``part`` column hashed from ``keys``."""
-
-    def addpart(b: pd.DataFrame) -> pd.DataFrame:
-        part = hash_part([b[k].to_numpy() for k in keys], npart)
-        return b.assign(part=part)
-
-    return ds.map_batches(addpart, batch_format="pandas")
 
 
 def empty_like(ds) -> pa.Table:
@@ -379,11 +381,13 @@ def hash_join(
     """Hash join of two Datasets on one key column per side, as one
     keyed shuffle.
 
-    Both sides hash their key into ``part``, are tagged with a side
-    column and padded to one common schema (side 0's columns prefixed
-    ``0.``, side 1's ``1.``), and unioned; one ``keyed_map`` runs a
-    pandas merge per partition.  ``how`` is ``inner``, ``left_outer``
-    or ``left_anti`` (left rows with no match; only the right key
+    Both sides are tagged with a side column, padded to one common
+    schema (side 0's columns prefixed ``0.``, side 1's ``1.``) and
+    unioned; one keyed shuffle routes each row by its own side's key
+    (an int32 key meets the equal int64 key) and runs a pandas merge
+    per partition.  ``npart`` overrides the partition count (default:
+    the cluster's CPUs).  ``how`` is ``inner``, ``left_outer`` or
+    ``left_anti`` (left rows with no match; only the right key
     column is shuffled).  Null keys never match, as in SQL.  The output
     has the left columns, then the right ones; a key named alike on
     both sides appears once, any other shared name is an error.  Both
@@ -392,7 +396,6 @@ def hash_join(
     result."""
     if how not in JOIN_TYPES:
         raise ValueError(f"how must be one of {JOIN_TYPES}, got {how!r}")
-    npart = npart or ncpus()
     lsch, rsch = empty_like(left).schema, empty_like(right).schema
     shared = {on} & {right_on}
     clash = (set(lsch.names) & set(rsch.names)) - shared
@@ -405,15 +408,14 @@ def hash_join(
         out_schema = pa.schema(list(lsch) + [f for f in rsch if f.name not in shared])
     sides = (lsch, rsch)
     union_schema = pa.schema(
-        [("part", pa.int64()), ("side", pa.int8())]
+        [("side", pa.int8())]
         + [(f"{s}.{f.name}", f.type) for s, sch in enumerate(sides) for f in sch]
     )
 
     def tag(side: int, key: str):
         def f(t: pa.Table) -> pa.Table:
             n = len(t)
-            part = hash_part([t[key].to_numpy(zero_copy_only=False)], npart)
-            cols = [pa.array(part), pa.array(np.full(n, side, np.int8))]
+            cols = [pa.array(np.full(n, side, np.int8))]
             for s, sch in enumerate(sides):
                 cols += [
                     t[f.name].cast(f.type) if s == side else _filler(n, f.type)
@@ -447,7 +449,14 @@ def hash_join(
         # (nullable) whether or not this partition had unmatched rows
         return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
 
+    def route(t: pa.Table, n: int) -> np.ndarray:
+        side, part = t["side"].to_numpy(), np.zeros(len(t), np.int64)
+        for s, key in enumerate((on, right_on)):
+            m = side == s
+            part[m] = hash_part([t[f"{s}.{key}"].filter(pa.array(m))], n)
+        return part
+
     tagged = left.map_batches(tag(0, on), batch_format="pyarrow").union(
         right.map_batches(tag(1, right_on), batch_format="pyarrow")
     )
-    return keyed_map(tagged, "part", npart, join_part, batch_format="pyarrow")
+    return _shuffle(tagged, route, join_part, "pyarrow", npart)

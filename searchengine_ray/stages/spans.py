@@ -37,12 +37,12 @@ import pandas as pd
 import pyarrow as pa
 
 from . import text as tx
-from .keyed import collect, keyed_map, ncpus
+from .keyed import collect, keyed_map
 
 
-def _gram_windows(ds, K: int, npart: int):
-    """(doc_id, pos, gram) row per K-gram window of ``ds``'s texts,
-    ``part`` = gram hash mod ``npart``: 24-byte rows, gram-keyed."""
+def _gram_windows(ds, K: int):
+    """(doc_id, pos, gram) row per K-gram window of ``ds``'s texts:
+    24-byte rows, shuffled by ``gram``."""
 
     def windows(b: pa.Table) -> pa.Table:
         didx, pos, gh = tx.kgram_window_hashes(b["text"], K)
@@ -52,7 +52,6 @@ def _gram_windows(ds, K: int, npart: int):
                 "doc_id": pa.array(doc_ids[didx], pa.int64()),
                 "pos": pa.array(pos, pa.int64()),
                 "gram": pa.array(gh.view(np.int64)),
-                "part": pa.array((gh % np.uint64(npart)).astype(np.int64)),
             }
         )
 
@@ -158,9 +157,7 @@ def repetition_stats(texts) -> pd.DataFrame:
     )
 
 
-def remove_duplicate_spans(
-    ds, K: int = 8, npart: int | None = None, meta_cols: tuple = ()
-):
+def remove_duplicate_spans(ds, K: int = 8, meta_cols: tuple = ()):
     """Substring DEDUP (the transform half of ``duplicate_spans``):
     rewrite the corpus with every duplicated token span cut except a
     globally-chosen first occurrence (Lee et al. 2021 semantics).
@@ -193,11 +190,10 @@ def remove_duplicate_spans(
     Returns a Dataset of (doc_id, *meta_cols, n_tokens, cut_tokens,
     kept_tokens, text_clean) — corpus-sized; aggregate or write it,
     don't ``to_pandas`` it at scale."""
-    npart = npart or ncpus()
     meta_cols = tuple(meta_cols)
 
     _UN = pa.schema(
-        [("dpart", pa.int64()), ("role", pa.int8()), ("doc_id", pa.int64())]
+        [("role", pa.int8()), ("doc_id", pa.int64())]
         + [(c, pa.string()) for c in meta_cols]
         + [("text", pa.string()), ("pos", pa.int64())]
     )
@@ -214,9 +210,6 @@ def remove_duplicate_spans(
         out = o[cut]
         doc = out["doc_id"].to_numpy(np.int64)
         cols = {
-            "dpart": pa.array(
-                (doc.astype(np.uint64) % np.uint64(npart)).astype(np.int64)
-            ),
             "role": pa.array(np.ones(len(out), np.int8)),
             "doc_id": pa.array(doc, pa.int64()),
         }
@@ -229,9 +222,6 @@ def remove_duplicate_spans(
     def doc_rows(b: pa.Table) -> pa.Table:
         doc = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         cols = {
-            "dpart": pa.array(
-                (doc.astype(np.uint64) % np.uint64(npart)).astype(np.int64)
-            ),
             "role": pa.array(np.zeros(len(doc), np.int8)),
             "doc_id": pa.array(doc, pa.int64()),
         }
@@ -301,46 +291,32 @@ def remove_duplicate_spans(
         out["text_clean"] = pa.array(clean, pa.string())
         return pa.table(out)
 
-    cut_ds = keyed_map(_gram_windows(ds, K, npart), "part", npart, cut_rows)
+    cut_ds = keyed_map(_gram_windows(ds, K), ["gram"], cut_rows)
     docs_ds = ds.map_batches(doc_rows, batch_format="pyarrow")
-    return keyed_map(docs_ds.union(cut_ds), "dpart", npart, reserialize)
+    return keyed_map(docs_ds.union(cut_ds), ["doc_id"], reserialize)
 
 
-def duplicate_spans(ds, K: int = 8, npart: int | None = None) -> pd.DataFrame:
+def duplicate_spans(ds, K: int = 8) -> pd.DataFrame:
     """Corpus-wide duplicated-span report over a (doc_id, text)
     dataset: per doc, the count and total token coverage of maximal
     spans whose every K-gram occurs >1 time in the corpus (any doc,
     including the same one).  Docs with no duplicated span are absent
     from the output (result-sized)."""
-    npart = npart or ncpus()
 
     def dup_positions(g: pd.DataFrame) -> pd.DataFrame:
         # partition is gram-complete -> transform('size') is the
         # GLOBAL occurrence count of each gram
         keep = g.groupby("gram")["gram"].transform("size") > 1
-        out = g.loc[keep, ["doc_id", "pos"]]
-        if not len(out):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "pos": pd.Series([], dtype="int64"),
-                    "dpart": pd.Series([], dtype="int64"),
-                }
-            )
-        out = out.copy()
-        out["dpart"] = (
-            out["doc_id"].to_numpy(np.uint64) % np.uint64(npart)
-        ).astype(np.int64)
-        return out
+        return g.loc[keep, ["doc_id", "pos"]]
 
     def doc_spans(g: pd.DataFrame) -> pd.DataFrame:
         return merge_positions_to_spans(
             g["doc_id"].to_numpy(np.int64), g["pos"].to_numpy(np.int64), K
         )
 
-    dups = keyed_map(_gram_windows(ds, K, npart), "part", npart, dup_positions)
-    per_doc = keyed_map(dups, "dpart", npart, doc_spans)
-    # every doc lands in exactly one dpart, so per-doc rows are final
+    dups = keyed_map(_gram_windows(ds, K), ["gram"], dup_positions)
+    per_doc = keyed_map(dups, ["doc_id"], doc_spans)
+    # every doc lands in exactly one partition, so per-doc rows are final
     # after the doc-keyed pass; the driver holds only the result-sized
     # report
     out = collect(per_doc)[["doc_id", "n_spans", "dup_tokens"]].astype("int64")

@@ -2,8 +2,9 @@
 preceding-window aggregate, exact per-group percentiles.
 
 Each is built as hash-partition-by-key → ONE vectorized pandas/numpy
-call per partition (``keyed.keyed_map`` with npart ≈ cluster CPUs
-— the cheap distributed "apply": per-partition, not per-group).
+call per partition (``keyed.keyed_map`` on the entity or group key
+column — the cheap distributed "apply": per-partition, not
+per-group).
 Partitioning assumption: all rows of one entity
 (user_id / group key) land in one partition, so ordered scans never
 cross partition boundaries.  At 100 TB the partial projections keep
@@ -23,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .keyed import keyed_map, ncpus
+from .keyed import keyed_map
 
 
 def asof_join(
@@ -31,7 +32,6 @@ def asof_join(
     left_type: str,
     right_type: str,
     by: str = "user_id",
-    npart: int | None = None,
 ):
     """For each ``left_type`` event, the most recent strictly-prior
     ``right_type`` event of the same ``by`` entity (inner as-of join).
@@ -45,24 +45,21 @@ def asof_join(
     Returns a Dataset with columns
     (left_id, user_id, left_ts_us, right_id, right_ts_us, gap_us).
     """
-    npart = npart or ncpus()
 
     def project(b: pa.Table) -> pa.Table:
-        # zero-copy Arrow projection of the wide input read: filter,
-        # us-normalize, and partition-stamp in ONE pyarrow hop (the
-        # pandas conversion tax is paid only by the narrow per-
-        # partition kernels downstream)
+        # zero-copy Arrow projection of the wide input read: filter
+        # and us-normalize in ONE pyarrow hop (the pandas conversion
+        # tax is paid only by the narrow per-partition kernels
+        # downstream)
         m = pc.is_in(b["event_type"], pa.array([left_type, right_type]))
         b = b.filter(m)
         ts_us = b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-        ent = b[by].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 "event_id": b["event_id"],
                 by: b[by],
                 "event_type": b["event_type"],
                 "ts_us": ts_us,
-                "part": pa.array(ent % npart, pa.int64()),
             }
         )
 
@@ -104,19 +101,11 @@ def asof_join(
         return out
 
     return keyed_map(
-        events_ds.map_batches(project, batch_format="pyarrow"),
-        "part",
-        npart,
-        lambda g: join_part(g.drop(columns=["part"])),
+        events_ds.map_batches(project, batch_format="pyarrow"), [by], join_part
     )
 
 
-def preceding_window_count(
-    events_ds,
-    window_us: int,
-    by: str = "user_id",
-    npart: int | None = None,
-):
+def preceding_window_count(events_ds, window_us: int, by: str = "user_id"):
     """Sliding windowed aggregate: for every event, the count of the
     same entity's events with ts in ``[t - window_us, t]`` (inclusive,
     self and equal-ts peers included) — exactly SQL's
@@ -129,16 +118,13 @@ def preceding_window_count(
     answers every event's window bound — no per-event or per-entity
     Python.  Falls back to a per-run loop if the composite key would
     overflow int64 (stride × runs ≥ 2^62)."""
-    npart = npart or ncpus()
 
     def project(b: pa.Table) -> pa.Table:
-        ent = b[by].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 "event_id": b["event_id"],
                 by: b[by],
                 "ts_us": b["ts"].cast(pa.timestamp("us")).cast(pa.int64()),
-                "part": pa.array(ent % npart, pa.int64()),
             }
         )
 
@@ -179,10 +165,7 @@ def preceding_window_count(
         )
 
     return keyed_map(
-        events_ds.map_batches(project, batch_format="pyarrow"),
-        "part",
-        npart,
-        lambda g: count_part(g.drop(columns=["part"])),
+        events_ds.map_batches(project, batch_format="pyarrow"), [by], count_part
     )
 
 
@@ -204,26 +187,12 @@ def group_percentiles(
     2-column int projection; for heavier tails swap in a t-digest
     partial without changing the surface.
     """
-    npart = ncpus()
 
     def project(b: pa.Table) -> pa.Table:
-        from ..functions.hashing import fnv1a64_batch
-
         v = np.round(
             b[col].to_numpy(zero_copy_only=False).astype(np.float64) * scale
         ).astype(np.int64)
-        h = fnv1a64_batch(
-            b[key].combine_chunks()
-            if pa.types.is_string(b[key].type)
-            else pa.array(b[key].to_numpy(zero_copy_only=False).astype("U"))
-        )
-        return pa.table(
-            {
-                key: b[key],
-                "v": pa.array(v),
-                "part": pa.array((h % np.uint64(npart)).astype(np.int64)),
-            }
-        )
+        return pa.table({key: b[key], "v": pa.array(v)})
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:  # no group hashed to this partition
@@ -243,12 +212,7 @@ def group_percentiles(
             rows[f"p{int(p * 100):02d}"] = v[idx]
         return pd.DataFrame(rows)
 
-    return keyed_map(
-        ds.map_batches(project, batch_format="pyarrow"),
-        "part",
-        npart,
-        lambda g: finalize(g.drop(columns=["part"])),
-    )
+    return keyed_map(ds.map_batches(project, batch_format="pyarrow"), [key], finalize)
 
 
 def range_join(
@@ -257,7 +221,6 @@ def range_join(
     right_type: str,
     window_us: int,
     by: str = "user_id",
-    npart: int | None = None,
 ):
     """Interval (range) join: every (left, right) event pair of the
     same ``by`` entity with ``right.ts in [left.ts - window_us,
@@ -278,19 +241,16 @@ def range_join(
     Returns (left_id, right_id, user_id, left_ts_us, right_ts_us,
     gap_us), one row per qualifying pair.
     """
-    npart = npart or ncpus()
 
     def project(b: pa.Table) -> pa.Table:
         m = pc.is_in(b["event_type"], pa.array([left_type, right_type]))
         b = b.filter(m)
-        ent = b[by].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 "event_id": b["event_id"],
                 by: b[by],
                 "ts_us": b["ts"].cast(pa.timestamp("us")).cast(pa.int64()),
                 "is_left": pc.equal(b["event_type"], left_type).cast(pa.int8()),
-                "part": pa.array(ent % npart, pa.int64()),
             }
         )
 
@@ -355,8 +315,5 @@ def range_join(
         )
 
     return keyed_map(
-        events_ds.map_batches(project, batch_format="pyarrow"),
-        "part",
-        npart,
-        lambda g: join_part(g.drop(columns=["part"])),
+        events_ds.map_batches(project, batch_format="pyarrow"), [by], join_part
     )

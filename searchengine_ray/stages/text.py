@@ -123,7 +123,7 @@ def tokenize(texts) -> Tokens:
         # >2 GiB of token text in one call (a whole doc-keyed
         # partition rather than a block-sized batch): 32-bit string
         # offsets overflow — retry with 64-bit offsets.  Partition
-        # sizing (npart scales with the cluster) is the primary
+        # sizing (partitions scale with the cluster) is the primary
         # guard; this keeps the kernel correct past it.
         denc = pa.array(flat, type=pa.large_string()).dictionary_encode()
     return Tokens(

@@ -25,26 +25,32 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_keyed_map_one_call_per_key(ray_session, npart):
     import ray
 
+    import pyarrow as pa
+
     rng = np.random.default_rng(npart)
     keys = rng.integers(0, 40, 2000)
-    df = pd.DataFrame({"k": keys, "part": keys % npart, "v": np.ones(2000, np.int64)})
+    df = pd.DataFrame({"k": keys, "v": np.ones(2000, np.int64)})
     ds = ray.data.from_pandas(df).repartition(5)
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         # one row per call: which keys this call saw, and how many rows
         return pd.DataFrame(
             {
-                "parts": [",".join(map(str, sorted(set(g["part"]))))],
                 "keys": [",".join(map(str, sorted(set(g["k"]))))],
                 "n": [len(g)],
+                "cols": [",".join(g.columns)],
             }
         )
 
-    calls = keyed.keyed_map(ds, "part", npart, fn).to_pandas()
+    calls = keyed.keyed_map(ds, ["k"], fn, npart=npart).to_pandas()
     assert len(calls) == npart  # one call per partition, empty ones too
     seen = [int(k) for ks in calls["keys"] for k in ks.split(",") if k]
     assert sorted(seen) == sorted(set(keys.tolist()))  # each key exactly once
-    assert all(len(p.split(",")) <= 1 for p in calls["parts"])
+    # each call holds the keys of one partition id, and only ds's columns
+    for ks in calls["keys"]:
+        ids = keyed.hash_part([pa.array([int(k) for k in ks.split(",") if k], pa.int64())], npart)
+        assert len(set(ids.tolist())) <= 1
+    assert set(calls["cols"]) == {"k,v"}
     assert calls["n"].sum() == 2000
 
 
@@ -56,17 +62,20 @@ def test_keyed_map_typed_when_empty(ray_session):
     def _typed_sum(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("w", as_index=False).agg(c=("c", "sum"))
 
-    df = pd.DataFrame({"w": ["a", "b", "a"], "c": [1, 2, 3], "part": [0, 0, 0]})
-    out = keyed.keyed_map(ray.data.from_pandas(df), "part", 7, _typed_sum)
+    import pyarrow as pa
+
+    df = pd.DataFrame({"w": ["a", "b", "a"], "c": [1, 2, 3]})
+    out = keyed.keyed_map(ray.data.from_pandas(df), ["w"], _typed_sum, npart=7)
     blocks = [ray.get(r) for r in out.to_pandas_refs()]
-    assert len(blocks) == 7 and sum(len(b) == 0 for b in blocks) == 6
+    used = len(set(keyed.hash_part([pa.array(["a", "b"])], 7).tolist()))
+    assert len(blocks) == 7 and sum(len(b) == 0 for b in blocks) == 7 - used
     assert all(list(b.dtypes.astype(str)) == ["object", "int64"] for b in blocks)
     got = pd.concat(blocks).sort_values("w").reset_index(drop=True)
     assert got.to_dict("list") == {"w": ["a", "b"], "c": [4, 2]}
 
     # 2 keys over ncpus() >= 4 partitions: at least 2 are typed empties
     got = keyed.combine(
-        ray.data.from_pandas(df.drop(columns="part")),
+        ray.data.from_pandas(df),
         ["w"],
         {"c": ("c", "sum")},
         partitioned=True,
@@ -84,8 +93,8 @@ def test_keyed_map_keeps_types_past_empty_pandas_blocks(ray_session):
     big = (1 << 62) + 1  # not representable as float64
     df = pd.DataFrame({"k": np.arange(6, dtype=np.int64) + big})
     blocks = [df.iloc[i : i + 1] for i in range(6)] + [df.iloc[:0]] * 12
-    ds = keyed.with_hash_part(ray.data.from_pandas(blocks), ["k"], 8)
-    out = keyed.keyed_map(ds, "part", 8, lambda g: g[["k"]])
+    ds = ray.data.from_pandas(blocks)
+    out = keyed.keyed_map(ds, ["k"], lambda g: g[["k"]], npart=8)
     got = pd.concat(ray.get(out.to_pandas_refs()))
     assert str(got["k"].dtype) == "int64"
     assert sorted(got["k"]) == sorted(df["k"])
@@ -97,6 +106,70 @@ def test_keyed_map_keeps_types_past_empty_pandas_blocks(ray_session):
     left = ray.data.from_pandas(df).materialize()
     got = keyed.hash_join(left, other, "k", "j", npart=8).to_pandas()
     assert (got["k"] == got["j"]).all() and len(got) == 6
+
+
+def test_keyed_map_routes_by_key_columns(ray_session):
+    """Rows route by their key's value, whatever block holds them: an
+    int key with nulls in one block and none in another, a string key
+    split across blocks, and a join of an int32 key with an int64 key.
+    Each key reaches exactly one ``fn`` call, and ``top_k`` (whose
+    pandas partials turn the int key of a block with nulls into float)
+    and the join equal pandas."""
+    import pyarrow as pa
+    import ray
+
+    rng = np.random.default_rng(11)
+    blocks = []
+    for b in range(4):
+        ik = rng.integers(0, 30, 200)
+        mask = np.zeros(200, bool) if b % 2 else rng.random(200) < 0.2
+        blocks.append(pa.table({
+            "ik": pa.array(ik, pa.int64(), mask=mask),
+            "sk": pa.array([f"s{v}" for v in rng.integers(0, 25, 200)]),
+            "b": pa.array(np.full(200, b, np.int64)),
+            "v": pa.array(np.arange(200) + 200 * b),
+        }))
+    ds = ray.data.from_arrow(blocks)
+
+    def calls(keys: list) -> list:
+        def fn(g: pd.DataFrame) -> pd.DataFrame:
+            ks = g[keys[0]].astype(object).where(g[keys[0]].notna(), None)
+            return pd.DataFrame({"keys": [sorted(set(ks.tolist()), key=repr)],
+                                 "blocks": [sorted(set(g["b"].tolist()))]})
+
+        return keyed.collect(keyed.keyed_map(ds, keys, fn)).to_dict("records")
+
+    for key in ("ik", "sk"):
+        got = calls([key])
+        seen = [k for c in got for k in c["keys"]]
+        assert len(seen) == len(set(seen))  # no key in two calls
+        everything = pa.concat_tables(blocks)[key].to_pylist()
+        assert sorted(seen, key=repr) == sorted(set(everything), key=repr)
+        # a key that occurs in several blocks still meets itself
+        assert max(len(c["blocks"]) for c in got) == 4
+
+    top = keyed.top_k(ds, ["ik"], [("v", "descending")], 3)
+    df = pa.concat_tables(blocks).to_pandas()
+    want = df.sort_values("v", ascending=False).groupby("ik", dropna=False).head(3)
+    assert sorted(top["v"]) == sorted(want["v"])
+
+    left = pd.DataFrame({"k": np.arange(40, dtype=np.int32) % 13,
+                         "v": np.arange(40, dtype=np.int64)})
+    right = pd.DataFrame({"j": np.arange(10, 20, dtype=np.int64),
+                          "w": np.arange(10, dtype=np.float64)})
+    ls = ray.data.from_arrow([pa.Table.from_pandas(left.iloc[i::3], preserve_index=False)
+                              for i in range(3)])
+    rs = ray.data.from_arrow([pa.Table.from_pandas(right.iloc[i::2], preserve_index=False)
+                              for i in range(2)])
+    got = keyed.collect(keyed.hash_join(ls, rs, "k", "j"))
+    want = left.merge(right, left_on="k", right_on="j")
+    order = ["v", "j"]
+    assert len(got) == len(want) > 0
+    pd.testing.assert_frame_equal(
+        got.sort_values(order).reset_index(drop=True),
+        want.sort_values(order).reset_index(drop=True),
+        check_dtype=False,
+    )
 
 
 def _groups() -> pd.DataFrame:
@@ -402,8 +475,9 @@ def test_empty_like_keyed_map_and_seedless_hash_join(ray_session):
     import pyarrow as pa
     import ray
 
-    ds = keyed.with_hash_part(_src(), ["a"], 3)
-    out = keyed.keyed_map(ds, "part", 3, lambda g: g.groupby("s", as_index=False)["a"].sum())
+    out = keyed.keyed_map(
+        _src(), ["a"], lambda g: g.groupby("s", as_index=False)["a"].sum(), npart=3
+    )
     assert _types(keyed.empty_like(out)) == [("s", "string"), ("a", "int64")]
 
     left = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64()),

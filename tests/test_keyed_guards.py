@@ -4,7 +4,9 @@ through ``stages/keyed.py``: no module calls ``Dataset.join``
 plus a per-group split, whatever it groups on) or a Ray ``aggregate``
 (``Dataset.aggregate`` / ``GroupedData.aggregate``, or anything from
 ``ray.data.aggregate``), only ``keyed.empty_like`` reads Ray's private
-plan objects (``_logical_plan``), and the benchmark's catalog queries
+plan objects (``_logical_plan``), only ``keyed.py`` routes a shuffle
+(no other module names ``hash_part``, ``ncpus`` or a partition count,
+bar ``queries._join_parts``), and the benchmark's catalog queries
 leave Ray Data no empty, schema-less block to warn about."""
 
 import ast
@@ -110,6 +112,72 @@ def test_only_keyed_reads_ray_plans():
     ]
     assert offenders == [], offenders
     assert _plan_reads(ast.parse((PKG / "stages" / "keyed.py").read_text()))
+
+
+# a shuffle's router: the partition id's hash, the CPU count that sizes
+# it and the partition count itself
+_ROUTING = {"hash_part", "with_hash_part", "ncpus", "npart"}
+
+
+def _routing(tree: ast.AST) -> list[int]:
+    """Lines naming the router (a name, attribute, import, parameter or
+    keyword in ``_ROUTING``), outside ``_join_parts`` — which sizes a
+    join by data — and its ``hash_join(..., npart=_join_parts(...))``
+    calls."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_join_parts":
+            allowed |= {id(n) for n in ast.walk(node)}
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "hash_join":
+            allowed |= {
+                id(kw) for kw in node.keywords
+                if kw.arg == "npart" and isinstance(kw.value, ast.Call)
+                and ast.unparse(kw.value.func) == "_join_parts"
+            }
+    lines = []
+    for node in ast.walk(tree):
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else node.arg if isinstance(node, (ast.arg, ast.keyword))
+            else None
+        )
+        if name in _ROUTING and id(node) not in allowed:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_routing_guard_catches_hand_routing():
+    src = (
+        "from ..stages.keyed import keyed_map, ncpus\n"
+        "def _join_parts(sf):\n"
+        "    from ..stages.keyed import ncpus\n"
+        "    return 4 * ncpus()\n"
+        "j = hash_join(a, b, 'k', 'j', npart=_join_parts(sf))\n"
+        "j = hash_join(a, b, 'k', 'j', npart=8)\n"
+        "out = keyed_map(ds, 'part', npart, fn)\n"
+        "p = keyed.hash_part(cols, 4)\n"
+        "def asof_join(ds, by='user_id', npart=None):\n"
+        "    return ds\n"
+        "x = with_hash_part(ds, ['k'], n)\n"
+        "c = keyed.ncpus()\n"
+        "m = combine(ds, ['part'], aggs)\n"
+        "k = keyed_map(ds, ['user_id'], fn)\n"
+    )
+    assert _routing(ast.parse(src)) == [1, 6, 7, 8, 9, 11, 12]
+
+
+def test_only_keyed_routes_shuffles():
+    """``keyed_map`` routes by the key columns it is given, so no other
+    module computes a partition id or picks a partition count."""
+    offenders = [
+        f"{path.relative_to(PKG.parent)}:{line}"
+        for path in sorted(PKG.rglob("*.py"))
+        if path != PKG / "stages" / "keyed.py"
+        for line in _routing(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == [], offenders
 
 
 # the queries perfbench's catalog workload times

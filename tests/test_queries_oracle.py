@@ -247,6 +247,37 @@ def test_q84_constant_x_is_null(ray_session, tmp_path):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+def test_q80_constant_column_is_null(ray_session, tmp_path):
+    """A group whose x (A) or y (F) never varies, or that has one row
+    (R), has no correlation: NaN where DuckDB's CORR returns NULL.
+    A's float variance rounds off zero, which used to give -inf."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.pipelines import queries as Q
+
+    pq.write_table(
+        pa.table(
+            {
+                "l_returnflag": ["A"] * 3 + ["F"] * 3 + ["N"] * 4 + ["R"],
+                "l_quantity": [3.0] * 3 + [1.0, 2.0, 5.0]
+                + [1.0, 2.0, 3.0, 7.0] + [4.0],
+                "l_extendedprice": [0.1, 0.7, 0.2] + [0.3] * 3
+                + [3.0, 5.0, 8.0, 15.0] + [9.0],
+            }
+        ),
+        tmp_path / "lineitem.parquet",
+    )
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW lineitem AS SELECT * FROM '{tmp_path / 'lineitem.parquet'}'"
+    )
+    got = _canon(Q.q80_group_corr(str(tmp_path)))
+    want = _canon(con.execute(Q.SQL_Q80).df())
+    assert got["corr_qty_price"].isna().sum() == 3
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_dimension_lookups_are_inner_joins(ray_session, tmp_path):
     """q05, q34 and q36 look nation and region names up in a broadcast
     dimension; SQL's JOIN drops a row whose key the dimension lacks

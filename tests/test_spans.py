@@ -127,7 +127,7 @@ def test_duplicate_spans_pipeline_planted(ray_session):
         }
     )
     ds = ray.data.from_pandas(docs)
-    out = duplicate_spans(ds, K=8, npart=4)
+    out = duplicate_spans(ds, K=8)
     got = {r.doc_id: (r.n_spans, r.dup_tokens) for r in out.itertuples()}
     # docs 1 and 2 carry the shared 8-gram span (exactly 8 tokens,
     # assuming the random filler creates no extra duplicate windows)

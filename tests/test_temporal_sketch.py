@@ -30,7 +30,7 @@ def test_asof_join_matches_bruteforce(ray_session):
 
     df = _events()
     out = (
-        asof_join(ray.data.from_pandas(df), "purchase", "view", npart=5)
+        asof_join(ray.data.from_pandas(df), "purchase", "view")
         .to_pandas()
         .sort_values("left_id")
         .reset_index(drop=True)
@@ -67,7 +67,7 @@ def test_range_join_matches_bruteforce(ray_session):
     df = _events()
     w = 3 * 86400 * 1_000_000  # 3 days: dense enough for many pairs
     out = (
-        range_join(ray.data.from_pandas(df), "purchase", "view", w, npart=5)
+        range_join(ray.data.from_pandas(df), "purchase", "view", w)
         .to_pandas()
         .sort_values(["left_id", "right_id"])
         .reset_index(drop=True)
@@ -99,7 +99,7 @@ def test_preceding_window_matches_bruteforce(ray_session):
     df = _events(n=2500, users=11)
     w = 3_600_000_000
     out = (
-        preceding_window_count(ray.data.from_pandas(df), w, npart=4)
+        preceding_window_count(ray.data.from_pandas(df), w)
         .to_pandas()
         .set_index("event_id")["n_window"]
     )
