@@ -45,11 +45,18 @@ def cmd_crawl(args) -> int:
     store = synth.gen_web(args.urls, args.images, seed=args.seed)
     synth.attach_captions(store, images)
     seeds = synth.gen_seeds(store, max(8, args.urls // 1000), seed=args.seed)
-    res = run_crawl(
-        seeds, store, images, truth,
-        cfg=CrawlConfig(shard_count=8, per_shard_batch=2000, seen_shards=4),
-        out_dir=args.out, checkpoint=args.checkpoint,
-    )
+    try:
+        res = run_crawl(
+            seeds, store, images, truth,
+            cfg=CrawlConfig(shard_count=8, per_shard_batch=2000, seen_shards=4),
+            out_dir=args.out, checkpoint=args.checkpoint,
+            # each fetch actor holds one CPU for its lifetime
+            n_fetch_actors=min(4, args.num_cpus),
+        )
+    except FileExistsError as e:
+        print(e, file=sys.stderr)
+        ray.shutdown()
+        return 1
     print(
         json.dumps(
             {

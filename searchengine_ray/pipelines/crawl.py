@@ -32,6 +32,14 @@ The one branch is the fetch budget: when ``max_fetches`` can cut an
 epoch short, the hosts select first and resolve outcomes only for the
 picks the budget keeps.
 
+Checkpoints (``checkpoint=True``): each epoch commits one
+``ckpt/epoch=N`` dir by one atomic rename, holding the actors' state
+snapshots, ``driver.json`` counters, and the epoch's ``order.parquet``
+and ``content.parquet`` rows with their ``index.parquet`` hash index.
+These dirs are the crawl's only log: ``resume`` restores the newest
+one's state and replays the rows of ``epoch=1..N``; ``get_page`` reads
+the content file beside the index that hit.
+
 Determinism: all control-plane state (politeness clocks, fail
 counters, quotas, seen membership) is partitioned so that every state
 cell is owned by exactly one actor and receives its inputs in a
@@ -72,7 +80,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..sources import synth
-from ..sources.storage import VersionedTable
 from ..state.cuckoo import SeenShard
 from ..state.host import HostShards
 from ..stages.fetch import CAND_SCHEMA, CONTENT_SCHEMA, FetchDecode, make_candidates
@@ -341,13 +348,6 @@ class RemoteCrawl:
         self.ckpt_dir = os.path.join(out_dir, "ckpt")
         self.checkpoint = checkpoint
         os.makedirs(out_dir, exist_ok=True)
-        # append-only versioned logs (parquet fragments + JSON manifests,
-        # sources/storage.py): one version per checkpointed epoch,
-        # committed by the epoch dir's atomic rename; resume truncates
-        # uncommitted (crashed) appends
-        if checkpoint:
-            self.content_log = VersionedTable(os.path.join(out_dir, "content_log"))
-            self.order_log = VersionedTable(os.path.join(out_dir, "order_log"))
         self.n_host_actors = min(n_host_actors, cfg.shard_count)
         self.n_seen = cfg.seen_shards
         # broadcast the fixture once; every actor reads the same copy
@@ -426,6 +426,13 @@ class RemoteCrawl:
 
     # ------------------------------------------------------------ seeding
     def admit_seeds(self, seeds: list[str]) -> None:
+        """Start a fresh crawl.  A checkpointing engine refuses an
+        ``out_dir`` with a committed epoch: resume would continue it."""
+        if self.checkpoint and _committed_epochs(self.ckpt_dir):
+            raise FileExistsError(
+                f"{self.ckpt_dir} holds a committed crawl; continue it with "
+                "RemoteCrawl.resume or crawl into a fresh out_dir"
+            )
         cand = make_candidates(
             seeds,
             [-1] * len(seeds),
@@ -476,7 +483,7 @@ class RemoteCrawl:
     def _flush_appends(self) -> None:
         """Submit any still-deferred appends (normally only the epoch's
         LAST wave — earlier waves append incrementally); used by the
-        non-prefetched dequeues, checkpoint snapshots, and result()."""
+        budget-cut dequeue, checkpoint snapshots, and result()."""
         if self._unappended:
             self._append_refs.extend(
                 a.append_many.remote(*self._unappended)
@@ -520,12 +527,16 @@ class RemoteCrawl:
                 a.resolve_outcomes.remote(sel.filter(pa.array(owner == k)))
                 for k, a in enumerate(self.host_actors)
             ]
-        elif self._prefetched is not None:
-            futs, self._prefetched = self._prefetched, None
         else:
-            self._flush_appends()
-            futs = [a.dequeue_epoch.remote(epoch) for a in self.host_actors]
+            futs = self._prefetched or self._append_and_dequeue(epoch)
+            self._prefetched = None
         return ray.get(futs)
+
+    def _append_and_dequeue(self, epoch: int) -> list:
+        """Submit the deferred last-wave appends and the epoch's dequeue
+        as one task per host actor (one boundary hop)."""
+        adm, self._unappended = self._unappended, []
+        return [a.append_and_dequeue.remote(epoch, *adm) for a in self.host_actors]
 
     def run_epoch(self, prefetch_next: bool = False) -> bool:
         """One epoch; returns False when the crawl is finished.
@@ -610,11 +621,7 @@ class RemoteCrawl:
             # and computes while the engine is between epochs.  After a
             # checkpoint snapshot, so the snapshot sees appended but not
             # yet dequeued state.
-            adm, self._unappended = self._unappended, []
-            self._prefetched = [
-                a.append_and_dequeue.remote(epoch + 1, *adm)
-                for a in self.host_actors
-            ]
+            self._prefetched = self._append_and_dequeue(epoch + 1)
         return True
 
     def _resolve_content(self) -> None:
@@ -629,9 +636,7 @@ class RemoteCrawl:
             content = (
                 pa.concat_tables(cparts).sort_by("fetch_seq")
                 if cparts
-                else pa.table(
-                    {k.name: [] for k in CONTENT_SCHEMA}, schema=CONTENT_SCHEMA
-                )
+                else CONTENT_SCHEMA.empty_table()
             )
             self._content_parts[i] = content
             m["fetched_ok"] = len(content)
@@ -713,6 +718,9 @@ class RemoteCrawl:
 
     # --------------------------------------------------------- checkpoint
     def write_checkpoint(self) -> None:
+        """Commit the epoch just run as ``ckpt/epoch=N`` (module
+        docstring): written into ``epoch=N.tmp``, published by one atomic
+        rename; a crash leaves only the ``.tmp``, which resume skips."""
         ray = self.ray
         self._flush_appends()  # snapshots must include deferred appends
         self._resolve_content()
@@ -732,17 +740,14 @@ class RemoteCrawl:
                 pa.table(row, schema=SEEN_CKPT_SCHEMA),
                 os.path.join(tmp, f"seen-{k}.parquet"),
             )
-        # per-epoch result partitions go to the versioned append-only
-        # logs (S2/S3 KeyValDB analog — KeyValueDB.hpp:154-306); the
-        # epoch dir's atomic rename below is the commit point, so a
-        # crash between append and publish leaves only a dangling
-        # version that resume truncates
-        order_v = self.order_log.append(self._order_parts[-1])
-        content_v = self.content_log.append(self._content_parts[-1])
+        # the epoch's rows of the crawl's append-only log (S2/S3 KeyValDB
+        # analog — KeyValueDB.hpp:154-306); resume replays epochs 1..N
+        pq.write_table(self._order_parts[-1], os.path.join(tmp, "order.parquet"))
+        cpart = self._content_parts[-1]
+        pq.write_table(cpart, os.path.join(tmp, "content.parquet"))
         # tiny per-epoch point-lookup index (url_hash → fetch_seq):
         # get_page reads these 2-column files instead of scanning every
         # epoch's full content table (S4/S12 — KeyValueDB.hpp:384-396)
-        cpart = self._content_parts[-1]
         pq.write_table(
             cpart.select(["url_hash", "fetch_seq"]),
             os.path.join(tmp, "index.parquet"),
@@ -755,8 +760,6 @@ class RemoteCrawl:
                     "enqueue_seq": ray.get(self.seq_actor.get_seq.remote()),
                     "fetch_seq": self.fetch_seq,
                     "parent_epoch": epoch - 1,
-                    "order_version": order_v,
-                    "content_version": content_v,
                     # running totals, so a resumed run's metric rows
                     # continue them instead of restarting from 0
                     "seen_total": last["seen_size"],
@@ -768,8 +771,9 @@ class RemoteCrawl:
         os.replace(tmp, d)  # atomic publish = the epoch's commit point
 
     def restore(self, d: str) -> None:
-        """Load the committed checkpoint dir ``d`` into this (fresh,
-        checkpointing) engine."""
+        """Load the committed dir ``d`` = ``ckpt/epoch=N`` into this
+        (fresh, checkpointing) engine: actor state from ``d``, and the
+        order and content rows of ``epoch=1..N`` for ``result()``."""
         ray = self.ray
         with open(os.path.join(d, "driver.json")) as f:
             drv = json.load(f)
@@ -785,17 +789,10 @@ class RemoteCrawl:
             st = pq.read_table(os.path.join(d, f"seen-{k}.parquet")).to_pylist()[0]
             futs.append(actor.restore.remote(st))
         ray.get(futs)
-        # truncate any log versions past the last committed epoch
-        # (appends whose epoch dir never published — crashed run), then
-        # reload prior outputs from the logs so result() is complete
-        self.order_log.truncate_to(drv.get("order_version"))
-        self.content_log.truncate_to(drv.get("content_version"))
-        order_all = self.order_log.read(drv.get("order_version"))
-        content_all = self.content_log.read(drv.get("content_version"))
-        if len(order_all):
-            self._order_parts.append(order_all)
-        if len(content_all):
-            self._content_parts.append(content_all)
+        for e in range(1, self.epoch + 1):
+            ed = os.path.join(os.path.dirname(d), f"epoch={e}")
+            self._order_parts.append(pq.read_table(f"{ed}/order.parquet"))
+            self._content_parts.append(pq.read_table(f"{ed}/content.parquet"))
 
 
 class _SeenActor:
@@ -867,14 +864,17 @@ class _SeenActor:
         self.shard = SeenShard.from_state(state)
 
 
+def _committed_epochs(ckpt_dir: str) -> list[int]:
+    """The N of every committed ``epoch=N`` dir in ``ckpt_dir``, sorted
+    (``epoch=N.tmp`` is an uncommitted write)."""
+    names = os.listdir(ckpt_dir) if os.path.isdir(ckpt_dir) else []
+    return sorted(int(e[6:]) for e in names if e[:6] == "epoch=" and e[6:].isdigit())
+
+
 def _last_checkpoint(out_dir: str) -> str:
     """The newest committed ``ckpt/epoch=N`` dir under ``out_dir``."""
     ckpt_dir = os.path.join(out_dir, "ckpt")
-    epochs = sorted(
-        int(e.split("=")[1])
-        for e in os.listdir(ckpt_dir)
-        if e.startswith("epoch=") and not e.endswith(".tmp")
-    )
+    epochs = _committed_epochs(ckpt_dir)
     if not epochs:
         raise FileNotFoundError(f"no checkpoint under {ckpt_dir}")
     return os.path.join(ckpt_dir, f"epoch={epochs[-1]}")
@@ -912,9 +912,10 @@ def get_page(out_dir: str, url: str):
 
     Indexed point lookup (S4 — the reference's O(1) RAM index,
     KeyValueDB.hpp:384-396): per-epoch 2-column hash indexes locate the
-    epoch + fetch_seq, then exactly ONE content-log fragment and ONE
-    payload part file are read (payload parts are named by their first
-    fetch_seq, so the owning file is found by name alone)."""
+    epoch + fetch_seq, then exactly ONE content file (the
+    ``content.parquet`` beside the index that hit) and ONE payload part
+    file are read (payload parts are named by their first fetch_seq, so
+    the owning file is found by name alone)."""
     import glob
 
     from ..functions import urlkernel as uk
@@ -932,30 +933,18 @@ def get_page(out_dir: str, url: str):
         if len(hits) == 0:
             continue
         seq = int(hits["fetch_seq"][0].as_py())
-        epoch_dir = os.path.dirname(idx_file)
-        with open(os.path.join(epoch_dir, "driver.json")) as f:
-            drv = json.load(f)
-        # one content fragment read (this epoch's appended version)
-        frag = VersionedTable(
-            os.path.join(out_dir, "content_log")
-        ).version_delta(drv["content_version"])
-        hit = frag.filter(pc.equal(frag["url_hash"], pa.scalar(h, pa.uint64())))
+        # one content read: the epoch's rows beside the index that hit
+        cont = pq.read_table(os.path.join(os.path.dirname(idx_file), "content.parquet"))
+        hit = cont.filter(pc.equal(cont["url_hash"], pa.scalar(h, pa.uint64())))
         if len(hit) == 0:
             continue
         row = {k: hit[k][0].as_py() for k in hit.column_names if k != "links"}
         # one payload part read: parts are part-<first_seq>.parquet with
         # non-overlapping ascending seq ranges per epoch
         pdir = os.path.join(out_dir, "payload", f"epoch={row['epoch']}")
-        firsts = sorted(
-            int(os.path.basename(p)[5:-8])
-            for p in glob.glob(os.path.join(pdir, "part-*.parquet"))
-        )
-        owner = None
-        for fs in firsts:
-            if fs <= seq:
-                owner = fs
-            else:
-                break
+        firsts = (int(os.path.basename(p)[5:-8])
+                  for p in glob.glob(os.path.join(pdir, "part-*.parquet")))
+        owner = max((fs for fs in firsts if fs <= seq), default=None)
         if owner is not None:
             p = pq.read_table(os.path.join(pdir, f"part-{owner:010d}.parquet"))
             ph = p.filter(pc.equal(p["fetch_seq"], pa.scalar(seq, pa.int64())))

@@ -1,31 +1,15 @@
-"""Versioned table storage: parquet fragments plus JSON manifests.
-
-The north rule stores content/frontier/seen state in versioned,
-append-only tables (append + random access + versioning), replacing
-the reference's hand-rolled append-only KV logs
-(``KeyValueDB.hpp:68-504`` — key log + value log + in-RAM index rebuilt
-by replay).  Each version is one parquet fragment plus a JSON manifest
-(``_versions/v{n}.json`` listing its fragment lineage), committed by
-atomic rename — append-only, time-travelable and resumable.
-
-``VersionedTable`` exposes ``append(table) -> version``,
-``read(version) -> pa.Table``, ``to_ray(version) -> ray.data.Dataset``
-(streaming read of the fragment files — the 100 TB path),
-``version_delta``, ``truncate_to``, ``count``, ``versions()`` and
-``latest()``.
+"""Parquet reads sized by bytes on disk.
 
 ``read_parquet`` is the package's one Ray Data parquet read: it sizes
-the read's block count by bytes on disk (``blocks_for``).
+the read's block count by bytes on disk (``blocks_for``).  The crawl's
+own durable state (per-epoch crawl order, content rows, hash index and
+actor snapshots) lives in its ``ckpt/epoch=N`` dirs, one commit point
+per epoch (``pipelines/crawl.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import uuid
-
-import pyarrow as pa
-import pyarrow.parquet as pq
 
 # bytes on disk per Ray Data block (and per hash-join partition)
 BLOCK_BYTES = 32 << 20
@@ -69,101 +53,3 @@ def read_parquet(paths, columns=None):
     return ray.data.read_parquet(
         paths, columns=columns, override_num_blocks=read_blocks(paths)
     )
-
-
-class VersionedTable:
-    def __init__(self, path: str):
-        self.path = path
-        os.makedirs(self._vdir, exist_ok=True)
-        os.makedirs(os.path.join(path, "fragments"), exist_ok=True)
-
-    # ---------------------------------------------------------- versions
-    @property
-    def _vdir(self) -> str:
-        return os.path.join(self.path, "_versions")
-
-    def versions(self) -> list[int]:
-        out = []
-        for f in os.listdir(self._vdir):
-            if f.startswith("v") and f.endswith(".json"):
-                out.append(int(f[1:-5]))
-        return sorted(out)
-
-    def latest(self) -> int | None:
-        vs = self.versions()
-        return vs[-1] if vs else None
-
-    # ------------------------------------------------------------ append
-    def append(self, table: pa.Table) -> int:
-        prev = self.latest()
-        version = (prev or 0) + 1
-        frag = f"fragments/{version:08d}-{uuid.uuid4().hex[:8]}.parquet"
-        pq.write_table(table, os.path.join(self.path, frag))
-        manifest = {
-            "version": version,
-            "parent": prev,
-            "fragment": frag,
-            "num_rows": len(table),
-            "fragments": (
-                self._manifest(prev)["fragments"] if prev else []
-            )
-            + [frag],
-        }
-        tmp = os.path.join(self._vdir, f".v{version}.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(self._vdir, f"v{version}.json"))
-        return version
-
-    def _manifest(self, version: int) -> dict:
-        with open(os.path.join(self._vdir, f"v{version}.json")) as f:
-            return json.load(f)
-
-    # -------------------------------------------------------------- read
-    def _fragment_paths(self, version: int | None) -> list[str]:
-        version = version or self.latest()
-        if version is None:
-            return []
-        return [
-            os.path.join(self.path, fr)
-            for fr in self._manifest(version)["fragments"]
-        ]
-
-    def read(self, version: int | None = None) -> pa.Table:
-        paths = self._fragment_paths(version)
-        if not paths:
-            return pa.table({})
-        return pa.concat_tables(pq.read_table(p) for p in paths)
-
-    def to_ray(self, version: int | None = None, columns=None):
-        """Streaming Ray Data read over the version's fragments."""
-        import ray.data
-
-        paths = self._fragment_paths(version)
-        if not paths:
-            return ray.data.from_arrow(pa.table({}))
-        return read_parquet(paths, columns=columns)
-
-    def version_delta(self, version: int) -> pa.Table:
-        """Rows appended BY this version (its own fragment) — the unit
-        a per-epoch point-lookup index refers to."""
-        m = self._manifest(version)
-        return pq.read_table(os.path.join(self.path, m["fragment"]))
-
-    def truncate_to(self, version: int | None) -> None:
-        """Drop versions AFTER ``version`` (crash-recovery: appends that
-        were never committed by the caller's atomic publish step): the
-        dangling manifests are deleted, so their fragments become
-        unreferenced."""
-        for v in self.versions():
-            if version is None or v > version:
-                os.remove(os.path.join(self._vdir, f"v{v}.json"))
-
-    def count(self, version: int | None = None) -> int:
-        version = version or self.latest()
-        if version is None:
-            return 0
-        total = 0
-        for p in self._fragment_paths(version):
-            total += pq.read_metadata(p).num_rows
-        return total

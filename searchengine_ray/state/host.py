@@ -34,7 +34,7 @@ clock only when no host is eligible, so every pick lands exactly at its
 host's eligibility time, and among eligible hosts it takes the lowest
 seq — it emits picks in (eligibility time, seq) order.
 
-Determinism contract: ``dequeue_epoch`` and the admission phases are
+Determinism contract: the dequeue and the admission phases are
 pure functions of (owned state, sorted input batch) — results are
 independent of actor-pool size or scheduling (SURVEY.md §7.5#1).
 """
@@ -139,11 +139,20 @@ class HostShards:
 
     # ------------------------------------------------------------ dequeue
     def append_and_dequeue(self, epoch: int, *admitted) -> pa.Table:
-        """Apply any deferred frontier appends (the previous epoch's
-        admitted tables, chained object refs), then dequeue — one actor
-        hop instead of append-tasks + dequeue at the epoch boundary."""
+        """Apply the deferred frontier appends (chained admitted-table
+        refs), then dequeue — one actor hop at the epoch boundary:
+        politeness-greedy per-shard selection plus fetch-outcome
+        resolution in (t_sched, enqueue_seq) order (host health updates
+        are host-local, so this order suffices).
+
+        When a global fetch budget may bind mid-epoch the engine calls
+        the two-phase split instead — ``dequeue_select`` then
+        ``resolve_outcomes`` on the budget-sliced survivors — so
+        fail-counter updates stop exactly at the budget, matching the
+        oracle's early break (checkpoint state stays resumable past a
+        raised limit)."""
         self.append_many(*admitted)
-        return self.dequeue_epoch(epoch)
+        return self.resolve_outcomes(self.dequeue_select(epoch))
 
     def append_many(self, *admitted) -> None:
         """Queue this actor's rows of admitted tables (seq-assigned and
@@ -156,19 +165,6 @@ class HostShards:
                 self._pending.append(
                     adm.select(FRONTIER_SCHEMA.names).filter(pa.array(owned))
                 )
-
-    def dequeue_epoch(self, epoch: int) -> pa.Table:
-        """Politeness-greedy per-shard selection + fetch-outcome
-        resolution, in (t_sched, enqueue_seq) order (host health
-        updates are host-local, so this order suffices).
-
-        When a global fetch budget may bind mid-epoch the engine calls
-        the two-phase split instead — ``dequeue_select`` then
-        ``resolve_outcomes`` on the budget-sliced survivors — so
-        fail-counter updates stop exactly at the budget, matching the
-        oracle's early break (checkpoint state stays resumable past a
-        raised limit)."""
-        return self.resolve_outcomes(self.dequeue_select(epoch))
 
     def dequeue_select(self, epoch: int) -> pa.Table:
         """Selection only — the closed form of the module docstring

@@ -164,6 +164,71 @@ def test_resume_continues_running_totals(ray_session, fixture_small, tmp_path):
         ), col
 
 
+def test_resume_twice_matches_oracle(ray_session, fixture_small, tmp_path):
+    """Stop after 2 epochs, resume and stop after 4, resume to the end:
+    each engine replays the committed epoch dirs, so the crawl order
+    and seen set equal the oracle's, and the ``order.parquet`` rows of
+    the committed ``epoch=1..N`` dirs together are the crawl order."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    images, truth, store, seeds, cfg, golden = fixture_small
+    out = tmp_path / "ck"
+    eng = RemoteCrawl(store, images, truth, cfg, str(out), n_host_actors=2,
+                      n_fetch_actors=2, checkpoint=True)
+    eng.admit_seeds(seeds)
+    eng.run(max_epochs=2)
+    eng.shutdown()
+    for stop in (4, None):
+        eng = RemoteCrawl.resume(store, images, truth, cfg, str(out),
+                                 n_host_actors=2, n_fetch_actors=2)
+        res = eng.run(max_epochs=stop)
+        eng.shutdown()
+    assert res.epochs > 4
+    assert _order_tuples(res.crawl_order) == golden.crawl_order
+    assert res.seen == golden.seen
+    ckpt = out / "ckpt"
+    epochs = sorted(int(p.name.split("=")[1]) for p in ckpt.glob("epoch=*"))
+    assert epochs == list(range(1, res.epochs + 1))
+    logged = pa.concat_tables(
+        pq.read_table(str(ckpt / f"epoch={e}" / "order.parquet")) for e in epochs
+    )
+    assert _order_tuples(logged) == golden.crawl_order
+
+
+def test_fresh_crawl_refuses_used_out_dir(ray_session, fixture_small, tmp_path):
+    """Seeding a checkpointed crawl into an out_dir that holds a
+    committed epoch raises instead of mixing two crawls' epoch dirs (a
+    later resume would continue the old crawl); resume, which never
+    seeds, still continues the old crawl to the oracle's result."""
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    images, truth, store, seeds, cfg, golden = fixture_small
+    out = str(tmp_path / "used")
+    eng = RemoteCrawl(store, images, truth, cfg, out, n_host_actors=2,
+                      n_fetch_actors=2, checkpoint=True)
+    eng.admit_seeds(seeds)
+    eng.run(max_epochs=2)
+    eng.shutdown()
+
+    fresh = RemoteCrawl(store, images, truth, cfg, out, n_host_actors=2,
+                        n_fetch_actors=2, checkpoint=True)
+    try:
+        with pytest.raises(FileExistsError, match="RemoteCrawl.resume"):
+            fresh.admit_seeds(synth.gen_seeds(store, 12, seed=7))
+    finally:
+        fresh.shutdown()
+
+    eng = RemoteCrawl.resume(store, images, truth, cfg, out,
+                             n_host_actors=2, n_fetch_actors=2)
+    res = eng.run()
+    eng.shutdown()
+    assert _order_tuples(res.crawl_order) == golden.crawl_order
+    assert res.seen == golden.seen
+
+
 def test_checkpoint_resume_uint64_evict_state(ray_session, fixture_small, tmp_path):
     """A seen shard whose cuckoo eviction state is >= 2^63 checkpoints
     (no int64 overflow) and resumes with that exact state, and the
@@ -250,14 +315,13 @@ def test_conformance_medium_scale(ray_session, tmp_path):
 
 def test_get_page_indexed_lookup(ray_session, fixture_small, tmp_path, monkeypatch):
     """get_page is an indexed point lookup: besides the tiny per-epoch
-    hash indexes it reads exactly ONE content-log fragment and ONE
+    hash indexes it reads exactly ONE epoch content file and ONE
     payload part file per hit (S4 — the reference's O(1) RAM index,
     KeyValueDB.hpp:384-396)."""
     import pyarrow.parquet as pq
 
     from searchengine_ray.pipelines import crawl as crawl_mod
     from searchengine_ray.pipelines.crawl import RemoteCrawl, get_page
-    from searchengine_ray.sources import storage as storage_mod
 
     images, truth, store, seeds, cfg, golden = fixture_small
     out = str(tmp_path / "gp")
@@ -277,12 +341,11 @@ def test_get_page_indexed_lookup(ray_session, fixture_small, tmp_path, monkeypat
         return real_read(path, *a, **kw)
 
     monkeypatch.setattr(crawl_mod.pq, "read_table", counting_read)
-    monkeypatch.setattr(storage_mod.pq, "read_table", counting_read)
     row = get_page(out, "http://" + target["url"])
     assert row is not None and row["url_hash"] == target["url_hash"]
     assert row["caption"] == target["caption"]
     assert "bytes" in row and len(row["bytes"]) > 0
-    frag_reads = [p for p in reads if "content_log" in p]
+    frag_reads = [p for p in reads if "content.parquet" in p]
     pay_reads = [p for p in reads if "payload" in p]
     idx_reads = [p for p in reads if "index.parquet" in p]
     assert len(frag_reads) == 1, frag_reads

@@ -1,62 +1,14 @@
 import pyarrow as pa
 import pytest
 
-from searchengine_ray.sources.storage import VersionedTable
-
-
-def test_append_versions_timetravel(tmp_path):
-    t = VersionedTable(str(tmp_path / "tbl"))
-    assert t.latest() is None
-    v1 = t.append(pa.table({"x": [1, 2]}))
-    v2 = t.append(pa.table({"x": [3]}))
-    assert t.versions() == [v1, v2]
-    assert t.read(v1)["x"].to_pylist() == [1, 2]
-    assert sorted(t.read(v2)["x"].to_pylist()) == [1, 2, 3]
-    assert t.read()["x"].to_pylist() == t.read(v2)["x"].to_pylist()
-    assert t.count(v1) == 2 and t.count() == 3
-
-
-def test_reopen_resumes(tmp_path):
-    p = str(tmp_path / "tbl")
-    t = VersionedTable(p)
-    t.append(pa.table({"x": [1]}))
-    t2 = VersionedTable(p)  # fresh handle, same directory
-    assert t2.latest() == 1
-    t2.append(pa.table({"x": [2]}))
-    assert t2.count() == 2
-
-
-def test_to_ray(ray_session, tmp_path):
-    t = VersionedTable(str(tmp_path / "tbl"))
-    t.append(pa.table({"x": list(range(100))}))
-    t.append(pa.table({"x": list(range(100, 150))}))
-    ds = t.to_ray()
-    assert ds.count() == 150
-    assert t.to_ray(1).count() == 100
-
-
-def test_version_delta_and_truncate(tmp_path):
-    t = VersionedTable(str(tmp_path / "tbl"))
-    v1 = t.append(pa.table({"x": [1, 2]}))
-    v2 = t.append(pa.table({"x": [3]}))
-    v3 = t.append(pa.table({"x": [4, 5]}))
-    assert t.version_delta(v1)["x"].to_pylist() == [1, 2]
-    assert t.version_delta(v2)["x"].to_pylist() == [3]
-    assert t.version_delta(v3)["x"].to_pylist() == [4, 5]
-    # drop dangling versions (crash between append and commit)
-    t.truncate_to(v2)
-    assert t.versions() == [v1, v2]
-    assert sorted(t.read()["x"].to_pylist()) == [1, 2, 3]
-    # appends continue cleanly after truncation
-    v4 = t.append(pa.table({"x": [9]}))
-    assert v4 == v2 + 1
-    assert sorted(t.read()["x"].to_pylist()) == [1, 2, 3, 9]
-
 
 def test_resume_truncates_dangling_log_versions(ray_session, tmp_path):
-    """A crash between the log append and the epoch dir's atomic
-    publish leaves dangling versions; resume must truncate them so the
-    continued run's logs match an uninterrupted run."""
+    """A crash while an epoch dir is written leaves a torn
+    ``ckpt/epoch=N.tmp`` that was never renamed into place: resume must
+    ignore it, and the continued run must still equal the oracle and
+    commit a whole ``epoch=N`` over it."""
+    import pyarrow.parquet as pq
+
     from searchengine_ray.pipelines.crawl import RemoteCrawl
     from searchengine_ray.pipelines.oracle import CrawlConfig, simulate
     from searchengine_ray.sources import synth
@@ -74,13 +26,16 @@ def test_resume_truncates_dangling_log_versions(ray_session, tmp_path):
     eng.admit_seeds(seeds)
     eng.run(max_epochs=3)
     eng.shutdown()
-    # simulate the crash: dangling appends with no committed epoch dir
-    VersionedTable(str(out / "order_log")).append(pa.table({"junk": [1]}))
-    VersionedTable(str(out / "content_log")).append(pa.table({"junk": [1]}))
+    # simulate the crash: epoch 4's dir half written, never published
+    torn = out / "ckpt" / "epoch=4.tmp"
+    torn.mkdir()
+    for name in ("order.parquet", "content.parquet"):
+        pq.write_table(pa.table({"junk": [1]}), str(torn / name))
 
     eng2 = RemoteCrawl.resume(store, images, truth, cfg, str(out),
                               n_host_actors=2, n_fetch_actors=2)
     res = eng2.run()
+    eng2.shutdown()
     got = list(
         zip(
             res.crawl_order["fetch_seq"].to_pylist(),
@@ -92,6 +47,9 @@ def test_resume_truncates_dangling_log_versions(ray_session, tmp_path):
     )
     assert got == golden.crawl_order
     assert res.seen == golden.seen
+    assert not torn.exists()
+    e4 = pq.read_table(str(out / "ckpt" / "epoch=4" / "order.parquet"))
+    assert set(e4["epoch"].to_pylist()) == {3}
 
 
 SF = "/root/testdata"
