@@ -158,10 +158,8 @@ def run_bench() -> dict:
         "seen_bytes_per_url": round(seen_bytes / seen_urls, 2),
     }
 
-    # release the crawl actor pools: idle fetch actors keep their
-    # num_cpus=1 reservations and would starve the Ray Data queries
-    for a in eng.fetch_actors + eng.host_actors + eng.seen_actors:
-        ray.kill(a)
+    # release the crawl actors: idle fetch actors keep their num_cpus=1
+    # reservations and would starve the Ray Data queries
     eng.shutdown()
     del eng
 

@@ -37,8 +37,9 @@ Checkpoints (``checkpoint=True``): each epoch commits one
 snapshots, ``driver.json`` counters, and the epoch's ``order.parquet``
 and ``content.parquet`` rows with their ``index.parquet`` hash index.
 These dirs are the crawl's only log: ``resume`` restores the newest
-one's state and replays the rows of ``epoch=1..N``; ``get_page`` reads
-the content file beside the index that hit.
+one's state and replays the rows of ``epoch=1..N``, and refuses other
+host-actor or seen-shard counts than its ``driver.json`` records;
+``get_page`` reads the content file beside the index that hit.
 
 Determinism: all control-plane state (politeness clocks, fail
 counters, quotas, seen membership) is partitioned so that every state
@@ -405,8 +406,23 @@ class RemoteCrawl:
         cls, store, images, truth, cfg, out_dir, n_host_actors=4, n_fetch_actors=4
     ) -> "RemoteCrawl":
         """A checkpointing engine restored from the last committed
-        epoch under ``out_dir``; ``run()`` continues the crawl."""
+        epoch under ``out_dir``; ``run()`` continues the crawl.  Each
+        host and seen actor checkpoints only its own partition, so a
+        resume with other actor counts raises ``ValueError`` before any
+        actor starts."""
         d = _last_checkpoint(os.path.abspath(out_dir))
+        with open(os.path.join(d, "driver.json")) as f:
+            drv = json.load(f)
+        counts = {
+            "host actors": ("host_actors", min(n_host_actors, cfg.shard_count)),
+            "seen shards": ("seen_shards", cfg.seen_shards),
+        }
+        for what, (key, n) in counts.items():
+            if drv.get(key) != n:
+                raise ValueError(
+                    f"{d} was written by {drv.get(key, 'an unrecorded number of')}"
+                    f" {what}; this resume has {n}"
+                )
         eng = cls(
             store, images, truth, cfg, out_dir, n_host_actors=n_host_actors,
             n_fetch_actors=n_fetch_actors, checkpoint=True,
@@ -760,6 +776,8 @@ class RemoteCrawl:
                     "enqueue_seq": ray.get(self.seq_actor.get_seq.remote()),
                     "fetch_seq": self.fetch_seq,
                     "parent_epoch": epoch - 1,
+                    "host_actors": self.n_host_actors,
+                    "seen_shards": self.n_seen,
                     # running totals, so a resumed run's metric rows
                     # continue them instead of restarting from 0
                     "seen_total": last["seen_size"],

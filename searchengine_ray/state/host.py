@@ -113,8 +113,6 @@ class HostShards:
         # IPv4): first successful connect caches a synthetic address so
         # later fetches skip resolution; checkpointed named state
         self.host_dns: dict[int, int] = {}
-        self.dns_hits = 0
-        self.dns_misses = 0
         self.store = store
         # shard sizes as of the LAST dequeue (pre-this-epoch-appends):
         # phase1 piggybacks THIS to the sequencer so cap math stays
@@ -274,16 +272,9 @@ class HostShards:
         m = fast & known & (status == synth.STATUS_OK)
         outcome[m] = OUT_OK
         content_row[m] = srows[m]
-        # DNS cache accounting for fast picks (all connected): first
-        # pick of an uncached host is a miss (and inserts), the rest
-        # are hits — totals are order-independent per host
-        if fast.any():
-            uniq, counts = np.unique(hh[fast], return_counts=True)
-            new = [int(u) for u in uniq.tolist() if int(u) not in self.host_dns]
-            self.dns_misses += len(new)
-            self.dns_hits += int(counts.sum()) - len(new)
-            for u in new:
-                self.host_dns[u] = int(u & 0xFFFFFFFF)
+        # fast picks all connected: cache each new host's address
+        for u in np.unique(hh[fast]).tolist():
+            self.host_dns.setdefault(u, u & 0xFFFFFFFF)
 
         # sequential walk for the (rare) failure-involved hosts, in
         # original pick order
@@ -295,18 +286,13 @@ class HostShards:
                 oc, cr = OUT_SKIP_BADHOST, -1
             elif not known[i]:
                 self.host_fail[hhi] = fails + 1
-                self.dns_misses += 1
                 oc, cr = OUT_CONNECT_FAIL, -1
             elif status[i] == synth.STATUS_TIMEOUT:
                 self.host_fail[hhi] = fails + 1
                 oc, cr = OUT_TIMEOUT, -1
             else:
                 self.host_fail.pop(hhi, None)
-                if hhi in self.host_dns:
-                    self.dns_hits += 1
-                else:
-                    self.dns_misses += 1
-                    self.host_dns[hhi] = int(hhi & 0xFFFFFFFF)
+                self.host_dns.setdefault(hhi, hhi & 0xFFFFFFFF)
                 if status[i] == synth.STATUS_NOTFOUND:
                     oc, cr = OUT_NOTFOUND, -1
                 elif status[i] == synth.STATUS_REDIRECT:

@@ -198,6 +198,54 @@ def test_resume_twice_matches_oracle(ray_session, fixture_small, tmp_path):
     assert _order_tuples(logged) == golden.crawl_order
 
 
+def test_resume_refuses_other_actor_counts(ray_session, fixture_small, tmp_path):
+    """Each host actor checkpoints only its own shards' frontier and host
+    state, and each seen actor its own hash slice, so resuming with
+    fewer or more host actors, another seen-shard count, or from a
+    ``driver.json`` that records no count raises naming both counts and
+    starts no actor; the same counts resume to the oracle's result."""
+    import dataclasses
+    import json
+
+    from ray._private import state
+
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    images, truth, store, seeds, cfg, golden = fixture_small
+    out = tmp_path / "ck"
+    eng = RemoteCrawl(store, images, truth, cfg, str(out), n_host_actors=2,
+                      n_fetch_actors=2, checkpoint=True)
+    eng.admit_seeds(seeds)
+    eng.run(max_epochs=2)
+    eng.shutdown()
+
+    before = set(state.actors())
+    for n in (3, 1):
+        with pytest.raises(ValueError, match=f"by 2 host actors; .* has {n}$"):
+            RemoteCrawl.resume(store, images, truth, cfg, str(out),
+                               n_host_actors=n, n_fetch_actors=2)
+    other = dataclasses.replace(cfg, seen_shards=cfg.seen_shards + 1)
+    with pytest.raises(ValueError, match=f"by {cfg.seen_shards} seen shards"):
+        RemoteCrawl.resume(store, images, truth, other, str(out),
+                           n_host_actors=2, n_fetch_actors=2)
+    drv_path = out / "ckpt" / "epoch=2" / "driver.json"
+    drv = json.loads(drv_path.read_text())
+    drv_path.write_text(json.dumps({k: v for k, v in drv.items()
+                                    if k != "host_actors"}))
+    with pytest.raises(ValueError, match="unrecorded number of host actors"):
+        RemoteCrawl.resume(store, images, truth, cfg, str(out),
+                           n_host_actors=2, n_fetch_actors=2)
+    assert set(state.actors()) == before
+    drv_path.write_text(json.dumps(drv))
+
+    eng = RemoteCrawl.resume(store, images, truth, cfg, str(out),
+                             n_host_actors=2, n_fetch_actors=2)
+    res = eng.run()
+    eng.shutdown()
+    assert _order_tuples(res.crawl_order) == golden.crawl_order
+    assert res.seen == golden.seen
+
+
 def test_fresh_crawl_refuses_used_out_dir(ray_session, fixture_small, tmp_path):
     """Seeding a checkpointed crawl into an out_dir that holds a
     committed epoch raises instead of mixing two crawls' epoch dirs (a

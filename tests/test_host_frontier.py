@@ -1,7 +1,10 @@
 """``HostShards``' columnar frontier without Ray: the closed-form dequeue
 equals the oracle's greedy scan (``_OracleState.dequeue_epoch``, the
 independent spec) on random frontiers, also across a snapshot → restore
-round trip, and the frontier holds no Python object per URL."""
+round trip, and the frontier holds no Python object per URL.  The
+admission phases (host robots + quota, then the seen shards'
+``test_and_add`` with the sequencer's rollbacks) equal a plain Python
+set walk."""
 
 import gc
 import random
@@ -160,3 +163,136 @@ def test_frontier_python_heap_per_url():
         tracemalloc.stop()
     assert len(hs.snapshot()[0]) == n - 3 * 8 * CrawlConfig().per_shard_batch
     assert grown / n < 16, f"{grown / n:.1f} B/URL on the Python heap"
+
+
+class _Store:
+    """The two fields of ``synth.WebStore`` that admission reads."""
+
+    def __init__(self, url_hash, robots_blocked):
+        self._row = {int(h): i for i, h in enumerate(url_hash)}
+        self.robots_blocked = robots_blocked
+
+    def lookup(self, uh):
+        return np.array([self._row.get(int(h), -1) for h in uh], np.int64)
+
+
+def _wave(rng, pool, fseq0, n_pages):
+    """One wave's candidate chunks: ``n_pages`` fetched pages, each
+    linking to a few pool URLs (repeats within and across waves)."""
+    rows = []
+    for f in range(fseq0, fseq0 + n_pages):
+        for pos in range(rng.randint(0, 12)):
+            rows.append((f, pos, *rng.choice(pool)))
+    cols = ("fetch_seq", "pos", "url_hash", "host_hash", "shard", "url", "host")
+    types = (pa.int64(), pa.int32(), pa.uint64(), pa.uint64(), pa.int32(),
+             pa.string(), pa.string())
+    cut = rng.randint(0, len(rows))  # a chunk boundary between two pages
+    while 0 < cut < len(rows) and rows[cut][0] == rows[cut - 1][0]:
+        cut += 1
+    return [
+        pa.table({c: pa.array([r[i] for r in part], t)
+                  for i, (c, t) in enumerate(zip(cols, types))})
+        for part in (rows[:cut], rows[cut:])
+    ]
+
+
+def _rollback(uhs) -> pa.Table:
+    return pa.table({"url_hash": pa.array(uhs, pa.uint64())})
+
+
+def test_admission_matches_set_reference():
+    """Robots + quota per wave on the host actors, then the seen shards'
+    ``test_and_add`` with each wave's cap/budget rollback applied before
+    the next wave's test (and by ``apply_rollback`` after the last),
+    equals a plain Python set walk in global (fetch_seq, pos) order —
+    with 1 host actor owning every shard and 1 seen shard, and with 3
+    host actors and 2 seen shards, across a checkpoint round trip."""
+    from searchengine_ray.pipelines.crawl import _order_keys, _SeenActor
+
+    for case in range(20):
+        rng = random.Random(case)
+        cfg = CrawlConfig(shard_count=6, max_urls_per_host=rng.randint(3, 30))
+        hosts = [(f"h{i}.jp", rng.getrandbits(64), rng.randrange(6))
+                 for i in range(rng.randint(2, 10))]
+        pool = []
+        for i in range(rng.randint(10, 120)):
+            host, hh, shard = rng.choice(hosts)
+            pool.append((rng.getrandbits(64), hh, shard, f"http://{host}/{i}", host))
+        known = [u for u in pool if rng.random() < 0.8]
+        store = _Store([u[0] for u in known],
+                       np.array([rng.random() < 0.2 for _ in known], bool))
+        blocked = {u[0] for u, b in zip(known, store.robots_blocked) if b}
+        waves = []
+        fseq = -1  # seeds come first, as fetch_seq -1
+        for _ in range(6):
+            n = rng.randint(1, 8)
+            waves.append(_wave(rng, pool, fseq, n))
+            fseq += n
+        rollback_p = rng.random()
+
+        for n_hosts, n_seen in ((1, 1), (3, 2)):
+            owners = [HostShards(cfg, range(a, 6, n_hosts), store)
+                      for a in range(n_hosts)]
+            shards = [_SeenActor(1 << 4, k, n_seen) for k in range(n_seen)]
+            seen, quota, seq, rb = set(), {}, 0, None
+            for w, chunks in enumerate(waves):
+                if w == 3:  # checkpoint round trip mid-crawl
+                    fresh = []
+                    for hs in owners:
+                        h2 = HostShards(cfg, hs.shard_ids, store)
+                        h2.restore(*hs.snapshot())
+                        fresh.append(h2)
+                    owners = fresh
+                    fresh = []
+                    for sa in shards:
+                        s2 = _SeenActor(1 << 4, sa.k, n_seen)
+                        s2.restore(sa.to_state())
+                        fresh.append(s2)
+                    shards = fresh
+                cand = pa.concat_tables(chunks)
+                want_ok, want_new = [], []
+                for uh, hh in zip(cand["url_hash"].to_pylist(),
+                                  cand["host_hash"].to_pylist()):
+                    ok = uh not in blocked and quota.get(hh, 0) < cfg.max_urls_per_host
+                    if uh not in blocked:
+                        quota[hh] = min(quota.get(hh, 0) + 1, cfg.max_urls_per_host)
+                    want_ok.append(ok)
+                    want_new.append(ok and uh not in seen)
+                    if ok:
+                        seen.add(uh)
+                keys = _order_keys(cand["fetch_seq"].to_numpy(),
+                                   cand["pos"].to_numpy())
+                p1 = [hs.admit_phase1_chunks(*chunks) for hs in owners]
+                chain = pa.concat_tables([c for c, _ in p1])
+                got_ok = dict(zip(
+                    _order_keys(chain["fetch_seq"].to_numpy(),
+                                chain["pos"].to_numpy()).tolist(),
+                    chain["ok"].to_pylist()))
+                assert [got_ok[k] for k in keys.tolist()] == want_ok
+                p2 = [sa.test_and_add_wave(rb, *p1) for sa in shards]
+                assert sum(n for _, _, n in p2) == len(seen)
+                got_new = dict(zip(np.concatenate([k for k, _, _ in p2]).tolist(),
+                                   np.concatenate([m for _, m, _ in p2]).tolist()))
+                assert [k for k, ok in zip(keys.tolist(), want_ok) if ok] == \
+                    sorted(got_new)
+                assert [got_new.get(k, False) for k in keys.tolist()] == want_new
+                # the sequencer's verdict: each first sighting is admitted
+                # with the next enqueue_seq or rolled back out of the seen set
+                decided = cand.filter(pa.array(want_new))
+                rolled = np.array([rng.random() < rollback_p
+                                   for _ in range(len(decided))], bool)
+                rb = _rollback(decided["url_hash"].to_numpy()[rolled])
+                seen -= set(rb["url_hash"].to_pylist())
+                adm = decided.filter(pa.array(~rolled))
+                adm = adm.append_column(
+                    "enqueue_seq", pa.array(np.arange(seq, seq + len(adm))))
+                seq += len(adm)
+                for hs in owners:
+                    hs.append_many(adm)
+            for sa in shards:
+                sa.apply_rollback(rb)
+            assert {int(h) for sa in shards for h in sa.dump_hashes()} == seen
+            assert sum(sa.mem_bytes()[1] for sa in shards) == len(seen)
+            assert sorted(s for hs in owners
+                          for s in hs.snapshot()[0]["enqueue_seq"].to_pylist()
+                          ) == list(range(seq))

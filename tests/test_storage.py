@@ -2,7 +2,7 @@ import pyarrow as pa
 import pytest
 
 
-def test_resume_truncates_dangling_log_versions(ray_session, tmp_path):
+def test_resume_ignores_torn_epoch_dir(ray_session, tmp_path):
     """A crash while an epoch dir is written leaves a torn
     ``ckpt/epoch=N.tmp`` that was never renamed into place: resume must
     ignore it, and the continued run must still equal the oracle and
