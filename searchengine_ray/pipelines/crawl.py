@@ -82,7 +82,7 @@ import pyarrow.parquet as pq
 
 from ..sources import synth
 from ..state.cuckoo import SeenShard
-from ..state.host import HostShards
+from ..state.host import HostShards, _runs
 from ..stages.fetch import CAND_SCHEMA, CONTENT_SCHEMA, FetchDecode, make_candidates
 from .oracle import CrawlConfig
 
@@ -179,7 +179,7 @@ class _Sequencer:
         # deferred to the next epoch's dequeue, so the host actors'
         # piggybacked sizes stay pre-epoch — the sequencer adds its own
         # running admissions to keep the cap math identical
-        self.shard_add: dict[int, int] = {}
+        self.shard_add = np.zeros(cfg.shard_count, np.int64)
 
     def get_seq(self) -> int:
         return self.enqueue_seq
@@ -192,7 +192,7 @@ class _Sequencer:
         outputs ×rest) → (admitted table, rollback table, stats)."""
         cfg = self.cfg
         if reset_sizes:
-            self.shard_add = {}
+            self.shard_add[:] = 0
         chunks = refs[:n_chunks]
         p1s = refs[n_chunks : n_chunks + n_hosts]
         p2s = refs[n_chunks + n_hosts :]
@@ -207,9 +207,11 @@ class _Sequencer:
             cand["pos"].to_numpy(zero_copy_only=False),
         )
         ok1 = np.zeros(len(cand), bool)
-        sizes: dict[int, int] = {}
+        # per-shard room under the cap: each host actor's sizes cover
+        # the shards it owns, zeros elsewhere
+        room = cfg.max_frontier_per_shard - self.shard_add
         for chain, sz in p1s:
-            sizes.update(sz)
+            room -= sz
             if len(chain):
                 ck = _order_keys(
                     chain["fetch_seq"].to_numpy(zero_copy_only=False),
@@ -231,31 +233,18 @@ class _Sequencer:
             return _empty_admitted(), _EMPTY_RB, stats
         sub2 = cand.take(pa.array(surv2))
         shard2 = sub2["shard"].to_numpy(zero_copy_only=False)
-        keep = np.ones(len(sub2), bool)
-        room = {
-            s: max(
-                0,
-                cfg.max_frontier_per_shard
-                - sizes.get(s, 0)
-                - self.shard_add.get(s, 0),
-            )
-            for s in set(shard2.tolist())
-        }
-        if any(r < len(sub2) for r in room.values()):  # cap can bind → in-order scan
-            for i in range(len(sub2)):
-                s = int(shard2[i])
-                if room[s] <= 0:
-                    keep[i] = False
-                else:
-                    room[s] -= 1
-        if cfg.max_crawl_urls < (1 << 40):  # budget can bind
-            # phase-2 counts include every insert of this wave; discount
-            # the cap-rejected ones (rolled back) before the budget check
-            over = (total_seen - int((~keep).sum())) - cfg.max_crawl_urls
-            if over > 0:
-                kept_idx = np.nonzero(keep)[0]
-                for i in kept_idx[::-1][:over]:
-                    keep[i] = False
+        # shard cap: a survivor is kept iff its in-order rank within its
+        # shard is below the shard's room
+        o = np.argsort(shard2, kind="stable")
+        rank = np.empty(len(sub2), np.int64)
+        rank[o] = _runs(shard2[o])[1]
+        keep = rank < room[shard2]
+        # budget: phase-2 counts include every insert of this wave;
+        # discount the cap-rejected ones (rolled back), then drop the
+        # last ``over`` kept survivors
+        over = total_seen - int((~keep).sum()) - cfg.max_crawl_urls
+        if over > 0:
+            keep[np.flatnonzero(keep)[-over:]] = False
         rollback = np.nonzero(~keep)[0]
         stats["rejected_cap_budget"] = len(rollback)
         rb_tbl = (
@@ -273,10 +262,9 @@ class _Sequencer:
         self.enqueue_seq += len(final)
         final = final.append_column("enqueue_seq", pa.array(seqs))
         stats["admitted"] = len(final)
-        fshard = final["shard"].to_numpy(zero_copy_only=False)
-        uniq, cnts = np.unique(fshard, return_counts=True)
-        for s, c in zip(uniq.tolist(), cnts.tolist()):
-            self.shard_add[s] = self.shard_add.get(s, 0) + c
+        self.shard_add += np.bincount(
+            final["shard"].to_numpy(zero_copy_only=False), minlength=cfg.shard_count
+        )
         return final, rb_tbl, stats
 
 

@@ -11,9 +11,9 @@ Correctness note (SURVEY.md §7.5#7): a filter positive may be a false
 positive (~2^-13 per probe).  ``SeenShard`` therefore pairs the filter
 with an exact store and resolves filter-positives against it, so the
 engine's seen-set is *exact* (golden-oracle-equal) while the filter
-serves the fast vectorized negative path.  At 10^10 scale the exact
-store is the versioned frontier/content log itself; here it is an in-RAM
-uint64 set, checkpointed alongside the filter.
+serves the fast vectorized negative path.  Here the exact store is an
+in-RAM uint64 set, checkpointed alongside the filter; at 10^10 scale it
+belongs in the sorted on-disk runs of ROADMAP item 7 step 3.
 
 Deterministic: no wall-clock, eviction choice driven by an internal
 LCG that serializes with the filter, so checkpoint/restore round-trips

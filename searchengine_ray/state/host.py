@@ -1,14 +1,23 @@
-"""Host-shard state: frontier shards + politeness clocks + host health.
+"""Host-shard state: frontier shards + one host table.
 
 One ``HostShards`` instance owns a *set* of collision-domain shards
 (the reference's pending DBs, ``SearchEngine.h:449-513``) plus all
-per-host mutable state whose serialization order matters:
+per-host mutable state whose serialization order matters, kept beside
+the shards as the reference keeps it.  That state is ONE host table
+(``HOSTSTATE_SCHEMA``): a sorted ``host_hash`` array with a value
+column each for
 
-* politeness clocks (``hostLastTime``/``nextDownloadTime``,
-  ``SearchEngine.cpp:731-761``) — logical ms, token-bucket style,
-* bad-host fail counters (``m_badHosts``, ``SearchEngine.cpp:575-604``),
-* per-host candidate quota (``m_hostsCount``, ``SearchEngine.h:746-756``),
-* robots rules (north-rule addition; resolved from the web store).
+* ``next_time``, the politeness clock (``hostLastTime``/
+  ``nextDownloadTime``, ``SearchEngine.cpp:731-761``) — logical ms,
+* ``fail_count``, the bad-host fail counter (``m_badHosts``,
+  ``SearchEngine.cpp:575-604``),
+* ``cand_count``, the per-host candidate quota (``m_hostsCount``,
+  ``SearchEngine.h:746-756``).
+
+``_rows`` finds hosts' rows by ``searchsorted`` and inserts absent
+hosts with zeroed values (a zero clock, fail count or quota equals no
+record); every method goes through it.  Robots rules (north-rule
+addition) are read from the web store.
 
 Every host maps to exactly one collision shard
 (``hostCollisionHash % shard_count``, ``SearchEngine.h:759``) and every
@@ -25,14 +34,20 @@ numbers admissions in submission order and actor-mailbox FIFO delivers
 them in that order, so the concatenation stays seq-sorted.
 
 Dequeue is closed form.  For host h with queued seqs q_0 < q_1 < …, let
-e_h = max(t0, host_next[h]); its candidate keys are
+e_h = max(t0, next_time[h]); its candidate keys are
 (e_h + k·politeness_ms, q_k) for k < per_host_epoch_cap.  Each shard
 takes its per_shard_batch smallest keys, the epoch order is the picks
-sorted by key, and host_next[h] becomes h's last pick's t + politeness.
+sorted by key, and next_time[h] becomes h's last pick's t + politeness.
 Proof: the oracle's greedy scan (``pipelines/oracle.py``) advances its
 clock only when no host is eligible, so every pick lands exactly at its
 host's eligibility time, and among eligible hosts it takes the lowest
 seq — it emits picks in (eligibility time, seq) order.
+
+The quota is closed form too.  A candidate that passes robots, with
+rank r among its host's passing candidates in this call (in global
+order), is ok iff cand_count[h] + r < max_urls_per_host; the host's
+count then grows by its number of ok candidates, as the reference's
+filterURL increments per candidate it lets through.
 
 Determinism contract: the dequeue and the admission phases are
 pure functions of (owned state, sorted input batch) — results are
@@ -86,7 +101,6 @@ HOSTSTATE_SCHEMA = pa.schema(
         ("next_time", pa.int64()),
         ("fail_count", pa.int32()),
         ("cand_count", pa.int64()),
-        ("dns_addr", pa.int64()),
     ]
 )
 
@@ -106,13 +120,10 @@ class HostShards:
         self._owned = np.asarray(self.shard_ids, np.int32)
         self.frontier = FRONTIER_SCHEMA.empty_table()
         self._pending: list[pa.Table] = []  # appended, not yet merged
-        self.host_next: dict[int, int] = {}
-        self.host_fail: dict[int, int] = {}
-        self.host_cand: dict[int, int] = {}
-        # positive DNS cache (m_okHosts, SearchEngine.h:526 — host md5 →
-        # IPv4): first successful connect caches a synthetic address so
-        # later fetches skip resolution; checkpointed named state
-        self.host_dns: dict[int, int] = {}
+        # the host table: HOSTSTATE_SCHEMA's columns, sorted by host_hash
+        self.hosts = {
+            f.name: np.zeros(0, f.type.to_pandas_dtype()) for f in HOSTSTATE_SCHEMA
+        }
         self.store = store
         # shard sizes as of the LAST dequeue (pre-this-epoch-appends):
         # phase1 piggybacks THIS to the sequencer so cap math stays
@@ -120,11 +131,27 @@ class HostShards:
         # (the sequencer's own shard_add covers the current epoch)
         self._size_snapshot = self._shard_sizes()
 
-    def _shard_sizes(self) -> dict[int, int]:
-        counts = np.bincount(
+    def _shard_sizes(self) -> np.ndarray:
+        """Queued URLs per shard, ``shard_count`` long (0 for shards
+        another instance owns)."""
+        return np.bincount(
             self.frontier["shard"].to_numpy(), minlength=self.cfg.shard_count
         )
-        return {s: int(counts[s]) for s in self.shard_ids}
+
+    def _rows(self, hh: np.ndarray) -> np.ndarray:
+        """The host-table row of each host hash in ``hh``; absent hosts
+        are inserted first, with zeroed values."""
+        t = self.hosts
+        pos = np.searchsorted(t["host_hash"], hh)
+        absent = pos == len(t["host_hash"])
+        absent[~absent] = t["host_hash"][pos[~absent]] != hh[~absent]
+        if absent.any():
+            new = np.unique(hh[absent])
+            at = np.searchsorted(t["host_hash"], new)
+            for c, col in t.items():
+                t[c] = np.insert(col, at, new if c == "host_hash" else 0)
+            pos = np.searchsorted(t["host_hash"], hh)
+        return pos
 
     def _merged(self) -> pa.Table:
         """The frontier with every queued append merged in."""
@@ -179,23 +206,22 @@ class HostShards:
         # stable sort by host keeps each host's queue in seq order
         by_host = np.argsort(hh, kind="stable")
         host_run, k = _runs(hh[by_host])
-        nxt = self.host_next
-        heads = hh[by_host[k == 0]].tolist()
-        e = np.fromiter((max(t0, nxt.get(h, t0)) for h in heads), np.int64)
+        heads = self._rows(hh[by_host[k == 0]])  # each run's host row
+        next_time = self.hosts["next_time"]
+        e = np.maximum(t0, next_time[heads])
         live = k < cfg.per_host_epoch_cap
-        rows = by_host[live]
-        t = e[host_run[live]] + k[live] * cfg.politeness_ms
+        rows, run = by_host[live], host_run[live]
+        t = e[run] + k[live] * cfg.politeness_ms
         seq = fr["enqueue_seq"].to_numpy()[rows]
         shard = fr["shard"].to_numpy()[rows]
         # each shard's per_shard_batch smallest (t, seq) keys
         o = np.lexsort((seq, t, shard))
         o = o[_runs(shard[o])[1] < cfg.per_shard_batch]
         o = o[np.lexsort((seq[o], t[o]))]  # epoch order
-        rows, t = rows[o], t[o]
-        # ascending t per host: each host's last pick wins
-        self.host_next.update(
-            zip(hh[rows].tolist(), (t + cfg.politeness_ms).tolist())
-        )
+        rows, run, t = rows[o], run[o], t[o]
+        # each host's clock: its last pick's t + politeness, and that
+        # pick has the host's largest t
+        np.maximum.at(next_time, heads[run], t + cfg.politeness_ms)
         keep = np.ones(len(fr), bool)
         keep[rows] = False
         self.frontier = fr.filter(pa.array(keep))
@@ -212,15 +238,17 @@ class HostShards:
         budget-surviving subset in global order restricted to my hosts
         (per-host order, the only one the fail-counter walk needs, is
         preserved).  Store lookups and outcome classification are fully
-        vectorized; the order-sensitive fail-counter walk runs ONLY
-        over picks of hosts that have a failure event in this batch or
-        prior fails on record — per-host state means the walk for
-        those hosts is independent of the (vectorized) rest."""
+        vectorized; the order-sensitive fail-counter walk, which decides
+        only the bad-host gate, runs ONLY over picks of hosts that have
+        a failure event in this batch or prior fails on record —
+        per-host state means the walk for those hosts is independent of
+        the (vectorized) rest."""
         n = len(sel)
         if n == 0:
             return PICKS_SCHEMA.empty_table()
         uh = sel["url_hash"].to_numpy()
-        hh = sel["host_hash"].to_numpy()
+        hrow = self._rows(sel["host_hash"].to_numpy())
+        fail = self.hosts["fail_count"]
         srows = self.store.lookup(uh)
         known = srows >= 0
         status = np.full(n, -999, np.int32)
@@ -233,77 +261,48 @@ class HostShards:
         red_status[red_ok] = self.store.status[redirect[red_ok]]
         cfg = self.cfg
 
+        # each pick's outcome if the bad-host gate lets it through: a
+        # pure function of store status
+        timeout = known & (status == synth.STATUS_TIMEOUT)
+        outcome = np.full(n, OUT_CONNECT_FAIL, np.int8)
+        content_row = np.full(n, -1, np.int64)
+        outcome[timeout] = OUT_TIMEOUT
+        outcome[known & (status == synth.STATUS_NOTFOUND)] = OUT_NOTFOUND
+        outcome[red] = OUT_REDIRECT_FAIL
+        m = red & (red_status == synth.STATUS_OK)
+        outcome[m] = OUT_OK
+        content_row[m] = redirect[m]
+        m = known & (status == synth.STATUS_OK)
+        outcome[m] = OUT_OK
+        content_row[m] = srows[m]
+
         # picks that need the sequential fail-counter walk: a host's
         # fails can first become nonzero at its FIRST bad event in this
         # batch (or at entry, if it carries prior fails) — every pick of
-        # a bad host BEFORE that position provably sees fails == 0 and
-        # resolves on the fast path
-        timeout = known & (status == synth.STATUS_TIMEOUT)
-        bad_event = (~known) | timeout
-        walk = np.zeros(n, bool)
-        if bad_event.any():
-            pos_bad = np.nonzero(bad_event)[0]
-            first_bad: dict[int, int] = {}
-            for p in pos_bad[::-1]:
-                first_bad[int(hh[p])] = int(p)
-            bh = np.fromiter(first_bad.keys(), np.uint64, len(first_bad))
-            th = np.fromiter(first_bad.values(), np.int64, len(first_bad))
-            bo = np.argsort(bh)
-            bh, th = bh[bo], th[bo]
-            pos = np.searchsorted(bh, hh)
-            hit = (pos < len(bh)) & (bh[np.minimum(pos, len(bh) - 1)] == hh)
-            walk[hit] = np.arange(n)[hit] >= th[pos[hit]]
-        if self.host_fail:
-            pf = np.fromiter(self.host_fail.keys(), np.uint64, len(self.host_fail))
-            walk |= np.isin(hh, pf)
-        fast = ~walk
-
-        outcome = np.empty(n, np.int8)
-        content_row = np.full(n, -1, np.int64)
-        # fast path: every pick connected, zero prior fails — outcomes
-        # are a pure function of store status
-        m = fast & known & (status == synth.STATUS_NOTFOUND)
-        outcome[m] = OUT_NOTFOUND
-        m = fast & red
-        mo = m & (red_status == synth.STATUS_OK)
-        outcome[mo] = OUT_OK
-        content_row[mo] = redirect[mo]
-        outcome[m & ~mo] = OUT_REDIRECT_FAIL
-        m = fast & known & (status == synth.STATUS_OK)
-        outcome[m] = OUT_OK
-        content_row[m] = srows[m]
-        # fast picks all connected: cache each new host's address
-        for u in np.unique(hh[fast]).tolist():
-            self.host_dns.setdefault(u, u & 0xFFFFFFFF)
-
-        # sequential walk for the (rare) failure-involved hosts, in
-        # original pick order
-        for i in np.nonzero(walk)[0]:
-            h = int(uh[i])
-            hhi = int(hh[i])
-            fails = self.host_fail.get(hhi, 0)
-            if fails > cfg.max_host_fails and (h % 10) != 0:
-                oc, cr = OUT_SKIP_BADHOST, -1
-            elif not known[i]:
-                self.host_fail[hhi] = fails + 1
-                oc, cr = OUT_CONNECT_FAIL, -1
-            elif status[i] == synth.STATUS_TIMEOUT:
-                self.host_fail[hhi] = fails + 1
-                oc, cr = OUT_TIMEOUT, -1
+        # a bad host BEFORE that position provably sees fails == 0, so
+        # the gate passes it and its outcome stands
+        bad = ~known | timeout
+        pos_bad = np.flatnonzero(bad)
+        walk = fail[hrow] > 0
+        if len(pos_bad):
+            bad_rows, first = np.unique(hrow[pos_bad], return_index=True)
+            b = np.minimum(np.searchsorted(bad_rows, hrow), len(bad_rows) - 1)
+            walk |= (bad_rows[b] == hrow) & (np.arange(n) >= pos_bad[first][b])
+        # the walk, in original pick order: the gate skips a pick of a
+        # host past max_host_fails (but for a deterministic 10% retry);
+        # a bad event counts a fail, any other connect resets the count
+        wi = np.flatnonzero(walk)
+        skip = np.zeros(n, bool)
+        for i, r, h, bd in zip(
+            wi.tolist(), hrow[wi].tolist(), uh[wi].tolist(), bad[wi].tolist()
+        ):
+            fails = int(fail[r])
+            if fails > cfg.max_host_fails and h % 10 != 0:
+                skip[i] = True
             else:
-                self.host_fail.pop(hhi, None)
-                self.host_dns.setdefault(hhi, hhi & 0xFFFFFFFF)
-                if status[i] == synth.STATUS_NOTFOUND:
-                    oc, cr = OUT_NOTFOUND, -1
-                elif status[i] == synth.STATUS_REDIRECT:
-                    if red_status[i] != synth.STATUS_OK:
-                        oc, cr = OUT_REDIRECT_FAIL, -1
-                    else:
-                        oc, cr = OUT_OK, int(redirect[i])
-                else:
-                    oc, cr = OUT_OK, int(srows[i])
-            outcome[i] = oc
-            content_row[i] = cr
+                fail[r] = fails + 1 if bd else 0
+        outcome[skip] = OUT_SKIP_BADHOST
+        content_row[skip] = -1
         return sel.append_column("content_row", pa.array(content_row)).append_column(
             "outcome", pa.array(outcome)
         )
@@ -336,51 +335,41 @@ class HostShards:
                     "ok": pa.array([], pa.bool_()),
                 }
             )
-            return empty, dict(self._size_snapshot)
-        return self._phase1(cand), dict(self._size_snapshot)
+            return empty, self._size_snapshot
+        return self._phase1(cand), self._size_snapshot
 
     def _phase1(self, cand: pa.Table) -> pa.Table:
         """robots + per-host quota for THIS actor's shards.
 
-        ``cand`` must arrive sorted by global candidate order; quota
-        counters increment per candidate that passes robots, matching
-        the reference's filterURL side effect (SearchEngine.h:746-756).
+        ``cand`` must arrive sorted by global candidate order; the quota
+        is the module docstring's closed form over the candidates that
+        pass robots, matching the reference's filterURL side effect
+        (SearchEngine.h:746-756).
         """
         hhs = cand["host_hash"].to_numpy(zero_copy_only=False)
         uhs = cand["url_hash"].to_numpy(zero_copy_only=False)
         rows = self.store.lookup(uhs)
-        n = len(cand)
-        ok = np.ones(n, bool)
         known = rows >= 0
-        robots_bad = np.zeros(n, bool)
-        robots_bad[known] = self.store.robots_blocked[rows[known]]
-        ok[robots_bad] = False
-        # quota fast path: hosts whose counter + batch contribution stays
-        # below the cap take a bulk dict update; only cap-straddling
-        # hosts fall back to the per-row in-order scan
-        cap = self.cfg.max_urls_per_host
-        passing = ~robots_bad
-        uniq, counts = np.unique(hhs[passing], return_counts=True)
-        slow_hosts = set()
-        for hh, c in zip(uniq.tolist(), counts.tolist()):
-            base = self.host_cand.get(hh, 0)
-            if base + c <= cap:
-                self.host_cand[hh] = base + c
-            else:
-                slow_hosts.add(hh)
-        if slow_hosts:
-            for i in np.nonzero(passing)[0]:
-                hh = int(hhs[i])
-                if hh not in slow_hosts:
-                    continue
-                c = self.host_cand.get(hh, 0)
-                if c >= cap:
-                    ok[i] = False
-                else:
-                    self.host_cand[hh] = c + 1
+        passing = np.ones(len(cand), bool)
+        passing[known] = ~self.store.robots_blocked[rows[known]]
+        idx = np.flatnonzero(passing)
+        ph = hhs[idx]
+        o = np.argsort(ph)  # by host, ties in any order
+        host_run, k = _runs(ph[o])
+        hrow = self._rows(ph[o][k == 0])  # each run's host row
+        # each host's candidates back in global order (run, then index;
+        # one plain sort, cheaper than a stable argsort), and their
+        # ranks in that order
+        run, at = np.divmod(np.sort(host_run * len(ph) + o), len(ph))
+        rank = _runs(run)[1]
+        cand_count = self.hosts["cand_count"]
+        quota_ok = cand_count[hrow[run]] + rank < self.cfg.max_urls_per_host
+        cand_count[hrow] += np.bincount(run[quota_ok], minlength=len(hrow))
+        ok = np.zeros(len(cand), bool)
+        ok[idx[at[quota_ok]]] = True
         # slim chain table: what every seen actor and the sequencer
         # deserialize — keys + verdict only, no strings
-        chain = pa.table(
+        return pa.table(
             {
                 "fetch_seq": cand["fetch_seq"],
                 "pos": cand["pos"],
@@ -388,25 +377,14 @@ class HostShards:
                 "ok": pa.array(ok),
             }
         )
-        return chain
 
     # --------------------------------------------------------- checkpoint
     def snapshot(self) -> tuple[pa.Table, pa.Table]:
-        """→ (frontier in enqueue_seq order, per-host state)."""
-        hosts_all = sorted(
-            set(self.host_next)
-            | set(self.host_fail)
-            | set(self.host_cand)
-            | set(self.host_dns)
-        )
-        hstate = {
-            "host_hash": hosts_all,
-            "next_time": [self.host_next.get(k, 0) for k in hosts_all],
-            "fail_count": [self.host_fail.get(k, 0) for k in hosts_all],
-            "cand_count": [self.host_cand.get(k, 0) for k in hosts_all],
-            "dns_addr": [self.host_dns.get(k, -1) for k in hosts_all],
-        }
-        return self._merged(), pa.table(hstate, schema=HOSTSTATE_SCHEMA)
+        """→ (frontier in enqueue_seq order, host table).  The host
+        columns are copied: later in-place updates must not reach a
+        snapshot."""
+        hosts = {c: col.copy() for c, col in self.hosts.items()}
+        return self._merged(), pa.table(hosts, schema=HOSTSTATE_SCHEMA)
 
     def restore(self, frontier: pa.Table, hoststate: pa.Table) -> None:
         self.frontier = (
@@ -416,14 +394,6 @@ class HostShards:
         )
         self._pending = []
         self._size_snapshot = self._shard_sizes()
-        hosts = hoststate["host_hash"].to_pylist()
-
-        def per_host(col: str, keep) -> dict[int, int]:
-            return {h: v for h, v in zip(hosts, hoststate[col].to_pylist()) if keep(v)}
-
-        # a zero clock, fail count or quota equals an absent one
-        self.host_next = per_host("next_time", bool)
-        self.host_fail = per_host("fail_count", bool)
-        self.host_cand = per_host("cand_count", bool)
-        if "dns_addr" in hoststate.column_names:
-            self.host_dns = per_host("dns_addr", lambda v: v >= 0)
+        # named columns only: a checkpoint may carry more (dns_addr)
+        hs = hoststate.select(HOSTSTATE_SCHEMA.names).sort_by("host_hash")
+        self.hosts = {c: hs[c].to_numpy().copy() for c in HOSTSTATE_SCHEMA.names}

@@ -17,11 +17,11 @@ class ObjectRef:
         self.value = value
 
 
-def _resolve(args, kwargs):
+def _call(fn, args, kwargs):
     def r(a):
         return a.value if isinstance(a, ObjectRef) else a
 
-    return [r(a) for a in args], {k: r(v) for k, v in kwargs.items()}
+    return fn(*map(r, args), **{k: r(v) for k, v in kwargs.items()})
 
 
 def put(value) -> ObjectRef:
@@ -48,8 +48,7 @@ class _Method:
         return _Method(self.fn, num_returns)
 
     def remote(self, *args, **kwargs):
-        args, kwargs = _resolve(args, kwargs)
-        out = self.fn(*args, **kwargs)
+        out = _call(self.fn, args, kwargs)
         if self.num_returns == 1:
             return ObjectRef(out)
         return [ObjectRef(o) for o in out]
@@ -70,8 +69,7 @@ class _ActorClass:
         self.cls = cls
 
     def remote(self, *args, **kwargs):
-        args, kwargs = _resolve(args, kwargs)
-        return _Handle(self.cls(*args, **kwargs))
+        return _Handle(_call(self.cls, args, kwargs))
 
 
 def remote(*args, **_options):

@@ -143,44 +143,6 @@ def test_max_fetches_midepoch_state_conformance(ray_session, small_world, tmp_pa
     assert fails == st.host_fail
 
 
-def test_dns_cache_populated_and_checkpointed(ray_session, small_world, tmp_path):
-    """m_okHosts analog (SearchEngine.h:526): hosts that connected
-    successfully get a cached address; the cache survives snapshot →
-    restore."""
-    import ray
-
-    from searchengine_ray.pipelines.crawl import RemoteCrawl
-    from searchengine_ray.state.host import HostShards
-
-    images, truth, store, seeds = small_world
-    cfg = CrawlConfig(shard_count=6, per_shard_batch=40, seen_shards=3)
-    eng = RemoteCrawl(
-        store, images, truth, cfg=cfg, out_dir=str(tmp_path / "dns"),
-        n_host_actors=2, n_fetch_actors=2,
-    )
-    eng.admit_seeds(seeds)
-    eng.run(max_epochs=3)
-    snaps = ray.get([a.snapshot.remote() for a in eng.host_actors])
-    dns = {}
-    for _, hs in snaps:
-        for hh, addr in zip(
-            hs["host_hash"].to_pylist(), hs["dns_addr"].to_pylist()
-        ):
-            if addr >= 0:
-                dns[hh] = addr
-    assert dns, "no DNS cache entries after a successful crawl"
-    # restore round-trips the cache
-    h2 = HostShards(cfg, [0, 2, 4], store)
-    fr, hs = snaps[0]
-    h2.restore(fr, hs)
-    want = {
-        hh: a
-        for hh, a in zip(hs["host_hash"].to_pylist(), hs["dns_addr"].to_pylist())
-        if a >= 0
-    }
-    assert h2.host_dns == want
-
-
 def test_crawl_starts_only_its_actors_and_kills_them(
     ray_session, small_world, tmp_path
 ):

@@ -1,7 +1,8 @@
 """``HostShards``' columnar frontier without Ray: the closed-form dequeue
 equals the oracle's greedy scan (``_OracleState.dequeue_epoch``, the
 independent spec) on random frontiers, also across a snapshot → restore
-round trip, and the frontier holds no Python object per URL.  The
+round trip, the frontier holds no Python object per URL and the host
+table no Python object per host.  The
 admission phases (host robots + quota, then the seen shards'
 ``test_and_add`` with the sequencer's rollbacks) equal a plain Python
 set walk."""
@@ -14,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 
 from searchengine_ray.pipelines.oracle import CrawlConfig, _OracleState
-from searchengine_ray.state.host import FRONTIER_SCHEMA, HostShards
+from searchengine_ray.state.host import FRONTIER_SCHEMA, HOSTSTATE_SCHEMA, HostShards
 
 N_OWNERS = 2  # shard s belongs to instance s % N_OWNERS
 
@@ -62,7 +63,10 @@ def _dequeue_both(oracle, owners, epoch):
     assert got == want
     host_next = {}
     for hs in owners:
-        host_next.update(hs.host_next)
+        hstate = hs.snapshot()[1]
+        host_next.update(
+            zip(hstate["host_hash"].to_pylist(), hstate["next_time"].to_pylist())
+        )
 
     def nonzero(d):
         return {k: v for k, v in d.items() if v}
@@ -70,10 +74,25 @@ def _dequeue_both(oracle, owners, epoch):
     assert nonzero(host_next) == nonzero(oracle.host_next)
 
 
-def _restored(cfg, owners):
+def _clocks(host_next: dict) -> pa.Table:
+    """A host table holding politeness clocks only."""
+    hh = sorted(host_next)
+    zeros = [0] * len(hh)
+    return pa.table(
+        [hh, [host_next[h] for h in hh], zeros, zeros], schema=HOSTSTATE_SCHEMA
+    )
+
+
+def _restored(cfg, owners, dns_addr=False):
+    """Fresh instances restored from the owners' snapshots; with
+    ``dns_addr``, from host tables that still carry that column, as a
+    checkpoint written by an engine that kept a DNS cache does."""
     fresh = []
     for hs in owners:
         fr, hstate = hs.snapshot()
+        if dns_addr:
+            addr = hstate["host_hash"].to_numpy() & np.uint64(0xFFFFFFFF)
+            hstate = hstate.append_column("dns_addr", pa.array(addr.astype(np.int64)))
         h2 = HostShards(cfg, hs.shard_ids, None)
         h2.restore(fr, hstate)
         fresh.append(h2)
@@ -110,9 +129,9 @@ def test_dequeue_matches_oracle_scan():
         owners = []
         for a in range(N_OWNERS):
             hs = HostShards(cfg, range(a, cfg.shard_count, N_OWNERS), None)
-            hs.host_next = {
-                hh: t for hh, t in prior.items() if shard_of[hh] % N_OWNERS == a
-            }
+            hs.restore(FRONTIER_SCHEMA.empty_table(), _clocks(
+                {hh: t for hh, t in prior.items() if shard_of[hh] % N_OWNERS == a}
+            ))
             owners.append(hs)
         first = _entries(rng, hosts, 0, rng.randint(0, 90))
         _append(oracle, owners, first, rng)
@@ -121,7 +140,7 @@ def test_dequeue_matches_oracle_scan():
         # appends queued behind the picks survive snapshot → restore
         more = _entries(rng, hosts, len(first), rng.randint(0, 40))
         _append(oracle, owners, more, rng)
-        owners = _restored(cfg, owners)
+        owners = _restored(cfg, owners, dns_addr=case % 2 == 1)
         _dequeue_both(oracle, owners, epoch + rng.randint(1, 3))
         left = sorted(e[0] for q in oracle.frontier.values() for e in q)
         assert sorted(
@@ -163,6 +182,52 @@ def test_frontier_python_heap_per_url():
         tracemalloc.stop()
     assert len(hs.snapshot()[0]) == n - 3 * 8 * CrawlConfig().per_shard_batch
     assert grown / n < 16, f"{grown / n:.1f} B/URL on the Python heap"
+
+
+class _NoRobots:
+    """A web store that knows no URL: every candidate passes robots."""
+
+    robots_blocked = np.zeros(0, bool)
+
+    def lookup(self, uh):
+        return np.full(len(uh), -1, np.int64)
+
+
+def test_host_state_heap_per_host():
+    """~100k distinct hosts through phase 1 (robots + quota) and one
+    dequeue that picks every host: the host state (clock and quota set
+    for each) grows the Python heap by at most 64 B per host."""
+    n = 100_000
+    seq = np.arange(n, dtype=np.int64)
+    hh = (seq.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    text = pa.array(["h.jp"] * n)
+    cand = pa.table(
+        {
+            "fetch_seq": pa.array(seq),
+            "pos": pa.array(np.zeros(n, np.int32)),
+            "url_hash": pa.array(~hh),
+            "host_hash": pa.array(hh),
+            "shard": pa.array((seq % 8).astype(np.int32)),
+            "enqueue_seq": pa.array(seq),
+            "url": text,
+            "host": text,
+        }
+    )
+    hs = HostShards(CrawlConfig(shard_count=8, per_shard_batch=n), range(8), _NoRobots())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        chain, _ = hs.admit_phase1_chunks(cand)
+        hs.append_many(cand)
+        picked = len(hs.dequeue_select(0))
+        del chain
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert picked == n
+    assert grown / n <= 64, f"{grown / n:.1f} B/host on the Python heap"
 
 
 class _Store:
