@@ -6,9 +6,9 @@ Per epoch (SURVEY.md §7.0):
       → fetch/decode actor pool (payload, parallel, order-free) (data)
       → candidate prep: explode links → canonicalize → filter   (vector)
       → host actors: robots + quota (per-host order preserved)  (control)
-      → seen actors: cuckoo test_and_add (per-hash order)       (control)
+      → seen actors: cuckoo test (per-hash order)               (control)
       → sequencer actor: shard caps + budget + enqueue_seq      (control)
-      → host actors: frontier append                            (control)
+      → host actors: frontier append; seen actors: add admitted (control)
       → parquet: content / crawl order / metrics / checkpoint   (sink)
 
 ``RemoteCrawl`` runs the epoch loop in the caller's process, as the
@@ -16,16 +16,16 @@ reference's ``runCrawling`` does; it creates the host, seen, sequencer
 and fetch actors at once, submits each epoch to them and kills them at
 ``shutdown``.  The epoch-boundary chain is ladder → caller → fetch pool.
 Per epoch the caller blocks on exactly one thing, the dequeue
-picks (usually prefetched behind the previous epoch's appends).  It
-merges and sorts them, assigns ``fetch_seq``, queues every fetch chunk
+picks.  It merges and sorts them, assigns ``fetch_seq``, queues every fetch chunk
 upfront and groups the chunks into admission-ladder waves.  The ladder
 is a fully actor-chained DAG: candidate chunks flow fetch→host(phase1)
 →seen(phase2)→sequencer(phase3)→host(append) as plasma objects.
 Actor-mailbox FIFO gives the ordering the oracle semantics need:
 phase1(wave w+1) queues behind append(wave w) on each host actor, the
 next epoch's dequeue queues behind the last append, and each wave's
-seen-shard rollback is applied exactly once: pulled by the next wave's
-phase-2, or else by the epoch-end (or ``result()``) flush.  Content
+admitted table is added to the seen shards exactly once: pulled by the
+next wave's phase 2, or else by the checkpoint (or ``result()``) flush.
+Content
 metadata and epoch metrics are object refs resolved lazily, at
 ``result()`` or at the epoch's checkpoint write.
 The one branch is the fetch budget: when ``max_fetches`` can cut an
@@ -56,12 +56,12 @@ small epochs; content post-processing at scale (phash dedup, ANN,
 analytics) flows through Ray Data over the written content table
 (``pipelines/queries.py``).
 
-Ordering-edge notes vs the oracle (membership-equal, reason strings
-may differ): a shard-cap rejection happens before dedup in the oracle
-but after dedup here, so cap-rejected candidates are rolled back out
-of the seen filters (``SeenShard.remove``); within an epoch a later
-duplicate of a cap-rejected candidate reports ``dup`` here vs
-``shard_full`` there.
+The seen set only grows, as the oracle's does: phase 2 tests, and a
+URL enters the seen set only once the sequencer admits it, so a
+cap- or budget-rejected candidate never does.  One reason string
+differs from the oracle's: the dedup runs before the shard cap here, so
+a later duplicate within one wave of a cap-rejected candidate reports
+``dup`` here vs ``shard_full`` there.
 
 Reference lifecycle being reimplemented: ``runCrawling``
 (``SearchEngine.cpp:842-907``); admission ``Model::pushPending``
@@ -156,9 +156,6 @@ _STAT_KEYS = (
     "rejected_cap_budget",
 )
 
-_EMPTY_RB = pa.table({"url_hash": pa.array([], pa.uint64())})
-
-
 def _empty_admitted() -> pa.Table:
     cols = {k.name: pa.array([], k.type) for k in CAND_SCHEMA}
     cols["enqueue_seq"] = pa.array([], pa.int64())
@@ -189,7 +186,7 @@ class _Sequencer:
 
     def process(self, reset_sizes: bool, n_chunks: int, n_hosts: int, *refs):
         """(cand chunks ×n_chunks, phase1 outputs ×n_hosts, phase2
-        outputs ×rest) → (admitted table, rollback table, stats)."""
+        outputs ×rest) → (admitted table, stats)."""
         cfg = self.cfg
         if reset_sizes:
             self.shard_add[:] = 0
@@ -199,7 +196,7 @@ class _Sequencer:
         stats = dict.fromkeys(_STAT_KEYS, 0)
         cand_parts = [c for c in chunks if len(c)]
         if not cand_parts:
-            return _empty_admitted(), _EMPTY_RB, stats
+            return _empty_admitted(), stats
         cand = pa.concat_tables(cand_parts)  # ascending (fetch_seq, pos)
         stats["candidates"] = len(cand)
         keys = _order_keys(
@@ -221,16 +218,16 @@ class _Sequencer:
                     zero_copy_only=False
                 )
         new_full = np.zeros(len(cand), bool)
-        total_seen = 0
+        seen_before = 0
         for k2, mask, cnt in p2s:
-            total_seen += cnt
+            seen_before += cnt
             if len(k2):
                 new_full[np.searchsorted(keys, k2)] = mask
         stats["rejected_robots_quota"] = int((~ok1).sum())
         stats["rejected_dup"] = int(ok1.sum()) - int(new_full.sum())
         surv2 = np.nonzero(new_full)[0]
         if len(surv2) == 0:
-            return _empty_admitted(), _EMPTY_RB, stats
+            return _empty_admitted(), stats
         sub2 = cand.take(pa.array(surv2))
         shard2 = sub2["shard"].to_numpy(zero_copy_only=False)
         # shard cap: a survivor is kept iff its in-order rank within its
@@ -239,22 +236,14 @@ class _Sequencer:
         rank = np.empty(len(sub2), np.int64)
         rank[o] = _runs(shard2[o])[1]
         keep = rank < room[shard2]
-        # budget: phase-2 counts include every insert of this wave;
-        # discount the cap-rejected ones (rolled back), then drop the
-        # last ``over`` kept survivors
-        over = total_seen - int((~keep).sum()) - cfg.max_crawl_urls
+        # budget: drop the last ``over`` kept survivors
+        over = seen_before + int(keep.sum()) - cfg.max_crawl_urls
         if over > 0:
             keep[np.flatnonzero(keep)[-over:]] = False
-        rollback = np.nonzero(~keep)[0]
-        stats["rejected_cap_budget"] = len(rollback)
-        rb_tbl = (
-            pa.table({"url_hash": sub2.take(pa.array(rollback))["url_hash"]})
-            if len(rollback)
-            else _EMPTY_RB
-        )
         surv3 = np.nonzero(keep)[0]
+        stats["rejected_cap_budget"] = len(keep) - len(surv3)
         if len(surv3) == 0:
-            return _empty_admitted(), rb_tbl, stats
+            return _empty_admitted(), stats
         final = sub2.take(pa.array(surv3))
         seqs = np.arange(
             self.enqueue_seq, self.enqueue_seq + len(final), dtype=np.int64
@@ -265,7 +254,7 @@ class _Sequencer:
         self.shard_add += np.bincount(
             final["shard"].to_numpy(zero_copy_only=False), minlength=cfg.shard_count
         )
-        return final, rb_tbl, stats
+        return final, stats
 
 
 # fetch rounds per epoch (``_plan_chunks``)
@@ -382,10 +371,9 @@ class RemoteCrawl:
         self._order_parts: list[pa.Table] = []
         self._content_parts: list = []  # (metrics row, content refs) or tables
         self._metric_refs: list[dict] = []
-        self._pending_rb = None  # last wave's rollback table ref, unapplied
+        self._pending_adm = None  # last wave's admitted table ref, not yet seen
         self._append_refs: list = []
         self._unappended: list = []  # admitted-table refs awaiting append
-        self._prefetched: list | None = None  # next epoch's dequeue refs
         self._seed_stats_ref = None
         self._base_totals = (0, 0)  # (seen, picked) before a resume
 
@@ -426,7 +414,7 @@ class RemoteCrawl:
             self.ray.kill(a)
         self._content_parts, self._metric_refs = [], []
         self._append_refs, self._unappended = [], []
-        self._pending_rb = self._prefetched = self._seed_stats_ref = None
+        self._pending_adm = self._seed_stats_ref = None
 
     # ------------------------------------------------------------ seeding
     def admit_seeds(self, seeds: list[str]) -> None:
@@ -454,18 +442,18 @@ class RemoteCrawl:
     ):
         """Submit one wave's admission ladder — fetch candidate chunks
         (object refs or tables, in ascending fetch_seq order) chained
-        through phase1 (host actors) → phase2 (seen actors, pulling the
-        previous wave's rollback) → sequencer.  Pure submission; returns
-        the wave's stats ref."""
+        through phase1 (host actors) → phase2 (seen actors, adding the
+        previous wave's admitted URLs) → sequencer.  Pure submission;
+        returns the wave's stats ref."""
         p1 = [
             a.admit_phase1_chunks.remote(*cand_refs) for a in self.host_actors
         ]
         p2 = [
-            a.test_and_add_wave.remote(self._pending_rb, *p1)
+            a.test_and_add_wave.remote(self._pending_adm, *p1)
             for a in self.seen_actors
         ]
-        adm_ref, rb_new, stats_ref = self.seq_actor.process.options(
-            num_returns=3
+        adm_ref, stats_ref = self.seq_actor.process.options(
+            num_returns=2
         ).remote(first_of_epoch, len(cand_refs), len(p1), *cand_refs, *p1, *p2)
         # incremental appends: each wave's admitted table is appended as
         # soon as the sequencer emits it — waves 1..W-1 apply DURING the
@@ -473,7 +461,7 @@ class RemoteCrawl:
         # Cap math stays exact because phase1 piggybacks the
         # post-dequeue size SNAPSHOT, not live sizes.  The LAST wave of
         # an epoch defers instead: its admitted table rides INTO the
-        # prefetched append_and_dequeue (one actor-task hop less on the
+        # next epoch's append_and_dequeue (one actor-task hop less on the
         # boundary critical path).
         if defer_append:
             self._unappended.append(adm_ref)
@@ -481,7 +469,7 @@ class RemoteCrawl:
             self._append_refs.extend(
                 a.append_many.remote(adm_ref) for a in self.host_actors
             )
-        self._pending_rb = rb_new
+        self._pending_adm = adm_ref
         return stats_ref
 
     def _flush_appends(self) -> None:
@@ -495,13 +483,14 @@ class RemoteCrawl:
             )
             self._unappended = []
 
-    def _flush_rollback(self) -> None:
-        """Apply the last wave's pending seen-set rollback now (the next
-        wave's phase-2 pulls it otherwise) and clear it."""
-        if self._pending_rb is not None:
+    def _flush_seen(self) -> None:
+        """Add the last wave's admitted URLs to the seen shards now (the
+        next wave's phase 2 adds them otherwise); used by checkpoint
+        snapshots and result()."""
+        if self._pending_adm is not None:
             for a in self.seen_actors:
-                a.apply_rollback.remote(self._pending_rb)
-            self._pending_rb = None
+                a.add_admitted.remote(self._pending_adm)
+            self._pending_adm = None
 
     # -------------------------------------------------------------- epoch
     def _remaining(self) -> int | None:
@@ -532,8 +521,7 @@ class RemoteCrawl:
                 for k, a in enumerate(self.host_actors)
             ]
         else:
-            futs = self._prefetched or self._append_and_dequeue(epoch)
-            self._prefetched = None
+            futs = self._append_and_dequeue(epoch)
         return ray.get(futs)
 
     def _append_and_dequeue(self, epoch: int) -> list:
@@ -542,14 +530,13 @@ class RemoteCrawl:
         adm, self._unappended = self._unappended, []
         return [a.append_and_dequeue.remote(epoch, *adm) for a in self.host_actors]
 
-    def run_epoch(self, prefetch_next: bool = False) -> bool:
+    def run_epoch(self) -> bool:
         """One epoch; returns False when the crawl is finished.
 
-        Blocks on exactly one thing: the dequeue picks (prefetched
-        behind the previous epoch's appends when ``prefetch_next``
-        allowed it, so the get is usually instant).  The admission
-        ladder is an actor-chained DAG (module docstring); content
-        metadata refs resolve lazily at result() or the checkpoint."""
+        Blocks on exactly one thing: the dequeue picks, which queue
+        behind the previous epoch's appends.  The admission ladder is an
+        actor-chained DAG (module docstring); content metadata refs
+        resolve lazily at result() or the checkpoint."""
         ray = self.ray
         remaining = self._remaining()
         if remaining is not None and remaining <= 0:
@@ -608,7 +595,6 @@ class RemoteCrawl:
                         defer_append=(w0 + nf >= len(rets)),
                     )
                 )
-        self._flush_rollback()
         # metrics are refs resolved lazily at result(); seen/frontier
         # sizes are derived arithmetically there (seen == Σ admitted,
         # frontier == Σ admitted − Σ picked) — no per-epoch RPCs
@@ -618,14 +604,6 @@ class RemoteCrawl:
         self.epoch += 1
         if self.checkpoint:
             self.write_checkpoint()
-        if prefetch_next and not self._budget_cut(self._remaining()):
-            # prefetch the NEXT epoch's dequeue, carrying this epoch's
-            # deferred last-wave appends in the same task (one boundary
-            # hop): it queues behind this epoch's phase-1s (actor FIFO)
-            # and computes while the engine is between epochs.  After a
-            # checkpoint snapshot, so the snapshot sees appended but not
-            # yet dequeued state.
-            self._prefetched = self._append_and_dequeue(epoch + 1)
         return True
 
     def _resolve_content(self) -> None:
@@ -655,9 +633,11 @@ class RemoteCrawl:
 
     def run(self, max_epochs: int | None = None) -> EngineResult:
         self.warmup()
-        limit = max_epochs if max_epochs is not None else self.cfg.max_epochs
+        limit = self.cfg.max_epochs
+        if max_epochs is not None:
+            limit = min(limit, max_epochs)
         while self.epoch < limit:
-            if not self.run_epoch(prefetch_next=self.epoch + 1 < limit):
+            if not self.run_epoch():
                 break
         return self.result()
 
@@ -665,11 +645,10 @@ class RemoteCrawl:
         """Resolve the lazily-collected per-epoch metric refs.  The
         seen/frontier sizes derive arithmetically from the admission
         counters (seen == Σ admitted incl. seeds; frontier == seen −
-        Σ picked) — every admit inserted into the seen set survives
-        (rollbacks never count as admitted) and every pick permanently
-        leaves the frontier.  ``make_candidates`` drops static-filter
-        rejects before the ladder counts anything, so they are the
-        fetched pages' links minus the candidates."""
+        Σ picked) — exactly the admitted URLs enter the seen set, and
+        every pick permanently leaves the frontier.  ``make_candidates``
+        drops static-filter rejects before the ladder counts anything,
+        so they are the fetched pages' links minus the candidates."""
         ray = self.ray
         rows = []
         seen_cum, picked_cum = self._base_totals
@@ -699,9 +678,7 @@ class RemoteCrawl:
     def result(self) -> EngineResult:
         ray = self.ray
         self._flush_appends()  # frontier state complete for any later use
-        # a crawl that ends without a dequeue (e.g. every seed rolled
-        # back) still owes its last wave's rollback
-        self._flush_rollback()
+        self._flush_seen()  # seen set complete for dump_hashes below
         if self._append_refs:  # surface any admission-chain errors
             ray.get(self._append_refs)
             self._append_refs = []
@@ -727,6 +704,7 @@ class RemoteCrawl:
         rename; a crash leaves only the ``.tmp``, which resume skips."""
         ray = self.ray
         self._flush_appends()  # snapshots must include deferred appends
+        self._flush_seen()  # and the last wave's admitted URLs
         self._resolve_content()
         epoch = self.epoch  # state AFTER epoch-1 completed
         d = os.path.join(self.ckpt_dir, f"epoch={epoch}")
@@ -810,16 +788,16 @@ class _SeenActor:
         self.n_seen = n_seen
 
     def test_and_add_wave(
-        self, rb_tbl, *phase1_outputs
+        self, admitted, *phase1_outputs
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Chained phase 2: first apply the previous wave's pending
-        rollback (sequencer cap/budget rejections), then consume the
-        host actors' phase-1 chain OBJECTS directly (no driver hop),
-        restoring global candidate order from the (fetch_seq, pos) keys.
-        → (order keys, new-mask, post-insert count — piggybacked for the
+        """Chained phase 2: first add this shard's slice of the previous
+        wave's admitted table, then test the host actors' phase-1 chain
+        OBJECTS directly (no driver hop), in global candidate order
+        restored from the (fetch_seq, pos) keys.  → (order keys,
+        new-mask, member count before the test — piggybacked for the
         sequencer's budget check)."""
-        if rb_tbl is not None:
-            self.apply_rollback(rb_tbl)
+        if admitted is not None:
+            self.add_admitted(admitted)
         parts = []
         for chain, _sizes in phase1_outputs:
             if len(chain) == 0:
@@ -840,16 +818,13 @@ class _SeenActor:
         uh = np.concatenate([p[1] for p in parts])
         o = np.argsort(keys, kind="stable")
         keys, uh = keys[o], uh[o]
-        mask = self.shard.test_and_add(uh)
-        return keys, mask, len(self.shard)
+        return keys, self.shard.test(uh), len(self.shard)
 
-    def apply_rollback(self, rb_tbl: pa.Table) -> None:
-        """Un-see this shard's slice of a sequencer rollback (cap/budget
-        rejections).  The engine sends each rollback exactly once."""
-        uh = rb_tbl["url_hash"].to_numpy(zero_copy_only=False)
-        mine = uh[(uh % np.uint64(self.n_seen)).astype(np.int64) == self.k]
-        if len(mine):
-            self.shard.remove(mine)
+    def add_admitted(self, admitted: pa.Table) -> None:
+        """Mark this shard's slice of a sequencer-admitted table seen.
+        The engine sends each admitted table exactly once."""
+        uh = admitted["url_hash"].to_numpy(zero_copy_only=False)
+        self.shard.add(uh[(uh % np.uint64(self.n_seen)).astype(np.int64) == self.k])
 
     def mem_bytes(self) -> tuple[int, int]:
         """(resident bytes, member count) — cuckoo table + exact store.

@@ -219,8 +219,17 @@ def simulate(
     res = CrawlResult()
     for raw in seeds:
         st.admit(raw, store, res)
-    fetch_seq = 0
-    for epoch in range(cfg.max_epochs):
+    crawl_epochs(st, store, res)
+    return (res, st) if return_state else res
+
+
+def crawl_epochs(st: _OracleState, store: synth.WebStore, res: CrawlResult) -> None:
+    """Crawl ``st`` under ``st.cfg`` from epoch ``res.epochs`` on, as
+    ``simulate`` does after the seeds; calling it again after changing
+    ``st.cfg`` continues a stopped crawl under the new limits."""
+    cfg = st.cfg
+    fetch_seq = len(res.crawl_order)
+    for epoch in range(res.epochs, cfg.max_epochs):
         if all(not v for v in st.frontier.values()):
             break
         if cfg.max_fetches is not None and fetch_seq >= cfg.max_fetches:
@@ -241,4 +250,3 @@ def simulate(
             for raw in links:
                 st.admit(raw, store, res)
     res.seen = set(st.seen)
-    return (res, st) if return_state else res

@@ -139,23 +139,6 @@ class CuckooFilter:
                 )
             self.count += 1
 
-    def remove_batch(self, hashes: np.ndarray) -> None:
-        """Delete one fingerprint occurrence per hash (standard cuckoo
-        delete; caller guarantees the hash was inserted)."""
-        h = hashes.astype(np.uint64, copy=False)
-        fps = self._fingerprint(h)
-        i1s = self._index1(h)
-        i2s = self._alt_index(i1s, fps)
-        for k in range(len(h)):
-            fp = fps[k]
-            for idx in (int(i1s[k]), int(i2s[k])):
-                row = self.table[idx]
-                hit = np.nonzero(row == fp)[0]
-                if len(hit):
-                    row[hit[0]] = 0
-                    self.count -= 1
-                    break
-
     # -- serialization ---------------------------------------------------
     def to_state(self) -> dict:
         return {
@@ -183,17 +166,15 @@ class CuckooFilter:
 class SeenShard:
     """Exact seen-set for one shard: cuckoo fast path + exact store.
 
-    ``test_and_add`` is the only mutation: returns the NEW mask (True =
-    first sighting, now marked seen).  Within-batch duplicates resolve
-    to one True (first occurrence).
+    The set only grows: ``test`` returns the NEW mask (True = not a
+    member; within-batch duplicates resolve to one True, the first
+    occurrence) without mutating, and ``add`` is the only mutation.
 
     The exact store is a sorted uint64 array (~8 B/URL — beats the
     reference's ~40 B/URL hash-set triple, ``README.md:9`` 48 MB/1M
     pages) plus a small recent-insert set that merges into the array
     when it outgrows its bound.  Membership = one vectorized
-    ``np.searchsorted`` + a set probe for the unmerged tail; rollback
-    removals hit the recent set in practice (they arrive within a wave
-    or two of the insert).
+    ``np.searchsorted`` + a set probe for the unmerged tail.
     """
 
     def __init__(self, capacity: int = 1 << 16, seed: int = 0):
@@ -251,14 +232,14 @@ class SeenShard:
         if len(self._sorted):
             self.filter.add_batch(self._sorted)
 
-    def test_and_add(self, hashes: np.ndarray) -> np.ndarray:
+    def test(self, hashes: np.ndarray) -> np.ndarray:
+        """The NEW mask (True = not a member), with within-batch
+        duplicates resolved to their first occurrence; no mutation."""
         h = hashes.astype(np.uint64, copy=False)
-        n = len(h)
-        new_mask = np.zeros(n, bool)
-        if n == 0:
+        new_mask = np.zeros(len(h), bool)
+        if len(h) == 0:
             return new_mask
-        # within-batch dedup: keep first occurrence only (np.unique's
-        # return_index gives the first occurrence per value)
+        # np.unique's return_index gives the first occurrence per value
         uniq, first_idx = np.unique(h, return_index=True)
         maybe_seen = self.filter.contains_batch(uniq)
         # filter negative → definitely new; filter positive → resolve
@@ -267,50 +248,33 @@ class SeenShard:
         pos = np.nonzero(maybe_seen)[0]
         if len(pos):
             is_new[pos[~self._in_exact(uniq[pos])]] = True
-        new_vals = uniq[is_new]
-        if len(new_vals):
-            self._buf.update(new_vals.tolist())
-            self._maybe_merge()
-            f = self.filter
-            if f.count + len(new_vals) > f.nbuckets * f.BUCKET * 0.90:
-                self._rebuild(f.count + len(new_vals) * 2)  # includes new_vals
-            else:
-                try:
-                    f.add_batch(new_vals)
-                except RuntimeError:
-                    # kick-failure below the load limit (rare): the exact
-                    # store is authoritative, rebuild larger from it
-                    self._rebuild(len(self) * 2)
-            new_mask[first_idx[is_new]] = True
+        new_mask[first_idx[is_new]] = True
         return new_mask
 
-    def remove(self, hashes: np.ndarray) -> None:
-        """Un-see hashes (shard-cap rollback — see pipelines/crawl.py)."""
-        h = np.unique(hashes.astype(np.uint64, copy=False))
-        present = self._in_exact(h)
-        h = h[present]
-        if len(h) == 0:
+    def add(self, hashes: np.ndarray) -> None:
+        """Insert ``hashes``, distinct non-members (what ``test`` marked
+        new, or part of it), into the exact store and the filter."""
+        new_vals = hashes.astype(np.uint64, copy=False)
+        if len(new_vals) == 0:
             return
-        in_buf = np.array([int(v) in self._buf for v in h], bool)
-        for v in h[in_buf]:
-            self._buf.discard(int(v))
-        old = h[~in_buf]
-        if len(old):  # rare: rollback of an already-merged hash
-            self._sorted = self._sorted[~self._in_sorted_mask(old)]
-        self.filter.remove_batch(h)
+        self._buf.update(new_vals.tolist())
+        self._maybe_merge()
+        f = self.filter
+        if f.count + len(new_vals) > f.nbuckets * f.BUCKET * 0.90:
+            self._rebuild(f.count + len(new_vals) * 2)  # includes new_vals
+        else:
+            try:
+                f.add_batch(new_vals)
+            except RuntimeError:
+                # kick-failure below the load limit (rare): the exact
+                # store is authoritative, rebuild larger from it
+                self._rebuild(len(self) * 2)
 
-    def _in_sorted_mask(self, vals: np.ndarray) -> np.ndarray:
-        """Boolean mask over self._sorted for members of vals."""
-        return np.isin(self._sorted, vals, assume_unique=True)
-
-    def contains(self, hashes: np.ndarray) -> np.ndarray:
-        h = hashes.astype(np.uint64, copy=False)
-        maybe = self.filter.contains_batch(h)
-        out = np.zeros(len(h), bool)
-        pos = np.nonzero(maybe)[0]
-        if len(pos):
-            out[pos] = self._in_exact(h[pos])
-        return out
+    def test_and_add(self, hashes: np.ndarray) -> np.ndarray:
+        """``test``, then ``add`` what it marked new."""
+        new_mask = self.test(hashes)
+        self.add(hashes[new_mask])
+        return new_mask
 
     def nbytes(self) -> int:
         """Resident bytes of the exact store (bench probe).  Merges the

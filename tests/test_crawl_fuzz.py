@@ -2,10 +2,12 @@
 without Ray: ``tests/fakeray.py`` stands in for the Ray API, so each
 crawl costs milliseconds instead of seconds of actor start-up.  Each
 example draws a web, every ``CrawlConfig`` limit, the host-actor and
-seen-shard counts and an optional checkpoint + ``RemoteCrawl.resume``;
-crawl order and seen set must equal ``oracle.simulate``'s.  Ray's own
-ordering and serialization stay covered by the Ray suites."""
+seen-shard counts and an optional checkpoint + ``RemoteCrawl.resume``,
+which may raise ``max_fetches``; crawl order and seen set must equal
+the oracle's.  Ray's own ordering and serialization stay covered by the
+Ray suites."""
 
+import dataclasses
 import functools
 import sys
 import tempfile
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from searchengine_ray.pipelines.oracle import CrawlConfig, simulate
+from searchengine_ray.pipelines.oracle import CrawlConfig, crawl_epochs, simulate
 from searchengine_ray.sources import synth
 
 NO_LIMIT = CrawlConfig()
@@ -60,8 +62,38 @@ crawls = st.fixed_dictionaries(
         "n_host_actors": st.integers(1, 4),
         "n_fetch_actors": st.integers(1, 3),
         "checkpoint_epoch": st.one_of(st.none(), st.integers(1, 6)),
+        "first_fetches": st.one_of(st.none(), st.integers(0, 60)),
     }
 )
+
+
+def _first_cfg(crawl):
+    """The config a checkpointed crawl runs under until it stops:
+    ``max_fetches`` lowered to ``first_fetches`` when that is drawn,
+    so the resume under ``cfg`` raises it."""
+    cfg, k, first = crawl["cfg"], crawl["checkpoint_epoch"], crawl["first_fetches"]
+    if k is None or first is None:
+        return cfg
+    if cfg.max_fetches is not None:
+        first = min(first, cfg.max_fetches)
+    return dataclasses.replace(cfg, max_fetches=first)
+
+
+def _golden(crawl, store, seeds):
+    """The oracle's crawl.  A resume under a raised ``max_fetches``
+    continues the oracle state of the first run under the raised limit.
+    When the first limit cut an epoch short, that epoch's unfetched
+    picks are gone (the oracle's early break drops them), so only
+    otherwise is this ``simulate`` under the raised limit."""
+    cfg, k, first = crawl["cfg"], crawl["checkpoint_epoch"], _first_cfg(crawl)
+    if first is cfg:
+        return simulate(seeds, store, cfg)
+    first = dataclasses.replace(first, max_epochs=min(k, cfg.max_epochs))
+    res, state = simulate(seeds, store, first, return_state=True)
+    if res.epochs:  # else nothing was committed and there is no resume
+        state.cfg = cfg
+        crawl_epochs(state, store, res)
+    return res
 
 
 def _crawl(crawl, store, seeds, out_dir):
@@ -72,12 +104,12 @@ def _crawl(crawl, store, seeds, out_dir):
     actors = dict(
         n_host_actors=crawl["n_host_actors"], n_fetch_actors=crawl["n_fetch_actors"]
     )
-    eng = RemoteCrawl(store, images, truth, cfg, out_dir, checkpoint=k is not None,
-                      write_payload=False, **actors)
+    eng = RemoteCrawl(store, images, truth, _first_cfg(crawl), out_dir,
+                      checkpoint=k is not None, write_payload=False, **actors)
     eng.admit_seeds(seeds)
     if k is None:
         return eng.run()
-    res = eng.run(max_epochs=min(k, cfg.max_epochs))
+    res = eng.run(max_epochs=k)
     eng.shutdown()
     if eng.epoch == 0:  # ended before its first epoch: nothing committed
         return res
@@ -97,7 +129,7 @@ def test_engine_matches_oracle_randomized(crawl):
     store = synth.gen_web(n_images=len(images), **crawl["web"])
     synth.attach_captions(store, images)
     seeds = synth.gen_seeds(store, crawl["n_seeds"], seed=crawl["web"]["seed"])
-    golden = simulate(seeds, store, crawl["cfg"])
+    golden = _golden(crawl, store, seeds)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
         mp.setitem(sys.modules, "ray", fakeray)
         res = _crawl(crawl, store, seeds, out)
@@ -111,3 +143,22 @@ def test_engine_matches_oracle_randomized(crawl):
             + row["rejected_dup"] + row["rejected_cap_budget"], row
     if res.content is not None:
         assert all(res.content["invariant_ok"].to_pylist())
+
+
+def test_run_stops_at_cfg_max_epochs(monkeypatch, tmp_path):
+    """``run(max_epochs=k)`` with k above ``cfg.max_epochs`` stops at
+    ``cfg.max_epochs``."""
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    monkeypatch.setitem(sys.modules, "ray", fakeray)
+    images, truth = _images()
+    store = synth.gen_web(n_urls=200, n_images=len(images), seed=5)
+    synth.attach_captions(store, images)
+    seeds = synth.gen_seeds(store, 8, seed=5)
+    cfg = CrawlConfig(shard_count=1, per_shard_batch=2, max_epochs=1)
+    golden = simulate(seeds, store, cfg)
+    eng = RemoteCrawl(store, images, truth, cfg, str(tmp_path), write_payload=False)
+    eng.admit_seeds(seeds)
+    res = eng.run(max_epochs=2)
+    assert res.epochs == golden.epochs == 1
+    assert res.crawl_order["url"].to_pylist() == [r[1] for r in golden.crawl_order]

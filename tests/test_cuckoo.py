@@ -49,7 +49,7 @@ def test_seen_shard_semantics():
     new2 = s.test_and_add(np.array([3, 4], np.uint64))
     assert new2.tolist() == [False, True]
     assert len(s) == 4
-    assert s.contains(np.array([1, 4, 99], np.uint64)).tolist() == [True, True, False]
+    assert (~s.test(np.array([1, 4, 99], np.uint64))).tolist() == [True, True, False]
 
 
 def test_seen_shard_roundtrip():
@@ -62,24 +62,28 @@ def test_seen_shard_roundtrip():
 
 
 def test_seen_shard_sorted_store_paths():
-    """Exercise the sorted-array exact store across merges: inserts
-    past the buffer bound, rollback of merged AND unmerged hashes,
-    membership after both."""
+    """Exercise the sorted-array exact store across merges: ``test``
+    and ``add`` see members in the merged array and in the insert
+    buffer alike, and ``test`` leaves the shard unchanged."""
     s = SeenShard(capacity=1 << 15, seed=4)
     h1 = np.unique(_hashes(6000, 31))
-    s.test_and_add(h1)
+    s.add(h1)
     s._merge_buf()  # force h1 into the sorted store
     h2 = np.unique(_hashes(100, 37)) + np.uint64(1)
     h2 = np.setdiff1d(h2, h1)
-    s.test_and_add(h2)  # stays in the buffer
-    assert len(s) == len(h1) + len(h2)
-    # rollback one merged and one unmerged hash
-    s.remove(np.array([h1[10], h2[0]], np.uint64))
-    assert len(s) == len(h1) + len(h2) - 2
-    assert not s.contains(np.array([h1[10], h2[0]], np.uint64)).any()
-    assert s.contains(np.array([h1[11], h2[1]], np.uint64)).all()
-    # re-add after rollback works (the crawl's cap-reject → later re-admit)
-    assert s.test_and_add(np.array([h1[10]], np.uint64)).all()
+    s.add(h2[:50])  # stays in the buffer
+    assert len(s) == len(h1) + 50
+    probe = np.concatenate([h1[10:12], h2[:2], h2[50:52], h2[50:51]])
+    want = [False, False, False, False, True, True, False]
+    for _ in range(2):  # test leaves len and later masks unchanged
+        assert s.test(probe).tolist() == want
+        assert len(s) == len(h1) + 50
+    # add the new ones: members of both stores now test old
+    s.add(probe[s.test(probe)])
+    assert len(s) == len(h1) + 52
+    assert not s.test(probe).any()
+    assert not s.test(h1).any() and not s.test(h2[:52]).any()
+    assert s.test(h2[52:]).all()
     assert s.nbytes() >= 8 * len(h1)
 
 
@@ -105,8 +109,8 @@ def test_seen_shard_grows_past_capacity():
     assert mask.sum() == len(uniq)
     assert len(sh) == len(uniq)
     # all inserted values are still members after the rebuilds
-    assert sh.contains(uniq).all()
+    assert not sh.test(uniq).any()
     # and a state round-trip preserves membership
     sh2 = SeenShard.from_state(sh.to_state())
-    assert sh2.contains(uniq).all()
+    assert not sh2.test(uniq).any()
     assert len(sh2) == len(sh)

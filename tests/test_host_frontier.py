@@ -3,9 +3,9 @@ equals the oracle's greedy scan (``_OracleState.dequeue_epoch``, the
 independent spec) on random frontiers, also across a snapshot → restore
 round trip, the frontier holds no Python object per URL and the host
 table no Python object per host.  The
-admission phases (host robots + quota, then the seen shards'
-``test_and_add`` with the sequencer's rollbacks) equal a plain Python
-set walk."""
+admission phases (host robots + quota, then the seen shards' ``test``,
+adding only what the sequencer admits) equal a plain Python set
+walk."""
 
 import gc
 import random
@@ -261,15 +261,11 @@ def _wave(rng, pool, fseq0, n_pages):
     ]
 
 
-def _rollback(uhs) -> pa.Table:
-    return pa.table({"url_hash": pa.array(uhs, pa.uint64())})
-
-
 def test_admission_matches_set_reference():
     """Robots + quota per wave on the host actors, then the seen shards'
-    ``test_and_add`` with each wave's cap/budget rollback applied before
-    the next wave's test (and by ``apply_rollback`` after the last),
-    equals a plain Python set walk in global (fetch_seq, pos) order —
+    test, with each wave's admitted URLs added before the next wave's
+    test (and by ``add_admitted`` after the last), equals a plain Python
+    set walk in global (fetch_seq, pos) order —
     with 1 host actor owning every shard and 1 seen shard, and with 3
     host actors and 2 seen shards, across a checkpoint round trip."""
     from searchengine_ray.pipelines.crawl import _order_keys, _SeenActor
@@ -293,13 +289,13 @@ def test_admission_matches_set_reference():
             n = rng.randint(1, 8)
             waves.append(_wave(rng, pool, fseq, n))
             fseq += n
-        rollback_p = rng.random()
+        reject_p = rng.random()
 
         for n_hosts, n_seen in ((1, 1), (3, 2)):
             owners = [HostShards(cfg, range(a, 6, n_hosts), store)
                       for a in range(n_hosts)]
             shards = [_SeenActor(1 << 4, k, n_seen) for k in range(n_seen)]
-            seen, quota, seq, rb = set(), {}, 0, None
+            seen, quota, seq, adm = set(), {}, 0, None
             for w, chunks in enumerate(waves):
                 if w == 3:  # checkpoint round trip mid-crawl
                     fresh = []
@@ -315,16 +311,16 @@ def test_admission_matches_set_reference():
                         fresh.append(s2)
                     shards = fresh
                 cand = pa.concat_tables(chunks)
-                want_ok, want_new = [], []
+                want_ok, want_new, tested = [], [], set(seen)
                 for uh, hh in zip(cand["url_hash"].to_pylist(),
                                   cand["host_hash"].to_pylist()):
                     ok = uh not in blocked and quota.get(hh, 0) < cfg.max_urls_per_host
                     if uh not in blocked:
                         quota[hh] = min(quota.get(hh, 0) + 1, cfg.max_urls_per_host)
                     want_ok.append(ok)
-                    want_new.append(ok and uh not in seen)
+                    want_new.append(ok and uh not in tested)
                     if ok:
-                        seen.add(uh)
+                        tested.add(uh)
                 keys = _order_keys(cand["fetch_seq"].to_numpy(),
                                    cand["pos"].to_numpy())
                 p1 = [hs.admit_phase1_chunks(*chunks) for hs in owners]
@@ -334,7 +330,7 @@ def test_admission_matches_set_reference():
                                 chain["pos"].to_numpy()).tolist(),
                     chain["ok"].to_pylist()))
                 assert [got_ok[k] for k in keys.tolist()] == want_ok
-                p2 = [sa.test_and_add_wave(rb, *p1) for sa in shards]
+                p2 = [sa.test_and_add_wave(adm, *p1) for sa in shards]
                 assert sum(n for _, _, n in p2) == len(seen)
                 got_new = dict(zip(np.concatenate([k for k, _, _ in p2]).tolist(),
                                    np.concatenate([m for _, m, _ in p2]).tolist()))
@@ -342,20 +338,19 @@ def test_admission_matches_set_reference():
                     sorted(got_new)
                 assert [got_new.get(k, False) for k in keys.tolist()] == want_new
                 # the sequencer's verdict: each first sighting is admitted
-                # with the next enqueue_seq or rolled back out of the seen set
+                # with the next enqueue_seq (and becomes seen) or rejected
                 decided = cand.filter(pa.array(want_new))
-                rolled = np.array([rng.random() < rollback_p
-                                   for _ in range(len(decided))], bool)
-                rb = _rollback(decided["url_hash"].to_numpy()[rolled])
-                seen -= set(rb["url_hash"].to_pylist())
-                adm = decided.filter(pa.array(~rolled))
+                rejected = np.array([rng.random() < reject_p
+                                     for _ in range(len(decided))], bool)
+                adm = decided.filter(pa.array(~rejected))
+                seen |= set(adm["url_hash"].to_pylist())
                 adm = adm.append_column(
                     "enqueue_seq", pa.array(np.arange(seq, seq + len(adm))))
                 seq += len(adm)
                 for hs in owners:
                     hs.append_many(adm)
             for sa in shards:
-                sa.apply_rollback(rb)
+                sa.add_admitted(adm)
             assert {int(h) for sa in shards for h in sa.dump_hashes()} == seen
             assert sum(sa.mem_bytes()[1] for sa in shards) == len(seen)
             assert sorted(s for hs in owners
