@@ -16,7 +16,9 @@ Layout: ``magic(4s) | w(int32 LE) | h(int32 LE) | payload``.
 ``phash64`` is a classic 8×8 average-hash over the grayscale
 downsample — the payload-level analog of the reference's MD5 page
 identity (``SearchEngine.h:213-223``); exact-duplicate pixels ⇒ equal
-phash, used by the phash-dedup stage (SURVEY.md §2.7).
+phash, used by the phash-dedup stage (SURVEY.md §2.7).  It is
+``phash64_batch`` of one image; the fetch actor hashes a whole chunk's
+images in one ``phash64_batch`` call.
 """
 
 from __future__ import annotations
@@ -74,41 +76,61 @@ _GRAY_W = np.array([0.299, 0.587, 0.114], np.float64)
 
 @lru_cache(maxsize=1024)
 def _tiles(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Box-downsample geometry for an (h, w) image: the 8 row and 8
-    column tile starts (almost equal tiles) and the clamped 8×8 tile
-    areas.  Images come in few sizes, so each is computed once."""
-    ys = (np.arange(8) * h) // 8
-    xs = (np.arange(8) * w) // 8
-    areas = np.outer(np.diff(np.r_[ys, h]), np.diff(np.r_[xs, w]))
-    return ys, xs, np.maximum(areas, 1)
+    """Box-downsample geometry for an (h, w) image, h and w ≥ 8: 0/1
+    matrices ``ty`` (8, h) and ``tx`` (8, w) that sum the pixel rows
+    and columns of each of the 8×8 almost-equal tiles, and the 64 tile
+    areas.  The sums are integers, exact in float32 while a tile's sum
+    stays below 2**24 and in float64 beyond.  Images come in few
+    sizes, so each is computed once."""
+    ye = (np.arange(9) * h) // 8
+    xe = (np.arange(9) * w) // 8
+    dy, dx = np.diff(ye), np.diff(xe)
+    ft = np.float32 if dy.max() * dx.max() * 255 < 1 << 24 else np.float64
+    ty = (np.repeat(np.arange(8), dy) == np.arange(8)[:, None]).astype(ft)
+    tx = (np.repeat(np.arange(8), dx) == np.arange(8)[:, None]).astype(ft)
+    return ty, tx, np.outer(dy, dx).reshape(64).astype(np.float64)
+
+
+def phash64_batch(images) -> np.ndarray:
+    """8×8 average-hash of each image's grayscale downsample → int64
+    array (the hash's 64 bits read as a signed int64), one per image.
+
+    Images of one shape are stacked and hashed together; an image with
+    h or w below 8 is zero-padded to 8 first.  Tile sums are two
+    matrix products with 0/1 tile matrices over the whole stack, exact
+    because they add integers (see ``_tiles``); the channels are
+    grayscale-weighted only at the 8×8×3 tile level.  The products
+    read one float32 copy of the stack, and still cost a fraction of
+    ``np.add.reduceat`` over the uint8 pixels.  The bits equal
+    the per-pixel float64 formulation (grayscale every pixel, average
+    each tile, threshold at the mean of the 64 tile means) away from
+    float ties; ``tests/test_codec_synth.py`` checks that over the
+    synth corpus and the edge shapes.
+    """
+    out = np.empty(len(images), np.int64)
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(images):
+        groups.setdefault(p.shape, []).append(i)
+    for (h, w, _c), idx in groups.items():
+        k = len(idx)
+        stack = np.stack([images[i] for i in idx])
+        if h < 8 or w < 8:  # degenerate tiles — rare tiny images
+            pad = ((0, 0), (0, max(0, 8 - h)), (0, max(0, 8 - w)), (0, 0))
+            stack = np.pad(stack, pad)
+            h, w = stack.shape[1:3]
+        ty, tx, areas = _tiles(h, w)
+        rows = ty @ stack.reshape(k, h, w * 3).astype(ty.dtype)  # (k, 8, w*3)
+        sums = tx @ rows.reshape(k * 8, w, 3)  # (k*8, 8, 3) tile sums
+        cells = (sums.astype(np.float64) @ _GRAY_W).reshape(k, 64) / areas
+        bits = cells > cells.sum(axis=1, keepdims=True) / 64  # the mean
+        out[idx] = np.packbits(bits, axis=1).view(">i8").ravel()
+    return out
 
 
 def phash64(pixels: np.ndarray) -> int:
-    """8×8 average-hash of the grayscale downsample → signed int64.
-
-    Deterministic, vector-friendly; exact-duplicate payloads collide.
-    Tile sums run directly on the uint8 pixels via two
-    ``np.add.reduceat(..., dtype=int64)`` passes — exact integer
-    channel sums, grayscale-weighted only at the 8×8×3 tile level.  No
-    image-sized float temporaries: under a saturated multi-core fetch
-    pool the old per-pixel float32/float64 casts (~1 MB of writes per
-    192-256 px image) were pure memory-bandwidth tax.  Same bits as
-    the per-pixel formulation (weighting and tile-averaging commute;
-    verified over the synth corpus in tests).
-    """
-    h, w = pixels.shape[:2]
-    if h < 8 or w < 8:  # degenerate tiles — rare tiny images
-        pixels = np.pad(
-            pixels, ((0, max(0, 8 - h)), (0, max(0, 8 - w)), (0, 0))
-        )
-        h, w = pixels.shape[:2]
-    ys, xs, areas = _tiles(h, w)
-    rows = np.add.reduceat(pixels, ys, axis=0, dtype=np.int64)
-    sums = np.add.reduceat(rows, xs, axis=1)  # (8, 8, 3) exact sums
-    cells = (sums @ _GRAY_W) / areas
-    bits = (cells > cells.mean()).ravel()
-    val = int.from_bytes(np.packbits(bits).tobytes(), "big")
-    return val - (1 << 64) if val >= (1 << 63) else val  # as signed int64
+    """``phash64_batch`` of one (h, w, 3) uint8 image, as a Python int:
+    the payload-level identity used by the phash-dedup stage."""
+    return int(phash64_batch([pixels])[0])
 
 
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:

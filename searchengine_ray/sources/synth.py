@@ -144,7 +144,13 @@ class _LazyStrs:
     def __getitem__(self, i):
         if isinstance(i, slice):
             start, stop, step = i.indices(self._n)
-            return [self[j] for j in range(start, stop, step)]
+            if step != 1:
+                return [self[j] for j in range(start, stop, step)]
+            if start >= stop:
+                return []
+            # one decode of the whole range, split at its separators
+            a, b = self._off[start], self._off[stop] - 1
+            return self.blob[a:b].decode("utf-8").split("\x00")
         if i < 0:
             i += self._n
         a, b = self._off[i], self._off[i + 1] - 1
@@ -229,9 +235,15 @@ class WebStore:
         return path.startswith(pref)
 
     def lookup(self, hashes: np.ndarray) -> np.ndarray:
-        """url_hash batch → row indices (-1 = unknown/dead)."""
+        """url_hash batch → row indices (-1 = unknown/dead).
+
+        The needles are sorted before the binary search (one argsort,
+        positions scattered back): ``searchsorted`` walks sorted
+        needles several times faster than unsorted ones."""
         h = hashes.astype(np.uint64, copy=False)
-        pos = np.searchsorted(self.hash_sorted, h)
+        order = np.argsort(h)
+        pos = np.empty(len(h), np.int64)
+        pos[order] = np.searchsorted(self.hash_sorted, h[order])
         pos = np.clip(pos, 0, len(self.hash_sorted) - 1)
         hit = self.hash_sorted[pos] == h
         out = np.where(hit, self.hash_order[pos], -1)
@@ -426,14 +438,12 @@ def render_html(
                 parts.append(f'<a href="//{rest}">l</a>')  # loses https on purpose
             else:
                 parts.append(f'<a href="https://{rest}">l</a>')
+        elif sel == 0 and split_host(ls) == host:
+            path = ls[len(host):] or "/"
+            parts.append(f'<a href="{path}">l</a>')  # href="/..." form
+        elif sel == 1:
+            parts.append(f'<a href="http://{ls}">l</a>')
         else:
-            link_host = split_host(ls)
-            if sel == 0 and link_host == host:
-                path = ls[len(link_host):] or "/"
-                parts.append(f'<a href="{path}">l</a>')  # href="/..." form
-            elif sel == 1:
-                parts.append(f'<a href="http://{ls}">l</a>')
-            else:
-                parts.append(f'<a href="//{ls}">l</a>')
+            parts.append(f'<a href="//{ls}">l</a>')
     parts.append("</body></html>")
     return "".join(parts)

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import re
 
-from ..functions.urlkernel import key_string
-
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _SCRIPT_RE = re.compile(r"<script\b.*?</script\s*>", re.S | re.I)
 _STYLE_RE = re.compile(r"<style\b.*?</style\s*>", re.S | re.I)
-_HREF_RE = re.compile(r'href="([^"]*)"')
+# one match per href="..."; group 1 is the counted form (empty for
+# any other form), group 2 the rest of the value
+_HREF_RE = re.compile(r'href="(//|https://|http://|/)?([^"]*)"')
 _TITLE_RE = re.compile(r"<title[^>]*>(.*?)</title\s*>", re.S | re.I)
+_CONTROL = dict.fromkeys(range(ord(" ")))  # str.translate: drop chars < " "
 
 
 def shorten_html(html: str) -> str:
@@ -44,49 +45,33 @@ def get_title(html: str, cap: int = 255) -> str:
     m = _TITLE_RE.search(html)
     if not m:
         return ""
-    title = "".join(ch for ch in m.group(1) if ch >= " ")
-    return title.strip()[:cap]
-
-
-def _samehost(u: str, host: str) -> bool:
-    # the reference tests the prefix at EVERY '/',':','?' until a match
-    # (SearchEngine.cpp:61-64) — e.g. "a.com:80/x" vs host "a.com:80"
-    # matches at the '/' even though the ':' prefix didn't.  A match at
-    # position i needs u[:i] == host, i.e. i == len(host), so only that
-    # one position can match.
-    n = len(host)
-    return u.startswith(host) and (len(u) == n or u[n] in "/:?")
+    return m.group(1).translate(_CONTROL).strip()[:cap]
 
 
 def extract_links(shortened_html: str, host: str, https: bool) -> list[str]:
-    """Raw link candidates in document order (first occurrence wins)."""
+    """Raw link candidates in document order (first occurrence wins).
+
+    Same-host is the reference's prefix test at every '/', ':', '?'
+    until a match (``SearchEngine.cpp:61-64``): a match at position i
+    needs ``u[:i] == host``, so only ``i == len(host)`` can match.  The
+    dedup key is ``urlkernel.key_string`` (``www.`` and leading '/'
+    stripped), inlined."""
     out: list[str] = []
     seen: set[str] = set()
-    for m in _HREF_RE.finditer(shortened_html):
-        val = m.group(1)
-        if val.startswith("//"):
-            u = val[2:]
-            link_https = False
-            same = _samehost(u, host)
-        elif val.startswith("https://"):
-            u = val[8:]
-            link_https = True
-            same = _samehost(u, host)
-        elif val.startswith("http://"):
-            u = val[7:]
-            link_https = False
-            same = _samehost(u, host)
-        elif val.startswith("/"):
-            u = host + "/" + val[1:]
-            link_https = False
-            same = True
-        else:
+    n = len(host)
+    for form, u in _HREF_RE.findall(shortened_html):
+        if form == "/":
+            u = host + "/" + u
+            if https:  # same host
+                u = "https://" + u
+        elif not form or not u:
             continue  # other href forms are ignored (SearchEngine.cpp:40-46)
-        if not u:
-            continue
-        if (same and https) or (not same and link_https):
-            u = "https://" + u
-        k = key_string(u)  # getMD5-identity (SearchEngine.h:213-223)
+        else:
+            same = u.startswith(host) and (len(u) == n or u[n] in "/:?")
+            if same and https or not same and form == "https://":
+                u = "https://" + u
+        k = u[4:] if len(u) > 4 and u[:4] == "www." else u
+        k = k.lstrip("/")  # getMD5-identity (SearchEngine.h:213-223)
         if k in seen:
             continue
         seen.add(k)

@@ -6,13 +6,17 @@ is a persistent actor pool: the synthetic web store and the images
 payload table are broadcast ONCE via ``ray.put`` and read in
 ``__init__`` (once per actor) — never re-shipped per batch.
 
-Per page the actor: renders the page HTML deterministically (href forms
-from the store's precomputed link selectors), shortens
-it (M8/M9), extracts link candidates (M10), materializes the image
-payload, decodes it and checks the per-row invariants (decoded-pixel
-sha vs truth — exact because truth is derived from post-codec pixels,
-with the lossy codec's PSNR ≥ 40 dB bound asserted by codec tests —
-plus caption equality and phash consistency).
+The actor works per chunk of picks.  Per live page it only does what
+is per page: renders the page HTML deterministically (href forms from
+the store's precomputed link selectors), shortens it (M8/M9), extracts
+link candidates (M10), reads its title, decodes its image from a
+zero-copy window of the images table and hashes the decoded pixels
+against truth.  Per chunk it hashes every image in one
+``phash64_batch``, checks the per-row invariants (decoded-pixel sha vs
+truth — exact because truth is derived from post-codec pixels, with
+the lossy codec's PSNR ≥ 40 dB bound asserted by codec tests — plus
+caption, fmt and phash equality), and builds the content table, the
+payload bytes (one ``take``) and the candidates' positions from arrays.
 
 Scale design: the actor ALSO
 * canonicalizes/filters the extracted links into admission candidates
@@ -42,7 +46,7 @@ import pyarrow.parquet as pq
 from ..functions import urlkernel as uk
 from ..functions.urlkernel import split_host
 from ..sources import synth
-from ..sources.codec import decode_image, phash64
+from ..sources.codec import decode_image, phash64_batch
 from .extract import extract_links, get_title, shorten_html
 
 CONTENT_SCHEMA = pa.schema(
@@ -86,18 +90,24 @@ CAND_SCHEMA = pa.schema(
 
 
 def make_candidates(
-    raw_links: list[str], fseqs: list[int], poss: list[int], shard_count: int
+    raw_links: list[str] | pa.Array, fseqs, poss, shard_count: int
 ) -> pa.Table:
     """Canonicalize + static-filter raw link candidates (vectorized);
-    output stays in (fetch_seq, pos) order.
+    output stays in (fetch_seq, pos) order.  ``raw_links`` is a list or
+    an Arrow string array; ``fseqs`` and ``poss`` are lists or numpy
+    arrays aligned with it.
 
     Most kept links repeat a URL or (far more often) a host already in
     the chunk, so the URL kernels run once per DISTINCT canonical URL
     and the host kernels once per distinct host; each result is
     gathered back to its rows through the dictionary indices."""
-    if not raw_links:
+    raw = (
+        raw_links
+        if isinstance(raw_links, pa.Array)
+        else pa.array(raw_links, type=pa.string())
+    )
+    if not len(raw):
         return CAND_SCHEMA.empty_table()
-    raw = pa.array(raw_links, type=pa.string())
     canon, valid = uk.truncate_batch(raw)
     fmask, _ = uk.filter_mask_batch(canon)
     keep = np.nonzero(valid & fmask)[0]
@@ -149,7 +159,7 @@ class FetchDecode:
         self.img_bytes = images.column("bytes").combine_chunks()
         self.img_caption = images.column("caption").to_pylist()
         self.img_fmt = images.column("fmt").to_pylist()
-        self.img_phash = images.column("phash").to_pylist()
+        self.img_phash = images.column("phash").to_numpy()
         truth = _get(truth_ref) if truth_ref is not None else None
         self.truth_sha = truth.column("pixels_sha256").to_pylist() if truth else None
         self.shard_count = shard_count
@@ -203,107 +213,121 @@ class FetchDecode:
         The driver ships the WHOLE epoch's picks once via ``ray.put``
         and passes (ref, start, length) per chunk — the actor slices
         its window zero-copy instead of the driver serializing one
-        slice per chunk."""
+        slice per chunk.
+
+        One Python loop over the live pages (``content_row >= 0``)
+        renders, shortens and extracts each page, reads its title and
+        decodes its image; everything else runs once per chunk: one
+        ``phash64_batch`` over the decoded images, the content columns
+        taken or built from arrays, one ``take`` of the payload bytes
+        and the candidates' (fetch_seq, pos) from two ``np.repeat``."""
         _t0 = time.perf_counter()
         if start is not None:
             batch = batch.slice(start, length)
         store = self.store
-        out = {k.name: [] for k in CONTENT_SCHEMA}
-        pay = {k.name: [] for k in PAYLOAD_SCHEMA}
-        pay_epochs: list[int] = []  # per-row epoch for partition routing
-        raw_links: list[str] = []
-        link_seq: list[int] = []
-        link_pos: list[int] = []
         content_rows = batch["content_row"].to_numpy(zero_copy_only=False)
-        fseqs = batch["fetch_seq"].to_numpy(zero_copy_only=False)
-        epochs = batch["epoch"].to_numpy(zero_copy_only=False)
-        urls = batch["url"].to_pylist()
-        uhashes = batch["url_hash"].to_numpy(zero_copy_only=False)
-        for i in range(len(batch)):
-            row = int(content_rows[i])
-            if row < 0:
-                continue
+        live = np.flatnonzero(content_rows >= 0)
+        rows = content_rows[live]
+        imgs = store.image_idx[rows]
+        titles: list[str] = []
+        captions: list[str] = []
+        image_ids: list[str] = []
+        fmts: list[str] = []
+        pixels: list[np.ndarray] = []
+        ok = np.empty(len(rows), bool)  # per page: caption, fmt and sha
+        n_links = np.empty(len(rows), np.int64)
+        links: list[str] = []
+        for i, (row, img) in enumerate(zip(rows.tolist(), imgs.tolist())):
             url = store.urls[row]
             https = url.startswith("https://")
             host = split_host(url)
-            img = int(store.image_idx[row])
             caption = store.captions[row]
+            image_id = store.image_ids[row]
             html = synth.render_html(
-                url,
-                host,
-                https,
-                caption,
-                store.image_ids[row],
-                store.links_of(row),
-                store.link_sel_of(row),
+                url, host, https, caption, image_id,
+                store.links_of(row), store.link_sel_of(row),
             )
-            short = shorten_html(html)
-            links = extract_links(short, host, https)
+            page_links = extract_links(shorten_html(html), host, https)
             # zero-copy window into the broadcast images table (one
-            # plasma-backed physical copy per node); pixel bytes are
-            # hashed through buffer views — no per-page byte copies
-            data = self.img_bytes[img].as_buffer()
-            pixels, fmt = decode_image(data)
-            ph = phash64(pixels)
-            ok = (
-                ph == self.img_phash[img]
-                and caption == self.img_caption[img]
-                and fmt == self.img_fmt[img]
-            )
-            if ok and self.truth_sha is not None:
-                ok = (
-                    hashlib.sha256(pixels.reshape(-1).data).hexdigest()
+            # plasma-backed physical copy per node): no byte copies
+            px, fmt = decode_image(self.img_bytes[img].as_buffer())
+            good = caption == self.img_caption[img] and fmt == self.img_fmt[img]
+            if good and self.truth_sha is not None:
+                good = (
+                    hashlib.sha256(px.reshape(-1).data).hexdigest()
                     == self.truth_sha[img]
                 )
-            fseq = int(fseqs[i])
-            out["fetch_seq"].append(fseq)
-            out["epoch"].append(int(epochs[i]))
-            out["url"].append(urls[i])
-            out["url_hash"].append(int(uhashes[i]))
-            out["title"].append(get_title(html))
-            out["image_id"].append(store.image_ids[row])
-            out["caption"].append(caption)
-            out["w"].append(pixels.shape[1])
-            out["h"].append(pixels.shape[0])
-            out["fmt"].append(fmt)
-            out["phash"].append(ph)
-            out["invariant_ok"].append(bool(ok))
-            out["links"].append(links)
-            if self.payload_dir:
-                pay["fetch_seq"].append(fseq)
-                pay["image_id"].append(store.image_ids[row])
-                pay["bytes"].append(data.to_pybytes())
-                pay_epochs.append(int(epochs[i]))
-            raw_links.extend(links)
-            link_seq.extend([fseq] * len(links))
-            link_pos.extend(range(len(links)))
-        content = pa.table(out, schema=CONTENT_SCHEMA)
-        if self.payload_dir and pay["fetch_seq"]:
-            # Route payload rows by their OWN epoch: the crawl engine
-            # stamps one epoch per chunk so the loop is a single
-            # iteration there, but a direct caller mixing epochs must
-            # not mis-file rows under a partition a resume would treat
-            # as finished.
-            tbl = pa.table(pay, schema=PAYLOAD_SCHEMA)
-            ep = np.asarray(pay_epochs, dtype=np.int64)
-            for e in np.unique(ep):
-                d = os.path.join(self.payload_dir, f"epoch={int(e)}")
-                os.makedirs(d, exist_ok=True)
-                sub = tbl.filter(pa.array(ep == e))
-                pq.write_table(
-                    sub,
-                    os.path.join(
-                        d, f"part-{sub['fetch_seq'][0].as_py():010d}.parquet"
-                    ),
-                    # payload bytes are already codec-compressed — a
-                    # second (snappy/dict) pass burns CPU for ~0 gain
-                    # and was the dominant cost under a concurrent
-                    # fetch pool
-                    compression="none",
-                    use_dictionary=False,
-                )
-        cand = make_candidates(raw_links, link_seq, link_pos, self.shard_count)
+            ok[i] = good
+            n_links[i] = len(page_links)
+            links += page_links
+            titles.append(get_title(html))
+            captions.append(caption)
+            image_ids.append(image_id)
+            fmts.append(fmt)
+            pixels.append(px)
+        phash = phash64_batch(pixels)
+        ok &= phash == self.img_phash[imgs]
+        hw = np.array([p.shape[:2] for p in pixels], np.int32).reshape(-1, 2)
+        head = batch.select(["fetch_seq", "epoch", "url", "url_hash"]).take(live)
+        offsets = np.zeros(len(rows) + 1, np.int32)
+        np.cumsum(n_links, out=offsets[1:])
+        link_arr = pa.array(links, pa.string())
+        content = pa.table(
+            {
+                **{k: head[k] for k in head.column_names},
+                "title": pa.array(titles, pa.string()),
+                "image_id": pa.array(image_ids, pa.string()),
+                "caption": pa.array(captions, pa.string()),
+                "w": hw[:, 1],
+                "h": hw[:, 0],
+                "fmt": pa.array(fmts, pa.string()),
+                "phash": phash,
+                "invariant_ok": ok,
+                "links": pa.ListArray.from_arrays(offsets, link_arr),
+            },
+            schema=CONTENT_SCHEMA,
+        )
+        if self.payload_dir and len(content):
+            self._write_payload(content, self.img_bytes.take(imgs))
+        fseq = content["fetch_seq"].to_numpy()
+        cand = make_candidates(
+            link_arr,
+            np.repeat(fseq, n_links),
+            np.arange(len(links)) - np.repeat(offsets[:-1], n_links),
+            self.shard_count,
+        )
         self._calls += 1
         self._pages += len(content)
         self._busy_s += time.perf_counter() - _t0
         return content, cand
+
+    def _write_payload(self, content: pa.Table, data: pa.Array) -> None:
+        """Write the chunk's image bytes under ``payload_dir``.
+
+        Rows are routed by their OWN epoch: the crawl engine stamps one
+        epoch per chunk so the loop is a single iteration there, but a
+        direct caller mixing epochs must not mis-file rows under a
+        partition a resume would treat as finished."""
+        tbl = pa.table(
+            {
+                "fetch_seq": content["fetch_seq"],
+                "image_id": content["image_id"],
+                "bytes": data,
+            },
+            schema=PAYLOAD_SCHEMA,
+        )
+        ep = content["epoch"].to_numpy()
+        for e in np.unique(ep):
+            d = os.path.join(self.payload_dir, f"epoch={int(e)}")
+            os.makedirs(d, exist_ok=True)
+            sub = tbl.filter(pa.array(ep == e))
+            pq.write_table(
+                sub,
+                os.path.join(d, f"part-{sub['fetch_seq'][0].as_py():010d}.parquet"),
+                # payload bytes are already codec-compressed — a
+                # second (snappy/dict) pass burns CPU for ~0 gain
+                # and was the dominant cost under a concurrent
+                # fetch pool
+                compression="none",
+                use_dictionary=False,
+            )

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from searchengine_ray.sources import synth
 from searchengine_ray.sources.codec import (
@@ -9,6 +10,7 @@ from searchengine_ray.sources.codec import (
     encode_image,
     hamming64,
     phash64,
+    phash64_batch,
     psnr,
 )
 
@@ -43,6 +45,71 @@ def test_phash_dup_and_distance():
     assert d[0] > 0
 
 
+def _phash_spec(pixels):
+    """The average hash spelled out per pixel in float64: zero-pad to at
+    least 8×8, grayscale every pixel, average each of the 8×8 tiles
+    (tile i spans rows ``i*h//8`` to ``(i+1)*h//8``, columns likewise),
+    set a tile's bit when its mean is above the mean of the 64 tile
+    means, row-major and most significant bit first, read as a signed
+    int64."""
+    h, w = pixels.shape[:2]
+    hp, wp = max(h, 8), max(w, 8)
+    px = np.zeros((hp, wp, 3))
+    px[:h, :w] = pixels
+    gray = 0.299 * px[..., 0] + 0.587 * px[..., 1] + 0.114 * px[..., 2]
+    cells = [
+        gray[i * hp // 8 : (i + 1) * hp // 8, j * wp // 8 : (j + 1) * wp // 8].mean()
+        for i in range(8)
+        for j in range(8)
+    ]
+    mean = sum(cells) / 64
+    val = 0
+    for c in cells:
+        val = 2 * val + int(c > mean)
+    return val - (1 << 64) if val >= 1 << 63 else val
+
+
+def _assert_phash_spec(images):
+    expect = [_phash_spec(p) for p in images]
+    assert [phash64(p) for p in images] == expect
+    got = phash64_batch(images)
+    assert got.dtype == np.int64 and got.tolist() == expect
+
+
+def test_phash_equals_per_pixel_spec_on_synth_corpus():
+    images = []
+    for style in ("gradient", "speckle"):
+        tbl, _ = synth.gen_images(80, seed=5, sizes=(16, 32), base_style=style)
+        images += [decode_image(b)[0] for b in tbl["bytes"].to_pylist()]
+    assert len({p.shape for p in images}) == 4
+    # flat images: every tile ties with the mean, so no bit is set
+    flat = [np.full((16, 16, 3), v, np.uint8) for v in (0, 200)]
+    assert phash64_batch(flat).tolist() == [0, 0]
+    _assert_phash_spec(images + flat)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(3, 20), (20, 5), (1, 1), (7, 7)],  # h or w below 8
+        [(13, 21), (100, 37), (9, 8), (250, 199)],  # not divisible by 8
+        [(16, 16), (5, 40), (16, 16), (33, 17), (5, 40), (16, 16)],  # mixed
+        [(24, 40)],  # a batch of one
+    ],
+    ids=["below-8", "not-divisible", "mixed", "one"],
+)
+def test_phash_equals_per_pixel_spec_on_edge_shapes(shapes):
+    rng = np.random.default_rng(len(shapes))
+    _assert_phash_spec(
+        [rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8) for h, w in shapes]
+    )
+
+
+def test_phash_batch_of_none_is_empty():
+    got = phash64_batch([])
+    assert got.dtype == np.int64 and got.shape == (0,)
+
+
 def test_gen_images_truth_consistency():
     images, truth = synth.gen_images(60, seed=42)
     assert images.schema.equals(synth.IMAGE_SCHEMA)
@@ -69,3 +136,20 @@ def test_gen_web_deterministic():
     idx = s1.lookup(s1.url_hash[:20])
     assert (idx == np.arange(20)).all()
     assert s1.lookup(np.array([123456789], np.uint64))[0] == -1
+
+
+def test_lookup_equals_dict_lookup():
+    store = synth.gen_web(2000, 50, seed=11)
+    rng = np.random.default_rng(0)
+    known = rng.choice(store.url_hash, size=3000)  # repeats included
+    unknown = rng.integers(0, 2**63, size=500, dtype=np.uint64)
+    needles = np.concatenate([known, unknown, store.url_hash[:5]])
+    rng.shuffle(needles)
+    row_of: dict[int, int] = {}
+    for i, h in enumerate(store.url_hash.tolist()):
+        row_of.setdefault(h, i)
+    got = store.lookup(needles)
+    assert got.dtype == np.int64
+    assert got.tolist() == [row_of.get(h, -1) for h in needles.tolist()]
+    assert -1 in got.tolist()
+    assert store.lookup(np.array([], np.uint64)).tolist() == []

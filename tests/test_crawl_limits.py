@@ -96,9 +96,9 @@ def test_all_binding_together(ray_session, small_world, tmp_path):
 
 
 def test_all_seeds_rolled_back(ray_session, small_world, tmp_path):
-    """A seed wave rolled back entirely leaves an empty frontier, so the
-    first dequeue ends the crawl: the rollback must still reach the seen
-    set, and the empty results stay typed."""
+    """A seed wave the budget or the shard cap rejects entirely leaves
+    an empty frontier, so the first dequeue ends the crawl: rejected
+    seeds never become seen, and the empty results stay typed."""
     for limit in ("max_crawl_urls", "max_frontier_per_shard"):
         cfg = CrawlConfig(
             shard_count=6, per_shard_batch=40, seen_shards=3, **{limit: 0}

@@ -67,3 +67,11 @@ def test_title():
     assert get_title("<html><title>Hi\x01 there</title></html>") == "Hi there"
     assert get_title("<p>no title</p>") == ""
     assert len(get_title("<title>" + "x" * 400 + "</title>")) == 255
+
+
+def test_title_drops_every_control_character():
+    title = "".join(chr(c) for c in range(32)) + "A\tB\nC\x1fD\x7f E é 香"
+    html = f"<title>  {title}\r\n</title>"
+    # below " " goes (tab and newline too); DEL and non-ASCII stay
+    assert get_title(html) == "ABCD\x7f E é 香"
+    assert get_title("<title>\x00\x01\x02</title>") == ""

@@ -1,28 +1,48 @@
 """Equivalence of the fetch hot path's fast kernels with their scalar
-specs, plus a guard that the per-link scalar hash stays out of it.
+specs, plus guards that per-link and per-page scalar work stays out of it.
 
 * ``fnv1a64_batch`` (length-sorted prefix updates) == scalar ``fnv1a64``
 * ``WebStore.link_sel`` == ``fnv1a64(link) % 4`` per link
-* ``_samehost`` (one prefix test) == the reference's per-character scan
-* ``extract_links`` (dedup on the identity key string) == a copy that
-  dedups on the key's 64-bit hash
+* ``extract_links``' inlined same-host test (one prefix test) == the
+  reference's per-character scan
+* ``extract_links`` (one regex, dedup on the identity key string) == a
+  copy that matches the href value and dedups on the key's 64-bit hash
 * ``make_candidates`` (kernels once per distinct URL / host) == a
   row-wise build from the scalar URL functions
+* ``FetchDecode.__call__`` (columnar chunk: one ``phash64_batch``, one
+  payload ``take``) == the page-by-page row builder it replaced
 """
+
+import ast
+import hashlib
+import inspect
+import os
+import re
+import textwrap
 
 import pickle
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from searchengine_ray.functions import hashing
 from searchengine_ray.functions import urlkernel as uk
 from searchengine_ray.functions.hashing import fnv1a64, fnv1a64_batch
+from searchengine_ray.pipelines import oracle
+from searchengine_ray.pipelines.oracle import CrawlConfig
 from searchengine_ray.sources import synth
+from searchengine_ray.sources.codec import decode_image, phash64
 from searchengine_ray.stages import extract
-from searchengine_ray.stages.extract import extract_links, shorten_html
-from searchengine_ray.stages.fetch import CAND_SCHEMA, FetchDecode, make_candidates
+from searchengine_ray.stages.extract import extract_links, get_title, shorten_html
+from searchengine_ray.stages.fetch import (
+    CAND_SCHEMA,
+    CONTENT_SCHEMA,
+    PAYLOAD_SCHEMA,
+    FetchDecode,
+    make_candidates,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +85,20 @@ def test_link_sel_is_the_scalar_selector(store):
     # ships inside the pickled store, beside the lazily-decoded links
     back = pickle.loads(pickle.dumps(store))
     assert back.link_sel_of(7) == expect[store.links_off[7] : store.links_off[8]]
+    assert [back.links_of(r) for r in range(300)] == [
+        store.links_of(r) for r in range(300)
+    ]
+
+
+def test_lazy_strs_slices_equal_list_slices():
+    strs = ["", "a", "", "香港", "host1.com/p/12", "", "b", ""]
+    lazy = synth._LazyStrs("\x00".join(strs).encode("utf-8"), len(strs))
+    n = len(strs)
+    for i in range(-n - 1, n + 2):
+        for j in range(-n - 1, n + 2):
+            for step in (None, 2, -1):
+                assert lazy[i:j:step] == strs[i:j:step]
+    assert list(lazy) == strs and [lazy[i] for i in range(n)] == strs
 
 
 def _samehost_spec(u, host):
@@ -95,14 +129,23 @@ def _samehost_spec(u, host):
     ],
 )
 def test_samehost_equals_per_character_spec(u, host):
-    assert extract._samehost(u, host) == _samehost_spec(u, host)
+    # on an https page a same-host "//" link gets the https:// prefix
+    got = extract_links(f'<a href="//{u}">', host, https=True)
+    if not u:
+        assert got == []  # an empty link is dropped before the test
+    else:
+        assert got == ["https://" + u if _samehost_spec(u, host) else u]
+
+
+_HREF_VALUE_RE = re.compile(r'href="([^"]*)"')
 
 
 def _extract_links_hash_keyed(shortened_html, host, https):
-    """``extract_links`` as it deduped before: on the FNV hash of the
-    identity key, with the per-character same-host scan."""
+    """``extract_links`` as it was before: the whole href value matched
+    and its form tested by prefix, the per-character same-host scan,
+    and the dedup on the FNV hash of the identity key."""
     out, seen = [], set()
-    for m in extract._HREF_RE.finditer(shortened_html):
+    for m in _HREF_VALUE_RE.finditer(shortened_html):
         val = m.group(1)
         if val.startswith("//"):
             u, link_https = val[2:], False
@@ -139,7 +182,24 @@ def _page(store, row, with_sel=True):
     return synth.render_html(*args), host, https
 
 
+_HAND_HTML = "".join(
+    f'<a href="{v}">l</a>'
+    for v in [
+        "", "/", "//", "https://", "http://", "///", "////x.com/a",
+        "//me.com:8080/p", "//me.com:80", "https://me.com:80/q?x=1",
+        "http://me.com", "//www.me.com/p", "//me.com/p", "/p", "//p",
+        "https://www.other.org/z", "//other.org/z", "https:///lead",
+        "http:///lead", "//www./a", "relative/x", "mailto:a@b.c",
+    ]
+)
+
+
 def test_extract_links_equals_hash_keyed_reference(store):
+    for host in ("me.com", "me.com:80", "www.me.com", ""):
+        for https in (False, True):
+            got = extract_links(_HAND_HTML, host, https)
+            assert got == _extract_links_hash_keyed(_HAND_HTML, host, https)
+            assert len(got) > 5
     rows = np.nonzero(store.status == synth.STATUS_OK)[0]
     assert len(rows) > 4000
     for row in rows.tolist():
@@ -192,6 +252,11 @@ def test_make_candidates_equals_rowwise_spec(store):
     got = make_candidates(raw, fseqs, poss, 8)
     assert got.equals(_candidates_rowwise(raw, fseqs, poss, 8))
     assert len(got) > 1000
+    # the fetch actor's form: an Arrow links array, numpy seqs and positions
+    arrow = make_candidates(
+        pa.array(raw, pa.string()), np.array(fseqs), np.array(poss), 8
+    )
+    assert arrow.equals(got)
 
 
 @pytest.mark.parametrize("raw", [[], ["host3.jp/x", "ab", "a.com/f/1.jpg"]])
@@ -233,3 +298,201 @@ def test_fetch_path_makes_no_scalar_hash_calls(monkeypatch):
     assert len(cand) > 10 * len(rows)
     assert all(content["invariant_ok"].to_pylist())
     assert calls == []
+
+
+# ------------------------------------------------ fetch chunk vs row-wise
+
+
+def _fetch_rowwise(actor, batch):
+    """The fetch actor's chunk built page by page, as it was before the
+    columnar rewrite: per-page content rows, the scalar ``phash64``, the
+    payload bytes copied out per page.  → (content, payload, payload
+    row epochs, candidates)."""
+    store = actor.store
+    out = {k.name: [] for k in CONTENT_SCHEMA}
+    pay = {k.name: [] for k in PAYLOAD_SCHEMA}
+    pay_epochs, raw_links, link_seq, link_pos = [], [], [], []
+    for i, r in enumerate(batch.to_pylist()):
+        row = r["content_row"]
+        if row < 0:
+            continue
+        url = store.urls[row]
+        https = url.startswith("https://")
+        host = uk.split_host(url)
+        img = int(store.image_idx[row])
+        caption = store.captions[row]
+        html = synth.render_html(
+            url, host, https, caption, store.image_ids[row],
+            store.links_of(row), store.link_sel_of(row),
+        )
+        links = extract_links(shorten_html(html), host, https)
+        data = actor.img_bytes[img].as_buffer()
+        pixels, fmt = decode_image(data)
+        ph = phash64(pixels)
+        ok = (
+            ph == actor.img_phash[img]
+            and caption == actor.img_caption[img]
+            and fmt == actor.img_fmt[img]
+        )
+        if ok and actor.truth_sha is not None:
+            ok = (
+                hashlib.sha256(pixels.reshape(-1).data).hexdigest()
+                == actor.truth_sha[img]
+            )
+        fseq = r["fetch_seq"]
+        for k, v in (
+            ("fetch_seq", fseq), ("epoch", r["epoch"]), ("url", r["url"]),
+            ("url_hash", r["url_hash"]), ("title", get_title(html)),
+            ("image_id", store.image_ids[row]), ("caption", caption),
+            ("w", pixels.shape[1]), ("h", pixels.shape[0]), ("fmt", fmt),
+            ("phash", ph), ("invariant_ok", bool(ok)), ("links", links),
+        ):
+            out[k].append(v)
+        pay["fetch_seq"].append(fseq)
+        pay["image_id"].append(store.image_ids[row])
+        pay["bytes"].append(data.to_pybytes())
+        pay_epochs.append(r["epoch"])
+        raw_links.extend(links)
+        link_seq.extend([fseq] * len(links))
+        link_pos.extend(range(len(links)))
+    return (
+        pa.table(out, schema=CONTENT_SCHEMA),
+        pa.table(pay, schema=PAYLOAD_SCHEMA),
+        pay_epochs,
+        make_candidates(raw_links, link_seq, link_pos, actor.shard_count),
+    )
+
+
+@pytest.fixture(scope="module")
+def world():
+    """A small web whose images come in odd sizes (below 8, not
+    divisible by 8), with one image's stored phash and another's truth
+    sha wrong so that both invariant failures show; the store goes
+    through pickle as it does to an actor; picks are a crawl order of
+    the oracle with each pick's content row (-1 when the fetch fails)."""
+    images, truth = synth.gen_images(40, seed=5, sizes=(5, 13, 16, 30))
+    ph = images["phash"].to_pylist()
+    ph[3] ^= 1
+    images = images.set_column(
+        images.schema.get_field_index("phash"), "phash", pa.array(ph, pa.int64())
+    )
+    sha = truth["pixels_sha256"].to_pylist()
+    sha[7] = "0" * 64
+    truth = truth.set_column(
+        truth.schema.get_field_index("pixels_sha256"), "pixels_sha256",
+        pa.array(sha),
+    )
+    store = synth.gen_web(1500, 40, seed=5, mean_links=24.0)
+    synth.attach_captions(store, images)
+    store = pickle.loads(pickle.dumps(store))
+    res = oracle.simulate(
+        synth.gen_seeds(store, k=12, seed=5), store, CrawlConfig(per_shard_batch=60)
+    )
+    seq, urls, hashes, _t, epochs = map(list, zip(*res.crawl_order))
+    rows = store.lookup(np.array(hashes, np.uint64))
+    status = np.where(rows >= 0, store.status[rows], -999)
+    content_row = np.where(status == synth.STATUS_OK, rows, -1)
+    red = status == synth.STATUS_REDIRECT
+    tgt = store.redirect[rows[red]]
+    content_row[red] = np.where(
+        (tgt >= 0) & (store.status[np.maximum(tgt, 0)] == synth.STATUS_OK), tgt, -1
+    )
+    picks = pa.table(
+        {
+            "fetch_seq": pa.array(seq, pa.int64()),
+            "epoch": pa.array(epochs, pa.int32()),
+            "url": pa.array(urls, pa.string()),
+            "url_hash": pa.array(hashes, pa.uint64()),
+            "content_row": pa.array(content_row, pa.int64()),
+        }
+    )
+    return store, images, truth, picks
+
+
+def _assert_chunk_equals_rowwise(actor, batch, start=None, length=None):
+    content, cand = actor(batch, start, length)
+    if start is not None:
+        batch = batch.slice(start, length)
+    ref_content, ref_pay, ref_epochs, ref_cand = _fetch_rowwise(actor, batch)
+    assert content.equals(ref_content)
+    assert cand.equals(ref_cand)
+    return content, ref_pay, ref_epochs
+
+
+def test_fetch_chunk_equals_rowwise_on_crawl_windows(world):
+    store, images, truth, picks = world
+    assert len(picks) > 1000
+    assert 0 < (picks["content_row"].to_numpy() < 0).sum() < len(picks)
+    actor = FetchDecode(store, images, truth, shard_count=8)
+    rng = np.random.default_rng(7)
+    pages = bad = 0
+    for _ in range(25):
+        start = int(rng.integers(0, len(picks)))
+        length = int(rng.integers(0, 200))
+        content, _p, _e = _assert_chunk_equals_rowwise(actor, picks, start, length)
+        pages += len(content)
+        bad += len(content) - sum(content["invariant_ok"].to_pylist())
+    content, _p, _e = _assert_chunk_equals_rowwise(actor, picks)
+    assert pages > 500 and bad > 0
+    assert {(w, h) for w, h in zip(content["w"].to_pylist(), content["h"].to_pylist())} > {
+        (5, 5), (13, 30)
+    }
+    assert actor.stats()["pages"] == pages + len(content)
+
+
+def test_fetch_chunk_edge_cases(world):
+    store, images, truth, picks = world
+    actor = FetchDecode(store, images, truth, shard_count=8)
+    dead = picks.filter(pa.array(picks["content_row"].to_numpy() < 0))
+    for batch, start, length in ((dead, None, None), (picks, 17, 0), (picks, 0, 0)):
+        content, cand = actor(batch, start, length)
+        assert len(content) == 0 and content.schema == CONTENT_SCHEMA
+        assert len(cand) == 0 and cand.schema == CAND_SCHEMA
+        _assert_chunk_equals_rowwise(actor, batch, start, length)
+
+
+def test_fetch_chunk_routes_payload_per_epoch(world, tmp_path):
+    store, images, truth, picks = world
+    window = picks.slice(100, 150)
+    ep = np.where(np.arange(len(window)) % 3 == 0, 4, 9).astype(np.int32)
+    window = window.set_column(1, "epoch", pa.array(ep))
+    actor = FetchDecode(store, images, truth, shard_count=8, payload_dir=str(tmp_path))
+    _c, ref_pay, ref_epochs = _assert_chunk_equals_rowwise(actor, window)
+    assert sorted(os.listdir(tmp_path)) == ["epoch=4", "epoch=9"]
+    for e in (4, 9):
+        expect = ref_pay.filter(pa.array(np.array(ref_epochs) == e))
+        first = expect["fetch_seq"][0].as_py()
+        d = tmp_path / f"epoch={e}"
+        assert os.listdir(d) == [f"part-{first:010d}.parquet"]
+        assert pq.read_table(d / os.listdir(d)[0]).equals(expect)
+
+
+def test_warm_runs_the_chunk_path_without_payload(world, tmp_path):
+    store, images, truth, _picks = world
+    actor = FetchDecode(store, images, truth, shard_count=8, payload_dir=str(tmp_path))
+    assert actor.warm() is True
+    assert actor.payload_dir == str(tmp_path) and os.listdir(tmp_path) == []
+    assert actor.stats()["pages"] == 1 and actor.stats()["calls"] == 1
+
+
+def _calls_in(src: str) -> list[str]:
+    """Names called in ``src``: bare functions and methods."""
+    tree = ast.parse(textwrap.dedent(src))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            names.append(f.id if isinstance(f, ast.Name) else getattr(f, "attr", ""))
+    return names
+
+
+def test_fetch_call_hashes_and_copies_per_chunk():
+    """CI guard: the fetch chunk hashes its images in one
+    ``phash64_batch`` and takes its payload bytes in one ``take``;
+    neither the scalar ``phash64`` nor a per-page ``to_pybytes`` copy
+    may come back into ``FetchDecode.__call__``."""
+    names = _calls_in(inspect.getsource(FetchDecode.__call__))
+    assert "phash64_batch" in names and "take" in names
+    assert "phash64" not in names and "to_pybytes" not in names
+    src = "def f(x):\n    phash64(x)\n    x.to_pybytes()\n"
+    assert {"phash64", "to_pybytes"} <= set(_calls_in(src))
