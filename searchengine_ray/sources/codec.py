@@ -91,40 +91,53 @@ def _tiles(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ty, tx, np.outer(dy, dx).reshape(64).astype(np.float64)
 
 
+# Pixel bytes per stacked hash: the products' float copy of the stack
+# (4x this) stays in cache.  Hashing a whole 400-image chunk in one
+# stack held ~5x its pixels (~400 MB at 256 px) and was slower than
+# one image at a time there; see CHANGES.md for the timings.
+PHASH_BATCH_BYTES = 1 << 18
+
+
 def phash64_batch(images) -> np.ndarray:
     """8×8 average-hash of each image's grayscale downsample → int64
     array (the hash's 64 bits read as a signed int64), one per image.
 
-    Images of one shape are stacked and hashed together; an image with
-    h or w below 8 is zero-padded to 8 first.  Tile sums are two
-    matrix products with 0/1 tile matrices over the whole stack, exact
-    because they add integers (see ``_tiles``); the channels are
-    grayscale-weighted only at the 8×8×3 tile level.  The products
-    read one float32 copy of the stack, and still cost a fraction of
-    ``np.add.reduceat`` over the uint8 pixels.  The bits equal
-    the per-pixel float64 formulation (grayscale every pixel, average
-    each tile, threshold at the mean of the 64 tile means) away from
-    float ties; ``tests/test_codec_synth.py`` checks that over the
-    synth corpus and the edge shapes.
+    Images of one shape are stacked and hashed together, at most
+    ``PHASH_BATCH_BYTES`` of pixels per stack (always at least one
+    image); an image with h or w below 8 is zero-padded to 8 first.
+    Tile sums are two matrix products with 0/1 tile matrices over the
+    stack, exact because they add integers (see ``_tiles``); the
+    channels are grayscale-weighted only at the 8×8×3 tile level.  The
+    bits equal the per-pixel float64 formulation (grayscale every
+    pixel, average each tile, threshold at the mean of the 64 tile
+    means) away from float ties; ``tests/test_codec_synth.py`` checks
+    that over the synth corpus and the edge shapes.
     """
     out = np.empty(len(images), np.int64)
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(images):
         groups.setdefault(p.shape, []).append(i)
-    for (h, w, _c), idx in groups.items():
-        k = len(idx)
-        stack = np.stack([images[i] for i in idx])
-        if h < 8 or w < 8:  # degenerate tiles — rare tiny images
-            pad = ((0, 0), (0, max(0, 8 - h)), (0, max(0, 8 - w)), (0, 0))
-            stack = np.pad(stack, pad)
-            h, w = stack.shape[1:3]
-        ty, tx, areas = _tiles(h, w)
-        rows = ty @ stack.reshape(k, h, w * 3).astype(ty.dtype)  # (k, 8, w*3)
-        sums = tx @ rows.reshape(k * 8, w, 3)  # (k*8, 8, 3) tile sums
-        cells = (sums.astype(np.float64) @ _GRAY_W).reshape(k, 64) / areas
-        bits = cells > cells.sum(axis=1, keepdims=True) / 64  # the mean
-        out[idx] = np.packbits(bits, axis=1).view(">i8").ravel()
+    for (h, w, c), idx in groups.items():
+        step = max(1, PHASH_BATCH_BYTES // max(1, h * w * c))
+        for s in range(0, len(idx), step):
+            sub = idx[s : s + step]
+            out[sub] = _phash_stack(np.stack([images[i] for i in sub]))
     return out
+
+
+def _phash_stack(stack: np.ndarray) -> np.ndarray:
+    """``phash64_batch`` of a (k, h, w, 3) uint8 stack."""
+    k, h, w = stack.shape[:3]
+    if h < 8 or w < 8:  # degenerate tiles — rare tiny images
+        pad = ((0, 0), (0, max(0, 8 - h)), (0, max(0, 8 - w)), (0, 0))
+        stack = np.pad(stack, pad)
+        h, w = stack.shape[1:3]
+    ty, tx, areas = _tiles(h, w)
+    rows = ty @ stack.reshape(k, h, w * 3).astype(ty.dtype)  # (k, 8, w*3)
+    sums = tx @ rows.reshape(k * 8, w, 3)  # (k*8, 8, 3) tile sums
+    cells = (sums.astype(np.float64) @ _GRAY_W).reshape(k, 64) / areas
+    bits = cells > cells.sum(axis=1, keepdims=True) / 64  # the mean
+    return np.packbits(bits, axis=1).view(">i8").ravel()
 
 
 def phash64(pixels: np.ndarray) -> int:

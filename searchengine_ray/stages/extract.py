@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import re
 
+from ..functions.urlkernel import key_string
+
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _SCRIPT_RE = re.compile(r"<script\b.*?</script\s*>", re.S | re.I)
 _STYLE_RE = re.compile(r"<style\b.*?</style\s*>", re.S | re.I)
@@ -53,9 +55,7 @@ def extract_links(shortened_html: str, host: str, https: bool) -> list[str]:
 
     Same-host is the reference's prefix test at every '/', ':', '?'
     until a match (``SearchEngine.cpp:61-64``): a match at position i
-    needs ``u[:i] == host``, so only ``i == len(host)`` can match.  The
-    dedup key is ``urlkernel.key_string`` (``www.`` and leading '/'
-    stripped), inlined."""
+    needs ``u[:i] == host``, so only ``i == len(host)`` can match."""
     out: list[str] = []
     seen: set[str] = set()
     n = len(host)
@@ -70,8 +70,7 @@ def extract_links(shortened_html: str, host: str, https: bool) -> list[str]:
             same = u.startswith(host) and (len(u) == n or u[n] in "/:?")
             if same and https or not same and form == "https://":
                 u = "https://" + u
-        k = u[4:] if len(u) > 4 and u[:4] == "www." else u
-        k = k.lstrip("/")  # getMD5-identity (SearchEngine.h:213-223)
+        k = key_string(u)  # getMD5-identity (SearchEngine.h:213-223)
         if k in seen:
             continue
         seen.add(k)

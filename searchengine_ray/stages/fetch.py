@@ -11,12 +11,14 @@ is per page: renders the page HTML deterministically (href forms from
 the store's precomputed link selectors), shortens it (M8/M9), extracts
 link candidates (M10), reads its title, decodes its image from a
 zero-copy window of the images table and hashes the decoded pixels
-against truth.  Per chunk it hashes every image in one
-``phash64_batch``, checks the per-row invariants (decoded-pixel sha vs
-truth — exact because truth is derived from post-codec pixels, with
-the lossy codec's PSNR ≥ 40 dB bound asserted by codec tests — plus
-caption, fmt and phash equality), and builds the content table, the
-payload bytes (one ``take``) and the candidates' positions from arrays.
+against truth.  The decoded images go to ``phash64_batch`` one bounded
+stack at a time (``codec.PHASH_BATCH_BYTES``), so a chunk never holds
+all of them at once.  Per chunk it checks the per-row invariants
+(decoded-pixel sha vs truth — exact because truth is derived from
+post-codec pixels, with the lossy codec's PSNR ≥ 40 dB bound asserted
+by codec tests — plus caption, fmt and phash equality), and builds the
+content table, the payload bytes (one ``take``) and the candidates'
+positions from arrays.
 
 Scale design: the actor ALSO
 * canonicalizes/filters the extracted links into admission candidates
@@ -46,7 +48,7 @@ import pyarrow.parquet as pq
 from ..functions import urlkernel as uk
 from ..functions.urlkernel import split_host
 from ..sources import synth
-from ..sources.codec import decode_image, phash64_batch
+from ..sources.codec import PHASH_BATCH_BYTES, decode_image, phash64_batch
 from .extract import extract_links, get_title, shorten_html
 
 CONTENT_SCHEMA = pa.schema(
@@ -217,10 +219,11 @@ class FetchDecode:
 
         One Python loop over the live pages (``content_row >= 0``)
         renders, shortens and extracts each page, reads its title and
-        decodes its image; everything else runs once per chunk: one
-        ``phash64_batch`` over the decoded images, the content columns
-        taken or built from arrays, one ``take`` of the payload bytes
-        and the candidates' (fetch_seq, pos) from two ``np.repeat``."""
+        decodes its image; the decoded images are hashed by
+        ``phash64_batch`` a stack (``PHASH_BATCH_BYTES``) at a time.
+        Everything else runs once per chunk: the content columns taken
+        or built from arrays, one ``take`` of the payload bytes and the
+        candidates' (fetch_seq, pos) from two ``np.repeat``."""
         _t0 = time.perf_counter()
         if start is not None:
             batch = batch.slice(start, length)
@@ -233,7 +236,13 @@ class FetchDecode:
         captions: list[str] = []
         image_ids: list[str] = []
         fmts: list[str] = []
+        # decoded images wait for the next phash64_batch only until they
+        # fill one stack, so a chunk holds at most ~PHASH_BATCH_BYTES of
+        # them, whatever its length and image size
         pixels: list[np.ndarray] = []
+        held = 0
+        hashed: list[np.ndarray] = []
+        hw = np.empty((len(rows), 2), np.int32)
         ok = np.empty(len(rows), bool)  # per page: caption, fmt and sha
         n_links = np.empty(len(rows), np.int64)
         links: list[str] = []
@@ -264,10 +273,14 @@ class FetchDecode:
             captions.append(caption)
             image_ids.append(image_id)
             fmts.append(fmt)
+            hw[i] = px.shape[:2]
             pixels.append(px)
-        phash = phash64_batch(pixels)
+            held += px.nbytes
+            if held >= PHASH_BATCH_BYTES:
+                hashed.append(phash64_batch(pixels))
+                pixels, held = [], 0
+        phash = np.concatenate([*hashed, phash64_batch(pixels)])
         ok &= phash == self.img_phash[imgs]
-        hw = np.array([p.shape[:2] for p in pixels], np.int32).reshape(-1, 2)
         head = batch.select(["fetch_seq", "epoch", "url", "url_hash"]).take(live)
         offsets = np.zeros(len(rows) + 1, np.int32)
         np.cumsum(n_links, out=offsets[1:])

@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from searchengine_ray.sources import synth
+from searchengine_ray.sources import codec, synth
 from searchengine_ray.sources.codec import (
     decode_image,
     encode_image,
@@ -103,6 +103,37 @@ def test_phash_equals_per_pixel_spec_on_edge_shapes(shapes):
     _assert_phash_spec(
         [rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8) for h, w in shapes]
     )
+
+
+def test_phash_batch_splits_stacks_by_bytes(monkeypatch):
+    """A shape group larger than ``PHASH_BATCH_BYTES`` is hashed a few
+    images per stack, with the same bits; an image over the bound is a
+    stack of its own."""
+    monkeypatch.setattr(codec, "PHASH_BATCH_BYTES", 2 * 16 * 16 * 3)
+    rng = np.random.default_rng(11)
+    shapes = [(16, 16)] * 5 + [(40, 24), (16, 16), (40, 24), (3, 9)]
+    _assert_phash_spec(
+        [rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8) for h, w in shapes]
+    )
+
+
+def test_phash_tile_sums_past_float32_exactness():
+    """2056 px tiles are 257×257, so a tile's channel sum can pass 2**24,
+    where float32 no longer holds every integer; ``_tiles`` then sums
+    in float64.  A white image with 2 pixels one below white in half
+    the tiles (a checkerboard) and 3 in the others has tile sums
+    16842493 and 16842492: float32 rounds both to 16842492 and would
+    clear every bit."""
+    assert codec._tiles(2056, 2056)[0].dtype == np.float64
+    assert codec._tiles(2048, 2048)[0].dtype == np.float32
+    img = np.full((2056, 2056, 3), 255, np.uint8)
+    for i in range(8):
+        for j in range(8):
+            img[257 * i, 257 * j : 257 * j + 2 + (i + j) % 2] = 254
+    assert img[:257, :257].sum(dtype=np.int64) // 3 == 16842493 > 1 << 24
+    assert np.float32(16842493) == np.float32(16842492)
+    assert phash64(img) == _phash_spec(img) != 0
+    _assert_phash_spec([img])
 
 
 def test_phash_batch_of_none_is_empty():

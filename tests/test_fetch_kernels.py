@@ -9,8 +9,9 @@ specs, plus guards that per-link and per-page scalar work stays out of it.
   copy that matches the href value and dedups on the key's 64-bit hash
 * ``make_candidates`` (kernels once per distinct URL / host) == a
   row-wise build from the scalar URL functions
-* ``FetchDecode.__call__`` (columnar chunk: one ``phash64_batch``, one
-  payload ``take``) == the page-by-page row builder it replaced
+* ``FetchDecode.__call__`` (columnar chunk: ``phash64_batch`` per
+  bounded stack of decoded images, one payload ``take``) == the
+  page-by-page row builder it replaced
 """
 
 import ast
@@ -32,9 +33,9 @@ from searchengine_ray.functions import urlkernel as uk
 from searchengine_ray.functions.hashing import fnv1a64, fnv1a64_batch
 from searchengine_ray.pipelines import oracle
 from searchengine_ray.pipelines.oracle import CrawlConfig
-from searchengine_ray.sources import synth
+from searchengine_ray.sources import codec, synth
 from searchengine_ray.sources.codec import decode_image, phash64
-from searchengine_ray.stages import extract
+from searchengine_ray.stages import extract, fetch
 from searchengine_ray.stages.extract import extract_links, get_title, shorten_html
 from searchengine_ray.stages.fetch import (
     CAND_SCHEMA,
@@ -451,6 +452,31 @@ def test_fetch_chunk_edge_cases(world):
         _assert_chunk_equals_rowwise(actor, batch, start, length)
 
 
+@pytest.mark.parametrize("bound", [1, 3000, 1 << 40])
+def test_fetch_chunk_hashes_in_bounded_stacks(world, monkeypatch, bound):
+    """Decoded images wait for ``phash64_batch`` only until they reach
+    ``PHASH_BATCH_BYTES``: every call but the last gets at least that
+    many bytes and would have fewer without its last image, the last
+    gets fewer.  The chunk is the same whatever the bound."""
+    store, images, truth, picks = world
+    calls = []
+
+    def spy(pixels):
+        calls.append([p.nbytes for p in pixels])
+        return codec.phash64_batch(pixels)
+
+    monkeypatch.setattr(fetch, "PHASH_BATCH_BYTES", bound)
+    monkeypatch.setattr(fetch, "phash64_batch", spy)
+    actor = FetchDecode(store, images, truth, shard_count=8)
+    content, _p, _e = _assert_chunk_equals_rowwise(actor, picks, 0, 400)
+    assert len(content) > 100
+    assert sum(map(len, calls)) == len(content)
+    for sizes in calls[:-1]:
+        assert sum(sizes) >= bound > sum(sizes[:-1])
+    assert sum(calls[-1]) < bound
+    assert len(calls) > 2 or bound > 3000
+
+
 def test_fetch_chunk_routes_payload_per_epoch(world, tmp_path):
     store, images, truth, picks = world
     window = picks.slice(100, 150)
@@ -487,7 +513,7 @@ def _calls_in(src: str) -> list[str]:
 
 
 def test_fetch_call_hashes_and_copies_per_chunk():
-    """CI guard: the fetch chunk hashes its images in one
+    """CI guard: the fetch chunk hashes its images with
     ``phash64_batch`` and takes its payload bytes in one ``take``;
     neither the scalar ``phash64`` nor a per-page ``to_pybytes`` copy
     may come back into ``FetchDecode.__call__``."""
