@@ -31,8 +31,8 @@ partials, one key-hash ``keyed_map`` for the final top-k.  Every
 shuffle — the partitioned fold, per-partition finisher
 (``keyed_map``) and join (``hash_join``) — is the one task-based range
 partition of ``stages/keyed.py``, which a query calls with the key
-columns it shuffles by (only ``_join_parts`` sizes a join's partition
-count); no query uses ``Dataset.join``,
+columns it shuffles by and which sizes every shuffle by the bytes it
+reads; no query uses ``Dataset.join``,
 ``groupby().map_groups`` or a Ray aggregate (``Dataset.aggregate``,
 ``sum``, ``min``, ``max``, ``mean``, ``std``, ``unique``).  The
 curation decisions live once in ``stages/``: the clean gate
@@ -57,7 +57,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..sources.storage import blocks_for, read_parquet
+from ..sources.storage import read_parquet
 from ..stages import dedup as dd
 from ..stages import text as tx
 from ..stages.cluster import neardup_drop
@@ -93,22 +93,6 @@ def _dim_names(keys: np.ndarray, names: dict) -> tuple[np.ndarray, pa.Array]:
     got = pd.Series(keys).map(names)
     hit = got.notna().to_numpy()
     return hit, pa.array(got[hit].tolist(), pa.string())
-
-
-def _join_parts(sf_dir: str, *tables: str) -> int:
-    """``hash_join`` partition count sized by DATA volume (``blocks_for``:
-    one partition per 32 MiB of input), clamped to [2, 4× the
-    cluster]: the partition count grows with the data at 100 TB, while
-    a 20 MB join at test scale runs as a few pandas merges."""
-    from ..stages.keyed import ncpus
-
-    total = 0
-    for t in tables:
-        try:
-            total += os.path.getsize(os.path.join(sf_dir, f"{t}.parquet"))
-        except OSError:
-            pass
-    return min(max(2, blocks_for(total)), 4 * ncpus())
 
 
 # the revenue rollups of q03/q05/q34 over their ``cents`` projection
@@ -212,10 +196,7 @@ def q03_revenue_by_segment(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = hash_join(
-        orders, cust, "o_custkey", "c_custkey",
-        npart=_join_parts(sf_dir, "orders", "customer"),
-    )
+    joined = hash_join(orders, cust, "o_custkey", "c_custkey")
     return combine(joined, ["c_mktsegment"], _REVENUE, prep)
 
 
@@ -239,7 +220,6 @@ def q04_customers_without_orders(sf_dir: str):
         "c_custkey",
         "o_custkey",
         how="left_anti",
-        npart=_join_parts(sf_dir, "customer", "orders"),
     ))
 
 
@@ -265,10 +245,7 @@ def q05_nation_orders(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    joined = hash_join(
-        orders, cust, "o_custkey", "c_custkey",
-        npart=_join_parts(sf_dir, "orders", "customer"),
-    )
+    joined = hash_join(orders, cust, "o_custkey", "c_custkey")
     return combine(joined, ["n_name"], _REVENUE, add_nation)
 
 
@@ -759,10 +736,7 @@ def q26_brand_volume(sf_dir: str):
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-    joined = hash_join(
-        li, part, "l_partkey", "p_partkey",
-        npart=_join_parts(sf_dir, "lineitem", "part"),
-    )
+    joined = hash_join(li, part, "l_partkey", "p_partkey")
     return combine(
         joined,
         ["p_brand"],
@@ -989,10 +963,7 @@ def q34_region_revenue(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    joined = hash_join(
-        orders, cust, "o_custkey", "c_custkey",
-        npart=_join_parts(sf_dir, "orders", "customer"),
-    )
+    joined = hash_join(orders, cust, "o_custkey", "c_custkey")
     return combine(joined, ["r_name"], _REVENUE, add_region)
 
 

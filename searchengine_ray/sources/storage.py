@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-# bytes on disk per Ray Data block (and per hash-join partition)
+# bytes on disk per Ray Data block (and per keyed-shuffle partition)
 BLOCK_BYTES = 32 << 20
 
 
@@ -21,12 +21,18 @@ def blocks_for(nbytes: int) -> int:
     return max(1, -(-nbytes // BLOCK_BYTES))
 
 
-def read_blocks(paths) -> int:
-    """Block count of a read of ``paths`` (a parquet file or a list of
-    them): ``blocks_for`` their total size on disk."""
+def disk_bytes(paths) -> int:
+    """Total size on disk of ``paths`` (a parquet file or a list of
+    them)."""
     if isinstance(paths, str):
         paths = [paths]
-    return blocks_for(sum(os.path.getsize(p) for p in paths))
+    return sum(os.path.getsize(p) for p in paths)
+
+
+def read_blocks(paths) -> int:
+    """Block count of a read of ``paths``: ``blocks_for`` their total
+    size on disk."""
+    return blocks_for(disk_bytes(paths))
 
 
 def read_parquet(paths, columns=None):
@@ -44,7 +50,7 @@ def read_parquet(paths, columns=None):
     outweigh its task cost many times over, while the block, decoded
     (a few times its parquet size), stays under Ray Data's 128 MiB
     target block size, so Ray does not split it again; it is also the
-    partition size of the catalog's hash joins.  Reads get no floor at
+    partition size of every keyed shuffle.  Reads get no floor at
     the CPU count: under 32 MiB the work a split spreads over more
     CPUs is smaller than the cost of the tasks it adds.  Nor a cap:
     Ray already runs no more tasks at once than there are CPUs."""

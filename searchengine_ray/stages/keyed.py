@@ -14,9 +14,13 @@ on the driver (a pandas frame) or, with ``partitioned=True``, in a
 and integer results are int64.
 
 Shape: ``keyed_map(ds, keys, fn)`` names the key columns and nothing
-else.  Its pad stage stamps each row with the partition id
-``hash_part`` gives its key (FNV-1a/64 over the Arrow key columns,
-modulo the partition count, by default the cluster's CPUs);
+else.  The partition count follows the bytes the plan reads
+(``_partitions``: one partition per started 32 MiB of its sources,
+capped at 4× the cluster's CPUs).  One partition — every test-scale
+shuffle — is ``repartition(1)`` and one ``fn`` call over all rows: no
+pad, no partition id, no sort.  With more, the pad stage stamps each
+row with the partition id ``hash_part`` gives its key (FNV-1a/64 over
+the Arrow key columns, modulo the partition count);
 ``Dataset.sort`` with the KNOWN boundaries of those ids
 range-partitions on it, so each output block holds exactly one
 partition; ``map_batches(batch_size=None)`` then drops the id and
@@ -34,19 +38,22 @@ with no rows comes back untyped (no columns).  ``empty_like(ds)``
 derives the zero-row table ``ds`` would give from its Ray plan on the
 driver, without running it: a source's own schema, each
 ``map_batches`` UDF called once on a zero-row batch, a sort / limit /
-shuffle / union passing its input's table on.  It is the one place in
-the package that reads Ray's plan objects.  Every driver sink types
-a result with no rows from it: ``collect`` (a pandas frame),
-``materialize`` (a Dataset read more than once), ``combine``'s fold,
-``hash_join``'s column layout.  So every UDF must accept a zero-row
-batch.  Inside ``keyed_map`` every non-empty input block appends one
-pad row per partition (told apart from real rows by the parity of
-its sort key), so no sort partition is empty and ``fn`` runs on every
-partition — on an empty, correctly typed frame where no real row
-landed — instead of Ray's sort emitting a schema-less block for it.
+shuffle / union passing its input's table on.  It and
+``_partitions`` are the only readers of Ray's plan objects in the
+package.  Every driver sink types a result with no rows from it:
+``collect`` (a pandas frame), ``materialize`` (a Dataset read more
+than once), ``combine``'s fold, ``hash_join``'s column layout.  So
+every UDF must accept a zero-row batch.  Inside a shuffle of two or more partitions every non-empty
+input block appends one pad row per partition (told apart from real
+rows by the parity of its sort key), so no sort partition is empty and
+``fn`` runs on every partition — on an empty, correctly typed frame
+where no real row landed — instead of Ray's sort emitting a
+schema-less block for it.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pandas as pd
@@ -54,20 +61,43 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed, hash_combine
+from ..sources.storage import blocks_for, disk_bytes
 
 _PART = "_keyed_part"
 JOIN_TYPES = ("inner", "left_outer", "left_anti")
 
 
 def ncpus() -> int:
-    """Cluster CPU count (≥ 2): the default partition count of every
-    keyed shuffle."""
+    """Cluster CPU count: 4× it caps a keyed shuffle's partitions."""
     import ray
 
     try:
-        return max(2, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        return 8
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    except Exception:  # no session yet: Ray Data starts one on every CPU
+        return os.cpu_count() or 1
+
+
+def _partitions(ds) -> int:
+    """Partition count of a keyed shuffle of ``ds``, from the bytes its
+    plan reads: ``blocks_for`` (one per started 32 MiB) of all its
+    sources together, capped at 4× the cluster's CPUs.  A parquet read
+    counts its size on disk (the bytes ``read_blocks`` sizes it by), an
+    in-memory source (``from_arrow``, ``from_pandas``, a materialized
+    Dataset) its blocks' bytes, and a union — ``hash_join``'s two sides
+    — every input.  The trade-off is ``read_parquet``'s: each partition
+    is a task with a fixed cost, and under 32 MiB that cost outweighs
+    the work a split spreads over more CPUs."""
+    return min(blocks_for(_source_bytes(ds._logical_plan.dag)), 4 * ncpus())
+
+
+def _source_bytes(op) -> int:
+    if op.input_dependencies:
+        return sum(_source_bytes(dep) for dep in op.input_dependencies)
+    paths = getattr(getattr(op, "_datasource", None), "_pq_paths", None)
+    if paths:
+        return disk_bytes(paths)
+    bundles = getattr(op, "input_data", None) or []
+    return sum(b.size_bytes() for b in bundles)
 
 
 def _int_hash(v: np.ndarray) -> np.ndarray:
@@ -109,14 +139,12 @@ def hash_part(cols: list, npart: int) -> np.ndarray:
     return (h % np.uint64(npart)).astype(np.int64)
 
 
-def keyed_map(
-    ds, keys: list, fn, batch_format: str = "pandas", npart: int | None = None
-):
+def keyed_map(ds, keys: list, fn, batch_format: str = "pandas"):
     """Run ``fn`` once per partition of ``ds`` by the key columns
     ``keys``: every row of one key reaches the same call.
 
-    Rows route by ``hash_part`` of their key into ``npart`` partitions
-    (default: the cluster's CPUs).  ``fn`` gets every row of its
+    Rows route by ``hash_part`` of their key into ``_partitions(ds)``
+    partitions.  ``fn`` gets every row of its
     partition, with ``ds``'s columns, as a pandas frame — or a
     ``pyarrow.Table`` with ``batch_format="pyarrow"`` — and returns a
     frame or table.  An empty partition of an input with rows calls
@@ -125,13 +153,30 @@ def keyed_map(
     task and its sink types the result from the plan."""
     keys = list(keys)
     return _shuffle(ds, lambda t, n: hash_part([t[k] for k in keys], n),
-                    fn, batch_format, npart)
+                    fn, batch_format)
 
 
-def _shuffle(ds, route, fn, batch_format: str, npart: int | None):
+def _plain(t: pa.Table) -> pa.Table:
+    return t.replace_schema_metadata()
+
+
+def _shuffle(ds, route, fn, batch_format: str):
     """The one keyed shuffle: ``route(t, npart)`` gives each row of a
     block its partition id, and ``fn`` runs once per partition."""
-    npart = max(int(npart or ncpus()), 2)
+    npart = _partitions(ds)
+
+    def call(t: pa.Table):
+        return fn(t.to_pandas() if batch_format == "pandas" else t)
+
+    call.__name__ = getattr(fn, "__name__", "keyed_map")
+    if npart == 1:
+        # arrow blocks without pandas metadata, as ``pad`` makes them:
+        # Ray's repartition merges only blocks of one type
+        return (
+            ds.map_batches(_plain, batch_format="pyarrow", batch_size=None)
+            .repartition(1)
+            .map_batches(call, batch_format="pyarrow", batch_size=None)
+        )
 
     def pad(t: pa.Table) -> pa.Table:
         # pad rows repeat the block's first row: typed and non-null, so
@@ -147,10 +192,9 @@ def _shuffle(ds, route, fn, batch_format: str, npart: int | None):
 
     def run(t: pa.Table):
         real = pc.equal(pc.bit_wise_and(t[_PART], 1), 1)
-        t = t.filter(real).drop_columns([_PART])
-        return fn(t.to_pandas() if batch_format == "pandas" else t)
+        return call(t.filter(real).drop_columns([_PART]))
 
-    run.__name__ = getattr(fn, "__name__", "keyed_map")
+    run.__name__ = call.__name__
     return (
         ds.map_batches(pad, batch_format="pyarrow")
         .sort(_PART, boundaries=list(range(2, 2 * npart, 2)))
@@ -287,8 +331,9 @@ def empty_like(ds) -> pa.Table:
     ``Limit``, ``RandomShuffle`` and ``Repartition`` pass their input's
     table on, ``Union`` its first input's, ``Project`` its columns.
     Any other operator is a ``TypeError`` — never a fallback to
-    ``ds.schema()``, which runs the plan.  The one reader of Ray's
-    private plan objects in the package (Ray 2.49)."""
+    ``ds.schema()``, which runs the plan.  With ``_partitions``, the
+    one reader of Ray's private plan objects in the package (Ray
+    2.49)."""
     return _empty(ds._logical_plan.dag)
 
 
@@ -375,9 +420,7 @@ def _filler(n: int, typ: pa.DataType) -> pa.Array:
         return pa.nulls(n, typ)  # binary/nested: lossless through pandas
 
 
-def hash_join(
-    left, right, on: str, right_on: str, how: str = "inner", npart: int | None = None
-):
+def hash_join(left, right, on: str, right_on: str, how: str = "inner"):
     """Hash join of two Datasets on one key column per side, as one
     keyed shuffle.
 
@@ -385,10 +428,9 @@ def hash_join(
     schema (side 0's columns prefixed ``0.``, side 1's ``1.``) and
     unioned; one keyed shuffle routes each row by its own side's key
     (an int32 key meets the equal int64 key) and runs a pandas merge
-    per partition.  ``npart`` overrides the partition count (default:
-    the cluster's CPUs).  ``how`` is ``inner``, ``left_outer`` or
-    ``left_anti`` (left rows with no match; only the right key
-    column is shuffled).  Null keys never match, as in SQL.  The output
+    per partition; the partition count counts both sides' bytes.
+    ``how`` is ``inner``, ``left_outer`` or ``left_anti`` (left rows
+    with no match; only the right key column is shuffled).  Null keys never match, as in SQL.  The output
     has the left columns, then the right ones; a key named alike on
     both sides appears once, any other shared name is an error.  Both
     sides' columns come from their plans (``empty_like``), so neither
@@ -459,4 +501,4 @@ def hash_join(
     tagged = left.map_batches(tag(0, on), batch_format="pyarrow").union(
         right.map_batches(tag(1, right_on), batch_format="pyarrow")
     )
-    return _shuffle(tagged, route, join_part, "pyarrow", npart)
+    return _shuffle(tagged, route, join_part, "pyarrow")

@@ -21,8 +21,13 @@ from test_queries_oracle import SF_DIR
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _force_parts(monkeypatch, n: int):
+    """Every keyed shuffle in the test runs as ``n`` partitions."""
+    monkeypatch.setattr(keyed, "_partitions", lambda ds: n)
+
+
 @pytest.mark.parametrize("npart", [2, 3, 7])
-def test_keyed_map_one_call_per_key(ray_session, npart):
+def test_keyed_map_one_call_per_key(ray_session, monkeypatch, npart):
     import ray
 
     import pyarrow as pa
@@ -42,7 +47,8 @@ def test_keyed_map_one_call_per_key(ray_session, npart):
             }
         )
 
-    calls = keyed.keyed_map(ds, ["k"], fn, npart=npart).to_pandas()
+    _force_parts(monkeypatch, npart)
+    calls = keyed.keyed_map(ds, ["k"], fn).to_pandas()
     assert len(calls) == npart  # one call per partition, empty ones too
     seen = [int(k) for ks in calls["keys"] for k in ks.split(",") if k]
     assert sorted(seen) == sorted(set(keys.tolist()))  # each key exactly once
@@ -54,7 +60,100 @@ def test_keyed_map_one_call_per_key(ray_session, npart):
     assert calls["n"].sum() == 2000
 
 
-def test_keyed_map_typed_when_empty(ray_session):
+def _one_row_per_call():
+    """A ``keyed_map`` fn that returns one row per call (nested, so Ray
+    workers get it by value)."""
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": [len(g)], "cols": [",".join(g.columns)]})
+
+    return fn
+
+
+def test_one_block_read_is_one_call(ray_session):
+    """A test-scale read is one block and one partition: ``fn`` runs
+    exactly once, on every row, with no pad row or partition id."""
+    from searchengine_ray.sources.storage import read_parquet
+
+    ds = read_parquet(os.path.join(SF_DIR, "orders.parquet"), ["o_custkey", "o_totalprice"])
+    assert keyed._partitions(ds) == 1
+    calls = keyed.keyed_map(ds, ["o_custkey"], _one_row_per_call()).to_pandas()
+    assert calls.to_dict("list") == {"n": [ds.count()], "cols": ["o_custkey,o_totalprice"]}
+
+
+@pytest.mark.parametrize("k", [3, 40])
+def test_partitions_follow_read_bytes(ray_session, monkeypatch, k):
+    """A read of ``k`` blocks by ``BLOCK_BYTES`` shuffles as min(k, 4×
+    the cluster's CPUs) partitions, one ``fn`` call each."""
+    from searchengine_ray.sources import storage
+
+    path = os.path.join(SF_DIR, "lineitem.parquet")
+    monkeypatch.setattr(storage, "BLOCK_BYTES", -(-os.path.getsize(path) // k))
+    assert storage.read_blocks(path) == k
+    ds = storage.read_parquet(path, ["l_partkey", "l_quantity"])
+    want = min(k, 4 * keyed.ncpus())
+    assert keyed._partitions(ds) == want
+    calls = keyed.keyed_map(ds, ["l_partkey"], _one_row_per_call()).to_pandas()
+    assert len(calls) == want and calls["n"].sum() == ds.count()
+
+
+def test_in_memory_source_is_sized_by_its_bytes(ray_session, monkeypatch):
+    """``from_arrow`` and a materialized Dataset count their blocks'
+    bytes; the cap is 4× the cluster's CPUs."""
+    import pyarrow as pa
+    import ray
+
+    from searchengine_ray.sources import storage
+
+    t = pa.table({"k": np.arange(10_000, dtype=np.int64), "v": np.ones(10_000)})
+    ds = ray.data.from_arrow(t)
+    assert keyed._partitions(ds) == 1
+    monkeypatch.setattr(storage, "BLOCK_BYTES", t.nbytes // 3 + 1)
+    assert keyed._partitions(ds) == 3
+    assert keyed._partitions(ds.materialize()) == 3
+    monkeypatch.setattr(storage, "BLOCK_BYTES", 1000)
+    assert keyed._partitions(ds) == 4 * keyed.ncpus()
+
+
+def test_hash_join_counts_both_sides(ray_session, monkeypatch):
+    """A join's partition count is ``blocks_for`` of both sides' bytes
+    together: each side alone fits one block, both need two."""
+    from searchengine_ray.sources import storage
+
+    lpath, rpath = (os.path.join(SF_DIR, f"{t}.parquet") for t in ("orders", "customer"))
+    monkeypatch.setattr(storage, "BLOCK_BYTES", max(map(os.path.getsize, (lpath, rpath))))
+    sized, real = [], keyed._partitions
+    monkeypatch.setattr(keyed, "_partitions", lambda ds: sized.append(real(ds)) or sized[-1])
+    left = storage.read_parquet(lpath, ["o_custkey"])
+    right = storage.read_parquet(rpath, ["c_custkey"])
+    assert real(left) == real(right) == 1
+    got = keyed.hash_join(left, right, "o_custkey", "c_custkey").count()
+    assert sized == [2]
+    want = duckdb.connect().execute(
+        f"SELECT count(*) FROM '{lpath}' o JOIN '{rpath}' c ON o.o_custkey = c.c_custkey"
+    ).fetchone()[0]
+    assert got == want > 0
+
+
+def test_zero_row_input_runs_no_call_and_collects_typed(ray_session):
+    """An input with no rows — a zero-row source, or blocks a filter
+    emptied — runs no ``fn`` call at one partition, and its sink types
+    the result from the plan."""
+    import pyarrow as pa
+    import ray
+
+    none = ray.data.from_arrow(pa.table({"a": pa.array([], pa.int64()),
+                                         "s": pa.array([], pa.string())}))
+    emptied = _src().map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+    for ds in (none, emptied):
+        assert keyed._partitions(ds) == 1
+        out = keyed.keyed_map(ds, ["a"], _one_row_per_call())
+        got = keyed.collect(out)
+        assert len(got) == 0 and list(got.columns) == ["n", "cols"]
+        assert list(got.dtypes.astype(str)) == ["int64", "object"]
+        assert out.count() == 0  # no call: one would emit a row
+
+
+def test_keyed_map_typed_when_empty(ray_session, monkeypatch):
     """Partitions no row reaches still run ``fn`` on an empty typed
     frame, so every output block carries the same schema."""
     import ray
@@ -65,7 +164,8 @@ def test_keyed_map_typed_when_empty(ray_session):
     import pyarrow as pa
 
     df = pd.DataFrame({"w": ["a", "b", "a"], "c": [1, 2, 3]})
-    out = keyed.keyed_map(ray.data.from_pandas(df), ["w"], _typed_sum, npart=7)
+    _force_parts(monkeypatch, 7)
+    out = keyed.keyed_map(ray.data.from_pandas(df), ["w"], _typed_sum)
     blocks = [ray.get(r) for r in out.to_pandas_refs()]
     used = len(set(keyed.hash_part([pa.array(["a", "b"])], 7).tolist()))
     assert len(blocks) == 7 and sum(len(b) == 0 for b in blocks) == 7 - used
@@ -73,7 +173,7 @@ def test_keyed_map_typed_when_empty(ray_session):
     got = pd.concat(blocks).sort_values("w").reset_index(drop=True)
     assert got.to_dict("list") == {"w": ["a", "b"], "c": [4, 2]}
 
-    # 2 keys over ncpus() >= 4 partitions: at least 2 are typed empties
+    # 2 keys over 7 partitions: at least 5 are typed empties
     got = keyed.combine(
         ray.data.from_pandas(df),
         ["w"],
@@ -84,7 +184,7 @@ def test_keyed_map_typed_when_empty(ray_session):
     assert sorted(got["w"]) == ["a", "b"]
 
 
-def test_keyed_map_keeps_types_past_empty_pandas_blocks(ray_session):
+def test_keyed_map_keeps_types_past_empty_pandas_blocks(ray_session, monkeypatch):
     """Ray's sort merges each partition through pandas when empty
     pandas blocks outnumber the rest; int64 columns must stay int64
     and exact (no float64 detour) on that path too."""
@@ -94,7 +194,8 @@ def test_keyed_map_keeps_types_past_empty_pandas_blocks(ray_session):
     df = pd.DataFrame({"k": np.arange(6, dtype=np.int64) + big})
     blocks = [df.iloc[i : i + 1] for i in range(6)] + [df.iloc[:0]] * 12
     ds = ray.data.from_pandas(blocks)
-    out = keyed.keyed_map(ds, ["k"], lambda g: g[["k"]], npart=8)
+    _force_parts(monkeypatch, 8)
+    out = keyed.keyed_map(ds, ["k"], lambda g: g[["k"]])
     got = pd.concat(ray.get(out.to_pandas_refs()))
     assert str(got["k"].dtype) == "int64"
     assert sorted(got["k"]) == sorted(df["k"])
@@ -104,7 +205,7 @@ def test_keyed_map_keeps_types_past_empty_pandas_blocks(ray_session):
         [right.iloc[i : i + 1] for i in range(6)] + [right.iloc[:0]] * 12
     ).materialize()
     left = ray.data.from_pandas(df).materialize()
-    got = keyed.hash_join(left, other, "k", "j", npart=8).to_pandas()
+    got = keyed.hash_join(left, other, "k", "j").to_pandas()
     assert (got["k"] == got["j"]).all() and len(got) == 6
 
 
@@ -352,7 +453,7 @@ def _canon(df: pd.DataFrame) -> list:
 
 @pytest.mark.parametrize("how", list(_SQL))
 @pytest.mark.parametrize("empty", [None, "left", "right"])
-def test_hash_join_matches_duckdb(ray_session, how, empty):
+def test_hash_join_matches_duckdb(ray_session, monkeypatch, how, empty):
     import pyarrow as pa
     import ray
 
@@ -363,9 +464,8 @@ def test_hash_join_matches_duckdb(ray_session, how, empty):
         right = right.iloc[:0]
     l, r = pa.Table.from_pandas(left), pa.Table.from_pandas(right)
     want = duckdb.connect().execute(_SQL[how]).df()
-    out = keyed.hash_join(
-        ray.data.from_arrow(l), ray.data.from_arrow(r), "lk", "rk", how, npart=3
-    )
+    _force_parts(monkeypatch, 3)
+    out = keyed.hash_join(ray.data.from_arrow(l), ray.data.from_arrow(r), "lk", "rk", how)
     # concatenating the blocks keeps the columns of an empty result
     got = pd.concat(ray.get(out.to_pandas_refs()))
     assert sorted(got.columns) == sorted(want.columns)
@@ -469,22 +569,21 @@ def test_empty_like_sort_limit_union_project(ray_session):
     assert _types(keyed.empty_like(src.select_columns(["s"]))) == [("s", "string")]
 
 
-def test_empty_like_keyed_map_and_seedless_hash_join(ray_session):
+def test_empty_like_keyed_map_and_seedless_hash_join(ray_session, monkeypatch):
     """``keyed_map``'s pad, sort and ``fn`` on no rows; a join of two
     empty sides is typed with no seed row riding along."""
     import pyarrow as pa
     import ray
 
-    out = keyed.keyed_map(
-        _src(), ["a"], lambda g: g.groupby("s", as_index=False)["a"].sum(), npart=3
-    )
+    _force_parts(monkeypatch, 3)
+    out = keyed.keyed_map(_src(), ["a"], lambda g: g.groupby("s", as_index=False)["a"].sum())
     assert _types(keyed.empty_like(out)) == [("s", "string"), ("a", "int64")]
 
     left = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64()),
                                          "v": pa.array([], pa.string())}))
     right = ray.data.from_arrow(pa.table({"j": pa.array([], pa.int64()),
                                           "w": pa.array([], pa.float64())}))
-    join = keyed.hash_join(left, right, "k", "j", npart=3)
+    join = keyed.hash_join(left, right, "k", "j")
     got = keyed.collect(join)
     assert len(got) == 0 and list(got.columns) == ["k", "v", "j", "w"]
     assert list(got.dtypes.astype(str)) == ["int64", "object", "int64", "float64"]

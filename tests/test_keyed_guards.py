@@ -3,10 +3,10 @@ through ``stages/keyed.py``: no module calls ``Dataset.join``
 (hash-shuffle aggregator actors), any ``map_groups`` (a sampling sort
 plus a per-group split, whatever it groups on) or a Ray ``aggregate``
 (``Dataset.aggregate`` / ``GroupedData.aggregate``, or anything from
-``ray.data.aggregate``), only ``keyed.empty_like`` reads Ray's private
-plan objects (``_logical_plan``), only ``keyed.py`` routes a shuffle
-(no other module names ``hash_part``, ``ncpus`` or a partition count,
-bar ``queries._join_parts``), and the benchmark's catalog queries
+``ray.data.aggregate``), only ``keyed.py`` reads Ray's private plan
+objects (``_logical_plan``) and routes a shuffle (no other module
+names ``hash_part``, ``ncpus``, the sizing ``_partitions`` or a
+partition count), and the benchmark's catalog queries
 leave Ray Data no empty, schema-less block to warn about."""
 
 import ast
@@ -103,7 +103,8 @@ def test_plan_guard_catches_reads():
 
 def test_only_keyed_reads_ray_plans():
     """Ray's plan objects are private and change between releases:
-    ``keyed.empty_like`` is the one place that walks them."""
+    ``keyed.py`` (``empty_like`` and the shuffle's sizing) is the one
+    module that walks them."""
     offenders = [
         f"{path.relative_to(PKG.parent)}:{line}"
         for path in sorted(PKG.rglob("*.py"))
@@ -114,26 +115,14 @@ def test_only_keyed_reads_ray_plans():
     assert _plan_reads(ast.parse((PKG / "stages" / "keyed.py").read_text()))
 
 
-# a shuffle's router: the partition id's hash, the CPU count that sizes
-# it and the partition count itself
-_ROUTING = {"hash_part", "with_hash_part", "ncpus", "npart"}
+# a shuffle's router: the partition id's hash, the CPU count that caps
+# it, the function that sizes it and the partition count itself
+_ROUTING = {"hash_part", "with_hash_part", "ncpus", "_partitions", "npart"}
 
 
 def _routing(tree: ast.AST) -> list[int]:
-    """Lines naming the router (a name, attribute, import, parameter or
-    keyword in ``_ROUTING``), outside ``_join_parts`` — which sizes a
-    join by data — and its ``hash_join(..., npart=_join_parts(...))``
-    calls."""
-    allowed = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_join_parts":
-            allowed |= {id(n) for n in ast.walk(node)}
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "hash_join":
-            allowed |= {
-                id(kw) for kw in node.keywords
-                if kw.arg == "npart" and isinstance(kw.value, ast.Call)
-                and ast.unparse(kw.value.func) == "_join_parts"
-            }
+    """Lines naming the router: a name, attribute, import, parameter or
+    keyword in ``_ROUTING``."""
     lines = []
     for node in ast.walk(tree):
         name = (
@@ -143,7 +132,7 @@ def _routing(tree: ast.AST) -> list[int]:
             else node.arg if isinstance(node, (ast.arg, ast.keyword))
             else None
         )
-        if name in _ROUTING and id(node) not in allowed:
+        if name in _ROUTING:
             lines.append(node.lineno)
     return sorted(set(lines))
 
@@ -164,8 +153,9 @@ def test_routing_guard_catches_hand_routing():
         "c = keyed.ncpus()\n"
         "m = combine(ds, ['part'], aggs)\n"
         "k = keyed_map(ds, ['user_id'], fn)\n"
+        "n = keyed._partitions(ds)\n"
     )
-    assert _routing(ast.parse(src)) == [1, 6, 7, 8, 9, 11, 12]
+    assert _routing(ast.parse(src)) == [1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 15]
 
 
 def test_only_keyed_routes_shuffles():

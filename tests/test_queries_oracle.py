@@ -1,8 +1,9 @@
 """Local replica of the driver's correctness gate: run every
 ``queries()`` entry at sf0.001 and compare row count + schema + an
 order-insensitive value hash against its ``oracle_sql()`` via DuckDB;
-every SQL-checked query also on 8-block reads and on zero-row and
-one-row copies of the tables."""
+every SQL-checked query also on 8-block reads (at one shuffle
+partition, and at three), and on zero-row and one-row copies of the
+tables."""
 
 import os
 
@@ -138,10 +139,26 @@ def test_query_matches_oracle_multiblock(ray_session, con, monkeypatch, name):
     """Every read split into 8 blocks (2× the session's 4 CPUs, Ray's
     own split) instead of the one block a test-scale table gets: the
     cross-block paths — ``combine``'s fold of several partials,
-    ``keyed_map``'s multi-block partitions — still equal DuckDB."""
+    ``keyed_map``'s one partition merged from many blocks — still
+    equal DuckDB."""
     from searchengine_ray.sources import storage
 
     monkeypatch.setattr(storage, "read_blocks", lambda paths: 8)
+    _assert_matches(con, name)
+
+
+@pytest.mark.parametrize("name", _sql_checked())
+def test_query_matches_oracle_three_partitions(ray_session, con, monkeypatch, name):
+    """Every keyed shuffle forced to 3 partitions over 8-block reads:
+    a test-scale shuffle is one partition (its plan reads under 32
+    MiB), so this run is the one that checks the pad / sort path —
+    rows of one key from many blocks meeting in one partition, and
+    partitions no row reaches — against DuckDB."""
+    from searchengine_ray.sources import storage
+    from searchengine_ray.stages import keyed
+
+    monkeypatch.setattr(storage, "read_blocks", lambda paths: 8)
+    monkeypatch.setattr(keyed, "_partitions", lambda ds: 3)
     _assert_matches(con, name)
 
 

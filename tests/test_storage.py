@@ -83,25 +83,29 @@ def test_read_blocks_follow_bytes_on_disk(ray_session, monkeypatch):
 
 
 @pytest.mark.parametrize("sf", ["sf0.001", "sf0.01", "sf0.1"])
-def test_join_parts_unchanged(ray_session, monkeypatch, sf):
-    """``_join_parts`` on ``blocks_for`` gives the partition counts of
-    its former inline rule at every call site's tables."""
+def test_join_partitions_follow_both_files(ray_session, monkeypatch, sf):
+    """Every catalog join's partition count is ``blocks_for`` of both
+    files' bytes on disk, capped at 4× the cluster's CPUs: one
+    partition at these scales, seven for two 100 MiB files."""
     import os
 
-    from searchengine_ray.pipelines.queries import _join_parts
-    from searchengine_ray.stages.keyed import ncpus
+    from searchengine_ray.sources.storage import blocks_for, read_parquet
+    from searchengine_ray.stages import keyed
 
-    def before(*tables):
-        total = sum(
-            os.path.getsize(os.path.join(SF, sf, f"{t}.parquet")) for t in tables
-        )
-        return int(min(max(2, total // (32 << 20) + 1), 4 * ncpus()))
+    sized, real = [], keyed._partitions
+    monkeypatch.setattr(keyed, "_partitions", lambda ds: sized.append(real(ds)) or sized[-1])
 
-    call_sites = [("orders", "customer"), ("customer", "orders"),
-                  ("lineitem", "part")]
-    for tables in call_sites:
-        assert _join_parts(os.path.join(SF, sf), *tables) == before(*tables)
-    # and past the floor, below the cap: 200 MiB → 7 partitions
+    def join_parts(left, lkey, right, rkey):
+        paths = [os.path.join(SF, sf, f"{t}.parquet") for t in (left, right)]
+        keyed.hash_join(read_parquet(paths[0], [lkey]), read_parquet(paths[1], [rkey]),
+                        lkey, rkey)
+        want = min(blocks_for(sum(map(os.path.getsize, paths))), 4 * keyed.ncpus())
+        assert sized.pop() == want
+        return want
+
+    call_sites = [("orders", "o_custkey", "customer", "c_custkey"),
+                  ("customer", "c_custkey", "orders", "o_custkey"),
+                  ("lineitem", "l_partkey", "part", "p_partkey")]
+    assert [join_parts(*site) for site in call_sites] == [1, 1, 1]
     monkeypatch.setattr(os.path, "getsize", lambda p: 100 << 20)
-    for tables in call_sites:
-        assert _join_parts(os.path.join(SF, sf), *tables) == before(*tables) == 7
+    assert [join_parts(*site) for site in call_sites] == [7, 7, 7]
