@@ -80,13 +80,29 @@ def ncpus() -> int:
 def _partitions(ds) -> int:
     """Partition count of a keyed shuffle of ``ds``, from the bytes its
     plan reads: ``blocks_for`` (one per started 32 MiB) of all its
-    sources together, capped at 4× the cluster's CPUs.  A parquet read
-    counts its size on disk (the bytes ``read_blocks`` sizes it by), an
-    in-memory source (``from_arrow``, ``from_pandas``, a materialized
-    Dataset) its blocks' bytes, and a union — ``hash_join``'s two sides
-    — every input.  The trade-off is ``read_parquet``'s: each partition
-    is a task with a fixed cost, and under 32 MiB that cost outweighs
-    the work a split spreads over more CPUs."""
+    sources together, capped at 4× the cluster's CPUs.  A union —
+    ``hash_join``'s two sides — counts every input.
+
+    The units differ by source.  A parquet read counts its files'
+    compressed size on disk, every column even when the read prunes
+    some: the figure ``read_blocks`` sizes the read itself by, known
+    from a ``stat`` without opening the file.  An in-memory source
+    (``from_arrow``, ``from_pandas``, a materialized Dataset) counts its
+    blocks' decoded Arrow bytes, which for the same rows run about
+    0.7–6× the parquet size (sf0.1 lineitem: 10.3 MiB on disk, 45 MiB
+    decoded).  So rows read from parquet get at most as many partitions
+    as the same rows held in memory, and usually fewer.
+
+    The rule assumes a shuffle moves about the bytes its sources hold.
+    A plan that expands rows before the shuffle breaks that: the
+    shingles and pair counts of ``queries.jaccard_pairs_from``, the LSH
+    candidates and the span grams move 6–21× their sources' bytes at
+    sf0.1, and ``phash_near_pairs``' pairs up to 111×.  At sf0.1 the largest shuffle input is still 18 MiB, so
+    a count of moved bytes would also give one partition there.
+
+    The trade-off is ``read_parquet``'s: each partition is a task with
+    a fixed cost, and under 32 MiB that cost outweighs the work a split
+    spreads over more CPUs."""
     return min(blocks_for(_source_bytes(ds._logical_plan.dag)), 4 * ncpus())
 
 

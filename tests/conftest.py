@@ -32,3 +32,13 @@ def ray_session():
     ctx.execution_options.verbose_progress = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def three_partitions(monkeypatch):
+    """Every keyed shuffle runs as 3 partitions.  A test-scale plan
+    reads under 32 MiB, so its shuffles run as one partition; a test
+    that takes this fixture checks the pad / sort path instead."""
+    from searchengine_ray.stages import keyed
+
+    monkeypatch.setattr(keyed, "_partitions", lambda ds: 3)

@@ -86,3 +86,11 @@ def test_local_and_distributed_paths_agree(ray_session):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(local, dist, check_dtype=False)
+
+
+def test_distributed_paths_at_three_partitions(ray_session, three_partitions):
+    """Both checks above with every keyed shuffle of the label
+    propagation at 3 partitions (the pad / sort path) instead of the
+    one a test-scale input gets."""
+    test_connected_components_chains_and_stars(ray_session)
+    test_local_and_distributed_paths_agree(ray_session)

@@ -137,3 +137,22 @@ def test_image_funnel_invariants(ray_session, tmp_path):
         np.where(h < np.uint64(int(0.9 * (1 << 32))), "val", "test"),
     )
     assert (df["split"].to_numpy() == want).all()
+
+
+def test_funnel_same_at_three_partitions(ray_session, funnel_out, three_partitions, tmp_path):
+    """The funnel with every keyed shuffle at 3 partitions (the pad /
+    sort path) writes the same rows and counts as at one, and the image
+    funnel keeps its invariants."""
+    import pandas as pd
+
+    from searchengine_ray.pipelines.curate import curation_funnel
+
+    (tmp_path / "img").mkdir()
+    test_image_funnel_invariants(ray_session, tmp_path / "img")
+    out, counts = funnel_out
+    got = curation_funnel(SF, out_dir=str(tmp_path / "text"))
+    pd.testing.assert_frame_equal(got, counts)
+    rows = "SELECT * FROM '{}/*.parquet' ORDER BY doc_id"
+    pd.testing.assert_frame_equal(
+        duckdb.sql(rows.format(tmp_path / "text")).df(), duckdb.sql(rows.format(out)).df()
+    )

@@ -334,3 +334,18 @@ def test_kmeans_recovers_planted_blobs(ray_session):
     got = np.sort(np.stack([c for c in cent]), axis=0)
     want = np.sort(centers, axis=0)
     assert np.abs(got - want).max() < 0.1
+
+
+def test_dedup_at_three_partitions(ray_session, three_partitions, docs_with_dups):
+    """The checks above that run a keyed shuffle, with every shuffle at
+    3 partitions (the pad / sort path) instead of the one a test-scale
+    input gets."""
+    test_exact_dedup(ray_session, docs_with_dups)
+    test_minhash_lsh_finds_near_dups(ray_session, docs_with_dups)
+    test_lsh_bucket_cap_mass_duplicate(ray_session)
+    test_lsh_bucket_cap_kwarg(ray_session)
+    test_lsh_bucket_cap_preserves_small_buckets(ray_session, docs_with_dups)
+    test_phash_dedup(ray_session)
+    test_embedding_neardup(ray_session)
+    test_phash_near_pairs(ray_session)
+    test_q29_planted_neardups_recovered(ray_session)

@@ -391,3 +391,14 @@ def test_warc_bad_boundary_and_missing_length_are_counted(tmp_path):
     t = read_warc(str(tmp_path / "bad.warc"))
     assert t["text"].to_pylist() == ["page 0", "page 2"]
     assert warc_skipped(t) == [len(good[0]), len(good[0]) + len(garbage)]
+
+
+def test_span_dedup_etl_at_three_partitions(
+    ray_session, three_partitions, multi_frag_input, tmp_path
+):
+    """Both span-dedup checks above with every keyed shuffle at 3
+    partitions (the pad / sort path) instead of one."""
+    (tmp_path / "phase2").mkdir()
+    (tmp_path / "empty").mkdir()
+    test_span_dedup_etl_phase2(ray_session, multi_frag_input, tmp_path / "phase2")
+    test_span_dedup_etl_empty_corpus(ray_session, tmp_path / "empty")

@@ -50,3 +50,10 @@ def test_q72_deterministic(ray_session):
     a = q72_image_neardup_survivors("/unused")
     b = q72_image_neardup_survivors("/unused")
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_q72_at_three_partitions(ray_session, three_partitions):
+    """Both checks above with every keyed shuffle at 3 partitions (the
+    pad / sort path) instead of one."""
+    test_q72_drops_planted_duplicates(ray_session)
+    test_q72_deterministic(ray_session)

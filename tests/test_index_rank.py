@@ -220,3 +220,9 @@ def test_partitioned_search_matches_driver_index(ray_session):
     # every time (the sparse bounds index prunes)
     if n_blocks > 1:
         assert part_idx.blocks_fetched < 5 * n_blocks
+
+
+def test_pagerank_paths_agree_three_partitions(ray_session, three_partitions):
+    """The check above with the distributed iteration's joins and sums
+    at 3 partitions (the pad / sort path) instead of one."""
+    test_pagerank_paths_agree(ray_session)

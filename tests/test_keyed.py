@@ -114,6 +114,28 @@ def test_in_memory_source_is_sized_by_its_bytes(ray_session, monkeypatch):
     assert keyed._partitions(ds) == 4 * keyed.ncpus()
 
 
+def test_parquet_read_and_its_arrow_copy_are_sized_apart(ray_session, monkeypatch):
+    """The same rows are sized in two units: a parquet read by its
+    whole file on disk (compressed, pruned columns included), its
+    decoded Arrow copy by its in-memory bytes.  With one block per
+    file size, the read is one partition and the copy as many as its
+    decoded bytes fill."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from searchengine_ray.sources import storage
+
+    path = os.path.join(SF_DIR, "lineitem.parquet")
+    disk = os.path.getsize(path)
+    copy = ray.data.from_arrow(pq.read_table(path))
+    assert copy.size_bytes() > 2 * disk  # decoded rows outweigh their file
+    monkeypatch.setattr(storage, "BLOCK_BYTES", disk)
+    assert keyed._partitions(storage.read_parquet(path)) == 1
+    assert keyed._partitions(storage.read_parquet(path, ["l_partkey"])) == 1
+    want = min(-(-copy.size_bytes() // disk), 4 * keyed.ncpus())
+    assert keyed._partitions(copy) == want > 1
+
+
 def test_hash_join_counts_both_sides(ray_session, monkeypatch):
     """A join's partition count is ``blocks_for`` of both sides' bytes
     together: each side alone fits one block, both need two."""
@@ -402,6 +424,17 @@ def test_top_k_matches_duckdb(ray_session):
     empty = ray.data.from_arrow(pa.Table.from_pandas(df).slice(0, 0))
     none = keyed.top_k(empty, ["k1", "k2"], order, 3, fn)
     assert len(none) == 0 and list(none.dtypes) == list(got.dtypes)
+
+
+def test_keyed_checks_at_three_partitions(ray_session, three_partitions):
+    """The routing, partitioned ``combine`` and ``top_k`` checks above
+    with every shuffle at 3 partitions (the pad / sort path) instead of
+    the one a test-scale input gets."""
+    test_keyed_map_routes_by_key_columns(ray_session)
+    for keys in (["k1", "k2"], ["k1"]):
+        test_combine_matches_duckdb(ray_session, keys, True)
+    test_combine_typed_when_input_is_empty(ray_session)
+    test_top_k_matches_duckdb(ray_session)
 
 
 def test_combine_float_sums_are_run_to_run_exact(ray_session):

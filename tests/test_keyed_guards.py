@@ -207,3 +207,12 @@ def test_bench_queries_emit_no_schema_warning(ray_session, name):
     finally:
         logger.removeHandler(handler)
     assert handler.messages == []
+
+
+@pytest.mark.parametrize("name", BENCH_QUERIES)
+def test_bench_queries_emit_no_schema_warning_three_partitions(
+    ray_session, three_partitions, name
+):
+    """The same with every shuffle at 3 partitions: the pad / sort path,
+    where blocks of different schemas would meet in one sort."""
+    test_bench_queries_emit_no_schema_warning(ray_session, name)

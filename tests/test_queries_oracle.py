@@ -148,17 +148,17 @@ def test_query_matches_oracle_multiblock(ray_session, con, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", _sql_checked())
-def test_query_matches_oracle_three_partitions(ray_session, con, monkeypatch, name):
+def test_query_matches_oracle_three_partitions(
+    ray_session, con, monkeypatch, three_partitions, name
+):
     """Every keyed shuffle forced to 3 partitions over 8-block reads:
     a test-scale shuffle is one partition (its plan reads under 32
     MiB), so this run is the one that checks the pad / sort path —
     rows of one key from many blocks meeting in one partition, and
     partitions no row reaches — against DuckDB."""
     from searchengine_ray.sources import storage
-    from searchengine_ray.stages import keyed
 
     monkeypatch.setattr(storage, "read_blocks", lambda paths: 8)
-    monkeypatch.setattr(keyed, "_partitions", lambda ds: 3)
     _assert_matches(con, name)
 
 
@@ -230,6 +230,35 @@ def test_one_row_matches_oracle(ray_session, one_row_dir, name):
     """One row per table: most keyed partitions are empty, and most
     joins and lookups find nothing (an orphan key drops its row)."""
     _assert_matches(_connect(one_row_dir), name, one_row_dir)
+
+
+@pytest.mark.parametrize("name", _sql_checked())
+def test_empty_and_one_row_match_oracle_three_partitions(
+    ray_session, empty_dir, one_row_dir, three_partitions, name
+):
+    """The zero-row and one-row checks with every shuffle at 3
+    partitions: a pad / sort shuffle of no rows, and of rows that leave
+    most partitions empty."""
+    _assert_matches(_connect(empty_dir), name, empty_dir)
+    _assert_matches(_connect(one_row_dir), name, one_row_dir)
+
+
+@pytest.mark.parametrize("name", ROWS_ONLY)
+def test_rows_only_queries_same_at_three_partitions(
+    ray_session, monkeypatch, empty_dir, name
+):
+    """The queries no SQL checks give the same rows through the pad /
+    sort path (every shuffle forced to 3 partitions) as through the one
+    partition a test-scale shuffle gets, and still type an empty
+    result."""
+    from searchengine_ray.pipelines import queries as Q
+    from searchengine_ray.stages import keyed
+
+    one = _canon(_to_pandas(Q.queries()[name](SF_DIR)))
+    monkeypatch.setattr(keyed, "_partitions", lambda ds: 3)
+    three = _canon(_to_pandas(Q.queries()[name](SF_DIR)))
+    pd.testing.assert_frame_equal(one, three)
+    test_rows_only_queries_on_empty_input(ray_session, empty_dir, name)
 
 
 def test_q84_constant_x_is_null(ray_session, tmp_path):
@@ -330,6 +359,13 @@ def test_dimension_lookups_are_inner_joins(ray_session, tmp_path):
         want = _canon(con.execute(Q.oracle_sql()[name]).df())
         assert "" not in set(got.iloc[:, 0]), name
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_dimension_lookups_are_inner_joins_three_partitions(
+    ray_session, three_partitions, tmp_path
+):
+    """The same with q05's and q34's joins at 3 partitions."""
+    test_dimension_lookups_are_inner_joins(ray_session, tmp_path)
 
 
 def test_q28_without_query_vector_is_empty(ray_session, tmp_path):

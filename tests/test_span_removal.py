@@ -173,3 +173,12 @@ def test_span_removal_matches_bruteforce_randomized(ray_session):
             assert int(row["n_tokens"]) == w["n_tokens"], (trial, d)
             assert int(row["cut_tokens"]) == w["cut_tokens"], (trial, d)
             assert row["text_clean"] == w["text_clean"], (trial, d)
+
+
+def test_span_removal_at_three_partitions(ray_session, three_partitions):
+    """The checks above with both span-removal shuffles at 3 partitions
+    (the pad / sort path) instead of one."""
+    test_planted_run_kept_exactly_once(ray_session)
+    test_accounting_balances_and_untouched_docs(ray_session)
+    test_short_and_empty_docs_pass_through(ray_session)
+    test_span_removal_matches_bruteforce_randomized(ray_session)

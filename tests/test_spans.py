@@ -136,3 +136,9 @@ def test_duplicate_spans_pipeline_planted(ray_session):
     # doc 3's self-repetition counts too (count>1 within one doc)
     assert 3 in got and got[3][1] >= 8
     assert 4 not in got
+
+
+def test_duplicate_spans_pipeline_planted_three_partitions(ray_session, three_partitions):
+    """The planted check above with both span shuffles (by gram, then
+    by document) at 3 partitions instead of one."""
+    test_duplicate_spans_pipeline_planted(ray_session)

@@ -396,3 +396,12 @@ def test_global_quantiles_huge_range_no_overflow(ray_session):
         want = con.execute(
             f"SELECT quantile_disc(v, {q}) FROM t").fetchone()[0]
         assert row.value == want, (q, row.value, want)
+
+
+def test_temporal_joins_at_three_partitions(ray_session, three_partitions):
+    """The keyed temporal checks above with every shuffle at 3
+    partitions (the pad / sort path) instead of one."""
+    test_asof_join_matches_bruteforce(ray_session)
+    test_range_join_matches_bruteforce(ray_session)
+    test_preceding_window_matches_bruteforce(ray_session)
+    test_group_percentiles_matches_duckdb(ray_session)
