@@ -8,7 +8,7 @@ composition a 100-TB pretraining pipeline runs daily):
 
 Every stage calls the one implementation its oracle-checked query
 calls too: ``text.clean_gate`` (q37), ``dedup.exact_dedup`` (q10/q38),
-``jaccard_pairs_from`` + ``cluster.neardup_drop`` (q18/q48),
+``dedup.jaccard_pairs_from`` + ``cluster.neardup_drop`` (q18/q48),
 ``dedup.bench_ngram_hashes`` + ``shared_ngrams`` (q55) and
 ``sampling.split_of`` (q46) — composed here into ONE streaming
 pipeline; the funnel itself is oracle-checked end-to-end as
@@ -48,11 +48,13 @@ import os
 import numpy as np
 import pandas as pd
 
+from ..sources.storage import read_parquet
 from ..stages.cluster import neardup_drop
 from ..stages.dedup import (
     bench_ngram_hashes,
     exact_dedup,
     is_bench,
+    jaccard_pairs_from,
     phash_dedup,
     phash_near_pairs,
     shared_ngrams,
@@ -189,9 +191,9 @@ def curation_funnel(sf_dir: str, out_dir: str | None = None):
     per-stage funnel counts."""
     import ray
 
-    from .queries import _read, jaccard_pairs_from
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
+    ds = read_parquet(
+        os.path.join(sf_dir, "documents.parquet"), ["doc_id", "text", "source"]
+    )
 
     # stages 0-1: benchmark holdout + clean gate (one pass), kept as
     # the funnel's working set

@@ -525,40 +525,28 @@ LIMIT 10
 
 
 def q16_minhash_pairs(sf_dir: str):
-    """MinHash+LSH near-dup pairs, EXACT-verified (round 4 — now
-    driver-oracle-checkable): LSH (64 perms × 32 bands over 3-token
-    shingles) generates candidate pairs; the verify step computes
-    exact shingle-set Jaccard over just the candidate docs with q18's
-    distributed pair engine and keeps candidates ≥ 0.5.  The result
-    equals the full exact 3-gram Jaccard pair list whenever LSH
-    candidate recall is total — with r=2 a J=0.5 pair escapes all 32
-    bands with probability (1−J²)^32 ≈ 1e-4 — which the DuckDB oracle
-    checks directly.  Scale shape: the corpus streams through the LSH
-    sketch; only the candidate doc-id set (result-sized) broadcasts
-    into the verify filter."""
+    """MinHash+LSH near-dup pairs, EXACT-verified: LSH (64 perms × 32
+    bands over 3-token shingles, ``dedup.lsh_candidate_docs``) picks
+    the candidate docs, those that share a band bucket with another
+    doc; the verify step computes exact shingle-set Jaccard among just
+    those docs with q18's distributed pair engine and keeps pairs ≥
+    0.5.  Every verified pair among candidate docs is kept, so the
+    result equals the full exact 3-gram Jaccard pair list whenever
+    every ≥ 0.5 pair's docs are candidates — with r=2 a J=0.5 pair
+    escapes all 32 bands with probability (1−J²)^32 ≈ 1e-4 — which the
+    DuckDB oracle checks directly.  Scale shape: the corpus streams
+    through the LSH sketch; only the candidate doc-id set
+    (result-sized) broadcasts into the verify filter."""
     import ray
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    cand = dd.minhash_lsh_candidates(ds, bands=32, shingle_k=3)
-    ids_ref = ray.put(
-        np.unique(
-            np.concatenate(
-                [cand["id_a"].to_numpy(np.int64), cand["id_b"].to_numpy(np.int64)]
-            )
-        )
-    )
+    ids_ref = ray.put(dd.lsh_candidate_docs(ds))
 
     def filt(b: pd.DataFrame) -> pd.DataFrame:
         return b[in_sorted(b["doc_id"].to_numpy(np.int64), ray.get(ids_ref))]
 
     sub = ds.map_batches(filt, batch_format="pandas")
-    pairs = jaccard_pairs_from(sub, K=3, threshold=0.5)
-    # Keep EVERY exact-verified pair among candidate docs — not just
-    # LSH-candidate pairs.  jaccard_pairs_from already paid for the
-    # exact computation, and a ≥0.5 pair whose specific (a,b) missed
-    # all 32 bands but whose endpoints each entered the candidate set
-    # via other partners is a true-positive for free; restricting to
-    # LSH pairs could only reduce agreement with the exact oracle.
+    pairs = dd.jaccard_pairs_from(sub, K=3, threshold=0.5)
     out = pairs.rename(columns={"ia": "id_a", "ib": "id_b"})
     return out.reset_index(drop=True)
 
@@ -582,78 +570,14 @@ def q17_simhash(sf_dir: str):
 
 
 def q18_jaccard_pairs(sf_dir: str):
-    """Exact n-gram Jaccard near-dup pairs, fully distributed:
-    shingle explode (each row carrying its doc's distinct-shingle
-    count) → hash-partition by shingle → per-partition vectorized
-    self-merge emitting one row per shared shingle of a doc pair →
-    partitioned ``combine`` by pair (count, max) → ratio filter.  No
-    full-dataset driver materialization; the driver only holds the
-    final thresholded pair list.
-
-    Shingles travel as 64-bit hashes (``dedup._distinct_shingles`` —
-    one flat vectorized pass per batch, no per-doc Python loop), which
-    also slims the shuffle from strings to 8-byte keys; hash equality
-    stands in for string equality (collision odds ~2^-64 per pair)."""
+    """Exact n-gram Jaccard near-dup pairs, fully distributed
+    (``dedup.jaccard_pairs_from``): no full-dataset driver
+    materialization; the driver only holds the final thresholded pair
+    list.  Shingles travel as 64-bit hashes, which also slims the
+    shuffle from strings to 8-byte keys; hash equality stands in for
+    string equality (collision odds ~2^-64 per pair)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return jaccard_pairs_from(ds)
-
-
-def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
-    """q18's distributed exact-Jaccard pair engine over ANY dataset
-    with (doc_id, text) — reused by the curation funnel (q63), which
-    needs pairs among the post-clean/post-exact-dedup survivor set."""
-    from ..stages.dedup import _distinct_shingles
-
-    def shingles(b: pa.Table) -> pa.Table:
-        # pyarrow hop: the wide (doc_id, text) read never converts to
-        # pandas; only 8-byte shingle rows ride the shuffle
-        didx, sh, _lens = _distinct_shingles(b["text"], K, short_fallback=False)
-        counts = (
-            np.bincount(didx, minlength=len(b)) if len(b) else np.zeros(0)
-        )
-        doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids[didx], pa.int64()),
-                "shingle": pa.array(sh.view(np.int64)),
-                "n": pa.array(counts[didx].astype(np.int64)),
-            }
-        )
-
-    def partition_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # all rows of any given shingle are in this partition, so the
-        # self-merge is complete for these shingles; one vectorized
-        # pandas merge per partition, never per group — one row per
-        # shared shingle of a doc pair
-        pr = g.merge(g, on="shingle", suffixes=("_a", "_b"))
-        pr = pr[pr["doc_id_a"] < pr["doc_id_b"]]
-        return pd.DataFrame(
-            {"ia": pr["doc_id_a"], "ib": pr["doc_id_b"],
-             "na": pr["n_a"], "nb": pr["n_b"]}
-        )
-
-    partials = keyed_map(
-        ds.map_batches(shingles, batch_format="pyarrow"), ["shingle"], partition_pairs
-    )
-    agg = combine(
-        partials,
-        ["ia", "ib"],
-        {"inter": ("ia", "count"), "na": ("na", "max"), "nb": ("nb", "max")},
-        partitioned=True,
-    )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        inter = b["inter"].to_numpy(np.int64)
-        na = b["na"].to_numpy(np.int64)
-        nb = b["nb"].to_numpy(np.int64)
-        j = inter * 1.0 / (na + nb - inter)
-        out = pd.DataFrame(
-            {"ia": b["ia"], "ib": b["ib"], "jaccard": np.round(j, 6)}
-        )
-        return out[out["jaccard"] >= threshold]
-
-    out = collect(agg, finish)
-    return out.sort_values(["ia", "ib"]).reset_index(drop=True)
+    return dd.jaccard_pairs_from(ds)
 
 
 SQL_Q18 = f"""

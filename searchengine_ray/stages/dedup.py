@@ -13,32 +13,24 @@ The text operators (shingles for MinHash, q18's Jaccard and
 decontamination; SimHash) tokenize through ``text.tokenize`` and hash
 k-gram shingles with ``text.kgram_window_hashes``, the package's one
 tokenizer and one k-gram hash.
+
+MinHash LSH yields candidate DOCS, not pairs: ``lsh_candidate_docs``
+returns every doc that shares a band bucket with another doc id, in
+time linear in the docs whatever the bucket sizes, and q16 verifies
+exact Jaccard among those docs.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import fnv1a64_batch
-from .keyed import collect, hash_join, keyed_map, materialize
+from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed
+from .keyed import collect, combine, keyed_map
 from .similarity import matrix
 from . import text as tx
 from .text import in_sorted
-
-logger = logging.getLogger(__name__)
-
-# Default per-(band_id, band_hash) bucket membership cap for the LSH
-# self-merge (the ``cap=`` argument of the LSH entry points).  A
-# bucket of size m emits m(m−1)/2 pairs; at 100 TB a boilerplate
-# template repeated 100k times would otherwise produce 5e9 pairs from
-# ONE bucket.  Over the cap we emit m−1 star pairs against the
-# bucket's min-id representative instead — connected components
-# recovers the same clusters transitively.
-_LSH_BUCKET_CAP = 256
 
 # ------------------------------------------------------------- exact dedup
 
@@ -102,16 +94,7 @@ def _hash_dedup(ds, hash_col: str, id_col: str, keep_cols: list[str] | None):
     return keyed_map(partials, [hash_col], finalize)
 
 
-# --------------------------------------------------------------- minhash LSH
-
-_MERSENNE = (1 << 61) - 1
-
-
-def _minhash_params(num_perm: int, seed: int = 7):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, _MERSENNE, size=num_perm, dtype=np.int64).astype(np.uint64)
-    b = rng.integers(0, _MERSENNE, size=num_perm, dtype=np.int64).astype(np.uint64)
-    return a, b
+# ------------------------------------------------- shingles, exact Jaccard
 
 
 def _distinct_shingles(
@@ -136,6 +119,67 @@ def _distinct_shingles(
     keep = np.ones(len(sh), bool)
     keep[1:] = (didx[1:] != didx[:-1]) | (sh[1:] != sh[:-1])
     return didx[keep], sh[keep], tok.counts
+
+
+def jaccard_pairs_from(ds, K: int = 5, threshold: float = 0.5):
+    """Exact ``K``-token shingle-set Jaccard pairs ``(ia, ib, jaccard)``,
+    ia < ib, jaccard ≥ ``threshold``, of a ``(doc_id, text)`` Dataset:
+    shingle explode (each row carrying its doc's distinct-shingle
+    count) → ``keyed_map`` by shingle, one self-merge per partition →
+    partitioned ``combine`` by pair → ratio filter.  q18 runs it on the
+    corpus, q16 on its LSH candidate docs, the curation funnel on its
+    exact-dedup survivors."""
+
+    def shingles(b: pa.Table) -> pa.Table:
+        # pyarrow hop: the wide (doc_id, text) read never converts to
+        # pandas; only 8-byte shingle rows ride the shuffle
+        didx, sh, _lens = _distinct_shingles(b["text"], K, short_fallback=False)
+        counts = (
+            np.bincount(didx, minlength=len(b)) if len(b) else np.zeros(0)
+        )
+        doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "doc_id": pa.array(doc_ids[didx], pa.int64()),
+                "shingle": pa.array(sh.view(np.int64)),
+                "n": pa.array(counts[didx].astype(np.int64)),
+            }
+        )
+
+    def partition_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        # all rows of any given shingle are in this partition, so the
+        # self-merge is complete for these shingles; one vectorized
+        # pandas merge per partition, never per group — one row per
+        # shared shingle of a doc pair
+        pr = g.merge(g, on="shingle", suffixes=("_a", "_b"))
+        pr = pr[pr["doc_id_a"] < pr["doc_id_b"]]
+        return pd.DataFrame(
+            {"ia": pr["doc_id_a"], "ib": pr["doc_id_b"],
+             "na": pr["n_a"], "nb": pr["n_b"]}
+        )
+
+    partials = keyed_map(
+        ds.map_batches(shingles, batch_format="pyarrow"), ["shingle"], partition_pairs
+    )
+    agg = combine(
+        partials,
+        ["ia", "ib"],
+        {"inter": ("ia", "count"), "na": ("na", "max"), "nb": ("nb", "max")},
+        partitioned=True,
+    )
+
+    def finish(b: pd.DataFrame) -> pd.DataFrame:
+        inter = b["inter"].to_numpy(np.int64)
+        na = b["na"].to_numpy(np.int64)
+        nb = b["nb"].to_numpy(np.int64)
+        j = inter * 1.0 / (na + nb - inter)
+        out = pd.DataFrame(
+            {"ia": b["ia"], "ib": b["ib"], "jaccard": np.round(j, 6)}
+        )
+        return out[out["jaccard"] >= threshold]
+
+    out = collect(agg, finish)
+    return out.sort_values(["ia", "ib"]).reset_index(drop=True)
 
 
 # ---------------------------------------------- benchmark decontamination
@@ -178,253 +222,80 @@ def shared_ngrams(texts, bench: np.ndarray) -> np.ndarray:
     return np.bincount(didx[in_sorted(sh, bench)], minlength=len(texts))
 
 
-def minhash_signatures(
-    batch: pd.DataFrame,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    num_perm: int = 64,
-    shingle_k: int = 3,
-    seed: int = 7,
-) -> pd.DataFrame:
-    """Per-doc MinHash signatures, vectorized across the whole batch:
-    one flat distinct-shingle array + ``np.minimum.reduceat`` over doc
-    segments (perm-chunked to bound the (n_shingles × perms) temp).
-    Signatures travel as packed fixed-width bytes (``sigb``) — the
-    layout every downstream stage (banding, verify joins) consumes
-    directly; acero joins can't carry list columns anyway.
+# --------------------------------------------------------------- minhash LSH
 
-    Accepts a pandas OR pyarrow batch (the pipeline feeds pyarrow so
-    the wide text read never converts to pandas); returns pandas."""
-    if isinstance(batch, pa.Table):
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-    else:
-        ids = batch[id_col].to_numpy()
-    didx, sh, _lens = _distinct_shingles(batch[text_col], shingle_k)
-    n = len(batch)
-    a, b = _minhash_params(num_perm, seed)
-    sig = np.full((n, num_perm), np.uint64(_MERSENNE))
+NUM_PERM = 64  # MinHash permutations per signature
+LSH_BANDS = 32  # LSH bands of NUM_PERM // LSH_BANDS = 2 rows each
+SHINGLE_K = 3  # tokens per MinHash shingle
+MINHASH_SEED = 7
+_MERSENNE = (1 << 61) - 1
+_rng = np.random.default_rng(MINHASH_SEED)
+_PERM_A = _rng.integers(1, _MERSENNE, size=NUM_PERM, dtype=np.int64).astype(np.uint64)
+_PERM_B = _rng.integers(0, _MERSENNE, size=NUM_PERM, dtype=np.int64).astype(np.uint64)
+
+
+def minhash_signatures(texts) -> np.ndarray:
+    """(len(texts), ``NUM_PERM``) uint64 MinHash signatures of ``texts``
+    (a list, pandas Series or Arrow column), vectorized across the
+    batch: one flat distinct-shingle array (``SHINGLE_K``-token
+    shingles; a shorter doc is one all-tokens shingle) +
+    ``np.minimum.reduceat`` over doc segments, perm-chunked to bound
+    the (n_shingles × perms) temp.  A doc without tokens (empty or
+    null text) keeps the all-``_MERSENNE`` row."""
+    didx, sh, counts = _distinct_shingles(texts, SHINGLE_K)
+    sig = np.full((len(counts), NUM_PERM), np.uint64(_MERSENNE))
     if len(sh):
         present, starts = np.unique(didx, return_index=True)
-        step = max(1, (8 << 20) // max(len(sh), 1))  # ≤8M u64 temp per slab
+        step = max(1, (8 << 20) // len(sh))  # ≤8M u64 temp per slab
         with np.errstate(over="ignore"):
-            for p0 in range(0, num_perm, step):
-                p1 = min(num_perm, p0 + step)
-                m = (sh[:, None] * a[None, p0:p1] + b[None, p0:p1]) % np.uint64(
-                    _MERSENNE
-                )
+            for p0 in range(0, NUM_PERM, step):
+                p1 = min(NUM_PERM, p0 + step)
+                m = (sh[:, None] * _PERM_A[p0:p1] + _PERM_B[p0:p1]) % np.uint64(_MERSENNE)
                 sig[present, p0:p1] = np.minimum.reduceat(m, starts, axis=0)
-    return pd.DataFrame(
+    return sig
+
+
+def _band_rows(t: pa.Table) -> pa.Table:
+    """One ``(band_id, band_hash, doc_id)`` row per LSH band of each
+    doc: ``fnv1a64_fixed`` over the bytes of the band's signature
+    values, one vectorized pass for the batch."""
+    sig = minhash_signatures(t["text"])
+    n = len(sig)
+    bands = sig.reshape(n * LSH_BANDS, NUM_PERM // LSH_BANDS).view(np.uint8)
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.table(
         {
-            id_col: ids,
-            "sigb": [r.tobytes() for r in sig],
+            "band_id": np.tile(np.arange(LSH_BANDS, dtype=np.int64), n),
+            "band_hash": fnv1a64_fixed(bands),
+            "doc_id": np.repeat(ids, LSH_BANDS),
         }
     )
 
 
-def _sig_matrix(sigb: pd.Series) -> np.ndarray:
-    """(n, num_perm) uint64 from the packed signature column."""
-    if len(sigb) == 0:
-        return np.zeros((0, 0), np.uint64)
-    return np.frombuffer(b"".join(sigb), np.uint64).reshape(len(sigb), -1)
+def _shared_bucket_docs(g: pd.DataFrame) -> pd.DataFrame:
+    """The doc ids of every ``(band_id, band_hash)`` bucket of ``g``
+    (which holds whole buckets) that holds two distinct ids."""
+    ids = g.groupby(["band_id", "band_hash"], sort=False)["doc_id"]
+    shared = ids.transform("min") != ids.transform("max")
+    return g.loc[shared, ["doc_id"]].drop_duplicates()
 
 
-def lsh_bands(
-    sig_df: pd.DataFrame, id_col: str = "doc_id", bands: int = 16
-) -> pd.DataFrame:
-    """Explode packed signatures to (band_id, band_hash, id) rows for
-    the bucket groupby — one vectorized ``fnv1a64_fixed`` over the
-    (n·bands, r·8) bytes view of the signature matrix (the SimHash
-    pattern; no per-doc / per-band Python hashing)."""
-    from ..functions.hashing import fnv1a64_fixed
+def lsh_candidate_docs(ds) -> np.ndarray:
+    """MinHash LSH candidate docs of a ``(doc_id, text)`` Dataset, as a
+    sorted unique int64 array: every doc that shares a band bucket with
+    a different doc id.  These are exactly the endpoints of the
+    candidate pairs a < b of every bucket, found without building a
+    pair, so a bucket of any size costs time linear in its docs.
 
-    mat = _sig_matrix(sig_df["sigb"])
-    n, num_perm = mat.shape if mat.size else (0, bands)
-    r = max(1, num_perm // bands)
-    if n == 0:
-        return pd.DataFrame(
-            {
-                "band_id": pd.Series([], dtype="int64"),
-                "band_hash": pd.Series([], dtype="uint64"),
-                id_col: pd.Series([], dtype="int64"),
-            }
-        )
-    chunks = mat[:, : bands * r].reshape(n * bands, r)
-    bh = fnv1a64_fixed(chunks.view(np.uint8).reshape(n * bands, r * 8))
-    return pd.DataFrame(
-        {
-            "band_id": np.tile(np.arange(bands, dtype=np.int64), n),
-            "band_hash": bh,
-            id_col: np.repeat(sig_df[id_col].to_numpy(), bands),
-        }
-    )
-
-
-def _lsh_candidate_stages(
-    ds,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle_k: int = 3,
-    seed: int = 7,
-    cap: int | None = _LSH_BUCKET_CAP,
-):
-    """Shared LSH front half: shingle → minhash → band buckets →
-    per-bucket self-merge.  Returns (cand, sig_pack) datasets —
-    ``cand`` is the candidate pair list (id_a < id_b; may repeat
-    across band partitions), ``sig_pack`` the packed signatures.
-    Buckets over ``cap`` members emit star pairs (``None``: no cap)."""
-
-    def sign(b: pa.Table) -> pa.Table:
-        sig = minhash_signatures(b, text_col, id_col, num_perm, shingle_k, seed)
-        return pa.table({id_col: b[id_col], "sigb": pa.array(sig["sigb"], pa.binary())})
-
-    sig_pack = ds.map_batches(sign, batch_format="pyarrow")
-
-    def partition_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # all rows of any (band_id, band_hash) bucket land in this
-        # partition; one vectorized self-merge covers every bucket
-        # here.  Buckets larger than ``cap`` (mass-duplicated
-        # content: boilerplate pages, a template repeated 10k times)
-        # would make the self-merge quadratic — for those, emit only
-        # star pairs against the bucket's min-id representative.
-        # CONTRACT CHANGE over the cap: the candidate DOC set is
-        # unchanged (every member appears in some star pair), but the
-        # candidate PAIR list is not — (x, y) with x,y both non-rep is
-        # no longer emitted.  Consumers that re-verify among candidate
-        # DOCS (q16's exact pass over the doc-id set) are unaffected;
-        # a consumer that verifies candidate PAIRS directly
-        # (minhash_lsh_pairs) can miss an (x, y) pair whose members
-        # both sit below the verify threshold against the rep — see
-        # that function's docstring.
-        sizes = g.groupby(["band_id", "band_hash"])[id_col].transform(
-            "size"
-        )
-        capped = sizes > cap if cap is not None else np.zeros(len(g), bool)
-        frames = []
-        small = g[~capped]
-        if len(small):
-            pr = small.merge(
-                small, on=["band_id", "band_hash"], suffixes=("_a", "_b")
-            )
-            pr = pr[pr[f"{id_col}_a"] < pr[f"{id_col}_b"]]
-            frames.append(pr[[f"{id_col}_a", f"{id_col}_b"]])
-        big = g[capped]
-        if len(big):
-            n_big = big.groupby(["band_id", "band_hash"]).ngroups
-            logger.warning(
-                "LSH: %d bucket(s) over cap %d (max size %d) — "
-                "emitting star pairs vs min-id representative",
-                n_big,
-                cap,
-                int(sizes[capped].max()),
-            )
-            rep = big.groupby(["band_id", "band_hash"])[id_col].transform(
-                "min"
-            )
-            ids = big[id_col].to_numpy(np.int64)
-            reps = rep.to_numpy(np.int64)
-            m = ids != reps  # rep is the bucket min → rep < id holds
-            frames.append(
-                pd.DataFrame(
-                    {f"{id_col}_a": reps[m], f"{id_col}_b": ids[m]}
-                )
-            )
-        if not frames:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series([], dtype="int64"),
-                    "id_b": pd.Series([], dtype="int64"),
-                }
-            )
-        out = pd.concat(frames, ignore_index=True).drop_duplicates()
-        out.columns = ["id_a", "id_b"]
-        return out
-
-    # candidate pairs may repeat across band partitions (a pair can
-    # match in several bands); each consumer dedups them
-    rows = sig_pack.map_batches(lambda b: lsh_bands(b, id_col, bands), batch_format="pandas")
-    cand = keyed_map(rows, ["band_id", "band_hash"], partition_pairs)
-    return cand, sig_pack
-
-
-def minhash_lsh_candidates(
-    ds,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    num_perm: int = 64,
-    bands: int = 32,
-    shingle_k: int = 3,
-    seed: int = 7,
-    cap: int | None = _LSH_BUCKET_CAP,
-) -> pd.DataFrame:
-    """Deduplicated LSH candidate pairs as a (small) pandas frame —
-    the result-sized side an exact-verify pass broadcasts against.
-    Default bands=32 (r=2): a J=0.5 pair escapes all bands with
-    probability (1−J²)^32 ≈ 1e-4, so candidate recall at the q16
-    verify threshold is effectively total; the exact-Jaccard verify
-    removes the extra false positives r=2 lets through.  ``cap``
-    bounds a bucket's pairs (see ``_LSH_BUCKET_CAP``); ``None`` emits
-    every pair of every bucket."""
-    cand, _sig = _lsh_candidate_stages(
-        ds, text_col, id_col, num_perm, bands, shingle_k, seed, cap
-    )
-    return (
-        collect(cand)
-        .drop_duplicates(["id_a", "id_b"])
-        .sort_values(["id_a", "id_b"])
-        .reset_index(drop=True)
-    )
-
-
-def minhash_lsh_pairs(
-    ds,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle_k: int = 3,
-    threshold: float = 0.7,
-    seed: int = 7,
-    cap: int | None = _LSH_BUCKET_CAP,
-):
-    """shingle → minhash → band buckets → candidate pairs → verify
-    estimated Jaccard ≥ threshold.  Returns dataset of
-    (id_a, id_b, jaccard_est) with id_a < id_b.
-
-    Cap caveat: buckets over ``cap`` members (default
-    ``_LSH_BUCKET_CAP``) emit only star pairs vs their min-id member,
-    so inside a mass-duplicated family this PAIR-verifying path can
-    miss an (x, y) pair whose members both estimate below
-    ``threshold`` against the representative.  Pass ``cap=None`` to
-    verify every pair of every bucket (quadratic in the bucket size),
-    or for cluster-faithful dedup over such content use the q16 shape:
-    ``minhash_lsh_candidates`` (doc set is cap-invariant) + exact
-    verify among candidate docs + connected components."""
-    cand, sig_pack = _lsh_candidate_stages(
-        ds, text_col, id_col, num_perm, bands, shingle_k, seed, cap
-    )
-    sig_pack = materialize(sig_pack)  # both joins below read it
-
-    # distributed verify: one row per candidate pair (a pair repeats
-    # across the bands it matched in), then two hash joins attach the
-    # signature of id_a, then of id_b
-    pairs = keyed_map(cand, ["id_a", "id_b"], lambda g: g.drop_duplicates())
-    with_a = hash_join(pairs, sig_pack, "id_a", id_col).map_batches(
-        lambda t: t.drop_columns([id_col]).rename_columns(["id_a", "id_b", "sig_a"]),
-        batch_format="pyarrow",
-    )
-    with_both = hash_join(with_a, sig_pack, "id_b", id_col)
-
-    def verify(b: pd.DataFrame) -> pd.DataFrame:
-        est = (_sig_matrix(b["sig_a"]) == _sig_matrix(b["sigb"])).mean(axis=1)
-        out = pd.DataFrame(
-            {"id_a": b["id_a"], "id_b": b["id_b"], "jaccard_est": est}
-        )
-        return out[out["jaccard_est"] >= threshold]
-
-    out = collect(with_both, verify)
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    One ``map_batches`` signs and bands each batch, one ``keyed_map`` by
+    bucket keeps the docs of shared buckets, and the driver collects
+    them.  With r = 2 rows per band a J = 0.5 pair escapes all 32 bands
+    with probability (1−J²)^32 ≈ 1e-4, so candidate recall at q16's
+    verify threshold is effectively total; q16's exact verify removes
+    the false positives r = 2 lets through."""
+    rows = ds.map_batches(_band_rows, batch_format="pyarrow")
+    docs = collect(keyed_map(rows, ["band_id", "band_hash"], _shared_bucket_docs))
+    return np.unique(docs["doc_id"].to_numpy(np.int64))
 
 
 # ------------------------------------------------------------------ simhash
@@ -497,6 +368,12 @@ def phash_near_pairs(
     standard LSH trade; more/narrower bands raise recall at higher
     candidate cost).  Explode to (band, key, id) rows → bucket join →
     verify exact Hamming ≤ max_hamming.
+
+    ``ds`` must hold one row per ``id_col`` (every caller does: q33 and
+    q72 read ``gen_images``' distinct image ids, the image funnel the
+    ``phash_dedup`` survivors).  A pair then meets in every band its
+    keys agree on, and is kept only in the lowest of them, so each
+    pair comes out once with no pair-keyed shuffle.
     """
     from ..sources.codec import hamming64
 
@@ -519,38 +396,33 @@ def phash_near_pairs(
             )
         return pd.concat(out, ignore_index=True)
 
+    shifts = np.uint64(16) * np.arange(4, dtype=np.uint64)
+
     def partition_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # every (band, key) bucket is whole within this partition:
-        # vectorized self-merge + exact Hamming verify, per partition
+        # vectorized self-merge, each pair kept in the lowest band whose
+        # 16-bit keys agree, then exact Hamming verify
         pr = g.merge(g, on=["band", "key"], suffixes=("_a", "_b"))
         pr = pr[pr[f"{id_col}_a"] < pr[f"{id_col}_b"]]
-        pr = pr.drop_duplicates([f"{id_col}_a", f"{id_col}_b"])
-        d = hamming64(
-            pr[f"{phash_col}_a"].to_numpy(np.int64),
-            pr[f"{phash_col}_b"].to_numpy(np.int64),
+        ha = pr[f"{phash_col}_a"].to_numpy(np.int64)
+        hb = pr[f"{phash_col}_b"].to_numpy(np.int64)
+        lanes = ((ha ^ hb).view(np.uint64)[:, None] >> shifts) & np.uint64(0xFFFF)
+        d = hamming64(ha, hb).astype(np.int64)
+        keep = ((lanes == 0).argmax(axis=1) == pr["band"].to_numpy()) & (
+            d <= max_hamming
         )
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "id_a": pr[f"{id_col}_a"].to_numpy(),
-                "id_b": pr[f"{id_col}_b"].to_numpy(),
-                "hamming": d.astype(np.int64),
+                "id_a": pr[f"{id_col}_a"].to_numpy()[keep],
+                "id_b": pr[f"{id_col}_b"].to_numpy()[keep],
+                "hamming": d[keep],
             }
         )
-        return out[out["hamming"] <= max_hamming]
-
-    # partition merge emits each surviving pair once per matching
-    # band-bucket partition; a second hash-partition keyed on the PAIR
-    # dedups with one vectorized drop_duplicates per partition (Ray's
-    # string-keyed Aggregate operator is ~10x slower here)
-    def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["id_a", "id_b"])
 
     pairs = keyed_map(
         ds.map_batches(bands, batch_format="pandas"), ["band", "key"], partition_pairs
     )
-    out = collect(keyed_map(pairs, ["id_a", "id_b"], pair_dedup))
-    out["hamming"] = out["hamming"].astype("int64")
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return collect(pairs).sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
 # ----------------------------------------------------- embedding near-dup

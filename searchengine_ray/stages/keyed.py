@@ -95,10 +95,13 @@ def _partitions(ds) -> int:
 
     The rule assumes a shuffle moves about the bytes its sources hold.
     A plan that expands rows before the shuffle breaks that: the
-    shingles and pair counts of ``queries.jaccard_pairs_from``, the LSH
-    candidates and the span grams move 6–21× their sources' bytes at
-    sf0.1, and ``phash_near_pairs``' pairs up to 111×.  At sf0.1 the largest shuffle input is still 18 MiB, so
-    a count of moved bytes would also give one partition there.
+    shingles and pair counts of ``dedup.jaccard_pairs_from`` and the
+    span grams move 9.5–21× their sources' bytes at sf0.1,
+    ``dedup.lsh_candidate_docs``' band rows 6.5× (3.7 MiB of
+    ``(band_id, band_hash, doc_id)`` rows from a 0.57 MiB documents
+    file), and ``phash_near_pairs``' band rows 16×.  At sf0.1 the
+    largest shuffle input is still 18 MiB, so a count of moved bytes
+    would also give one partition there.
 
     The trade-off is ``read_parquet``'s: each partition is a task with
     a fixed cost, and under 32 MiB that cost outweighs the work a split

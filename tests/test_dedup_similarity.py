@@ -29,49 +29,82 @@ def test_exact_dedup(ray_session, docs_with_dups):
     assert out[out["doc_id"] == 0]["dup_count"].iloc[0] == 2
 
 
-def test_minhash_lsh_finds_near_dups(ray_session, docs_with_dups):
-    import ray
+def _lsh_reference(df: pd.DataFrame) -> np.ndarray:
+    """Brute-force LSH candidate docs: the signatures of the whole input
+    at once, and every doc whose values in some band equal those of a
+    different ``doc_id``."""
+    from searchengine_ray.stages.dedup import LSH_BANDS, NUM_PERM, minhash_signatures
 
-    from searchengine_ray.stages.dedup import minhash_lsh_pairs
+    sig = minhash_signatures(df["text"])
+    ids = df["doc_id"].to_numpy(np.int64)
+    r = NUM_PERM // LSH_BANDS
+    found = set()
+    for band in range(LSH_BANDS):
+        owners = {}
+        for i, key in zip(ids, sig[:, band * r : (band + 1) * r]):
+            owners.setdefault(key.tobytes(), set()).add(int(i))
+        for members in owners.values():
+            if len(members) > 1:
+                found |= members
+    return np.array(sorted(found), np.int64)
 
-    ds = ray.data.from_pandas(docs_with_dups)
-    pairs = minhash_lsh_pairs(ds, threshold=0.5)
-    found = set(zip(pairs["id_a"], pairs["id_b"]))
-    assert (0, 30) in found            # exact dup → jaccard 1.0
-    assert (1, 31) in found            # near dup
-    exact = pairs[(pairs["id_a"] == 0) & (pairs["id_b"] == 30)]
-    assert float(exact["jaccard_est"].iloc[0]) == 1.0
+
+def _lsh_case(name: str, docs_with_dups: pd.DataFrame) -> pd.DataFrame:
+    if name == "dups":
+        return docs_with_dups
+    if name == "identical":
+        return pd.DataFrame({"doc_id": range(300), "text": ["one two three four"] * 300})
+    if name == "repeated_id":
+        # 5 twice with one text (no other id: not a candidate), 7 twice
+        # with two texts, one of them shared with 8
+        texts = ["p q r s t", "p q r s t", "u v w x", "a b c d e", "a b c d e"]
+        return pd.DataFrame({"doc_id": [5, 5, 7, 7, 8], "text": texts})
+    if name == "degenerate":
+        # empty and null texts have no shingles (one shared signature);
+        # shorter-than-3-token texts are one all-tokens shingle
+        texts = ["", None, "xy", "a b", "a b", "b a", "alpha beta gamma"]
+        return pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
+    assert name == "zero_rows"
+    return docs_with_dups.iloc[:0]
 
 
-def test_minhash_lsh_many_partitions(ray_session, monkeypatch):
-    """Regression for a crash at 32 partitions: many candidate
-    hash-shuffle partitions are empty and used to emit schema-less
-    blocks that broke Dataset.join with ArrowInvalid.  Force 32
-    partitions by patching the keyed shuffle's sizing, run on enough
-    docs with the production code path and assert the pipeline
-    completes and finds the planted dup."""
+@pytest.mark.parametrize("npart", [1, 3, 32])
+@pytest.mark.parametrize(
+    "case", ["dups", "identical", "repeated_id", "degenerate", "zero_rows"]
+)
+def test_lsh_candidate_docs_match_brute_force(
+    ray_session, monkeypatch, docs_with_dups, case, npart
+):
+    """``lsh_candidate_docs`` equals the brute-force reference over
+    inputs split across 3 blocks, at 1, 3 and 32 shuffle partitions.
+    At 32, most of the identical case's partitions get no bucket: the
+    regression where empty shuffle partitions emitted schema-less
+    blocks."""
+    import pyarrow as pa
     import ray
 
     from searchengine_ray.stages import dedup, keyed
 
-    rng = np.random.default_rng(16)
-    vocab = [f"w{i}" for i in range(200)]
-    texts = [" ".join(rng.choice(vocab, 30)) for _ in range(500)]
-    texts[499] = texts[0]  # planted exact dup
-    df = pd.DataFrame({"doc_id": range(500), "text": texts})
-    monkeypatch.setattr(keyed, "_partitions", lambda ds: 32)
-    pairs = dedup.minhash_lsh_pairs(ray.data.from_pandas(df), threshold=0.5)
-    found = set(zip(pairs["id_a"], pairs["id_b"]))
-    assert (0, 499) in found
+    df = _lsh_case(case, docs_with_dups)
+    monkeypatch.setattr(keyed, "_partitions", lambda ds: npart)
+    if len(df):
+        n = len(df)
+        ds = ray.data.from_pandas([df.iloc[k * n // 3 : (k + 1) * n // 3] for k in range(3)])
+    else:
+        ds = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    got = dedup.lsh_candidate_docs(ds)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _lsh_reference(df))
+    if case == "dups":
+        assert {0, 30, 1, 31} <= set(got)  # planted exact and near dups
+    if case == "zero_rows":
+        assert len(got) == 0
 
 
-def test_lsh_bucket_cap_mass_duplicate(ray_session):
-    """Adversarial: 10k IDENTICAL docs land in ONE bucket per band.
-    Uncapped that is 10k·9999/2 ≈ 5e7 pairs per band × 32 bands; the
-    _LSH_BUCKET_CAP guard must emit only star pairs against the
-    bucket min-id so the candidate list is linear (n−1 pairs) and the
-    run completes quickly.  Cluster semantics are preserved: every
-    doc is reachable from doc 0 through the hub."""
+def test_lsh_mass_duplicate_all_candidates(ray_session):
+    """Adversarial: 10k IDENTICAL docs land in ONE bucket per band, a
+    bucket of ~5e7 pairs; every doc is a candidate, and finding them
+    costs time linear in the docs."""
     import ray
 
     from searchengine_ray.stages import dedup
@@ -80,69 +113,30 @@ def test_lsh_bucket_cap_mass_duplicate(ray_session):
     df = pd.DataFrame(
         {"doc_id": range(n), "text": ["alpha beta gamma delta epsilon"] * n}
     )
-    cand = dedup.minhash_lsh_candidates(ray.data.from_pandas(df))
-    # star topology: exactly n−1 pairs, all anchored at min id 0
-    assert len(cand) == n - 1
-    assert (cand["id_a"] == 0).all()
-    assert set(cand["id_b"]) == set(range(1, n))
+    got = dedup.lsh_candidate_docs(ray.data.from_pandas(df))
+    np.testing.assert_array_equal(got, np.arange(n))
 
 
-def test_lsh_bucket_cap_kwarg(ray_session):
-    """``cap=None`` turns the bucket cap off: 300 identical docs (one
-    300-member bucket per band) give the full clique; the default cap
-    of 256 gives the 299 star pairs."""
-    import ray
-
-    from searchengine_ray.stages import dedup
-
-    n = 300
-    df = pd.DataFrame({"doc_id": range(n), "text": ["one two three four"] * n})
-    clique = dedup.minhash_lsh_candidates(ray.data.from_pandas(df), cap=None)
-    assert len(clique) == n * (n - 1) // 2
-    assert (clique["id_a"] < clique["id_b"]).all()
-    star = dedup.minhash_lsh_candidates(ray.data.from_pandas(df))
-    assert len(star) == n - 1 and (star["id_a"] == 0).all()
-
-
-def test_lsh_bucket_cap_preserves_small_buckets(ray_session, docs_with_dups):
-    """The cap must not change results for normal-sized buckets:
-    planted dup pairs still surface as candidates."""
-    import ray
-
-    from searchengine_ray.stages import dedup
-
-    ds = ray.data.from_pandas(docs_with_dups)
-    cand = dedup.minhash_lsh_candidates(ds)
-    found = set(zip(cand["id_a"], cand["id_b"]))
-    assert (0, 30) in found
-    assert (1, 31) in found
-
-
-def test_minhash_signature_semantics(ray_session):
+def test_minhash_signature_semantics():
     """Vectorized signatures: exact dups get identical signatures;
-    jaccard_est of an exact dup is 1.0; disjoint docs stay far."""
-    from searchengine_ray.stages.dedup import _sig_matrix, minhash_signatures
+    disjoint docs stay far; an empty or null doc keeps the sentinel."""
+    from searchengine_ray.stages.dedup import _MERSENNE, minhash_signatures
 
-    df = pd.DataFrame(
-        {
-            "doc_id": [0, 1, 2, 3, 4],
-            "text": [
-                "alpha beta gamma delta epsilon zeta",
-                "alpha beta gamma delta epsilon zeta",   # exact dup of 0
-                "one two three four five six seven",      # disjoint
-                "xy",                                      # shorter than k
-                "",                                        # empty
-            ],
-        }
-    )
-    out = minhash_signatures(df)
-    m = _sig_matrix(out["sigb"])
-    assert m.shape == (5, 64)
+    texts = [
+        "alpha beta gamma delta epsilon zeta",
+        "alpha beta gamma delta epsilon zeta",   # exact dup of 0
+        "one two three four five six seven",      # disjoint
+        "xy",                                      # shorter than k
+        "",                                        # empty
+        None,                                      # null
+    ]
+    m = minhash_signatures(pd.Series(texts))
+    assert m.shape == (6, 64) and m.dtype == np.uint64
     assert (m[0] == m[1]).all()
     assert (m[0] == m[2]).mean() < 0.3
-    from searchengine_ray.stages.dedup import _MERSENNE
-
-    assert (m[4] == np.uint64(_MERSENNE)).all()  # empty doc sentinel
+    assert (m[3] < np.uint64(_MERSENNE)).all()  # one all-tokens shingle
+    assert (m[4:] == np.uint64(_MERSENNE)).all()  # no shingles
+    assert minhash_signatures([]).shape == (0, 64)
 
 
 def test_simhash_properties(ray_session, docs_with_dups):
@@ -296,6 +290,35 @@ def test_phash_near_pairs(ray_session):
     assert out.set_index(["id_a", "id_b"]).loc[("i0", "i1"), "hamming"] == 2
 
 
+def test_phash_near_pairs_brute_force(ray_session):
+    """``phash_near_pairs`` lists each pair once, exactly the pairs a
+    brute-force scan finds: Hamming ≤ 6 with at least one equal 16-bit
+    band, over q33's image fixture (many pairs agree in 2+ bands)."""
+    import ray
+
+    from searchengine_ray.sources.codec import hamming64
+    from searchengine_ray.sources.synth import gen_images
+    from searchengine_ray.stages.dedup import phash_near_pairs
+
+    images, _ = gen_images(400, seed=42, dup_rate=0.05)
+    ids = np.array(images["image_id"].to_pylist())
+    ph = np.array(images["phash"].to_pylist(), np.int64)
+    ia, ib = np.triu_indices(len(ph), k=1)
+    x = (ph[ia] ^ ph[ib]).view(np.uint64)
+    lanes = (x[:, None] >> (np.uint64(16) * np.arange(4, dtype=np.uint64))) & np.uint64(0xFFFF)
+    d = hamming64(ph[ia], ph[ib])
+    hit = (lanes == 0).any(axis=1) & (d <= 6)
+    assert (ids[:-1] < ids[1:]).all()  # so ia < ib orders the ids too
+    want = pd.DataFrame(
+        {"id_a": ids[ia[hit]], "id_b": ids[ib[hit]], "hamming": d[hit].astype(np.int64)}
+    )
+    assert ((lanes == 0).sum(axis=1)[hit] >= 2).any()
+
+    ds = ray.data.from_arrow(images.select(["image_id", "phash"]))
+    out = phash_near_pairs(ds, max_hamming=6)
+    pd.testing.assert_frame_equal(out, want)
+
+
 def test_q29_planted_neardups_recovered(ray_session):
     """q29 plants perturbed copies (vec_id + 1_000_000) of the first 20
     embeddings; the hyperplane-LSH pipeline must recover every planted
@@ -341,11 +364,9 @@ def test_dedup_at_three_partitions(ray_session, three_partitions, docs_with_dups
     3 partitions (the pad / sort path) instead of the one a test-scale
     input gets."""
     test_exact_dedup(ray_session, docs_with_dups)
-    test_minhash_lsh_finds_near_dups(ray_session, docs_with_dups)
-    test_lsh_bucket_cap_mass_duplicate(ray_session)
-    test_lsh_bucket_cap_kwarg(ray_session)
-    test_lsh_bucket_cap_preserves_small_buckets(ray_session, docs_with_dups)
+    test_lsh_mass_duplicate_all_candidates(ray_session)
     test_phash_dedup(ray_session)
     test_embedding_neardup(ray_session)
     test_phash_near_pairs(ray_session)
+    test_phash_near_pairs_brute_force(ray_session)
     test_q29_planted_neardups_recovered(ray_session)
