@@ -416,43 +416,8 @@ def _update_baseline(report: dict) -> None:
         f.write(text)
 
 
-def run_stats() -> None:
-    """Per-stage execution audit: run a representative multi-shuffle
-    catalog query and print its ``ds.stats()`` — wall time, block
-    counts, and memory per operator (the charter's 'read ds.stats()
-    and iterate' loop, exposed so the audit is reproducible)."""
-    import ray
-
-    ray.init(
-        address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-        logging_level="ERROR",
-    )
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-    import ray.data
-
-    from searchengine_ray.pipelines import queries as Q
-
-    name = os.environ.get("STATS_QUERY", "q37_clean_corpus")
-    res = Q.queries()[name](SF_DIR)
-    if isinstance(res, ray.data.Dataset):
-        res = res.materialize()
-        print(f"# {name}: {res.count()} rows")
-        print(res.stats())
-    else:
-        print(
-            f"# {name} finishes on the driver ({len(res)} rows); pick a "
-            "Dataset-returning query via STATS_QUERY (e.g. "
-            "q37_clean_corpus, q22_inverted_index)"
-        )
-    ray.shutdown()
-
-
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
         run_scaling()
-    elif "--stats" in sys.argv:
-        run_stats()
     else:
         print(json.dumps(run_bench()))

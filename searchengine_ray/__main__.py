@@ -74,8 +74,6 @@ def cmd_crawl(args) -> int:
 
 def cmd_search(args) -> int:
     ray = _ray_session(args.num_cpus)
-    import pyarrow as pa
-
     from .pipelines.index import SearchIndex, build_index
     from .sources.storage import read_parquet
     from .stages.keyed import collect
@@ -83,10 +81,9 @@ def cmd_search(args) -> int:
     docs = read_parquet(
         f"{args.sf}/documents.parquet", columns=["doc_id", "text", "source"]
     )
-    dict_ds = build_index(docs)
-    tbl = pa.Table.from_pandas(collect(dict_ds), preserve_index=False)
+    dict_ds = build_index(docs).materialize()
     pdf = collect(docs.select_columns(["doc_id", "source"]))
-    idx = SearchIndex(tbl, doc_host=dict(zip(pdf["doc_id"], pdf["source"])))
+    idx = SearchIndex(dict_ds, doc_host=dict(zip(pdf["doc_id"], pdf["source"])))
     out = idx.search(args.query, max_show=args.max_show)
     print(out.to_string())
     ray.shutdown()

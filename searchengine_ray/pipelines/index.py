@@ -9,8 +9,10 @@ round-to-nearest), small-word 8-char rollup (A4, ``:516-528``) — then
 one ``ds.sort(word, rank, page_index)`` replaces the external merge
 sorter (``ExternalSorter.hpp``).
 
-Search (O3-O8, J4-J6): term postings via binary search on the sorted
-dictionary (``PageSearcher.cpp:40-67``), tail-limit keeps the
+Search (O3-O8, J4-J6): ``SearchIndex`` keeps the sorted dictionary's
+blocks in the object store and holds each block's word bounds; term
+postings come from binary search inside the blocks whose bounds can
+hold the term (``PageSearcher.cpp:40-67``), tail-limit keeps the
 top-rank suffix (``:425``), hash-join AND across ≤8 terms on doc id
 (``joinThread``, ``:229-299``), per-page top-2 positions per term
 (``PosRanks``, ``:155-174``), proximity score
@@ -190,46 +192,78 @@ def split_sentence(query: str, max_terms: int = MAX_TERMS) -> list[str]:
     return terms
 
 
-class SearchIndex:
-    """Driver-side searcher over the sorted dictionary table
-    (binary search = O(log N) per keyword, PageSearcher.cpp:40-67)."""
+def _block_bounds(tbl: pa.Table):
+    if len(tbl) == 0:
+        return None
+    w = tbl["word"]
+    return str(w[0].as_py()), str(w[-1].as_py())
 
-    def __init__(self, dict_table: pa.Table, doc_host: dict[int, str] | None = None,
+
+class SearchIndex:
+    """Search over the sorted dictionary Dataset (``build_index(...)
+    .materialize()``), whose blocks stay in the object store — the
+    reference's disk-resident binary-searched dict
+    (``PageSearcher.cpp:40-67``: the file IS the index; only O(log N)
+    pages are touched per keyword).
+
+    The driver holds only each block's (first_word, last_word) bounds,
+    a sparse index like the reference's file-page binary search.  A
+    query term prunes to the blocks whose word range can contain it,
+    fetches ONLY those (zero-copy plasma reads) and binary-searches
+    inside, so the driver's footprint is 2 strings per block plus the
+    touched postings ranges.  ``doc_host`` (a dict, or a callable ids →
+    {id: host}) adds the host-merge display columns.
+    """
+
+    def __init__(self, dict_ds, doc_host: dict[int, str] | None = None,
                  max_search: int = 100_000):
-        self.words = np.asarray(dict_table["word"].to_pylist(), dtype=object)
-        self.rank = dict_table["rank"].to_numpy(zero_copy_only=False)
-        self.page = dict_table["page_index"].to_numpy(zero_copy_only=False)
-        self.pos = dict_table["position"].to_numpy(zero_copy_only=False)
+        import ray
+
+        refs = dict_ds.to_arrow_refs()
+        bounds_fn = ray.remote(num_cpus=0)(_block_bounds)
+        bounds = ray.get([bounds_fn.remote(r) for r in refs])
+        self._refs = [r for r, b in zip(refs, bounds) if b is not None]
+        self._lo = [b[0] for b in bounds if b is not None]
+        self._hi = [b[1] for b in bounds if b is not None]
         self.doc_host = doc_host or {}
         self.max_search = max_search
-
-    def _range(self, term: str) -> tuple[int, int]:
-        phrase = " " in term
-        if phrase:
-            # stored phrase entries are truncated to 24 chars, so a
-            # longer quoted query prefix-matches on its 24-char key
-            # (PageSearcher.cpp:47-66; DictWord SearchEngine.h:424-425)
-            key = term[:MAIN_WORD_SIZE]
-            lo = int(np.searchsorted(self.words, key, side="left"))
-            hi = lo
-            while hi < len(self.words) and str(self.words[hi]).startswith(key):
-                hi += 1
-            return int(lo), int(hi)
-        lo = np.searchsorted(self.words, term, side="left")
-        hi = np.searchsorted(self.words, term, side="right")
-        return int(lo), int(hi)
+        self.blocks_fetched = 0  # instrumentation (asserted in tests)
+        self._ray = ray
 
     def _term_postings(self, term: str) -> pd.DataFrame:
-        lo, hi = self._range(term)
-        if hi - lo > self.max_search:
-            lo = hi - self.max_search  # top-rank suffix (O4, :425)
-        return pd.DataFrame(
-            {
-                "page_index": self.page[lo:hi],
-                "rank": self.rank[lo:hi],
-                "position": self.pos[lo:hi],
-            }
-        )
+        phrase = " " in term
+        # stored phrase entries are truncated to 24 chars, so a longer
+        # quoted query prefix-matches on its 24-char key
+        # (PageSearcher.cpp:47-66; DictWord SearchEngine.h:424-425)
+        key = term[:MAIN_WORD_SIZE] if phrase else term
+        # upper bound of the matching word range: prefix matches for
+        # phrases, exact word otherwise
+        upper = key + "￿" if phrase else key
+        parts = []
+        for i, ref in enumerate(self._refs):
+            if self._hi[i] < key or self._lo[i] > upper:
+                continue  # pruned — block cannot contain the term
+            tbl = self._ray.get(ref)  # zero-copy plasma read
+            self.blocks_fetched += 1
+            words = np.asarray(tbl["word"].to_pylist(), dtype=object)
+            lo = int(np.searchsorted(words, key, side="left"))
+            if phrase:
+                hi = lo
+                while hi < len(words) and str(words[hi]).startswith(key):
+                    hi += 1
+            else:
+                hi = int(np.searchsorted(words, key, side="right"))
+            if hi > lo:
+                cols = tbl.slice(lo, hi - lo).select(["page_index", "rank", "position"])
+                parts.append(cols.to_pandas())
+        if not parts:
+            return pd.DataFrame(
+                {"page_index": [], "rank": [], "position": []}
+            )
+        out = pd.concat(parts, ignore_index=True)
+        if len(out) > self.max_search:
+            out = out.tail(self.max_search)  # top-rank suffix (O4)
+        return out
 
     def search(self, query: str, max_show: int = 200) -> pd.DataFrame:
         terms = split_sentence(query)
@@ -287,87 +321,4 @@ class SearchIndex:
             out = pd.DataFrame(
                 merged, columns=["page_index", "final_rank", "host", "suppressed"]
             ).sort_values(["final_rank", "page_index"], ascending=[False, True]).reset_index(drop=True)
-        return out
-
-
-def _block_bounds(tbl: pa.Table):
-    if len(tbl) == 0:
-        return None
-    w = tbl["word"]
-    return str(w[0].as_py()), str(w[-1].as_py())
-
-
-class PartitionedSearchIndex(SearchIndex):
-    """Distributed search over the sorted dictionary Dataset — the
-    100-TB path for the reference's disk-resident binary-searched dict
-    (``PageSearcher.cpp:40-67``: the file IS the index; only O(log N)
-    pages are touched per keyword).
-
-    The sorted Dataset's blocks stay in the object store; the driver
-    holds only each block's (first_word, last_word) bounds — a sparse
-    index, like the reference's file-page binary search.  A query term
-    prunes to the blocks whose word range can contain it, fetches ONLY
-    those (zero-copy plasma reads), and binary-searches inside.  RAM
-    never bounds the dictionary size: the driver's footprint is
-    2 strings per block plus the touched postings ranges.
-    """
-
-    def __init__(self, dict_ds, doc_host: dict[int, str] | None = None,
-                 max_search: int = 100_000):
-        import ray
-
-        refs = dict_ds.to_arrow_refs()
-        bounds_fn = ray.remote(num_cpus=0)(_block_bounds)
-        bounds = ray.get([bounds_fn.remote(r) for r in refs])
-        self._refs = [r for r, b in zip(refs, bounds) if b is not None]
-        self._lo = [b[0] for b in bounds if b is not None]
-        self._hi = [b[1] for b in bounds if b is not None]
-        self.doc_host = doc_host or {}
-        self.max_search = max_search
-        self.blocks_fetched = 0  # instrumentation (asserted in tests)
-        self._ray = ray
-
-    def _term_postings(self, term: str) -> pd.DataFrame:
-        phrase = " " in term
-        key = term[:MAIN_WORD_SIZE] if phrase else term
-        # upper bound of the matching word range: prefix matches for
-        # phrases, exact word otherwise
-        upper = key + "￿" if phrase else key
-        parts = []
-        for i, ref in enumerate(self._refs):
-            if self._hi[i] < key or self._lo[i] > upper:
-                continue  # pruned — block cannot contain the term
-            tbl = self._ray.get(ref)  # zero-copy plasma read
-            self.blocks_fetched += 1
-            words = np.asarray(tbl["word"].to_pylist(), dtype=object)
-            lo = int(np.searchsorted(words, key, side="left"))
-            if phrase:
-                hi = lo
-                while hi < len(words) and str(words[hi]).startswith(key):
-                    hi += 1
-            else:
-                hi = int(np.searchsorted(words, key, side="right"))
-            if hi > lo:
-                parts.append(
-                    pd.DataFrame(
-                        {
-                            "page_index": tbl["page_index"].to_numpy(
-                                zero_copy_only=False
-                            )[lo:hi],
-                            "rank": tbl["rank"].to_numpy(zero_copy_only=False)[
-                                lo:hi
-                            ],
-                            "position": tbl["position"].to_numpy(
-                                zero_copy_only=False
-                            )[lo:hi],
-                        }
-                    )
-                )
-        if not parts:
-            return pd.DataFrame(
-                {"page_index": [], "rank": [], "position": []}
-            )
-        out = pd.concat(parts, ignore_index=True)
-        if len(out) > self.max_search:
-            out = out.tail(self.max_search)  # top-rank suffix (O4)
         return out

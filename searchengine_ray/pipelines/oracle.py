@@ -41,6 +41,14 @@ deterministic epoch-batched schedule (SURVEY.md §7.3/§7.5#1):
   (``SearchEngine.cpp:598,602``).  301 follows one redirect
   (``httpDownload.h:108-121``) and stores content under the ORIGINAL
   url identity; 404 yields nothing; timeout counts as a connect fail.
+
+* **Fetch budget** (``max_fetches``): the crawl stops once that many
+  URLs are fetched, possibly inside an epoch.  The epoch's picks
+  after the cut have already left the frontier and stay in the seen
+  set, so they are never fetched, not even by a resume under a raised
+  ``max_fetches``; the budget bounds the crawl, it does not pause it.
+  The engine does the same, and ``crawl_epochs`` continues a stopped
+  oracle crawl the same way.
 """
 
 from __future__ import annotations

@@ -731,12 +731,12 @@ def q21_crawl_order(sf_dir: str):
 
 def q23_search(sf_dir: str):
     """Multi-term AND search with proximity scoring over the built
-    reverse index (reference menu 4; O3-O8/J4).  Uses the distributed
-    dictionary (sorted blocks stay in the object store; the driver
-    holds only per-block word bounds and the touched postings — the
-    100-TB analog of the reference's disk-resident binary-searched
-    dict, PageSearcher.cpp:40-67)."""
-    from .index import PartitionedSearchIndex, build_index
+    reverse index (reference menu 4; O3-O8/J4).  The sorted
+    dictionary's blocks stay in the object store; the driver holds
+    only per-block word bounds and the touched postings (the
+    reference's disk-resident binary-searched dict,
+    PageSearcher.cpp:40-67)."""
+    from .index import SearchIndex, build_index
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     dict_ds = build_index(docs).materialize()
@@ -751,7 +751,7 @@ def q23_search(sf_dir: str):
         )
         return dict(zip(t["doc_id"].to_pylist(), t["source"].to_pylist()))
 
-    idx = PartitionedSearchIndex(dict_ds, doc_host=host_of)
+    idx = SearchIndex(dict_ds, doc_host=host_of)
     out = idx.search("query filter", max_show=50)
     out["final_rank"] = np.round(out["final_rank"].astype(np.float64), 6)
     return out
@@ -773,17 +773,12 @@ def q24_multimodal(sf_dir: str):
 
 def q25_pagerank(sf_dir: str):
     """PageRank over the crawl's link graph (J3/A5)."""
-    import ray
-
     from .rank import edges_from_content, pagerank
 
     _store, res = _small_crawl()
     crawled = set(res.content["url_hash"].to_pylist())
     edges = edges_from_content(res.content, crawled)
-    if len(edges) == 0:
-        return pd.DataFrame({"node": [], "rank": []})
-    eds = ray.data.from_pandas(edges)
-    out = pagerank(eds, np.array(sorted(crawled), np.uint64), n_iters=5)
+    out = pagerank(edges, np.array(sorted(crawled), np.uint64), n_iters=5)
     out["rank"] = np.round(out["rank"], 6)
     return out
 
@@ -1005,11 +1000,7 @@ def q32_crawl_rank_index_search(sf_dir: str):
     _store, res = _small_crawl()
     crawled = set(res.content["url_hash"].to_pylist())
     edges = edges_from_content(res.content, crawled)
-    ranks = pagerank(
-        ray.data.from_pandas(edges),
-        np.array(sorted(crawled), np.uint64),
-        n_iters=5,
-    ) if len(edges) else pd.DataFrame({"node": list(crawled), "rank": 1.0})
+    ranks = pagerank(edges, np.array(sorted(crawled), np.uint64), n_iters=5)
     rank_of = dict(zip(ranks["node"], ranks["rank"]))
     docs = pd.DataFrame(
         {
@@ -1027,15 +1018,14 @@ def q32_crawl_rank_index_search(sf_dir: str):
         body_col="text",
         title_col="title",
         rank_col="page_rank",
-    )
-    tbl = pa.Table.from_pandas(collect(dict_ds), preserve_index=False)
+    ).materialize()
     from ..functions.urlkernel import split_host
 
     hosts = {
         i: split_host(u)
         for i, u in enumerate(res.content["url"].to_pylist())
     }
-    idx = SearchIndex(tbl, doc_host=hosts)
+    idx = SearchIndex(dict_ds, doc_host=hosts)
     out = idx.search("sunset harbor", max_show=20)
     out["final_rank"] = np.round(out["final_rank"].astype(np.float64), 6)
     return out
@@ -1206,8 +1196,7 @@ def q47_dup_clusters(sf_dir: str):
     over the identical pair set."""
     from ..stages.cluster import connected_components
 
-    out = collect(connected_components(q18_jaccard_pairs(sf_dir)))
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return connected_components(q18_jaccard_pairs(sf_dir))
 
 
 SQL_Q47 = f"""

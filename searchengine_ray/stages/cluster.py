@@ -5,90 +5,33 @@ not edges, are the dedup unit).  ``neardup_drop`` turns a pair list
 into that dedup decision — every component member but its minimum id —
 for the near-dup queries and both curation funnels.
 
-Algorithm: distributed min-label propagation with pointer-jumping.
-Every node starts labeled with itself; each round computes
-label(n) ← min(label(n), min label of n's neighbors,
-label(label(n))) in ONE fused gather, so convergence is
-O(log diameter) rounds at two ``keyed_map`` shuffles per round (keyed
-on the lookup key, then on the node).  Labels only decrease and are
-bounded below by the component minimum, so the fixpoint is exact; a
-global ``combine`` sum of the labels detects convergence (labels
-monotone ⇒ unchanged sum ⇔ no change).
-
-Implementation note: both steps are *lookups* (label-of-dst,
-label-of-label), expressed as ONE kind-tagged union + ``keyed_map``
-gather: within a key-complete partition the kind-0 rows carry each
-key's own label and kind-1 rows carry the nodes asking for it — one
-vectorized emit per partition.  Nothing lands on the driver but the
-one-row convergence aggregate per round.
+Algorithm: min-label propagation with pointer jumping, in numpy on the
+driver.  A near-dup pair list is the reduced output of a distributed
+stage, and every caller holds it as a pandas frame.  Ids of any
+sortable type are factorized once over their sorted unique values, so
+a label is a code and the minimum code is the minimum id.  Every node
+starts labeled with itself; each round relaxes every edge
+(``np.minimum.at``) then jumps each label to its label's label, so
+convergence takes O(log diameter) rounds of O(E) work.  Labels only
+decrease and are bounded below by the component minimum, so the
+fixpoint is exact; an unchanged label sum detects it (labels monotone
+⇒ unchanged sum ⇔ no change).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-
-from .keyed import collect, combine, keyed_map
-
-_OUT_DTYPES = {"node": "int64", "label": "int64"}
 
 
-def _empty(cols: dict) -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-
-
-def _gather_part(g: pd.DataFrame) -> pd.DataFrame:
-    """One hash PARTITION of keys (not one key — a per-key callable
-    would be a Python call per graph node): kind-0 rows carry each
-    key's current label; kind-1 rows are lookup requests.  One
-    vectorized pandas pass answers every key in the partition: emits
-    (node, label-of-key) for every requester plus (key, label) for
-    the key itself so its label survives the downstream min."""
-    own = g.loc[g["kind"] == 0]
-    if not len(own):
-        return _empty(_OUT_DTYPES)
-    own_min = own.groupby("key")["label"].min()
-    req = g.loc[g["kind"] == 1]
-    lab = own_min.reindex(req["key"]).to_numpy()
-    ok = ~np.isnan(lab)
-    return pd.DataFrame(
-        {
-            "node": np.concatenate(
-                [req["node"].to_numpy(np.int64)[ok],
-                 own_min.index.to_numpy(np.int64)]
-            ),
-            "label": np.concatenate(
-                [lab[ok].astype(np.int64), own_min.to_numpy(np.int64)]
-            ),
-        }
-    )
-
-
-def _min_part(g: pd.DataFrame) -> pd.DataFrame:
-    """Per-partition vectorized min-by-node (the label reduce)."""
-    out = g.groupby("node", as_index=False)["label"].min()
-    return out.astype({"node": "int64", "label": "int64"})
-
-
-def _cc_local(pairs: pd.DataFrame, col_a: str, col_b: str) -> pd.DataFrame:
-    """Driver-side vectorized min-label CC for pair lists that fit in
-    memory — the COMMON case: a near-dup pair list is already the
-    reduced output of a distributed stage (every caller ultimately
-    ``to_pandas()``es it), and the distributed rounds below pay ~2
-    sort-shuffles of fixed cost per round, which dominates end-to-end
-    time on dense small graphs (measured 17 s for a 250-node
-    near-complete graph at 8 CPUs vs ~1 ms here).  O(E) numpy per
-    round (``np.minimum.at`` edge relax + one pointer jump), O(log n)
-    rounds; labels are indices into the SORTED unique node array, so
-    min index ⇔ min doc_id and the fixpoint matches the distributed
-    path exactly."""
-    a = pairs[col_a].to_numpy(np.int64)
-    b = pairs[col_b].to_numpy(np.int64)
-    if not len(a):
-        return _empty(
-            {"doc_id": "int64", "cluster_id": "int64", "cluster_size": "int64"}
-        )
+def connected_components(
+    pairs: pd.DataFrame, col_a: str = "ia", col_b: str = "ib"
+) -> pd.DataFrame:
+    """pairs (col_a, col_b) → (doc_id, cluster_id, cluster_size), one
+    row per id in some pair, sorted by doc_id; cluster_id is the
+    component's minimum id.  Ids that appear in no pair are trivially
+    their own cluster and are not emitted."""
+    a, b = pairs[col_a].to_numpy(), pairs[col_b].to_numpy()
     nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
     u, v = inv[: len(a)], inv[len(a) :]
     lab = np.arange(len(nodes), dtype=np.int64)
@@ -99,7 +42,7 @@ def _cc_local(pairs: pd.DataFrame, col_a: str, col_b: str) -> pd.DataFrame:
         np.minimum.at(lab, v, m)
         lab = lab[lab]  # pointer jump
         s = int(lab.sum())
-        if s == prev:  # labels monotone ⇒ unchanged sum ⇔ fixpoint
+        if s == prev:
             break
         prev = s
     size = np.bincount(lab, minlength=len(nodes))
@@ -112,153 +55,12 @@ def _cc_local(pairs: pd.DataFrame, col_a: str, col_b: str) -> pd.DataFrame:
     )
 
 
-def connected_components(
-    pairs_ds,
-    col_a: str = "ia",
-    col_b: str = "ib",
-    max_rounds: int = 25,
-    local_max_pairs: int = 1_000_000,
-):
-    """pairs (col_a, col_b int64) → Dataset (doc_id, cluster_id,
-    cluster_size); cluster_id = the component's minimum doc_id.
-    Only nodes that appear in some pair are emitted (singletons are
-    trivially their own cluster and need no shuffle).
-
-    Adaptive: pair lists ≤ ``local_max_pairs`` rows (≈16 MB at the
-    default — they were going to land on the driver anyway) run the
-    vectorized local union-find; larger graphs run the distributed
-    label-propagation rounds below.  Accepts a ``pd.DataFrame`` or a
-    ``ray.data.Dataset``; always returns a Dataset."""
-    import ray.data
-
-    if isinstance(pairs_ds, pd.DataFrame):
-        if len(pairs_ds) <= local_max_pairs:
-            return ray.data.from_pandas(_cc_local(pairs_ds, col_a, col_b))
-        pairs_ds = ray.data.from_pandas(pairs_ds)
-    else:
-        if pairs_ds.count() <= local_max_pairs:
-            return ray.data.from_pandas(
-                _cc_local(collect(pairs_ds), col_a, col_b)
-            )
-
-    _REQ = pa.schema(
-        [("key", pa.int64()), ("node", pa.int64()),
-         ("label", pa.int64()), ("kind", pa.int8())]
-    )
-    _LAB = pa.schema([("node", pa.int64()), ("label", pa.int64())])
-
-    def _req_table(key, node, label, kind) -> pa.Table:
-        n = len(key)
-        return pa.table(
-            {
-                "key": pa.array(np.asarray(key, np.int64)),
-                "node": pa.array(np.asarray(node, np.int64)),
-                "label": pa.array(np.asarray(label, np.int64)),
-                "kind": pa.array(np.full(n, kind, np.int8)),
-            },
-            schema=_REQ,
-        )
-
-    def _i64(b: pa.Table, col: str) -> np.ndarray:
-        return b[col].to_numpy(zero_copy_only=False).astype(np.int64)
-
-    def to_edges(b: pa.Table) -> pa.Table:
-        a = _i64(b, col_a)
-        c = _i64(b, col_b)
-        # lookup label of dst on behalf of src (both directions)
-        return _req_table(
-            np.concatenate([c, a]),
-            np.concatenate([a, c]),
-            np.full(2 * len(a), -1, np.int64),
-            1,
-        )
-
-    def as_kind0(b: pa.Table) -> pa.Table:
-        node = _i64(b, "node")
-        return _req_table(node, node, _i64(b, "label"), 0)
-
-    def as_jump_req(b: pa.Table) -> pa.Table:
-        # ask key=label(n) for ITS label, on behalf of n
-        return _req_table(
-            _i64(b, "label"), _i64(b, "node"),
-            np.full(len(b), -1, np.int64), 1,
-        )
-
-    edges = pairs_ds.map_batches(to_edges, batch_format="pyarrow")
-    labels = keyed_map(
-        edges.map_batches(
-            lambda b: pa.table({"node": b["key"], "label": b["key"]}, schema=_LAB),
-            batch_format="pyarrow",
-        ),
-        ["node"],
-        _min_part,
-    ).materialize()
-
-    prev_sum = None
-    for _ in range(max_rounds):
-        # one fused gather answers BOTH request kinds against the
-        # pre-round labels: neighbor requests (key=dst, for src) and
-        # jump requests (key=label(n), for n) — new_label(n) =
-        # min(label(n), min-neighbor label, label(label(n))), a
-        # monotone contraction whose fixpoint is the component
-        # minimum; fusing halves the shuffles per round.  Both
-        # shuffles (keyed on ``key``, then on ``node``) run their
-        # callables once per partition with vectorized kernels, not
-        # once per graph node.
-        requests = (
-            labels.map_batches(as_kind0, batch_format="pyarrow")
-            .union(edges)
-            .union(labels.map_batches(as_jump_req, batch_format="pyarrow"))
-        )
-        gathered = keyed_map(requests, ["key"], _gather_part)
-        labels = keyed_map(gathered, ["node"], _min_part).materialize()
-        s = int(combine(labels, [], {"s": ("label", "sum")})["s"].iloc[0])
-        if prev_sum is not None and s == prev_sum:
-            break
-        prev_sum = s
-    else:
-        # the for-loop exhausted max_rounds without the fixpoint —
-        # labels are still moving and the result would be silently
-        # split clusters.  Pointer jumping converges in O(log
-        # diameter) rounds, so this is unreachable for any realistic
-        # graph; fail loudly rather than return partial labels.
-        raise RuntimeError(
-            f"connected_components: labels still changing after "
-            f"{max_rounds} rounds (monotone-sum {prev_sum}); raise "
-            "max_rounds — refusing to return partially-merged clusters"
-        )
-
-    def finalize_part(g: pd.DataFrame) -> pd.DataFrame:
-        # one partition of whole clusters (partitioned by label, so a
-        # cluster never straddles partitions); vectorized size via
-        # groupby-transform
-        return pd.DataFrame(
-            {
-                "doc_id": g["node"].astype("int64"),
-                "cluster_id": g["label"].astype("int64"),
-                "cluster_size": g.groupby("label")["label"]
-                .transform("size")
-                .astype("int64"),
-            }
-        )
-
-    return keyed_map(labels, ["label"], finalize_part)
-
-
 def neardup_drop(
     pairs: pd.DataFrame, col_a: str = "ia", col_b: str = "ib"
 ) -> np.ndarray:
     """The near-dup drop set: every id of the pairs' connected
     components except each component's minimum (its canonical
-    survivor), sorted.  Ids may be any sortable type: they are
-    factorized over their sorted unique values (as ``_cc_local``
-    does), so codes order like ids and the minimum code is the minimum
-    id."""
-    a, b = pairs[col_a].to_numpy(), pairs[col_b].to_numpy()
-    ids, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    if not len(ids):
-        return ids
-    codes = pd.DataFrame({"ia": inv[: len(a)], "ib": inv[len(a) :]})
-    cl = collect(connected_components(codes))
-    node = cl["doc_id"].to_numpy(np.int64)
-    return ids[np.sort(node[node != cl["cluster_id"].to_numpy(np.int64)])]
+    survivor), sorted, in the ids' own dtype."""
+    cl = connected_components(pairs, col_a, col_b)
+    node = cl["doc_id"].to_numpy()
+    return node[node != cl["cluster_id"].to_numpy()]

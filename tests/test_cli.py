@@ -39,3 +39,21 @@ def test_cli_crawl_get_and_refused_recrawl(tmp_path, capsys):
     second = _crawl(out)
     assert second.returncode != 0
     assert "RemoteCrawl.resume" in second.stderr
+
+
+def test_cli_search_one_row_per_host():
+    """``search`` on sf0.001 (the default ``--sf``) prints the
+    host-merged result table: one row per host, best page first."""
+    res = subprocess.run(
+        [sys.executable, "-m", "searchengine_ray", "--num-cpus", "2", "search",
+         "--query", "query filter"],
+        cwd=_REPO, capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0, res.stderr
+    header, *rows = res.stdout.strip().splitlines()
+    assert header.split() == ["page_index", "final_rank", "host", "suppressed"]
+    assert rows
+    hosts = [r.split()[3] for r in rows]
+    assert len(set(hosts)) == len(hosts)
+    ranks = [float(r.split()[2]) for r in rows]
+    assert ranks == sorted(ranks, reverse=True)

@@ -91,12 +91,8 @@ def test_build_and_search(ray_session):
             "source": ["s0", "s0", "s1", "s2"],
         }
     )
-    ds = ray.data.from_pandas(docs)
-    dict_ds = build_index(ds)
-    import pyarrow as pa
-
-    tbl = pa.Table.from_pandas(dict_ds.to_pandas(), preserve_index=False)
-    idx = SearchIndex(tbl, doc_host={0: "s0", 1: "s0", 2: "s1", 3: "s2"})
+    dict_ds = build_index(ray.data.from_pandas(docs)).materialize()
+    idx = SearchIndex(dict_ds, doc_host={0: "s0", 1: "s0", 2: "s1", 3: "s2"})
     # single term
     r = idx.search("cherry")
     assert set(r["page_index"]) == {0, 2}
@@ -117,7 +113,6 @@ def test_multiword_phrase_search(ray_session):
     (DictWord stores any space-containing phrase up to 24 bytes,
     SearchEngine.h:424-425 / PageSearcher.cpp:47-66) — a bigram-only
     index can never satisfy this."""
-    import pyarrow as pa
     import ray
 
     docs = pd.DataFrame(
@@ -130,9 +125,7 @@ def test_multiword_phrase_search(ray_session):
             ],
         }
     )
-    ds = ray.data.from_pandas(docs)
-    tbl = pa.Table.from_pandas(build_index(ds).to_pandas(), preserve_index=False)
-    idx = SearchIndex(tbl)
+    idx = SearchIndex(build_index(ray.data.from_pandas(docs)).materialize())
     # trigram phrase: only doc 0 has the exact adjacent sequence
     r = idx.search('"red brick wall"')
     assert set(r["page_index"]) == {0}
@@ -147,82 +140,131 @@ def test_multiword_phrase_search(ray_session):
     assert len(idx.search('"brick red wall"')) == 0
 
 
-def test_pagerank(ray_session):
+def test_block_pruned_search_matches_full_scan(ray_session):
+    """Postings from the block-pruned lookup equal a pandas scan of the
+    whole sorted dictionary, for a word, a 2-word phrase, a phrase over
+    24 chars, an absent word and a word whose postings straddle a block
+    boundary; and the lookup fetches only the blocks that can hold the
+    term."""
     import ray
 
+    rng = np.random.default_rng(17)
+    vocab = [f"w{i:03d}" for i in range(300)]
+    texts = [" ".join(rng.choice(vocab, 30)) for _ in range(120)]
+    docs = pd.DataFrame({"doc_id": range(120), "text": texts})
+    full = build_index(ray.data.from_pandas(docs)).to_pandas()
+    # three blocks of the sorted dictionary, the first cut inside the
+    # postings of w150
+    rows = np.flatnonzero(full["word"] == "w150")
+    assert len(rows) >= 2
+    cuts = [0, rows[len(rows) // 2], 2 * len(full) // 3, len(full)]
+    dict_ds = ray.data.from_pandas(
+        [full.iloc[a:b].reset_index(drop=True) for a, b in zip(cuts, cuts[1:])]
+    ).materialize()
+
+    def scan(term, max_search):
+        if " " in term:
+            hit = full["word"].str.startswith(term[:24])
+        else:
+            hit = full["word"] == term
+        cols = full.loc[hit, ["page_index", "rank", "position"]]
+        return cols.tail(max_search).reset_index(drop=True)
+
+    words = texts[7].split()
+    terms = ["w042", " ".join(words[:2]), " ".join(words[3:9]), "nosuchword", "w150"]
+    assert len(terms[2]) > 24
+    for max_search in (100_000, 3):
+        idx = SearchIndex(dict_ds, max_search=max_search)
+        assert len(idx._refs) == 3 and idx._hi[0] == idx._lo[1] == "w150"
+        for t in terms:
+            got = idx._term_postings(t).reset_index(drop=True)
+            want = scan(t, max_search)
+            if t == "nosuchword":
+                assert len(got) == 0 and len(want) == 0
+            else:
+                assert len(want) > 0, t
+                pd.testing.assert_frame_equal(got, want)
+        assert idx.blocks_fetched < 3 * len(terms)
+    assert len(idx.search(f'"{terms[2]}"')) >= 1
+
+
+def _pagerank_reference(edges, nodes, n_iters, damping=0.85):
+    """The reference accumulator, one edge at a time
+    (SearchEngine.cpp:1200-1281)."""
+    prev = {int(n): 1.0 for n in nodes}
+    for _ in range(n_iters):
+        cur = dict.fromkeys(prev, 0.0)
+        for s, d, k in edges[["src", "dst", "out_degree"]].itertuples(index=False):
+            cur[int(d)] += (damping * prev[int(s)] + (1 - damping)) / k
+        prev = cur
+    return {n: min(damping * r + (1 - damping), 100.0) for n, r in prev.items()}
+
+
+def test_pagerank_matches_scalar_reference():
+    """A seeded graph with duplicate edges, self-loops, a hub past the
+    100 clamp, nodes with no in-links and nodes with no out-links."""
+    from searchengine_ray.pipelines.rank import pagerank
+
+    rng = np.random.default_rng(23)
+    hashes = rng.integers(0, np.iinfo(np.uint64).max, 1000, dtype=np.uint64)
+    nodes = rng.permutation(np.unique(hashes))[:900]
+    # 800 leaves feed the hub nodes[0]: 800 × 0.15 passes the clamp
+    src = np.concatenate([rng.choice(nodes[:60], 400), nodes[100:]])
+    dst = np.concatenate([rng.choice(nodes[20:100], 400), np.repeat(nodes[0], 800)])
+    dst[:10] = src[:10]  # self-loops
+    src, dst = np.concatenate([src, src[:30]]), np.concatenate([dst, dst[:30]])
+    deg = pd.Series(src).map(pd.Series(src).value_counts()).to_numpy(np.int64)
+    edges = pd.DataFrame({"src": src, "dst": dst, "out_degree": deg})
+    assert not np.isin(nodes[100:], dst).any()  # no in-links
+    assert not np.isin(nodes[60:100], src).any()  # no out-links
+
+    out = pagerank(edges, nodes, n_iters=5)
+    want = _pagerank_reference(edges, nodes, n_iters=5)
+    assert out["node"].tolist() == sorted(want)
+    np.testing.assert_allclose(
+        out["rank"].to_numpy(), [want[n] for n in sorted(want)], rtol=1e-12
+    )
+    assert out["rank"].max() == 100.0
+
+
+def test_pagerank_zero_edges():
+    """A crawl with no surviving link: every page ranks 0.85·0 + 0.15."""
+    import pyarrow as pa
+
+    from searchengine_ray.pipelines.rank import edges_from_content, pagerank
+
+    hashes = np.arange(1, 61, dtype=np.uint64) * np.uint64(2**58)
+    content = pa.table(
+        {
+            "url_hash": pa.array(hashes, pa.uint64()),
+            "links": pa.array([[]] * 60, pa.list_(pa.string())),
+        }
+    )
+    edges = edges_from_content(content)
+    assert len(edges) == 0
+    out = pagerank(edges, hashes, n_iters=5)
+    assert len(out) == 60
+    assert out.dtypes.tolist() == [np.uint64, np.float64]
+    assert np.allclose(out["rank"], 0.15, rtol=0, atol=1e-15)
+
+
+def test_pagerank():
     from searchengine_ray.pipelines.rank import pagerank
 
     # 3-node cycle → uniform rank; refine → 0.85*1+0.15 = 1.0
     edges = pd.DataFrame(
         {"src": [1, 2, 3], "dst": [2, 3, 1], "out_degree": [1, 1, 1]}
     )
-    eds = ray.data.from_pandas(edges)
-    out = pagerank(eds, np.array([1, 2, 3], np.uint64), n_iters=5)
+    out = pagerank(edges, np.array([1, 2, 3], np.uint64), n_iters=5)
     assert np.allclose(out["rank"], 1.0, atol=1e-6)
 
     # star: 2,3 → 1; 1 → 2: node 1 collects more
     edges = pd.DataFrame(
         {"src": [2, 3, 1], "dst": [1, 1, 2], "out_degree": [1, 1, 1]}
     )
-    eds = ray.data.from_pandas(edges)
-    out = pagerank(eds, np.array([1, 2, 3], np.uint64), n_iters=5).set_index("node")
+    out = pagerank(edges, np.array([1, 2, 3], np.uint64), n_iters=5).set_index("node")
     assert out.loc[1, "rank"] > out.loc[3, "rank"]
     assert out.loc[3, "rank"] == pytest.approx(0.15, abs=1e-6)  # no inlinks
 
-
-def test_pagerank_paths_agree(ray_session):
-    import ray
-
-    from searchengine_ray.pipelines.rank import pagerank
-
-    rng = np.random.default_rng(11)
-    n = 40
-    src = rng.integers(1, n + 1, 200)
-    dst = rng.integers(1, n + 1, 200)
-    deg = pd.Series(src).map(pd.Series(src).value_counts()).to_numpy()
-    edges = pd.DataFrame({"src": src, "dst": dst, "out_degree": deg})
-    nodes = np.arange(1, n + 1, dtype=np.uint64)
-    eds = ray.data.from_pandas(edges)
-    fast = pagerank(eds, nodes, n_iters=3)
-    dist = pagerank(eds, nodes, n_iters=3, small_graph_threshold=0)
-    merged = fast.merge(dist, on="node", suffixes=("_f", "_d"))
-    assert np.allclose(merged["rank_f"], merged["rank_d"], atol=1e-9)
-
-
-def test_partitioned_search_matches_driver_index(ray_session):
-    """PartitionedSearchIndex (sorted-block pruning, postings-only
-    fetches) returns exactly what the driver-side SearchIndex returns,
-    while touching only the blocks whose word range can match."""
-    import pyarrow as pa
-    import ray
-
-    from searchengine_ray.pipelines.index import PartitionedSearchIndex
-
-    rng = np.random.default_rng(17)
-    vocab = [f"w{i:03d}" for i in range(300)]
-    docs = pd.DataFrame(
-        {
-            "doc_id": range(120),
-            "text": [" ".join(rng.choice(vocab, 30)) for _ in range(120)],
-        }
-    )
-    ds = ray.data.from_pandas(docs)
-    dict_ds = build_index(ds).materialize()
-    tbl = pa.Table.from_pandas(dict_ds.to_pandas(), preserve_index=False)
-    driver_idx = SearchIndex(tbl)
-    part_idx = PartitionedSearchIndex(dict_ds)
-    n_blocks = len(part_idx._refs)
-    for q in ["w001", "w050 w100", '"w001 w002"', "w299", "nosuchword"]:
-        a = driver_idx.search(q).reset_index(drop=True)
-        b = part_idx.search(q).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-    # pruning: single-term queries must not have fetched every block
-    # every time (the sparse bounds index prunes)
-    if n_blocks > 1:
-        assert part_idx.blocks_fetched < 5 * n_blocks
-
-
-def test_pagerank_paths_agree_three_partitions(ray_session, three_partitions):
-    """The check above with the distributed iteration's joins and sums
-    at 3 partitions (the pad / sort path) instead of one."""
-    test_pagerank_paths_agree(ray_session)
+    with pytest.raises(ValueError):  # an edge to a node outside ``nodes``
+        pagerank(edges, np.array([1, 2], np.uint64))
