@@ -74,16 +74,13 @@ def cmd_crawl(args) -> int:
 
 def cmd_search(args) -> int:
     ray = _ray_session(args.num_cpus)
-    from .pipelines.index import SearchIndex, build_index
+    from .pipelines.index import SearchIndex, build_index, doc_hosts
     from .sources.storage import read_parquet
-    from .stages.keyed import collect
 
-    docs = read_parquet(
-        f"{args.sf}/documents.parquet", columns=["doc_id", "text", "source"]
-    )
+    path = f"{args.sf}/documents.parquet"
+    docs = read_parquet(path, columns=["doc_id", "text"])
     dict_ds = build_index(docs).materialize()
-    pdf = collect(docs.select_columns(["doc_id", "source"]))
-    idx = SearchIndex(dict_ds, doc_host=dict(zip(pdf["doc_id"], pdf["source"])))
+    idx = SearchIndex(dict_ds, doc_host=doc_hosts(path))
     out = idx.search(args.query, max_show=args.max_show)
     print(out.to_string())
     ray.shutdown()

@@ -218,14 +218,19 @@ def host_hash_batch(hosts: pa.Array) -> np.ndarray:
 
 
 def collision_hash_batch(hosts: pa.Array) -> np.ndarray:
-    """Per-batch: collision-domain per unique host (cached), then hash."""
-    py = hosts.to_pylist() if isinstance(hosts, (pa.Array, pa.ChunkedArray)) else hosts
-    domains = [collision_domain(h) for h in py]
-    return fnv1a64_batch(pa.array(domains, type=pa.string()))
+    """Per-batch: collision-domain per distinct host (cached), hashed,
+    then gathered back to every row."""
+    d = hosts.dictionary_encode()
+    domains = [collision_domain(h) for h in d.dictionary.to_pylist()]
+    return fnv1a64_batch(pa.array(domains, pa.string()))[d.indices.to_numpy()]
 
 
-def filter_mask_batch(canon: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+def filter_mask_batch(
+    canon: pa.Array, hosts: pa.Array
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``filter_url``: (accept mask, reason codes).
+    ``hosts`` is ``split_host_batch(canon)``, which the caller already
+    holds for its shard key.
 
     reason codes: 0 ok, 1 too_short, 2 too_long, 3 ext_blacklist,
     4 bad_host.
@@ -240,7 +245,6 @@ def filter_mask_batch(canon: pa.Array) -> tuple[np.ndarray, np.ndarray]:
         ext_bad |= pc.ends_with(canon, ext).to_numpy(zero_copy_only=False)
     ext_bad &= ln > 4  # reference only checks extensions when len > 4
     reason[(reason == 0) & ext_bad] = 3
-    hosts = split_host_batch(canon)
     hln = pc.utf8_length(hosts).to_numpy(zero_copy_only=False)
     bad_host = (hln <= 2) | (
         (hln > 3) & pc.ends_with(hosts, ".jp").to_numpy(zero_copy_only=False)

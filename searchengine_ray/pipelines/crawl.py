@@ -157,9 +157,7 @@ _STAT_KEYS = (
 )
 
 def _empty_admitted() -> pa.Table:
-    cols = {k.name: pa.array([], k.type) for k in CAND_SCHEMA}
-    cols["enqueue_seq"] = pa.array([], pa.int64())
-    return pa.table(cols)
+    return CAND_SCHEMA.append(pa.field("enqueue_seq", pa.int64())).empty_table()
 
 
 class _Sequencer:

@@ -1,13 +1,14 @@
 """Reverse index build + multi-term search (reference menu 3/4 tiers).
 
-Build (A1-A4, O1-O2): per-doc word aggregation with positional decay
+Build (A1-A3, O1-O2): per-doc word aggregation with positional decay
 (``getWords``, ``SearchEngine.cpp:282-490``), weight constants from
 A2 (``SearchEngine.cpp:306-309,451-459``), rank normalization to the
 page rank (A3, ``:479-488``), bfloat16 rank quantization
 (``MicroFloat``, ``SearchEngine.h:78-114`` — truncation, not
-round-to-nearest), small-word 8-char rollup (A4, ``:516-528``) — then
-one ``ds.sort(word, rank, page_index)`` replaces the external merge
-sorter (``ExternalSorter.hpp``).
+round-to-nearest) — then one ``ds.sort(word, rank, page_index)``
+replaces the external merge sorter (``ExternalSorter.hpp``).  The
+reference's 8-char small-word dictionary (A4, ``:516-528``) is not
+built: search reads the main dictionary only.
 
 Search (O3-O8, J4-J6): ``SearchIndex`` keeps the sorted dictionary's
 blocks in the object store and holds each block's word bounds; term
@@ -18,14 +19,20 @@ top-rank suffix (``:425``), hash-join AND across ≤8 terms on doc id
 (``PosRanks``, ``:155-174``), proximity score
 ``Σ termRank × Π 0.9^(minPosDiff−1)`` floored at 1e-6
 (``:273-287,180-190``), top-k by final rank (``:269-298``), host-merge
-display — best page per host + suppressed count (``:481-538``).
+display — best page per host + suppressed count (``:481-538``), with
+each hit's host read from the documents file for the hit rows only
+(``doc_hosts``).
 """
 
 from __future__ import annotations
 
+import bisect
+import operator
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..stages.text import TOKEN_RE, STOPWORDS
 
@@ -34,7 +41,6 @@ WEIGHT_TITLE = 100.0
 WEIGHT_BODY = 1.0
 POSITION_DECAY = 0.999
 MAX_WORDS_PER_PAGE = 2000  # MAXWORDPERPAGE, SearchEngine.h:26
-SMALL_WORD_SIZE = 8        # SMALLWORDSIZE, SearchEngine.h:28
 MAX_TERMS = 8              # MaxTerms, PageSearcher.cpp:221
 
 
@@ -134,17 +140,6 @@ def word_rows(
     )
 
 
-def small_word_rows(words: pd.DataFrame) -> pd.DataFrame:
-    """A4 rollup: truncate to 8 chars, per (page, word8) keep the
-    max-rank entry (UTF-8-boundary handling is free on str)."""
-    df = words.copy()
-    df["word"] = df["word"].str.slice(0, SMALL_WORD_SIZE)
-    df = df.sort_values(["page_index", "word", "rank"], ascending=[True, True, False])
-    return df.drop_duplicates(subset=["page_index", "word"], keep="first").reset_index(
-        drop=True
-    )
-
-
 def build_index(
     docs_ds,
     id_col="doc_id",
@@ -192,6 +187,24 @@ def split_sentence(query: str, max_terms: int = MAX_TERMS) -> list[str]:
     return terms
 
 
+def doc_hosts(docs_path: str):
+    """A ``SearchIndex`` ``doc_host`` resolver over a documents parquet
+    file: ids → {doc_id: source} by a row-filtered two-column read of
+    the ≤ max_show hit pages only, never a corpus-wide dict (J6 display
+    merge; ``PageSearcher.cpp:301-346`` keeps its sidecar
+    file-resident)."""
+
+    def host_of(ids: list[int]) -> dict[int, str]:
+        t = pq.read_table(
+            docs_path,
+            columns=["doc_id", "source"],
+            filters=[("doc_id", "in", [int(i) for i in ids])],
+        )
+        return dict(zip(t["doc_id"].to_pylist(), t["source"].to_pylist()))
+
+    return host_of
+
+
 def _block_bounds(tbl: pa.Table):
     if len(tbl) == 0:
         return None
@@ -211,12 +224,11 @@ class SearchIndex:
     query term prunes to the blocks whose word range can contain it,
     fetches ONLY those (zero-copy plasma reads) and binary-searches
     inside, so the driver's footprint is 2 strings per block plus the
-    touched postings ranges.  ``doc_host`` (a dict, or a callable ids →
-    {id: host}) adds the host-merge display columns.
+    touched postings ranges.  ``doc_host`` (a callable ids → {id: host},
+    such as ``doc_hosts``) adds the host-merge display columns.
     """
 
-    def __init__(self, dict_ds, doc_host: dict[int, str] | None = None,
-                 max_search: int = 100_000):
+    def __init__(self, dict_ds, doc_host=None, max_search: int = 100_000):
         import ray
 
         refs = dict_ds.to_arrow_refs()
@@ -225,7 +237,7 @@ class SearchIndex:
         self._refs = [r for r, b in zip(refs, bounds) if b is not None]
         self._lo = [b[0] for b in bounds if b is not None]
         self._hi = [b[1] for b in bounds if b is not None]
-        self.doc_host = doc_host or {}
+        self.doc_host = doc_host
         self.max_search = max_search
         self.blocks_fetched = 0  # instrumentation (asserted in tests)
         self._ray = ray
@@ -239,20 +251,23 @@ class SearchIndex:
         # upper bound of the matching word range: prefix matches for
         # phrases, exact word otherwise
         upper = key + "￿" if phrase else key
+        py = operator.methodcaller("as_py")
         parts = []
         for i, ref in enumerate(self._refs):
             if self._hi[i] < key or self._lo[i] > upper:
                 continue  # pruned — block cannot contain the term
             tbl = self._ray.get(ref)  # zero-copy plasma read
             self.blocks_fetched += 1
-            words = np.asarray(tbl["word"].to_pylist(), dtype=object)
-            lo = int(np.searchsorted(words, key, side="left"))
-            if phrase:
-                hi = lo
-                while hi < len(words) and str(words[hi]).startswith(key):
-                    hi += 1
+            # binary search by scalar reads of the sorted word column:
+            # O(log rows) strings per term, not the whole block
+            words = tbl["word"]
+            lo = bisect.bisect_left(words, key, key=py)
+            if phrase:  # the words prefixed by key run on from lo
+                hi = bisect.bisect_left(
+                    words, True, lo, key=lambda w: not w.as_py().startswith(key)
+                )
             else:
-                hi = int(np.searchsorted(words, key, side="right"))
+                hi = bisect.bisect_right(words, key, lo, key=py)
             if hi > lo:
                 cols = tbl.slice(lo, hi - lo).select(["page_index", "rank", "position"])
                 parts.append(cols.to_pandas())
@@ -300,18 +315,11 @@ class SearchIndex:
         out = pd.DataFrame(rows, columns=["page_index", "final_rank"])
         out = out.sort_values(["final_rank", "page_index"], ascending=[False, True])
         out = out.head(max_show).reset_index(drop=True)
-        if self.doc_host:
-            # doc_host may be a dict (small corpora) or a resolver
-            # callable ids → {id: host} so the host sidecar is fetched
-            # for the ≤max_show RESULT rows only, never materialized
-            # corpus-wide on the driver (J6 display merge,
-            # PageSearcher.cpp:301-346 keeps its sidecar file-resident)
-            mapping = (
+        if self.doc_host is not None:
+            # hosts of the ≤ max_show result rows only
+            out["host"] = out["page_index"].map(
                 self.doc_host(out["page_index"].tolist())
-                if callable(self.doc_host)
-                else self.doc_host
             )
-            out["host"] = out["page_index"].map(mapping)
             merged = []
             for host, g in out.groupby("host", sort=False):
                 top = g.iloc[0]

@@ -632,7 +632,7 @@ FROM e GROUP BY user_id
 
 
 def q22_inverted_index(sf_dir: str):
-    """Reverse-index word rows (A1/A4 positions; integer columns only
+    """Reverse-index word rows (A1 positions; integer columns only
     so the oracle compare is exact — rank weighting is covered by
     pipelines/index.py unit tests)."""
     from .index import word_rows
@@ -736,22 +736,13 @@ def q23_search(sf_dir: str):
     only per-block word bounds and the touched postings (the
     reference's disk-resident binary-searched dict,
     PageSearcher.cpp:40-67)."""
-    from .index import SearchIndex, build_index
+    from .index import SearchIndex, build_index, doc_hosts
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     dict_ds = build_index(docs).materialize()
-
-    def host_of(ids: list[int]) -> dict[int, str]:
-        # result-set-only host lookup: a row-filtered 2-column parquet
-        # read for the <=max_show hit pages (never a corpus-wide dict)
-        t = pq.read_table(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "source"],
-            filters=[("doc_id", "in", [int(i) for i in ids])],
-        )
-        return dict(zip(t["doc_id"].to_pylist(), t["source"].to_pylist()))
-
-    idx = SearchIndex(dict_ds, doc_host=host_of)
+    idx = SearchIndex(
+        dict_ds, doc_host=doc_hosts(os.path.join(sf_dir, "documents.parquet"))
+    )
     out = idx.search("query filter", max_show=50)
     out["final_rank"] = np.round(out["final_rank"].astype(np.float64), 6)
     return out
@@ -1021,11 +1012,10 @@ def q32_crawl_rank_index_search(sf_dir: str):
     ).materialize()
     from ..functions.urlkernel import split_host
 
-    hosts = {
-        i: split_host(u)
-        for i, u in enumerate(res.content["url"].to_pylist())
-    }
-    idx = SearchIndex(dict_ds, doc_host=hosts)
+    urls = res.content["url"].to_pylist()
+    idx = SearchIndex(
+        dict_ds, doc_host=lambda ids: {i: split_host(urls[i]) for i in ids}
+    )
     out = idx.search("sunset harbor", max_show=20)
     out["final_rank"] = np.round(out["final_rank"].astype(np.float64), 6)
     return out

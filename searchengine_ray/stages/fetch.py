@@ -23,8 +23,12 @@ positions from arrays.
 Scale design: the actor ALSO
 * canonicalizes/filters the extracted links into admission candidates
   (so the per-epoch candidate prep is parallel, not driver-serial) —
-  the URL kernels run once per distinct canonical URL of the chunk and
-  the host kernels once per distinct host (``make_candidates``), and
+  the URL and host kernels run once per distinct canonical URL of the
+  chunk (``make_candidates``).  A candidate (``CAND_SCHEMA``) carries
+  only what admission reads: its global order ``(fetch_seq, pos)``, the
+  canonical ``url`` the frontier keeps, ``url_hash`` (seen set, robots),
+  ``host_hash`` (politeness, quota) and the collision ``shard`` that
+  routes it to a host actor, and
 * writes the binary payload parquet partition itself
   (``payload_dir/epoch=E/part-<first_seq>.parquet``) so image bytes
   never flow through the driver — only small metadata tables do
@@ -81,11 +85,9 @@ CAND_SCHEMA = pa.schema(
     [
         ("fetch_seq", pa.int64()),
         ("pos", pa.int32()),
-        ("raw", pa.string()),
         ("url", pa.string()),
         ("url_hash", pa.uint64()),
         ("host_hash", pa.uint64()),
-        ("host", pa.string()),
         ("shard", pa.int32()),
     ]
 )
@@ -99,38 +101,28 @@ def make_candidates(
     an Arrow string array; ``fseqs`` and ``poss`` are lists or numpy
     arrays aligned with it.
 
-    Most kept links repeat a URL or (far more often) a host already in
-    the chunk, so the URL kernels run once per DISTINCT canonical URL
-    and the host kernels once per distinct host; each result is
-    gathered back to its rows through the dictionary indices."""
-    raw = (
-        raw_links
-        if isinstance(raw_links, pa.Array)
-        else pa.array(raw_links, type=pa.string())
-    )
-    if not len(raw):
-        return CAND_SCHEMA.empty_table()
-    canon, valid = uk.truncate_batch(raw)
-    fmask, _ = uk.filter_mask_batch(canon)
-    keep = np.nonzero(valid & fmask)[0]
-    idx = pa.array(keep)
-    canon_k = canon.take(idx)
-    urls = canon_k.dictionary_encode()
+    Most links repeat a URL already in the chunk, so the valid links'
+    canonical URLs are dictionary-encoded once, and the host split, the
+    static filter (which reads that split), both hashes and the
+    collision shard run once per DISTINCT canonical URL, gathered back
+    to the kept rows through the indices."""
+    canon, valid = uk.truncate_batch(raw_links)
+    rows = np.flatnonzero(valid)
+    urls = canon.take(pa.array(rows)).dictionary_encode()
+    uniq = urls.dictionary
+    hosts = uk.split_host_batch(uniq)
     url_rows = urls.indices.to_numpy()
-    hosts = uk.split_host_batch(urls.dictionary).dictionary_encode()
-    host_rows = hosts.indices.to_numpy()[url_rows]
-    uniq_hosts = hosts.dictionary
-    shard = uk.collision_hash_batch(uniq_hosts) % np.uint64(shard_count)
+    kept = uk.filter_mask_batch(uniq, hosts)[0][url_rows]
+    keep, url_rows = rows[kept], url_rows[kept]
+    shard = uk.collision_hash_batch(hosts) % np.uint64(shard_count)
     return pa.table(
         {
             "fetch_seq": pa.array(np.asarray(fseqs, np.int64)[keep]),
             "pos": pa.array(np.asarray(poss, np.int32)[keep]),
-            "raw": raw.take(idx),
-            "url": canon_k,
-            "url_hash": pa.array(uk.url_hash_batch(urls.dictionary)[url_rows]),
-            "host_hash": pa.array(uk.host_hash_batch(uniq_hosts)[host_rows]),
-            "host": uniq_hosts.take(pa.array(host_rows)),
-            "shard": pa.array(shard.astype(np.int32)[host_rows]),
+            "url": uniq.take(pa.array(url_rows)),
+            "url_hash": pa.array(uk.url_hash_batch(uniq)[url_rows]),
+            "host_hash": pa.array(uk.host_hash_batch(hosts)[url_rows]),
+            "shard": pa.array(shard.astype(np.int32)[url_rows]),
         },
         schema=CAND_SCHEMA,
     )

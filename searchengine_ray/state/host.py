@@ -27,7 +27,10 @@ no cross-actor coordination.  Wrapped in ``ray.remote`` by
 
 Frontier: the owned shards' pending URLs are ONE ``FRONTIER_SCHEMA``
 Arrow table in ``enqueue_seq`` order — flat records, no Python object
-per URL (the reference's pending DBs hold flat records too).  Appends
+per URL (the reference's pending DBs hold flat records too).  A record
+holds what the dequeue reads: ``shard``, ``enqueue_seq``, the
+canonical ``url`` it hands the fetch actors, ``url_hash`` and
+``host_hash`` (the politeness key).  Appends
 queue owned-row slices of the sequencer's admitted tables; the next
 dequeue or snapshot concatenates them behind the table.  The sequencer
 numbers admissions in submission order and actor-mailbox FIFO delivers
@@ -91,7 +94,6 @@ FRONTIER_SCHEMA = pa.schema(
         ("url", pa.string()),
         ("url_hash", pa.uint64()),
         ("host_hash", pa.uint64()),
-        ("host", pa.string()),
     ]
 )
 
@@ -387,6 +389,8 @@ class HostShards:
         return self._merged(), pa.table(hosts, schema=HOSTSTATE_SCHEMA)
 
     def restore(self, frontier: pa.Table, hoststate: pa.Table) -> None:
+        # named columns only: an older checkpoint's frontier carries a
+        # ``host`` string column, which nothing reads
         self.frontier = (
             frontier.select(FRONTIER_SCHEMA.names)
             .sort_by("enqueue_seq")

@@ -162,3 +162,43 @@ def test_run_stops_at_cfg_max_epochs(monkeypatch, tmp_path):
     res = eng.run(max_epochs=2)
     assert res.epochs == golden.epochs == 1
     assert res.crawl_order["url"].to_pylist() == [r[1] for r in golden.crawl_order]
+
+
+def test_resume_from_frontier_with_host_column(monkeypatch, tmp_path):
+    """A checkpoint whose ``frontier-*.parquet`` files carry a ``host``
+    string column after ``host_hash`` (the frontier layout before the
+    column was dropped) still resumes, and the finished crawl equals
+    the oracle's."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.functions import urlkernel as uk
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    monkeypatch.setitem(sys.modules, "ray", fakeray)
+    images, truth = _images()
+    store = synth.gen_web(n_urls=300, n_images=len(images), seed=11, mean_links=6.0)
+    synth.attach_captions(store, images)
+    seeds = synth.gen_seeds(store, 6, seed=11)
+    cfg = CrawlConfig(shard_count=4, per_shard_batch=3, politeness_ms=1000)
+    golden = simulate(seeds, store, cfg)
+    out = str(tmp_path)
+    eng = RemoteCrawl(store, images, truth, cfg, out, n_host_actors=2,
+                      checkpoint=True, write_payload=False)
+    eng.admit_seeds(seeds)
+    eng.run(max_epochs=2)
+    eng.shutdown()
+    queued = 0
+    for path in glob.glob(f"{out}/ckpt/epoch=*/frontier-*.parquet"):
+        fr = pq.read_table(path)
+        hosts = uk.split_host_batch(fr["url"].combine_chunks())
+        pq.write_table(fr.append_column("host", hosts), path)
+        queued += len(fr)
+    assert queued > 0
+    res = RemoteCrawl.resume(store, images, truth, cfg, out, n_host_actors=2).run()
+    assert res.epochs == golden.epochs > 2
+    got = list(zip(*(res.crawl_order[c].to_pylist() for c in
+                     ("fetch_seq", "url", "url_hash", "t_sched", "epoch"))))
+    assert got == golden.crawl_order
+    assert res.seen == golden.seen

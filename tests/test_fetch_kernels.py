@@ -7,8 +7,8 @@ specs, plus guards that per-link and per-page scalar work stays out of it.
   reference's per-character scan
 * ``extract_links`` (one regex, dedup on the identity key string) == a
   copy that matches the href value and dedups on the key's 64-bit hash
-* ``make_candidates`` (kernels once per distinct URL / host) == a
-  row-wise build from the scalar URL functions
+* ``make_candidates`` (kernels once per distinct canonical URL, one
+  host split per call) == a row-wise build from the scalar URL functions
 * ``FetchDecode.__call__`` (columnar chunk: ``phash64_batch`` per
   bounded stack of decoded images, one payload ``take``) == the
   page-by-page row builder it replaced
@@ -224,11 +224,9 @@ def _candidates_rowwise(raw_links, fseqs, poss, shard_count):
             {
                 "fetch_seq": fs,
                 "pos": pos,
-                "raw": raw,
                 "url": canon,
                 "url_hash": uk.url_hash(canon),
                 "host_hash": uk.host_hash(host),
-                "host": host,
                 "shard": uk.host_collision_hash(host) % shard_count,
             }
         )
@@ -258,6 +256,29 @@ def test_make_candidates_equals_rowwise_spec(store):
         pa.array(raw, pa.string()), np.array(fseqs), np.array(poss), 8
     )
     assert arrow.equals(got)
+
+
+def test_make_candidates_splits_each_distinct_url_once(monkeypatch):
+    """One ``split_host_batch`` call per ``make_candidates`` call, on
+    exactly the chunk's distinct canonical URLs: repeated links (also
+    repeats under another raw form) and invalid links add no rows."""
+    calls = []
+    split = uk.split_host_batch
+
+    def counting(canon):
+        calls.append(canon.to_pylist())
+        return split(canon)
+
+    monkeypatch.setattr(uk, "split_host_batch", counting)
+    raw = ["a.com/x", "http://a.com/x", "a.com/x/", "b.org/y", "ab", "http://",
+           "https:/x", "a.com/x", "c.jp/z", "b.org/y", "d.com/f.jpg", "e.com"]
+    fseqs, poss = [3] * len(raw), list(range(len(raw)))
+    canon = {uk.truncate_url(r) for r in raw} - {None}
+    got = make_candidates(raw, fseqs, poss, 8)
+    assert len(calls) == 1
+    assert len(calls[0]) == len(canon) == 6
+    assert set(calls[0]) == canon
+    assert got.equals(_candidates_rowwise(raw, fseqs, poss, 8))
 
 
 @pytest.mark.parametrize("raw", [[], ["host3.jp/x", "ab", "a.com/f/1.jpg"]])

@@ -20,16 +20,17 @@ from searchengine_ray.state.host import FRONTIER_SCHEMA, HOSTSTATE_SCHEMA, HostS
 N_OWNERS = 2  # shard s belongs to instance s % N_OWNERS
 
 
-ENTRY_COLS = ("enqueue_seq", "url", "url_hash", "host_hash", "host", "shard")
+ENTRY_COLS = ("enqueue_seq", "url", "url_hash", "host_hash", "shard")
 
 
 def _entries(rng, hosts, seq0, n):
-    """n frontier entries, tuples in ``ENTRY_COLS`` order."""
+    """n frontier entries, tuples in ``ENTRY_COLS`` order followed by
+    the host string the oracle's entries keep."""
     out = []
     for seq in range(seq0, seq0 + n):
         host, hh, shard = rng.choice(hosts)
         url = f"http://{host}/{seq}"
-        out.append((seq, url, rng.getrandbits(64), hh, host, shard))
+        out.append((seq, url, rng.getrandbits(64), hh, shard, host))
     return out
 
 
@@ -41,7 +42,7 @@ def _table(entries):
 
 
 def _append(oracle, owners, entries, rng):
-    for seq, url, h, hh, host, shard in entries:
+    for seq, url, h, hh, shard, host in entries:
         oracle.frontier[shard].append((seq, url, h, hh, host))
     # split into slices so the merge sees several queued appends
     cut = rng.randint(0, len(entries))
@@ -162,7 +163,6 @@ def test_frontier_python_heap_per_url():
             "url": pa.array(urls),
             "url_hash": pa.array(seq.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)),
             "host_hash": pa.array(host_id.astype(np.uint64) << np.uint64(40)),
-            "host": pa.array([hosts[h] for h in host_id]),
         },
         schema=FRONTIER_SCHEMA,
     )
@@ -210,7 +210,6 @@ def test_host_state_heap_per_host():
             "shard": pa.array((seq % 8).astype(np.int32)),
             "enqueue_seq": pa.array(seq),
             "url": text,
-            "host": text,
         }
     )
     hs = HostShards(CrawlConfig(shard_count=8, per_shard_batch=n), range(8), _NoRobots())
@@ -248,9 +247,9 @@ def _wave(rng, pool, fseq0, n_pages):
     for f in range(fseq0, fseq0 + n_pages):
         for pos in range(rng.randint(0, 12)):
             rows.append((f, pos, *rng.choice(pool)))
-    cols = ("fetch_seq", "pos", "url_hash", "host_hash", "shard", "url", "host")
+    cols = ("fetch_seq", "pos", "url_hash", "host_hash", "shard", "url")
     types = (pa.int64(), pa.int32(), pa.uint64(), pa.uint64(), pa.int32(),
-             pa.string(), pa.string())
+             pa.string())
     cut = rng.randint(0, len(rows))  # a chunk boundary between two pages
     while 0 < cut < len(rows) and rows[cut][0] == rows[cut - 1][0]:
         cut += 1
@@ -278,7 +277,7 @@ def test_admission_matches_set_reference():
         pool = []
         for i in range(rng.randint(10, 120)):
             host, hh, shard = rng.choice(hosts)
-            pool.append((rng.getrandbits(64), hh, shard, f"http://{host}/{i}", host))
+            pool.append((rng.getrandbits(64), hh, shard, f"http://{host}/{i}"))
         known = [u for u in pool if rng.random() < 0.8]
         store = _Store([u[0] for u in known],
                        np.array([rng.random() < 0.2 for _ in known], bool))

@@ -8,8 +8,8 @@ from searchengine_ray.pipelines.index import (
     MAX_TERMS,
     SearchIndex,
     build_index,
+    doc_hosts,
     microfloat,
-    small_word_rows,
     split_sentence,
     word_rows,
 )
@@ -60,23 +60,7 @@ def test_word_rows_null_text_has_no_tokens():
     assert titled["word"].tolist() == ["cat"]
 
 
-def test_small_word_rollup():
-    words = pd.DataFrame(
-        {
-            "word": ["abcdefghij", "abcdefghXY", "short"],
-            "rank": np.array([0.5, 0.9, 0.3], np.float32),
-            "page_index": [1, 1, 1],
-            "position": [0, 1, 2],
-        }
-    )
-    out = small_word_rows(words)
-    # both 10-char words truncate to the same 8-char key → max rank kept
-    assert len(out) == 2
-    eight = out[out["word"] == "abcdefgh"]
-    assert len(eight) == 1 and float(eight["rank"].iloc[0]) == np.float32(0.9)
-
-
-def test_build_and_search(ray_session):
+def test_build_and_search(ray_session, tmp_path):
     import ray
 
     docs = pd.DataFrame(
@@ -92,7 +76,9 @@ def test_build_and_search(ray_session):
         }
     )
     dict_ds = build_index(ray.data.from_pandas(docs)).materialize()
-    idx = SearchIndex(dict_ds, doc_host={0: "s0", 1: "s0", 2: "s1", 3: "s2"})
+    path = str(tmp_path / "documents.parquet")
+    docs.to_parquet(path)
+    idx = SearchIndex(dict_ds, doc_host=doc_hosts(path))
     # single term
     r = idx.search("cherry")
     assert set(r["page_index"]) == {0, 2}

@@ -115,7 +115,8 @@ def test_filter_scalar(canon, accept, reason):
 
 def test_filter_batch_matches_scalar():
     canons = [c[0] for c in FILTER_CASES]
-    mask, _ = uk.filter_mask_batch(pa.array(canons, type=pa.string()))
+    arr = pa.array(canons, type=pa.string())
+    mask, _ = uk.filter_mask_batch(arr, uk.split_host_batch(arr))
     assert list(mask) == [c[1] for c in FILTER_CASES]
 
 
@@ -134,7 +135,7 @@ def test_property_batch_equals_scalar_random():
             assert canon_l[i] == expect, raw
     # filter + hash agree on the valid subset
     sub = pa.array([canon_l[i] for i in ok_idx], type=pa.string())
-    mask, _ = uk.filter_mask_batch(sub)
+    mask, _ = uk.filter_mask_batch(sub, uk.split_host_batch(sub))
     hashes = uk.url_hash_batch(sub)
     for j, i in enumerate(ok_idx):
         assert bool(mask[j]) == uk.filter_url(canon_l[i])[0], canon_l[i]
@@ -164,9 +165,10 @@ def test_hypothesis_batch_equals_scalar():
         ok = [c for i, c in enumerate(canon_l) if valid[i]]
         if ok:
             sub = pa.array(ok, type=pa.string())
-            mask, _ = uk.filter_mask_batch(sub)
+            hosts = uk.split_host_batch(sub)
+            mask, _ = uk.filter_mask_batch(sub, hosts)
             hashes = uk.url_hash_batch(sub)
-            hosts = uk.split_host_batch(sub).to_pylist()
+            hosts = hosts.to_pylist()
             for j, c in enumerate(ok):
                 assert bool(mask[j]) == uk.filter_url(c)[0], c
                 assert int(hashes[j]) == uk.url_hash(c), c
