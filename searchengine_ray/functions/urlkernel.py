@@ -225,29 +225,18 @@ def collision_hash_batch(hosts: pa.Array) -> np.ndarray:
     return fnv1a64_batch(pa.array(domains, pa.string()))[d.indices.to_numpy()]
 
 
-def filter_mask_batch(
-    canon: pa.Array, hosts: pa.Array
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``filter_url``: (accept mask, reason codes).
-    ``hosts`` is ``split_host_batch(canon)``, which the caller already
-    holds for its shard key.
-
-    reason codes: 0 ok, 1 too_short, 2 too_long, 3 ext_blacklist,
-    4 bad_host.
-    """
-    n = len(canon)
+def filter_mask_batch(canon: pa.Array, hosts: pa.Array) -> np.ndarray:
+    """Vectorized ``filter_url``: the accept mask.  ``hosts`` is
+    ``split_host_batch(canon)``, which the caller already holds for its
+    shard key.  A URL is rejected when it is under 4 or over
+    ``MAX_URL_LEN`` characters, ends in a blacklisted extension (checked
+    only past 4 characters, as the reference does) or has a bad host."""
     ln = pc.utf8_length(canon).to_numpy(zero_copy_only=False)
-    reason = np.zeros(n, np.int8)
-    reason[ln < 4] = 1
-    reason[ln > MAX_URL_LEN] = 2
-    ext_bad = np.zeros(n, bool)
+    ext_bad = np.zeros(len(canon), bool)
     for ext in EXT_BLACKLIST:
         ext_bad |= pc.ends_with(canon, ext).to_numpy(zero_copy_only=False)
-    ext_bad &= ln > 4  # reference only checks extensions when len > 4
-    reason[(reason == 0) & ext_bad] = 3
     hln = pc.utf8_length(hosts).to_numpy(zero_copy_only=False)
     bad_host = (hln <= 2) | (
         (hln > 3) & pc.ends_with(hosts, ".jp").to_numpy(zero_copy_only=False)
     )
-    reason[(reason == 0) & bad_host] = 4
-    return reason == 0, reason
+    return (ln >= 4) & (ln <= MAX_URL_LEN) & ~(ext_bad & (ln > 4)) & ~bad_host

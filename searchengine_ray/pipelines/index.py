@@ -289,30 +289,34 @@ class SearchIndex:
 
     def _score(self, postings: list[pd.DataFrame], max_show: int) -> pd.DataFrame:
         # AND-join on page_index, keep top-2 (rank, pos) per page per term
-        per_term = []
-        for p in postings:
-            p = p.sort_values("rank", ascending=False)
-            g = p.groupby("page_index").head(2)
-            per_term.append(g)
-        pages = set(per_term[0]["page_index"])
+        per_term = [
+            p.sort_values("rank", ascending=False).groupby("page_index").head(2)
+            for p in postings
+        ]
+        pages = per_term[0]["page_index"].drop_duplicates()
         for p in per_term[1:]:
-            pages &= set(p["page_index"])
-        if not pages:
+            pages = pages[pages.isin(p["page_index"])]
+        if pages.empty:
             return pd.DataFrame(columns=["page_index", "final_rank"])
-        rows = []
-        for pg in pages:
-            term_ranks, term_pos = [], []
-            for p in per_term:
-                sub = p[p["page_index"] == pg]
-                term_ranks.append(float(sub["rank"].sum()))
-                term_pos.append(sub["position"].to_numpy())
-            score = sum(term_ranks)
-            prox = 1.0
-            for a, b in zip(term_pos[:-1], term_pos[1:]):
-                dmin = min(abs(int(x) - int(y)) for x in a for y in b)
-                prox *= 0.9 ** max(dmin - 1, 0)
-            rows.append((pg, max(score * prox, 1e-6)))
-        out = pd.DataFrame(rows, columns=["page_index", "final_rank"])
+        out = pd.DataFrame({"page_index": pages.to_numpy()})
+        # score: Σ over terms of each term's kept ranks, in term order
+        score = np.zeros(len(out))
+        for p in per_term:
+            ranks = p.groupby("page_index")["rank"].sum().astype(np.float64)
+            score = score + out["page_index"].map(ranks).to_numpy()
+        # proximity: Π over adjacent terms of 0.9^(min |pos diff| − 1),
+        # the min over the ≤ 2 × 2 kept positions of each page
+        prox = np.ones(len(out))
+        for a, b in zip(per_term[:-1], per_term[1:]):
+            pair = a[["page_index", "position"]].merge(
+                b[["page_index", "position"]], on="page_index")
+            diff = (pair["position_x"].astype(np.int64)
+                    - pair["position_y"].astype(np.int64)).abs()
+            dmin = diff.groupby(pair["page_index"]).min()
+            steps = np.maximum(out["page_index"].map(dmin).to_numpy() - 1, 0)
+            uniq, at = np.unique(steps, return_inverse=True)
+            prox = prox * np.array([0.9 ** int(k) for k in uniq])[at]
+        out["final_rank"] = np.maximum(score * prox, 1e-6)
         out = out.sort_values(["final_rank", "page_index"], ascending=[False, True])
         out = out.head(max_show).reset_index(drop=True)
         if self.doc_host is not None:

@@ -112,7 +112,7 @@ def make_candidates(
     uniq = urls.dictionary
     hosts = uk.split_host_batch(uniq)
     url_rows = urls.indices.to_numpy()
-    kept = uk.filter_mask_batch(uniq, hosts)[0][url_rows]
+    kept = uk.filter_mask_batch(uniq, hosts)[url_rows]
     keep, url_rows = rows[kept], url_rows[kept]
     shard = uk.collision_hash_batch(hosts) % np.uint64(shard_count)
     return pa.table(

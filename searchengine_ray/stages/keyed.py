@@ -17,8 +17,12 @@ Shape: ``keyed_map(ds, keys, fn)`` names the key columns and nothing
 else.  The partition count follows the bytes the plan reads
 (``_partitions``: one partition per started 32 MiB of its sources,
 capped at 4× the cluster's CPUs).  One partition — every test-scale
-shuffle — is ``repartition(1)`` and one ``fn`` call over all rows: no
-pad, no partition id, no sort.  With more, the pad stage stamps each
+shuffle — is one bundled map: a ``batch_size`` above any row count
+makes Ray give every input block to one task, so ``fn`` gets all rows
+in one call, with no all-to-all barrier, pad, partition id or sort;
+the map fuses with the maps before and after it into one task chain
+(each block first turns into plain Arrow, as Ray's batcher merges
+blocks of one type only).  With more, the pad stage stamps each
 row with the partition id ``hash_part`` gives its key (FNV-1a/64 over
 the Arrow key columns, modulo the partition count);
 ``Dataset.sort`` with the KNOWN boundaries of those ids
@@ -61,9 +65,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import fnv1a64_batch, fnv1a64_fixed, hash_combine
-from ..sources.storage import blocks_for, disk_bytes
+from ..sources.storage import FooterParquet, blocks_for, disk_bytes
 
 _PART = "_keyed_part"
+# a batch size above any row count: one bundle of every input block
+_ALL_ROWS = 1 << 62
 JOIN_TYPES = ("inner", "left_outer", "left_anti")
 
 
@@ -105,16 +111,22 @@ def _partitions(ds) -> int:
 
     The trade-off is ``read_parquet``'s: each partition is a task with
     a fixed cost, and under 32 MiB that cost outweighs the work a split
-    spreads over more CPUs."""
+    spreads over more CPUs.  So one partition runs as one task: a
+    bundled map fused with its neighbours, not a ``repartition(1)``
+    barrier between two maps.
+
+    A parquet read is known by its ``storage.FooterParquet`` source and
+    sized by that source's ``paths``; a read made by Ray's own
+    ``read_parquet`` (only tests make one) counts as 0 bytes."""
     return min(blocks_for(_source_bytes(ds._logical_plan.dag)), 4 * ncpus())
 
 
 def _source_bytes(op) -> int:
     if op.input_dependencies:
         return sum(_source_bytes(dep) for dep in op.input_dependencies)
-    paths = getattr(getattr(op, "_datasource", None), "_pq_paths", None)
-    if paths:
-        return disk_bytes(paths)
+    source = getattr(op, "_datasource", None)
+    if isinstance(source, FooterParquet):
+        return disk_bytes(source.paths)
     bundles = getattr(op, "input_data", None) or []
     return sum(b.size_bytes() for b in bundles)
 
@@ -189,12 +201,15 @@ def _shuffle(ds, route, fn, batch_format: str):
 
     call.__name__ = getattr(fn, "__name__", "keyed_map")
     if npart == 1:
-        # arrow blocks without pandas metadata, as ``pad`` makes them:
-        # Ray's repartition merges only blocks of one type
+        # Ray bundles a map's input blocks until they hold ``batch_size``
+        # rows: a size no input reaches makes every block one bundle, so
+        # one task and one batch.  Ray's batcher merges blocks of one
+        # type only, so each block first turns into Arrow without pandas
+        # metadata, as ``pad`` makes them.  Both maps fuse into one task,
+        # with the maps before and after them.
         return (
             ds.map_batches(_plain, batch_format="pyarrow", batch_size=None)
-            .repartition(1)
-            .map_batches(call, batch_format="pyarrow", batch_size=None)
+            .map_batches(call, batch_format="pyarrow", batch_size=_ALL_ROWS)
         )
 
     def pad(t: pa.Table) -> pa.Table:

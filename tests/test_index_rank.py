@@ -174,6 +174,61 @@ def test_block_pruned_search_matches_full_scan(ray_session):
     assert len(idx.search(f'"{terms[2]}"')) >= 1
 
 
+def _score_reference(postings, max_show):
+    """The per-page scoring loop: each AND-surviving page filters every
+    term's top-2 postings once (PageSearcher.cpp:155-190, 273-287)."""
+    per_term = [
+        p.sort_values("rank", ascending=False).groupby("page_index").head(2)
+        for p in postings
+    ]
+    pages = set(per_term[0]["page_index"])
+    for p in per_term[1:]:
+        pages &= set(p["page_index"])
+    rows = []
+    for pg in pages:
+        term_ranks, term_pos = [], []
+        for p in per_term:
+            sub = p[p["page_index"] == pg]
+            term_ranks.append(float(sub["rank"].sum()))
+            term_pos.append(sub["position"].to_numpy())
+        score = sum(term_ranks)
+        prox = 1.0
+        for a, b in zip(term_pos[:-1], term_pos[1:]):
+            dmin = min(abs(int(x) - int(y)) for x in a for y in b)
+            prox *= 0.9 ** max(dmin - 1, 0)
+        rows.append((pg, max(score * prox, 1e-6)))
+    out = pd.DataFrame(rows, columns=["page_index", "final_rank"])
+    out = out.sort_values(["final_rank", "page_index"], ascending=[False, True])
+    return out.head(max_show).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 4])
+def test_score_matches_per_page_loop(n_terms):
+    """The grouped scoring equals the per-page loop bit for bit on
+    seeded postings: hundreds of AND-matching pages, 1-6 postings per
+    page and term (so the top-2 cut and rank ties bite), adjacent and
+    distant positions, and a rank of 0 that the 1e-6 floor lifts."""
+    rng = np.random.default_rng(n_terms)
+    postings = []
+    for _ in range(n_terms):
+        pages = rng.choice(400, 320, replace=False)
+        per = rng.integers(1, 7, len(pages))
+        n = int(per.sum())
+        ranks = rng.choice([0.0, 0.5, 1.0, 3.7, 12.25, 40.0], n) * rng.random(n).round(1)
+        postings.append(pd.DataFrame({
+            "page_index": np.repeat(pages, per).astype(np.int64),
+            "rank": microfloat(ranks),
+            "position": rng.integers(0, 60, n).astype(np.int32),
+        }))
+    idx = SearchIndex.__new__(SearchIndex)
+    idx.doc_host = None
+    want = _score_reference(postings, 10_000)
+    assert len(want) >= 50
+    got = idx._score(postings, 10_000)
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+    pd.testing.assert_frame_equal(idx._score(postings, 7), want.head(7))
+
+
 def _pagerank_reference(edges, nodes, n_iters, damping=0.85):
     """The reference accumulator, one edge at a time
     (SearchEngine.cpp:1200-1281)."""

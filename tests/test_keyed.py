@@ -69,6 +69,54 @@ def _one_row_per_call():
     return fn
 
 
+def _plan_ops(ds) -> list:
+    """Class names of every logical operator in ``ds``'s plan."""
+    ops, todo = [], [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        ops.append(type(op).__name__)
+        todo += op.input_dependencies
+    return ops
+
+
+def _bundled_input(source: str):
+    """One input of a shuffle partition whose 70 rows (ids 0..69 in a
+    column ``k``) arrive in many blocks."""
+    import pyarrow as pa
+    import ray
+
+    t = pa.table({"k": np.arange(70, dtype=np.int64)})
+    if source == "from_arrow_7_blocks":
+        return ray.data.from_arrow([t.slice(10 * i, 10) for i in range(7)])
+    if source == "union_pandas_arrow":
+        # a pandas-format map makes pandas blocks, a pyarrow-format one
+        # Arrow blocks: one bundle gets both
+        a, b = (ray.data.from_arrow(t.slice(s, 35)) for s in (0, 35))
+        return a.map_batches(lambda x: x, batch_format="pandas").union(
+            b.map_batches(lambda x: x, batch_format="pyarrow"))
+    return ray.data.from_arrow(t).repartition(5).materialize()
+
+
+@pytest.mark.parametrize("source", ["from_arrow_7_blocks", "union_pandas_arrow", "materialized"])
+def test_one_partition_is_one_bundled_call(ray_session, source):
+    """A one-partition ``keyed_map`` is one bundled map: ``fn`` runs
+    exactly once, on every row of every input block, in one Ray task,
+    and the plan holds no ``Repartition`` or ``Sort``."""
+    ds = _bundled_input(source)
+    assert keyed._partitions(ds) == 1
+
+    def every_row(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": [len(g)], "keys": [sorted(g["k"].tolist())]})
+
+    out = keyed.keyed_map(ds, ["k"], every_row)
+    assert not {"Repartition", "Sort"} & set(_plan_ops(out))
+    calls = out.to_pandas()
+    assert calls["n"].tolist() == [70]
+    assert list(calls["keys"][0]) == list(range(70))
+    ran = [line for line in out.stats().splitlines() if "MapBatches(every_row)" in line]
+    assert len(ran) == 1 and ": 1 tasks executed" in ran[0], ran
+
+
 def test_one_block_read_is_one_call(ray_session):
     """A test-scale read is one block and one partition: ``fn`` runs
     exactly once, on every row, with no pad row or partition id."""

@@ -109,3 +109,88 @@ def test_join_partitions_follow_both_files(ray_session, monkeypatch, sf):
     assert [join_parts(*site) for site in call_sites] == [1, 1, 1]
     monkeypatch.setattr(os.path, "getsize", lambda p: 100 << 20)
     assert [join_parts(*site) for site in call_sites] == [7, 7, 7]
+
+
+def _blocks(ds) -> list:
+    return list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+
+
+def _many_files(tmp_path) -> list:
+    """Four parquet files of 0-1,000 rows and 1-7 row groups, with a
+    string, a nullable float and a list column."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    paths, start = [], 0
+    for i, (rows, group) in enumerate([(1000, 150), (37, 100), (0, 10), (400, 400)]):
+        k = np.arange(start, start + rows, dtype=np.int64)
+        t = pa.table({
+            "k": k,
+            "s": pa.array([f"v{j % 13}" for j in k], pa.string()),
+            "x": pa.array([None if j % 5 == 0 else j / 7 for j in k], pa.float64()),
+            "xs": pa.array([[int(j)] * (j % 3) for j in k], pa.list_(pa.int64())),
+        })
+        paths.append(str(tmp_path / f"part-{i}.parquet"))
+        pq.write_table(t, paths[-1], row_group_size=group)
+        start += rows
+    return paths
+
+
+@pytest.mark.parametrize("nblocks", [1, 3, 8, 40])
+@pytest.mark.parametrize("case", ["one_file", "many_files", "pruned"])
+def test_footer_read_equals_read_table(ray_session, monkeypatch, tmp_path, case, nblocks):
+    """``read_parquet`` gives the rows and types ``pq.read_table`` gives,
+    in file order, as exactly ``read_blocks`` blocks whatever the row
+    groups: one single-row-group file, four files of 1-7 row groups
+    (one of them empty), and a pruned column set out of file order.
+    Its row count comes from the footers."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.sources import storage
+
+    if case == "one_file":
+        paths, columns = [os.path.join(SF, "sf0.01", "lineitem.parquet")], None
+    else:
+        paths = _many_files(tmp_path)
+        columns = ["xs", "k", "s"] if case == "pruned" else None
+    monkeypatch.setattr(storage, "BLOCK_BYTES", -(-storage.disk_bytes(paths) // nblocks))
+    assert storage.read_blocks(paths) == nblocks
+    want = pa.concat_tables([pq.read_table(p, columns=columns) for p in paths])
+    # the plan, run task by task in order: each task states its rows
+    tasks = storage.FooterParquet(paths, columns, nblocks).get_read_tasks(1)
+    planned = [list(task()) for task in tasks]
+    assert [len(b) for b in planned] == [1] * nblocks
+    assert [t.metadata.num_rows for t in tasks] == [len(b[0]) for b in planned]
+    got = pa.concat_tables([b[0] for b in planned])
+    assert got.schema == want.schema and got.equals(want)
+    # through Ray: the same blocks, in order when Ray keeps it
+    from ray.data import DataContext
+
+    monkeypatch.setattr(DataContext.get_current().execution_options, "preserve_order", True)
+    ds = storage.read_parquet(paths if len(paths) > 1 else paths[0], columns)
+    assert ds.count() == len(want)
+    blocks = _blocks(ds.materialize())
+    assert len(blocks) == nblocks
+    assert pa.concat_tables(blocks).equals(want)
+
+
+def test_zero_row_file_reads_typed(ray_session, tmp_path):
+    """A zero-row file is one empty block; ``empty_like`` types it from
+    the footer's pruned schema without running the read."""
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.sources.storage import read_parquet
+    from searchengine_ray.stages import keyed
+
+    schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
+                        ("score", pa.float32())])
+    path = str(tmp_path / "empty.parquet")
+    pq.write_table(schema.empty_table(), path)
+    ds = read_parquet(path, ["score", "doc_id"])
+    assert keyed.empty_like(ds).schema == pa.schema([("score", pa.float32()),
+                                                     ("doc_id", pa.int64())])
+    assert ds.count() == 0
+    out = keyed.collect(ds)
+    assert list(out.columns) == ["score", "doc_id"] and len(out) == 0

@@ -116,7 +116,7 @@ def test_filter_scalar(canon, accept, reason):
 def test_filter_batch_matches_scalar():
     canons = [c[0] for c in FILTER_CASES]
     arr = pa.array(canons, type=pa.string())
-    mask, _ = uk.filter_mask_batch(arr, uk.split_host_batch(arr))
+    mask = uk.filter_mask_batch(arr, uk.split_host_batch(arr))
     assert list(mask) == [c[1] for c in FILTER_CASES]
 
 
@@ -135,7 +135,7 @@ def test_property_batch_equals_scalar_random():
             assert canon_l[i] == expect, raw
     # filter + hash agree on the valid subset
     sub = pa.array([canon_l[i] for i in ok_idx], type=pa.string())
-    mask, _ = uk.filter_mask_batch(sub, uk.split_host_batch(sub))
+    mask = uk.filter_mask_batch(sub, uk.split_host_batch(sub))
     hashes = uk.url_hash_batch(sub)
     for j, i in enumerate(ok_idx):
         assert bool(mask[j]) == uk.filter_url(canon_l[i])[0], canon_l[i]
@@ -166,7 +166,7 @@ def test_hypothesis_batch_equals_scalar():
         if ok:
             sub = pa.array(ok, type=pa.string())
             hosts = uk.split_host_batch(sub)
-            mask, _ = uk.filter_mask_batch(sub, hosts)
+            mask = uk.filter_mask_batch(sub, hosts)
             hashes = uk.url_hash_batch(sub)
             hosts = hosts.to_pylist()
             for j, c in enumerate(ok):
