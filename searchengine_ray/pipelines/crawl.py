@@ -7,7 +7,7 @@ Per epoch (SURVEY.md §7.0):
       → candidate prep: explode links → canonicalize → filter   (vector)
       → host actors: robots + quota (per-host order preserved)  (control)
       → seen actors: cuckoo test (per-hash order)               (control)
-      → sequencer actor: shard caps + budget + enqueue_seq      (control)
+      → sequencer actor: shard caps + budget, order-key seqs    (control)
       → host actors: frontier append; seen actors: add admitted (control)
       → parquet: content / crawl order / metrics / checkpoint   (sink)
 
@@ -19,12 +19,12 @@ Per epoch the caller blocks on exactly one thing, the dequeue
 picks.  It merges and sorts them, assigns ``fetch_seq``, queues every fetch chunk
 upfront and groups the chunks into admission-ladder waves.  The ladder
 is a fully actor-chained DAG: candidate chunks flow fetch→host(phase1)
-→seen(phase2)→sequencer(phase3)→host(append) as plasma objects.
-Actor-mailbox FIFO gives the ordering the oracle semantics need:
-phase1(wave w+1) queues behind append(wave w) on each host actor, the
-next epoch's dequeue queues behind the last append, and each wave's
-admitted table is added to the seen shards exactly once: pulled by the
-next wave's phase 2, or else by the checkpoint (or ``result()``) flush.
+→seen(phase2)→sequencer(phase3) as plasma objects, and the caller
+submits each wave's admitted table to every host actor's append and
+every seen shard's add as soon as it submits the wave.  No admission
+state carries across waves: actor-mailbox FIFO puts wave w's appends
+and adds before wave w+1's phases, the next dequeue and any snapshot,
+so after ``run_epoch`` the actors already hold every admission.
 Content
 metadata and epoch metrics are object refs resolved lazily, at
 ``result()`` or at the epoch's checkpoint write.
@@ -146,6 +146,12 @@ def _order_keys(fseq: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return (fseq.astype(np.int64) + 1) * (1 << 32) + pos.astype(np.int64)
 
 
+def _table_keys(t: pa.Table) -> np.ndarray:
+    """``_order_keys`` of a table's ``fetch_seq`` and ``pos`` columns."""
+    fseq, pos = (t[c].to_numpy(zero_copy_only=False) for c in ("fetch_seq", "pos"))
+    return _order_keys(fseq, pos)
+
+
 # per-wave admission counters returned by ``_Sequencer.process``:
 # candidates == admitted + the three rejection counts
 _STAT_KEYS = (
@@ -161,33 +167,21 @@ def _empty_admitted() -> pa.Table:
 
 
 class _Sequencer:
-    """Phase-3 actor: per-shard caps + global budget + enqueue_seq
-    assignment (the reference's pushPending steps 1/6/8,
-    SearchEngine.h:800-836).  A single actor processing waves in
-    submission order keeps the admission sequence deterministic without
-    a driver hop — the driver never blocks inside the ladder."""
+    """Phase-3 actor: per-shard caps + global budget (the reference's
+    pushPending steps 1/6/8, SearchEngine.h:800-836).  A pure function
+    of its wave: an admitted row's ``enqueue_seq`` is its global order
+    key ``_order_keys(fetch_seq, pos)``, so no counter carries across
+    waves, and each shard's room is the cap minus the live sizes phase
+    1 reports — FIFO has put every earlier wave's appends on the host
+    actors by then.  The driver never blocks inside the ladder."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.enqueue_seq = 0
-        # per-shard admits since the epoch started: frontier appends are
-        # deferred to the next epoch's dequeue, so the host actors'
-        # piggybacked sizes stay pre-epoch — the sequencer adds its own
-        # running admissions to keep the cap math identical
-        self.shard_add = np.zeros(cfg.shard_count, np.int64)
 
-    def get_seq(self) -> int:
-        return self.enqueue_seq
-
-    def set_seq(self, v: int) -> None:
-        self.enqueue_seq = int(v)
-
-    def process(self, reset_sizes: bool, n_chunks: int, n_hosts: int, *refs):
+    def process(self, n_chunks: int, n_hosts: int, *refs):
         """(cand chunks ×n_chunks, phase1 outputs ×n_hosts, phase2
         outputs ×rest) → (admitted table, stats)."""
         cfg = self.cfg
-        if reset_sizes:
-            self.shard_add[:] = 0
         chunks = refs[:n_chunks]
         p1s = refs[n_chunks : n_chunks + n_hosts]
         p2s = refs[n_chunks + n_hosts :]
@@ -197,24 +191,15 @@ class _Sequencer:
             return _empty_admitted(), stats
         cand = pa.concat_tables(cand_parts)  # ascending (fetch_seq, pos)
         stats["candidates"] = len(cand)
-        keys = _order_keys(
-            cand["fetch_seq"].to_numpy(zero_copy_only=False),
-            cand["pos"].to_numpy(zero_copy_only=False),
-        )
+        keys = _table_keys(cand)
+        chain = pa.concat_tables([c for c, _sz in p1s])
         ok1 = np.zeros(len(cand), bool)
-        # per-shard room under the cap: each host actor's sizes cover
-        # the shards it owns, zeros elsewhere
-        room = cfg.max_frontier_per_shard - self.shard_add
-        for chain, sz in p1s:
-            room -= sz
-            if len(chain):
-                ck = _order_keys(
-                    chain["fetch_seq"].to_numpy(zero_copy_only=False),
-                    chain["pos"].to_numpy(zero_copy_only=False),
-                )
-                ok1[np.searchsorted(keys, ck)] = chain["ok"].to_numpy(
-                    zero_copy_only=False
-                )
+        ok1[np.searchsorted(keys, _table_keys(chain))] = chain["ok"].to_numpy(
+            zero_copy_only=False
+        )
+        # per-shard room under the cap: each host actor's live sizes
+        # cover the shards it owns, zeros elsewhere
+        room = cfg.max_frontier_per_shard - sum(sz for _c, sz in p1s)
         new_full = np.zeros(len(cand), bool)
         seen_before = 0
         for k2, mask, cnt in p2s:
@@ -242,16 +227,10 @@ class _Sequencer:
         stats["rejected_cap_budget"] = len(keep) - len(surv3)
         if len(surv3) == 0:
             return _empty_admitted(), stats
-        final = sub2.take(pa.array(surv3))
-        seqs = np.arange(
-            self.enqueue_seq, self.enqueue_seq + len(final), dtype=np.int64
+        final = sub2.take(pa.array(surv3)).append_column(
+            "enqueue_seq", pa.array(keys[surv2[surv3]])
         )
-        self.enqueue_seq += len(final)
-        final = final.append_column("enqueue_seq", pa.array(seqs))
         stats["admitted"] = len(final)
-        self.shard_add += np.bincount(
-            final["shard"].to_numpy(zero_copy_only=False), minlength=cfg.shard_count
-        )
         return final, stats
 
 
@@ -369,9 +348,7 @@ class RemoteCrawl:
         self._order_parts: list[pa.Table] = []
         self._content_parts: list = []  # (metrics row, content refs) or tables
         self._metric_refs: list[dict] = []
-        self._pending_adm = None  # last wave's admitted table ref, not yet seen
         self._append_refs: list = []
-        self._unappended: list = []  # admitted-table refs awaiting append
         self._seed_stats_ref = None
         self._base_totals = (0, 0)  # (seen, picked) before a resume
 
@@ -411,8 +388,8 @@ class RemoteCrawl:
                   *self.fetch_actors):
             self.ray.kill(a)
         self._content_parts, self._metric_refs = [], []
-        self._append_refs, self._unappended = [], []
-        self._pending_adm = self._seed_stats_ref = None
+        self._append_refs = []
+        self._seed_stats_ref = None
 
     # ------------------------------------------------------------ seeding
     def admit_seeds(self, seeds: list[str]) -> None:
@@ -429,66 +406,29 @@ class RemoteCrawl:
             list(range(len(seeds))),
             self.cfg.shard_count,
         )
-        self._seed_stats_ref = self._submit_wave([cand], first_of_epoch=True)
+        self._seed_stats_ref = self._submit_wave([cand])
 
     # ---------------------------------------------------------- admission
-    def _submit_wave(
-        self,
-        cand_refs: list,
-        first_of_epoch: bool = False,
-        defer_append: bool = False,
-    ):
-        """Submit one wave's admission ladder — fetch candidate chunks
-        (object refs or tables, in ascending fetch_seq order) chained
-        through phase1 (host actors) → phase2 (seen actors, adding the
-        previous wave's admitted URLs) → sequencer.  Pure submission;
-        returns the wave's stats ref."""
-        p1 = [
-            a.admit_phase1_chunks.remote(*cand_refs) for a in self.host_actors
-        ]
-        p2 = [
-            a.test_and_add_wave.remote(self._pending_adm, *p1)
-            for a in self.seen_actors
-        ]
-        adm_ref, stats_ref = self.seq_actor.process.options(
-            num_returns=2
-        ).remote(first_of_epoch, len(cand_refs), len(p1), *cand_refs, *p1, *p2)
-        # incremental appends: each wave's admitted table is appended as
-        # soon as the sequencer emits it — waves 1..W-1 apply DURING the
-        # epoch, so the boundary append is only the last wave's share.
-        # Cap math stays exact because phase1 piggybacks the
-        # post-dequeue size SNAPSHOT, not live sizes.  The LAST wave of
-        # an epoch defers instead: its admitted table rides INTO the
-        # next epoch's append_and_dequeue (one actor-task hop less on the
-        # boundary critical path).
-        if defer_append:
-            self._unappended.append(adm_ref)
-        else:
-            self._append_refs.extend(
-                a.append_many.remote(adm_ref) for a in self.host_actors
-            )
-        self._pending_adm = adm_ref
+    def _submit_wave(self, cand_refs: list):
+        """Submit one wave's admission — fetch candidate chunks (object
+        refs or tables, in ascending fetch_seq order) chained through
+        phase1 (host actors) → phase2 (seen actors) → sequencer, then
+        the wave's admitted table to every host actor's ``append_many``
+        and every seen shard's ``add_admitted``.  Actor FIFO puts those
+        before the next wave's calls, the next dequeue and any snapshot.
+        Pure submission; returns the wave's stats ref."""
+        p1 = [a.admit_phase1_chunks.remote(*cand_refs) for a in self.host_actors]
+        p2 = [a.test_and_add_wave.remote(*p1) for a in self.seen_actors]
+        adm_ref, stats_ref = self.seq_actor.process.options(num_returns=2).remote(
+            len(cand_refs), len(p1), *cand_refs, *p1, *p2
+        )
+        self._append_refs.extend(
+            a.append_many.remote(adm_ref) for a in self.host_actors
+        )
+        self._append_refs.extend(
+            a.add_admitted.remote(adm_ref) for a in self.seen_actors
+        )
         return stats_ref
-
-    def _flush_appends(self) -> None:
-        """Submit any still-deferred appends (normally only the epoch's
-        LAST wave — earlier waves append incrementally); used by the
-        budget-cut dequeue, checkpoint snapshots, and result()."""
-        if self._unappended:
-            self._append_refs.extend(
-                a.append_many.remote(*self._unappended)
-                for a in self.host_actors
-            )
-            self._unappended = []
-
-    def _flush_seen(self) -> None:
-        """Add the last wave's admitted URLs to the seen shards now (the
-        next wave's phase 2 adds them otherwise); used by checkpoint
-        snapshots and result()."""
-        if self._pending_adm is not None:
-            for a in self.seen_actors:
-                a.add_admitted.remote(self._pending_adm)
-            self._pending_adm = None
 
     # -------------------------------------------------------------- epoch
     def _remaining(self) -> int | None:
@@ -509,7 +449,6 @@ class RemoteCrawl:
             # THEN resolve outcomes — so host fail-counters never record
             # picks the budget cut off (oracle's early break; keeps a
             # checkpointed run resumable past a raised limit)
-            self._flush_appends()
             sel = pa.concat_tables(
                 ray.get([a.dequeue_select.remote(epoch) for a in self.host_actors])
             ).sort_by(_PICK_ORDER).slice(0, remaining)
@@ -519,14 +458,8 @@ class RemoteCrawl:
                 for k, a in enumerate(self.host_actors)
             ]
         else:
-            futs = self._append_and_dequeue(epoch)
+            futs = [a.dequeue_epoch.remote(epoch) for a in self.host_actors]
         return ray.get(futs)
-
-    def _append_and_dequeue(self, epoch: int) -> list:
-        """Submit the deferred last-wave appends and the epoch's dequeue
-        as one task per host actor (one boundary hop)."""
-        adm, self._unappended = self._unappended, []
-        return [a.append_and_dequeue.remote(epoch, *adm) for a in self.host_actors]
 
     def run_epoch(self) -> bool:
         """One epoch; returns False when the crawl is finished.
@@ -586,13 +519,7 @@ class RemoteCrawl:
             for w0 in range(0, len(rets), nf):
                 wave = rets[w0 : w0 + nf]
                 content_refs.extend(c for c, _k in wave)
-                stat_refs.append(
-                    self._submit_wave(
-                        [k for _c, k in wave],
-                        first_of_epoch=(w0 == 0),
-                        defer_append=(w0 + nf >= len(rets)),
-                    )
-                )
+                stat_refs.append(self._submit_wave([k for _c, k in wave]))
         # metrics are refs resolved lazily at result(); seen/frontier
         # sizes are derived arithmetically there (seen == Σ admitted,
         # frontier == Σ admitted − Σ picked) — no per-epoch RPCs
@@ -675,11 +602,8 @@ class RemoteCrawl:
 
     def result(self) -> EngineResult:
         ray = self.ray
-        self._flush_appends()  # frontier state complete for any later use
-        self._flush_seen()  # seen set complete for dump_hashes below
-        if self._append_refs:  # surface any admission-chain errors
-            ray.get(self._append_refs)
-            self._append_refs = []
+        ray.get(self._append_refs)  # surface any admission-chain errors
+        self._append_refs = []
         self._resolve_content()
         res = EngineResult()
         res.epochs = self.epoch
@@ -701,8 +625,6 @@ class RemoteCrawl:
         docstring): written into ``epoch=N.tmp``, published by one atomic
         rename; a crash leaves only the ``.tmp``, which resume skips."""
         ray = self.ray
-        self._flush_appends()  # snapshots must include deferred appends
-        self._flush_seen()  # and the last wave's admitted URLs
         self._resolve_content()
         epoch = self.epoch  # state AFTER epoch-1 completed
         d = os.path.join(self.ckpt_dir, f"epoch={epoch}")
@@ -737,7 +659,6 @@ class RemoteCrawl:
             json.dump(
                 {
                     "epoch": self.epoch,
-                    "enqueue_seq": ray.get(self.seq_actor.get_seq.remote()),
                     "fetch_seq": self.fetch_seq,
                     "parent_epoch": epoch - 1,
                     "host_actors": self.n_host_actors,
@@ -762,11 +683,13 @@ class RemoteCrawl:
         self.epoch = drv["epoch"]
         self.fetch_seq = drv["fetch_seq"]
         self._base_totals = (drv.get("seen_total", 0), drv.get("picked_total", 0))
-        futs = [self.seq_actor.set_seq.remote(drv["enqueue_seq"])]
-        for a, actor in enumerate(self.host_actors):
-            fr = pq.read_table(os.path.join(d, f"frontier-{a}.parquet"))
-            hs = pq.read_table(os.path.join(d, f"hoststate-{a}.parquet"))
-            futs.append(actor.restore.remote(fr, hs))
+        futs = [
+            actor.restore.remote(
+                pq.read_table(os.path.join(d, f"frontier-{a}.parquet")),
+                pq.read_table(os.path.join(d, f"hoststate-{a}.parquet")),
+            )
+            for a, actor in enumerate(self.host_actors)
+        ]
         for k, actor in enumerate(self.seen_actors):
             st = pq.read_table(os.path.join(d, f"seen-{k}.parquet")).to_pylist()[0]
             futs.append(actor.restore.remote(st))
@@ -785,38 +708,22 @@ class _SeenActor:
         self.k = shard_id
         self.n_seen = n_seen
 
-    def test_and_add_wave(
-        self, admitted, *phase1_outputs
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Chained phase 2: first add this shard's slice of the previous
-        wave's admitted table, then test the host actors' phase-1 chain
-        OBJECTS directly (no driver hop), in global candidate order
-        restored from the (fetch_seq, pos) keys.  → (order keys,
-        new-mask, member count before the test — piggybacked for the
-        sequencer's budget check)."""
-        if admitted is not None:
-            self.add_admitted(admitted)
-        parts = []
-        for chain, _sizes in phase1_outputs:
-            if len(chain) == 0:
-                continue
-            ok = chain["ok"].to_numpy(zero_copy_only=False)
-            uh = chain["url_hash"].to_numpy(zero_copy_only=False)
-            mine = ok & ((uh % np.uint64(self.n_seen)).astype(np.int64) == self.k)
-            idx = np.nonzero(mine)[0]
-            if len(idx):
-                keys = _order_keys(
-                    chain["fetch_seq"].to_numpy(zero_copy_only=False)[idx],
-                    chain["pos"].to_numpy(zero_copy_only=False)[idx],
-                )
-                parts.append((keys, uh[idx]))
-        if not parts:
-            return np.zeros(0, np.int64), np.zeros(0, bool), len(self.shard)
-        keys = np.concatenate([p[0] for p in parts])
-        uh = np.concatenate([p[1] for p in parts])
+    def test_and_add_wave(self, *phase1_outputs) -> tuple[np.ndarray, np.ndarray, int]:
+        """Chained phase 2: test the host actors' phase-1 chain OBJECTS
+        directly (no driver hop), in global candidate order restored
+        from the (fetch_seq, pos) keys; adds nothing (``add_admitted``
+        does, once the sequencer admits).  → (order keys, new-mask,
+        member count before the test — piggybacked for the sequencer's
+        budget check).  The name stays while the benchmark's
+        ``seen.phase2_busy_s`` reads this span."""
+        chain = pa.concat_tables([c for c, _sizes in phase1_outputs])
+        uh = chain["url_hash"].to_numpy(zero_copy_only=False)
+        mine = chain["ok"].to_numpy(zero_copy_only=False) & (
+            (uh % np.uint64(self.n_seen)).astype(np.int64) == self.k
+        )
+        keys = _table_keys(chain)[mine]
         o = np.argsort(keys, kind="stable")
-        keys, uh = keys[o], uh[o]
-        return keys, self.shard.test(uh), len(self.shard)
+        return keys[o], self.shard.test(uh[mine][o]), len(self.shard)
 
     def add_admitted(self, admitted: pa.Table) -> None:
         """Mark this shard's slice of a sequencer-admitted table seen.

@@ -96,10 +96,13 @@ class FooterParquet(Datasource):
         self.paths = list(paths)
         self._columns = None if columns is None else list(columns)
         metas = [pq.read_metadata(p) for p in self.paths]
+        # no key-value metadata (pandas writes some): Ray Data hashes
+        # the read tasks' schemas, and a schema with metadata is
+        # unhashable, which sends its unification down a slow path
         self._schema = pa.unify_schemas(
             [self._pruned(m.schema.to_arrow_schema()) for m in metas],
             promote_options="permissive",
-        )
+        ).remove_metadata()
         # per row group, in read order: (file index, group, rows, bytes),
         # and where each starts in the row sequence
         groups = [
@@ -113,7 +116,7 @@ class FooterParquet(Datasource):
     def _pruned(self, schema: pa.Schema) -> pa.Schema:
         if self._columns is None:
             return schema
-        return pa.schema([schema.field(c) for c in self._columns], metadata=schema.metadata)
+        return pa.schema([schema.field(c) for c in self._columns])
 
     def _group_bytes(self, rg) -> int:
         cols = (rg.column(j) for j in range(rg.num_columns))

@@ -187,9 +187,10 @@ def remove_duplicate_spans(ds, K: int = 8, meta_cols: tuple = ()):
     rides this shuffle ONCE, and re-serialization is a vectorized
     coverage-mask + ``pc.binary_join`` per partition.
 
-    Returns a Dataset of (doc_id, *meta_cols, n_tokens, cut_tokens,
-    kept_tokens, text_clean) — corpus-sized; aggregate or write it,
-    don't ``to_pandas`` it at scale."""
+    ``doc_id`` must be unique: a repeated one raises ``ValueError``
+    naming it.  Returns a Dataset of (doc_id, *meta_cols, n_tokens,
+    cut_tokens, kept_tokens, text_clean) — corpus-sized; aggregate or
+    write it, don't ``to_pandas`` it at scale."""
     meta_cols = tuple(meta_cols)
 
     _UN = pa.schema(
@@ -236,6 +237,13 @@ def remove_duplicate_spans(ds, K: int = 8, meta_cols: tuple = ()):
 
         docs = g[g["role"] == 0]
         cuts = g[g["role"] == 1]
+        # the partition is doc-complete, so this sees every repeat
+        dup = docs["doc_id"].duplicated()
+        if dup.any():
+            raise ValueError(
+                "remove_duplicate_spans needs a unique doc_id; doc_id "
+                f"{docs['doc_id'][dup].iloc[0]} repeats"
+            )
         nd = len(docs)
         tok = tx.tokenize(docs["text"])
         counts, idx, dic, doc_of = tok

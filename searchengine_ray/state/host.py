@@ -32,9 +32,11 @@ holds what the dequeue reads: ``shard``, ``enqueue_seq``, the
 canonical ``url`` it hands the fetch actors, ``url_hash`` and
 ``host_hash`` (the politeness key).  Appends
 queue owned-row slices of the sequencer's admitted tables; the next
-dequeue or snapshot concatenates them behind the table.  The sequencer
-numbers admissions in submission order and actor-mailbox FIFO delivers
-them in that order, so the concatenation stays seq-sorted.
+dequeue or snapshot concatenates them behind the table.  An admitted
+row's ``enqueue_seq`` is its global candidate order key (fetch_seq,
+pos), waves are admitted in that order and actor-mailbox FIFO delivers
+each wave's append before the next wave's calls, so the concatenation
+stays seq-sorted.
 
 Dequeue is closed form.  For host h with queued seqs q_0 < q_1 < …, let
 e_h = max(t0, next_time[h]); its candidate keys are
@@ -97,6 +99,10 @@ FRONTIER_SCHEMA = pa.schema(
     ]
 )
 
+# phase 1's verdict per owned candidate, in global candidate order
+CHAIN_SCHEMA = pa.schema([("fetch_seq", pa.int64()), ("pos", pa.int32()),
+                          ("url_hash", pa.uint64()), ("ok", pa.bool_())])
+
 HOSTSTATE_SCHEMA = pa.schema(
     [
         ("host_hash", pa.uint64()),
@@ -127,17 +133,13 @@ class HostShards:
             f.name: np.zeros(0, f.type.to_pandas_dtype()) for f in HOSTSTATE_SCHEMA
         }
         self.store = store
-        # shard sizes as of the LAST dequeue (pre-this-epoch-appends):
-        # phase1 piggybacks THIS to the sequencer so cap math stays
-        # exact while frontier appends apply incrementally mid-epoch
-        # (the sequencer's own shard_add covers the current epoch)
-        self._size_snapshot = self._shard_sizes()
 
     def _shard_sizes(self) -> np.ndarray:
-        """Queued URLs per shard, ``shard_count`` long (0 for shards
-        another instance owns)."""
-        return np.bincount(
-            self.frontier["shard"].to_numpy(), minlength=self.cfg.shard_count
+        """Live URLs per shard, queued appends included, ``shard_count``
+        long (0 for shards another instance owns)."""
+        return sum(
+            np.bincount(t["shard"].to_numpy(), minlength=self.cfg.shard_count)
+            for t in (self.frontier, *self._pending)
         )
 
     def _rows(self, hh: np.ndarray) -> np.ndarray:
@@ -165,33 +167,30 @@ class HostShards:
         return self.frontier
 
     # ------------------------------------------------------------ dequeue
-    def append_and_dequeue(self, epoch: int, *admitted) -> pa.Table:
-        """Apply the deferred frontier appends (chained admitted-table
-        refs), then dequeue — one actor hop at the epoch boundary:
-        politeness-greedy per-shard selection plus fetch-outcome
-        resolution in (t_sched, enqueue_seq) order (host health updates
-        are host-local, so this order suffices).
+    def dequeue_epoch(self, epoch: int) -> pa.Table:
+        """The epoch's picks with their fetch outcomes resolved:
+        politeness-greedy per-shard selection, then outcome resolution
+        in (t_sched, enqueue_seq) order (host health updates are
+        host-local, so this order suffices).
 
         When a global fetch budget may bind mid-epoch the engine calls
-        the two-phase split instead — ``dequeue_select`` then
+        the two halves itself — ``dequeue_select`` then
         ``resolve_outcomes`` on the budget-sliced survivors — so
         fail-counter updates stop exactly at the budget, matching the
         oracle's early break (checkpoint state stays resumable past a
         raised limit)."""
-        self.append_many(*admitted)
         return self.resolve_outcomes(self.dequeue_select(epoch))
 
-    def append_many(self, *admitted) -> None:
-        """Queue this actor's rows of admitted tables (seq-assigned and
-        cap-filtered by the sequencer, full tables as chained objects)
-        for the next merge.  ``filter`` copies, so a queued slice never
-        pins the sequencer's object."""
-        for adm in admitted:
-            if adm is not None and len(adm):
-                owned = np.isin(adm["shard"].to_numpy(), self._owned)
-                self._pending.append(
-                    adm.select(FRONTIER_SCHEMA.names).filter(pa.array(owned))
-                )
+    def append_many(self, adm: pa.Table) -> None:
+        """Queue this actor's rows of one wave's admitted table (order
+        keys assigned and caps applied by the sequencer) for the next
+        merge.  ``filter`` copies, so a queued slice never pins the
+        sequencer's object."""
+        if len(adm):
+            owned = np.isin(adm["shard"].to_numpy(), self._owned)
+            self._pending.append(
+                adm.select(FRONTIER_SCHEMA.names).filter(pa.array(owned))
+            )
 
     def dequeue_select(self, epoch: int) -> pa.Table:
         """Selection only — the closed form of the module docstring
@@ -227,7 +226,6 @@ class HostShards:
         keep = np.ones(len(fr), bool)
         keep[rows] = False
         self.frontier = fr.filter(pa.array(keep))
-        self._size_snapshot = self._shard_sizes()
         picked = fr.take(pa.array(rows))
         return pa.table(
             [pa.array(t)] + [picked[c] for c in SELECT_SCHEMA.names[1:]],
@@ -318,27 +316,17 @@ class HostShards:
         the output objects chain straight into the seen actors and the
         sequencer.
 
-        → (chain table (fetch_seq, pos, url_hash, ok), pre-append shard
-        sizes) — sizes piggybacked for the sequencer's cap phase."""
+        → (chain table (fetch_seq, pos, url_hash, ok), live shard sizes)
+        — sizes piggybacked for the sequencer's cap phase; FIFO has
+        applied every earlier wave's appends by now."""
+        sizes = self._shard_sizes()
         mine = [c for c in chunks if len(c)]
         if mine:
             cand = pa.concat_tables(mine)
-            shard_np = cand["shard"].to_numpy(zero_copy_only=False)
-            owned = np.isin(shard_np, np.asarray(self.shard_ids, np.int32))
-            cand = cand.filter(pa.array(owned))
-        else:
-            cand = None
-        if cand is None or len(cand) == 0:
-            empty = pa.table(
-                {
-                    "fetch_seq": pa.array([], pa.int64()),
-                    "pos": pa.array([], pa.int32()),
-                    "url_hash": pa.array([], pa.uint64()),
-                    "ok": pa.array([], pa.bool_()),
-                }
-            )
-            return empty, self._size_snapshot
-        return self._phase1(cand), self._size_snapshot
+            cand = cand.filter(pa.array(np.isin(cand["shard"].to_numpy(), self._owned)))
+            if len(cand):
+                return self._phase1(cand), sizes
+        return CHAIN_SCHEMA.empty_table(), sizes
 
     def _phase1(self, cand: pa.Table) -> pa.Table:
         """robots + per-host quota for THIS actor's shards.
@@ -372,12 +360,8 @@ class HostShards:
         # slim chain table: what every seen actor and the sequencer
         # deserialize — keys + verdict only, no strings
         return pa.table(
-            {
-                "fetch_seq": cand["fetch_seq"],
-                "pos": cand["pos"],
-                "url_hash": cand["url_hash"],
-                "ok": pa.array(ok),
-            }
+            [cand["fetch_seq"], cand["pos"], cand["url_hash"], pa.array(ok)],
+            schema=CHAIN_SCHEMA,
         )
 
     # --------------------------------------------------------- checkpoint
@@ -397,7 +381,6 @@ class HostShards:
             .combine_chunks()
         )
         self._pending = []
-        self._size_snapshot = self._shard_sizes()
         # named columns only: a checkpoint may carry more (dns_addr)
         hs = hoststate.select(HOSTSTATE_SCHEMA.names).sort_by("host_hash")
         self.hosts = {c: hs[c].to_numpy().copy() for c in HOSTSTATE_SCHEMA.names}

@@ -28,6 +28,14 @@ def _images():
     return synth.gen_images(16, seed=3)
 
 
+def _small_web(seed):
+    """A 300-URL web, its images and 6 seeds."""
+    images, truth = _images()
+    store = synth.gen_web(n_urls=300, n_images=len(images), seed=seed, mean_links=6.0)
+    synth.attach_captions(store, images)
+    return store, images, truth, synth.gen_seeds(store, 6, seed=seed)
+
+
 def _limit(lo, hi, unbound):
     """A binding value in [lo, hi], or the default that never binds."""
     return st.one_of(st.just(unbound), st.integers(lo, hi))
@@ -177,10 +185,7 @@ def test_resume_from_frontier_with_host_column(monkeypatch, tmp_path):
     from searchengine_ray.pipelines.crawl import RemoteCrawl
 
     monkeypatch.setitem(sys.modules, "ray", fakeray)
-    images, truth = _images()
-    store = synth.gen_web(n_urls=300, n_images=len(images), seed=11, mean_links=6.0)
-    synth.attach_captions(store, images)
-    seeds = synth.gen_seeds(store, 6, seed=11)
+    store, images, truth, seeds = _small_web(11)
     cfg = CrawlConfig(shard_count=4, per_shard_batch=3, politeness_ms=1000)
     golden = simulate(seeds, store, cfg)
     out = str(tmp_path)
@@ -198,6 +203,97 @@ def test_resume_from_frontier_with_host_column(monkeypatch, tmp_path):
     assert queued > 0
     res = RemoteCrawl.resume(store, images, truth, cfg, out, n_host_actors=2).run()
     assert res.epochs == golden.epochs > 2
+    got = list(zip(*(res.crawl_order[c].to_pylist() for c in
+                     ("fetch_seq", "url", "url_hash", "t_sched", "epoch"))))
+    assert got == golden.crawl_order
+    assert res.seen == golden.seen
+
+
+def test_actors_hold_every_admission_after_each_epoch(monkeypatch, tmp_path):
+    """After every ``run_epoch()``, with no ``result()`` or checkpoint
+    call in between, the seen shards hold exactly the URLs the oracle
+    admitted so far and the host frontiers exactly those minus the
+    picked ones: no wave's admissions wait for a later call.  The shard
+    cap and the budget both bind."""
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    monkeypatch.setitem(sys.modules, "ray", fakeray)
+    store, images, truth, seeds = _small_web(13)
+    cfg = CrawlConfig(shard_count=4, per_shard_batch=3, politeness_ms=1000,
+                      max_frontier_per_shard=12, max_crawl_urls=120, seen_shards=3)
+    res, st = simulate(seeds, store, dataclasses.replace(cfg, max_epochs=0),
+                       return_state=True)
+    eng = RemoteCrawl(store, images, truth, cfg, str(tmp_path), n_host_actors=2,
+                      write_payload=False)
+    eng.admit_seeds(seeds)
+    capped = False
+    while eng.run_epoch():
+        st.cfg = dataclasses.replace(cfg, max_epochs=eng.epoch)
+        crawl_epochs(st, store, res)
+        seen = fakeray.get([a.dump_hashes.remote() for a in eng.seen_actors])
+        assert sorted(int(h) for hs in seen for h in hs) == sorted(st.seen)
+        frontier = [fr for fr, _ in
+                    fakeray.get([a.snapshot.remote() for a in eng.host_actors])]
+        queued = sorted(h for fr in frontier for h in fr["url_hash"].to_pylist())
+        picked = {r[2] for r in res.crawl_order}
+        assert queued == sorted(st.seen - picked)
+        capped |= any(len(v) == cfg.max_frontier_per_shard
+                      for v in st.frontier.values())
+    assert eng.epoch == res.epochs > 2
+    assert capped and len(st.seen) == cfg.max_crawl_urls
+
+
+def test_resume_from_dense_enqueue_seq_checkpoint(monkeypatch, tmp_path):
+    """A checkpoint written when the sequencer numbered admissions with
+    a dense counter — dense ``enqueue_seq``s in ``frontier-*.parquet``
+    and an ``enqueue_seq`` key in ``driver.json`` — resumes, and the
+    finished crawl equals the oracle's.  Dense seqs are below 2^32 and
+    every order key admitted after the resume is at least 2^32, so the
+    old rows keep their place ahead of the new ones."""
+    import glob
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.pipelines.crawl import RemoteCrawl
+
+    monkeypatch.setitem(sys.modules, "ray", fakeray)
+    store, images, truth, seeds = _small_web(11)
+    cfg = CrawlConfig(shard_count=4, per_shard_batch=3, politeness_ms=1000)
+    golden = simulate(seeds, store, cfg)
+    # the dense seqs the counter gave: the oracle numbers admissions the
+    # same way
+    _, st = simulate(seeds, store, dataclasses.replace(cfg, max_epochs=2),
+                     return_state=True)
+    dense = {e[2]: e[0] for v in st.frontier.values() for e in v}
+    out = str(tmp_path)
+    eng = RemoteCrawl(store, images, truth, cfg, out, n_host_actors=2,
+                      checkpoint=True, write_payload=False)
+    eng.admit_seeds(seeds)
+    eng.run(max_epochs=2)
+    eng.shutdown()
+    d = f"{out}/ckpt/epoch=2"
+    old = set()
+    for path in glob.glob(f"{d}/frontier-*.parquet"):
+        fr = pq.read_table(path)
+        seqs = pa.array([dense[h] for h in fr["url_hash"].to_pylist()], pa.int64())
+        pq.write_table(fr.set_column(1, "enqueue_seq", seqs), path)
+        old |= set(seqs.to_pylist())
+    assert old and max(old) < st.enqueue_seq < 1 << 32
+    with open(f"{d}/driver.json") as f:
+        drv = json.load(f)
+    drv["enqueue_seq"] = st.enqueue_seq
+    with open(f"{d}/driver.json", "w") as f:
+        json.dump(drv, f)
+    eng = RemoteCrawl.resume(store, images, truth, cfg, out, n_host_actors=2)
+    eng.run_epoch()
+    after = [s for fr, _ in fakeray.get([a.snapshot.remote() for a in eng.host_actors])
+             for s in fr["enqueue_seq"].to_pylist()]
+    assert all(s in old or s >= 1 << 32 for s in after)
+    assert any(s >= 1 << 32 for s in after) and any(s in old for s in after)
+    res = eng.run()
+    assert res.epochs == golden.epochs > 3
     got = list(zip(*(res.crawl_order[c].to_pylist() for c in
                      ("fetch_seq", "url", "url_hash", "t_sched", "epoch"))))
     assert got == golden.crawl_order

@@ -262,9 +262,10 @@ def _wave(rng, pool, fseq0, n_pages):
 
 def test_admission_matches_set_reference():
     """Robots + quota per wave on the host actors, then the seen shards'
-    test, with each wave's admitted URLs added before the next wave's
-    test (and by ``add_admitted`` after the last), equals a plain Python
-    set walk in global (fetch_seq, pos) order —
+    test, with each wave's admitted rows appended to the host actors and
+    added to the seen shards (``add_admitted``) before the next wave's
+    phases, equals a plain Python set walk in global (fetch_seq, pos)
+    order; phase 1 reports the live shard sizes, appends included —
     with 1 host actor owning every shard and 1 seen shard, and with 3
     host actors and 2 seen shards, across a checkpoint round trip."""
     from searchengine_ray.pipelines.crawl import _order_keys, _SeenActor
@@ -294,7 +295,8 @@ def test_admission_matches_set_reference():
             owners = [HostShards(cfg, range(a, 6, n_hosts), store)
                       for a in range(n_hosts)]
             shards = [_SeenActor(1 << 4, k, n_seen) for k in range(n_seen)]
-            seen, quota, seq, adm = set(), {}, 0, None
+            seen, quota, seqs = set(), {}, []
+            sizes = np.zeros(cfg.shard_count, np.int64)
             for w, chunks in enumerate(waves):
                 if w == 3:  # checkpoint round trip mid-crawl
                     fresh = []
@@ -329,7 +331,8 @@ def test_admission_matches_set_reference():
                                 chain["pos"].to_numpy()).tolist(),
                     chain["ok"].to_pylist()))
                 assert [got_ok[k] for k in keys.tolist()] == want_ok
-                p2 = [sa.test_and_add_wave(adm, *p1) for sa in shards]
+                assert (sum(sz for _, sz in p1) == sizes).all()
+                p2 = [sa.test_and_add_wave(*p1) for sa in shards]
                 assert sum(n for _, _, n in p2) == len(seen)
                 got_new = dict(zip(np.concatenate([k for k, _, _ in p2]).tolist(),
                                    np.concatenate([m for _, m, _ in p2]).tolist()))
@@ -337,21 +340,24 @@ def test_admission_matches_set_reference():
                     sorted(got_new)
                 assert [got_new.get(k, False) for k in keys.tolist()] == want_new
                 # the sequencer's verdict: each first sighting is admitted
-                # with the next enqueue_seq (and becomes seen) or rejected
-                decided = cand.filter(pa.array(want_new))
+                # with its order key as enqueue_seq (and becomes seen) or
+                # rejected
+                new = np.array(want_new)
                 rejected = np.array([rng.random() < reject_p
-                                     for _ in range(len(decided))], bool)
-                adm = decided.filter(pa.array(~rejected))
+                                     for _ in range(new.sum())], bool)
+                admit = np.flatnonzero(new)[~rejected]
+                adm = cand.take(pa.array(admit)).append_column(
+                    "enqueue_seq", pa.array(keys[admit]))
                 seen |= set(adm["url_hash"].to_pylist())
-                adm = adm.append_column(
-                    "enqueue_seq", pa.array(np.arange(seq, seq + len(adm))))
-                seq += len(adm)
+                seqs += keys[admit].tolist()
+                sizes += np.bincount(adm["shard"].to_numpy(),
+                                     minlength=cfg.shard_count)
                 for hs in owners:
                     hs.append_many(adm)
-            for sa in shards:
-                sa.add_admitted(adm)
+                for sa in shards:
+                    sa.add_admitted(adm)
             assert {int(h) for sa in shards for h in sa.dump_hashes()} == seen
             assert sum(sa.mem_bytes()[1] for sa in shards) == len(seen)
             assert sorted(s for hs in owners
                           for s in hs.snapshot()[0]["enqueue_seq"].to_pylist()
-                          ) == list(range(seq))
+                          ) == seqs

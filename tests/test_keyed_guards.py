@@ -184,13 +184,18 @@ BENCH_QUERIES = (
 
 
 class _SchemaWarnings(logging.Handler):
+    """Ray Data's schema-mismatch warnings: blocks of different schemas
+    met, or schema unification fell back to its slow path."""
+
+    PATTERNS = ("RefBundle with a different schema", "Failed to hash the schemas")
+
     def __init__(self):
         super().__init__(logging.WARNING)
         self.messages = []
 
     def emit(self, record):
         msg = record.getMessage()
-        if "RefBundle with a different schema" in msg:
+        if any(p in msg for p in self.PATTERNS):
             self.messages.append(msg)
 
 

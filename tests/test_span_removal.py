@@ -182,3 +182,25 @@ def test_span_removal_at_three_partitions(ray_session, three_partitions):
     test_accounting_balances_and_untouched_docs(ray_session)
     test_short_and_empty_docs_pass_through(ray_session)
     test_span_removal_matches_bruteforce_randomized(ray_session)
+
+
+def test_repeated_doc_id_raises(ray_session):
+    """Three copies of one document (doc_id 3) raise a ValueError that
+    names the repeated doc_id, at one partition and at three."""
+    import pytest
+    import ray
+
+    from searchengine_ray.stages import keyed
+    from searchengine_ray.stages.spans import remove_duplicate_spans
+
+    df, _ = _mk_docs()
+    df = pd.concat([df, df[df["doc_id"] == 3], df[df["doc_id"] == 3]])
+    for npart in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(keyed, "_partitions", lambda ds: npart)
+            ds = remove_duplicate_spans(ray.data.from_pandas(df), K=8)
+            # Ray Data wraps a UDF's exception; the ValueError is its cause
+            with pytest.raises(
+                Exception, match="ValueError: .* unique doc_id; doc_id 3 repeats"
+            ):
+                ds.to_pandas()
