@@ -7,21 +7,23 @@ Per epoch (SURVEY.md §7.0):
       → candidate prep: explode links → canonicalize → filter   (vector)
       → host actors: robots + quota (per-host order preserved)  (control)
       → seen actors: cuckoo test (per-hash order)               (control)
-      → sequencer actor: shard caps + budget, order-key seqs    (control)
-      → host actors: frontier append; seen actors: add admitted (control)
+      → host actors: shard caps + budget, append own admissions (control)
+      → seen actors: add the host actors' admitted hashes       (control)
       → parquet: content / crawl order / metrics / checkpoint   (sink)
 
 ``RemoteCrawl`` runs the epoch loop in the caller's process, as the
-reference's ``runCrawling`` does; it creates the host, seen, sequencer
-and fetch actors at once, submits each epoch to them and kills them at
+reference's ``runCrawling`` does; it creates the host, seen and fetch
+actors at once, submits each epoch to them and kills them at
 ``shutdown``.  The epoch-boundary chain is ladder → caller → fetch pool.
 Per epoch the caller blocks on exactly one thing, the dequeue
 picks.  It merges and sorts them, assigns ``fetch_seq``, queues every fetch chunk
 upfront and groups the chunks into admission-ladder waves.  The ladder
 is a fully actor-chained DAG: candidate chunks flow fetch→host(phase1)
-→seen(phase2)→sequencer(phase3) as plasma objects, and the caller
-submits each wave's admitted table to every host actor's append and
-every seen shard's add as soon as it submits the wave.  No admission
+→seen(phase2)→host(phase3 + append) as plasma objects, and each seen
+shard adds the host actors' admitted hashes.  Phase 3
+(``state.host.admit_wave``) is a pure function of the wave's slim
+phase-1 and phase-2 outputs, so every host actor computes it and
+appends its own rows; no admitted table crosses actors.  No admission
 state carries across waves: actor-mailbox FIFO puts wave w's appends
 and adds before wave w+1's phases, the next dequeue and any snapshot,
 so after ``run_epoch`` the actors already hold every admission.
@@ -57,7 +59,7 @@ analytics) flows through Ray Data over the written content table
 (``pipelines/queries.py``).
 
 The seen set only grows, as the oracle's does: phase 2 tests, and a
-URL enters the seen set only once the sequencer admits it, so a
+URL enters the seen set only once phase 3 admits it, so a
 cap- or budget-rejected candidate never does.  One reason string
 differs from the oracle's: the dedup runs before the shard cap here, so
 a later duplicate within one wave of a cap-rejected candidate reports
@@ -82,8 +84,8 @@ import pyarrow.parquet as pq
 
 from ..sources import synth
 from ..state.cuckoo import SeenShard
-from ..state.host import HostShards, _runs
-from ..stages.fetch import CAND_SCHEMA, CONTENT_SCHEMA, FetchDecode, make_candidates
+from ..state.host import STAT_KEYS, HostShards, _table_keys
+from ..stages.fetch import CONTENT_SCHEMA, FetchDecode, make_candidates
 from .oracle import CrawlConfig
 
 METRICS_SCHEMA = pa.schema(
@@ -140,100 +142,6 @@ def _as_ref(ray, x):
     return ray.put(x)
 
 
-def _order_keys(fseq: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Pack the global candidate order (fetch_seq, pos) into one sortable
-    int64 key (fetch_seq may be -1 for seeds; pos < 2^31)."""
-    return (fseq.astype(np.int64) + 1) * (1 << 32) + pos.astype(np.int64)
-
-
-def _table_keys(t: pa.Table) -> np.ndarray:
-    """``_order_keys`` of a table's ``fetch_seq`` and ``pos`` columns."""
-    fseq, pos = (t[c].to_numpy(zero_copy_only=False) for c in ("fetch_seq", "pos"))
-    return _order_keys(fseq, pos)
-
-
-# per-wave admission counters returned by ``_Sequencer.process``:
-# candidates == admitted + the three rejection counts
-_STAT_KEYS = (
-    "candidates",
-    "admitted",
-    "rejected_robots_quota",
-    "rejected_dup",
-    "rejected_cap_budget",
-)
-
-def _empty_admitted() -> pa.Table:
-    return CAND_SCHEMA.append(pa.field("enqueue_seq", pa.int64())).empty_table()
-
-
-class _Sequencer:
-    """Phase-3 actor: per-shard caps + global budget (the reference's
-    pushPending steps 1/6/8, SearchEngine.h:800-836).  A pure function
-    of its wave: an admitted row's ``enqueue_seq`` is its global order
-    key ``_order_keys(fetch_seq, pos)``, so no counter carries across
-    waves, and each shard's room is the cap minus the live sizes phase
-    1 reports — FIFO has put every earlier wave's appends on the host
-    actors by then.  The driver never blocks inside the ladder."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    def process(self, n_chunks: int, n_hosts: int, *refs):
-        """(cand chunks ×n_chunks, phase1 outputs ×n_hosts, phase2
-        outputs ×rest) → (admitted table, stats)."""
-        cfg = self.cfg
-        chunks = refs[:n_chunks]
-        p1s = refs[n_chunks : n_chunks + n_hosts]
-        p2s = refs[n_chunks + n_hosts :]
-        stats = dict.fromkeys(_STAT_KEYS, 0)
-        cand_parts = [c for c in chunks if len(c)]
-        if not cand_parts:
-            return _empty_admitted(), stats
-        cand = pa.concat_tables(cand_parts)  # ascending (fetch_seq, pos)
-        stats["candidates"] = len(cand)
-        keys = _table_keys(cand)
-        chain = pa.concat_tables([c for c, _sz in p1s])
-        ok1 = np.zeros(len(cand), bool)
-        ok1[np.searchsorted(keys, _table_keys(chain))] = chain["ok"].to_numpy(
-            zero_copy_only=False
-        )
-        # per-shard room under the cap: each host actor's live sizes
-        # cover the shards it owns, zeros elsewhere
-        room = cfg.max_frontier_per_shard - sum(sz for _c, sz in p1s)
-        new_full = np.zeros(len(cand), bool)
-        seen_before = 0
-        for k2, mask, cnt in p2s:
-            seen_before += cnt
-            if len(k2):
-                new_full[np.searchsorted(keys, k2)] = mask
-        stats["rejected_robots_quota"] = int((~ok1).sum())
-        stats["rejected_dup"] = int(ok1.sum()) - int(new_full.sum())
-        surv2 = np.nonzero(new_full)[0]
-        if len(surv2) == 0:
-            return _empty_admitted(), stats
-        sub2 = cand.take(pa.array(surv2))
-        shard2 = sub2["shard"].to_numpy(zero_copy_only=False)
-        # shard cap: a survivor is kept iff its in-order rank within its
-        # shard is below the shard's room
-        o = np.argsort(shard2, kind="stable")
-        rank = np.empty(len(sub2), np.int64)
-        rank[o] = _runs(shard2[o])[1]
-        keep = rank < room[shard2]
-        # budget: drop the last ``over`` kept survivors
-        over = seen_before + int(keep.sum()) - cfg.max_crawl_urls
-        if over > 0:
-            keep[np.flatnonzero(keep)[-over:]] = False
-        surv3 = np.nonzero(keep)[0]
-        stats["rejected_cap_budget"] = len(keep) - len(surv3)
-        if len(surv3) == 0:
-            return _empty_admitted(), stats
-        final = sub2.take(pa.array(surv3)).append_column(
-            "enqueue_seq", pa.array(keys[surv2[surv3]])
-        )
-        stats["admitted"] = len(final)
-        return final, stats
-
-
 # fetch rounds per epoch (``_plan_chunks``)
 _WAVES = 4
 
@@ -245,7 +153,7 @@ def _plan_chunks(n_ok: int, nf: int, waves: int) -> list[tuple[int, int]]:
     """(start, length) fetch-chunk spans: waves 1..W-1 uniform, the
     LAST wave half-volume — every actor still gets equal total work
     (W-1 big chunks + 1 half chunk), but the epoch-boundary admission
-    ladder (phase1→phase2→sequencer on the final wave) processes half
+    ladder (phase1→phase2→phase3 on the final wave) processes half
     the candidates, directly shrinking the serial tail the next
     dequeue waits on.  Falls back to one uniform wave for tiny epochs."""
     if n_ok <= 0:
@@ -278,7 +186,7 @@ class RemoteCrawl:
     dequeue gather, global pick sort, fetch_seq assignment, chunk
     planning, fetch and admission-wave submission, checkpoint writes —
     so the epoch-boundary chain is ladder → this process → fetch pool.
-    It creates the host, seen, sequencer and fetch actors at once, owns
+    It creates the host, seen and fetch actors at once, owns
     them and every object ref it submits, and ``shutdown`` kills them."""
 
     def __init__(
@@ -312,7 +220,6 @@ class RemoteCrawl:
 
         HostActor = ray.remote(num_cpus=0)(HostShards)
         SeenActor = ray.remote(num_cpus=0)(_SeenActor)
-        SeqActor = ray.remote(num_cpus=0)(_Sequencer)
         FetchActor = ray.remote(num_cpus=1)(FetchDecode)
         shard_of_actor = {
             a: [s for s in range(cfg.shard_count) if s % self.n_host_actors == a]
@@ -333,7 +240,6 @@ class RemoteCrawl:
             # rebuild re-inserts are vectorized and amortize O(1)/URL
             SeenActor.remote(1 << 14, k, self.n_seen) for k in range(self.n_seen)
         ]
-        self.seq_actor = SeqActor.remote(cfg)
         payload_dir = os.path.join(out_dir, "payload") if write_payload else None
         if payload_dir:
             os.makedirs(payload_dir, exist_ok=True)
@@ -348,7 +254,7 @@ class RemoteCrawl:
         self._order_parts: list[pa.Table] = []
         self._content_parts: list = []  # (metrics row, content refs) or tables
         self._metric_refs: list[dict] = []
-        self._append_refs: list = []
+        self._add_refs: list = []
         self._seed_stats_ref = None
         self._base_totals = (0, 0)  # (seen, picked) before a resume
 
@@ -384,11 +290,10 @@ class RemoteCrawl:
     def shutdown(self) -> None:
         """Kill every actor this engine created and drop the object refs
         it holds, so the next crawl starts on a clean object store."""
-        for a in (*self.host_actors, *self.seen_actors, self.seq_actor,
-                  *self.fetch_actors):
+        for a in (*self.host_actors, *self.seen_actors, *self.fetch_actors):
             self.ray.kill(a)
         self._content_parts, self._metric_refs = [], []
-        self._append_refs = []
+        self._add_refs = []
         self._seed_stats_ref = None
 
     # ------------------------------------------------------------ seeding
@@ -412,23 +317,20 @@ class RemoteCrawl:
     def _submit_wave(self, cand_refs: list):
         """Submit one wave's admission — fetch candidate chunks (object
         refs or tables, in ascending fetch_seq order) chained through
-        phase1 (host actors) → phase2 (seen actors) → sequencer, then
-        the wave's admitted table to every host actor's ``append_many``
-        and every seen shard's ``add_admitted``.  Actor FIFO puts those
-        before the next wave's calls, the next dequeue and any snapshot.
-        Pure submission; returns the wave's stats ref."""
+        phase1 (host actors) → phase2 (seen actors) → every host
+        actor's ``append_wave`` (phase 3 + its own appends), whose
+        admitted hashes every seen shard's ``add_admitted`` takes.
+        Actor FIFO puts those before the next wave's calls, the next
+        dequeue and any snapshot.  Pure submission; returns host 0's
+        ``append_wave`` ref, whose second item is the wave's stats."""
         p1 = [a.admit_phase1_chunks.remote(*cand_refs) for a in self.host_actors]
         p2 = [a.test_and_add_wave.remote(*p1) for a in self.seen_actors]
-        adm_ref, stats_ref = self.seq_actor.process.options(num_returns=2).remote(
-            len(cand_refs), len(p1), *cand_refs, *p1, *p2
-        )
-        self._append_refs.extend(
-            a.append_many.remote(adm_ref) for a in self.host_actors
-        )
-        self._append_refs.extend(
-            a.add_admitted.remote(adm_ref) for a in self.seen_actors
-        )
-        return stats_ref
+        outs = [
+            a.append_wave.remote(len(cand_refs), len(p1), *cand_refs, *p1, *p2)
+            for a in self.host_actors
+        ]
+        self._add_refs.extend(a.add_admitted.remote(*outs) for a in self.seen_actors)
+        return outs[0]
 
     # -------------------------------------------------------------- epoch
     def _remaining(self) -> int | None:
@@ -514,7 +416,7 @@ class RemoteCrawl:
             # Ladder grouping: one group per fetch round (nf chunks).
             # Tapering the final round into halving subgroups (nf/2 ...
             # 1, so the last ladder walk is one chunk) was A/B tested and
-            # LOST by 0.3-0.5 s/run at 32 CPUs — the extra sequencer hops
+            # LOST by 0.3-0.5 s/run at 32 CPUs — the extra phase-3 hops
             # serialize and cost more than the smaller data tail saves.
             for w0 in range(0, len(rets), nf):
                 wave = rets[w0 : w0 + nf]
@@ -578,10 +480,10 @@ class RemoteCrawl:
         rows = []
         seen_cum, picked_cum = self._base_totals
         if self._seed_stats_ref is not None:
-            seen_cum += ray.get(self._seed_stats_ref)["admitted"]
+            seen_cum += ray.get(self._seed_stats_ref)[1]["admitted"]
         for m in self._metric_refs:
-            stats = dict.fromkeys(_STAT_KEYS, 0)
-            for s in ray.get(list(m["stats"])):
+            stats = dict.fromkeys(STAT_KEYS, 0)
+            for _uh, s in ray.get(list(m["stats"])):
                 for k in stats:
                     stats[k] += s[k]
             seen_cum += stats["admitted"]
@@ -602,8 +504,8 @@ class RemoteCrawl:
 
     def result(self) -> EngineResult:
         ray = self.ray
-        ray.get(self._append_refs)  # surface any admission-chain errors
-        self._append_refs = []
+        ray.get(self._add_refs)  # surface any admission-chain errors
+        self._add_refs = []
         self._resolve_content()
         res = EngineResult()
         res.epochs = self.epoch
@@ -712,10 +614,10 @@ class _SeenActor:
         """Chained phase 2: test the host actors' phase-1 chain OBJECTS
         directly (no driver hop), in global candidate order restored
         from the (fetch_seq, pos) keys; adds nothing (``add_admitted``
-        does, once the sequencer admits).  → (order keys, new-mask,
-        member count before the test — piggybacked for the sequencer's
-        budget check).  The name stays while the benchmark's
-        ``seen.phase2_busy_s`` reads this span."""
+        does, once phase 3 admits).  → (order keys, new-mask, member
+        count before the test, for phase 3's budget cut).  The name
+        stays while the benchmark's ``seen.phase2_busy_s`` reads this
+        span."""
         chain = pa.concat_tables([c for c, _sizes in phase1_outputs])
         uh = chain["url_hash"].to_numpy(zero_copy_only=False)
         mine = chain["ok"].to_numpy(zero_copy_only=False) & (
@@ -725,10 +627,12 @@ class _SeenActor:
         o = np.argsort(keys, kind="stable")
         return keys[o], self.shard.test(uh[mine][o]), len(self.shard)
 
-    def add_admitted(self, admitted: pa.Table) -> None:
-        """Mark this shard's slice of a sequencer-admitted table seen.
-        The engine sends each admitted table exactly once."""
-        uh = admitted["url_hash"].to_numpy(zero_copy_only=False)
+    def add_admitted(self, *host_outputs) -> None:
+        """Mark this shard's share of one wave's admitted URLs seen:
+        ``host_outputs`` are every host actor's ``append_wave`` result
+        (admitted url hashes, stats).  The engine sends each wave's
+        outputs exactly once."""
+        uh = np.concatenate([h for h, _stats in host_outputs])
         self.shard.add(uh[(uh % np.uint64(self.n_seen)).astype(np.int64) == self.k])
 
     def mem_bytes(self) -> tuple[int, int]:

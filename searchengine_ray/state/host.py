@@ -31,12 +31,11 @@ per URL (the reference's pending DBs hold flat records too).  A record
 holds what the dequeue reads: ``shard``, ``enqueue_seq``, the
 canonical ``url`` it hands the fetch actors, ``url_hash`` and
 ``host_hash`` (the politeness key).  Appends
-queue owned-row slices of the sequencer's admitted tables; the next
-dequeue or snapshot concatenates them behind the table.  An admitted
-row's ``enqueue_seq`` is its global candidate order key (fetch_seq,
-pos), waves are admitted in that order and actor-mailbox FIFO delivers
-each wave's append before the next wave's calls, so the concatenation
-stays seq-sorted.
+queue each wave's admitted owned rows; the next dequeue or snapshot
+concatenates them behind the table.  An admitted row's ``enqueue_seq``
+is its global candidate order key (fetch_seq, pos), waves are admitted
+in that order and actor-mailbox FIFO runs each wave's append before the
+next wave's calls, so the concatenation stays seq-sorted.
 
 Dequeue is closed form.  For host h with queued seqs q_0 < q_1 < …, let
 e_h = max(t0, next_time[h]); its candidate keys are
@@ -101,7 +100,8 @@ FRONTIER_SCHEMA = pa.schema(
 
 # phase 1's verdict per owned candidate, in global candidate order
 CHAIN_SCHEMA = pa.schema([("fetch_seq", pa.int64()), ("pos", pa.int32()),
-                          ("url_hash", pa.uint64()), ("ok", pa.bool_())])
+                          ("url_hash", pa.uint64()), ("shard", pa.int32()),
+                          ("ok", pa.bool_())])
 
 HOSTSTATE_SCHEMA = pa.schema(
     [
@@ -119,6 +119,71 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     head[1:] = keys[1:] != keys[:-1]
     run = np.cumsum(head) - 1
     return run, np.arange(len(keys)) - np.flatnonzero(head)[run]
+
+
+def _order_keys(fseq: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Pack the global candidate order (fetch_seq, pos) into one sortable
+    int64 key (fetch_seq may be -1 for seeds; pos < 2^31)."""
+    return (fseq.astype(np.int64) + 1) * (1 << 32) + pos.astype(np.int64)
+
+
+def _table_keys(t: pa.Table) -> np.ndarray:
+    """``_order_keys`` of a table's ``fetch_seq`` and ``pos`` columns."""
+    fseq, pos = (t[c].to_numpy(zero_copy_only=False) for c in ("fetch_seq", "pos"))
+    return _order_keys(fseq, pos)
+
+
+# per-wave admission counters returned by ``admit_wave``:
+# candidates == admitted + the three rejection counts
+STAT_KEYS = (
+    "candidates",
+    "admitted",
+    "rejected_robots_quota",
+    "rejected_dup",
+    "rejected_cap_budget",
+)
+
+
+def admit_wave(p1s, p2s, cfg) -> tuple[np.ndarray, dict]:
+    """Phase 3 of one wave, a pure function of its slim inputs: per-shard
+    caps + the global budget (the reference's pushPending steps 1/6/8,
+    SearchEngine.h:800-836).  ``p1s`` are every host actor's phase-1
+    outputs (chain table, live shard sizes), ``p2s`` every seen shard's
+    phase-2 outputs (order keys, new-mask, member count before the
+    test).  → (admitted order keys, ascending; ``STAT_KEYS`` counts)."""
+    chain = pa.concat_tables([c for c, _sz in p1s])
+    keys = _table_keys(chain)
+    o = np.argsort(keys)
+    keys = keys[o]
+    ok = chain["ok"].to_numpy(zero_copy_only=False)[o]
+    new = np.zeros(len(keys), bool)
+    seen_before = 0
+    for k2, mask, cnt in p2s:
+        seen_before += cnt
+        new[np.searchsorted(keys, k2)] = mask
+    surv = np.flatnonzero(new)
+    shard = chain["shard"].to_numpy(zero_copy_only=False)[o[surv]]
+    # shard cap: a survivor is kept iff its in-order rank within its
+    # shard is below the shard's room; each host actor's live sizes
+    # cover the shards it owns, zeros elsewhere
+    room = cfg.max_frontier_per_shard - sum(sz for _c, sz in p1s)
+    by_shard = np.argsort(shard, kind="stable")
+    rank = np.empty(len(surv), np.int64)
+    rank[by_shard] = _runs(shard[by_shard])[1]
+    keep = rank < room[shard]
+    # budget: drop the last ``over`` kept survivors
+    over = seen_before + int(keep.sum()) - cfg.max_crawl_urls
+    if over > 0:
+        keep[np.flatnonzero(keep)[-over:]] = False
+    admitted = keys[surv[keep]]
+    stats = {
+        "candidates": len(keys),
+        "admitted": len(admitted),
+        "rejected_robots_quota": int((~ok).sum()),
+        "rejected_dup": int(ok.sum()) - len(surv),
+        "rejected_cap_budget": len(surv) - len(admitted),
+    }
+    return admitted, stats
 
 
 class HostShards:
@@ -182,10 +247,9 @@ class HostShards:
         return self.resolve_outcomes(self.dequeue_select(epoch))
 
     def append_many(self, adm: pa.Table) -> None:
-        """Queue this actor's rows of one wave's admitted table (order
-        keys assigned and caps applied by the sequencer) for the next
-        merge.  ``filter`` copies, so a queued slice never pins the
-        sequencer's object."""
+        """Queue this actor's rows of ``adm`` (admitted rows carrying
+        their order keys as ``enqueue_seq``) for the next merge.
+        ``filter`` copies, so a queued slice never pins its source."""
         if len(adm):
             owned = np.isin(adm["shard"].to_numpy(), self._owned)
             self._pending.append(
@@ -308,25 +372,43 @@ class HostShards:
         )
 
     # ---------------------------------------------------------- admission
+    def _my_candidates(self, chunks) -> pa.Table:
+        """This actor's rows of a wave's candidate chunks.  The chunks
+        arrive in ascending fetch_seq order, so the rows are in global
+        (fetch_seq, pos) candidate order."""
+        cand = pa.concat_tables(chunks)
+        return cand.filter(pa.array(np.isin(cand["shard"].to_numpy(), self._owned)))
+
     def admit_phase1_chunks(self, *chunks) -> tuple:
         """Chained phase 1: consume the fetch actors' candidate-chunk
-        OBJECTS directly (chunks arrive in ascending fetch_seq order, so
-        their concat is in global (fetch_seq, pos) candidate order), keep
-        only this actor's shards, run robots + quota.  No driver hop —
-        the output objects chain straight into the seen actors and the
-        sequencer.
+        OBJECTS directly, keep only this actor's shards, run robots +
+        quota.  No driver hop — the output objects chain straight into
+        the seen actors and every host actor's ``append_wave``.
 
-        → (chain table (fetch_seq, pos, url_hash, ok), live shard sizes)
-        — sizes piggybacked for the sequencer's cap phase; FIFO has
-        applied every earlier wave's appends by now."""
+        → (chain table (fetch_seq, pos, url_hash, shard, ok), live shard
+        sizes) — sizes for phase 3's shard cap; FIFO has applied every
+        earlier wave's appends by now."""
         sizes = self._shard_sizes()
-        mine = [c for c in chunks if len(c)]
-        if mine:
-            cand = pa.concat_tables(mine)
-            cand = cand.filter(pa.array(np.isin(cand["shard"].to_numpy(), self._owned)))
-            if len(cand):
-                return self._phase1(cand), sizes
-        return CHAIN_SCHEMA.empty_table(), sizes
+        cand = self._my_candidates(chunks)
+        if len(cand) == 0:
+            return CHAIN_SCHEMA.empty_table(), sizes
+        return self._phase1(cand), sizes
+
+    def append_wave(self, n_chunks: int, n_hosts: int, *refs) -> tuple:
+        """Phase 3 + append: ``refs`` are the wave's candidate chunks
+        (``n_chunks``, as phase 1 took them), every host actor's phase-1
+        output (``n_hosts``) and every seen shard's phase-2 output.
+        Queues this actor's rows that ``admit_wave`` admits, their order
+        keys as ``enqueue_seq``.  → (those rows' url hashes, the wave's
+        stats — the same on every host actor)."""
+        chunks, p1s = refs[:n_chunks], refs[n_chunks : n_chunks + n_hosts]
+        admitted, stats = admit_wave(p1s, refs[n_chunks + n_hosts :], self.cfg)
+        cand = self._my_candidates(chunks)
+        keys = _table_keys(cand)
+        mine = np.isin(keys, admitted)
+        rows = cand.filter(pa.array(mine))
+        self.append_many(rows.append_column("enqueue_seq", pa.array(keys[mine])))
+        return rows["url_hash"].to_numpy(), stats
 
     def _phase1(self, cand: pa.Table) -> pa.Table:
         """robots + per-host quota for THIS actor's shards.
@@ -357,10 +439,11 @@ class HostShards:
         cand_count[hrow] += np.bincount(run[quota_ok], minlength=len(hrow))
         ok = np.zeros(len(cand), bool)
         ok[idx[at[quota_ok]]] = True
-        # slim chain table: what every seen actor and the sequencer
-        # deserialize — keys + verdict only, no strings
+        # slim chain table: what every seen actor and every host
+        # actor's phase 3 deserialize — keys + verdict only, no strings
         return pa.table(
-            [cand["fetch_seq"], cand["pos"], cand["url_hash"], pa.array(ok)],
+            [cand["fetch_seq"], cand["pos"], cand["url_hash"], cand["shard"],
+             pa.array(ok)],
             schema=CHAIN_SCHEMA,
         )
 

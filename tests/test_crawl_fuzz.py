@@ -298,3 +298,43 @@ def test_resume_from_dense_enqueue_seq_checkpoint(monkeypatch, tmp_path):
                      ("fetch_seq", "url", "url_hash", "t_sched", "epoch"))))
     assert got == golden.crawl_order
     assert res.seen == golden.seen
+
+
+def test_seen_shards_receive_no_strings(monkeypatch, tmp_path):
+    """No call to a seen shard receives a string column: phase 2 reads
+    the host actors' slim chain tables and ``add_admitted`` their
+    admitted url hashes, never a table carrying the URLs."""
+    import pyarrow as pa
+
+    from searchengine_ray.pipelines.crawl import RemoteCrawl, _SeenActor
+
+    def strings(x):
+        if isinstance(x, (tuple, list)):
+            return any(strings(y) for y in x)
+        return isinstance(x, pa.Table) and any(
+            pa.types.is_string(t) or pa.types.is_large_string(t)
+            for t in x.schema.types
+        )
+
+    calls = []
+    real_call = fakeray._call
+
+    def call(fn, args, kwargs):
+        if isinstance(getattr(fn, "__self__", None), _SeenActor):
+            vals = [a.value if isinstance(a, fakeray.ObjectRef) else a
+                    for a in (*args, *kwargs.values())]
+            calls.append((fn.__name__, strings(vals)))
+        return real_call(fn, args, kwargs)
+
+    monkeypatch.setitem(sys.modules, "ray", fakeray)
+    monkeypatch.setattr(fakeray, "_call", call)
+    store, images, truth, seeds = _small_web(13)
+    cfg = CrawlConfig(shard_count=4, per_shard_batch=3, seen_shards=2)
+    eng = RemoteCrawl(store, images, truth, cfg, str(tmp_path), n_host_actors=2,
+                      write_payload=False)
+    eng.admit_seeds(seeds)
+    res = eng.run()
+    assert res.seen == simulate(seeds, store, cfg).seen
+    names = {name for name, _ in calls}
+    assert {"test_and_add_wave", "add_admitted"} <= names
+    assert [c for c in calls if c[1]] == []

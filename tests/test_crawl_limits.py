@@ -147,7 +147,7 @@ def test_crawl_starts_only_its_actors_and_kills_them(
     ray_session, small_world, tmp_path
 ):
     """The epoch loop runs in the caller, so a crawl starts exactly its
-    host, seen, sequencer and fetch actors (2 + 2 + 1 + 2 here) and no
+    host, seen and fetch actors (2 + 2 + 2 here) and no
     engine actor; ``shutdown`` leaves none of them alive.  Read from the
     GCS actor table (``ray.util.state`` needs the dashboard)."""
     import collections
@@ -175,7 +175,7 @@ def test_crawl_starts_only_its_actors_and_kills_them(
     eng.admit_seeds(seeds)
     eng.run(max_epochs=1)  # every actor has served a call: all are up
     assert collections.Counter(new_alive()) == {
-        "HostShards": 2, "_SeenActor": 2, "_Sequencer": 1, "FetchDecode": 2
+        "HostShards": 2, "_SeenActor": 2, "FetchDecode": 2
     }
     eng.shutdown()
     end = time.monotonic() + 30  # ray.kill is asynchronous

@@ -4,8 +4,8 @@ independent spec) on random frontiers, also across a snapshot → restore
 round trip, the frontier holds no Python object per URL and the host
 table no Python object per host.  The
 admission phases (host robots + quota, then the seen shards' ``test``,
-adding only what the sequencer admits) equal a plain Python set
-walk."""
+then each host actor's shard cap + budget and append, adding only the
+admitted URLs to the seen shards) equal a plain Python set walk."""
 
 import gc
 import random
@@ -261,18 +261,28 @@ def _wave(rng, pool, fseq0, n_pages):
 
 
 def test_admission_matches_set_reference():
-    """Robots + quota per wave on the host actors, then the seen shards'
-    test, with each wave's admitted rows appended to the host actors and
-    added to the seen shards (``add_admitted``) before the next wave's
+    """Robots + quota per wave on the host actors, the seen shards'
+    test, then every host actor's ``append_wave`` (shard cap + budget,
+    appending its own admitted rows) and the seen shards'
+    ``add_admitted`` of the host actors' outputs, before the next wave's
     phases, equals a plain Python set walk in global (fetch_seq, pos)
     order; phase 1 reports the live shard sizes, appends included —
     with 1 host actor owning every shard and 1 seen shard, and with 3
-    host actors and 2 seen shards, across a checkpoint round trip."""
-    from searchengine_ray.pipelines.crawl import _order_keys, _SeenActor
+    host actors and 2 seen shards, across a checkpoint round trip.  The
+    cap and the budget each bind in some cases."""
+    from searchengine_ray.pipelines.crawl import _SeenActor
+    from searchengine_ray.state.host import _order_keys
 
+    no_limit = CrawlConfig()
+    cap_bound = budget_bound = False
     for case in range(20):
         rng = random.Random(case)
-        cfg = CrawlConfig(shard_count=6, max_urls_per_host=rng.randint(3, 30))
+        cfg = CrawlConfig(
+            shard_count=6, max_urls_per_host=rng.randint(3, 30),
+            max_frontier_per_shard=rng.choice(
+                [rng.randint(0, 12), no_limit.max_frontier_per_shard]),
+            max_crawl_urls=rng.choice([rng.randint(0, 50), no_limit.max_crawl_urls]),
+        )
         hosts = [(f"h{i}.jp", rng.getrandbits(64), rng.randrange(6))
                  for i in range(rng.randint(2, 10))]
         pool = []
@@ -289,7 +299,6 @@ def test_admission_matches_set_reference():
             n = rng.randint(1, 8)
             waves.append(_wave(rng, pool, fseq, n))
             fseq += n
-        reject_p = rng.random()
 
         for n_hosts, n_seen in ((1, 1), (3, 2)):
             owners = [HostShards(cfg, range(a, 6, n_hosts), store)
@@ -322,6 +331,20 @@ def test_admission_matches_set_reference():
                     want_new.append(ok and uh not in tested)
                     if ok:
                         tested.add(uh)
+                # the cap: a first sighting is kept while its shard has
+                # room left (cap − live size); the budget: the last
+                # ``over`` kept ones in global order are dropped
+                room = cfg.max_frontier_per_shard - sizes
+                kept = []
+                for i, shard in enumerate(cand["shard"].to_pylist()):
+                    if want_new[i] and room[shard] > 0:
+                        room[shard] -= 1
+                        kept.append(i)
+                cap_bound |= len(kept) < sum(want_new)
+                over = len(seen) + len(kept) - cfg.max_crawl_urls
+                if over > 0:
+                    kept = kept[:-over]
+                    budget_bound = True
                 keys = _order_keys(cand["fetch_seq"].to_numpy(),
                                    cand["pos"].to_numpy())
                 p1 = [hs.admit_phase1_chunks(*chunks) for hs in owners]
@@ -339,25 +362,28 @@ def test_admission_matches_set_reference():
                 assert [k for k, ok in zip(keys.tolist(), want_ok) if ok] == \
                     sorted(got_new)
                 assert [got_new.get(k, False) for k in keys.tolist()] == want_new
-                # the sequencer's verdict: each first sighting is admitted
-                # with its order key as enqueue_seq (and becomes seen) or
-                # rejected
-                new = np.array(want_new)
-                rejected = np.array([rng.random() < reject_p
-                                     for _ in range(new.sum())], bool)
-                admit = np.flatnonzero(new)[~rejected]
-                adm = cand.take(pa.array(admit)).append_column(
-                    "enqueue_seq", pa.array(keys[admit]))
+                outs = [hs.append_wave(len(chunks), len(p1), *chunks, *p1, *p2)
+                        for hs in owners]
+                for sa in shards:
+                    sa.add_admitted(*outs)
+                adm = cand.take(pa.array(kept, pa.int64()))
+                for hs, (uh, stats) in zip(owners, outs):
+                    mine = np.isin(adm["shard"].to_numpy(), hs.shard_ids)
+                    assert uh.tolist() == np.asarray(adm["url_hash"])[mine].tolist()
+                    assert stats == {
+                        "candidates": len(cand),
+                        "admitted": len(kept),
+                        "rejected_robots_quota": want_ok.count(False),
+                        "rejected_dup": sum(want_ok) - sum(want_new),
+                        "rejected_cap_budget": sum(want_new) - len(kept),
+                    }
                 seen |= set(adm["url_hash"].to_pylist())
-                seqs += keys[admit].tolist()
+                seqs += keys[kept].tolist()
                 sizes += np.bincount(adm["shard"].to_numpy(),
                                      minlength=cfg.shard_count)
-                for hs in owners:
-                    hs.append_many(adm)
-                for sa in shards:
-                    sa.add_admitted(adm)
             assert {int(h) for sa in shards for h in sa.dump_hashes()} == seen
             assert sum(sa.mem_bytes()[1] for sa in shards) == len(seen)
             assert sorted(s for hs in owners
                           for s in hs.snapshot()[0]["enqueue_seq"].to_pylist()
                           ) == seqs
+    assert cap_bound and budget_bound
